@@ -71,18 +71,25 @@ pub struct HoneypotRecord {
 /// re-interns the stored string against that table so checkpointed records
 /// round-trip without owning the theme text.
 impl serde::Deserialize for HoneypotRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: serde::Deserialize>(
-            v: &serde::Value,
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            let f = v
-                .get_field(name)
-                .ok_or_else(|| serde::Error::custom(format!("missing field `{name}`")))?;
-            T::from_value(f)
-                .map_err(|e| serde::Error::custom(format!("field `{name}`: {e}")))
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut account, mut kind, mut theme, mut service) = (None, None, None, None);
+        let (mut requested, mut paid, mut enrolled_on, mut deleted) = (None, None, None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "account" => r.field(&mut account, "account")?,
+                "kind" => r.field(&mut kind, "kind")?,
+                "theme" => r.field::<String>(&mut theme, "theme")?,
+                "service" => r.field(&mut service, "service")?,
+                "requested" => r.field(&mut requested, "requested")?,
+                "paid" => r.field(&mut paid, "paid")?,
+                "enrolled_on" => r.field(&mut enrolled_on, "enrolled_on")?,
+                "deleted" => r.field(&mut deleted, "deleted")?,
+                _ => r.skip_value()?,
+            }
         }
-        let theme_owned: String = field(v, "theme")?;
+        let missing = |name| serde::Error::missing_field(name, "HoneypotRecord");
+        let theme_owned = theme.ok_or_else(|| missing("theme"))?;
         let theme = PHOTO_THEMES
             .iter()
             .copied()
@@ -91,14 +98,14 @@ impl serde::Deserialize for HoneypotRecord {
                 serde::Error::custom(format!("unknown honeypot theme `{theme_owned}`"))
             })?;
         Ok(Self {
-            account: field(v, "account")?,
-            kind: field(v, "kind")?,
+            account: account.ok_or_else(|| missing("account"))?,
+            kind: kind.ok_or_else(|| missing("kind"))?,
             theme,
-            service: field(v, "service")?,
-            requested: field(v, "requested")?,
-            paid: field(v, "paid")?,
-            enrolled_on: field(v, "enrolled_on")?,
-            deleted: field(v, "deleted")?,
+            service: service.ok_or_else(|| missing("service"))?,
+            requested: requested.ok_or_else(|| missing("requested"))?,
+            paid: paid.ok_or_else(|| missing("paid"))?,
+            enrolled_on: enrolled_on.ok_or_else(|| missing("enrolled_on"))?,
+            deleted: deleted.ok_or_else(|| missing("deleted"))?,
         })
     }
 }

@@ -134,16 +134,6 @@ pub struct TraceCheck {
     pub counters: usize,
 }
 
-fn field<'v>(map: &'v Value, key: &str) -> Option<&'v Value> {
-    match map {
-        Value::Map(pairs) => pairs.iter().find_map(|(k, v)| match k {
-            Value::Str(s) if s == key => Some(v),
-            _ => None,
-        }),
-        _ => None,
-    }
-}
-
 fn as_f64(v: &Value) -> Option<f64> {
     match v {
         Value::U64(n) => Some(*n as f64),
@@ -165,7 +155,7 @@ fn as_str(v: &Value) -> Option<&str> {
 /// per-tid timestamps monotone non-decreasing; `C`/`M` events well-formed.
 pub fn validate_chrome_trace(src: &str) -> Result<TraceCheck, String> {
     let doc = serde_json::parse(src).map_err(|e| format!("invalid JSON: {}", e.0))?;
-    let Some(Value::Seq(events)) = field(&doc, "traceEvents") else {
+    let Some(Value::Seq(events)) = doc.get_field("traceEvents") else {
         return Err("missing traceEvents array".to_string());
     };
 
@@ -175,29 +165,35 @@ pub fn validate_chrome_trace(src: &str) -> Result<TraceCheck, String> {
     let mut stacks: Vec<(f64, Vec<String>)> = Vec::new();
 
     for (i, ev) in events.iter().enumerate() {
-        let ph = field(ev, "ph")
+        let ph = ev
+            .get_field("ph")
             .and_then(as_str)
             .ok_or_else(|| format!("event {i}: missing ph"))?;
-        let name = field(ev, "name")
+        let name = ev
+            .get_field("name")
             .and_then(as_str)
             .ok_or_else(|| format!("event {i}: missing name"))?;
         match ph {
             "M" => {}
             "C" => {
                 check.counters += 1;
-                field(ev, "ts")
+                ev.get_field("ts")
                     .and_then(as_f64)
                     .ok_or_else(|| format!("event {i}: counter without ts"))?;
-                let args = field(ev, "args").ok_or_else(|| format!("event {i}: counter without args"))?;
-                field(args, "value")
+                let args = ev
+                    .get_field("args")
+                    .ok_or_else(|| format!("event {i}: counter without args"))?;
+                args.get_field("value")
                     .and_then(as_f64)
                     .ok_or_else(|| format!("event {i}: counter without args.value"))?;
             }
             "B" | "E" => {
-                let ts = field(ev, "ts")
+                let ts = ev
+                    .get_field("ts")
                     .and_then(as_f64)
                     .ok_or_else(|| format!("event {i}: duration event without ts"))?;
-                let tid = field(ev, "tid")
+                let tid = ev
+                    .get_field("tid")
                     .and_then(as_f64)
                     .ok_or_else(|| format!("event {i}: duration event without tid"))?;
                 let li = match lanes.iter().position(|t| *t == tid) {

@@ -27,7 +27,7 @@ use crate::actions::{ActionEvent, ActionOutcome, ActionType, TypeCounts};
 use crate::fingerprint::ClientFingerprint;
 use crate::ids::{AccountId, AsnId, MediaId};
 use crate::time::Day;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::collections::BTreeMap;
 
 /// Key of an outbound aggregate record: who acted, from which network, with
@@ -368,33 +368,41 @@ impl DayLog {
 }
 
 impl Serialize for DayLog {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         // Serialize sorted copies so the output is identical whether the day
         // was sealed or still open.
         let mut out = self.out_records.clone();
         out.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         let mut inb = self.in_records.clone();
         inb.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        Value::Map(vec![
-            (Value::Str("outbound".into()), out.to_value()),
-            (Value::Str("inbound".into()), inb.to_value()),
-            (Value::Str("photo_likes".into()), self.photo_likes.to_value()),
-            (Value::Str("events".into()), self.events.to_value()),
-        ])
+        w.begin_object();
+        w.field("outbound", &out);
+        w.field("inbound", &inb);
+        w.field("photo_likes", &self.photo_likes);
+        w.field("events", &self.events);
+        w.end_object();
     }
 }
 
 impl Deserialize for DayLog {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get_field(name)
-                .ok_or_else(|| Error::custom(format!("DayLog missing field `{name}`")))
-        };
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut out, mut inb, mut likes, mut events) = (None, None, None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "outbound" => r.field(&mut out, "outbound")?,
+                "inbound" => r.field(&mut inb, "inbound")?,
+                "photo_likes" => r.field(&mut likes, "photo_likes")?,
+                "events" => r.field(&mut events, "events")?,
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |name| Error::missing_field(name, "DayLog");
         Ok(DayLog {
-            out_records: Deserialize::from_value(field("outbound")?)?,
-            in_records: Deserialize::from_value(field("inbound")?)?,
-            photo_likes: Deserialize::from_value(field("photo_likes")?)?,
-            events: Deserialize::from_value(field("events")?)?,
+            out_records: out.ok_or_else(|| missing("outbound"))?,
+            in_records: inb.ok_or_else(|| missing("inbound"))?,
+            photo_likes: likes.ok_or_else(|| missing("photo_likes"))?,
+            events: events.ok_or_else(|| missing("events"))?,
             open: None,
         })
     }
@@ -605,7 +613,7 @@ impl ActionLog {
 }
 
 impl Serialize for ActionLog {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         let tracked: Vec<AccountId> = self
             .event_tracked
             .iter()
@@ -613,21 +621,27 @@ impl Serialize for ActionLog {
             .filter(|(_, &t)| t)
             .map(|(i, _)| AccountId(i as u32))
             .collect();
-        Value::Map(vec![
-            (Value::Str("days".into()), self.days.to_value()),
-            (Value::Str("event_tracked".into()), tracked.to_value()),
-        ])
+        w.begin_object();
+        w.field("days", &self.days);
+        w.field("event_tracked", &tracked);
+        w.end_object();
     }
 }
 
 impl Deserialize for ActionLog {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get_field(name)
-                .ok_or_else(|| Error::custom(format!("ActionLog missing field `{name}`")))
-        };
-        let days: Vec<DayLog> = Deserialize::from_value(field("days")?)?;
-        let tracked: Vec<AccountId> = Deserialize::from_value(field("event_tracked")?)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut days, mut tracked) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "days" => r.field(&mut days, "days")?,
+                "event_tracked" => r.field(&mut tracked, "event_tracked")?,
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |name| Error::missing_field(name, "ActionLog");
+        let days: Vec<DayLog> = days.ok_or_else(|| missing("days"))?;
+        let tracked: Vec<AccountId> = tracked.ok_or_else(|| missing("event_tracked"))?;
         let mut log = ActionLog {
             open_idx: days.len().saturating_sub(1),
             days,

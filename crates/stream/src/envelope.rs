@@ -187,10 +187,12 @@ impl EventBatch {
 }
 
 /// Incremental writer: header + one line per batch, staged in a `.tmp`
-/// sibling until [`EventLogWriter::finish`] renames it into place.
+/// sibling until [`EventLogWriter::finish`] renames it into place. Every
+/// line is encoded into one reused buffer.
 #[derive(Debug)]
 pub struct EventLogWriter {
     out: BufWriter<File>,
+    line: String,
     tmp: PathBuf,
     path: PathBuf,
 }
@@ -202,18 +204,23 @@ impl EventLogWriter {
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
         let file = File::create(&tmp)?;
-        let mut out = BufWriter::new(file);
-        let line = serde_json::to_string(header)
-            .map_err(|e| StreamError::Corrupt(format!("header serialize: {e}")))?;
-        writeln!(out, "{line}")?;
-        Ok(Self { out, tmp, path: path.to_path_buf() })
+        let mut writer =
+            Self { out: BufWriter::new(file), line: String::new(), tmp, path: path.to_path_buf() };
+        writer.write_line(header)?;
+        Ok(writer)
     }
 
     /// Append one day's batch.
     pub fn append(&mut self, batch: &EventBatch) -> Result<(), StreamError> {
-        let line = serde_json::to_string(batch)
-            .map_err(|e| StreamError::Corrupt(format!("batch serialize: {e}")))?;
-        writeln!(self.out, "{line}")?;
+        self.write_line(batch)
+    }
+
+    fn write_line<T: Serialize>(&mut self, value: &T) -> Result<(), StreamError> {
+        let mut w = serde::Writer::with_buffer(std::mem::take(&mut self.line), false);
+        value.serialize(&mut w);
+        self.line = w.into_string();
+        self.line.push('\n');
+        self.out.write_all(self.line.as_bytes())?;
         Ok(())
     }
 
@@ -227,22 +234,25 @@ impl EventLogWriter {
 }
 
 /// Reader over a finished log: validates the header, then yields batches.
+///
+/// The writer never writes a blank line. Blank lines at the end of the
+/// file are tolerated; a blank line with batches after it is corruption,
+/// since stopping there would silently drop the rest of the log.
 #[derive(Debug)]
 pub struct EventLogReader {
-    lines: std::io::Lines<BufReader<File>>,
+    lines: LineBuffer,
     header: LogHeader,
-    line_no: usize,
 }
 
 impl EventLogReader {
     /// Open `path`, parse and validate the header line.
     pub fn open(path: &Path) -> Result<Self, StreamError> {
-        let file = File::open(path)?;
-        let mut lines = BufReader::new(file).lines();
-        let first = lines
-            .next()
-            .ok_or_else(|| StreamError::Corrupt("empty file (no header line)".into()))??;
-        let header: LogHeader = serde_json::from_str(&first)
+        let mut lines =
+            LineBuffer { input: BufReader::new(File::open(path)?), line: Vec::new(), line_no: 0 };
+        let Some((_, first)) = lines.next()? else {
+            return Err(StreamError::Corrupt("empty file (no header line)".into()));
+        };
+        let header: LogHeader = serde_json::from_str(first)
             .map_err(|e| StreamError::Corrupt(format!("header line: {e}")))?;
         if header.schema_version != STREAM_SCHEMA_VERSION {
             return Err(StreamError::VersionMismatch {
@@ -250,7 +260,7 @@ impl EventLogReader {
                 expected: STREAM_SCHEMA_VERSION,
             });
         }
-        Ok(Self { lines, header, line_no: 1 })
+        Ok(Self { lines, header })
     }
 
     /// The validated header.
@@ -260,15 +270,43 @@ impl EventLogReader {
 
     /// The next day's batch, or `None` at end of log.
     pub fn next_batch(&mut self) -> Result<Option<EventBatch>, StreamError> {
-        let Some(line) = self.lines.next() else { return Ok(None) };
-        let line = line?;
-        self.line_no += 1;
-        if line.trim().is_empty() {
+        let Some((line_no, text)) = self.lines.next()? else { return Ok(None) };
+        if text.trim().is_empty() {
+            while let Some((_, rest)) = self.lines.next()? {
+                if !rest.trim().is_empty() {
+                    return Err(StreamError::Corrupt(format!(
+                        "line {line_no}: blank line before the end of the log"
+                    )));
+                }
+            }
             return Ok(None);
         }
-        let batch: EventBatch = serde_json::from_str(&line)
-            .map_err(|e| StreamError::Corrupt(format!("line {}: {e}", self.line_no)))?;
+        let batch: EventBatch = serde_json::from_str(text)
+            .map_err(|e| StreamError::Corrupt(format!("line {line_no}: {e}")))?;
         Ok(Some(batch))
+    }
+}
+
+/// Lines of a file, each read into the same buffer.
+#[derive(Debug)]
+struct LineBuffer {
+    input: BufReader<File>,
+    line: Vec<u8>,
+    line_no: usize,
+}
+
+impl LineBuffer {
+    /// The next line and its 1-based number, or `None` at end of file.
+    fn next(&mut self) -> Result<Option<(usize, &str)>, StreamError> {
+        self.line.clear();
+        if self.input.read_until(b'\n', &mut self.line)? == 0 {
+            return Ok(None);
+        }
+        self.line_no += 1;
+        match std::str::from_utf8(&self.line) {
+            Ok(text) => Ok(Some((self.line_no, text))),
+            Err(e) => Err(StreamError::Corrupt(format!("line {}: {e}", self.line_no))),
+        }
     }
 }
 
@@ -339,6 +377,45 @@ mod tests {
             }
             other => panic!("expected version mismatch, got {other:?}"),
         }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn blank_line_between_batches_is_corrupt() {
+        let path = tmp_path("blank");
+        let mut w = EventLogWriter::create(&path, &sample_header()).unwrap();
+        let b0 = EventBatch { day: Day(0), ..EventBatch::default() };
+        let b1 = EventBatch { day: Day(1), ..EventBatch::default() };
+        w.append(&b0).unwrap();
+        w.append(&b1).unwrap();
+        w.finish().unwrap();
+        // Splice an empty line between the two batch lines (line 3).
+        let text = fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        fs::write(&path, format!("{}\n{}\n\n{}\n", lines[0], lines[1], lines[2])).unwrap();
+        let mut r = EventLogReader::open(&path).unwrap();
+        assert_eq!(r.next_batch().unwrap().unwrap(), b0);
+        match r.next_batch() {
+            Err(StreamError::Corrupt(msg)) => assert!(msg.contains("line 3"), "{msg}"),
+            other => panic!("expected corrupt error, got {other:?}"),
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn trailing_blank_lines_end_the_log() {
+        let path = tmp_path("trailing");
+        let mut w = EventLogWriter::create(&path, &sample_header()).unwrap();
+        let b0 = EventBatch { day: Day(0), ..EventBatch::default() };
+        w.append(&b0).unwrap();
+        w.finish().unwrap();
+        let mut contents = fs::read_to_string(&path).unwrap();
+        contents.push_str("\n \n");
+        fs::write(&path, contents).unwrap();
+        let mut r = EventLogReader::open(&path).unwrap();
+        assert_eq!(r.next_batch().unwrap().unwrap(), b0);
+        assert!(r.next_batch().unwrap().is_none());
+        assert!(r.next_batch().unwrap().is_none());
         fs::remove_file(&path).unwrap();
     }
 

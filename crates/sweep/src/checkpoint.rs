@@ -92,49 +92,78 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> SweepError {
     SweepError::Corrupt { path: path.to_path_buf(), detail: detail.into() }
 }
 
-fn field<T: serde::Deserialize>(v: &serde::Value, name: &str, path: &Path) -> Result<T, SweepError> {
-    let f = v
-        .get_field(name)
-        .ok_or_else(|| corrupt(path, format!("missing envelope field `{name}`")))?;
-    T::from_value(f).map_err(|e| corrupt(path, format!("envelope field `{name}`: {e}")))
+/// Decode one envelope field at the reader's position.
+fn field<T: serde::Deserialize>(
+    r: &mut serde::Reader<'_>,
+    name: &str,
+    path: &Path,
+) -> Result<T, SweepError> {
+    T::deserialize(r).map_err(|e| corrupt(path, format!("envelope field `{name}`: {}", e.0)))
 }
 
 /// Load a checkpoint and validate it against `expected`: envelope parse,
 /// schema version, scenario hash and the phase cross-check all fail with
 /// a typed [`SweepError`] rather than a panic or a silently wrong world.
+///
+/// The envelope is read as a stream and [`save`] writes `study` last, so
+/// a wrong schema version or scenario hash is reported before the study
+/// is decoded.
 pub fn load(path: &Path, expected: &Scenario) -> Result<Study, SweepError> {
     let text = fs::read_to_string(path)
         .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
-    let v = serde_json::parse(&text).map_err(|e| corrupt(path, e.0))?;
-
-    let found: u32 = field(&v, "schema_version", path)?;
-    if found != SCHEMA_VERSION {
-        return Err(SweepError::VersionMismatch {
-            path: path.to_path_buf(),
-            found,
-            expected: SCHEMA_VERSION,
-        });
-    }
-
-    let found_hash: u64 = field(&v, "scenario_hash", path)?;
+    let bad = |e: serde::Error| corrupt(path, e.0);
     let expected_hash = scenario_hash(expected);
-    if found_hash != expected_hash {
-        return Err(SweepError::ScenarioMismatch {
-            path: path.to_path_buf(),
-            found: found_hash,
-            expected: expected_hash,
-        });
-    }
+    let (mut version_ok, mut hash_ok, mut phase, mut study) = (false, false, None, None);
 
-    let phase: Phase = field(&v, "phase", path)?;
-    let study: Study = field(&v, "study", path)?;
+    let mut r = serde::Reader::new(&text);
+    r.begin_object().map_err(bad)?;
+    while let Some(key) = r.next_key().map_err(bad)? {
+        match &*key {
+            "schema_version" => {
+                let found: u32 = field(&mut r, "schema_version", path)?;
+                if found != SCHEMA_VERSION {
+                    return Err(SweepError::VersionMismatch {
+                        path: path.to_path_buf(),
+                        found,
+                        expected: SCHEMA_VERSION,
+                    });
+                }
+                version_ok = true;
+            }
+            "scenario_hash" => {
+                let found: u64 = field(&mut r, "scenario_hash", path)?;
+                if found != expected_hash {
+                    return Err(SweepError::ScenarioMismatch {
+                        path: path.to_path_buf(),
+                        found,
+                        expected: expected_hash,
+                    });
+                }
+                hash_ok = true;
+            }
+            "phase" => phase = Some(field::<Phase>(&mut r, "phase", path)?),
+            "study" => study = Some(field::<Study>(&mut r, "study", path)?),
+            _ => r.skip_value().map_err(bad)?,
+        }
+    }
+    r.finish().map_err(bad)?;
+
+    let missing = |name: &str| corrupt(path, format!("missing envelope field `{name}`"));
+    if !version_ok {
+        return Err(missing("schema_version"));
+    }
+    if !hash_ok {
+        return Err(missing("scenario_hash"));
+    }
+    let phase = phase.ok_or_else(|| missing("phase"))?;
+    let study = study.ok_or_else(|| missing("study"))?;
     if study.phase != phase {
         return Err(corrupt(
             path,
             format!("envelope says {phase:?} but the study is at {:?}", study.phase),
         ));
     }
-    if scenario_hash(&study.scenario) != found_hash {
+    if scenario_hash(&study.scenario) != expected_hash {
         return Err(corrupt(path, "embedded scenario disagrees with the envelope hash"));
     }
     Ok(study)
@@ -169,6 +198,28 @@ mod tests {
         b.worker_threads = 8;
         assert_eq!(scenario_hash(&a), scenario_hash(&b));
         assert_ne!(scenario_hash(&a), scenario_hash(&Scenario::smoke(8)));
+    }
+
+    #[test]
+    fn deeply_nested_study_is_corrupt() {
+        let scenario = Scenario::quick(7);
+        let hash = scenario_hash(&scenario);
+        let deep = "[".repeat(100_000);
+        let path = std::env::temp_dir()
+            .join(format!("footsteps_ckpt_deep_{}.json", std::process::id()));
+        let head = format!("\"schema_version\":{SCHEMA_VERSION},\"scenario_hash\":{hash}");
+        for text in [
+            format!("{{{head},\"phase\":\"Setup\",\"study\":{deep}}}"),
+            // The same depth under a key a study does not have: the skip path.
+            format!("{{{head},\"phase\":\"Setup\",\"study\":{{\"extra\":{deep}}}}}"),
+        ] {
+            fs::write(&path, text).unwrap();
+            match load(&path, &scenario) {
+                Err(SweepError::Corrupt { .. }) => {}
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -36,6 +36,11 @@ cargo run --release -q -p footsteps-lint -- --schema-check
 echo "== test =="
 cargo test -q
 
+echo "== vendored crates' unit tests =="
+# The vendored work-alikes are path dependencies, not workspace members,
+# so the workspace `cargo test` above does not run their own tests.
+cargo test -q -p serde -p serde_json -p serde_derive -p rand -p proptest
+
 echo "== sweep smoke (2-seed replication, checkpoint/resume) =="
 # Two seeds of the smoke scenario on the bounded pool, then prove the
 # resume path is a no-op on a finished manifest and that the aggregate

@@ -1,0 +1,253 @@
+//! The JSON codec contract (DESIGN.md §9): recorded artifacts keep their
+//! exact bytes and decode back to the values that wrote them, strings and
+//! numbers follow RFC 8259, nesting is bounded, and malformed input is an
+//! error, never a panic.
+
+use footsteps_core::{Scenario, Study};
+use footsteps_sim::prelude::Day;
+use footsteps_stream::{EventBatch, EventLogReader, EventLogWriter, LogHeader, StreamError};
+use proptest::prelude::*;
+use serde_json::Value;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn tmp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("footsteps_json_codec_{}_{name}", std::process::id()))
+}
+
+/// `Scenario::quick(7)` at one worker thread: the study before and after
+/// characterization, and the batch lines of the log recorded meanwhile.
+struct QuickRun {
+    fresh: String,
+    characterized: String,
+    batch_lines: Vec<String>,
+}
+
+fn quick_run() -> &'static QuickRun {
+    static RUN: OnceLock<QuickRun> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let mut scenario = Scenario::quick(7);
+        scenario.worker_threads = 1;
+        let mut study = Study::new(scenario);
+        let fresh = serde_json::to_string(&study).expect("study encodes");
+        let log = tmp_path("quick7.jsonl");
+        study.attach_stream(Some(&log)).expect("recorder attaches");
+        study.run_characterization();
+        let characterized = serde_json::to_string(&study).expect("study encodes");
+        let text = std::fs::read_to_string(&log).expect("log was recorded");
+        std::fs::remove_file(&log).ok();
+        // The header carries `recorded_unix`, so only batch lines are pinned.
+        let batch_lines = text.lines().skip(1).map(str::to_owned).collect();
+        QuickRun { fresh, characterized, batch_lines }
+    })
+}
+
+/// Decode a pinned study document and encode it again: same bytes.
+fn assert_study_reencodes(doc: &str) {
+    let study: Study = serde_json::from_str(doc).expect("pinned study decodes");
+    let again = serde_json::to_string(&study).expect("study encodes");
+    assert!(again == doc, "decode + encode changed the study's bytes");
+}
+
+#[test]
+fn fresh_quick_study_keeps_its_wire_bytes() {
+    let doc = &quick_run().fresh;
+    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_320_854, 0xfbab_aaba_68f7_6ab6));
+    assert_study_reencodes(doc);
+}
+
+#[test]
+fn characterized_quick_study_keeps_its_wire_bytes() {
+    let doc = &quick_run().characterized;
+    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (88_588_939, 0xfe62_05cb_72e9_6db7));
+    assert_study_reencodes(doc);
+}
+
+#[test]
+fn recorded_quick_log_keeps_its_wire_bytes() {
+    let lines = &quick_run().batch_lines;
+    assert_eq!(lines.len(), 16);
+    let mut body = Vec::new();
+    for line in lines {
+        body.extend_from_slice(line.as_bytes());
+        body.push(b'\n');
+    }
+    assert_eq!(fnv1a(&body), 0x565e_edae_ad3f_606c);
+    for (i, line) in lines.iter().enumerate() {
+        let batch: EventBatch = serde_json::from_str(line).expect("batch line decodes");
+        let again = serde_json::to_string(&batch).expect("batch encodes");
+        assert!(&again == line, "decode + encode changed batch line {i}");
+    }
+}
+
+#[test]
+fn strings_and_numbers_follow_rfc_8259() {
+    let s = |x: &str| Some(Value::Str(x.to_string()));
+    // (input, the value it must parse to, or None for an error)
+    let cases: Vec<(&str, Option<Value>)> = vec![
+        (r#""A""#, s("A")),
+        (r#""\u0041\u00e9é""#, s("Aéé")),
+        (r#""\u+041""#, None),
+        (r#""\u-041""#, None),
+        (r#""\u041""#, None),
+        (r#""\u004g""#, None),
+        (r#""\ud83d\ude00""#, s("😀")),
+        (r#""\uD83D\uDE00x""#, s("😀x")),
+        (r#""\ud83d""#, None),
+        (r#""\ud83dx""#, None),
+        (r#""\ud83dA""#, None),
+        (r#""\ud83d\u0041""#, None),
+        (r#""\ude00""#, None),
+        (r#""\ude00\ud83d""#, None),
+        ("\"a\u{1}b\"", None),
+        ("\"a\nb\"", None),
+        ("\"a\tb\"", None),
+        ("\"\u{1f}\"", None),
+        ("\"\u{7f}\u{e9}\"", s("\u{7f}é")),
+        (r#""\/\b\f\n\r\t\"\\""#, s("/\u{8}\u{c}\n\r\t\"\\")),
+        (r#""\x""#, None),
+        ("0", Some(Value::U64(0))),
+        ("-0", Some(Value::I64(0))),
+        ("10", Some(Value::U64(10))),
+        ("-12", Some(Value::I64(-12))),
+        ("1.5", Some(Value::F64(1.5))),
+        ("0.25", Some(Value::F64(0.25))),
+        ("1e3", Some(Value::F64(1000.0))),
+        ("2E-2", Some(Value::F64(0.02))),
+        ("-1.5e+2", Some(Value::F64(-150.0))),
+        ("01", None),
+        ("-01", None),
+        ("00", None),
+        ("1.", None),
+        ("1.e5", None),
+        (".5", None),
+        ("-", None),
+        ("+1", None),
+        ("1e", None),
+        ("1e+", None),
+        ("0x10", None),
+    ];
+    for (input, want) in &cases {
+        match (serde_json::parse(input), want) {
+            (Ok(got), Some(want)) => assert_eq!(&got, want, "{input:?}"),
+            (Err(_), None) => {}
+            (got, want) => panic!("{input:?}: got {got:?}, want {want:?}"),
+        }
+    }
+    // Typed reads apply the same rules.
+    assert!(serde_json::from_str::<u32>("01").is_err());
+    assert!(serde_json::from_str::<f64>("1.").is_err());
+    assert!(serde_json::from_str::<String>(r#""\u+041""#).is_err());
+    assert_eq!(serde_json::from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "😀");
+    // The writer escapes control characters, so its strings read back.
+    let text = serde_json::to_string("a\u{1}\u{1f}\n😀").unwrap();
+    assert_eq!(text, r#""a\u0001\u001f\n😀""#);
+    assert_eq!(serde_json::from_str::<String>(&text).unwrap(), "a\u{1}\u{1f}\n😀");
+}
+
+#[test]
+fn nesting_deeper_than_the_limit_is_an_error() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(serde_json::parse(&nested(128)).is_ok());
+    assert!(serde_json::parse(&nested(129)).is_err());
+
+    let deep = "[".repeat(100_000);
+    assert!(serde_json::parse(&deep).is_err());
+    assert!(serde_json::from_str::<EventBatch>(&deep).is_err());
+    // The same depth under a key a batch does not have: the skip path.
+    let under_unknown_key = format!("{{\"day\":0,\"extra\":{deep}}}");
+    assert!(serde_json::from_str::<EventBatch>(&under_unknown_key).is_err());
+}
+
+#[test]
+fn deeply_nested_log_line_is_corrupt() {
+    let path = tmp_path("deep.jsonl");
+    let header = LogHeader::new(7, Day(2), Day(10), 8, Vec::new());
+    EventLogWriter::create(&path, &header).unwrap().finish().unwrap();
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    text.push_str(&"[".repeat(100_000));
+    text.push('\n');
+    std::fs::write(&path, text).unwrap();
+    let mut reader = EventLogReader::open(&path).unwrap();
+    match reader.next_batch() {
+        Err(StreamError::Corrupt(msg)) => assert!(msg.contains("line 2"), "{msg}"),
+        other => panic!("expected a corrupt line, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A real batch line cut down to a few records of every kind, so that
+/// each property case decodes it quickly.
+fn small_batch_line() -> &'static str {
+    static LINE: OnceLock<String> = OnceLock::new();
+    LINE.get_or_init(|| {
+        let run = quick_run();
+        let mut batch: EventBatch = serde_json::from_str(&run.batch_lines[9]).unwrap();
+        batch.outbound.truncate(3);
+        batch.inbound.truncate(3);
+        batch.logins.truncate(3);
+        batch.events.truncate(3);
+        assert!(
+            !batch.inbound.is_empty() && !batch.logins.is_empty() && !batch.events.is_empty(),
+            "the sample line should carry every record kind"
+        );
+        serde_json::to_string(&batch).unwrap()
+    })
+}
+
+/// Bytes JSON is made of, so random documents reach deep into the reader.
+const JSON_ALPHABET: &[u8] = b"[]{}[]{},:\"\"\\\\/u0123456789-+.eEtrufalsn \n\tAzd8DE\x01\xc3\xa9";
+
+proptest! {
+    /// Arbitrary bytes never panic the reader.
+    #[test]
+    fn arbitrary_bytes_decode_or_fail(bytes in prop::collection::vec(any::<u8>(), 0..48)) {
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = serde_json::from_str::<Value>(&text);
+        let _ = serde_json::from_str::<EventBatch>(&text);
+    }
+
+    /// Random JSON-alphabet text never panics the reader, and whatever
+    /// parses as a document encodes to text that parses again.
+    #[test]
+    fn json_alphabet_soup_decodes_or_fails(picks in prop::collection::vec(0usize..1000, 0..64)) {
+        let bytes: Vec<u8> = picks.iter().map(|&i| JSON_ALPHABET[i % JSON_ALPHABET.len()]).collect();
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(value) = serde_json::from_str::<Value>(&text) {
+            let again = serde_json::to_string(&value).unwrap();
+            prop_assert!(serde_json::parse(&again).is_ok(), "{again}");
+        }
+        let _ = serde_json::from_str::<EventBatch>(&text);
+    }
+
+    /// Every strict prefix of a batch line is an error.
+    #[test]
+    fn truncated_batch_line_is_an_error(cut in 0usize..4096) {
+        let line = small_batch_line();
+        let prefix = String::from_utf8_lossy(&line.as_bytes()[..cut % line.len()]);
+        prop_assert!(serde_json::from_str::<EventBatch>(&prefix).is_err());
+        let _ = serde_json::from_str::<Value>(&prefix);
+    }
+
+    /// Flipped bytes in a batch line decode or fail, never panic.
+    #[test]
+    fn flipped_batch_line_decodes_or_fails(flips in prop::collection::vec((0usize..4096, any::<u8>()), 1..4)) {
+        let mut bytes = small_batch_line().as_bytes().to_vec();
+        let len = bytes.len();
+        for (pos, byte) in flips {
+            bytes[pos % len] = byte;
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = serde_json::from_str::<EventBatch>(&text);
+        let _ = serde_json::from_str::<Value>(&text);
+    }
+}
