@@ -3,17 +3,21 @@
 //! The registry records named counters, gauges, and fixed-bucket histograms
 //! grouped into *phase frames*. A frame opens when the study enters a phase
 //! (`begin_phase`) and every subsequent record lands in it, so the snapshot
-//! preserves per-phase structure alongside cross-phase totals.
+//! preserves per-phase structure alongside cross-phase totals. The open
+//! frame's counters and histograms are kept in interned slots, so a record
+//! on the platform's hot paths is one indexed add; they are folded into
+//! the frame when it closes or is snapshotted.
 //!
 //! Determinism contract: everything in here is a pure function of the
 //! simulation's decision stream. No wall-clock data, no thread identifiers,
-//! no allocation-order-dependent iteration — maps are `BTreeMap` so the
-//! serialized snapshot is byte-identical for identical runs regardless of
-//! `FOOTSTEPS_THREADS`. Wall-clock timing lives in [`crate::span`], which is
+//! no allocation-order-dependent iteration — frame maps are `BTreeMap` so
+//! the serialized snapshot is byte-identical for identical runs regardless
+//! of `FOOTSTEPS_THREADS`, and the slot index is only ever probed, never
+//! iterated. Wall-clock timing lives in [`crate::span`], which is
 //! deliberately a separate snapshot type.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A fixed-bucket histogram. `bounds` are inclusive upper bounds for the
 /// first `bounds.len()` buckets; the final bucket is an unbounded overflow
@@ -106,13 +110,112 @@ impl Frame {
     }
 }
 
+/// Lines in the slot cache (a power of two). A key's line is its address
+/// over 8, modulo this, so two keys that start 8 bytes to 4 KB apart never
+/// share a line. The platform's hot keys are literals from a few static
+/// tables, packed within about 2 KB of read-only data; a formatted heap
+/// key lands anywhere and at worst evicts one of them until its next use.
+const CACHE_LINES: usize = 512;
+
+/// One slot-cache line: the address and length of the last key that
+/// resolved here, and its slot. `addr == 0` marks an empty line (a `&str`
+/// never points at address zero).
+#[derive(Debug, Clone, Copy)]
+struct CacheLine {
+    addr: usize,
+    len: usize,
+    slot: u32,
+}
+
+const EMPTY_LINE: CacheLine = CacheLine { addr: 0, len: 0, slot: 0 };
+
+/// The open phase's counters and histograms, one slot per interned key.
+///
+/// A key is interned once, on first use, and keeps its slot for the life
+/// of the registry; recording is an indexed add. Keys are found through a
+/// direct-mapped cache keyed by the key's address and length, which turns
+/// the common case (a `&'static str` from a table) into one compare of the
+/// key text against the interned name. The text compare is what makes a
+/// hit sound: a freed heap key whose address is reused by a different key
+/// fails it and falls back to the index.
+#[derive(Debug, Clone)]
+struct Slots {
+    names: Vec<Box<str>>,
+    index: HashMap<Box<str>, u32>,
+    counters: Vec<u64>,
+    histograms: Vec<Option<Histogram>>,
+    cache: Box<[CacheLine; CACHE_LINES]>,
+}
+
+impl Slots {
+    fn new() -> Self {
+        Slots {
+            names: Vec::new(),
+            index: HashMap::new(),
+            counters: Vec::new(),
+            histograms: Vec::new(),
+            cache: Box::new([EMPTY_LINE; CACHE_LINES]),
+        }
+    }
+
+    /// The slot for `key`, interning it on first use.
+    fn slot(&mut self, key: &str) -> usize {
+        let addr = key.as_ptr() as usize;
+        let line = &mut self.cache[(addr >> 3) % CACHE_LINES];
+        if line.addr == addr
+            && line.len == key.len()
+            && *self.names[line.slot as usize] == *key
+        {
+            return line.slot as usize;
+        }
+        let slot = match self.index.get(key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = u32::try_from(self.names.len()).expect("fewer than 2^32 metric keys");
+                self.index.insert(key.into(), slot);
+                self.names.push(key.into());
+                self.counters.push(0);
+                self.histograms.push(None);
+                slot
+            }
+        };
+        *line = CacheLine { addr, len: key.len(), slot };
+        slot as usize
+    }
+
+    /// Write the slots into `frame`: nonzero counters and observed
+    /// histograms only, so a key the phase never touched stays absent.
+    fn fold_into(&self, frame: &mut Frame) {
+        for (slot, name) in self.names.iter().enumerate() {
+            if self.counters[slot] != 0 {
+                frame.counters.insert(name.to_string(), self.counters[slot]);
+            }
+            if let Some(h) = &self.histograms[slot] {
+                frame.histograms.insert(name.to_string(), h.clone());
+            }
+        }
+    }
+
+    /// Zero every slot for the next phase. Interned names and the cache
+    /// survive: slots are per key, not per phase.
+    fn reset(&mut self) {
+        self.counters.fill(0);
+        self.histograms.fill(None);
+    }
+}
+
 /// The live registry: an ordered list of `(phase name, frame)` pairs.
 /// Records always land in the most recent frame; a registry starts with an
 /// implicit `"setup"` frame so recording before the first `begin_phase` is
 /// well-defined.
+///
+/// While a frame is open its gauges live in the frame, and its counters
+/// and histograms live in interned slots (`Slots`). `begin_phase` folds
+/// the slots into the closing frame; `snapshot` folds them into a copy.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     phases: Vec<(String, Frame)>,
+    open: Slots,
 }
 
 impl Default for MetricsRegistry {
@@ -125,11 +228,16 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             phases: vec![("setup".to_string(), Frame::default())],
+            open: Slots::new(),
         }
     }
 
-    /// Open a new phase frame. Subsequent records land here.
+    /// Close the open frame and open a new one. Subsequent records land
+    /// in the new frame.
     pub fn begin_phase(&mut self, name: &str) {
+        let (_, closing) = self.phases.last_mut().expect("registry always has a frame");
+        self.open.fold_into(closing);
+        self.open.reset();
         self.phases.push((name.to_string(), Frame::default()));
     }
 
@@ -138,21 +246,13 @@ impl MetricsRegistry {
         &self.phases.last().expect("registry always has a frame").0
     }
 
-    fn frame(&mut self) -> &mut Frame {
-        &mut self.phases.last_mut().expect("registry always has a frame").1
-    }
-
     /// Add `n` to the named counter (saturating).
     pub fn add(&mut self, key: &str, n: u64) {
         if n == 0 {
             return;
         }
-        let frame = self.frame();
-        let slot = match frame.counters.get_mut(key) {
-            Some(slot) => slot,
-            None => frame.counters.entry(key.to_string()).or_insert(0),
-        };
-        *slot = slot.saturating_add(n);
+        let slot = self.open.slot(key);
+        self.open.counters[slot] = self.open.counters[slot].saturating_add(n);
     }
 
     /// Increment the named counter by one.
@@ -174,35 +274,30 @@ impl MetricsRegistry {
 
     /// Set the named gauge to `value`.
     pub fn gauge(&mut self, key: &str, value: i64) {
-        let frame = self.frame();
+        let (_, frame) = self.phases.last_mut().expect("registry always has a frame");
         frame.gauges.insert(key.to_string(), value);
     }
 
     /// Record an observation into the named histogram, creating it with
-    /// `bounds` on first use.
+    /// `bounds` on its first use in the open frame.
     pub fn observe(&mut self, key: &str, bounds: &[u64], value: u64) {
-        let frame = self.frame();
-        if !frame.histograms.contains_key(key) {
-            frame.histograms.insert(key.to_string(), Histogram::new(bounds));
-        }
-        frame
-            .histograms
-            .get_mut(key)
-            .expect("histogram just inserted")
+        let slot = self.open.slot(key);
+        self.open.histograms[slot]
+            .get_or_insert_with(|| Histogram::new(bounds))
             .observe(value);
     }
 
     /// Freeze the registry into a serializable snapshot: the per-phase
     /// frames (empty frames dropped) plus a cross-phase totals frame.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut phases = self.phases.clone();
+        let (_, open) = phases.last_mut().expect("registry always has a frame");
+        self.open.fold_into(open);
         let mut totals = Frame::default();
-        let mut phases = Vec::new();
-        for (name, frame) in &self.phases {
+        for (_, frame) in &phases {
             totals.merge(frame);
-            if !frame.is_empty() {
-                phases.push((name.clone(), frame.clone()));
-            }
         }
+        phases.retain(|(_, frame)| !frame.is_empty());
         MetricsSnapshot { phases, totals }
     }
 }
@@ -336,6 +431,27 @@ mod tests {
         reg.add("x", u64::MAX - 1);
         reg.add("x", 5);
         assert_eq!(reg.snapshot().counter("x"), u64::MAX);
+    }
+
+    #[test]
+    fn reused_heap_address_does_not_alias_another_key() {
+        // The slot cache is keyed by address and length. A key freed and
+        // replaced by a different key of the same length usually gets the
+        // same address back; only the text check tells them apart.
+        let mut reg = MetricsRegistry::new();
+        let first = format!("aas.{}.engaged", "instazood");
+        reg.add(&first, 1);
+        drop(first);
+        let second = format!("aas.{}.engaged", "boostgram");
+        reg.add(&second, 2);
+        // The same buffer rewritten in place: same address by construction.
+        let mut third = second;
+        third.replace_range(4..13, "instalexx");
+        reg.add(&third, 4);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("aas.instazood.engaged"), 1);
+        assert_eq!(snap.counter("aas.boostgram.engaged"), 2);
+        assert_eq!(snap.counter("aas.instalexx.engaged"), 4);
     }
 
     #[test]

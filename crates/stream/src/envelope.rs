@@ -238,10 +238,15 @@ impl EventLogWriter {
 /// The writer never writes a blank line. Blank lines at the end of the
 /// file are tolerated; a blank line with batches after it is corruption,
 /// since stopping there would silently drop the rest of the log.
+///
+/// The platform drains days in order from day 0, so batch `n` is day `n`.
+/// A batch for any other day (a gap, a swapped or a repeated line) is
+/// corruption too.
 #[derive(Debug)]
 pub struct EventLogReader {
     lines: LineBuffer,
     header: LogHeader,
+    next_day: Day,
 }
 
 impl EventLogReader {
@@ -260,7 +265,7 @@ impl EventLogReader {
                 expected: STREAM_SCHEMA_VERSION,
             });
         }
-        Ok(Self { lines, header })
+        Ok(Self { lines, header, next_day: Day(0) })
     }
 
     /// The validated header.
@@ -283,6 +288,13 @@ impl EventLogReader {
         }
         let batch: EventBatch = serde_json::from_str(text)
             .map_err(|e| StreamError::Corrupt(format!("line {line_no}: {e}")))?;
+        if batch.day != self.next_day {
+            return Err(StreamError::Corrupt(format!(
+                "line {line_no}: {} where {} was expected",
+                batch.day, self.next_day
+            )));
+        }
+        self.next_day = batch.day.next();
         Ok(Some(batch))
     }
 }

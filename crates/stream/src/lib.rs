@@ -85,11 +85,49 @@ pub fn replay(path: &Path) -> Result<StreamOutcome, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use footsteps_sim::prelude::Day;
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Same vectors the sweep checkpoint tests pin.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// Replay a three-day log whose batch lines (days 0, 1, 2) are
+    /// rearranged by `edit`, and return the corruption message.
+    fn replay_edited(name: &str, edit: impl FnOnce(&mut Vec<String>)) -> String {
+        let path = std::env::temp_dir()
+            .join(format!("footsteps_stream_replay_{}_{name}.jsonl", std::process::id()));
+        let header = LogHeader::new(7, Day(0), Day(3), 2, Vec::new());
+        let mut w = EventLogWriter::create(&path, &header).unwrap();
+        for day in 0..3 {
+            w.append(&EventBatch { day: Day(day), ..EventBatch::default() }).unwrap();
+        }
+        w.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let mut batches = lines.split_off(1);
+        edit(&mut batches);
+        lines.extend(batches);
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let result = replay(&path);
+        std::fs::remove_file(&path).ok();
+        match result {
+            Err(StreamError::Corrupt(msg)) => msg,
+            other => panic!("expected a corrupt log, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_order_batches_are_corrupt() {
+        let gap = replay_edited("gap", |b| {
+            b.remove(1);
+        });
+        assert_eq!(gap, "line 3: day 2 where day 1 was expected");
+        let swap = replay_edited("swap", |b| b.swap(0, 1));
+        assert_eq!(swap, "line 2: day 1 where day 0 was expected");
+        let repeat = replay_edited("repeat", |b| b.insert(1, b[1].clone()));
+        assert_eq!(repeat, "line 4: day 1 where day 2 was expected");
     }
 }

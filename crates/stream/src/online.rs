@@ -274,7 +274,10 @@ impl OnlineDetector {
     /// Consume one day. Days must arrive in order with no gaps.
     ///
     /// # Panics
-    /// Panics if `batch.day` is not the expected next day.
+    /// Panics if `batch.day` is not the expected next day. The platform
+    /// drains days in order, and [`crate::EventLogReader`] turns a
+    /// recorded log whose days are out of order into
+    /// [`crate::StreamError::Corrupt`] before a batch gets here.
     pub fn ingest(&mut self, batch: &EventBatch) {
         assert_eq!(
             batch.day, self.next_day,

@@ -41,6 +41,14 @@ echo "== vendored crates' unit tests =="
 # so the workspace `cargo test` above does not run their own tests.
 cargo test -q -p serde -p serde_json -p serde_derive -p rand -p proptest
 
+echo "== footbench's own tests =="
+# footbench is a Cargo workspace of its own (it builds the repository's
+# crates by path), so the workspace `cargo test` does not reach it. Its
+# tests check that every metric is emitted with its unit, that no check
+# fails, that named layers cover >= 90% of each operation, and that
+# BENCHMARK.json matches the code.
+cargo test --release --offline --manifest-path footbench/Cargo.toml
+
 echo "== sweep smoke (2-seed replication, checkpoint/resume) =="
 # Two seeds of the smoke scenario on the bounded pool, then prove the
 # resume path is a no-op on a finished manifest and that the aggregate

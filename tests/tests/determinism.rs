@@ -89,6 +89,34 @@ fn metrics_snapshot_is_byte_identical_across_worker_threads() {
     assert_eq!(json, eight.to_json(), "1 vs 8 worker threads");
 }
 
+/// FNV-1a digest and byte length of `MetricsSnapshot::to_json()` for
+/// `Scenario::smoke(7)` with no stream attached, after characterization.
+const SMOKE_METRICS_CHARACTERIZED: (u64, usize) = (0xfc71_db8d_6f5e_8e91, 5_372);
+/// The same after all four phases.
+const SMOKE_METRICS_COMPLETE: (u64, usize) = (0x019c_0da3_9fa1_c004, 16_198);
+
+fn metrics_pin(snapshot: &footsteps_obs::MetricsSnapshot) -> (u64, usize) {
+    let json = snapshot.to_json();
+    (footsteps_obs::tree::fnv1a(json.as_bytes()), json.len())
+}
+
+#[test]
+fn metrics_snapshot_matches_recorded_bytes() {
+    // Thread parity alone would pass a registry that drops or
+    // double-counts a key at every thread count alike; these pins catch
+    // that. Regenerate only for a deliberate change to what is recorded.
+    let characterized = results_with_threads(7, 1).metrics.expect("metrics collected");
+    assert_eq!(metrics_pin(&characterized), SMOKE_METRICS_CHARACTERIZED, "after characterization");
+    for threads in [1, 2, 8] {
+        let mut scenario = Scenario::smoke(7);
+        scenario.worker_threads = threads;
+        let mut study = Study::new(scenario);
+        study.run_to_completion();
+        let complete = study.platform.obs.metrics.snapshot();
+        assert_eq!(metrics_pin(&complete), SMOKE_METRICS_COMPLETE, "all four phases, {threads} threads");
+    }
+}
+
 #[test]
 fn golden_digest_is_independent_of_tracing() {
     // Tracing (and the rest of the obs layer) must never leak into the
