@@ -1,12 +1,11 @@
-//! Exact nearest-rank quantile helpers shared by the batch detector
-//! (`footsteps-detect`), the analyses (`footsteps-analysis` re-exports
-//! this module as its canonical stats surface) and the streaming
-//! detector (`footsteps-stream`).
+//! Exact nearest-rank quantile helpers shared by the detector
+//! (`footsteps-detect`) and the analyses (`footsteps-analysis`
+//! re-exports this module as its canonical stats surface).
 //!
 //! They live here rather than in `analysis::stats` because `analysis`
 //! depends on `detect`: hosting the shared primitive in the common
-//! ancestor keeps the dependency graph acyclic while both the batch and
-//! stream threshold paths use the *same* rank arithmetic — a one-off
+//! ancestor keeps the dependency graph acyclic while the thresholds and
+//! the analyses use the *same* rank arithmetic — a one-off
 //! reimplementation is exactly the drift the determinism contract
 //! forbids.
 
@@ -34,17 +33,15 @@ pub fn percentile_u32(values: &mut [u32], p: f64) -> Option<u32> {
 /// merging or re-sorting them: binary search on the value domain, with
 /// the rank of a candidate counted via `partition_point` per run.
 ///
-/// This is the sliding-window primitive of the streaming threshold
-/// estimator: each calibration day contributes one sorted run, the
-/// window is a deque of runs, and a day entering or leaving the window
-/// never forces a re-sort of the other days. Cost is
+/// This is the primitive of the detector's threshold window: each
+/// calibration day contributes one sorted run, and a day entering the
+/// window never forces a re-sort of the other days. Cost is
 /// `O(runs · log(runs·len) · log(max))` versus `O(n log n)` for a flat
 /// re-sort of the concatenated window.
 ///
 /// For identical multisets of samples this returns exactly the same
 /// value as [`percentile_u32`] on the concatenation — the parity is
-/// pinned by tests here and relied on by the online/batch threshold
-/// parity suite.
+/// pinned by tests here.
 pub fn quantile_sorted_runs(runs: &[&[u32]], p: f64) -> Option<u32> {
     let len: usize = runs.iter().map(|r| r.len()).sum();
     if len == 0 {

@@ -1,8 +1,8 @@
 //! # footsteps-bench
 //!
-//! The benchmark harness: shared plumbing for the per-table/per-figure
+//! The report harness: shared plumbing for the per-table/per-figure
 //! experiment binaries (`src/bin/table01.rs` … `src/bin/figure07.rs`,
-//! `report_all.rs`) and the Criterion performance benches (`benches/`).
+//! `report_all.rs`) and the `perf_baseline` and `obs-report` binaries.
 //!
 //! Every binary renders *the paper's published values next to the simulated
 //! ones* through the same formatting helpers, so `report_all` regenerates

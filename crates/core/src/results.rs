@@ -649,14 +649,7 @@ impl StudyResults {
     /// the determinism suite checks. Not a cryptographic hash; it only has
     /// to be stable across platforms and sensitive to any byte change.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in self.to_json().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
+        footsteps_obs::tree::fnv1a(self.to_json().as_bytes())
     }
 }
 

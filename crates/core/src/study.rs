@@ -348,7 +348,6 @@ impl Study {
             .timeline
             .calibration(self.scenario.calibration_tail_days);
         let build_timer = self.platform.obs.timings.start("detect.pipeline_build");
-        let build_t0 = self.platform.obs.timings.now_secs();
         let pipeline = DetectionPipeline::build_windows(
             &self.framework,
             &self.platform,
@@ -358,9 +357,6 @@ impl Study {
             cal_end,
         );
         pipeline.record_obs(&mut self.platform.obs);
-        // Graft the build's fork-join worker lanes while the build span is
-        // still the open one.
-        pipeline.record_spans(&mut self.platform.obs.timings, build_t0);
         self.platform.obs.timings.finish(build_timer);
         self.pipeline = Some(pipeline);
         // Streaming detection (DESIGN.md §8): deliver the calibration tail

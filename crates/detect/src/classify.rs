@@ -1,9 +1,9 @@
 //! Customer identification (§5).
 //!
 //! "Using our service characterizations we were then able to identify all
-//! accounts used by customers of each service." The classifier scans the
-//! platform's daily aggregates and attributes an account to a service when
-//! its traffic matches the service's signature:
+//! accounts used by customers of each service." The classifier reads the
+//! platform's aggregates one day at a time and attributes an account to a
+//! service when its traffic matches the service's signature:
 //!
 //! * outbound records whose `(ASN, fingerprint)` key matches — customers of
 //!   reciprocity services and collusion-network participants;
@@ -15,6 +15,7 @@
 //! ground truth; precision should be ≈1 and recall high but not necessarily
 //! perfect.
 
+use crate::day::DayRecords;
 use crate::signature::ServiceSignature;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -72,29 +73,14 @@ impl Classification {
     /// to strip the measurement's own honeypot accounts out of the business
     /// analyses (negligible at the paper's scale, visible at 1/100).
     pub fn without_accounts(&self, exclude: &HashSet<AccountId>) -> Classification {
-        let mut out = Classification::default();
-        for (service, set) in &self.customers {
-            let filtered: BTreeSet<AccountId> =
-                set.iter().copied().filter(|a| !exclude.contains(a)).collect();
-            if !filtered.is_empty() {
-                out.customers.insert(*service, filtered);
-            }
+        let mut out = self.clone();
+        for set in out.customers.values_mut() {
+            set.retain(|a| !exclude.contains(a));
         }
-        for (&(s, a), &d) in &self.first_seen {
-            if !exclude.contains(&a) {
-                out.first_seen.insert((s, a), d);
-            }
-        }
-        for (&(s, a), &d) in &self.last_seen {
-            if !exclude.contains(&a) {
-                out.last_seen.insert((s, a), d);
-            }
-        }
-        for (&(s, a), days) in &self.active_days {
-            if !exclude.contains(&a) {
-                out.active_days.insert((s, a), days.clone());
-            }
-        }
+        out.customers.retain(|_, set| !set.is_empty());
+        out.first_seen.retain(|(_, a), _| !exclude.contains(a));
+        out.last_seen.retain(|(_, a), _| !exclude.contains(a));
+        out.active_days.retain(|(_, a), _| !exclude.contains(a));
         out
     }
 
@@ -119,7 +105,8 @@ impl Classification {
     }
 }
 
-/// Run the classifier over `[start, end)`.
+/// Run the classifier over `[start, end)`: [`classify_day`] for every
+/// recorded day, with the same signatures throughout.
 pub fn classify(
     platform: &Platform,
     signatures: &[ServiceSignature],
@@ -127,35 +114,38 @@ pub fn classify(
     end: Day,
 ) -> Classification {
     let mut out = Classification::default();
-    for (day, log) in platform.log.iter_range(start, end) {
-        for (key, counts) in log.outbound() {
-            if counts.total_attempted() == 0 {
-                continue;
-            }
-            for sig in signatures {
-                if sig.matches_outbound(key.asn, key.fingerprint) {
-                    note(&mut out, sig.service, key.account, day);
-                }
-            }
-        }
-        for ((account, source), counts) in log.inbound() {
-            let Some(asn) = source else { continue };
-            if counts.total_attempted() == 0 {
-                continue;
-            }
-            for sig in signatures {
-                if sig.matches_inbound(*asn) {
-                    note(&mut out, sig.service, *account, day);
-                }
-            }
-        }
-    }
-    // Active-day lists must be sorted for the consecutive-run computation;
-    // they are inserted in day order, but dedupe defensively.
-    for days in out.active_days.values_mut() {
-        days.dedup();
+    for day in DayRecords::range(&platform.log, start, end) {
+        classify_day(&mut out, signatures, day);
     }
     out
+}
+
+/// Attribute one day's active accounts: every outbound record whose key
+/// matches a signature, and every inbound record sourced from a collusion
+/// signature's ASNs. Days must arrive in order, which keeps each
+/// `active_days` list sorted and duplicate-free.
+pub fn classify_day(c: &mut Classification, signatures: &[ServiceSignature], day: DayRecords<'_>) {
+    for (key, counts) in day.outbound {
+        if counts.total_attempted() == 0 {
+            continue;
+        }
+        for sig in signatures {
+            if sig.matches_outbound(key.asn, key.fingerprint) {
+                note(c, sig.service, key.account, day.day);
+            }
+        }
+    }
+    for ((account, source), counts) in day.inbound {
+        let Some(asn) = source else { continue };
+        if counts.total_attempted() == 0 {
+            continue;
+        }
+        for sig in signatures {
+            if sig.matches_inbound(*asn) {
+                note(c, sig.service, *account, day.day);
+            }
+        }
+    }
 }
 
 fn note(c: &mut Classification, service: ServiceId, account: AccountId, day: Day) {
@@ -211,17 +201,7 @@ pub fn score_group(
     group: ServiceGroup,
 ) -> Score {
     let classified = classification.customers_of_group(group);
-    let mut truth = BTreeSet::new();
-    for a in platform.accounts.iter() {
-        let services = platform.ground_truth_services(a.id);
-        if services.iter().any(|s| group.members().contains(s)) {
-            truth.insert(a.id);
-        }
-    }
-    let tp = classified.intersection(&truth).count();
-    let fp = classified.difference(&truth).count();
-    let fn_ = truth.difference(&classified).count();
-    Score { tp, fp, fn_ }
+    score_against_truth(platform, &classified, group.members(), |_| true)
 }
 
 /// [`score_group`] restricted to accounts created before `cutoff` — for
@@ -239,36 +219,35 @@ pub fn score_group_before(
         .into_iter()
         .filter(|&a| platform.accounts.get(a).created_at < cutoff)
         .collect();
-    let mut truth = BTreeSet::new();
-    for a in platform.accounts.iter() {
-        if a.created_at >= cutoff {
-            continue;
-        }
-        let services = platform.ground_truth_services(a.id);
-        if services.iter().any(|s| group.members().contains(s)) {
-            truth.insert(a.id);
-        }
-    }
-    let tp = classified.intersection(&truth).count();
-    let fp = classified.difference(&truth).count();
-    let fn_ = truth.difference(&classified).count();
-    Score { tp, fp, fn_ }
+    score_against_truth(platform, &classified, group.members(), |a| a.created_at < cutoff)
 }
 
 /// Score the classification for one service against ground truth.
 pub fn score(platform: &Platform, classification: &Classification, service: ServiceId) -> Score {
     let classified: BTreeSet<AccountId> = classification.customers_of(service).collect();
-    // Ground truth: every account the service actually drove.
-    let mut truth = BTreeSet::new();
-    for a in platform.accounts.iter() {
-        if platform.ground_truth_services(a.id).contains(&service) {
-            truth.insert(a.id);
-        }
+    score_against_truth(platform, &classified, &[service], |_| true)
+}
+
+/// Score `classified` against the accounts `admit` keeps that ground truth
+/// says one of `services` drove.
+fn score_against_truth(
+    platform: &Platform,
+    classified: &BTreeSet<AccountId>,
+    services: &[ServiceId],
+    admit: impl Fn(&Account) -> bool,
+) -> Score {
+    let truth: BTreeSet<AccountId> = platform
+        .accounts
+        .iter()
+        .filter(|a| admit(a))
+        .filter(|a| platform.ground_truth_services(a.id).iter().any(|s| services.contains(s)))
+        .map(|a| a.id)
+        .collect();
+    Score {
+        tp: classified.intersection(&truth).count(),
+        fp: classified.difference(&truth).count(),
+        fn_: truth.difference(classified).count(),
     }
-    let tp = classified.intersection(&truth).count();
-    let fp = classified.difference(&truth).count();
-    let fn_ = truth.difference(&classified).count();
-    Score { tp, fp, fn_ }
 }
 
 #[cfg(test)]

@@ -7,20 +7,27 @@
 //! of §6.2 (99th percentile of benign traffic on mixed ASNs, 25th percentile
 //! of abuse traffic on pure ASNs; outbound side for reciprocity services,
 //! inbound side for collusion networks).
+//!
+//! Each stage reads one [`DayRecords`] at a time. [`DetectionPipeline`]
+//! folds them over the action log; `footsteps-stream` feeds them online.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod classify;
+pub mod day;
 pub mod pipeline;
 pub mod signature;
 pub mod threshold;
 
-pub use classify::{classify, score, score_group, score_group_before, Classification, Score};
+pub use classify::{
+    classify, classify_day, score, score_group, score_group_before, Classification, Score,
+};
+pub use day::DayRecords;
 pub use pipeline::DetectionPipeline;
-pub use signature::{extract_all, extract_signature, ServiceSignature};
+pub use signature::{roster, RosterEntry, ServiceSignature, SignatureLearner};
 pub use threshold::{
-    asn_traffic_kind, compute_thresholds, false_positive_account_days, percentile_u32,
-    AsnTraffic, ThresholdTable,
+    compute_thresholds, false_positive_account_days, percentile_u32, AsnTraffic, ThresholdTable,
+    ThresholdWindow,
 };

@@ -6,25 +6,12 @@
 //! pipeline works against live service engines.
 
 use crate::classify::{classify, score, Classification, Score};
-use crate::signature::{extract_all_timed, ServiceSignature};
-use crate::threshold::{compute_thresholds_timed, ThresholdTable};
+use crate::day::DayRecords;
+use crate::signature::{roster, ServiceSignature, SignatureLearner};
+use crate::threshold::{compute_thresholds, ThresholdTable};
 use footsteps_honeypot::HoneypotFramework;
-use footsteps_obs::{Stopwatch, Timings, WorkerSpan};
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// One fork-join stage of the pipeline build, as wall-clock worker lanes
-/// offset from build entry. Observability-only: skipped by serde so
-/// checkpointed pipelines never carry wall-clock.
-#[derive(Debug, Clone, Default)]
-pub struct BuildStageLanes {
-    /// The span-tree node name (e.g. `detect.extract.worker`).
-    pub name: String,
-    /// Stage entry, seconds after build entry.
-    pub offset_secs: f64,
-    /// Per-worker busy intervals, offset from stage entry.
-    pub lanes: Vec<WorkerSpan>,
-}
 
 /// Everything the detection side learned from a calibration window.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -35,10 +22,6 @@ pub struct DetectionPipeline {
     pub classification: Classification,
     /// Frozen per-ASN thresholds.
     pub thresholds: ThresholdTable,
-    /// Wall-clock worker lanes of the build's fork-join stages, stashed for
-    /// [`DetectionPipeline::record_spans`].
-    #[serde(skip)]
-    pub build_lanes: Vec<BuildStageLanes>,
 }
 
 impl DetectionPipeline {
@@ -57,6 +40,10 @@ impl DetectionPipeline {
     /// measurement period, thresholds calibrated on a recent tail (the paper
     /// identified customers over 90 days but froze thresholds "at the start
     /// of each experiment").
+    ///
+    /// Each stage folds its per-day step over `platform.log`: the learner,
+    /// then the classifier with the final signatures, then the threshold
+    /// window with the final classification.
     pub fn build_windows(
         framework: &HoneypotFramework,
         platform: &Platform,
@@ -65,32 +52,18 @@ impl DetectionPipeline {
         cal_start: Day,
         cal_end: Day,
     ) -> Self {
-        // Each fork-join stage's worker lanes are timestamped as offsets
-        // from build entry so `record_spans` can graft them under the
-        // orchestrator's build span later.
-        let build = Stopwatch::start();
-        let mut build_lanes = Vec::new();
-        let offset_secs = build.elapsed_secs();
-        let (signatures, lanes) = extract_all_timed(framework, platform, class_start, class_end);
-        build_lanes.push(BuildStageLanes {
-            name: "detect.extract.worker".to_string(),
-            offset_secs,
-            lanes,
-        });
+        let mut learner = SignatureLearner::new(&roster(framework, platform));
+        for day in DayRecords::range(&platform.log, class_start, class_end) {
+            learner.learn_day(day);
+        }
+        let signatures = learner.signatures().to_vec();
         let classification = classify(platform, &signatures, class_start, class_end);
-        let offset_secs = build.elapsed_secs();
-        let (thresholds, lanes) =
-            compute_thresholds_timed(platform, &classification, &signatures, cal_start, cal_end);
-        build_lanes.push(BuildStageLanes {
-            name: "detect.thresholds.worker".to_string(),
-            offset_secs,
-            lanes,
-        });
+        let thresholds =
+            compute_thresholds(platform, &classification, &signatures, cal_start, cal_end);
         Self {
             signatures,
             classification,
             thresholds,
-            build_lanes,
         }
     }
 
@@ -125,16 +98,6 @@ impl DetectionPipeline {
             rec.metrics.incr(key);
             rec.metrics
                 .observe("detect.threshold_value", THRESHOLD_VALUE_BOUNDS, u64::from(threshold));
-        }
-    }
-
-    /// Graft the build's fork-join worker lanes onto the span tree, under
-    /// the currently open span. `build_start_secs` is the tree-timebase
-    /// instant of build entry (the caller captures `timings.now_secs()`
-    /// right before calling [`DetectionPipeline::build_windows`]).
-    pub fn record_spans(&self, timings: &mut Timings, build_start_secs: f64) {
-        for stage in &self.build_lanes {
-            timings.attach_workers(&stage.name, build_start_secs + stage.offset_secs, &stage.lanes);
         }
     }
 }

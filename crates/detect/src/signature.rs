@@ -6,14 +6,15 @@
 //! identify the actions initiated by each AAS" (§5).
 //!
 //! A signature is the set of `(ASN, client fingerprint)` pairs observed
-//! driving honeypot accounts enrolled with a service. Extraction uses
-//! *only* honeypot-observable data (the event streams of tracked accounts),
+//! driving honeypot accounts enrolled with a service. Learning uses *only*
+//! honeypot-observable data (the event streams of the roster's accounts),
 //! never the simulator's ground-truth attribution.
 
+use crate::day::DayRecords;
 use footsteps_honeypot::HoneypotFramework;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Network+client signature of one service.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,78 +45,92 @@ impl ServiceSignature {
     }
 }
 
-/// Extract the signature of `service` from the honeypot event streams over
-/// `[start, end)`.
-///
-/// Returns `None` if no honeypot of that service saw any automation traffic
-/// in the window (no ground truth to build a signature from).
-pub fn extract_signature(
-    framework: &HoneypotFramework,
-    platform: &Platform,
-    service: ServiceId,
-    start: Day,
-    end: Day,
-) -> Option<ServiceSignature> {
-    let honeypots: Vec<(AccountId, AsnId)> = framework
-        .records_for(service)
-        .map(|r| (r.account, platform.accounts.get(r.account).home_asn))
-        .collect();
-    if honeypots.is_empty() {
-        return None;
+/// One honeypot of the roster, the detector's only ground truth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RosterEntry {
+    /// The honeypot account.
+    pub account: AccountId,
+    /// Its home ASN (first-party management traffic comes from here).
+    pub home_asn: AsnId,
+    /// The service the honeypot was enrolled with.
+    pub service: ServiceId,
+}
+
+/// Every framework honeypot enrolled with a service.
+pub fn roster(framework: &HoneypotFramework, platform: &Platform) -> Vec<RosterEntry> {
+    framework
+        .records()
+        .iter()
+        .filter_map(|r| {
+            Some(RosterEntry {
+                account: r.account,
+                home_asn: platform.accounts.get(r.account).home_asn,
+                service: r.service?,
+            })
+        })
+        .collect()
+}
+
+/// Signatures learned from the roster's events, one day at a time. A
+/// service has a signature from the first day one of its honeypots shows
+/// service traffic.
+#[derive(Debug, Clone, Default)]
+pub struct SignatureLearner {
+    /// `account → (home ASN, service)` for every roster honeypot.
+    watch: BTreeMap<AccountId, (AsnId, ServiceId)>,
+    /// Learned signatures, in `ServiceId` order.
+    signatures: Vec<ServiceSignature>,
+    /// Each signature's fingerprints in order (the `HashSet` has none).
+    sorted_fingerprints: Vec<BTreeSet<ClientFingerprint>>,
+}
+
+impl SignatureLearner {
+    /// A learner watching `roster`, with no signatures yet.
+    pub fn new(roster: &[RosterEntry]) -> Self {
+        let watch = roster.iter().map(|r| (r.account, (r.home_asn, r.service))).collect();
+        Self { watch, ..Self::default() }
     }
-    let mut asns = BTreeSet::new();
-    let mut fingerprints = HashSet::new();
-    for &(account, home) in &honeypots {
-        for ev in platform.log.events_in(start, end, |e| e.actor == account) {
+
+    /// Grow the signatures from one day's honeypot events.
+    pub fn learn_day(&mut self, day: DayRecords<'_>) {
+        for ev in day.events {
+            let Some(&(home, service)) = self.watch.get(&ev.actor) else { continue };
             // The framework's own management traffic (photo uploads,
             // lived-in setup) comes from the home network with first-party
             // clients; everything else on the account is the service.
             if ev.asn == home && ev.fingerprint.is_organic_client() {
                 continue;
             }
-            asns.insert(ev.asn);
-            fingerprints.insert(ev.fingerprint);
+            let i = match self.signatures.binary_search_by_key(&service, |s| s.service) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.signatures.insert(i, ServiceSignature {
+                        service,
+                        asns: BTreeSet::new(),
+                        fingerprints: HashSet::new(),
+                        collusion: service.is_collusion(),
+                    });
+                    self.sorted_fingerprints.insert(i, BTreeSet::new());
+                    i
+                }
+            };
+            self.signatures[i].asns.insert(ev.asn);
+            self.signatures[i].fingerprints.insert(ev.fingerprint);
+            self.sorted_fingerprints[i].insert(ev.fingerprint);
         }
     }
-    if asns.is_empty() {
-        return None;
+
+    /// The signatures learned so far, in `ServiceId` order.
+    pub fn signatures(&self) -> &[ServiceSignature] {
+        &self.signatures
     }
-    Some(ServiceSignature {
-        service,
-        asns,
-        fingerprints,
-        collusion: service.is_collusion(),
-    })
-}
 
-/// Extract signatures for every service with registered honeypots.
-///
-/// Extraction is read-only per service, so the five services fan out over
-/// the platform's worker threads ([`footsteps_aas::plan_parallel`] joins in
-/// `ServiceId::ALL` order — the output is deterministic for any thread
-/// count).
-pub fn extract_all(
-    framework: &HoneypotFramework,
-    platform: &Platform,
-    start: Day,
-    end: Day,
-) -> Vec<ServiceSignature> {
-    extract_all_timed(framework, platform, start, end).0
-}
-
-/// [`extract_all`] plus the decision workers' wall-clock lanes, for the
-/// span tree (`detect.extract.worker` under the pipeline-build span).
-pub fn extract_all_timed(
-    framework: &HoneypotFramework,
-    platform: &Platform,
-    start: Day,
-    end: Day,
-) -> (Vec<ServiceSignature>, Vec<footsteps_obs::WorkerSpan>) {
-    let (raw, lanes) =
-        footsteps_aas::plan_parallel_timed(&ServiceId::ALL, platform.config.worker_threads, |&s| {
-            extract_signature(framework, platform, s, start, end)
-        });
-    (raw.into_iter().flatten().collect(), lanes)
+    /// Each learned signature with its fingerprints in ascending order.
+    pub fn with_sorted_fingerprints(
+        &self,
+    ) -> impl Iterator<Item = (&ServiceSignature, &BTreeSet<ClientFingerprint>)> {
+        self.signatures.iter().zip(&self.sorted_fingerprints)
+    }
 }
 
 #[cfg(test)]
@@ -167,8 +182,12 @@ mod tests {
             platform.begin_day(Day(d));
             svc.run_day(&mut platform, &residential, &mut ledger, Day(d));
         }
-        let sig = extract_signature(&framework, &platform, ServiceId::Boostgram, Day(0), Day(4))
-            .expect("signature extracted");
+        let mut learner = SignatureLearner::new(&roster(&framework, &platform));
+        for day in DayRecords::range(&platform.log, Day(0), Day(4)) {
+            learner.learn_day(day);
+        }
+        let find = |service| learner.signatures().iter().find(|s| s.service == service);
+        let sig = find(ServiceId::Boostgram).expect("signature learned");
         assert!(sig.asns.contains(&host));
         assert_eq!(sig.asns.len(), 1, "only the service's hosting ASN");
         assert!(sig
@@ -180,9 +199,6 @@ mod tests {
         assert!(!sig.matches_outbound(AsnId(0), ClientFingerprint::OfficialApp));
         assert!(!sig.matches_inbound(host), "reciprocity signatures are outbound-only");
         // No honeypots with Instalex → no signature.
-        assert!(
-            extract_signature(&framework, &platform, ServiceId::Instalex, Day(0), Day(4))
-                .is_none()
-        );
+        assert!(find(ServiceId::Instalex).is_none());
     }
 }

@@ -13,7 +13,9 @@
 //! affecting the false positive rate").
 
 use crate::classify::Classification;
+use crate::day::DayRecords;
 use crate::signature::ServiceSignature;
+use footsteps_aas::stats::quantile_sorted_runs;
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -28,43 +30,6 @@ pub enum AsnTraffic {
     Mixed,
     /// No meaningful AAS presence.
     Benign,
-}
-
-/// Classify an ASN's outbound traffic over a window by the share produced by
-/// classified-abusive accounts.
-pub fn asn_traffic_kind(
-    platform: &Platform,
-    classification: &Classification,
-    asn: AsnId,
-    start: Day,
-    end: Day,
-) -> AsnTraffic {
-    let mut abusive = 0u64;
-    let mut benign = 0u64;
-    for (_, log) in platform.log.iter_range(start, end) {
-        for (key, counts) in log.outbound() {
-            if key.asn != asn {
-                continue;
-            }
-            let n = u64::from(counts.total_attempted());
-            if classification.is_abusive(key.account) {
-                abusive += n;
-            } else {
-                benign += n;
-            }
-        }
-    }
-    let total = abusive + benign;
-    if total == 0 || abusive == 0 {
-        return AsnTraffic::Benign;
-    }
-    // A sliver of benign traffic (<2%) still counts as pure: in practice a
-    // handful of stray requests do not make a hosting ASN "mixed".
-    if benign * 50 < total {
-        AsnTraffic::PureAbuse
-    } else {
-        AsnTraffic::Mixed
-    }
 }
 
 /// The frozen threshold table used by the intervention policies.
@@ -105,18 +70,160 @@ impl ThresholdTable {
     }
 }
 
-// The nearest-rank percentile used by every threshold rule below. Shared
-// with the analyses and the streaming detector so the batch and online
-// threshold paths can never drift apart (see `footsteps_aas::stats`);
-// re-exported here to keep the crate's historical API surface.
+// Re-exported to keep the crate's historical API surface.
 pub use footsteps_aas::stats::percentile_u32;
 
+/// The two action types §6.2 thresholds cover (the countermeasures of §6
+/// target likes and follows).
+const THRESHOLD_TYPES: [ActionType; 2] = [ActionType::Like, ActionType::Follow];
+
+/// The calibration days the §6.2 rules are evaluated over. Each day's
+/// samples are sorted when it is pushed, so evaluation ranks across the
+/// per-day runs (`quantile_sorted_runs`) and never re-sorts the window.
+#[derive(Debug, Clone, Default)]
+pub struct ThresholdWindow {
+    days: Vec<DaySamples>,
+}
+
+/// One calibration day's samples.
+#[derive(Debug, Clone, Default)]
+struct DaySamples {
+    /// Per ASN: `(account, total attempted outbound)` per record, for the
+    /// abusive/benign traffic split.
+    kind_samples: BTreeMap<AsnId, Vec<(AccountId, u32)>>,
+    /// Per `(ASN, action)`: per-account outbound counts (summed across
+    /// fingerprints, zeros left out), sorted by `(count, account)` so the
+    /// counts of any subset of the accounts stay sorted.
+    out_runs: BTreeMap<(AsnId, ActionType), Vec<(u32, AccountId)>>,
+    /// Per `(ASN, action)`: per-recipient inbound counts, sorted.
+    in_runs: BTreeMap<(AsnId, ActionType), Vec<u32>>,
+}
+
+impl ThresholdWindow {
+    /// Add one calibration day.
+    pub fn push_day(&mut self, day: DayRecords<'_>) {
+        let mut s = DaySamples::default();
+        let mut per: BTreeMap<(AsnId, ActionType, AccountId), u32> = BTreeMap::new();
+        for (key, counts) in day.outbound {
+            let traffic = s.kind_samples.entry(key.asn).or_default();
+            traffic.push((key.account, counts.total_attempted()));
+            for ty in THRESHOLD_TYPES {
+                let n = counts.attempted_of(ty);
+                if n > 0 {
+                    *per.entry((key.asn, ty, key.account)).or_insert(0) += n;
+                }
+            }
+        }
+        for ((asn, ty, account), n) in per {
+            s.out_runs.entry((asn, ty)).or_default().push((n, account));
+        }
+        for ((_, source), counts) in day.inbound {
+            let Some(asn) = *source else { continue };
+            for ty in THRESHOLD_TYPES {
+                let n = counts.attempted_of(ty);
+                if n > 0 {
+                    s.in_runs.entry((asn, ty)).or_default().push(n);
+                }
+            }
+        }
+        s.out_runs.values_mut().for_each(|run| run.sort_unstable());
+        s.in_runs.values_mut().for_each(|run| run.sort_unstable());
+        self.days.push(s);
+    }
+
+    /// Evaluate the §6.2 rules for every signature ASN: the 99th
+    /// percentile of benign accounts' daily counts on a mixed ASN; on a
+    /// pure-abuse ASN the 25th percentile of the abuse, outbound for a
+    /// reciprocity service and inbound for a collusion network; nothing on
+    /// a benign ASN.
+    pub fn evaluate(
+        &self,
+        signatures: &[ServiceSignature],
+        classification: &Classification,
+    ) -> ThresholdTable {
+        let mut table = ThresholdTable::default();
+        for sig in signatures {
+            let direction = if sig.collusion { Direction::Inbound } else { Direction::Outbound };
+            for &asn in &sig.asns {
+                let kind = self.asn_kind(asn, classification);
+                table.asn_kinds.insert(asn, kind);
+                for ty in THRESHOLD_TYPES {
+                    let abusive = |a| classification.is_abusive(a);
+                    let threshold = match (kind, direction) {
+                        (AsnTraffic::Benign, _) => None,
+                        (AsnTraffic::Mixed, _) => self.out_quantile(asn, ty, 0.99, |a| !abusive(a)),
+                        (AsnTraffic::PureAbuse, Direction::Outbound) => {
+                            self.out_quantile(asn, ty, 0.25, abusive)
+                        }
+                        (AsnTraffic::PureAbuse, Direction::Inbound) => self.in_quantile(asn, ty, 0.25),
+                    };
+                    if let Some(v) = threshold {
+                        table.set(asn, ty, direction, v.max(1));
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    /// Classify an ASN by the share of its outbound traffic produced by
+    /// classified-abusive accounts.
+    fn asn_kind(&self, asn: AsnId, classification: &Classification) -> AsnTraffic {
+        let (mut abusive, mut benign) = (0u64, 0u64);
+        let samples = self.days.iter().filter_map(|day| day.kind_samples.get(&asn));
+        for &(account, n) in samples.flatten() {
+            if classification.is_abusive(account) {
+                abusive += u64::from(n);
+            } else {
+                benign += u64::from(n);
+            }
+        }
+        let total = abusive + benign;
+        if abusive == 0 {
+            AsnTraffic::Benign
+        } else if benign * 50 < total {
+            // A sliver of benign traffic (<2%) still counts as pure: a
+            // handful of stray requests do not make a hosting ASN "mixed".
+            AsnTraffic::PureAbuse
+        } else {
+            AsnTraffic::Mixed
+        }
+    }
+
+    /// Quantile `p` of the per-account daily outbound counts of `ty` on
+    /// `asn`, over the accounts `keep` admits.
+    fn out_quantile(
+        &self,
+        asn: AsnId,
+        ty: ActionType,
+        p: f64,
+        keep: impl Fn(AccountId) -> bool,
+    ) -> Option<u32> {
+        let runs: Vec<Vec<u32>> = self
+            .days
+            .iter()
+            .filter_map(|day| day.out_runs.get(&(asn, ty)))
+            .map(|run| run.iter().filter(|&&(_, a)| keep(a)).map(|&(n, _)| n).collect())
+            .collect();
+        quantile_sorted_runs(&runs.iter().map(Vec::as_slice).collect::<Vec<_>>(), p)
+    }
+
+    /// Quantile `p` of the per-recipient daily inbound counts of `ty`
+    /// sourced from `asn`.
+    fn in_quantile(&self, asn: AsnId, ty: ActionType, p: f64) -> Option<u32> {
+        let runs: Vec<&[u32]> = self
+            .days
+            .iter()
+            .filter_map(|day| day.in_runs.get(&(asn, ty)))
+            .map(Vec::as_slice)
+            .collect();
+        quantile_sorted_runs(&runs, p)
+    }
+}
+
 /// Compute the frozen threshold table for all signature ASNs over the
-/// calibration window `[start, end)`.
-///
-/// Only `Like` and `Follow` get thresholds (the countermeasures of §6
-/// target those two types). Directions follow §6.2: outbound thresholds on
-/// reciprocity-service ASNs, inbound thresholds on collusion-service ASNs.
+/// calibration window `[start, end)`: its days pushed into a
+/// [`ThresholdWindow`], evaluated with `classification`.
 pub fn compute_thresholds(
     platform: &Platform,
     classification: &Classification,
@@ -124,93 +231,9 @@ pub fn compute_thresholds(
     start: Day,
     end: Day,
 ) -> ThresholdTable {
-    compute_thresholds_timed(platform, classification, signatures, start, end).0
-}
-
-/// [`compute_thresholds`] plus the percentile workers' wall-clock lanes,
-/// for the span tree (`detect.thresholds.worker` under the pipeline-build
-/// span).
-pub fn compute_thresholds_timed(
-    platform: &Platform,
-    classification: &Classification,
-    signatures: &[ServiceSignature],
-    start: Day,
-    end: Day,
-) -> (ThresholdTable, Vec<footsteps_obs::WorkerSpan>) {
-    // One work item per (signature, ASN), in deterministic signature order;
-    // each item's percentile scans are independent reads of the frozen log,
-    // so they fan out over the worker threads and merge back in item order.
-    let items: Vec<(AsnId, Direction)> = signatures
-        .iter()
-        .flat_map(|sig| {
-            let direction = if sig.collusion {
-                Direction::Inbound
-            } else {
-                Direction::Outbound
-            };
-            sig.asns.iter().map(move |&asn| (asn, direction))
-        })
-        .collect();
-    let (computed, lanes) = footsteps_aas::plan_parallel_timed(
-        &items,
-        platform.config.worker_threads,
-        |&(asn, direction)| {
-            let kind = asn_traffic_kind(platform, classification, asn, start, end);
-            let mut rows: Vec<(ActionType, u32)> = Vec::new();
-            for ty in [ActionType::Like, ActionType::Follow] {
-                let threshold = match kind {
-                    AsnTraffic::Benign => continue,
-                    AsnTraffic::Mixed => {
-                        // 99th percentile of daily per-account counts of
-                        // *non-AAS* accounts on this ASN.
-                        let mut samples = per_account_daily_outbound(
-                            platform,
-                            asn,
-                            ty,
-                            start,
-                            end,
-                            |a| !classification.is_abusive(a),
-                        );
-                        match percentile_u32(&mut samples, 0.99) {
-                            Some(v) => v.max(1),
-                            None => continue,
-                        }
-                    }
-                    AsnTraffic::PureAbuse => {
-                        // 25th percentile of the AAS's own per-account daily
-                        // counts, on the side the abuse flows.
-                        let mut samples = match direction {
-                            Direction::Outbound => per_account_daily_outbound(
-                                platform,
-                                asn,
-                                ty,
-                                start,
-                                end,
-                                |a| classification.is_abusive(a),
-                            ),
-                            Direction::Inbound => per_account_daily_inbound(
-                                platform, asn, ty, start, end,
-                            ),
-                        };
-                        match percentile_u32(&mut samples, 0.25) {
-                            Some(v) => v.max(1),
-                            None => continue,
-                        }
-                    }
-                };
-                rows.push((ty, threshold));
-            }
-            (kind, rows)
-        },
-    );
-    let mut table = ThresholdTable::default();
-    for (&(asn, direction), (kind, rows)) in items.iter().zip(&computed) {
-        table.asn_kinds.insert(asn, *kind);
-        for &(ty, threshold) in rows {
-            table.set(asn, ty, direction, threshold);
-        }
-    }
-    (table, lanes)
+    let mut window = ThresholdWindow::default();
+    DayRecords::range(&platform.log, start, end).for_each(|day| window.push_day(day));
+    window.evaluate(signatures, classification)
 }
 
 /// Per-account daily outbound counts of `ty` on `asn`, filtered by account
@@ -237,33 +260,11 @@ fn per_account_daily_outbound(
         }
         samples.extend(
             per_account
-                // footsteps-lint: allow(nondet-iter) — samples are sorted by percentile_u32 before use
+                // footsteps-lint: allow(nondet-iter) — samples only feed an order-insensitive count
                 .into_iter()
                 .filter(|&(a, _)| include(a))
                 .map(|(_, n)| n),
         );
-    }
-    samples
-}
-
-/// Per-recipient daily inbound counts of `ty` sourced from `asn`.
-fn per_account_daily_inbound(
-    platform: &Platform,
-    asn: AsnId,
-    ty: ActionType,
-    start: Day,
-    end: Day,
-) -> Vec<u32> {
-    let mut samples = Vec::new();
-    for (_, log) in platform.log.iter_range(start, end) {
-        for ((_, source), counts) in log.inbound() {
-            if *source == Some(asn) {
-                let n = counts.attempted_of(ty);
-                if n > 0 {
-                    samples.push(n);
-                }
-            }
-        }
     }
     samples
 }
@@ -401,10 +402,19 @@ mod tests {
         (p, class, signatures, pure, mixed, collusion)
     }
 
+    /// The five synthetic days pushed into a window, evaluated.
+    fn evaluate(p: &Platform, class: &Classification, sigs: &[ServiceSignature]) -> ThresholdTable {
+        let mut window = ThresholdWindow::default();
+        for day in DayRecords::range(&p.log, Day(0), Day(5)) {
+            window.push_day(day);
+        }
+        window.evaluate(sigs, class)
+    }
+
     #[test]
     fn threshold_rules_match_section_6_2() {
         let (p, class, sigs, pure, mixed, collusion) = synthetic_world();
-        let table = compute_thresholds(&p, &class, &sigs, Day(0), Day(5));
+        let table = evaluate(&p, &class, &sigs);
         // ASN kinds.
         assert_eq!(table.asn_kinds[&pure], AsnTraffic::PureAbuse);
         assert_eq!(table.asn_kinds[&mixed], AsnTraffic::Mixed);
@@ -424,7 +434,7 @@ mod tests {
     #[test]
     fn mixed_asn_false_positive_rate_is_bounded() {
         let (p, class, sigs, _pure, mixed, _c) = synthetic_world();
-        let table = compute_thresholds(&p, &class, &sigs, Day(0), Day(5));
+        let table = evaluate(&p, &class, &sigs);
         let (over, total) = false_positive_account_days(
             &p, &class, &table, mixed, ActionType::Follow, Day(0), Day(5),
         );

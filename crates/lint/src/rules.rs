@@ -64,7 +64,7 @@ pub const RNG_MODULE: &str = "crates/sim/src/rng.rs";
 /// Files (beyond `crates/obs`) allowed to read the environment: the
 /// `FOOTSTEPS_THREADS` entry point and the bench harness's scenario
 /// selection (`FOOTSTEPS_SEED`/`FOOTSTEPS_SMOKE`).
-/// (`FOOTSTEPS_TRACE`/`FOOTSTEPS_QUIET` live in `crates/obs`;
+/// (`FOOTSTEPS_TRACE_OUT`/`FOOTSTEPS_QUIET` live in `crates/obs`;
 /// `FOOTSTEPS_PERF_TOLERANCE` is read by `scripts/ci.sh`, not Rust code.)
 pub const ENV_READ_FILES: &[&str] =
     &["crates/core/src/scenario.rs", "crates/bench/src/lib.rs"];
@@ -110,7 +110,6 @@ pub(crate) const OBS_TOKENS: &[&str] = &[
 /// `TimingsSnapshot` lanes by design (DESIGN.md §5).
 pub(crate) const OBS_RECORDING_FILES: &[&str] = &[
     "crates/obs/src/registry.rs",
-    "crates/obs/src/trace.rs",
     "crates/obs/src/progress.rs",
 ];
 

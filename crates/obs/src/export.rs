@@ -7,9 +7,9 @@
 //!
 //! * `B`/`E` duration events — one pair per span instance, on explicit
 //!   thread lanes: `tid 0` is the serial coordinator, `tid k` is worker
-//!   lane `k-1` (decision-phase planners, apply shards, and the detect
-//!   fork-joins all reuse the same lanes; their regions never overlap in
-//!   time because the coordinator joins each region before the next).
+//!   lane `k-1` (decision-phase planners and apply shards reuse the same
+//!   lanes; their regions never overlap in time because the coordinator
+//!   joins each region before the next).
 //!   Events come straight from the tree's append-order log, so per-lane
 //!   timestamps are monotonic and `B`/`E` nest by construction;
 //! * `C` counter events — headline metrics-registry counters sampled at
@@ -24,7 +24,6 @@
 //! wall-clock and therefore quarantined from every deterministic artifact
 //! — the trace file is a sidecar, never an input.
 
-use std::fs;
 use std::io;
 use std::path::Path;
 
@@ -111,14 +110,10 @@ pub fn chrome_trace_json(tree: &SpanTree) -> String {
     out
 }
 
-/// Write the trace atomically (tmp + rename): a killed run leaves either
-/// the previous complete file or none, never a torn one — the same
-/// discipline the sweep manifest uses.
+/// Write the trace atomically ([`crate::atomic::write_atomic`]), the same
+/// discipline the sweep checkpoints and manifest use.
 pub fn write_chrome_trace(tree: &SpanTree, path: &Path) -> io::Result<()> {
-    let body = chrome_trace_json(tree);
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, body.as_bytes())?;
-    fs::rename(&tmp, path)
+    crate::atomic::write_atomic(path, chrome_trace_json(tree).as_bytes())
 }
 
 /// Stats from a validated trace file.
@@ -290,7 +285,7 @@ mod tests {
         write_chrome_trace(&t, &path).expect("trace writes");
         let body = std::fs::read_to_string(&path).unwrap();
         validate_chrome_trace(&body).expect("written trace validates");
-        assert!(!path.with_extension("json.tmp").exists(), "tmp file left behind");
+        assert!(!crate::atomic::tmp_sibling(&path).exists(), "tmp file left behind");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,6 +1,6 @@
 //! footsteps-obs: observability substrate for the study pipeline.
 //!
-//! Three facilities with one hard rule between them:
+//! Two facilities with one hard rule between them:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
 //!   histograms, grouped by study phase. **Deterministic**: values are a
@@ -12,9 +12,6 @@
 //!   therefore quarantined in [`TimingsSnapshot`] / the Chrome-trace
 //!   sidecar; the span *structure* (names, nesting, lane kinds, counts)
 //!   is deterministic and snapshot-tested across thread counts.
-//! * [`Trace`] — a ring-buffered structured event stream, off unless
-//!   `FOOTSTEPS_TRACE` is set. Enabling it must not change simulation
-//!   behaviour, only record it.
 //!
 //! `FOOTSTEPS_TRACE_OUT=<path>` additionally turns on span-event
 //! collection and, at the end of the run, exports a Chrome-trace /
@@ -28,16 +25,15 @@
 
 #![forbid(unsafe_code)]
 
+pub mod atomic;
 pub mod export;
 pub mod progress;
 pub mod registry;
 pub mod span;
-pub mod trace;
 pub mod tree;
 
 pub use registry::{Frame, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanStats, SpanTimer, Stopwatch, Timings, TimingsSnapshot};
-pub use trace::{Trace, TraceEvent, TraceSnapshot, DEFAULT_TRACE_CAPACITY};
 pub use tree::{
     CounterSample, LaneKind, PhaseSummary, SpanEvent, SpanTree, SpanTreeSummary, StructureNode,
     StructureSnapshot, WorkerSpan,
@@ -50,26 +46,25 @@ use std::path::{Path, PathBuf};
 /// tracks; everything is still in the metrics snapshot).
 const SAMPLED_COUNTER_PREFIX: &str = "platform.";
 
-/// The full observability kit: deterministic metrics, the quarantined
-/// wall-clock span tree, and the env-gated event trace.
+/// The full observability kit: deterministic metrics and the quarantined
+/// wall-clock span tree.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     pub metrics: MetricsRegistry,
     pub timings: Timings,
-    pub trace: Trace,
     /// Where to export the Chrome trace (`FOOTSTEPS_TRACE_OUT`), if set.
     pub trace_out: Option<PathBuf>,
 }
 
 impl Recorder {
-    /// A recorder with tracing disabled regardless of the environment.
+    /// A recorder with span-event collection off regardless of the
+    /// environment.
     pub fn new() -> Self {
         Recorder::default()
     }
 
-    /// A recorder whose trace honours `FOOTSTEPS_TRACE` and whose span
-    /// tree collects exportable events when `FOOTSTEPS_TRACE_OUT` names a
-    /// destination file.
+    /// A recorder whose span tree collects exportable events when
+    /// `FOOTSTEPS_TRACE_OUT` names a destination file.
     pub fn from_env() -> Self {
         let trace_out = std::env::var("FOOTSTEPS_TRACE_OUT")
             .ok()
@@ -83,7 +78,6 @@ impl Recorder {
         Recorder {
             metrics: MetricsRegistry::new(),
             timings,
-            trace: Trace::from_env(),
             trace_out,
         }
     }
@@ -94,11 +88,6 @@ impl Recorder {
     pub fn begin_phase(&mut self, name: &str) {
         self.sample_phase_counters();
         self.metrics.begin_phase(name);
-    }
-
-    /// Advance the trace's day stamp.
-    pub fn set_day(&mut self, day: u32) {
-        self.trace.set_day(day);
     }
 
     /// Sample cumulative headline counters at a phase boundary.
@@ -145,7 +134,6 @@ mod tests {
     #[test]
     fn recorder_default_trace_is_disabled() {
         let rec = Recorder::new();
-        assert!(!rec.trace.is_enabled());
         assert!(rec.trace_out.is_none());
         assert!(!rec.timings.events_enabled());
     }

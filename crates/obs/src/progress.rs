@@ -59,8 +59,7 @@ macro_rules! progress {
 #[cfg(test)]
 mod tests {
     // `quiet()` caches the env var process-wide, so the unit test only
-    // checks that the call is stable, not each parse branch (those are
-    // covered by the parse logic in `trace.rs` sharing the same grammar).
+    // checks that the call is stable, not each parse branch.
     #[test]
     fn quiet_is_stable_across_calls() {
         assert_eq!(super::quiet(), super::quiet());

@@ -90,7 +90,7 @@ impl ShardCounters {
 }
 
 /// What one op produced, as observed by the submitting service. `seq` ties
-/// the outcome back to its op for the merge sweep's trace/removal replay.
+/// the outcome back to its op for the merge sweep's removal replay.
 #[derive(Debug, Clone, Copy)]
 pub struct DepositOutcome {
     /// Routing sequence number of the op.
@@ -101,8 +101,6 @@ pub struct DepositOutcome {
     pub blocked: u32,
     /// Actions landed but scheduled for silent removal.
     pub deferred: u32,
-    /// Experiment bin the policy attributed this verdict to.
-    pub bin: Option<u32>,
 }
 
 /// Everything a shard worker produced, to be folded back serially.
@@ -276,7 +274,6 @@ pub fn apply_shard(
             delivered: standing,
             blocked,
             deferred,
-            bin: decision.bin,
         });
     }
     out

@@ -143,6 +143,16 @@ impl DayLog {
         self.in_records.iter().map(|(k, c)| (k, c))
     }
 
+    /// This day's outbound records as one slice (order as in [`Self::outbound`]).
+    pub fn outbound_records(&self) -> &[(OutboundKey, TypeCounts)] {
+        &self.out_records
+    }
+
+    /// This day's inbound records as one slice (order as in [`Self::inbound`]).
+    pub fn inbound_records(&self) -> &[(InboundKey, TypeCounts)] {
+        &self.in_records
+    }
+
     /// Number of distinct outbound `(account, asn, fingerprint)` records.
     pub fn outbound_len(&self) -> usize {
         self.out_records.len()

@@ -321,10 +321,9 @@ pub struct Platform {
     pub log: ActionLog,
     /// Tuning knobs.
     pub config: PlatformConfig,
-    /// Observability kit: deterministic metrics, wall-clock timings, and the
-    /// `FOOTSTEPS_TRACE`-gated event trace. Metrics are recorded only on the
-    /// serial mutation paths below, so the snapshot is identical for any
-    /// decision-phase worker count.
+    /// Observability kit: deterministic metrics and wall-clock timings.
+    /// Metrics are recorded only on the serial mutation paths below, so
+    /// the snapshot is identical for any decision-phase worker count.
     #[serde(skip)]
     pub obs: footsteps_obs::Recorder,
     #[serde(skip)]
@@ -447,7 +446,6 @@ impl Platform {
         // the sink before the new day opens.
         self.drain_sink_through(day);
         self.clock.advance_to_day(day);
-        self.obs.set_day(day.0);
         self.apply_removals(day);
         self.apply_responses(day);
         self.apply_event_responses(day);
@@ -596,12 +594,6 @@ impl Platform {
                 self.obs
                     .metrics
                     .add("platform.outbound.rate_limited", u64::from(refused));
-                self.obs.trace.push(
-                    "rate_limit",
-                    req.actor.0 as u64,
-                    u64::from(refused),
-                    u64::from(granted),
-                );
             }
             remaining = granted;
         }
@@ -628,12 +620,6 @@ impl Platform {
             self.obs
                 .metrics
                 .add("platform.outbound.edge_blocked", u64::from(edge_blocked));
-            self.obs.trace.push(
-                "edge_block",
-                req.actor.0 as u64,
-                u64::from(edge_blocked),
-                u64::from(req.ip.0),
-            );
         }
         remaining = edge_pass;
         if remaining == 0 {
@@ -657,7 +643,7 @@ impl Platform {
             requested: remaining,
         });
         let (pass, excess, cm) = split_decision(decision, remaining, req.action);
-        self.record_enforcement(Direction::Outbound, decision.bin, req.actor, pass, excess, cm);
+        self.record_enforcement(Direction::Outbound, decision.bin, pass, excess, cm);
 
         // Record and apply the passing portion.
         if pass > 0 {
@@ -775,7 +761,7 @@ impl Platform {
             requested,
         });
         let (pass, excess, cm) = split_decision(decision, requested, ty);
-        self.record_enforcement(Direction::Inbound, decision.bin, target, pass, excess, cm);
+        self.record_enforcement(Direction::Inbound, decision.bin, pass, excess, cm);
         let (standing, blocked, deferred) = match cm {
             Countermeasure::None => (pass + excess, 0, 0),
             Countermeasure::Block => (pass, excess, 0),
@@ -806,7 +792,7 @@ impl Platform {
     /// [`Self::deposit_inbound_enforced`] once per op in `ops` order: the
     /// returned `BatchResult`s line up with `ops`, and every observable
     /// side effect (log records and their insertion order, enforcement
-    /// counters and traces, follower/media deltas, scheduled removals) is
+    /// counters, follower/media deltas, scheduled removals) is
     /// byte-identical to the serial ladder for **any** thread count. See
     /// [`crate::apply`] for the determinism argument.
     ///
@@ -938,7 +924,7 @@ impl Platform {
             }
         }
         // 5. One walk of the outcomes in routing order replays the serial
-        //    ladder's trace events and removal scheduling.
+        //    ladder's removal scheduling.
         let mut results: Vec<BatchResult> = ops
             .iter()
             .map(|op| BatchResult {
@@ -946,14 +932,12 @@ impl Platform {
                 ..BatchResult::default()
             })
             .collect();
-        let mut bins: Vec<Option<u32>> = vec![None; ops.len()];
         for (r, _) in &shard_results {
             for o in &r.outcomes {
                 let i = o.seq as usize;
                 results[i].delivered = o.delivered;
                 results[i].blocked = o.blocked;
                 results[i].deferred = o.deferred;
-                bins[i] = o.bin;
             }
         }
         for (i, op) in ops.iter().enumerate() {
@@ -961,22 +945,6 @@ impl Platform {
                 continue;
             }
             let r = results[i];
-            if let Some(b) = bins[i] {
-                self.obs
-                    .trace
-                    .push("intervene.bin", op.target.0 as u64, u64::from(b), 0);
-            }
-            let bin_tag = bins[i].map_or(u64::MAX, u64::from);
-            if r.blocked > 0 {
-                self.obs
-                    .trace
-                    .push("enforce.block", op.target.0 as u64, u64::from(r.blocked), bin_tag);
-            }
-            if r.deferred > 0 {
-                self.obs
-                    .trace
-                    .push("enforce.defer", op.target.0 as u64, u64::from(r.deferred), bin_tag);
-            }
             if op.ty == ActionType::Follow && r.deferred > 0 {
                 day_queue(&mut self.pending_removals, day.next()).push(
                     PendingRemoval::Aggregate {
@@ -1061,9 +1029,6 @@ impl Platform {
             && self.oauth_quota.acquire(req.actor.index(), now, 1) == 0
         {
             self.obs.metrics.incr("platform.outbound.rate_limited");
-            self.obs
-                .trace
-                .push("rate_limit", req.actor.0 as u64, 1, 0);
             self.finish_event(req, now, ActionOutcome::RateLimited);
             return ActionOutcome::RateLimited;
         }
@@ -1074,9 +1039,6 @@ impl Platform {
         if *used >= cap {
             self.metrics_mut(day).edge_blocked += 1;
             self.obs.metrics.incr("platform.outbound.edge_blocked");
-            self.obs
-                .trace
-                .push("edge_block", req.actor.0 as u64, 1, u64::from(req.ip.0));
             self.finish_event(req, now, ActionOutcome::Blocked);
             return ActionOutcome::Blocked;
         }
@@ -1099,7 +1061,7 @@ impl Platform {
             requested: 1,
         });
         let (pass, excess, cm) = split_decision(decision, 1, req.action);
-        self.record_enforcement(Direction::Outbound, decision.bin, req.actor, pass, excess, cm);
+        self.record_enforcement(Direction::Outbound, decision.bin, pass, excess, cm);
         let outcome = if pass == 1 {
             ActionOutcome::Delivered
         } else {
@@ -1120,14 +1082,12 @@ impl Platform {
     // ----- internals -------------------------------------------------------
 
     /// Record the enforcement-stage verdict for a submission into the obs
-    /// kit: delivered/blocked/deferred counters (scoped by direction), the
-    /// per-bin attribution when the policy tagged a bin, and a trace event
-    /// for anything the countermeasure actually touched.
+    /// kit: delivered/blocked/deferred counters (scoped by direction) and
+    /// the per-bin attribution when the policy tagged a bin.
     fn record_enforcement(
         &mut self,
         direction: Direction,
         bin: Option<u32>,
-        actor: AccountId,
         pass: u32,
         excess: u32,
         cm: Countermeasure,
@@ -1158,20 +1118,6 @@ impl Platform {
             m.add(keys.delivered, u64::from(delivered));
             m.add(keys.blocked, u64::from(blocked));
             m.add(keys.deferred, u64::from(deferred));
-            self.obs
-                .trace
-                .push("intervene.bin", actor.0 as u64, u64::from(b), 0);
-        }
-        let bin_tag = bin.map_or(u64::MAX, u64::from);
-        if blocked > 0 {
-            self.obs
-                .trace
-                .push("enforce.block", actor.0 as u64, u64::from(blocked), bin_tag);
-        }
-        if deferred > 0 {
-            self.obs
-                .trace
-                .push("enforce.defer", actor.0 as u64, u64::from(deferred), bin_tag);
         }
     }
 
@@ -1430,7 +1376,6 @@ impl Platform {
             self.obs
                 .metrics
                 .add("platform.removed_follows", u64::from(removed));
-            self.obs.trace.push("removal", 0, u64::from(removed), 0);
         }
     }
 
@@ -1704,7 +1649,6 @@ mod tests {
     #[test]
     fn obs_counters_attribute_enforcement_and_action_mix() {
         let mut p = platform();
-        p.obs.trace = footsteps_obs::Trace::enabled_with(64);
         let a = organic(&mut p, ReciprocityProfile::SILENT);
         p.set_policy(Box::new(FixedThreshold {
             threshold: 30,
@@ -1720,8 +1664,6 @@ mod tests {
         let h = &snap.totals.histograms["platform.batch_size"];
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 50);
-        let kinds: Vec<_> = p.obs.trace.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec!["enforce.block"]);
     }
 
     #[derive(Debug)]

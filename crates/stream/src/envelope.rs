@@ -14,6 +14,8 @@
 //! detector decision, which is why this file carries the scoped
 //! wall-clock lint exemption.
 
+use footsteps_detect::DayRecords;
+pub use footsteps_detect::RosterEntry;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -71,20 +73,6 @@ impl From<std::io::Error> for StreamError {
     fn from(e: std::io::Error) -> Self {
         StreamError::Io(e)
     }
-}
-
-/// One honeypot the online detector watches: the detector's only ground
-/// truth, mirroring what `detect::extract_signature` reads from the
-/// framework (account, its home ASN for the management-traffic skip rule,
-/// and the service it was enrolled with).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RosterEntry {
-    /// The honeypot account.
-    pub account: AccountId,
-    /// Its home ASN (first-party management traffic comes from here).
-    pub home_asn: AsnId,
-    /// The service the honeypot was enrolled with.
-    pub service: ServiceId,
 }
 
 /// The first line of a recorded log: everything replay needs.
@@ -179,6 +167,16 @@ impl EventBatch {
         batch
     }
 
+    /// The batch as the detection stages read a day.
+    pub fn records(&self) -> DayRecords<'_> {
+        DayRecords {
+            day: self.day,
+            outbound: &self.outbound,
+            inbound: &self.inbound,
+            events: &self.events,
+        }
+    }
+
     /// Number of records in this batch (outbound + inbound + logins +
     /// events) — the unit the perf harness reports events/sec over.
     pub fn record_count(&self) -> u64 {
@@ -200,9 +198,7 @@ pub struct EventLogWriter {
 impl EventLogWriter {
     /// Start a recording at `path` (staged at `path.tmp` until finished).
     pub fn create(path: &Path, header: &LogHeader) -> Result<Self, StreamError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
+        let tmp = footsteps_obs::atomic::tmp_sibling(path);
         let file = File::create(&tmp)?;
         let mut writer =
             Self { out: BufWriter::new(file), line: String::new(), tmp, path: path.to_path_buf() };

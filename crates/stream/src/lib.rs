@@ -11,10 +11,10 @@
 //! * [`envelope`] — a compact per-day [`EventBatch`] (action aggregates
 //!   with enforcement outcomes, logins with ASN, honeypot event streams)
 //!   plus a versioned JSONL log with atomic tmp+rename writes;
-//! * [`online`] — the [`OnlineDetector`]: incremental honeypot signature
-//!   matching, per-day classification with day-of-first-detection, and
-//!   sliding-window §6.2 thresholds over presorted per-day runs
-//!   (`footsteps_aas::stats::quantile_sorted_runs` — no re-sorting);
+//! * [`online`] — the [`OnlineDetector`]: the `footsteps-detect` stages
+//!   fed one day at a time — signatures learned from the honeypot roster,
+//!   per-day classification with day-of-first-detection, and the §6.2
+//!   threshold window frozen at the calibration boundary;
 //! * [`sink`] — the [`StreamSink`] implementing `sim::EventSink`, feeding
 //!   the detector inline and (optionally) recording the log;
 //! * [`latency`] — detection latency and precision/recall of the online
@@ -36,26 +36,13 @@ pub use envelope::{
     EventBatch, EventLogReader, EventLogWriter, LogHeader, LoginRecord, RosterEntry, StreamError,
     STREAM_SCHEMA_VERSION,
 };
+pub use footsteps_detect::roster;
 pub use latency::{latency_report, LatencyReport, ServiceLatency};
 pub use online::{OnlineDetector, SignatureView, StreamConfig, StreamOutcome, VerdictSnapshot};
-pub use sink::{roster, StreamSink};
+pub use sink::StreamSink;
 
 use footsteps_obs::Stopwatch;
 use std::path::Path;
-
-/// FNV-1a over bytes — the same digest primitive as
-/// `StudyResults::digest` and the sweep checkpoints, duplicated locally
-/// (12 lines) rather than creating a dependency edge for it.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
 
 /// Replay a recorded event log through a fresh [`OnlineDetector`].
 ///
@@ -86,13 +73,6 @@ pub fn replay(path: &Path) -> Result<StreamOutcome, StreamError> {
 mod tests {
     use super::*;
     use footsteps_sim::prelude::Day;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Same vectors the sweep checkpoint tests pin.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     /// Replay a three-day log whose batch lines (days 0, 1, 2) are
     /// rearranged by `edit`, and return the corruption message.

@@ -1,23 +1,18 @@
-//! The online detector: batch `detect` semantics, computed incrementally.
+//! The online detector: the `footsteps-detect` stages, driven one day at
+//! a time.
 //!
-//! The batch pipeline (`detect::DetectionPipeline`) scans the whole
-//! characterization window after the fact. This detector consumes one
-//! [`EventBatch`] per day and maintains the same three artifacts as
-//! running state:
+//! The batch pipeline (`detect::DetectionPipeline`) folds the detection
+//! stages over the finished characterization window. This detector feeds
+//! the same stages one [`EventBatch`] per day, as the day arrives:
 //!
-//! * **signatures** — grown monotonically from the honeypot roster's event
-//!   streams, with the same home-ASN/organic-client skip rule as
-//!   `detect::extract_signature`;
-//! * **classification** — each day's aggregates are matched against the
-//!   signatures *as of that day* (today's events update the signature
-//!   before today's aggregates are matched), so `first_seen` is the
-//!   account's *day of first online detection*;
-//! * **thresholds** — per-ASN daily-activity samples are kept in a sliding
-//!   window of per-day *sorted runs*; at the calibration boundary the §6.2
-//!   rules are evaluated with `quantile_sorted_runs`
-//!   (`footsteps_aas::stats`), a rank merge over the presorted runs — no
-//!   re-sort of the full window, and bit-identical to the batch path's
-//!   sort-then-index percentile.
+//! * **signatures** — today's honeypot events grow the
+//!   `detect::SignatureLearner` before today's aggregates are matched;
+//! * **classification** — `detect::classify_day` matches each day against
+//!   the signatures *as of that day*, so `first_seen` is the account's
+//!   *day of first online detection*;
+//! * **thresholds** — the last `window_days` days before the calibration
+//!   boundary go into a `detect::ThresholdWindow`, evaluated at the
+//!   boundary with the classification as it stands then.
 //!
 //! When the detector reaches `calibration_end` it **freezes** a
 //! [`VerdictSnapshot`] and stamps it with an FNV-1a digest of its
@@ -31,11 +26,13 @@
 //! verdicts; the parity test pins the observed gap on the smoke scenario.
 
 use crate::envelope::{EventBatch, RosterEntry};
-use footsteps_detect::{AsnTraffic, Classification, ThresholdTable};
+use footsteps_detect::{
+    classify_day, AsnTraffic, Classification, SignatureLearner, ThresholdTable, ThresholdWindow,
+};
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The window geometry the detector freezes on.
@@ -45,85 +42,9 @@ pub struct StreamConfig {
     pub calibration_start: Day,
     /// End (exclusive) of the calibration window; verdicts freeze here.
     pub calibration_end: Day,
-    /// Sliding-window length in days (the scenario's calibration tail).
+    /// Threshold window length in days: the last `window_days` days before
+    /// `calibration_end` (the scenario's calibration tail).
     pub window_days: u32,
-}
-
-/// Incrementally grown signature state for one service. Mirrors
-/// `detect::ServiceSignature` but keeps both sets ordered so snapshots
-/// serialize canonically without a sort at freeze time.
-#[derive(Debug, Clone, Default)]
-struct SigState {
-    asn_set: BTreeSet<AsnId>,
-    client_set: BTreeSet<ClientFingerprint>,
-    collusion: bool,
-}
-
-impl SigState {
-    /// Same predicate as `ServiceSignature::matches_outbound`.
-    fn matches_outbound(&self, asn: AsnId, fingerprint: ClientFingerprint) -> bool {
-        self.asn_set.contains(&asn) && self.client_set.contains(&fingerprint)
-    }
-
-    /// Same predicate as `ServiceSignature::matches_inbound`.
-    fn matches_inbound(&self, asn: AsnId) -> bool {
-        self.collusion && self.asn_set.contains(&asn)
-    }
-}
-
-/// One day of threshold-calibration samples, presorted at construction.
-#[derive(Debug, Clone, Default)]
-struct DaySamples {
-    /// Per ASN: `(account, total attempted outbound)` per raw record, for
-    /// the abusive/benign traffic split of `asn_traffic_kind`.
-    kind_samples: BTreeMap<AsnId, Vec<(AccountId, u32)>>,
-    /// Per `(ASN, action)`: per-account daily outbound counts (summed
-    /// across fingerprints), sorted by `(count, account)` so a filtered
-    /// projection to counts stays sorted.
-    out_runs: BTreeMap<(AsnId, ActionType), Vec<(u32, AccountId)>>,
-    /// Per `(ASN, action)`: per-recipient daily inbound counts, sorted.
-    in_runs: BTreeMap<(AsnId, ActionType), Vec<u32>>,
-}
-
-/// The two action types §6.2 thresholds cover.
-const THRESHOLD_TYPES: [ActionType; 2] = [ActionType::Like, ActionType::Follow];
-
-impl DaySamples {
-    fn build(batch: &EventBatch) -> Self {
-        let mut s = DaySamples::default();
-        let mut per: BTreeMap<(AsnId, ActionType, AccountId), u32> = BTreeMap::new();
-        for (key, counts) in &batch.outbound {
-            s.kind_samples
-                .entry(key.asn)
-                .or_default()
-                .push((key.account, counts.total_attempted()));
-            for ty in THRESHOLD_TYPES {
-                let n = counts.attempted_of(ty);
-                if n > 0 {
-                    *per.entry((key.asn, ty, key.account)).or_insert(0) += n;
-                }
-            }
-        }
-        for ((asn, ty, account), n) in per {
-            s.out_runs.entry((asn, ty)).or_default().push((n, account));
-        }
-        for run in s.out_runs.values_mut() {
-            run.sort_unstable();
-        }
-        for ((_, source), counts) in &batch.inbound {
-            let Some(asn) = source else { continue };
-            for ty in THRESHOLD_TYPES {
-                let n = counts.attempted_of(ty);
-                if n > 0 {
-                    s.in_runs.entry((*asn, ty)).or_default().push(n);
-                }
-            }
-        }
-        for run in s.in_runs.values_mut() {
-            run.sort_unstable();
-        }
-        s
-    }
 }
 
 /// A service signature as frozen into a [`VerdictSnapshot`]: the same
@@ -168,7 +89,7 @@ impl VerdictSnapshot {
 
     /// FNV-1a of [`VerdictSnapshot::to_json`].
     pub fn digest(&self) -> u64 {
-        crate::fnv1a(self.to_json().as_bytes())
+        footsteps_obs::tree::fnv1a(self.to_json().as_bytes())
     }
 
     /// Rebuild the frozen table (for handing to intervention policies or
@@ -209,11 +130,9 @@ pub struct StreamOutcome {
 #[derive(Debug)]
 pub struct OnlineDetector {
     config: StreamConfig,
-    /// `account → (home ASN, service)` for signature extraction.
-    watch: BTreeMap<AccountId, (AsnId, ServiceId)>,
-    sigs: BTreeMap<ServiceId, SigState>,
+    learner: SignatureLearner,
     classification: Classification,
-    window: VecDeque<DaySamples>,
+    window: ThresholdWindow,
     next_day: Day,
     events_processed: u64,
     batches: u64,
@@ -223,16 +142,11 @@ pub struct OnlineDetector {
 impl OnlineDetector {
     /// A fresh detector watching `roster` with the given window geometry.
     pub fn new(config: StreamConfig, roster: &[RosterEntry]) -> Self {
-        let watch = roster
-            .iter()
-            .map(|r| (r.account, (r.home_asn, r.service)))
-            .collect();
         Self {
             config,
-            watch,
-            sigs: BTreeMap::new(),
+            learner: SignatureLearner::new(roster),
             classification: Classification::default(),
-            window: VecDeque::new(),
+            window: ThresholdWindow::default(),
             next_day: Day(0),
             events_processed: 0,
             batches: 0,
@@ -287,174 +201,50 @@ impl OnlineDetector {
         self.events_processed += batch.record_count();
         self.batches += 1;
 
-        // 1. Grow signatures from today's honeypot events, so today's
-        //    aggregates are matched against today's knowledge.
-        for ev in &batch.events {
-            let Some(&(home, service)) = self.watch.get(&ev.actor) else { continue };
-            // Same rule as `detect::extract_signature`: the framework's own
-            // management traffic (home network, first-party client) is not
-            // service traffic.
-            if ev.asn == home && ev.fingerprint.is_organic_client() {
-                continue;
-            }
-            let sig = self.sigs.entry(service).or_insert_with(|| SigState {
-                collusion: service.is_collusion(),
-                ..SigState::default()
-            });
-            sig.asn_set.insert(ev.asn);
-            sig.client_set.insert(ev.fingerprint);
+        // Today's honeypot events grow the signatures before today's
+        // aggregates are matched against them.
+        let day = batch.records();
+        self.learner.learn_day(day);
+        classify_day(&mut self.classification, self.learner.signatures(), day);
+        if self.frozen.is_some() {
+            return;
         }
-
-        // 2. Classify today's aggregates (same record skip rules and the
-        //    same note() bookkeeping as `detect::classify`).
-        for (key, counts) in &batch.outbound {
-            if counts.total_attempted() == 0 {
-                continue;
-            }
-            for (&service, sig) in &self.sigs {
-                if sig.matches_outbound(key.asn, key.fingerprint) {
-                    note(&mut self.classification, service, key.account, batch.day);
-                }
-            }
+        let window_start = self.config.calibration_end.0.saturating_sub(self.config.window_days);
+        if batch.day.0 >= window_start {
+            self.window.push_day(day);
         }
-        for ((account, source), counts) in &batch.inbound {
-            let Some(asn) = source else { continue };
-            if counts.total_attempted() == 0 {
-                continue;
-            }
-            for (&service, sig) in &self.sigs {
-                if sig.matches_inbound(*asn) {
-                    note(&mut self.classification, service, *account, batch.day);
-                }
-            }
-        }
-
-        // 3. Slide the calibration sample window.
-        self.window.push_back(DaySamples::build(batch));
-        while self.window.len() > self.config.window_days as usize {
-            self.window.pop_front();
-        }
-
-        // 4. Freeze at the calibration boundary.
-        if self.next_day == self.config.calibration_end && self.frozen.is_none() {
+        if self.next_day == self.config.calibration_end {
             let snapshot = self.freeze();
             let digest = snapshot.digest();
             self.frozen = Some((snapshot, digest));
         }
     }
 
-    /// Abusive/benign split of an ASN's windowed outbound traffic —
-    /// `detect::asn_traffic_kind` over the sliding window.
-    fn asn_kind(&self, asn: AsnId) -> AsnTraffic {
-        let mut abusive = 0u64;
-        let mut benign = 0u64;
-        for day in &self.window {
-            let Some(samples) = day.kind_samples.get(&asn) else { continue };
-            for &(account, n) in samples {
-                if self.classification.is_abusive(account) {
-                    abusive += u64::from(n);
-                } else {
-                    benign += u64::from(n);
-                }
-            }
-        }
-        let total = abusive + benign;
-        if total == 0 || abusive == 0 {
-            return AsnTraffic::Benign;
-        }
-        if benign * 50 < total {
-            AsnTraffic::PureAbuse
-        } else {
-            AsnTraffic::Mixed
-        }
-    }
-
-    /// Windowed quantile of per-account daily outbound counts, filtered by
-    /// classification state. Each day's run is presorted by `(count,
-    /// account)`, so the filtered count projection stays sorted and the
-    /// quantile is a rank merge — no re-sort of the window.
-    fn out_quantile(&self, asn: AsnId, ty: ActionType, p: f64, abusive: bool) -> Option<u32> {
-        let filtered: Vec<Vec<u32>> = self
-            .window
-            .iter()
-            .map(|day| {
-                day.out_runs
-                    .get(&(asn, ty))
-                    .map(|run| {
-                        run.iter()
-                            .filter(|&&(_, account)| {
-                                self.classification.is_abusive(account) == abusive
-                            })
-                            .map(|&(n, _)| n)
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            })
-            .collect();
-        let runs: Vec<&[u32]> = filtered.iter().map(Vec::as_slice).collect();
-        footsteps_aas::stats::quantile_sorted_runs(&runs, p)
-    }
-
-    /// Windowed quantile of per-recipient daily inbound counts.
-    fn in_quantile(&self, asn: AsnId, ty: ActionType, p: f64) -> Option<u32> {
-        let runs: Vec<&[u32]> = self
-            .window
-            .iter()
-            .map(|day| {
-                day.in_runs
-                    .get(&(asn, ty))
-                    .map(|run| run.as_slice())
-                    .unwrap_or(&[])
-            })
-            .collect();
-        footsteps_aas::stats::quantile_sorted_runs(&runs, p)
-    }
-
-    /// Evaluate the §6.2 threshold rules over the current window and
-    /// snapshot everything. Mirrors `detect::compute_thresholds`.
+    /// Evaluate the threshold window and snapshot everything.
     fn freeze(&self) -> VerdictSnapshot {
-        let mut table = ThresholdTable::default();
-        let mut kinds: BTreeMap<AsnId, AsnTraffic> = BTreeMap::new();
-        for sig in self.sigs.values() {
-            let direction = if sig.collusion {
-                Direction::Inbound
-            } else {
-                Direction::Outbound
-            };
-            for &asn in &sig.asn_set {
-                let kind = self.asn_kind(asn);
-                kinds.insert(asn, kind);
-                for ty in THRESHOLD_TYPES {
-                    let threshold = match kind {
-                        AsnTraffic::Benign => continue,
-                        AsnTraffic::Mixed => self.out_quantile(asn, ty, 0.99, false),
-                        AsnTraffic::PureAbuse => match direction {
-                            Direction::Outbound => self.out_quantile(asn, ty, 0.25, true),
-                            Direction::Inbound => self.in_quantile(asn, ty, 0.25),
-                        },
-                    };
-                    let Some(v) = threshold else { continue };
-                    table.set(asn, ty, direction, v.max(1));
-                }
-            }
-        }
-        let signatures = self
-            .sigs
+        let signatures = self.learner.signatures();
+        let table = self.window.evaluate(signatures, &self.classification);
+        let asn_kinds: BTreeMap<AsnId, AsnTraffic> = signatures
             .iter()
-            .map(|(&service, sig)| SignatureView {
-                service,
-                asns: sig.asn_set.iter().copied().collect(),
-                fingerprints: sig.client_set.iter().copied().collect(),
-                collusion: sig.collusion,
-            })
+            .flat_map(|sig| &sig.asns)
+            .map(|asn| (*asn, table.asn_kinds[asn]))
             .collect();
         VerdictSnapshot {
             schema_version: crate::envelope::STREAM_SCHEMA_VERSION,
             frozen_on: self.config.calibration_end,
-            signatures,
+            signatures: self
+                .learner
+                .with_sorted_fingerprints()
+                .map(|(sig, sorted)| SignatureView {
+                    service: sig.service,
+                    asns: sig.asns.iter().copied().collect(),
+                    fingerprints: sorted.iter().copied().collect(),
+                    collusion: sig.collusion,
+                })
+                .collect(),
             classification: self.classification.clone(),
             thresholds: table.iter().map(|(&k, &v)| (k, v)).collect(),
-            asn_kinds: kinds.into_iter().collect(),
+            asn_kinds: asn_kinds.into_iter().collect(),
         }
     }
 
@@ -476,17 +266,6 @@ impl OnlineDetector {
             detector_secs,
             log_path,
         })
-    }
-}
-
-/// Identical bookkeeping to `detect::classify`'s `note`.
-fn note(c: &mut Classification, service: ServiceId, account: AccountId, day: Day) {
-    c.customers.entry(service).or_default().insert(account);
-    c.first_seen.entry((service, account)).or_insert(day);
-    c.last_seen.insert((service, account), day);
-    let days = c.active_days.entry((service, account)).or_default();
-    if days.last() != Some(&day) {
-        days.push(day);
     }
 }
 

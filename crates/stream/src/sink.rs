@@ -14,30 +14,12 @@ use crate::envelope::{
     EventBatch, EventLogWriter, LogHeader, LoginRecord, RosterEntry, StreamError,
 };
 use crate::online::{OnlineDetector, StreamConfig, StreamOutcome};
+use footsteps_detect::roster;
 use footsteps_honeypot::HoneypotFramework;
 use footsteps_obs::Stopwatch;
 use footsteps_sim::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
-
-/// The honeypot roster the detector watches: every framework record
-/// enrolled with a service, with its home ASN (for the management-traffic
-/// skip rule). This is the same ground truth `detect::extract_signature`
-/// reads, snapshotted so a recorded log is self-contained.
-pub fn roster(framework: &HoneypotFramework, platform: &Platform) -> Vec<RosterEntry> {
-    framework
-        .records()
-        .iter()
-        .filter_map(|r| {
-            let service = r.service?;
-            Some(RosterEntry {
-                account: r.account,
-                home_asn: platform.accounts.get(r.account).home_asn,
-                service,
-            })
-        })
-        .collect()
-}
 
 /// The event sink: detector + optional recorder.
 #[derive(Debug)]

@@ -4,7 +4,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema_version": 2, "scenario_hash": …, "phase": "Characterized", "study": {…}}
+//! {"schema_version": 3, "scenario_hash": …, "phase": "Characterized", "study": {…}}
 //! ```
 //!
 //! `schema_version` gates incompatible layout changes, `scenario_hash`
@@ -25,6 +25,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use footsteps_core::{Phase, Scenario, Study};
+use footsteps_obs::tree::fnv1a;
 
 use crate::SweepError;
 
@@ -34,21 +35,10 @@ use crate::SweepError;
 /// v2: `Study` gained the skip-serialized `stream` outcome and `Platform`
 /// the skip-serialized event sink (DESIGN.md §8). The wire format is
 /// unchanged, but the structural pin moves with the layout.
-pub const SCHEMA_VERSION: u32 = 2;
-
-/// Stable FNV-1a over arbitrary bytes — same construction as
-/// [`footsteps_core::results::StudyResults::digest`], shared here for
-/// scenario hashes and manifest digests.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+///
+/// v3: `DetectionPipeline` lost its skip-serialized worker-lane field.
+/// The wire format is unchanged again; only the structural pin moved.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Identity hash of a scenario, for tying checkpoints and manifests to
 /// their configuration. `worker_threads` is normalized out: it comes from
@@ -61,16 +51,10 @@ pub fn scenario_hash(scenario: &Scenario) -> u64 {
     fnv1a(json.as_bytes())
 }
 
-/// Write `bytes` to `path` atomically: a full write to a `.tmp` sibling
-/// followed by a rename, so readers never observe a partial file.
+/// Write `bytes` to `path` atomically ([`footsteps_obs::atomic::write_atomic`]).
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SweepError> {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let tmp = path.with_file_name(format!("{name}.tmp"));
-    fs::write(&tmp, bytes).map_err(|source| SweepError::Io { path: tmp.clone(), source })?;
-    fs::rename(&tmp, path).map_err(|source| SweepError::Io { path: path.to_path_buf(), source })
+    footsteps_obs::atomic::write_atomic(path, bytes)
+        .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })
 }
 
 /// Serialize `study` into a versioned envelope at `path` (atomic).

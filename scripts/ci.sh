@@ -178,14 +178,13 @@ fi
 echo "thread gate: OK (digest $digest_t1 invariant; 8T $fresh_t8 vs 1T $fresh days/sec on $cpus cpu(s))"
 
 echo "== trace smoke gate (chrome-trace export + span-structure parity) =="
-# Run the smoke scenario with tracing fully on: the event ring
-# (FOOTSTEPS_TRACE) plus span-event collection and Chrome-trace export
-# (FOOTSTEPS_TRACE_OUT). The exported trace must pass the schema check,
-# and the results digest must equal the untraced 1-thread digest —
-# tracing is observability-only.
+# Run the smoke scenario with tracing fully on: span-event collection
+# and Chrome-trace export (FOOTSTEPS_TRACE_OUT). The exported trace must
+# pass the schema check, and the results digest must equal the untraced
+# 1-thread digest — tracing is observability-only.
 TRACE_FILE="/tmp/footsteps_trace.ci.json"
 TRACED_PERF="/tmp/BENCH_daily_engine.ci.traced.json"
-FOOTSTEPS_TRACE=1 FOOTSTEPS_TRACE_OUT="$TRACE_FILE" \
+FOOTSTEPS_TRACE_OUT="$TRACE_FILE" \
   cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 1 7 "$TRACED_PERF"
 ./target/release/obs-report --check-trace "$TRACE_FILE"
 digest_traced=$(extract_results_digest "$TRACED_PERF")

@@ -117,34 +117,6 @@ fn metrics_snapshot_matches_recorded_bytes() {
     }
 }
 
-#[test]
-fn golden_digest_is_independent_of_tracing() {
-    // Tracing (and the rest of the obs layer) must never leak into the
-    // deterministic study results: run the same study with the event ring
-    // force-enabled and check the digest against the recorded golden value.
-    let mut scenario = Scenario::smoke(7);
-    scenario.worker_threads = 1;
-    let mut study = Study::new(scenario);
-    // Set the ring directly rather than via FOOTSTEPS_TRACE — env vars are
-    // process-global and would race with other tests in this binary.
-    study.platform.obs.trace = footsteps_obs::Trace::enabled_with(1024);
-    study.run_characterization();
-    let results = results::StudyResults::collect(&study);
-    assert_eq!(
-        results.digest(),
-        GOLDEN_SMOKE_DIGEST,
-        "enabling the obs trace ring changed the deterministic results"
-    );
-    // Continue into the narrow intervention (where enforcement actually
-    // fires) purely to confirm the ring captures events when enabled.
-    study.run_narrow();
-    let trace = study.platform.obs.trace.snapshot();
-    assert!(
-        !trace.events.is_empty(),
-        "the enabled ring should have captured enforcement/bin events"
-    );
-}
-
 /// Run the smoke scenario to completion with span-event collection fully
 /// on (the `FOOTSTEPS_TRACE_OUT` code path, enabled via the direct API
 /// because env vars are process-global and race across tests) and return

@@ -4,21 +4,13 @@
 //! error, never a panic.
 
 use footsteps_core::{Scenario, Study};
+use footsteps_obs::tree::fnv1a;
 use footsteps_sim::prelude::Day;
 use footsteps_stream::{EventBatch, EventLogReader, EventLogWriter, LogHeader, StreamError};
 use proptest::prelude::*;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("footsteps_json_codec_{}_{name}", std::process::id()))

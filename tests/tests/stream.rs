@@ -10,6 +10,14 @@ use std::path::PathBuf;
 /// the same golden value `determinism.rs` pins for the plain run.
 const GOLDEN_SMOKE_DIGEST: u64 = 0xce8a_eb34_fb9f_e096;
 
+/// Byte length and FNV-1a digest of the batch `DetectionPipeline`'s compact
+/// JSON for `Scenario::smoke(7)`, at any worker-thread count.
+const SMOKE_PIPELINE: (usize, u64) = (128_019, 0xb4ce_40cb_3464_2640);
+
+/// The online detector's frozen verdict digest for `Scenario::smoke(7)`,
+/// with the records and day batches it consumed.
+const SMOKE_VERDICTS: (u64, u64, u64) = (0x42ef_cf79_8ec8_490b, 158_902, 24);
+
 fn tmp_log(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("footsteps_stream_it_{}_{name}.jsonl", std::process::id()));
@@ -50,6 +58,21 @@ fn record_then_replay_reproduces_verdicts_at_any_thread_count() {
         let study = characterized_with_stream(7, threads, Some(&log));
         let inline = study.stream.as_ref().expect("inline outcome");
         assert_eq!(inline.log_path.as_deref(), Some(log.as_path()));
+
+        // Both detectors' outputs are pinned, not only compared with
+        // themselves: the batch pipeline's wire bytes and the inline
+        // verdicts.
+        let pipeline = serde_json::to_string(study.pipeline()).expect("pipeline serializes");
+        assert_eq!(
+            (pipeline.len(), footsteps_obs::tree::fnv1a(pipeline.as_bytes())),
+            SMOKE_PIPELINE,
+            "batch detection pipeline drifted ({threads} threads)"
+        );
+        assert_eq!(
+            (inline.verdict_digest, inline.events_processed, inline.batches),
+            SMOKE_VERDICTS,
+            "online verdicts drifted ({threads} threads)"
+        );
 
         let replayed = footsteps_stream::replay(&log).expect("replay succeeds");
         assert_eq!(
