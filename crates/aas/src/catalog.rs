@@ -116,13 +116,6 @@ pub struct ReciprocityPricing {
     pub min_paid_cents: Cents,
 }
 
-impl ReciprocityPricing {
-    /// Price per day of service at the minimum purchase granularity.
-    pub fn cents_per_day(&self) -> f64 {
-        self.min_paid_cents as f64 / f64::from(self.min_paid_days)
-    }
-}
-
 /// Table 2 row for a reciprocity service.
 ///
 /// # Panics
@@ -357,8 +350,9 @@ mod tests {
         assert_eq!(bg.min_paid_days, 30);
         assert_eq!(bg.min_paid_cents, 9_900);
         // Boostgram is by far the most expensive per day.
-        assert!(bg.cents_per_day() > ix.cents_per_day());
-        assert!(bg.cents_per_day() > iz.cents_per_day());
+        let per_day = |p: ReciprocityPricing| p.min_paid_cents as f64 / f64::from(p.min_paid_days);
+        assert!(per_day(bg) > per_day(ix));
+        assert!(per_day(bg) > per_day(iz));
     }
 
     #[test]

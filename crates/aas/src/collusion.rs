@@ -290,14 +290,6 @@ impl CollusionService {
         self.asn_rotation[self.asn_idx + (account.0 as usize % span)]
     }
 
-    /// All delivery networks currently in use.
-    pub fn active_asn_set(&self) -> Vec<AsnId> {
-        let span = self
-            .active_asns
-            .min(self.asn_rotation.len() - self.asn_idx);
-        self.asn_rotation[self.asn_idx..self.asn_idx + span].to_vec()
-    }
-
     /// Whether the service has stopped selling ("out of stock", §6.4).
     pub fn is_out_of_stock(&self) -> bool {
         self.out_of_stock
@@ -331,12 +323,6 @@ impl CollusionService {
     /// The self-imposed like-delivery cap for one recipient, if engaged.
     pub fn recipient_like_cap(&self, account: AccountId) -> Option<f64> {
         self.per_recipient_like.get(&account).and_then(|c| c.cap())
-    }
-
-    /// Number of no-outbound (exempt) customers.
-    pub fn no_outbound_count(&self) -> usize {
-        // footsteps-lint: allow(nondet-iter) — order-insensitive count
-        self.roles.values().filter(|r| r.no_outbound).count()
     }
 
     /// Enroll a honeypot account requesting `requested` actions. If
@@ -722,16 +708,9 @@ impl CollusionService {
 
         // Apply phase: execute the deposits, sharded by target account over
         // the worker threads. Results line up with `routed.ops` and are
-        // byte-identical to the serial ladder for any thread count. The
-        // shard workers' lanes attach under this open span inside
-        // `apply_deposits_sharded`.
-        let apply_span = platform.obs.timings.start(&format!("aas.{slug}.apply"));
-        let results = platform.apply_deposits_sharded(
-            &routed.ops,
-            platform.config.worker_threads,
-            &format!("aas.{slug}.apply.shard"),
-        );
-        platform.obs.timings.finish(apply_span);
+        // byte-identical to the serial ladder for any thread count.
+        let threads = platform.config.worker_threads;
+        let results = self.apply(platform, &routed.ops, threads);
 
         // Attribute the outcomes back to controller statistics, walking the
         // ops in routing order (= the serial ladder's stat-update order).
@@ -1023,16 +1002,40 @@ impl CollusionService {
         routed
     }
 
+    /// Apply routed deposit ops through the platform's enforced inbound
+    /// path, under this service's apply span (the shard workers' lanes
+    /// attach beneath it).
+    fn apply(
+        &self,
+        platform: &mut Platform,
+        ops: &[DepositOp],
+        threads: usize,
+    ) -> Vec<BatchResult> {
+        let slug = self.config.service.slug();
+        let span = platform.obs.timings.start(&format!("aas.{slug}.apply"));
+        let shard_span = format!("aas.{slug}.apply.shard");
+        let results = platform.apply_deposits_sharded(ops, threads, &shard_span);
+        platform.obs.timings.finish(span);
+        results
+    }
+
     /// Deliver a one-time like burst to the customer's latest photo at the
-    /// paid (above-free-cap) hourly rate.
+    /// paid (above-free-cap) hourly rate. One op needs one shard.
     fn deliver_burst(&mut self, platform: &mut Platform, account: AccountId, likes: u32) {
-        let asn = self.asn_for(account);
         let capped = apply_cap(likes, self.like_cap_for(account));
         let media = platform
             .accounts
             .latest_media_of(account)
             .map(|m| (m, self.config.paid_delivery_rate_per_hour.max(capped / 4)));
-        platform.deposit_inbound_enforced(account, ActionType::Like, capped, asn, Some(self.config.service), media);
+        let op = DepositOp {
+            target: account,
+            ty: ActionType::Like,
+            requested: capped,
+            asn: self.asn_for(account),
+            service: Some(self.config.service),
+            media,
+        };
+        self.apply(platform, &[op], 1);
     }
 
     /// Current self-imposed like-delivery cap for a recipient (only once
@@ -1072,7 +1075,7 @@ impl CollusionService {
                 self.capability[i] = true;
             }
             // Service-level controller (aggregate visibility / reporting).
-            let median = median_u32(&s.success_per_recipient);
+            let median = crate::stats::upper_median(&s.success_per_recipient);
             let controller = if i == 0 {
                 &mut self.like_controller
             } else {
@@ -1158,16 +1161,6 @@ fn apply_cap(requested: u32, cap: Option<f64>) -> u32 {
         Some(c) => requested.min(c.max(0.0) as u32),
         None => requested,
     }
-}
-
-/// Median of a u32 slice as f64 (0 for empty).
-fn median_u32(v: &[u32]) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = v.to_vec();
-    sorted.sort_unstable();
-    f64::from(sorted[sorted.len() / 2])
 }
 
 #[cfg(test)]
@@ -1313,24 +1306,22 @@ mod tests {
         );
     }
 
-    #[test]
-    fn like_blocking_is_answered_after_the_lag() {
-        #[derive(Debug)]
-        struct BlockInboundLikes;
-        impl EnforcementPolicy for BlockInboundLikes {
-            fn evaluate(&self, ctx: &EnforcementContext) -> EnforcementDecision {
-                if ctx.action == ActionType::Like && ctx.direction == Direction::Inbound {
-                    EnforcementDecision::threshold(
-                        ctx.requested,
-                        ctx.prior_today,
-                        40,
-                        Countermeasure::Block,
-                    )
-                } else {
-                    EnforcementDecision::allow_all(ctx.requested)
-                }
+    /// Blocks inbound likes above 40 per recipient-day.
+    #[derive(Debug)]
+    struct BlockInboundLikes;
+    impl EnforcementPolicy for BlockInboundLikes {
+        fn evaluate(&self, ctx: &EnforcementContext) -> EnforcementDecision {
+            if ctx.action == ActionType::Like && ctx.direction == Direction::Inbound {
+                let (requested, prior) = (ctx.requested, ctx.prior_today);
+                EnforcementDecision::threshold(requested, prior, 40, Countermeasure::Block)
+            } else {
+                EnforcementDecision::allow_all(ctx.requested)
             }
         }
+    }
+
+    #[test]
+    fn like_blocking_is_answered_after_the_lag() {
         let (mut platform, residential, mut svc, mut ledger) = world();
         platform.begin_day(Day(0));
         svc.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
@@ -1347,6 +1338,44 @@ mod tests {
         assert!(
             (20..=26).contains(&reacted),
             "reaction after the ~3-week implementation lag, got day {reacted}"
+        );
+    }
+
+    #[test]
+    fn one_time_burst_lands_on_the_latest_photo_under_inbound_enforcement() {
+        let (mut platform, residential, mut svc, mut ledger) = world();
+        // Every new customer buys the cheapest one-time like package.
+        svc.config.payer_profile = PayerProfile {
+            p_no_outbound: 0.0,
+            p_monthly: 0.0,
+            monthly_tier_weights: [0.0; 4],
+            p_one_time: 1.0,
+        };
+        let pkg = svc.config.catalog.one_time[0];
+        platform.set_policy(Box::new(BlockInboundLikes));
+        platform.begin_day(Day(0));
+        svc.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
+        let buyers: Vec<AccountId> = svc.customers().iter().map(|c| c.account).collect();
+        assert!(!buyers.is_empty());
+        let log = platform.log.day(Day(0)).expect("day 0 was written");
+        let like = ActionType::Like.index();
+        for &buyer in &buyers {
+            let photo = platform
+                .accounts
+                .latest_media_of(buyer)
+                .expect("buyers have photos");
+            assert_eq!(platform.accounts.media(photo).likes, 40, "{buyer}");
+            assert_eq!(log.photo_likes[&photo].total, 40, "{buyer}");
+            let counts = log
+                .inbound_from(buyer, svc.asn_for(buyer))
+                .expect("burst is logged");
+            assert_eq!(counts.delivered[like], 40, "{buyer}");
+            assert_eq!(counts.blocked[like], pkg.likes - 40, "{buyer}");
+        }
+        let one_time = PaymentKind::OneTimeLikes;
+        assert_eq!(
+            ledger.gross_kind_in(ServiceId::Hublaagram, one_time, Day(0), Day(1)),
+            buyers.len() as u64 * pkg.cents
         );
     }
 

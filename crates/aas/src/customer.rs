@@ -65,11 +65,6 @@ impl Customer {
     pub fn engaged_on(&self, day: Day) -> bool {
         self.pay != PayState::Lapsed && day >= self.enrolled && day < self.planned_end
     }
-
-    /// Days of engagement so far at `day` (inclusive of enrollment day).
-    pub fn tenure_at(&self, day: Day) -> u32 {
-        day.days_since(self.enrolled) + 1
-    }
 }
 
 /// Enrollment-time population parameters for a service.
@@ -198,11 +193,6 @@ impl CustomerBook {
     pub fn engaged_on(&self, day: Day) -> impl Iterator<Item = &Customer> {
         self.customers.iter().filter(move |c| c.engaged_on(day))
     }
-
-    /// Count of customers engaged on `day`.
-    pub fn engaged_count(&self, day: Day) -> usize {
-        self.engaged_on(day).count()
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +222,6 @@ mod tests {
         assert!(c.engaged_on(Day(5)));
         assert!(c.engaged_on(Day(9)));
         assert!(!c.engaged_on(Day(10)));
-        assert_eq!(c.tenure_at(Day(9)), 5);
     }
 
     #[test]
@@ -250,8 +239,8 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(b.get(AccountId(1)).is_some());
         assert!(b.get(AccountId(3)).is_none());
-        assert_eq!(b.engaged_count(Day(4)), 2);
-        assert_eq!(b.engaged_count(Day(7)), 1);
+        assert_eq!(b.engaged_on(Day(4)).count(), 2);
+        assert_eq!(b.engaged_on(Day(7)).count(), 1);
     }
 
     #[test]

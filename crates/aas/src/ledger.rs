@@ -139,26 +139,6 @@ impl PaymentLedger {
         }
         (new, preexisting)
     }
-
-    /// Accounts of `service` whose first-ever payment falls in `[start, end)`.
-    pub fn first_time_payers_in(&self, service: ServiceId, start: Day, end: Day) -> usize {
-        let mut seen: HashSet<AccountId> = HashSet::new();
-        let mut count = 0;
-        // Ledger is append-only and recorded in day order by construction of
-        // the engines, but sort defensively for correctness.
-        let mut sorted: Vec<&Payment> = self
-            .payments
-            .iter()
-            .filter(|p| p.service == service && p.kind != PaymentKind::Ads)
-            .collect();
-        sorted.sort_by_key(|p| p.day);
-        for p in sorted {
-            if seen.insert(p.account) && p.day >= start && p.day < end {
-                count += 1;
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -210,16 +190,6 @@ mod tests {
         let (new, pre) = l.new_vs_preexisting(ServiceId::Boostgram, Day(30), Day(60));
         assert_eq!(new, 600);
         assert_eq!(pre, 100);
-    }
-
-    #[test]
-    fn first_time_payers_window() {
-        let mut l = PaymentLedger::new();
-        l.record(pay(10, 1, 100, PaymentKind::Subscription));
-        l.record(pay(40, 1, 100, PaymentKind::Subscription));
-        l.record(pay(45, 2, 100, PaymentKind::Subscription));
-        assert_eq!(l.first_time_payers_in(ServiceId::Boostgram, Day(30), Day(60)), 1);
-        assert_eq!(l.first_time_payers_in(ServiceId::Boostgram, Day(0), Day(30)), 1);
     }
 
     #[test]

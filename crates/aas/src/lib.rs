@@ -31,6 +31,7 @@ pub mod engine;
 pub mod ledger;
 pub mod presets;
 pub mod reciprocity;
+pub mod service;
 pub mod stats;
 pub mod targeting;
 
@@ -41,4 +42,5 @@ pub use customer::{Customer, CustomerBook, LifecycleParams, PayState};
 pub use engine::{plan_parallel, plan_parallel_timed};
 pub use ledger::{Payment, PaymentKind, PaymentLedger};
 pub use reciprocity::{DailyVolumes, ReciprocityConfig, ReciprocityService};
+pub use service::Service;
 pub use targeting::{median_degrees, TargetingBias, TargetPool};

@@ -228,11 +228,6 @@ impl ReciprocityService {
         self.asn_rotation[self.asn_idx[ty.index()]]
     }
 
-    /// The primary (original) ASN.
-    pub fn primary_asn(&self) -> AsnId {
-        self.asn_rotation[0]
-    }
-
     /// Number of ASN migrations performed so far.
     pub fn migrations(&self) -> u32 {
         self.migrations
@@ -787,7 +782,7 @@ impl ReciprocityService {
             if self.failure_streak[i] > self.config.adapt.detection_lag_days {
                 self.capability[i] = true;
             }
-            let median = median_u32(&s.success_per_account);
+            let median = crate::stats::upper_median(&s.success_per_account);
             let action = self.controllers[i].observe(DayObservation {
                 day,
                 attempted: s.attempted,
@@ -850,16 +845,6 @@ impl ReciprocityService {
 /// Log-normal personal activity multiplier around 1.
 fn personal_multiplier(rng: &mut impl Rng) -> f64 {
     sample_lognormal(rng, 1.0, 0.28).clamp(0.3, 3.0)
-}
-
-/// Median of a u32 slice as f64 (0 for empty).
-fn median_u32(v: &[u32]) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = v.to_vec();
-    sorted.sort_unstable();
-    f64::from(sorted[sorted.len() / 2])
 }
 
 #[cfg(test)]

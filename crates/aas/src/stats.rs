@@ -8,6 +8,9 @@
 //! the analyses use the *same* rank arithmetic — a one-off
 //! reimplementation is exactly the drift the determinism contract
 //! forbids.
+//!
+//! The service engines' own upper median sits here too, one copy for both
+//! engine kinds.
 
 /// 1-based nearest rank for probability `p ∈ [0,1]` over a sample of
 /// size `len`: `⌈len·p⌉` clamped into `[1, len]`.
@@ -71,9 +74,31 @@ pub fn quantile_sorted_runs(runs: &[&[u32]], p: f64) -> Option<u32> {
     Some(lo)
 }
 
+/// Upper median of a sample as `f64`: element `len / 2` of the sorted
+/// copy, or 0 for an empty slice. The service engines' controllers read
+/// the median per-account daily success through it. Not to be confused
+/// with `footsteps_analysis::stats::median_u32`, the *lower* median
+/// (element `(len - 1) / 2`, `None` for an empty slice): the two differ on
+/// even-sized samples.
+pub(crate) fn upper_median(v: &[u32]) -> f64 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = v.to_vec();
+    sorted.sort_unstable();
+    f64::from(sorted[sorted.len() / 2])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn upper_median_takes_the_upper_middle() {
+        assert_eq!(upper_median(&[]), 0.0);
+        assert_eq!(upper_median(&[5, 1, 9]), 5.0);
+        assert_eq!(upper_median(&[4, 2]), 4.0, "upper, not lower, median");
+    }
 
     #[test]
     fn nearest_rank_bounds() {

@@ -89,8 +89,17 @@ mod tests {
             ReciprocityProfile::SILENT,
         );
         p.begin_day(Day(0));
-        p.deposit_inbound(a, ActionType::Like, 30, 0, Some(host), None);
-        p.deposit_inbound(a, ActionType::Comment, 10, 0, Some(host), None);
+        // No policy is installed, so every delivery stands.
+        let op = |ty, requested| DepositOp {
+            target: a,
+            ty,
+            requested,
+            asn: host,
+            service: None,
+            media: None,
+        };
+        let ops = [op(ActionType::Like, 30), op(ActionType::Comment, 10)];
+        p.apply_deposits_sharded(&ops, 1, "test.apply.shard");
         let e = engagement(&p, a, Day(0), Day(1));
         assert_eq!((e.likes, e.comments, e.followers), (30, 10, 200));
         assert!((e.rate().unwrap() - 0.2).abs() < 1e-12);

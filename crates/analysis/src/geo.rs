@@ -31,15 +31,6 @@ impl CountryDistribution {
             .map(|(_, s)| *s)
             .unwrap_or(0.0)
     }
-
-    /// The top non-OTHER country.
-    pub fn top_country(&self) -> Option<Country> {
-        self.shares
-            .iter()
-            .filter(|(c, _)| *c != Country::Other)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"))
-            .map(|(c, _)| *c)
-    }
 }
 
 /// Compute Figure 2's distribution for one group. `cutoff` is the minimum
@@ -157,7 +148,6 @@ mod tests {
         let b = user(&mut p, Country::Br, 2);
         c.customers.entry(ServiceId::Hublaagram).or_default().insert(b);
         let dist = customer_countries(&p, &c, ServiceGroup::Hublaagram, 0.15);
-        assert_eq!(dist.top_country(), Some(Country::Id));
         assert!((dist.share_of(Country::Id) - 0.5).abs() < 1e-9);
         assert!((dist.share_of(Country::Us) - 0.45).abs() < 1e-9);
         assert_eq!(dist.share_of(Country::Br), 0.0, "folded into OTHER");

@@ -349,6 +349,20 @@ pub fn new_vs_preexisting(
 mod tests {
     use super::*;
 
+    /// `n` likes from `host` onto `to` through the platform's inbound path
+    /// (no policy is installed, so every one stands).
+    fn likes(p: &mut Platform, to: AccountId, n: u32, host: AsnId, media: Option<(MediaId, u32)>) {
+        let op = DepositOp {
+            target: to,
+            ty: ActionType::Like,
+            requested: n,
+            asn: host,
+            service: None,
+            media,
+        };
+        p.apply_deposits_sharded(&[op], 1, "test.apply.shard");
+    }
+
     fn classification_with(
         entries: &[(ServiceId, u32, Vec<u32>)],
     ) -> Classification {
@@ -447,8 +461,8 @@ mod tests {
         let b_media = p.post_media(b, AsnId(0), ip);
         let c_media = p.post_media(c, AsnId(0), ip);
         // A and B receive free-rate likes; B also produces outbound.
-        p.deposit_inbound(a, ActionType::Like, 80, 0, Some(host), None);
-        p.deposit_inbound(b, ActionType::Like, 80, 0, Some(host), Some((b_media, 120)));
+        likes(&mut p, a, 80, host, None);
+        likes(&mut p, b, 80, host, Some((b_media, 120)));
         p.log.record_outbound(
             Day(0),
             b,
@@ -459,10 +473,10 @@ mod tests {
             20,
         );
         // C gets a paid-rate tier delivery (700 likes at 420/hour).
-        p.deposit_inbound(c, ActionType::Like, 700, 0, Some(host), Some((c_media, 420)));
+        likes(&mut p, c, 700, host, Some((c_media, 420)));
         // And a free-rate day later in the window.
         p.begin_day(Day(1));
-        p.deposit_inbound(c, ActionType::Like, 80, 0, Some(host), Some((c_media, 120)));
+        likes(&mut p, c, 80, host, Some((c_media, 120)));
 
         let asns: BTreeSet<AsnId> = [host].into();
         let rev = hublaagram_revenue(&p, &class, &asns, Day(0), Day(5));
@@ -503,12 +517,12 @@ mod tests {
         let ip = p.asns.ip_in(host, 0);
         let media = p.post_media(buyer, AsnId(0), ip);
         // Ordinary free-rate days keep the overall median low…
-        p.deposit_inbound(buyer, ActionType::Like, 80, 0, Some(host), Some((media, 120)));
+        likes(&mut p, buyer, 80, host, Some((media, 120)));
         p.begin_day(Day(1));
-        p.deposit_inbound(buyer, ActionType::Like, 80, 0, Some(host), Some((media, 120)));
+        likes(&mut p, buyer, 80, host, Some((media, 120)));
         // …then the 2,000-like burst at a paid rate.
         p.begin_day(Day(2));
-        p.deposit_inbound(buyer, ActionType::Like, 2_000, 0, Some(host), Some((media, 800)));
+        likes(&mut p, buyer, 2_000, host, Some((media, 800)));
         let asns: BTreeSet<AsnId> = [host].into();
         let rev = hublaagram_revenue(&p, &class, &asns, Day(0), Day(5));
         assert_eq!(rev.one_time_accounts, 1);

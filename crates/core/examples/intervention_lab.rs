@@ -40,8 +40,12 @@ fn main() {
     }
     println!(
         "\nservice state: Boostgram follow detection active = {}, throttled customers = {}",
-        study.boostgram.detection_active(ActionType::Follow),
-        study.boostgram.throttled_customer_count(ActionType::Follow)
+        study
+            .reciprocity(ServiceId::Boostgram)
+            .detection_active(ActionType::Follow),
+        study
+            .reciprocity(ServiceId::Boostgram)
+            .throttled_customer_count(ActionType::Follow)
     );
 
     let fig6 = results::figure6(&study);

@@ -100,11 +100,6 @@ pub const FIGURE34_MEDIANS: [(&str, f64, f64); 3] = [
 /// §6.3: Hublaagram's like-block reaction lag, days (~3 weeks).
 pub const HUBLAAGRAM_REACTION_LAG_DAYS: u32 = 21;
 
-/// The linear scale factor between a scaled count and the paper's count.
-pub fn scale_up(simulated: u64, scale: f64) -> u64 {
-    (simulated as f64 / scale).round() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,12 +137,6 @@ mod tests {
             let total = a + b + c + d;
             assert!((total - 1.0).abs() < 0.005, "{g}: {total}");
         }
-    }
-
-    #[test]
-    fn scale_up_inverts_the_scale() {
-        assert_eq!(scale_up(1_217, 0.01), 121_700);
-        assert_eq!(scale_up(0, 0.01), 0);
     }
 
     #[test]

@@ -202,8 +202,9 @@ pub fn figures34(study: &Study) -> TargetingFigures {
     assert!(study.phase >= Phase::Characterized);
     let mut rng = RngFactory::new(study.scenario.seed).stream("analysis.targeting");
     let n = 1_000;
-    let boost = analysis::sample_targets(study.boostgram.pool().members(), n, &mut rng);
-    let insta = analysis::sample_targets(study.instalex.pool().members(), n, &mut rng);
+    let targets = |id| study.reciprocity(id).pool().members();
+    let boost = analysis::sample_targets(targets(ServiceId::Boostgram), n, &mut rng);
+    let insta = analysis::sample_targets(targets(ServiceId::Instalex), n, &mut rng);
     let base = analysis::sample_baseline(&study.population, n, &mut rng);
     TargetingFigures {
         services: vec![
@@ -491,18 +492,21 @@ pub struct EpilogueReport {
 /// Epilogue: the end-state of the arms race.
 pub fn epilogue(study: &Study) -> EpilogueReport {
     assert!(study.phase >= Phase::Finished);
-    let insta_like_asn = study.instalex.current_asn(ActionType::Like);
-    let insta_follow_asn = study.instalex.current_asn(ActionType::Follow);
+    let instalex = study.reciprocity(ServiceId::Instalex);
+    let hublaagram = study.collusion(ServiceId::Hublaagram);
     EpilogueReport {
-        reciprocity_migrations: vec![
-            (ServiceId::Instalex, study.instalex.migrations()),
-            (ServiceId::Instazood, study.instazood.migrations()),
-            (ServiceId::Boostgram, study.boostgram.migrations()),
-        ],
-        insta_likes_on_proxy: study.layout.insta_proxies.contains(&insta_like_asn),
-        insta_follows_back_home: insta_follow_asn == study.layout.insta_primary,
-        hublaagram_migrations: study.hublaagram.migrations(),
-        hublaagram_out_of_stock_on: study.hublaagram.out_of_stock_on(),
+        reciprocity_migrations: ServiceId::RECIPROCITY
+            .into_iter()
+            .map(|id| (id, study.reciprocity(id).migrations()))
+            .collect(),
+        insta_likes_on_proxy: study
+            .layout
+            .insta_proxies
+            .contains(&instalex.current_asn(ActionType::Like)),
+        insta_follows_back_home: instalex.current_asn(ActionType::Follow)
+            == study.layout.insta_primary,
+        hublaagram_migrations: hublaagram.migrations(),
+        hublaagram_out_of_stock_on: hublaagram.out_of_stock_on(),
     }
 }
 

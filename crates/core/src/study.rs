@@ -15,7 +15,7 @@
 
 use crate::scenario::Scenario;
 use crate::world::AsnLayout;
-use footsteps_aas::{presets, CollusionService, PaymentLedger, ReciprocityService};
+use footsteps_aas::{presets, CollusionService, PaymentLedger, ReciprocityService, Service};
 use footsteps_detect::DetectionPipeline;
 use footsteps_honeypot::{run_campaign, CampaignReport, HoneypotFramework};
 use footsteps_intervene::{EpiloguePolicy, ExperimentPlan, ExperimentPolicy};
@@ -99,16 +99,9 @@ pub struct Study {
     pub population: Population,
     /// Network layout.
     pub layout: AsnLayout,
-    /// The Instalex franchise.
-    pub instalex: ReciprocityService,
-    /// The Instazood franchise.
-    pub instazood: ReciprocityService,
-    /// Boostgram.
-    pub boostgram: ReciprocityService,
-    /// Hublaagram.
-    pub hublaagram: CollusionService,
-    /// Followersgratis.
-    pub followersgratis: CollusionService,
+    /// The five service engines, in [`ServiceId::ALL`] order (see
+    /// [`Study::reciprocity`] and [`Study::collusion`]).
+    pub services: Vec<Service>,
     /// The honeypot framework.
     pub framework: HoneypotFramework,
     /// Ground-truth payments across all services.
@@ -178,38 +171,32 @@ impl Study {
         instazood_cfg.pool_size = scale_pool(instazood_cfg.pool_size);
         let mut boostgram_cfg = presets::boostgram_config(scenario.scale);
         boostgram_cfg.pool_size = scale_pool(boostgram_cfg.pool_size);
-        let instalex = ReciprocityService::new(
-            instalex_cfg,
-            &platform.accounts,
-            &population,
-            layout.insta_rotation(),
-            rngs.stream("aas.instalex"),
-        );
-        let instazood = ReciprocityService::new(
-            instazood_cfg,
-            &platform.accounts,
-            &population,
-            layout.insta_rotation(),
-            rngs.stream("aas.instazood"),
-        );
-        let boostgram = ReciprocityService::new(
-            boostgram_cfg,
-            &platform.accounts,
-            &population,
-            layout.boost_rotation(),
-            rngs.stream("aas.boostgram"),
-        );
-        let hublaagram = CollusionService::with_active_asns(
-            presets::hublaagram_config(scenario.scale),
-            layout.hubla_asns.clone(),
-            layout.hubla_asns.len(),
-            rngs.stream("aas.hublaagram"),
-        );
-        let followersgratis = CollusionService::new(
-            presets::followersgratis_config(scenario.scale),
-            vec![layout.fg_asn],
-            rngs.stream("aas.followersgratis"),
-        );
+        let reciprocity = |cfg, rotation, label| {
+            Service::Reciprocity(ReciprocityService::new(
+                cfg,
+                &platform.accounts,
+                &population,
+                rotation,
+                rngs.stream(label),
+            ))
+        };
+        let services = vec![
+            reciprocity(instalex_cfg, layout.insta_rotation(), "aas.instalex"),
+            reciprocity(instazood_cfg, layout.insta_rotation(), "aas.instazood"),
+            reciprocity(boostgram_cfg, layout.boost_rotation(), "aas.boostgram"),
+            Service::Collusion(CollusionService::with_active_asns(
+                presets::hublaagram_config(scenario.scale),
+                layout.hubla_asns.clone(),
+                layout.hubla_asns.len(),
+                rngs.stream("aas.hublaagram"),
+            )),
+            Service::Collusion(CollusionService::new(
+                presets::followersgratis_config(scenario.scale),
+                vec![layout.fg_asn],
+                rngs.stream("aas.followersgratis"),
+            )),
+        ];
+        debug_assert!(services.iter().map(Service::id).eq(ServiceId::ALL));
 
         let framework = HoneypotFramework::new(layout.honeypot_home, rngs.stream("honeypot"));
         let background = BackgroundConfig {
@@ -234,11 +221,7 @@ impl Study {
             residential,
             population,
             layout,
-            instalex,
-            instazood,
-            boostgram,
-            hublaagram,
-            followersgratis,
+            services,
             framework,
             ledger: PaymentLedger::new(),
             campaigns: Vec::new(),
@@ -263,49 +246,31 @@ impl Study {
         self.framework.setup_celebrities(&mut self.platform, 25);
         self.framework
             .create_baseline(&mut self.platform, self.scenario.baseline_accounts);
-        self.instalex
-            .seed_initial_customers(&mut self.platform, &self.residential, Day(0));
-        self.instazood
-            .seed_initial_customers(&mut self.platform, &self.residential, Day(0));
-        self.boostgram
-            .seed_initial_customers(&mut self.platform, &self.residential, Day(0));
-        self.hublaagram.seed_initial_customers(
-            &mut self.platform,
-            &self.residential,
-            &mut self.ledger,
-            Day(0),
-        );
-        self.followersgratis.seed_initial_customers(
-            &mut self.platform,
-            &self.residential,
-            &mut self.ledger,
-            Day(0),
-        );
+        for service in &mut self.services {
+            service.seed_initial_customers(
+                &mut self.platform,
+                &self.residential,
+                &mut self.ledger,
+                Day(0),
+            );
+        }
         let per = self.scenario.honeypots_per_type;
         let paid = self.scenario.paid_honeypots_per_type;
-        let reports = vec![
-            run_campaign(
-                &mut self.framework, &mut self.platform, &mut self.instalex,
-                &mut self.ledger, Day(0), per, paid,
-            ),
-            run_campaign(
-                &mut self.framework, &mut self.platform, &mut self.instazood,
-                &mut self.ledger, Day(0), per, paid,
-            ),
-            run_campaign(
-                &mut self.framework, &mut self.platform, &mut self.boostgram,
-                &mut self.ledger, Day(0), per, paid,
-            ),
-            run_campaign(
-                &mut self.framework, &mut self.platform, &mut self.hublaagram,
-                &mut self.ledger, Day(0), per, paid,
-            ),
-            run_campaign(
-                &mut self.framework, &mut self.platform, &mut self.followersgratis,
-                &mut self.ledger, Day(0), per, paid,
-            ),
-        ];
-        self.campaigns = reports;
+        self.campaigns = self
+            .services
+            .iter_mut()
+            .map(|service| {
+                run_campaign(
+                    &mut self.framework,
+                    &mut self.platform,
+                    service,
+                    &mut self.ledger,
+                    Day(0),
+                    per,
+                    paid,
+                )
+            })
+            .collect();
         self.platform.obs.timings.finish(timer);
     }
 
@@ -322,16 +287,9 @@ impl Study {
             &mut self.bg_rng,
         );
         self.platform.obs.timings.finish(bg_timer);
-        self.instalex
-            .run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
-        self.instazood
-            .run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
-        self.boostgram
-            .run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
-        self.hublaagram
-            .run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
-        self.followersgratis
-            .run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
+        for service in &mut self.services {
+            service.run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
+        }
         self.platform.obs.timings.finish(timer);
     }
 
@@ -534,11 +492,9 @@ impl Study {
     /// # Panics
     /// Panics for collusion services.
     pub fn reciprocity(&self, id: ServiceId) -> &ReciprocityService {
-        match id {
-            ServiceId::Instalex => &self.instalex,
-            ServiceId::Instazood => &self.instazood,
-            ServiceId::Boostgram => &self.boostgram,
-            other => panic!("{other} is not a reciprocity service"),
+        match &self.services[id.index()] {
+            Service::Reciprocity(s) => s,
+            Service::Collusion(_) => panic!("{id} is not a reciprocity service"),
         }
     }
 
@@ -547,10 +503,9 @@ impl Study {
     /// # Panics
     /// Panics for reciprocity services.
     pub fn collusion(&self, id: ServiceId) -> &CollusionService {
-        match id {
-            ServiceId::Hublaagram => &self.hublaagram,
-            ServiceId::Followersgratis => &self.followersgratis,
-            other => panic!("{other} is not a collusion service"),
+        match &self.services[id.index()] {
+            Service::Collusion(s) => s,
+            Service::Reciprocity(_) => panic!("{id} is not a collusion service"),
         }
     }
 }
@@ -601,9 +556,10 @@ mod tests {
     #[test]
     fn franchises_share_fingerprint_and_network() {
         let study = Study::new(Scenario::smoke(3));
+        let like_asn = |id| study.reciprocity(id).current_asn(ActionType::Like);
         assert_eq!(
-            study.instalex.current_asn(ActionType::Like),
-            study.instazood.current_asn(ActionType::Like)
+            like_asn(ServiceId::Instalex),
+            like_asn(ServiceId::Instazood)
         );
     }
 }

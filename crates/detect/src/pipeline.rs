@@ -108,7 +108,7 @@ const THRESHOLD_VALUE_BOUNDS: &[u64] = &[5, 10, 25, 50, 100, 250, 1000];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footsteps_aas::{presets, CollusionService, PaymentLedger, ReciprocityService};
+    use footsteps_aas::{presets, CollusionService, PaymentLedger, ReciprocityService, Service};
     use footsteps_honeypot::{run_campaign, HoneypotFramework};
     use footsteps_sim::enforcement::Direction;
     use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
@@ -142,37 +142,41 @@ mod tests {
         let mut instalex = {
             let mut cfg = presets::instalex_config(0.002);
             cfg.pool_size = 500;
-            ReciprocityService::new(
+            Service::Reciprocity(ReciprocityService::new(
                 cfg,
                 &platform.accounts,
                 &pop,
                 vec![mixed],
                 SmallRng::seed_from_u64(62),
-            )
+            ))
         };
         let mut boostgram = {
             let mut cfg = presets::boostgram_config(0.01);
             cfg.pool_size = 500;
-            ReciprocityService::new(
+            Service::Reciprocity(ReciprocityService::new(
                 cfg,
                 &platform.accounts,
                 &pop,
                 vec![bg_host],
                 SmallRng::seed_from_u64(63),
-            )
+            ))
         };
         let mut hublaagram = {
             let mut cfg = presets::hublaagram_config(0.0005);
             cfg.lifecycle.arrival_rate = 3.0;
             cfg.lifecycle.initial_long_term = 50;
-            CollusionService::new(cfg, vec![hg_host], SmallRng::seed_from_u64(64))
+            Service::Collusion(CollusionService::new(
+                cfg,
+                vec![hg_host],
+                SmallRng::seed_from_u64(64),
+            ))
         };
         let mut framework = HoneypotFramework::new(AsnId(0), SmallRng::seed_from_u64(65));
         let mut ledger = PaymentLedger::new();
         platform.begin_day(Day(0));
         framework.setup_celebrities(&mut platform, 20);
-        boostgram.seed_initial_customers(&mut platform, &residential, Day(0));
-        instalex.seed_initial_customers(&mut platform, &residential, Day(0));
+        boostgram.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
+        instalex.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
         hublaagram.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
         run_campaign(&mut framework, &mut platform, &mut boostgram, &mut ledger, Day(0), 3, 0);
         run_campaign(&mut framework, &mut platform, &mut instalex, &mut ledger, Day(0), 3, 0);

@@ -136,7 +136,7 @@ impl SignatureLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footsteps_aas::{presets, PaymentLedger, ReciprocityService};
+    use footsteps_aas::{presets, PaymentLedger, ReciprocityService, Service};
     use footsteps_honeypot::{run_campaign, HoneypotFramework};
     use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
     use rand::rngs::SmallRng;
@@ -164,19 +164,19 @@ mod tests {
             cfg.pool_size = 400;
             cfg.lifecycle.arrival_rate = 1.0;
             cfg.lifecycle.initial_long_term = 5;
-            ReciprocityService::new(
+            Service::Reciprocity(ReciprocityService::new(
                 cfg,
                 &platform.accounts,
                 &pop,
                 vec![host],
                 SmallRng::seed_from_u64(52),
-            )
+            ))
         };
         let mut framework = HoneypotFramework::new(AsnId(0), SmallRng::seed_from_u64(53));
         let mut ledger = PaymentLedger::new();
         platform.begin_day(Day(0));
         framework.setup_celebrities(&mut platform, 20);
-        svc.seed_initial_customers(&mut platform, &residential, Day(0));
+        svc.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
         run_campaign(&mut framework, &mut platform, &mut svc, &mut ledger, Day(0), 3, 0);
         for d in 0..4u32 {
             platform.begin_day(Day(d));

@@ -5,73 +5,13 @@
 //! lived-in."
 //!
 //! The campaign layer sits between the framework (which owns accounts) and
-//! the service engines (which own enrollments). A [`Registrar`] adapter
-//! hides the difference between the two engine types.
+//! the service engines (which own enrollments).
 
 use crate::framework::{HoneypotFramework, HoneypotKind};
 use footsteps_aas::catalog::offerings;
-use footsteps_aas::{CollusionService, PaymentLedger, ReciprocityService};
+use footsteps_aas::{PaymentLedger, Service};
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Anything a honeypot can register with.
-pub trait Registrar {
-    /// The service being registered with.
-    fn service_id(&self) -> ServiceId;
-
-    /// Enroll an account requesting one action type. `paid` purchases
-    /// service immediately instead of (or on top of) the free tier.
-    fn register(
-        &mut self,
-        account: AccountId,
-        requested: ActionType,
-        paid: bool,
-        day: Day,
-        ledger: &mut PaymentLedger,
-    );
-
-    /// Action types this service sells (Table 1).
-    fn offered_types(&self) -> Vec<ActionType> {
-        offerings(self.service_id()).offered_types()
-    }
-}
-
-impl Registrar for ReciprocityService {
-    fn service_id(&self) -> ServiceId {
-        self.id()
-    }
-
-    fn register(
-        &mut self,
-        account: AccountId,
-        requested: ActionType,
-        paid: bool,
-        day: Day,
-        ledger: &mut PaymentLedger,
-    ) {
-        self.enroll_honeypot(account, requested, paid, day, ledger);
-    }
-}
-
-impl Registrar for CollusionService {
-    fn service_id(&self) -> ServiceId {
-        self.id()
-    }
-
-    fn register(
-        &mut self,
-        account: AccountId,
-        requested: ActionType,
-        paid: bool,
-        day: Day,
-        ledger: &mut PaymentLedger,
-    ) {
-        // Paid collusion probes buy the cheapest monthly like tier — the
-        // probes behind the 160 likes/hour finding (§5.2).
-        let tier = if paid { Some(0) } else { None };
-        self.enroll_honeypot(account, requested, tier, day, ledger);
-    }
-}
 
 /// Outcome of one campaign: the accounts registered per action type.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -93,10 +33,10 @@ impl CampaignReport {
 /// offered action type, `per_type` accounts (one lived-in, the rest empty).
 /// `paid_per_type` of each cohort purchase service instead of relying on the
 /// trial.
-pub fn run_campaign<R: Registrar>(
+pub fn run_campaign(
     framework: &mut HoneypotFramework,
     platform: &mut Platform,
-    service: &mut R,
+    service: &mut Service,
     ledger: &mut PaymentLedger,
     day: Day,
     per_type: usize,
@@ -104,8 +44,9 @@ pub fn run_campaign<R: Registrar>(
 ) -> CampaignReport {
     assert!(per_type >= 1);
     assert!(paid_per_type <= per_type);
+    let id = service.id();
     let mut cohorts = Vec::new();
-    for ty in service.offered_types() {
+    for ty in offerings(id).offered_types() {
         let mut accounts = Vec::with_capacity(per_type);
         for i in 0..per_type {
             // One lived-in account per cohort of ten (§4.1.2). It goes
@@ -119,14 +60,21 @@ pub fn run_campaign<R: Registrar>(
             };
             let account = framework.create_account(platform, kind);
             let paid = i < paid_per_type;
-            service.register(account, ty, paid, day, ledger);
-            framework.note_registration(account, service.service_id(), ty, paid, day);
+            match service {
+                Service::Reciprocity(s) => s.enroll_honeypot(account, ty, paid, day, ledger),
+                // Paid collusion probes buy the cheapest monthly like tier —
+                // the probes behind the 160 likes/hour finding (§5.2).
+                Service::Collusion(s) => {
+                    s.enroll_honeypot(account, ty, paid.then_some(0), day, ledger)
+                }
+            }
+            framework.note_registration(account, id, ty, paid, day);
             accounts.push(account);
         }
         cohorts.push((ty, accounts));
     }
     CampaignReport {
-        service: service.service_id(),
+        service: id,
         cohorts,
     }
 }
@@ -135,7 +83,7 @@ pub fn run_campaign<R: Registrar>(
 mod tests {
     use super::*;
     use crate::framework::HoneypotFramework;
-    use footsteps_aas::presets;
+    use footsteps_aas::{presets, ReciprocityService};
     use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -144,7 +92,7 @@ mod tests {
         Platform,
         ResidentialIndex,
         HoneypotFramework,
-        ReciprocityService,
+        Service,
         PaymentLedger,
     ) {
         let mut reg = AsnRegistry::new();
@@ -164,13 +112,13 @@ mod tests {
         );
         let mut cfg = presets::instalex_config(0.01);
         cfg.pool_size = 500;
-        let svc = ReciprocityService::new(
+        let svc = Service::Reciprocity(ReciprocityService::new(
             cfg,
             &platform.accounts,
             &pop,
             vec![host],
             SmallRng::seed_from_u64(12),
-        );
+        ));
         let mut framework = HoneypotFramework::new(AsnId(0), SmallRng::seed_from_u64(13));
         platform.begin_day(Day(0));
         framework.setup_celebrities(&mut platform, 20);

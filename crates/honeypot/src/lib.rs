@@ -17,7 +17,7 @@ pub mod framework;
 pub mod monitor;
 pub mod reciprocation;
 
-pub use campaign::{run_campaign, CampaignReport, Registrar};
+pub use campaign::{run_campaign, CampaignReport};
 pub use framework::{HoneypotFramework, HoneypotKind, HoneypotRecord, PHOTO_THEMES};
 pub use monitor::{
     baseline_inbound, observed_trial_days, summarize, unrequested_action_types, ActivitySummary,

@@ -136,7 +136,7 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign;
     use crate::framework::HoneypotFramework;
-    use footsteps_aas::{presets, PaymentLedger, ReciprocityService};
+    use footsteps_aas::{presets, PaymentLedger, ReciprocityService, Service};
     use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -145,8 +145,8 @@ mod tests {
         platform: Platform,
         residential: ResidentialIndex,
         framework: HoneypotFramework,
-        instalex: ReciprocityService,
-        instazood: ReciprocityService,
+        instalex: Service,
+        instazood: Service,
         ledger: PaymentLedger,
     }
 
@@ -171,7 +171,8 @@ mod tests {
             cfg.pool_size = 400;
             cfg.lifecycle.arrival_rate = 0.0;
             cfg.lifecycle.initial_long_term = 0;
-            ReciprocityService::new(cfg, accounts, pop, vec![host], SmallRng::seed_from_u64(seed))
+            let rng = SmallRng::seed_from_u64(seed);
+            Service::Reciprocity(ReciprocityService::new(cfg, accounts, pop, vec![host], rng))
         };
         let instalex = mk(presets::instalex_config(0.01), 22, &platform.accounts, &pop);
         let instazood = mk(presets::instazood_config(0.01), 23, &platform.accounts, &pop);

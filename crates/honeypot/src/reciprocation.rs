@@ -117,7 +117,7 @@ mod tests {
     use super::*;
     use crate::campaign::run_campaign;
     use crate::framework::HoneypotFramework;
-    use footsteps_aas::{presets, PaymentLedger, ReciprocityService};
+    use footsteps_aas::{presets, PaymentLedger, ReciprocityService, Service};
     use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -147,26 +147,26 @@ mod tests {
             cfg.pool_size = 2_000;
             cfg.lifecycle.arrival_rate = 0.0;
             cfg.lifecycle.initial_long_term = 0;
-            ReciprocityService::new(
+            Service::Reciprocity(ReciprocityService::new(
                 cfg,
                 &platform.accounts,
                 &pop,
                 vec![host_bg],
                 SmallRng::seed_from_u64(232),
-            )
+            ))
         };
         let mut instalex = {
             let mut cfg = presets::instalex_config(0.01);
             cfg.pool_size = 1_000;
             cfg.lifecycle.arrival_rate = 0.0;
             cfg.lifecycle.initial_long_term = 0;
-            ReciprocityService::new(
+            Service::Reciprocity(ReciprocityService::new(
                 cfg,
                 &platform.accounts,
                 &pop,
                 vec![host_ix],
                 SmallRng::seed_from_u64(233),
-            )
+            ))
         };
         let mut framework = HoneypotFramework::new(AsnId(0), SmallRng::seed_from_u64(234));
         let mut ledger = PaymentLedger::new();

@@ -80,7 +80,7 @@ mod tests {
     use crate::bins::{bin_of, NUM_BINS};
     use crate::policy::ExperimentPolicy;
     use crate::series::{eligible_proportion, median_actions_per_user};
-    use footsteps_aas::{presets, PaymentLedger, ReciprocityService};
+    use footsteps_aas::{presets, PaymentLedger, ReciprocityService, Service};
     use footsteps_detect::DetectionPipeline;
     use footsteps_honeypot::{run_campaign, HoneypotFramework};
     use footsteps_sim::enforcement::Direction;
@@ -129,19 +129,19 @@ mod tests {
         let mut svc = {
             let mut cfg = presets::boostgram_config(0.05);
             cfg.pool_size = 800;
-            ReciprocityService::new(
+            Service::Reciprocity(ReciprocityService::new(
                 cfg,
                 &platform.accounts,
                 &pop,
                 vec![host],
                 SmallRng::seed_from_u64(72),
-            )
+            ))
         };
         let mut framework = HoneypotFramework::new(AsnId(0), SmallRng::seed_from_u64(73));
         let mut ledger = PaymentLedger::new();
         platform.begin_day(Day(0));
         framework.setup_celebrities(&mut platform, 20);
-        svc.seed_initial_customers(&mut platform, &residential, Day(0));
+        svc.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
         run_campaign(&mut framework, &mut platform, &mut svc, &mut ledger, Day(0), 3, 0);
 
         // --- characterization window (10 days) -------------------------------

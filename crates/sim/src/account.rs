@@ -228,11 +228,6 @@ impl AccountStore {
         &mut self.media[id.index()]
     }
 
-    /// Number of media items ever posted.
-    pub fn media_len(&self) -> usize {
-        self.media.len()
-    }
-
     /// The most recently posted media of an account, if any.
     pub fn latest_media_of(&self, owner: AccountId) -> Option<MediaId> {
         self.get(owner).media.last().copied()
@@ -342,7 +337,6 @@ mod tests {
         assert_eq!(s.get(id).media, vec![m1, m2]);
         assert_eq!(s.latest_media_of(id), Some(m2));
         assert_eq!(s.media(m1).owner, id);
-        assert_eq!(s.media_len(), 2);
     }
 
     #[test]

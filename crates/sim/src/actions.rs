@@ -215,11 +215,6 @@ impl TypeCounts {
         self.blocked[ty.index()]
     }
 
-    /// Actions of one type scheduled for deferred removal.
-    pub fn deferred_of(&self, ty: ActionType) -> u32 {
-        self.deferred[ty.index()]
-    }
-
     /// Merge another counter set into this one.
     pub fn merge(&mut self, other: &TypeCounts) {
         for i in 0..ActionType::COUNT {
@@ -284,7 +279,7 @@ mod tests {
         assert_eq!(c.visible_success_of(ActionType::Like), 10);
         assert_eq!(c.blocked_of(ActionType::Like), 3);
         assert_eq!(c.visible_success_of(ActionType::Follow), 5);
-        assert_eq!(c.deferred_of(ActionType::Follow), 5);
+        assert_eq!(c.deferred[ActionType::Follow.index()], 5);
         assert_eq!(c.total_attempted(), 20);
     }
 

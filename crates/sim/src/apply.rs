@@ -5,6 +5,12 @@
 //! plans are walked in roster order and flattened into a sequence of
 //! [`DepositOp`]s), and **apply** (parallel again: the ops are partitioned by
 //! *target account* into dense-ID range shards and executed concurrently).
+//! This is the platform's only enforced inbound path.
+//!
+//! Its reference is the serial ladder: `Platform::deposit_inbound_enforced`
+//! applied once per op in routing order. That ladder is test-only; the
+//! `sharded_apply_matches_serial_reference` property test compares the two
+//! for every shard count.
 //!
 //! Determinism argument, in brief:
 //!
@@ -42,11 +48,10 @@ use std::collections::BTreeMap;
 
 /// One routed inbound delivery: the unit of work of the apply phase.
 ///
-/// A `DepositOp` captures exactly the arguments of one serial
-/// [`crate::platform::Platform::deposit_inbound_enforced`] call; the route
-/// phase emits them in the order the serial ladder would have made those
-/// calls (including zero-quantity ops, which still contribute ground-truth
-/// attribution and client-visible zero results).
+/// A `DepositOp` captures exactly the arguments of one call of the serial
+/// ladder (module docs); the route phase emits them in the order that
+/// ladder would take them (including zero-quantity ops, which still
+/// contribute ground-truth attribution and client-visible zero results).
 #[derive(Debug, Clone, Copy)]
 pub struct DepositOp {
     /// Account receiving the actions (also the shard key).
@@ -212,11 +217,7 @@ pub fn apply_shard(
             requested: op.requested,
         });
         let (pass, excess, cm) = split_decision(decision, op.requested, op.ty);
-        let (standing, blocked, deferred) = match cm {
-            Countermeasure::None => (pass + excess, 0, 0),
-            Countermeasure::Block => (pass, excess, 0),
-            Countermeasure::DelayRemoval => (pass, 0, excess),
-        };
+        let (standing, blocked, deferred) = cm.resolve(pass, excess);
         out.counters.delivered += u64::from(standing);
         out.counters.blocked += u64::from(blocked);
         out.counters.deferred += u64::from(deferred);

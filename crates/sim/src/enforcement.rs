@@ -29,6 +29,20 @@ pub enum Countermeasure {
     DelayRemoval,
 }
 
+impl Countermeasure {
+    /// Resolve a verdict into `(standing, blocked, deferred)`: the `pass`
+    /// actions stand, and this countermeasure decides what becomes of the
+    /// `excess`. Both delivery directions and the enforcement counters use
+    /// this one split.
+    pub(crate) fn resolve(self, pass: u32, excess: u32) -> (u32, u32, u32) {
+        match self {
+            Countermeasure::None => (pass + excess, 0, 0),
+            Countermeasure::Block => (pass, excess, 0),
+            Countermeasure::DelayRemoval => (pass, 0, excess),
+        }
+    }
+}
+
 /// Which side of an action a threshold is being applied to.
 ///
 /// §6.2: "we track the number of **outbound** actions from Instagram

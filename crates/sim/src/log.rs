@@ -153,11 +153,6 @@ impl DayLog {
         &self.in_records
     }
 
-    /// Number of distinct outbound `(account, asn, fingerprint)` records.
-    pub fn outbound_len(&self) -> usize {
-        self.out_records.len()
-    }
-
     /// Total outbound actions of `ty` attempted by `account` across all ASNs.
     pub fn outbound_attempted(&self, account: AccountId, ty: ActionType) -> u32 {
         let mut total = 0;
@@ -483,11 +478,6 @@ impl ActionLog {
         Day(self.days.len() as u32)
     }
 
-    /// Iterate `(day, record)` over all recorded days.
-    pub fn iter_days(&self) -> impl Iterator<Item = (Day, &DayLog)> {
-        self.days.iter().enumerate().map(|(i, d)| (Day(i as u32), d))
-    }
-
     /// Iterate `(day, record)` over `[start, end)` intersected with the log.
     pub fn iter_range(&self, start: Day, end: Day) -> impl Iterator<Item = (Day, &DayLog)> {
         let lo = start.0 as usize;
@@ -604,22 +594,6 @@ impl ActionLog {
             .map(|c| u64::from(c.delivered[ty.index()]))
             .sum()
     }
-
-    /// Sum of delivered inbound actions of `ty` to `target` from a specific
-    /// source ASN over `[start, end)`.
-    pub fn total_inbound_from(
-        &self,
-        target: AccountId,
-        asn: AsnId,
-        ty: ActionType,
-        start: Day,
-        end: Day,
-    ) -> u64 {
-        self.iter_range(start, end)
-            .filter_map(|(_, d)| d.inbound_from(target, asn))
-            .map(|c| u64::from(c.delivered[ty.index()]))
-            .sum()
-    }
 }
 
 impl Serialize for ActionLog {
@@ -700,7 +674,7 @@ mod tests {
         assert_eq!(at1.blocked_of(ActionType::Like), 3);
         assert_eq!(at1.attempted_of(ActionType::Like), 5);
         // Fingerprints remain distinguishable in the raw records.
-        assert_eq!(d.outbound_len(), 3);
+        assert_eq!(d.outbound_records().len(), 3);
         assert_eq!(log.total_outbound(a, ActionType::Like, Day(0), Day(1)), 10);
     }
 
@@ -728,14 +702,6 @@ mod tests {
         log.record_inbound(Day(3), t, Some(AsnId(7)), ActionType::Follow, 5);
         assert_eq!(log.total_inbound(t, ActionType::Follow, Day(0), Day(3)), 2);
         assert_eq!(log.total_inbound(t, ActionType::Follow, Day(0), Day(10)), 7);
-        assert_eq!(
-            log.total_inbound_from(t, AsnId(7), ActionType::Follow, Day(0), Day(10)),
-            5
-        );
-        assert_eq!(
-            log.total_inbound_from(t, AsnId(8), ActionType::Follow, Day(0), Day(10)),
-            0
-        );
     }
 
     #[test]

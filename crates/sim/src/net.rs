@@ -176,12 +176,6 @@ impl AsnRegistry {
         let cand = self.asns.get(idx)?;
         cand.contains(ip).then_some(cand.id)
     }
-
-    /// Geolocate an address to a country (the platform's "IP geolocation
-    /// system" from §5.1).
-    pub fn locate_country(&self, ip: IpAddr4) -> Option<Country> {
-        self.locate_asn(ip).map(|id| self.get(id).country)
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +207,6 @@ mod tests {
             for k in [0u32, 1, 255] {
                 let ip = r.ip_in(id, k);
                 assert_eq!(r.locate_asn(ip), Some(id), "ip {ip} of {id}");
-                assert_eq!(r.locate_country(ip), Some(r.get(id).country));
             }
         }
     }

@@ -1,19 +1,23 @@
 //! The platform engine: the simulated "Instagram".
 //!
 //! [`Platform`] owns the clock, accounts, graph, internet model and action
-//! log, and exposes the two submission paths of the two-speed design:
+//! log. Actions reach it through three delivery entry points (posts go
+//! through [`Platform::post_media_via`]):
 //!
-//! * [`Platform::submit_event`] — one fully-attributed action with an
-//!   explicit target; used for honeypot traffic and any tracked account.
+//! * [`Platform::submit_event`] — one fully-attributed outbound action with
+//!   an explicit target; used for honeypot traffic and any tracked account.
 //!   Organic reciprocation is sampled per-target and scheduled as future
 //!   *events* (so honeypot inboxes contain realistic actors, countries and
 //!   timestamps).
-//! * [`Platform::submit_batch`] — a daily batch of `count` actions from one
-//!   account, with the target population summarised by [`PoolStats`];
-//!   reciprocation is sampled binomially and scheduled as future aggregate
-//!   inbound counts.
+//! * [`Platform::submit_batch`] — a daily batch of `count` outbound actions
+//!   from one account, with the target population summarised by
+//!   [`PoolStats`]; reciprocation is sampled binomially and scheduled as
+//!   future aggregate inbound counts.
+//! * [`Platform::apply_deposits_sharded`] — routed inbound deliveries
+//!   ([`DepositOp`]s) from a collusion network, judged on the receiving
+//!   account and applied sharded by target (see [`crate::apply`]).
 //!
-//! Both paths run the same middleware, in order:
+//! The two outbound paths share one middleware, which runs, in order:
 //!
 //! 1. **public-API quota** — OAuth traffic is rate-limited to uselessness
 //!    (§2), which is why services spoof the private mobile API;
@@ -22,6 +26,11 @@
 //!    small number of IP addresses");
 //! 3. **the installed [`EnforcementPolicy`]** — the experimental
 //!    countermeasures of §6.
+//!
+//! Each outbound path keeps only its own tail: aggregate degrees and
+//! binomial pool reciprocation for a batch, graph edges and per-target
+//! reciprocation for an event. Inbound deliveries meet the same policy
+//! from the receiving side (§6.2).
 //!
 //! Delayed removals and scheduled reciprocation are applied by
 //! [`Platform::begin_day`], which the engine calls at each day boundary.
@@ -178,6 +187,23 @@ pub struct EventRequest {
     pub fingerprint: ClientFingerprint,
     /// Ground-truth attribution.
     pub service: Option<ServiceId>,
+}
+
+impl EventRequest {
+    /// This action as a batch of one from the same sender: the unit the
+    /// shared outbound middleware judges.
+    fn as_batch(&self) -> BatchRequest {
+        BatchRequest {
+            actor: self.actor,
+            action: self.action,
+            count: 1,
+            asn: self.asn,
+            ip: self.ip,
+            fingerprint: self.fingerprint,
+            pool: PoolStats::INERT,
+            service: self.service,
+        }
+    }
 }
 
 /// A removal scheduled by the delayed-removal countermeasure.
@@ -405,11 +431,6 @@ impl Platform {
         self.policy = policy;
     }
 
-    /// Remove any installed policy.
-    pub fn clear_policy(&mut self) {
-        self.policy = Box::new(NoEnforcement);
-    }
-
     /// Install an event sink (replacing any previous one). Days strictly
     /// before the sink's `next_day` cursor are never replayed to it.
     pub fn set_sink(&mut self, sink: Box<dyn EventSink>) {
@@ -556,7 +577,6 @@ impl Platform {
     /// Submit a daily aggregate batch. See module docs for the middleware
     /// order.
     pub fn submit_batch(&mut self, req: BatchRequest) -> BatchResult {
-        let day = self.clock.today();
         let mut result = BatchResult {
             attempted: req.count,
             ..BatchResult::default()
@@ -564,153 +584,49 @@ impl Platform {
         if req.count == 0 {
             return result;
         }
-        self.note_ground_truth(req.actor, req.service);
-        self.obs
-            .metrics
-            .add(mix_key(req.service, req.action), u64::from(req.count));
         self.obs
             .metrics
             .observe("platform.batch_size", BATCH_SIZE_BOUNDS, u64::from(req.count));
-
-        let mut remaining = req.count;
-
-        // 1. Public-API quota.
-        if req.fingerprint == ClientFingerprint::PublicApi {
-            let granted = self
-                .oauth_quota
-                .acquire(req.actor.index(), self.clock.now(), remaining);
-            let refused = remaining - granted;
-            if refused > 0 {
-                self.log.record_outbound(
-                    day,
-                    req.actor,
-                    req.asn,
-                    req.fingerprint,
-                    req.action,
-                    ActionOutcome::RateLimited,
-                    refused,
-                );
-                result.rate_limited = refused;
-                self.obs
-                    .metrics
-                    .add("platform.outbound.rate_limited", u64::from(refused));
-            }
-            remaining = granted;
-        }
-
-        // 2. Baseline IP-volume defense.
-        let cap = self.config.ip_daily_action_cap;
-        let used = self.ip_used_mut(req.ip, day);
-        let edge_room = cap.saturating_sub(*used);
-        let edge_pass = remaining.min(edge_room);
-        let edge_blocked = remaining - edge_pass;
-        *used += edge_pass;
-        if edge_blocked > 0 {
-            self.log.record_outbound(
-                day,
-                req.actor,
-                req.asn,
-                req.fingerprint,
-                req.action,
-                ActionOutcome::Blocked,
-                edge_blocked,
-            );
-            result.blocked += edge_blocked;
-            self.metrics_mut(day).edge_blocked += edge_blocked;
-            self.obs
-                .metrics
-                .add("platform.outbound.edge_blocked", u64::from(edge_blocked));
-        }
-        remaining = edge_pass;
-        if remaining == 0 {
+        let Some((pass, excess, cm)) = self.admit_outbound(&req, &mut result) else {
             return result;
-        }
+        };
 
-        // 3. Experimental countermeasures.
-        let prior = self
-            .log
-            .day(day)
-            .and_then(|d| d.outbound_at(req.actor, req.asn))
-            .map(|c| c.attempted_of(req.action))
-            .unwrap_or(0);
-        let decision = self.policy.evaluate(&EnforcementContext {
-            actor: req.actor,
-            asn: req.asn,
-            action: req.action,
-            direction: Direction::Outbound,
-            day,
-            prior_today: prior,
-            requested: remaining,
-        });
-        let (pass, excess, cm) = split_decision(decision, remaining, req.action);
-        self.record_enforcement(Direction::Outbound, decision.bin, pass, excess, cm);
-
-        // Record and apply the passing portion.
-        if pass > 0 {
+        // Batch tail: log the policy's split, then aggregate degrees and
+        // binomial pool reciprocation for what landed.
+        let day = self.clock.today();
+        let (standing, blocked, deferred) = cm.resolve(pass, excess);
+        for (outcome, n) in [
+            (ActionOutcome::Delivered, standing),
+            (ActionOutcome::Blocked, blocked),
+            (ActionOutcome::DeferredRemoval, deferred),
+        ] {
             self.log.record_outbound(
                 day,
                 req.actor,
                 req.asn,
                 req.fingerprint,
                 req.action,
-                ActionOutcome::Delivered,
-                pass,
+                outcome,
+                n,
             );
-            result.delivered += pass;
+        }
+        result.delivered = standing;
+        result.blocked += blocked;
+        result.deferred = deferred;
+        if pass > 0 {
             self.apply_batch_side_effects(&req, pass, false);
         }
-        match cm {
-            Countermeasure::None => {
-                if excess > 0 {
-                    self.log.record_outbound(
-                        day,
-                        req.actor,
-                        req.asn,
-                        req.fingerprint,
-                        req.action,
-                        ActionOutcome::Delivered,
-                        excess,
-                    );
-                    result.delivered += excess;
-                    self.apply_batch_side_effects(&req, excess, false);
-                }
-            }
-            Countermeasure::Block => {
-                if excess > 0 {
-                    self.log.record_outbound(
-                        day,
-                        req.actor,
-                        req.asn,
-                        req.fingerprint,
-                        req.action,
-                        ActionOutcome::Blocked,
-                        excess,
-                    );
-                    result.blocked += excess;
-                }
-            }
-            Countermeasure::DelayRemoval => {
-                if excess > 0 {
-                    self.log.record_outbound(
-                        day,
-                        req.actor,
-                        req.asn,
-                        req.fingerprint,
-                        req.action,
-                        ActionOutcome::DeferredRemoval,
-                        excess,
-                    );
-                    result.deferred += excess;
-                    self.apply_batch_side_effects(&req, excess, true);
-                    day_queue(&mut self.pending_removals, day.next()).push(
-                        PendingRemoval::Aggregate {
-                            from: req.actor,
-                            to: None,
-                            count: excess,
-                        },
-                    );
-                }
-            }
+        // An unenforced excess is a binomial draw of its own.
+        if cm == Countermeasure::None && excess > 0 {
+            self.apply_batch_side_effects(&req, excess, false);
+        }
+        if deferred > 0 {
+            self.apply_batch_side_effects(&req, deferred, true);
+            day_queue(&mut self.pending_removals, day.next()).push(PendingRemoval::Aggregate {
+                from: req.actor,
+                to: None,
+                count: deferred,
+            });
         }
         debug_assert_eq!(
             result.attempted,
@@ -719,82 +635,62 @@ impl Platform {
         result
     }
 
-    /// Deposit inbound actions onto `target` with **inbound-side**
-    /// enforcement (§6.2 thresholds collusion traffic on the receiving
-    /// account). `asn` is the collusion service's delivery network, used for
-    /// threshold lookup. Returns what the *service* can observe: blocked
-    /// deliveries visibly fail (the like counter does not move), deferred
-    /// ones look delivered.
-    pub fn deposit_inbound_enforced(
-        &mut self,
-        target: AccountId,
-        ty: ActionType,
-        requested: u32,
-        asn: AsnId,
-        service: Option<ServiceId>,
-        media: Option<(MediaId, u32)>,
-    ) -> BatchResult {
-        // The recipient is a customer of the delivering service (they handed
-        // over credentials or requested the actions) — ground truth either way.
-        self.note_ground_truth(target, service);
-        let day = self.clock.today();
-        let mut result = BatchResult {
-            attempted: requested,
-            ..BatchResult::default()
+    /// Submit one explicit action (event path).
+    pub fn submit_event(&mut self, req: EventRequest) -> ActionOutcome {
+        let at = self.clock.now();
+        let mut refused = BatchResult::default();
+        let outcome = match self.admit_outbound(&req.as_batch(), &mut refused) {
+            None if refused.rate_limited > 0 => ActionOutcome::RateLimited,
+            None => ActionOutcome::Blocked,
+            // Event tail: graph edges and per-target reciprocation, then the
+            // outbound record.
+            Some((pass, excess, cm)) => {
+                let outcome = match cm.resolve(pass, excess) {
+                    (1, _, _) => ActionOutcome::Delivered,
+                    (_, 1, _) => ActionOutcome::Blocked,
+                    _ => ActionOutcome::DeferredRemoval,
+                };
+                if outcome.landed() {
+                    self.apply_event_side_effects(&req, outcome);
+                }
+                self.log.record_outbound(
+                    at.day(),
+                    req.actor,
+                    req.asn,
+                    req.fingerprint,
+                    req.action,
+                    outcome,
+                    1,
+                );
+                outcome
+            }
         };
-        if requested == 0 {
-            return result;
-        }
-        let prior = self
-            .log
-            .day(day)
-            .and_then(|d| d.inbound_from(target, asn).copied())
-            .map(|c| c.delivered[ty.index()])
-            .unwrap_or(0);
-        let decision = self.policy.evaluate(&EnforcementContext {
-            actor: target,
-            asn,
-            action: ty,
-            direction: Direction::Inbound,
-            day,
-            prior_today: prior,
-            requested,
+        self.log.push_event(ActionEvent {
+            at,
+            actor: req.actor,
+            action: req.action,
+            target: ActionTarget::Account(req.target),
+            ip: req.ip,
+            asn: req.asn,
+            fingerprint: req.fingerprint,
+            outcome,
         });
-        let (pass, excess, cm) = split_decision(decision, requested, ty);
-        self.record_enforcement(Direction::Inbound, decision.bin, pass, excess, cm);
-        let (standing, blocked, deferred) = match cm {
-            Countermeasure::None => (pass + excess, 0, 0),
-            Countermeasure::Block => (pass, excess, 0),
-            Countermeasure::DelayRemoval => (pass, 0, excess),
-        };
-        result.delivered = standing;
-        result.blocked = blocked;
-        result.deferred = deferred;
-        if blocked > 0 {
-            self.log.record_inbound_with(
-                day,
-                target,
-                Some(asn),
-                ty,
-                ActionOutcome::Blocked,
-                blocked,
-            );
-        }
-        self.deposit_inbound(target, ty, standing, deferred, Some(asn), media);
-        result
+        outcome
     }
 
     /// Apply a routed batch of inbound deposits, sharded by target account
     /// across up to `threads` scoped workers (the apply phase of the
-    /// three-phase daily engine, DESIGN.md §4).
+    /// three-phase daily engine, DESIGN.md §4). This is the one enforced
+    /// inbound path: each op is judged by the installed policy on the
+    /// receiving account (§6.2).
     ///
-    /// Semantically identical to calling
-    /// [`Self::deposit_inbound_enforced`] once per op in `ops` order: the
+    /// Semantically identical to the serial ladder (the test-only
+    /// `deposit_inbound_enforced`, called once per op in `ops` order): the
     /// returned `BatchResult`s line up with `ops`, and every observable
     /// side effect (log records and their insertion order, enforcement
     /// counters, follower/media deltas, scheduled removals) is
-    /// byte-identical to the serial ladder for **any** thread count. See
-    /// [`crate::apply`] for the determinism argument.
+    /// byte-identical to it for **any** thread count. See [`crate::apply`]
+    /// for the determinism argument.
     ///
     /// Per-shard wall time is recorded under `shard_span` (one span per
     /// shard, merged in shard-index order); the caller owns the enclosing
@@ -958,91 +854,73 @@ impl Platform {
         results
     }
 
-    /// Deposit `standing + deferred` inbound actions of type `ty` onto
-    /// `target` (collusion-network delivery), with no enforcement. The
-    /// caller has already pushed the corresponding *outbound* batches
-    /// through [`Self::submit_batch`] for the participating accounts and
-    /// splits the delivered/deferred totals proportionally across
-    /// recipients.
-    ///
-    /// For likes, `media` receives the like-count and hourly-rate bookkeeping
-    /// used by the revenue analysis.
-    pub fn deposit_inbound(
-        &mut self,
-        target: AccountId,
-        ty: ActionType,
-        standing: u32,
-        deferred: u32,
-        source: Option<AsnId>,
-        media: Option<(MediaId, u32)>,
-    ) {
-        let day = self.clock.today();
-        let total = standing + deferred;
-        if total == 0 {
-            return;
-        }
-        self.log.record_inbound(day, target, source, ty, standing);
-        self.log.record_inbound_with(
-            day,
-            target,
-            source,
-            ty,
-            ActionOutcome::DeferredRemoval,
-            deferred,
-        );
-        if ty == ActionType::Follow {
-            self.accounts.get_mut(target).followers += total;
-            if deferred > 0 {
-                // The actor-side decrement is owned by the outbound batch's
-                // own removal; here we schedule only the follower-side undo.
-                day_queue(&mut self.pending_removals, day.next()).push(
-                    PendingRemoval::Aggregate {
-                        from: target,
-                        to: Some(target),
-                        count: deferred,
-                    },
-                );
-            }
-        }
-        if ty == ActionType::Like {
-            if let Some((media_id, max_hourly)) = media {
-                self.accounts.media_mut(media_id).likes += u64::from(total);
-                self.log.record_photo_likes(day, media_id, total, max_hourly);
-            }
-        }
-        if ty == ActionType::Comment {
-            if let Some((media_id, _)) = media {
-                self.accounts.media_mut(media_id).comments += u64::from(total);
-            }
-        }
-    }
+    // ----- internals -------------------------------------------------------
 
-    /// Submit one explicit action (event path).
-    pub fn submit_event(&mut self, req: EventRequest) -> ActionOutcome {
+    /// The outbound middleware both submission paths share (module docs):
+    /// public-API quota, IP-volume edge defense, then the installed policy.
+    /// Refused actions are tallied into `result` and logged here, before the
+    /// policy reads `prior_today`. Returns the policy's `(pass, excess,
+    /// countermeasure)` verdict on the rest, or `None` if nothing reached it.
+    fn admit_outbound(
+        &mut self,
+        req: &BatchRequest,
+        result: &mut BatchResult,
+    ) -> Option<(u32, u32, Countermeasure)> {
         let now = self.clock.now();
         let day = now.day();
         self.note_ground_truth(req.actor, req.service);
-        self.obs.metrics.incr(mix_key(req.service, req.action));
+        self.obs
+            .metrics
+            .add(mix_key(req.service, req.action), u64::from(req.count));
+        let mut remaining = req.count;
 
         // 1. Public-API quota.
-        if req.fingerprint == ClientFingerprint::PublicApi
-            && self.oauth_quota.acquire(req.actor.index(), now, 1) == 0
-        {
-            self.obs.metrics.incr("platform.outbound.rate_limited");
-            self.finish_event(req, now, ActionOutcome::RateLimited);
-            return ActionOutcome::RateLimited;
+        if req.fingerprint == ClientFingerprint::PublicApi {
+            let granted = self.oauth_quota.acquire(req.actor.index(), now, remaining);
+            let refused = remaining - granted;
+            if refused > 0 {
+                self.log.record_outbound(
+                    day,
+                    req.actor,
+                    req.asn,
+                    req.fingerprint,
+                    req.action,
+                    ActionOutcome::RateLimited,
+                    refused,
+                );
+                result.rate_limited = refused;
+                self.obs
+                    .metrics
+                    .add("platform.outbound.rate_limited", u64::from(refused));
+            }
+            remaining = granted;
         }
 
         // 2. Baseline IP-volume defense.
         let cap = self.config.ip_daily_action_cap;
         let used = self.ip_used_mut(req.ip, day);
-        if *used >= cap {
-            self.metrics_mut(day).edge_blocked += 1;
-            self.obs.metrics.incr("platform.outbound.edge_blocked");
-            self.finish_event(req, now, ActionOutcome::Blocked);
-            return ActionOutcome::Blocked;
+        let edge_pass = remaining.min(cap.saturating_sub(*used));
+        *used += edge_pass;
+        let edge_blocked = remaining - edge_pass;
+        if edge_blocked > 0 {
+            self.log.record_outbound(
+                day,
+                req.actor,
+                req.asn,
+                req.fingerprint,
+                req.action,
+                ActionOutcome::Blocked,
+                edge_blocked,
+            );
+            result.blocked += edge_blocked;
+            self.metrics_mut(day).edge_blocked += edge_blocked;
+            self.obs
+                .metrics
+                .add("platform.outbound.edge_blocked", u64::from(edge_blocked));
         }
-        *used += 1;
+        if edge_pass == 0 {
+            return None;
+        }
 
         // 3. Experimental countermeasures.
         let prior = self
@@ -1058,45 +936,22 @@ impl Platform {
             direction: Direction::Outbound,
             day,
             prior_today: prior,
-            requested: 1,
+            requested: edge_pass,
         });
-        let (pass, excess, cm) = split_decision(decision, 1, req.action);
-        self.record_enforcement(Direction::Outbound, decision.bin, pass, excess, cm);
-        let outcome = if pass == 1 {
-            ActionOutcome::Delivered
-        } else {
-            match cm {
-                Countermeasure::None => ActionOutcome::Delivered,
-                Countermeasure::Block => ActionOutcome::Blocked,
-                Countermeasure::DelayRemoval => ActionOutcome::DeferredRemoval,
-            }
-        };
-
-        if outcome.landed() {
-            self.apply_event_side_effects(&req, outcome);
-        }
-        self.finish_event(req, now, outcome);
-        outcome
+        let (pass, excess, cm) = split_decision(decision, edge_pass, req.action);
+        self.record_enforcement(Direction::Outbound, decision.bin, cm.resolve(pass, excess));
+        Some((pass, excess, cm))
     }
 
-    // ----- internals -------------------------------------------------------
-
-    /// Record the enforcement-stage verdict for a submission into the obs
-    /// kit: delivered/blocked/deferred counters (scoped by direction) and
-    /// the per-bin attribution when the policy tagged a bin.
+    /// Record the enforcement stage's `(standing, blocked, deferred)` split
+    /// for one submission into the obs kit: counters scoped by direction,
+    /// and the per-bin attribution when the policy tagged a bin.
     fn record_enforcement(
         &mut self,
         direction: Direction,
         bin: Option<u32>,
-        pass: u32,
-        excess: u32,
-        cm: Countermeasure,
+        (standing, blocked, deferred): (u32, u32, u32),
     ) {
-        let (delivered, blocked, deferred) = match cm {
-            Countermeasure::None => (pass + excess, 0, 0),
-            Countermeasure::Block => (pass, excess, 0),
-            Countermeasure::DelayRemoval => (pass, 0, excess),
-        };
         let (k_del, k_blk, k_def) = match direction {
             Direction::Outbound => (
                 "platform.outbound.delivered",
@@ -1110,12 +965,12 @@ impl Platform {
             ),
         };
         let m = &mut self.obs.metrics;
-        m.add(k_del, u64::from(delivered));
+        m.add(k_del, u64::from(standing));
         m.add(k_blk, u64::from(blocked));
         m.add(k_def, u64::from(deferred));
         if let Some(b) = bin {
             let keys = bin_keys(b);
-            m.add(keys.delivered, u64::from(delivered));
+            m.add(keys.delivered, u64::from(standing));
             m.add(keys.blocked, u64::from(blocked));
             m.add(keys.deferred, u64::from(deferred));
         }
@@ -1317,29 +1172,6 @@ impl Platform {
         });
     }
 
-    fn finish_event(&mut self, req: EventRequest, at: SimTime, outcome: ActionOutcome) {
-        let day = at.day();
-        self.log.record_outbound(
-            day,
-            req.actor,
-            req.asn,
-            req.fingerprint,
-            req.action,
-            outcome,
-            1,
-        );
-        self.log.push_event(ActionEvent {
-            at,
-            actor: req.actor,
-            action: req.action,
-            target: ActionTarget::Account(req.target),
-            ip: req.ip,
-            asn: req.asn,
-            fingerprint: req.fingerprint,
-            outcome,
-        });
-    }
-
     fn apply_removals(&mut self, day: Day) {
         let removals = take_day_queue(&mut self.pending_removals, day);
         if removals.is_empty() {
@@ -1497,6 +1329,129 @@ fn bin_keys(bin: u32) -> BinKeys {
             blocked: "enforce.bin_other.blocked",
             deferred: "enforce.bin_other.deferred",
         },
+    }
+}
+
+#[cfg(test)]
+/// The serial inbound ladder: one deposit at a time, in routing order.
+/// Test-only: [`Platform::apply_deposits_sharded`] is the one production
+/// inbound path, and `sharded_apply_matches_serial_reference` checks it
+/// against this reference.
+impl Platform {
+    /// Deposit inbound actions onto `target` with **inbound-side**
+    /// enforcement (§6.2 thresholds collusion traffic on the receiving
+    /// account). `asn` is the collusion service's delivery network, used for
+    /// threshold lookup. Returns what the *service* can observe: blocked
+    /// deliveries visibly fail (the like counter does not move), deferred
+    /// ones look delivered.
+    pub(crate) fn deposit_inbound_enforced(
+        &mut self,
+        target: AccountId,
+        ty: ActionType,
+        requested: u32,
+        asn: AsnId,
+        service: Option<ServiceId>,
+        media: Option<(MediaId, u32)>,
+    ) -> BatchResult {
+        // The recipient is a customer of the delivering service (they handed
+        // over credentials or requested the actions) — ground truth either way.
+        self.note_ground_truth(target, service);
+        let day = self.clock.today();
+        let mut result = BatchResult {
+            attempted: requested,
+            ..BatchResult::default()
+        };
+        if requested == 0 {
+            return result;
+        }
+        let prior = self
+            .log
+            .day(day)
+            .and_then(|d| d.inbound_from(target, asn).copied())
+            .map(|c| c.delivered[ty.index()])
+            .unwrap_or(0);
+        let decision = self.policy.evaluate(&EnforcementContext {
+            actor: target,
+            asn,
+            action: ty,
+            direction: Direction::Inbound,
+            day,
+            prior_today: prior,
+            requested,
+        });
+        let (pass, excess, cm) = split_decision(decision, requested, ty);
+        let split = cm.resolve(pass, excess);
+        self.record_enforcement(Direction::Inbound, decision.bin, split);
+        let (standing, blocked, deferred) = split;
+        result.delivered = standing;
+        result.blocked = blocked;
+        result.deferred = deferred;
+        if blocked > 0 {
+            self.log.record_inbound_with(
+                day,
+                target,
+                Some(asn),
+                ty,
+                ActionOutcome::Blocked,
+                blocked,
+            );
+        }
+        self.deposit_inbound(target, ty, standing, deferred, Some(asn), media);
+        result
+    }
+
+    /// Deposit `standing + deferred` inbound actions of type `ty` onto
+    /// `target` (collusion-network delivery), with no enforcement. For
+    /// likes, `media` receives the like-count and hourly-rate bookkeeping
+    /// used by the revenue analysis.
+    pub(crate) fn deposit_inbound(
+        &mut self,
+        target: AccountId,
+        ty: ActionType,
+        standing: u32,
+        deferred: u32,
+        source: Option<AsnId>,
+        media: Option<(MediaId, u32)>,
+    ) {
+        let day = self.clock.today();
+        let total = standing + deferred;
+        if total == 0 {
+            return;
+        }
+        self.log.record_inbound(day, target, source, ty, standing);
+        self.log.record_inbound_with(
+            day,
+            target,
+            source,
+            ty,
+            ActionOutcome::DeferredRemoval,
+            deferred,
+        );
+        if ty == ActionType::Follow {
+            self.accounts.get_mut(target).followers += total;
+            if deferred > 0 {
+                // The actor-side decrement is owned by the outbound batch's
+                // own removal; here we schedule only the follower-side undo.
+                day_queue(&mut self.pending_removals, day.next()).push(
+                    PendingRemoval::Aggregate {
+                        from: target,
+                        to: Some(target),
+                        count: deferred,
+                    },
+                );
+            }
+        }
+        if ty == ActionType::Like {
+            if let Some((media_id, max_hourly)) = media {
+                self.accounts.media_mut(media_id).likes += u64::from(total);
+                self.log.record_photo_likes(day, media_id, total, max_hourly);
+            }
+        }
+        if ty == ActionType::Comment {
+            if let Some((media_id, _)) = media {
+                self.accounts.media_mut(media_id).comments += u64::from(total);
+            }
+        }
     }
 }
 

@@ -1,29 +1,13 @@
-//! Rate limiting primitives.
+//! Rate limiting: the platform's public-API quota.
 //!
-//! Two parties rate-limit in this system, with the same primitives:
-//!
-//! * the **platform** rate-limits its public OAuth API aggressively enough
-//!   that broad abuse through it is impossible (§2) — which is why AASs
-//!   spoof the private mobile API instead;
-//! * the **services** rate-limit their own free tiers (Hublaagram's
-//!   30-minute timeout between free requests and 160 likes/hour free
-//!   delivery cap, §3.3.2/§5.2).
+//! The platform rate-limits its public OAuth API aggressively enough that
+//! broad abuse through it is impossible (§2) — which is why AASs spoof the
+//! private mobile API instead. (Hublaagram's 30-minute timeout between free
+//! requests, §3.3.2, is a cap on the requests a member-day can hold, set in
+//! the collusion engine's plan phase.)
 
 use crate::time::{SimTime, SECS_PER_HOUR};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::Hash;
-
-/// Fixed-window counter limiter: at most `limit` permitted events per key in
-/// any window of `window_secs` seconds (windows are aligned to multiples of
-/// the window length, which is how production quota systems typically work).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FixedWindowLimiter<K: Eq + Hash> {
-    limit: u32,
-    window_secs: u64,
-    #[serde(skip)]
-    state: HashMap<K, WindowState>,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct WindowState {
@@ -31,65 +15,12 @@ struct WindowState {
     used: u32,
 }
 
-impl<K: Eq + Hash + Clone> FixedWindowLimiter<K> {
-    /// Create a limiter allowing `limit` events per `window_secs` window.
-    pub fn new(limit: u32, window_secs: u64) -> Self {
-        assert!(window_secs > 0, "window must be positive");
-        Self {
-            limit,
-            window_secs,
-            state: HashMap::new(),
-        }
-    }
-
-    /// Convenience: `limit` events per hour.
-    pub fn per_hour(limit: u32) -> Self {
-        Self::new(limit, SECS_PER_HOUR)
-    }
-
-    /// The configured per-window limit.
-    pub fn limit(&self) -> u32 {
-        self.limit
-    }
-
-    /// Try to consume `n` units for `key` at time `now`. Returns how many
-    /// units were granted (all-or-nothing is a policy choice of the caller;
-    /// partial grants are what the platform edge does — it serves requests
-    /// until quota is gone).
-    pub fn acquire(&mut self, key: &K, now: SimTime, n: u32) -> u32 {
-        let window_index = now.0 / self.window_secs;
-        let st = self
-            .state
-            .entry(key.clone())
-            .or_insert(WindowState { window_index, used: 0 });
-        if st.window_index != window_index {
-            st.window_index = window_index;
-            st.used = 0;
-        }
-        let granted = n.min(self.limit.saturating_sub(st.used));
-        st.used += granted;
-        granted
-    }
-
-    /// Units still available for `key` in the window containing `now`.
-    pub fn remaining(&self, key: &K, now: SimTime) -> u32 {
-        let window_index = now.0 / self.window_secs;
-        match self.state.get(key) {
-            Some(st) if st.window_index == window_index => self.limit.saturating_sub(st.used),
-            _ => self.limit,
-        }
-    }
-
-    /// Drop all per-key state (e.g. between simulated experiments).
-    pub fn reset(&mut self) {
-        self.state.clear();
-    }
-}
-
-/// [`FixedWindowLimiter`] over dense integer keys (account ids): per-key
-/// state lives in a `Vec` indexed by `key.index()`, so the platform's
-/// per-action quota check is hash-free. Window bookkeeping is identical to
-/// the generic limiter.
+/// Fixed-window counter limiter over dense integer keys (account ids): at
+/// most `limit` permitted events per key in any window of `window_secs`
+/// seconds (windows are aligned to multiples of the window length, which is
+/// how production quota systems typically work). Per-key state lives in a
+/// `Vec` indexed by `key.index()`, so the platform's per-action quota check
+/// is hash-free.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DenseWindowLimiter {
     limit: u32,
@@ -120,7 +51,8 @@ impl DenseWindowLimiter {
     }
 
     /// Try to consume `n` units for the key at dense index `key` at time
-    /// `now`. Returns how many units were granted.
+    /// `now`. Returns how many units were granted (partial grants are what
+    /// the platform edge does — it serves requests until quota is gone).
     pub fn acquire(&mut self, key: usize, now: SimTime, n: u32) -> u32 {
         let window_index = now.0 / self.window_secs;
         if key >= self.state.len() {
@@ -154,51 +86,6 @@ impl DenseWindowLimiter {
     }
 }
 
-/// Cooldown limiter: a key may act at most once every `cooldown_secs`
-/// seconds. Models Hublaagram's "30-minute timeout between requests".
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CooldownLimiter<K: Eq + Hash> {
-    cooldown_secs: u64,
-    #[serde(skip)]
-    last: HashMap<K, SimTime>,
-}
-
-impl<K: Eq + Hash + Clone> CooldownLimiter<K> {
-    /// Create a limiter with the given cooldown.
-    pub fn new(cooldown_secs: u64) -> Self {
-        assert!(cooldown_secs > 0, "cooldown must be positive");
-        Self {
-            cooldown_secs,
-            last: HashMap::new(),
-        }
-    }
-
-    /// Attempt an action for `key` at `now`. Returns `true` (and starts the
-    /// cooldown) if allowed.
-    pub fn try_acquire(&mut self, key: &K, now: SimTime) -> bool {
-        match self.last.get(key) {
-            Some(&prev) if now.secs_since(prev) < self.cooldown_secs => false,
-            _ => {
-                self.last.insert(key.clone(), now);
-                true
-            }
-        }
-    }
-
-    /// Seconds until `key` may act again (zero if allowed now).
-    pub fn retry_after(&self, key: &K, now: SimTime) -> u64 {
-        match self.last.get(key) {
-            Some(&prev) => self.cooldown_secs.saturating_sub(now.secs_since(prev)),
-            None => 0,
-        }
-    }
-
-    /// Drop all per-key state.
-    pub fn reset(&mut self) {
-        self.last.clear();
-    }
-}
-
 /// The platform's public (OAuth) API quota.
 ///
 /// The exact production numbers don't matter; what matters for fidelity is
@@ -219,52 +106,33 @@ mod tests {
 
     #[test]
     fn fixed_window_grants_until_exhausted() {
-        let mut l = FixedWindowLimiter::per_hour(10);
-        let k = AccountId(1);
+        let mut l = DenseWindowLimiter::per_hour(10);
+        let k = AccountId(1).index();
         let t = SimTime(0);
-        assert_eq!(l.acquire(&k, t, 4), 4);
-        assert_eq!(l.acquire(&k, t, 4), 4);
-        assert_eq!(l.acquire(&k, t, 4), 2, "partial grant at the edge");
-        assert_eq!(l.acquire(&k, t, 4), 0);
-        assert_eq!(l.remaining(&k, t), 0);
+        assert_eq!(l.acquire(k, t, 4), 4);
+        assert_eq!(l.acquire(k, t, 4), 4);
+        assert_eq!(l.acquire(k, t, 4), 2, "partial grant at the edge");
+        assert_eq!(l.acquire(k, t, 4), 0);
+        assert_eq!(l.remaining(k, t), 0);
     }
 
     #[test]
     fn fixed_window_resets_on_new_window() {
-        let mut l = FixedWindowLimiter::per_hour(5);
-        let k = AccountId(1);
-        assert_eq!(l.acquire(&k, SimTime(10), 5), 5);
+        let mut l = DenseWindowLimiter::per_hour(5);
+        let k = AccountId(1).index();
+        assert_eq!(l.acquire(k, SimTime(10), 5), 5);
         // Same window: refused.
-        assert_eq!(l.acquire(&k, SimTime(3_599), 1), 0);
+        assert_eq!(l.acquire(k, SimTime(3_599), 1), 0);
         // Next hour window: fresh quota.
-        assert_eq!(l.acquire(&k, SimTime(3_600), 5), 5);
+        assert_eq!(l.acquire(k, SimTime(3_600), 5), 5);
     }
 
     #[test]
     fn fixed_window_keys_are_independent() {
-        let mut l = FixedWindowLimiter::per_hour(2);
+        let mut l = DenseWindowLimiter::per_hour(2);
         let t = SimTime(0);
-        assert_eq!(l.acquire(&AccountId(1), t, 2), 2);
-        assert_eq!(l.acquire(&AccountId(2), t, 2), 2);
-    }
-
-    #[test]
-    fn cooldown_blocks_until_elapsed() {
-        let mut c = CooldownLimiter::new(1_800);
-        let k = AccountId(3);
-        assert!(c.try_acquire(&k, SimTime(0)));
-        assert!(!c.try_acquire(&k, SimTime(100)));
-        assert_eq!(c.retry_after(&k, SimTime(100)), 1_700);
-        assert!(!c.try_acquire(&k, SimTime(1_799)));
-        assert!(c.try_acquire(&k, SimTime(1_800)));
-        assert_eq!(c.retry_after(&k, SimTime(1_800)), 1_800);
-    }
-
-    #[test]
-    fn cooldown_fresh_key_allowed_immediately() {
-        let mut c = CooldownLimiter::new(60);
-        assert_eq!(c.retry_after(&AccountId(9), SimTime(0)), 0);
-        assert!(c.try_acquire(&AccountId(9), SimTime(0)));
+        assert_eq!(l.acquire(AccountId(1).index(), t, 2), 2);
+        assert_eq!(l.acquire(AccountId(2).index(), t, 2), 2);
     }
 
     #[test]
@@ -279,10 +147,10 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut l = FixedWindowLimiter::per_hour(1);
-        let k = AccountId(1);
-        assert_eq!(l.acquire(&k, SimTime(0), 1), 1);
+        let mut l = DenseWindowLimiter::per_hour(1);
+        let k = AccountId(1).index();
+        assert_eq!(l.acquire(k, SimTime(0), 1), 1);
         l.reset();
-        assert_eq!(l.acquire(&k, SimTime(0), 1), 1);
+        assert_eq!(l.acquire(k, SimTime(0), 1), 1);
     }
 }

@@ -47,26 +47,6 @@ impl RngFactory {
         SmallRng::seed_from_u64(mix(mix(self.seed, hash_label(label)), n))
     }
 
-    /// Derive the labelled RNG stream for one worker shard of a parallel
-    /// phase. The tag constant keeps shard streams disjoint from
-    /// [`RngFactory::substream`] numbering under the same label.
-    ///
-    /// Note the determinism contract of the three-phase engine (DESIGN.md
-    /// §4): the sharded *apply* phase is draw-free — every quantity a shard
-    /// worker needs was fixed during plan/route — because any draw keyed by
-    /// shard index would make results depend on `FOOTSTEPS_THREADS`. Shard
-    /// streams exist for work that is *quarantined from deterministic
-    /// output* (randomized micro-benchmark workloads, stress harnesses):
-    /// they give each worker an independent, reproducible stream for a
-    /// given `(seed, label, shard)` without contending on a shared RNG.
-    pub fn shard_stream(&self, label: &str, shard: u64) -> SmallRng {
-        const SHARD_TAG: u64 = 0x51a7_ded0_a711_15e5;
-        SmallRng::seed_from_u64(mix(
-            mix(self.seed, hash_label(label)),
-            shard ^ SHARD_TAG,
-        ))
-    }
-
     /// The raw 64-bit seed of the stream identified by `label` — the value
     /// `stream(label)` is seeded from. Components that need to derive many
     /// per-entity streams (the parallel decision phase derives one per
@@ -179,17 +159,6 @@ mod tests {
         assert_eq!(a, decision_rng(s, 10, 3).gen(), "same (entity, day) → same stream");
         assert_ne!(a, decision_rng(s, 11, 3).gen(), "entity perturbs the stream");
         assert_ne!(a, decision_rng(s, 10, 4).gen(), "day perturbs the stream");
-    }
-
-    #[test]
-    fn shard_streams_are_stable_disjoint_and_label_scoped() {
-        let f = RngFactory::new(7);
-        let a: u64 = f.shard_stream("engine.apply", 0).gen();
-        assert_eq!(a, f.shard_stream("engine.apply", 0).gen(), "stable");
-        assert_ne!(a, f.shard_stream("engine.apply", 1).gen(), "shard-scoped");
-        assert_ne!(a, f.shard_stream("engine.plan", 0).gen(), "label-scoped");
-        // Disjoint from substream numbering under the same label.
-        assert_ne!(a, f.substream("engine.apply", 0).gen());
     }
 
     #[test]

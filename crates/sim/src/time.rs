@@ -72,12 +72,6 @@ impl SimTime {
         SimTime(self.0 + hours * SECS_PER_HOUR)
     }
 
-    /// This instant shifted forward by `days` days.
-    #[inline]
-    pub fn plus_days(self, days: u64) -> Self {
-        SimTime(self.0 + days * SECS_PER_DAY)
-    }
-
     /// Whole seconds between two instants (`self - earlier`), saturating.
     #[inline]
     pub fn secs_since(self, earlier: SimTime) -> u64 {
@@ -183,11 +177,6 @@ impl SimClock {
         self.now = t;
     }
 
-    /// Advance the clock by `secs` seconds.
-    pub fn advance_secs(&mut self, secs: u64) {
-        self.now = self.now.plus_secs(secs);
-    }
-
     /// Jump to the start of the given day (must not move backwards).
     pub fn advance_to_day(&mut self, day: Day) {
         self.advance_to(day.start());
@@ -217,9 +206,9 @@ mod tests {
 
     #[test]
     fn arithmetic_helpers() {
-        let t = SimTime::EPOCH.plus_days(2).plus_hours(3).plus_secs(4);
+        let t = Day(2).start().plus_hours(3).plus_secs(4);
         assert_eq!(t.0, 2 * SECS_PER_DAY + 3 * SECS_PER_HOUR + 4);
-        assert_eq!(t.secs_since(SimTime::EPOCH.plus_days(2)), 3 * SECS_PER_HOUR + 4);
+        assert_eq!(t.secs_since(Day(2).start()), 3 * SECS_PER_HOUR + 4);
         assert_eq!(SimTime::EPOCH.secs_since(t), 0, "saturates");
         assert_eq!(Day(10).days_since(Day(4)), 6);
         assert_eq!(Day(4).days_since(Day(10)), 0, "saturates");
@@ -228,7 +217,7 @@ mod tests {
     #[test]
     fn clock_advances_monotonically() {
         let mut c = SimClock::new();
-        c.advance_secs(10);
+        c.advance_to(SimTime(10));
         c.advance_to_day(Day(1));
         assert_eq!(c.today(), Day(1));
         assert_eq!(c.now(), Day(1).start());

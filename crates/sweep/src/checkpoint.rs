@@ -38,7 +38,12 @@ use crate::SweepError;
 ///
 /// v3: `DetectionPipeline` lost its skip-serialized worker-lane field.
 /// The wire format is unchanged again; only the structural pin moved.
-pub const SCHEMA_VERSION: u32 = 3;
+///
+/// v4: `Study`'s five service-engine fields became one `services` array
+/// of `footsteps_aas::Service`. This changes the `Study` wire layout;
+/// every component's bytes (platform, each engine, every other field)
+/// are unchanged.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Identity hash of a scenario, for tying checkpoints and manifests to
 /// their configuration. `worker_threads` is normalized out: it comes from

@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 export RUSTFLAGS="${RUSTFLAGS:--Dwarnings}"
 export CARGO_NET_OFFLINE=true
 
+# Every report this script writes goes to one private scratch directory
+# (under $TMPDIR when set), so two checkouts can run CI on one host without
+# overwriting each other's reports. It is removed on exit.
+CI_TMP="$(mktemp -d "${TMPDIR:-/tmp}/footsteps_ci.XXXXXX")"
+SWEEP_DIR="$CI_TMP/sweep"
+trap 'rm -rf "$CI_TMP"' EXIT
+
 echo "== build (release, -Dwarnings) =="
 cargo build --release
 
@@ -21,7 +28,7 @@ echo "== lint (footsteps-lint determinism & safety pass) =="
 # lint has regressed from "free in CI" to "a build phase".
 LINT_BUDGET_SECS=30
 lint_start=$(date +%s)
-cargo run --release -q -p footsteps-lint -- --stats --json-out /tmp/footsteps_lint.ci.json
+cargo run --release -q -p footsteps-lint -- --stats --json-out "$CI_TMP/footsteps_lint.ci.json"
 lint_elapsed=$(( $(date +%s) - lint_start ))
 echo "lint wall time: ${lint_elapsed}s (budget ${LINT_BUDGET_SECS}s)"
 if [ "$lint_elapsed" -gt "$LINT_BUDGET_SECS" ]; then
@@ -53,8 +60,7 @@ echo "== sweep smoke (2-seed replication, checkpoint/resume) =="
 # Two seeds of the smoke scenario on the bounded pool, then prove the
 # resume path is a no-op on a finished manifest and that the aggregate
 # report shows real cross-seed variance (ISSUE 4 acceptance).
-SWEEP_DIR="$(mktemp -d /tmp/footsteps_sweep_ci.XXXXXX)"
-trap 'rm -rf "$SWEEP_DIR"' EXIT
+mkdir "$SWEEP_DIR"
 ./target/release/sweep run --dir "$SWEEP_DIR" --seeds 2 --workers 2 --scenario smoke
 
 # The two per-seed digests must differ — identical digests would mean
@@ -100,14 +106,14 @@ fi
 echo "sweep gate: OK (2 distinct digests, no-op resume, nonzero variance, latency table)"
 
 echo "== perf baseline (smoke scenario, 1 and 8 worker threads) =="
-cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 1 7 /tmp/BENCH_daily_engine.ci.json
-cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 8 7 /tmp/BENCH_daily_engine.ci.t8.json
+cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 1 7 "$CI_TMP/BENCH_daily_engine.ci.json"
+cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 8 7 "$CI_TMP/BENCH_daily_engine.ci.t8.json"
 
 echo "== perf regression gate =="
 # Fail if fresh throughput drops below TOLERANCE x the committed baseline.
 BASELINE_FILE="BENCH_daily_engine.baseline.json"
-FRESH_FILE="/tmp/BENCH_daily_engine.ci.json"
-FRESH_T8_FILE="/tmp/BENCH_daily_engine.ci.t8.json"
+FRESH_FILE="$CI_TMP/BENCH_daily_engine.ci.json"
+FRESH_T8_FILE="$CI_TMP/BENCH_daily_engine.ci.t8.json"
 TOLERANCE="${FOOTSTEPS_PERF_TOLERANCE:-0.85}"
 
 extract_days_per_sec() {
@@ -182,8 +188,8 @@ echo "== trace smoke gate (chrome-trace export + span-structure parity) =="
 # and Chrome-trace export (FOOTSTEPS_TRACE_OUT). The exported trace must
 # pass the schema check, and the results digest must equal the untraced
 # 1-thread digest — tracing is observability-only.
-TRACE_FILE="/tmp/footsteps_trace.ci.json"
-TRACED_PERF="/tmp/BENCH_daily_engine.ci.traced.json"
+TRACE_FILE="$CI_TMP/footsteps_trace.ci.json"
+TRACED_PERF="$CI_TMP/BENCH_daily_engine.ci.traced.json"
 FOOTSTEPS_TRACE_OUT="$TRACE_FILE" \
   cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 1 7 "$TRACED_PERF"
 ./target/release/obs-report --check-trace "$TRACE_FILE"
@@ -231,8 +237,8 @@ echo "== stream gate (event-log record, offline replay, verdict parity) =="
 # on, and itself asserts those two digests match), then replay the log
 # offline: stream-replay must recompute the identical verdict digest
 # from the file alone, and the versioned envelope must round-trip.
-STREAM_LOG="/tmp/footsteps_stream.ci.jsonl"
-STREAM_PERF="/tmp/BENCH_stream.ci.json"
+STREAM_LOG="$CI_TMP/footsteps_stream.ci.jsonl"
+STREAM_PERF="$CI_TMP/BENCH_stream.ci.json"
 cargo run --release -p footsteps-bench --bin perf_baseline -- --json --stream "$STREAM_LOG" 7 "$STREAM_PERF"
 inline_digest=$(sed -n 's/.*"verdict_digest": *"\(0x[0-9a-f]*\)".*/\1/p' "$STREAM_PERF" | head -n 1)
 if [ -z "$inline_digest" ]; then

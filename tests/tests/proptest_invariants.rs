@@ -4,7 +4,7 @@ use footsteps_aas::{Payment, PaymentKind, PaymentLedger};
 use footsteps_analysis::Ecdf;
 use footsteps_sim::actions::{ActionOutcome, ActionType, TypeCounts};
 use footsteps_sim::behavior::{followback_tendency, sample_binomial, synthesize_profile, BehaviorParams};
-use footsteps_sim::ratelimit::{CooldownLimiter, FixedWindowLimiter};
+use footsteps_sim::ratelimit::DenseWindowLimiter;
 use footsteps_sim::rng::stable_bin;
 use footsteps_sim::time::{Day, SimTime};
 use footsteps_sim::prelude::{AccountId, ServiceId};
@@ -60,39 +60,17 @@ proptest! {
         limit in 1u32..200,
         requests in prop::collection::vec((0u64..7_200, 1u32..300), 1..50),
     ) {
-        let mut limiter = FixedWindowLimiter::new(limit, 3_600);
-        let key = AccountId(1);
+        let mut limiter = DenseWindowLimiter::new(limit, 3_600);
+        let key = AccountId(1).index();
         let mut sorted = requests.clone();
         sorted.sort_by_key(|(t, _)| *t);
         let mut granted_per_window = std::collections::HashMap::new();
         for (t, n) in sorted {
-            let granted = limiter.acquire(&key, SimTime(t), n);
+            let granted = limiter.acquire(key, SimTime(t), n);
             *granted_per_window.entry(t / 3_600).or_insert(0u64) += u64::from(granted);
         }
         for (&w, &granted) in &granted_per_window {
             prop_assert!(granted <= u64::from(limit), "window {w}: {granted} > {limit}");
-        }
-    }
-
-    /// A cooldown limiter's successful acquisitions are spaced by at least
-    /// the cooldown.
-    #[test]
-    fn cooldown_spacing_holds(
-        cooldown in 1u64..5_000,
-        times in prop::collection::vec(0u64..100_000, 1..80),
-    ) {
-        let mut limiter = CooldownLimiter::new(cooldown);
-        let key = AccountId(7);
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        let mut granted = Vec::new();
-        for t in sorted {
-            if limiter.try_acquire(&key, SimTime(t)) {
-                granted.push(t);
-            }
-        }
-        for w in granted.windows(2) {
-            prop_assert!(w[1] - w[0] >= cooldown, "{} then {}", w[0], w[1]);
         }
     }
 

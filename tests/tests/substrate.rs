@@ -111,25 +111,22 @@ fn inbound_enforcement_is_independent_of_outbound() {
     });
     assert_eq!(out.delivered, 100);
     // Inbound deliveries above 40 are blocked.
-    let dep = p.deposit_inbound_enforced(
-        recipient,
-        ActionType::Like,
-        100,
-        host,
-        Some(ServiceId::Hublaagram),
-        None,
-    );
+    let deposit = |p: &mut Platform, requested| {
+        let op = DepositOp {
+            target: recipient,
+            ty: ActionType::Like,
+            requested,
+            asn: host,
+            service: Some(ServiceId::Hublaagram),
+            media: None,
+        };
+        p.apply_deposits_sharded(&[op], 1, "test.apply.shard")[0]
+    };
+    let dep = deposit(&mut p, 100);
     assert_eq!(dep.delivered, 40);
     assert_eq!(dep.blocked, 60);
     // A second deposit the same day is fully blocked (prior counted).
-    let dep2 = p.deposit_inbound_enforced(
-        recipient,
-        ActionType::Like,
-        50,
-        host,
-        Some(ServiceId::Hublaagram),
-        None,
-    );
+    let dep2 = deposit(&mut p, 50);
     assert_eq!(dep2.delivered, 0);
     assert_eq!(dep2.blocked, 50);
 }
