@@ -758,7 +758,6 @@ impl ReciprocityService {
             delivered: success,
             blocked: failed as u32,
             deferred: 0,
-            rate_limited: 0,
         };
         self.observe_customer(account, ty, day, &result);
     }

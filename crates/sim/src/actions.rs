@@ -116,7 +116,9 @@ pub enum ActionOutcome {
     /// submitting client observes success.
     DeferredRemoval,
     /// Rejected by public-API rate limiting (the reason AASs spoof the
-    /// private API rather than use OAuth, §2).
+    /// private API rather than use OAuth, §2). No study sends public-API
+    /// traffic, so the platform has no quota stage and never records this
+    /// outcome; it stays part of the event-log wire format.
     RateLimited,
 }
 
@@ -176,7 +178,7 @@ pub struct TypeCounts {
     pub blocked: [u32; ActionType::COUNT],
     /// Actions delivered but scheduled for deferred removal.
     pub deferred: [u32; ActionType::COUNT],
-    /// Actions rejected by rate limiting.
+    /// Actions rejected by rate limiting (see [`ActionOutcome::RateLimited`]).
     pub rate_limited: [u32; ActionType::COUNT],
 }
 

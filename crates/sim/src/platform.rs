@@ -19,12 +19,10 @@
 //!
 //! The two outbound paths share one middleware, which runs, in order:
 //!
-//! 1. **public-API quota** — OAuth traffic is rate-limited to uselessness
-//!    (§2), which is why services spoof the private mobile API;
-//! 2. **baseline IP-volume defense** — the pre-existing system that already
+//! 1. **baseline IP-volume defense** — the pre-existing system that already
 //!    polices Followersgratis (§5: "high volumes of abuse originating from a
 //!    small number of IP addresses");
-//! 3. **the installed [`EnforcementPolicy`]** — the experimental
+//! 2. **the installed [`EnforcementPolicy`]** — the experimental
 //!    countermeasures of §6.
 //!
 //! Each outbound path keeps only its own tail: aggregate degrees and
@@ -49,11 +47,11 @@ use crate::graph::SocialGraph;
 use crate::ids::{AccountId, AsnId, MediaId, ServiceId};
 use crate::log::{ActionLog, DayLog};
 use crate::net::{AsnRegistry, IpAddr4};
-use crate::ratelimit::{public_api_quota, DenseWindowLimiter};
 use crate::time::{Day, SimClock, SimTime, SECS_PER_DAY};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Platform-wide tuning knobs.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -154,8 +152,6 @@ pub struct BatchResult {
     /// Actions that landed but are scheduled for silent removal tomorrow.
     /// The client cannot distinguish these from `delivered`.
     pub deferred: u32,
-    /// Actions refused by public-API rate limiting.
-    pub rate_limited: u32,
 }
 
 impl BatchResult {
@@ -166,7 +162,7 @@ impl BatchResult {
 
     /// What the submitting client perceives as having failed.
     pub fn visible_failure(&self) -> u32 {
-        self.blocked + self.rate_limited
+        self.blocked
     }
 }
 
@@ -262,20 +258,6 @@ pub struct DayMetrics {
     pub edge_blocked: u32,
 }
 
-/// First address of the synthetic IPv4 space ([`AsnRegistry`] allocates
-/// blocks contiguously from here), used to index the dense IP-volume table.
-const IP_BASE: u32 = 0x0100_0000;
-
-/// Day-stamped per-IP volume slot: `used` counts only if `day` matches the
-/// querying day, which makes the daily reset O(1) instead of a table clear.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct IpVolume {
-    day: u32,
-    used: u32,
-}
-
-const STALE_IP_VOLUME: IpVolume = IpVolume { day: u32::MAX, used: 0 };
-
 /// Append `day`-indexed queue access for the pending-work tables.
 fn day_queue<T>(queue: &mut Vec<Vec<T>>, day: Day) -> &mut Vec<T> {
     let idx = day.0 as usize;
@@ -359,9 +341,11 @@ pub struct Platform {
     /// owns the study, never resurrected from a checkpoint.
     #[serde(skip)]
     sink: Option<Box<dyn EventSink>>,
-    oauth_quota: DenseWindowLimiter,
-    /// Per-IP delivered volume, indexed by `ip - IP_BASE`, day-stamped.
-    ip_volume: Vec<IpVolume>,
+    /// The day `ip_used` counts.
+    ip_day: Day,
+    /// Delivered volume per source IP on `ip_day`: only the IPs that
+    /// submitted that day, so the table is sized by one day's traffic.
+    ip_used: HashMap<IpAddr4, u32>,
     /// Pending-work queues, indexed by `Day::0`.
     pending_removals: Vec<Vec<PendingRemoval>>,
     pending_responses: Vec<Vec<PendingResponse>>,
@@ -388,8 +372,8 @@ impl Platform {
             obs: footsteps_obs::Recorder::from_env(),
             policy: Box::new(NoEnforcement),
             sink: None,
-            oauth_quota: public_api_quota(),
-            ip_volume: Vec::new(),
+            ip_day: Day(0),
+            ip_used: HashMap::new(),
             pending_removals: Vec::new(),
             pending_responses: Vec::new(),
             pending_event_responses: Vec::new(),
@@ -400,22 +384,15 @@ impl Platform {
         }
     }
 
-    /// Today's delivered-volume counter for `ip`, reset lazily at day
-    /// boundaries via the day stamp.
+    /// Today's delivered-volume counter for `ip`. The first submission of
+    /// a later day clears the whole table: the clock only moves forward, so
+    /// every earlier day's volume is spent.
     fn ip_used_mut(&mut self, ip: IpAddr4, day: Day) -> &mut u32 {
-        let idx = ip
-            .0
-            .checked_sub(IP_BASE)
-            .expect("IP below the synthetic address space") as usize;
-        if idx >= self.ip_volume.len() {
-            self.ip_volume.resize(idx + 1, STALE_IP_VOLUME);
+        if self.ip_day != day {
+            self.ip_day = day;
+            self.ip_used.clear();
         }
-        let slot = &mut self.ip_volume[idx];
-        if slot.day != day.0 {
-            slot.day = day.0;
-            slot.used = 0;
-        }
-        &mut slot.used
+        self.ip_used.entry(ip).or_insert(0)
     }
 
     fn metrics_mut(&mut self, day: Day) -> &mut DayMetrics {
@@ -630,7 +607,7 @@ impl Platform {
         }
         debug_assert_eq!(
             result.attempted,
-            result.delivered + result.blocked + result.deferred + result.rate_limited
+            result.delivered + result.blocked + result.deferred
         );
         result
     }
@@ -640,7 +617,6 @@ impl Platform {
         let at = self.clock.now();
         let mut refused = BatchResult::default();
         let outcome = match self.admit_outbound(&req.as_batch(), &mut refused) {
-            None if refused.rate_limited > 0 => ActionOutcome::RateLimited,
             None => ActionOutcome::Blocked,
             // Event tail: graph edges and per-target reciprocation, then the
             // outbound record.
@@ -857,51 +833,27 @@ impl Platform {
     // ----- internals -------------------------------------------------------
 
     /// The outbound middleware both submission paths share (module docs):
-    /// public-API quota, IP-volume edge defense, then the installed policy.
-    /// Refused actions are tallied into `result` and logged here, before the
-    /// policy reads `prior_today`. Returns the policy's `(pass, excess,
+    /// IP-volume edge defense, then the installed policy. Edge-refused
+    /// actions are tallied into `result` and logged here, before the policy
+    /// reads `prior_today`. Returns the policy's `(pass, excess,
     /// countermeasure)` verdict on the rest, or `None` if nothing reached it.
     fn admit_outbound(
         &mut self,
         req: &BatchRequest,
         result: &mut BatchResult,
     ) -> Option<(u32, u32, Countermeasure)> {
-        let now = self.clock.now();
-        let day = now.day();
+        let day = self.clock.today();
         self.note_ground_truth(req.actor, req.service);
         self.obs
             .metrics
             .add(mix_key(req.service, req.action), u64::from(req.count));
-        let mut remaining = req.count;
 
-        // 1. Public-API quota.
-        if req.fingerprint == ClientFingerprint::PublicApi {
-            let granted = self.oauth_quota.acquire(req.actor.index(), now, remaining);
-            let refused = remaining - granted;
-            if refused > 0 {
-                self.log.record_outbound(
-                    day,
-                    req.actor,
-                    req.asn,
-                    req.fingerprint,
-                    req.action,
-                    ActionOutcome::RateLimited,
-                    refused,
-                );
-                result.rate_limited = refused;
-                self.obs
-                    .metrics
-                    .add("platform.outbound.rate_limited", u64::from(refused));
-            }
-            remaining = granted;
-        }
-
-        // 2. Baseline IP-volume defense.
+        // 1. Baseline IP-volume defense.
         let cap = self.config.ip_daily_action_cap;
         let used = self.ip_used_mut(req.ip, day);
-        let edge_pass = remaining.min(cap.saturating_sub(*used));
+        let edge_pass = req.count.min(cap.saturating_sub(*used));
         *used += edge_pass;
-        let edge_blocked = remaining - edge_pass;
+        let edge_blocked = req.count - edge_pass;
         if edge_blocked > 0 {
             self.log.record_outbound(
                 day,
@@ -922,7 +874,7 @@ impl Platform {
             return None;
         }
 
-        // 3. Experimental countermeasures.
+        // 2. Experimental countermeasures.
         let prior = self
             .log
             .day(day)
@@ -1671,15 +1623,34 @@ mod tests {
     }
 
     #[test]
-    fn public_api_is_rate_limited() {
+    fn ip_budget_survives_a_mid_day_round_trip() {
+        use serde_json::Value::{Map, Str, U64};
         let mut p = platform();
+        p.config.ip_daily_action_cap = 100;
         let a = organic(&mut p, ReciprocityProfile::SILENT);
         p.begin_day(Day(0));
-        let mut req = batch(a, ActionType::Like, 500, PoolStats::INERT);
-        req.fingerprint = ClientFingerprint::PublicApi;
-        let r = p.submit_batch(req);
-        assert!(r.rate_limited >= 470, "rate_limited={}", r.rate_limited);
-        assert!(r.delivered <= 30);
+        let spent = p.submit_batch(batch(a, ActionType::Like, 70, PoolStats::INERT));
+        assert_eq!(spent.delivered, 70);
+        let json = serde_json::to_string(&p).expect("platform encodes");
+        let mut back: Platform = serde_json::from_str(&json).expect("platform decodes");
+        // The rest of the day sees the same remaining budget on both sides.
+        for q in [&mut p, &mut back] {
+            let r = q.submit_batch(batch(a, ActionType::Like, 50, PoolStats::INERT));
+            assert_eq!((r.delivered, r.blocked), (30, 20));
+        }
+        // The next day's first submission leaves only its own IP encoded.
+        let mut req = batch(a, ActionType::Like, 10, PoolStats::INERT);
+        req.ip = IpAddr4(0x0100_0000 + 5);
+        back.begin_day(Day(1));
+        back.submit_batch(req);
+        let doc: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string(&back).expect("platform encodes"))
+                .expect("platform document parses");
+        assert_eq!(doc.get_field("ip_day"), Some(&U64(1)));
+        assert_eq!(
+            doc.get_field("ip_used"),
+            Some(&Map(vec![(Str(req.ip.0.to_string()), U64(10))]))
+        );
     }
 
     #[test]

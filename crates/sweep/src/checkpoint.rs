@@ -4,7 +4,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema_version": 3, "scenario_hash": …, "phase": "Characterized", "study": {…}}
+//! {"schema_version": 5, "scenario_hash": …, "phase": "Characterized", "study": {…}}
 //! ```
 //!
 //! `schema_version` gates incompatible layout changes, `scenario_hash`
@@ -43,7 +43,13 @@ use crate::SweepError;
 /// of `footsteps_aas::Service`. This changes the `Study` wire layout;
 /// every component's bytes (platform, each engine, every other field)
 /// are unchanged.
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: `Platform` keeps its per-IP edge volumes as `ip_day` plus an
+/// `ip_used` map of that day's IPs, in place of the dense `ip_volume`
+/// table over the whole address space, and lost the public-API quota
+/// (`oauth_quota`). Every other `Study` component, and every other
+/// `Platform` field, keeps its bytes.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Identity hash of a scenario, for tying checkpoints and manifests to
 /// their configuration. `worker_threads` is normalized out: it comes from

@@ -63,6 +63,13 @@ echo "== sweep smoke (2-seed replication, checkpoint/resume) =="
 mkdir "$SWEEP_DIR"
 ./target/release/sweep run --dir "$SWEEP_DIR" --seeds 2 --workers 2 --scenario smoke
 
+# The wire size of every checkpoint the sweep wrote, for the log only
+# (no bound): checkpoint size is what a layout change moves.
+for ckpt in "$SWEEP_DIR"/ckpt_*.json; do
+  [ -f "$ckpt" ] || continue
+  echo "checkpoint $(basename "$ckpt"): $(wc -c < "$ckpt" | tr -d ' ') bytes"
+done
+
 # The two per-seed digests must differ — identical digests would mean
 # the seeds were not actually varied.
 digests=$(sed -n 's/.*"digest": \([0-9][0-9]*\).*/\1/p' "$SWEEP_DIR/manifest.json")

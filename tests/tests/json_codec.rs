@@ -3,6 +3,7 @@
 //! numbers follow RFC 8259, nesting is bounded, and malformed input is an
 //! error, never a panic.
 
+use footsteps_aas::Service;
 use footsteps_core::{Scenario, Study};
 use footsteps_obs::tree::fnv1a;
 use footsteps_sim::prelude::Day;
@@ -17,11 +18,51 @@ fn tmp_path(name: &str) -> PathBuf {
 }
 
 /// `Scenario::quick(7)` at one worker thread: the study before and after
-/// characterization, and the batch lines of the log recorded meanwhile.
+/// characterization with the pins of its components, and the batch lines
+/// of the log recorded meanwhile.
 struct QuickRun {
     fresh: String,
+    fresh_parts: Vec<Pin>,
     characterized: String,
+    characterized_parts: Vec<Pin>,
     batch_lines: Vec<String>,
+}
+
+/// A component's name and the (bytes, FNV-1a) of its encoding.
+type Pin = (&'static str, (usize, u64));
+
+fn pin<T: serde::Serialize>(name: &'static str, value: &T) -> Pin {
+    let doc = serde_json::to_string(value).expect("component encodes");
+    (name, (doc.len(), fnv1a(doc.as_bytes())))
+}
+
+/// Every public `Study` field, the services one engine at a time by slug.
+/// A wire change must move only the pins of the components it changes.
+fn component_pins(study: &Study) -> Vec<Pin> {
+    let mut pins = vec![
+        pin("scenario", &study.scenario),
+        pin("timeline", &study.timeline),
+        pin("phase", &study.phase),
+        pin("platform", &study.platform),
+        pin("residential", &study.residential),
+        pin("population", &study.population),
+        pin("layout", &study.layout),
+    ];
+    for service in &study.services {
+        pins.push(match service {
+            Service::Reciprocity(s) => pin(service.id().slug(), s),
+            Service::Collusion(s) => pin(service.id().slug(), s),
+        });
+    }
+    pins.extend([
+        pin("framework", &study.framework),
+        pin("ledger", &study.ledger),
+        pin("campaigns", &study.campaigns),
+        pin("pipeline", &study.pipeline),
+        pin("narrow_plan", &study.narrow_plan),
+        pin("broad_plan", &study.broad_plan),
+    ]);
+    pins
 }
 
 fn quick_run() -> &'static QuickRun {
@@ -31,15 +72,23 @@ fn quick_run() -> &'static QuickRun {
         scenario.worker_threads = 1;
         let mut study = Study::new(scenario);
         let fresh = serde_json::to_string(&study).expect("study encodes");
+        let fresh_parts = component_pins(&study);
         let log = tmp_path("quick7.jsonl");
         study.attach_stream(Some(&log)).expect("recorder attaches");
         study.run_characterization();
         let characterized = serde_json::to_string(&study).expect("study encodes");
+        let characterized_parts = component_pins(&study);
         let text = std::fs::read_to_string(&log).expect("log was recorded");
         std::fs::remove_file(&log).ok();
         // The header carries `recorded_unix`, so only batch lines are pinned.
         let batch_lines = text.lines().skip(1).map(str::to_owned).collect();
-        QuickRun { fresh, characterized, batch_lines }
+        QuickRun {
+            fresh,
+            fresh_parts,
+            characterized,
+            characterized_parts,
+            batch_lines,
+        }
     })
 }
 
@@ -53,15 +102,65 @@ fn assert_study_reencodes(doc: &str) {
 #[test]
 fn fresh_quick_study_keeps_its_wire_bytes() {
     let doc = &quick_run().fresh;
-    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_320_877, 0xd18d_8e28_f5f6_626f));
+    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_249_556, 0x0f1c_45b0_5e5a_d1cf));
     assert_study_reencodes(doc);
 }
 
 #[test]
 fn characterized_quick_study_keeps_its_wire_bytes() {
     let doc = &quick_run().characterized;
-    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (88_588_962, 0x4d23_f176_7d2a_1d84));
+    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (17_031_177, 0x04e1_216e_6695_839b));
     assert_study_reencodes(doc);
+}
+
+#[test]
+fn fresh_quick_study_components_keep_their_wire_bytes() {
+    let expected: Vec<Pin> = vec![
+        ("scenario", (345, 0x08a0_538a_7bf2_64a5)),
+        ("timeline", (80, 0x1473_1fc6_457b_c4a0)),
+        ("phase", (7, 0x916b_1363_3cc8_01bc)),
+        ("platform", (1_076_105, 0x5e33_c50b_2ebd_b7d8)),
+        ("residential", (155, 0xedf1_4d08_ed15_aee8)),
+        ("population", (8_903, 0x6d43_f58a_bcdf_e79a)),
+        ("layout", (141, 0x5c96_cc67_f640_bb5c)),
+        ("instalex", (10_630, 0xa1bd_0d54_a477_d94e)),
+        ("instazood", (12_843, 0x275e_fe23_4479_0959)),
+        ("boostgram", (8_747, 0xd244_a59e_0307_5fba)),
+        ("hublaagram", (108_194, 0x24e4_f1ef_d61c_bbd8)),
+        ("followersgratis", (5_468, 0xfe3c_ed0e_17b0_5ab2)),
+        ("framework", (11_385, 0x9ebc_149c_1710_37ff)),
+        ("ledger", (4_873, 0x03f7_37c5_2e17_b323)),
+        ("campaigns", (776, 0xeb9d_2f48_72cb_5229)),
+        ("pipeline", (4, 0x5b9b_c4ba_5281_08e4)),
+        ("narrow_plan", (166, 0x314a_d248_593e_9779)),
+        ("broad_plan", (264, 0xe312_3d1b_3549_2c8c)),
+    ];
+    assert_eq!(quick_run().fresh_parts, expected);
+}
+
+#[test]
+fn characterized_quick_study_components_keep_their_wire_bytes() {
+    let expected: Vec<Pin> = vec![
+        ("scenario", (345, 0x08a0_538a_7bf2_64a5)),
+        ("timeline", (80, 0x1473_1fc6_457b_c4a0)),
+        ("phase", (15, 0x71c7_54d1_afb4_6d90)),
+        ("platform", (16_653_539, 0xd992_ad34_248f_21e1)),
+        ("residential", (155, 0xedf1_4d08_ed15_aee8)),
+        ("population", (8_903, 0x6d43_f58a_bcdf_e79a)),
+        ("layout", (141, 0x5c96_cc67_f640_bb5c)),
+        ("instalex", (14_008, 0x3b4d_f8b4_983f_5494)),
+        ("instazood", (15_762, 0x4ced_eda3_1315_b1b2)),
+        ("boostgram", (9_918, 0x31b9_23e5_b34d_2bc8)),
+        ("hublaagram", (174_158, 0xa01b_1659_9192_4413)),
+        ("followersgratis", (8_747, 0xdf3c_a305_246e_d3d0)),
+        ("framework", (11_385, 0x9ebc_149c_1710_37ff)),
+        ("ledger", (34_811, 0xfa24_0aa8_7c67_5a43)),
+        ("campaigns", (776, 0xeb9d_2f48_72cb_5229)),
+        ("pipeline", (97_534, 0x47e6_6501_1721_447d)),
+        ("narrow_plan", (166, 0x314a_d248_593e_9779)),
+        ("broad_plan", (264, 0xe312_3d1b_3549_2c8c)),
+    ];
+    assert_eq!(quick_run().characterized_parts, expected);
 }
 
 #[test]

@@ -4,13 +4,16 @@ use footsteps_aas::{Payment, PaymentKind, PaymentLedger};
 use footsteps_analysis::Ecdf;
 use footsteps_sim::actions::{ActionOutcome, ActionType, TypeCounts};
 use footsteps_sim::behavior::{followback_tendency, sample_binomial, synthesize_profile, BehaviorParams};
-use footsteps_sim::ratelimit::DenseWindowLimiter;
+use footsteps_sim::prelude::{
+    AccountId, AsnKind, AsnRegistry, BatchRequest, ClientFingerprint, Country, IpAddr4, Platform,
+    PlatformConfig, PoolStats, ProfileKind, ReciprocityProfile, ServiceId,
+};
 use footsteps_sim::rng::stable_bin;
 use footsteps_sim::time::{Day, SimTime};
-use footsteps_sim::prelude::{AccountId, ServiceId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 fn any_outcome() -> impl Strategy<Value = ActionOutcome> {
     prop_oneof![
@@ -53,24 +56,64 @@ proptest! {
         prop_assert_eq!(u64::from(a.total_attempted()), total);
     }
 
-    /// The fixed-window limiter never grants more than its limit per window,
-    /// regardless of request pattern.
+    /// The per-IP edge defense against a reference model: with no policy
+    /// installed, each batch is refused exactly the part of it that would
+    /// push its source IP's volume for the day past the cap, and the day's
+    /// `edge_blocked` metric sums those refusals. Addresses come from a
+    /// small pool in two ASNs, and days may pass between submissions.
     #[test]
-    fn fixed_window_never_exceeds_limit(
-        limit in 1u32..200,
-        requests in prop::collection::vec((0u64..7_200, 1u32..300), 1..50),
+    fn edge_defense_matches_a_per_day_per_ip_model(
+        cap in 1u32..40,
+        steps in prop::collection::vec((0u32..3, 0usize..6, 0u32..30), 1..80),
     ) {
-        let mut limiter = DenseWindowLimiter::new(limit, 3_600);
-        let key = AccountId(1).index();
-        let mut sorted = requests.clone();
-        sorted.sort_by_key(|(t, _)| *t);
-        let mut granted_per_window = std::collections::HashMap::new();
-        for (t, n) in sorted {
-            let granted = limiter.acquire(key, SimTime(t), n);
-            *granted_per_window.entry(t / 3_600).or_insert(0u64) += u64::from(granted);
+        let mut asns = AsnRegistry::new();
+        let home = asns.register("res-a", Country::Us, AsnKind::Residential, 1_000);
+        let host = asns.register("host-b", Country::Ru, AsnKind::Hosting, 16);
+        let pool: Vec<_> = (0..3u32)
+            .map(|k| (home, asns.ip_in(home, k * 300)))
+            .chain((0..3u32).map(|k| (host, asns.ip_in(host, k))))
+            .collect();
+        let config = PlatformConfig { ip_daily_action_cap: cap, ..PlatformConfig::default() };
+        let mut p = Platform::new(asns, config, SmallRng::seed_from_u64(5));
+        let actor = p.accounts.create(
+            SimTime::EPOCH,
+            ProfileKind::Organic,
+            Country::Us,
+            home,
+            0,
+            0,
+            ReciprocityProfile::SILENT,
+        );
+        let mut used: BTreeMap<(Day, IpAddr4), u32> = BTreeMap::new();
+        let mut edge_blocked: BTreeMap<Day, u32> = BTreeMap::new();
+        let mut day = Day(0);
+        p.begin_day(day);
+        for (advance, k, count) in steps {
+            if advance > 0 {
+                day = day.plus(advance);
+                p.begin_day(day);
+            }
+            let (asn, ip) = pool[k];
+            let r = p.submit_batch(BatchRequest {
+                actor,
+                action: ActionType::Like,
+                count,
+                asn,
+                ip,
+                fingerprint: ClientFingerprint::SpoofedMobile { variant: 1 },
+                pool: PoolStats::INERT,
+                service: Some(ServiceId::Followersgratis),
+            });
+            let spent = used.entry((day, ip)).or_insert(0);
+            let pass = count.min(cap - *spent);
+            *spent += pass;
+            *edge_blocked.entry(day).or_insert(0) += count - pass;
+            prop_assert_eq!(r.blocked, count - pass);
+            prop_assert_eq!(r.delivered, pass);
         }
-        for (&w, &granted) in &granted_per_window {
-            prop_assert!(granted <= u64::from(limit), "window {w}: {granted} > {limit}");
+        for d in 0..=day.0 {
+            let expected = edge_blocked.get(&Day(d)).copied().unwrap_or(0);
+            prop_assert_eq!(p.metrics(Day(d)).edge_blocked, expected, "day {}", d);
         }
     }
 
