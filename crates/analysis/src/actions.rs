@@ -40,7 +40,7 @@ pub fn action_mix(
         .filter(|s| group.members().contains(&s.service))
         .collect();
     let mut counts = [0u64; ActionType::COUNT];
-    for (_, log) in platform.log.iter_range(start, end) {
+    for log in platform.log.iter_range(start, end) {
         for (key, c) in log.outbound() {
             if sigs
                 .iter()

@@ -95,7 +95,7 @@ pub fn long_term_action_share(
         .collect();
     let mut lt_actions = 0u64;
     let mut total = 0u64;
-    for (_, log) in platform.log.iter_range(start, end) {
+    for log in platform.log.iter_range(start, end) {
         for (key, counts) in log.outbound() {
             if !asns.contains(&key.asn) || !customers.contains(&key.account) {
                 continue;

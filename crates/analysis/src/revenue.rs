@@ -174,7 +174,7 @@ pub fn hublaagram_revenue_windows(
     let mut inbound_follow_total: HashMap<AccountId, u64> = HashMap::new();
     // Per-account per-photo-day like stats.
     let mut photo_day_likes: HashMap<AccountId, Vec<(u32, u32)>> = HashMap::new(); // (total, max_hourly)
-    for (_, log) in platform.log.iter_range(start, end) {
+    for log in platform.log.iter_range(start, end) {
         for (key, counts) in log.outbound() {
             if customers.contains(&key.account) && service_asns.contains(&key.asn) {
                 *outbound_total.entry(key.account).or_insert(0) +=
@@ -204,7 +204,7 @@ pub fn hublaagram_revenue_windows(
     // --- no-outbound accounts (over the full measurement period) -----------
     let mut period_inbound: HashSet<AccountId> = HashSet::new();
     let mut period_outbound: HashSet<AccountId> = HashSet::new();
-    for (_, log) in platform.log.iter_range(period_start, period_end) {
+    for log in platform.log.iter_range(period_start, period_end) {
         for (key, counts) in log.outbound() {
             if customers.contains(&key.account)
                 && service_asns.contains(&key.asn)

@@ -25,7 +25,7 @@ fn daily_counts(
 ) -> (Vec<u32>, Vec<u32>) {
     let mut benign = Vec::new();
     let mut abusive = Vec::new();
-    for (_, log) in platform.log.iter_range(start, end) {
+    for log in platform.log.iter_range(start, end) {
         let mut per: HashMap<AccountId, (u32, bool)> = HashMap::new();
         for (key, counts) in log.outbound() {
             if key.asn != asn {

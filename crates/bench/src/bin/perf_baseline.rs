@@ -160,7 +160,7 @@ fn run_one(scenario_name: &str, seed: u64, threads_override: Option<usize>) -> P
 
     let days = u64::from(study.timeline.end.0);
     let mut actions: u64 = 0;
-    for (_, log) in study.platform.log.iter_range(Day(0), study.timeline.end) {
+    for log in study.platform.log.iter_range(Day(0), study.timeline.end) {
         for (_, counts) in log.outbound() {
             actions += u64::from(counts.total_attempted());
         }

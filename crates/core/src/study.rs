@@ -19,10 +19,14 @@ use footsteps_aas::{presets, CollusionService, PaymentLedger, ReciprocityService
 use footsteps_detect::DetectionPipeline;
 use footsteps_honeypot::{run_campaign, CampaignReport, HoneypotFramework};
 use footsteps_intervene::{EpiloguePolicy, ExperimentPlan, ExperimentPolicy};
+use footsteps_obs::Stopwatch;
 use footsteps_sim::background::{run_background_day, BackgroundConfig};
 use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
 use footsteps_sim::prelude::*;
-use footsteps_stream::{StreamConfig, StreamOutcome, StreamSink};
+use footsteps_stream::{
+    roster, EventLogWriter, LogHeader, OnlineDetector, StreamConfig, StreamError, StreamOutcome,
+    STREAM_SCHEMA_VERSION,
+};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -77,12 +81,13 @@ pub enum Phase {
 
 /// A full study world.
 ///
-/// The whole struct serializes, which is what makes phase-boundary
-/// checkpoints (`footsteps-sweep`) possible: every RNG stream position,
-/// arena and pending queue round-trips, so a resumed study replays the
-/// exact byte stream of an uninterrupted one. The only non-serialized
-/// state is inside [`Platform`] (the installed policy and the metrics
-/// recorder), and every phase method reinstalls its policy at entry.
+/// The struct serializes, which is what makes phase-boundary checkpoints
+/// (`footsteps-sweep`) possible: every RNG stream position, arena and
+/// pending queue round-trips, so a resumed study replays the exact byte
+/// stream of an uninterrupted one. Not serialized: the platform's policy
+/// (every phase method reinstalls it) and metrics recorder; `stream`, the
+/// online detector and the event-log recorder ([`Study::attach_stream`],
+/// [`Study::resume_recording`]); and the days the event log holds.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Study {
     /// The configuration this study was built from.
@@ -111,11 +116,17 @@ pub struct Study {
     /// The detection pipeline, once built.
     pub pipeline: Option<DetectionPipeline>,
     /// The streaming detection outcome, frozen at the calibration
-    /// boundary when a sink was attached via [`Study::attach_stream`].
+    /// boundary when a detector was attached via [`Study::attach_stream`].
     /// Observability-plus-analysis state: excluded from serialization
     /// (like the platform's policy and recorder) and from every digest.
     #[serde(skip)]
     pub stream: Option<StreamOutcome>,
+    /// The online detector until it freezes, with the seconds spent in it.
+    #[serde(skip)]
+    detector: Option<(OnlineDetector, f64)>,
+    /// The event-log recorder, when recording.
+    #[serde(skip)]
+    recorder: Option<EventLogWriter>,
     /// The narrow experiment plan.
     pub narrow_plan: ExperimentPlan,
     /// The broad experiment plan.
@@ -227,6 +238,8 @@ impl Study {
             campaigns: Vec::new(),
             pipeline: None,
             stream: None,
+            detector: None,
+            recorder: None,
             narrow_plan,
             broad_plan,
             background,
@@ -275,7 +288,7 @@ impl Study {
     }
 
     /// Advance the world through one day: day boundary, background traffic,
-    /// then every service.
+    /// every service, then the finished day to the stream.
     fn step_day(&mut self, day: Day) {
         let timer = self.platform.obs.timings.start("engine.step_day");
         self.platform.begin_day(day);
@@ -290,7 +303,48 @@ impl Study {
         for service in &mut self.services {
             service.run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
         }
+        self.record_day(day);
         self.platform.obs.timings.finish(timer);
+    }
+
+    /// Seal the finished `day`, feed it to the online detector (which is
+    /// dropped once it freezes, its outcome kept in `self.stream`) and
+    /// append it to the event log.
+    ///
+    /// # Panics
+    /// Panics if the event log cannot be written; the log then still holds
+    /// the days up to the last phase boundary, all a checkpoint points at.
+    fn record_day(&mut self, day: Day) {
+        let sealed = self.platform.log.seal(day);
+        if let Some((detector, secs)) = &mut self.detector {
+            let sw = Stopwatch::start();
+            detector.ingest(sealed);
+            *secs += sw.elapsed_secs();
+        }
+        if let Some(recorder) = &mut self.recorder {
+            let appended = recorder.append(sealed);
+            appended.unwrap_or_else(|e| panic!("event log {}: {e}", recorder.path().display()));
+            self.platform.log.set_recorded(day.next());
+        }
+        if let Some((detector, secs)) = self.detector.take_if(|(d, _)| d.frozen().is_some()) {
+            let log_path = self.recorder.as_ref().map(|r| r.path().to_path_buf());
+            let outcome = detector.into_outcome(secs, log_path).expect("the detector froze");
+            let customers = outcome.verdicts.classification.customers.values();
+            let metrics = &mut self.platform.obs.metrics;
+            metrics.add("stream.events", outcome.events_processed);
+            metrics.add("stream.batches", outcome.batches);
+            metrics.add("stream.customers", customers.map(|s| s.len() as u64).sum());
+            self.stream = Some(outcome);
+        }
+    }
+
+    /// Flush the event log at a phase boundary, where a checkpoint may
+    /// point at it. Panics like [`Study::record_day`].
+    fn flush_log(&mut self) {
+        if let Some(recorder) = &mut self.recorder {
+            let flushed = recorder.flush();
+            flushed.unwrap_or_else(|e| panic!("event log {}: {e}", recorder.path().display()));
+        }
     }
 
     /// Run the characterization phase (§4/§5) and build the detection
@@ -317,46 +371,24 @@ impl Study {
         pipeline.record_obs(&mut self.platform.obs);
         self.platform.obs.timings.finish(build_timer);
         self.pipeline = Some(pipeline);
-        // Streaming detection (DESIGN.md §8): deliver the calibration tail
-        // to the sink (begin_day only drains strictly-before days, so the
-        // last characterization day is still pending) and detach it — the
-        // online verdicts froze at the same boundary the batch pipeline
-        // was just built on.
-        let stream_timer = self.platform.obs.timings.start("stream.freeze");
-        self.platform.drain_sink_through(self.timeline.narrow_start);
-        if let Some(result) = StreamSink::detach(&mut self.platform) {
-            let outcome = result.expect("stream sink finishes at the calibration boundary");
-            self.platform.obs.metrics.add("stream.events", outcome.events_processed);
-            self.platform.obs.metrics.add("stream.batches", outcome.batches);
-            self.platform.obs.metrics.add(
-                "stream.customers",
-                outcome
-                    .verdicts
-                    .classification
-                    .customers
-                    .values()
-                    .map(|s| s.len() as u64)
-                    .sum::<u64>(),
-            );
-            self.stream = Some(outcome);
-        }
-        self.platform.obs.timings.finish(stream_timer);
+        // The online detector froze on the last day above, at the same
+        // boundary the batch pipeline was just built on (DESIGN.md §8).
+        debug_assert!(self.detector.is_none(), "the online detector freezes at the boundary");
+        self.flush_log();
         self.platform.obs.timings.finish(timer);
         self.phase = Phase::Characterized;
     }
 
     /// Install the streaming detection harness (DESIGN.md §8): an online
-    /// detector fed each day's event batch as the day seals, optionally
-    /// recording the replayable event log to `record_to`. Call before
-    /// [`Study::run_characterization`]; the frozen [`StreamOutcome`]
-    /// lands in `self.stream` when that phase completes.
+    /// detector fed each day as it seals, and, with `record_to`, the event
+    /// log of the whole run (every day of all four phases, one sealed
+    /// `DayLog` per line). Call before [`Study::run_characterization`];
+    /// the frozen [`StreamOutcome`] lands in `self.stream` on the last day
+    /// of that phase.
     ///
-    /// Observability-only: the sink never feeds back into simulation
-    /// decisions, so the golden digest is unchanged with it installed.
-    pub fn attach_stream(
-        &mut self,
-        record_to: Option<&Path>,
-    ) -> Result<(), footsteps_stream::StreamError> {
+    /// Observability-only: neither feeds back into simulation decisions,
+    /// so the golden digest is unchanged with them installed.
+    pub fn attach_stream(&mut self, record_to: Option<&Path>) -> Result<(), StreamError> {
         assert_eq!(
             self.phase,
             Phase::Setup,
@@ -370,20 +402,45 @@ impl Study {
             calibration_end: cal_end,
             window_days: self.scenario.calibration_tail_days,
         };
-        let sink = StreamSink::build(
-            &self.platform,
-            &self.framework,
-            self.scenario.seed,
-            config,
-            record_to,
-        )?;
-        self.platform.set_sink(Box::new(sink));
+        let roster = roster(&self.framework, &self.platform);
+        self.recorder = match record_to {
+            Some(path) => {
+                let header = LogHeader {
+                    schema_version: STREAM_SCHEMA_VERSION,
+                    seed: self.scenario.seed,
+                    calibration_start: cal_start,
+                    calibration_end: cal_end,
+                    window_days: config.window_days,
+                    roster: roster.clone(),
+                };
+                Some(EventLogWriter::create(path, &header)?)
+            }
+            None => None,
+        };
+        self.detector = Some((OnlineDetector::new(config, &roster), 0.0));
+        Ok(())
+    }
+
+    /// The event-log recorder, when recording.
+    pub fn recording(&self) -> Option<&EventLogWriter> {
+        self.recorder.as_ref()
+    }
+
+    /// Continue recording into a log a checkpoint resume reopened: `days`,
+    /// the log's days, replace the ones serialization left out.
+    pub fn resume_recording(
+        &mut self,
+        days: Vec<DayLog>,
+        writer: EventLogWriter,
+    ) -> Result<(), String> {
+        self.platform.log.splice_recorded(days)?;
+        self.recorder = Some(writer);
         Ok(())
     }
 
     /// Detection latency of the online verdicts against the batch
     /// classifier. `None` until both the stream outcome and the pipeline
-    /// exist (i.e. a sink was attached and characterization has run).
+    /// exist (i.e. a detector was attached and characterization has run).
     pub fn detection_latency(&self) -> Option<footsteps_stream::LatencyReport> {
         let stream = self.stream.as_ref()?;
         let pipeline = self.pipeline.as_ref()?;
@@ -408,6 +465,7 @@ impl Study {
         for day in Day::range(self.timeline.narrow_start, self.timeline.broad_start) {
             self.step_day(day);
         }
+        self.flush_log();
         self.platform.obs.timings.finish(timer);
         self.phase = Phase::NarrowDone;
     }
@@ -427,6 +485,7 @@ impl Study {
             }
             self.step_day(day);
         }
+        self.flush_log();
         self.platform.obs.timings.finish(timer);
         self.phase = Phase::BroadDone;
     }
@@ -445,6 +504,7 @@ impl Study {
         for day in Day::range(self.timeline.epilogue_start, self.timeline.end) {
             self.step_day(day);
         }
+        self.flush_log();
         self.platform.obs.timings.finish(timer);
         self.phase = Phase::Finished;
     }

@@ -15,7 +15,6 @@
 //! ground truth; precision should be ≈1 and recall high but not necessarily
 //! perfect.
 
-use crate::day::DayRecords;
 use crate::signature::ServiceSignature;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -114,7 +113,7 @@ pub fn classify(
     end: Day,
 ) -> Classification {
     let mut out = Classification::default();
-    for day in DayRecords::range(&platform.log, start, end) {
+    for day in platform.log.iter_range(start, end) {
         classify_day(&mut out, signatures, day);
     }
     out
@@ -124,25 +123,25 @@ pub fn classify(
 /// matches a signature, and every inbound record sourced from a collusion
 /// signature's ASNs. Days must arrive in order, which keeps each
 /// `active_days` list sorted and duplicate-free.
-pub fn classify_day(c: &mut Classification, signatures: &[ServiceSignature], day: DayRecords<'_>) {
-    for (key, counts) in day.outbound {
+pub fn classify_day(c: &mut Classification, signatures: &[ServiceSignature], day: &DayLog) {
+    for (key, counts) in day.outbound() {
         if counts.total_attempted() == 0 {
             continue;
         }
         for sig in signatures {
             if sig.matches_outbound(key.asn, key.fingerprint) {
-                note(c, sig.service, key.account, day.day);
+                note(c, sig.service, key.account, day.day());
             }
         }
     }
-    for ((account, source), counts) in day.inbound {
+    for ((account, source), counts) in day.inbound() {
         let Some(asn) = source else { continue };
         if counts.total_attempted() == 0 {
             continue;
         }
         for sig in signatures {
             if sig.matches_inbound(*asn) {
-                note(c, sig.service, *account, day.day);
+                note(c, sig.service, *account, day.day());
             }
         }
     }

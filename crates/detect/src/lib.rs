@@ -8,15 +8,15 @@
 //! of abuse traffic on pure ASNs; outbound side for reciprocity services,
 //! inbound side for collusion networks).
 //!
-//! Each stage reads one [`DayRecords`] at a time. [`DetectionPipeline`]
-//! folds them over the action log; `footsteps-stream` feeds them online.
+//! Each stage reads one sealed `footsteps_sim::DayLog` at a time.
+//! [`DetectionPipeline`] folds them over the action log;
+//! `footsteps-stream` feeds them online.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod classify;
-pub mod day;
 pub mod pipeline;
 pub mod signature;
 pub mod threshold;
@@ -24,7 +24,6 @@ pub mod threshold;
 pub use classify::{
     classify, classify_day, score, score_group, score_group_before, Classification, Score,
 };
-pub use day::DayRecords;
 pub use pipeline::DetectionPipeline;
 pub use signature::{roster, RosterEntry, ServiceSignature, SignatureLearner};
 pub use threshold::{

@@ -6,7 +6,6 @@
 //! pipeline works against live service engines.
 
 use crate::classify::{classify, score, Classification, Score};
-use crate::day::DayRecords;
 use crate::signature::{roster, ServiceSignature, SignatureLearner};
 use crate::threshold::{compute_thresholds, ThresholdTable};
 use footsteps_honeypot::HoneypotFramework;
@@ -53,7 +52,7 @@ impl DetectionPipeline {
         cal_end: Day,
     ) -> Self {
         let mut learner = SignatureLearner::new(&roster(framework, platform));
-        for day in DayRecords::range(&platform.log, class_start, class_end) {
+        for day in platform.log.iter_range(class_start, class_end) {
             learner.learn_day(day);
         }
         let signatures = learner.signatures().to_vec();

@@ -10,7 +10,6 @@
 //! honeypot-observable data (the event streams of the roster's accounts),
 //! never the simulator's ground-truth attribution.
 
-use crate::day::DayRecords;
 use footsteps_honeypot::HoneypotFramework;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -92,8 +91,8 @@ impl SignatureLearner {
     }
 
     /// Grow the signatures from one day's honeypot events.
-    pub fn learn_day(&mut self, day: DayRecords<'_>) {
-        for ev in day.events {
+    pub fn learn_day(&mut self, day: &DayLog) {
+        for ev in &day.events {
             let Some(&(home, service)) = self.watch.get(&ev.actor) else { continue };
             // The framework's own management traffic (photo uploads,
             // lived-in setup) comes from the home network with first-party
@@ -183,7 +182,7 @@ mod tests {
             svc.run_day(&mut platform, &residential, &mut ledger, Day(d));
         }
         let mut learner = SignatureLearner::new(&roster(&framework, &platform));
-        for day in DayRecords::range(&platform.log, Day(0), Day(4)) {
+        for day in platform.log.iter_range(Day(0), Day(4)) {
             learner.learn_day(day);
         }
         let find = |service| learner.signatures().iter().find(|s| s.service == service);

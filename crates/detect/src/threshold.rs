@@ -13,7 +13,6 @@
 //! affecting the false positive rate").
 
 use crate::classify::Classification;
-use crate::day::DayRecords;
 use crate::signature::ServiceSignature;
 use footsteps_aas::stats::quantile_sorted_runs;
 use footsteps_sim::enforcement::Direction;
@@ -101,10 +100,10 @@ struct DaySamples {
 
 impl ThresholdWindow {
     /// Add one calibration day.
-    pub fn push_day(&mut self, day: DayRecords<'_>) {
+    pub fn push_day(&mut self, day: &DayLog) {
         let mut s = DaySamples::default();
         let mut per: BTreeMap<(AsnId, ActionType, AccountId), u32> = BTreeMap::new();
-        for (key, counts) in day.outbound {
+        for (key, counts) in day.outbound() {
             let traffic = s.kind_samples.entry(key.asn).or_default();
             traffic.push((key.account, counts.total_attempted()));
             for ty in THRESHOLD_TYPES {
@@ -117,7 +116,7 @@ impl ThresholdWindow {
         for ((asn, ty, account), n) in per {
             s.out_runs.entry((asn, ty)).or_default().push((n, account));
         }
-        for ((_, source), counts) in day.inbound {
+        for ((_, source), counts) in day.inbound() {
             let Some(asn) = *source else { continue };
             for ty in THRESHOLD_TYPES {
                 let n = counts.attempted_of(ty);
@@ -232,7 +231,7 @@ pub fn compute_thresholds(
     end: Day,
 ) -> ThresholdTable {
     let mut window = ThresholdWindow::default();
-    DayRecords::range(&platform.log, start, end).for_each(|day| window.push_day(day));
+    platform.log.iter_range(start, end).for_each(|day| window.push_day(day));
     window.evaluate(signatures, classification)
 }
 
@@ -248,7 +247,7 @@ fn per_account_daily_outbound(
     mut include: impl FnMut(AccountId) -> bool,
 ) -> Vec<u32> {
     let mut samples = Vec::new();
-    for (_, log) in platform.log.iter_range(start, end) {
+    for log in platform.log.iter_range(start, end) {
         let mut per_account: HashMap<AccountId, u32> = HashMap::new();
         for (key, counts) in log.outbound() {
             if key.asn == asn {
@@ -405,7 +404,7 @@ mod tests {
     /// The five synthetic days pushed into a window, evaluated.
     fn evaluate(p: &Platform, class: &Classification, sigs: &[ServiceSignature]) -> ThresholdTable {
         let mut window = ThresholdWindow::default();
-        for day in DayRecords::range(&p.log, Day(0), Day(5)) {
+        for day in p.log.iter_range(Day(0), Day(5)) {
             window.push_day(day);
         }
         window.evaluate(sigs, class)

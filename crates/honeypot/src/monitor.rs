@@ -30,7 +30,8 @@ pub fn summarize(
     end: Day,
 ) -> ActivitySummary {
     let mut s = ActivitySummary::default();
-    for (day, log) in platform.log.iter_range(start, end) {
+    for log in platform.log.iter_range(start, end) {
+        let day = log.day();
         let out: u64 = ActionType::ALL
             .iter()
             .map(|&ty| u64::from(log.outbound_attempted(account, ty)))
@@ -116,7 +117,7 @@ pub fn unrequested_action_types(
             let n: u64 = platform
                 .log
                 .iter_range(from, end)
-                .flat_map(|(_, log)| log.outbound())
+                .flat_map(|log| log.outbound())
                 .filter(|(k, _)| k.account == r.account && k.asn != home)
                 .map(|(_, c)| u64::from(c.attempted_of(ty)))
                 .sum();

@@ -78,7 +78,7 @@ pub fn measure(
                     }
                     // Outbound: the service's delivered+deferred actions of
                     // the requested type. Inbound: everything that landed.
-                    for (_, log) in platform.log.iter_range(start, end) {
+                    for log in platform.log.iter_range(start, end) {
                         for (k, counts) in log.outbound() {
                             if k.account == r.account {
                                 cell.outbound += u64::from(counts.visible_success_of(outbound));

@@ -50,13 +50,12 @@ pub const WALL_CLOCK_CRATES: &[&str] = &["obs", "bench"];
 
 /// Single files (outside [`WALL_CLOCK_CRATES`]) allowed to touch
 /// wall-clock. `sweep`'s manifest stamps job transitions with unix times,
-/// and `stream`'s event-log envelope stamps the recording time into the
-/// log header (`recorded_unix`); both stamps are bookkeeping for humans
-/// and never feed a digest or a replayed verdict. The sweep's per-job
-/// trace writes and ETA lines, and the stream's detector timing, need no
+/// bookkeeping for humans that never feeds a digest. The sweep's per-job
+/// trace writes and ETA lines, and the study's detector timing, need no
 /// exemption: they use `footsteps_obs::Stopwatch` and the obs exporter.
-pub const WALL_CLOCK_FILES: &[&str] =
-    &["crates/sweep/src/manifest.rs", "crates/stream/src/envelope.rs"];
+/// The stream event log carries no wall-clock stamp, so a recording
+/// depends only on its scenario.
+pub const WALL_CLOCK_FILES: &[&str] = &["crates/sweep/src/manifest.rs"];
 
 /// The only file allowed to construct RNGs from raw seeds in non-test code.
 pub const RNG_MODULE: &str = "crates/sim/src/rng.rs";

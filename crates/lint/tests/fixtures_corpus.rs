@@ -218,7 +218,7 @@ fn sweep_is_a_digest_crate_with_wall_clock_exemption() {
 }
 
 #[test]
-fn stream_is_a_digest_crate_with_envelope_wall_clock_exemption() {
+fn stream_is_a_digest_crate_without_a_wall_clock_exemption() {
     // The online detector replays byte-identically from a recorded log,
     // so `crates/stream/src` is held to the digest-crate determinism
     // rules: hash-order iteration there is a violation exactly as in
@@ -232,17 +232,16 @@ fn stream_is_a_digest_crate_with_envelope_wall_clock_exemption() {
         "findings: {iter:#?}"
     );
 
-    // The one scoped exemption: the envelope stamps `recorded_unix` into
-    // the log header with `SystemTime` — bookkeeping that never feeds a
-    // digest. Everywhere else in the crate (the sink's detector timing
-    // included) raw wall-clock stays a violation; timing goes through
+    // No file in the crate is exempt: the event-log header carries no
+    // wall-clock stamp, so raw wall-clock in the envelope is a violation
+    // like anywhere else in the crate, and timing goes through
     // `footsteps_obs::Stopwatch`.
-    let envelope = lint_one("crates/stream/src/envelope.rs", WALL_CLOCK);
-    assert!(by_rule(&envelope, Rule::WallClock).is_empty(), "findings: {envelope:#?}");
-    let sink = lint_one("crates/stream/src/sink.rs", WALL_CLOCK);
-    let sink_hits = by_rule(&sink, Rule::WallClock);
-    assert_eq!(sink_hits.len(), 2, "findings: {sink:#?}");
-    assert!(sink_hits.iter().all(|f| f.is_violation()));
+    for file in ["crates/stream/src/envelope.rs", "crates/stream/src/online.rs"] {
+        let findings = lint_one(file, WALL_CLOCK);
+        let hits = by_rule(&findings, Rule::WallClock);
+        assert_eq!(hits.len(), 2, "{file} findings: {findings:#?}");
+        assert!(hits.iter().all(|f| f.is_violation()), "{file}");
+    }
 }
 
 #[test]

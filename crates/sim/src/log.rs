@@ -6,6 +6,9 @@
 //! hourly like rates (paid-customer identification, §5.2), and per-event
 //! streams for honeypots (§4).
 //!
+//! A sealed [`DayLog`] is the run's one day record: the detection stages
+//! read it, and its JSON form is a line of the event log (DESIGN.md §8).
+//!
 //! Per the two-speed design, bulk activity is stored as **daily aggregates**
 //! and full [`ActionEvent`]s are retained only for accounts registered as
 //! *event-tracked*.
@@ -22,6 +25,8 @@
 //! queries switch to binary search over the sorted vector. Iteration order
 //! is therefore deterministic in both states — insertion order while open,
 //! key order once sealed.
+//! Days the event log holds ([`ActionLog::set_recorded`]) take no more
+//! writes, and serialization leaves them out.
 
 use crate::actions::{ActionEvent, ActionOutcome, ActionType, TypeCounts};
 use crate::fingerprint::ClientFingerprint;
@@ -72,6 +77,17 @@ impl PhotoDayLikes {
     }
 }
 
+/// Logins by one account via one ASN on one day.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LoginRecord {
+    /// The account that logged in.
+    pub account: AccountId,
+    /// The ASN the logins came from.
+    pub asn: AsnId,
+    /// Number of logins that day.
+    pub count: u32,
+}
+
 /// Sentinel for "no chain entry" in the open-day index.
 const NONE: u32 = u32::MAX;
 
@@ -115,9 +131,13 @@ fn head_of(heads: &[u32], account: AccountId) -> u32 {
 
 type InboundKey = (AccountId, InboundSource);
 
-/// Aggregated activity for a single day.
+/// Aggregated activity for a single day. Its JSON form is
+/// `{day, outbound, inbound, photo_likes, logins, events}`, rows in key
+/// order whether the day is open or sealed.
 #[derive(Debug, Clone, Default)]
 pub struct DayLog {
+    /// The day this record covers.
+    day: Day,
     /// Outbound records: insertion order while open, key order once sealed.
     out_records: Vec<(OutboundKey, TypeCounts)>,
     /// Inbound records, same ordering contract.
@@ -126,13 +146,36 @@ pub struct DayLog {
     /// (one entry per delivery burst), so an ordered map keeps iteration
     /// deterministic at no per-action cost.
     pub photo_likes: BTreeMap<MediaId, PhotoDayLikes>,
-    /// Full events for event-tracked accounts.
+    /// Login counts per `(account, asn)`, always in key order.
+    logins: Vec<LoginRecord>,
+    /// Full events for event-tracked accounts, in submission order.
     pub events: Vec<ActionEvent>,
     /// Chain index while this day is the open (written) day.
     open: Option<Box<OpenIndex>>,
 }
 
 impl DayLog {
+    /// An empty record of `day`.
+    pub fn new(day: Day) -> Self {
+        Self { day, ..Self::default() }
+    }
+
+    /// The day this record covers.
+    pub fn day(&self) -> Day {
+        self.day
+    }
+
+    /// This day's login counts, in `(account, asn)` order.
+    pub fn logins(&self) -> &[LoginRecord] {
+        &self.logins
+    }
+
+    /// Records (outbound + inbound + logins + events): the stream's unit.
+    pub fn record_count(&self) -> u64 {
+        (self.out_records.len() + self.in_records.len() + self.logins.len() + self.events.len())
+            as u64
+    }
+
     /// Iterate `(key, counts)` over this day's outbound records.
     pub fn outbound(&self) -> impl Iterator<Item = (&OutboundKey, &TypeCounts)> {
         self.out_records.iter().map(|(k, c)| (k, c))
@@ -141,16 +184,6 @@ impl DayLog {
     /// Iterate `(key, counts)` over this day's inbound records.
     pub fn inbound(&self) -> impl Iterator<Item = (&InboundKey, &TypeCounts)> {
         self.in_records.iter().map(|(k, c)| (k, c))
-    }
-
-    /// This day's outbound records as one slice (order as in [`Self::outbound`]).
-    pub fn outbound_records(&self) -> &[(OutboundKey, TypeCounts)] {
-        &self.out_records
-    }
-
-    /// This day's inbound records as one slice (order as in [`Self::inbound`]).
-    pub fn inbound_records(&self) -> &[(InboundKey, TypeCounts)] {
-        &self.in_records
     }
 
     /// Total outbound actions of `ty` attempted by `account` across all ASNs.
@@ -381,9 +414,11 @@ impl Serialize for DayLog {
         let mut inb = self.in_records.clone();
         inb.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         w.begin_object();
+        w.field("day", &self.day);
         w.field("outbound", &out);
         w.field("inbound", &inb);
         w.field("photo_likes", &self.photo_likes);
+        w.field("logins", &self.logins);
         w.field("events", &self.events);
         w.end_object();
     }
@@ -391,22 +426,27 @@ impl Serialize for DayLog {
 
 impl Deserialize for DayLog {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let (mut out, mut inb, mut likes, mut events) = (None, None, None, None);
+        let (mut day, mut out, mut inb, mut likes, mut logins, mut events) =
+            (None, None, None, None, None, None);
         r.begin_object()?;
         while let Some(key) = r.next_key()? {
             match &*key {
+                "day" => r.field(&mut day, "day")?,
                 "outbound" => r.field(&mut out, "outbound")?,
                 "inbound" => r.field(&mut inb, "inbound")?,
                 "photo_likes" => r.field(&mut likes, "photo_likes")?,
+                "logins" => r.field(&mut logins, "logins")?,
                 "events" => r.field(&mut events, "events")?,
                 _ => r.skip_value()?,
             }
         }
         let missing = |name| Error::missing_field(name, "DayLog");
         Ok(DayLog {
+            day: day.ok_or_else(|| missing("day"))?,
             out_records: out.ok_or_else(|| missing("outbound"))?,
             in_records: inb.ok_or_else(|| missing("inbound"))?,
             photo_likes: likes.ok_or_else(|| missing("photo_likes"))?,
+            logins: logins.ok_or_else(|| missing("logins"))?,
             events: events.ok_or_else(|| missing("events"))?,
             open: None,
         })
@@ -419,6 +459,13 @@ pub struct ActionLog {
     days: Vec<DayLog>,
     /// Index of the open (chain-indexed) day; days below it are sealed.
     open_idx: usize,
+    /// Days below this index are in the event log: they take no more
+    /// writes, and serialization leaves them out.
+    recorded: usize,
+    /// A write landed in a recorded day; [`ActionLog::set_recorded`] stops
+    /// the run there (a panic on the write itself would sit on the
+    /// engine's shard paths).
+    wrote_recorded: bool,
     /// `tracked[account]`: full per-action events are retained. Dense, so
     /// the per-event check costs one bounds-checked load.
     event_tracked: Vec<bool>,
@@ -448,23 +495,67 @@ impl ActionLog {
     /// Mutable day record, growing the log as needed. Advancing to a later
     /// day seals every earlier day (sorts its records, drops its chain
     /// index); writes to an already-sealed day fall back to sorted upserts.
+    /// A write into a day the event log holds is refused at the next
+    /// [`ActionLog::set_recorded`], so memory and log never diverge.
     pub fn day_mut(&mut self, day: Day) -> &mut DayLog {
         let idx = day.0 as usize;
-        if idx >= self.days.len() {
-            self.days.resize_with(idx + 1, DayLog::default);
+        self.wrote_recorded |= idx < self.recorded;
+        if idx > self.open_idx {
+            self.seal(Day(day.0 - 1));
         }
-        if idx >= self.open_idx {
-            if idx > self.open_idx {
-                for d in &mut self.days[self.open_idx..idx] {
-                    d.seal();
-                }
-                self.open_idx = idx;
-            }
-            if !self.days[idx].is_open() {
-                self.days[idx].open_for_writes();
-            }
+        self.grow_to(idx);
+        if idx >= self.open_idx && !self.days[idx].is_open() {
+            self.days[idx].open_for_writes();
         }
         &mut self.days[idx]
+    }
+
+    /// Materialize empty records through day index `idx`.
+    fn grow_to(&mut self, idx: usize) {
+        let len = self.days.len();
+        if idx >= len {
+            self.days.extend((len..=idx).map(|d| DayLog::new(Day(d as u32))));
+        }
+    }
+
+    /// Seal every day through `day` (materialized if empty) and return it,
+    /// in key order as the event log holds it.
+    pub fn seal(&mut self, day: Day) -> &DayLog {
+        let idx = day.0 as usize;
+        self.grow_to(idx);
+        if idx >= self.open_idx {
+            for d in &mut self.days[self.open_idx..=idx] {
+                d.seal();
+            }
+            self.open_idx = idx + 1;
+        }
+        &self.days[idx]
+    }
+
+    /// Mark the sealed days before `end` as held by the event log.
+    ///
+    /// # Panics
+    /// Panics if a write landed in a day the event log already held.
+    pub fn set_recorded(&mut self, end: Day) {
+        let end = end.0 as usize;
+        assert!(!self.wrote_recorded, "a write landed in a day the event log holds");
+        assert!(end <= self.open_idx, "only sealed days can be recorded");
+        self.recorded = self.recorded.max(end);
+    }
+
+    /// The first day the event log does not hold.
+    pub fn recorded(&self) -> Day {
+        Day(self.recorded as u32)
+    }
+
+    /// Put back the days serialization left out: `days` are days
+    /// `0..recorded()` as the event log reader returns them.
+    pub fn splice_recorded(&mut self, days: Vec<DayLog>) -> Result<(), String> {
+        if days.len() != self.recorded {
+            return Err(format!("{} logged days, the study needs {}", days.len(), self.recorded));
+        }
+        self.days.splice(..self.recorded, days);
+        Ok(())
     }
 
     /// Day record, if the day is within the log's range.
@@ -478,14 +569,10 @@ impl ActionLog {
         Day(self.days.len() as u32)
     }
 
-    /// Iterate `(day, record)` over `[start, end)` intersected with the log.
-    pub fn iter_range(&self, start: Day, end: Day) -> impl Iterator<Item = (Day, &DayLog)> {
-        let lo = start.0 as usize;
+    /// The day records over `[start, end)` intersected with the log.
+    pub fn iter_range(&self, start: Day, end: Day) -> impl Iterator<Item = &DayLog> {
         let hi = (end.0 as usize).min(self.days.len());
-        self.days[lo.min(hi)..hi]
-            .iter()
-            .enumerate()
-            .map(move |(i, d)| (Day((lo + i) as u32), d))
+        self.days[(start.0 as usize).min(hi)..hi].iter()
     }
 
     /// Record `n` outbound actions for `(actor, asn, fingerprint)` on `day`.
@@ -551,6 +638,15 @@ impl ActionLog {
             .add_burst(total, max_hourly);
     }
 
+    /// Count one login by `account` via `asn` on `day`.
+    pub fn record_login(&mut self, day: Day, account: AccountId, asn: AsnId) {
+        let logins = &mut self.day_mut(day).logins;
+        match logins.binary_search_by(|r| (r.account, r.asn).cmp(&(account, asn))) {
+            Ok(i) => logins[i].count += 1,
+            Err(i) => logins.insert(i, LoginRecord { account, asn, count: 1 }),
+        }
+    }
+
     /// Append a full event if either endpoint is event-tracked; returns
     /// whether it was retained. (Aggregates must be recorded separately —
     /// the log does not double-count on your behalf.)
@@ -576,21 +672,21 @@ impl ActionLog {
         mut pred: impl FnMut(&ActionEvent) -> bool + 'a,
     ) -> impl Iterator<Item = &'a ActionEvent> {
         self.iter_range(start, end)
-            .flat_map(|(_, d)| d.events.iter())
+            .flat_map(|d| d.events.iter())
             .filter(move |e| pred(e))
     }
 
     /// Sum of outbound attempted actions of `ty` by `actor` over `[start, end)`.
     pub fn total_outbound(&self, actor: AccountId, ty: ActionType, start: Day, end: Day) -> u64 {
         self.iter_range(start, end)
-            .map(|(_, d)| u64::from(d.outbound_attempted(actor, ty)))
+            .map(|d| u64::from(d.outbound_attempted(actor, ty)))
             .sum()
     }
 
     /// Sum of delivered inbound actions of `ty` to `target` over `[start, end)`.
     pub fn total_inbound(&self, target: AccountId, ty: ActionType, start: Day, end: Day) -> u64 {
         self.iter_range(start, end)
-            .filter_map(|(_, d)| d.inbound_of(target))
+            .filter_map(|d| d.inbound_of(target))
             .map(|c| u64::from(c.delivered[ty.index()]))
             .sum()
     }
@@ -606,28 +702,37 @@ impl Serialize for ActionLog {
             .map(|(i, _)| AccountId(i as u32))
             .collect();
         w.begin_object();
-        w.field("days", &self.days);
+        w.field("recorded", &self.recorded);
+        w.field("days", &self.days[self.recorded..]);
         w.field("event_tracked", &tracked);
         w.end_object();
     }
 }
 
 impl Deserialize for ActionLog {
+    /// The event log's days come back empty until
+    /// [`ActionLog::splice_recorded`] puts them in.
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let (mut days, mut tracked) = (None, None);
+        let (mut recorded, mut days, mut tracked) = (None, None, None);
         r.begin_object()?;
         while let Some(key) = r.next_key()? {
             match &*key {
+                "recorded" => r.field(&mut recorded, "recorded")?,
                 "days" => r.field(&mut days, "days")?,
                 "event_tracked" => r.field(&mut tracked, "event_tracked")?,
                 _ => r.skip_value()?,
             }
         }
         let missing = |name| Error::missing_field(name, "ActionLog");
-        let days: Vec<DayLog> = days.ok_or_else(|| missing("days"))?;
+        let recorded: usize = recorded.ok_or_else(|| missing("recorded"))?;
+        let later: Vec<DayLog> = days.ok_or_else(|| missing("days"))?;
         let tracked: Vec<AccountId> = tracked.ok_or_else(|| missing("event_tracked"))?;
+        let mut days: Vec<DayLog> = (0..recorded).map(|d| DayLog::new(Day(d as u32))).collect();
+        days.extend(later);
         let mut log = ActionLog {
-            open_idx: days.len().saturating_sub(1),
+            open_idx: days.len().saturating_sub(1).max(recorded),
+            recorded,
+            wrote_recorded: false,
             days,
             event_tracked: Vec::new(),
         };
@@ -674,7 +779,7 @@ mod tests {
         assert_eq!(at1.blocked_of(ActionType::Like), 3);
         assert_eq!(at1.attempted_of(ActionType::Like), 5);
         // Fingerprints remain distinguishable in the raw records.
-        assert_eq!(d.outbound_records().len(), 3);
+        assert_eq!(d.outbound().count(), 3);
         assert_eq!(log.total_outbound(a, ActionType::Like, Day(0), Day(1)), 10);
     }
 
@@ -732,7 +837,7 @@ mod tests {
     fn iter_range_clamps_to_log() {
         let mut log = ActionLog::new();
         log.record_inbound(Day(0), AccountId(0), None, ActionType::Like, 1);
-        let collected: Vec<Day> = log.iter_range(Day(0), Day(100)).map(|(d, _)| d).collect();
+        let collected: Vec<Day> = log.iter_range(Day(0), Day(100)).map(DayLog::day).collect();
         assert_eq!(collected, vec![Day(0)]);
         assert_eq!(log.iter_range(Day(5), Day(2)).count(), 0);
     }
@@ -790,6 +895,17 @@ mod tests {
         assert_eq!(d2.outbound_attempted(AccountId(4), ActionType::Like), 2);
         let accounts: Vec<u32> = d2.outbound().map(|(k, _)| k.account.0).collect();
         assert_eq!(accounts, vec![4, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a write landed in a day the event log holds")]
+    fn writes_into_recorded_days_stop_the_recording() {
+        let mut log = ActionLog::new();
+        log.seal(Day(1));
+        log.set_recorded(Day(2));
+        log.record_inbound(Day(0), AccountId(1), None, ActionType::Like, 1);
+        log.seal(Day(2));
+        log.set_recorded(Day(3));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::enforcement::{
 use crate::fingerprint::ClientFingerprint;
 use crate::graph::SocialGraph;
 use crate::ids::{AccountId, AsnId, MediaId, ServiceId};
-use crate::log::{ActionLog, DayLog};
+use crate::log::ActionLog;
 use crate::net::{AsnRegistry, IpAddr4};
 use crate::time::{Day, SimClock, SimTime, SECS_PER_DAY};
 use rand::rngs::SmallRng;
@@ -267,38 +267,6 @@ fn day_queue<T>(queue: &mut Vec<Vec<T>>, day: Day) -> &mut Vec<T> {
     &mut queue[idx]
 }
 
-/// Observer of the platform's committed activity stream.
-///
-/// A sink sees each simulated day exactly once, *after* the engine has
-/// fully written it: [`Platform::begin_day`] drains every day strictly
-/// before the day being opened, and the study epilogue flushes the tail
-/// via [`Platform::drain_sink_through`]. Logins are forwarded as they
-/// are recorded (the serial mutation path, so call order is
-/// deterministic for any worker-thread count).
-///
-/// The installed sink is *observability*: it is excluded from
-/// serialization exactly like the enforcement policy and the obs
-/// recorder, must never mutate platform state, and must never feed the
-/// deterministic results — the golden-digest suite pins that a recorder
-/// sink leaves the study byte-identical.
-pub trait EventSink: std::fmt::Debug + Send + Sync {
-    /// The next day this sink expects (its drain cursor). Days are
-    /// delivered in order with no gaps; a day with no activity is
-    /// delivered with `log == None`.
-    fn next_day(&self) -> Day;
-
-    /// A login by `account` via `asn`, observed during `day`.
-    fn on_login(&mut self, day: Day, account: AccountId, asn: AsnId);
-
-    /// Day `day` is complete: no further records can be written to it.
-    fn on_day_complete(&mut self, day: Day, log: Option<&DayLog>);
-
-    /// Recover the concrete sink type after [`Platform::take_sink`]
-    /// (`Box<dyn EventSink>` cannot be downcast directly). Implementors
-    /// return `self`.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-}
-
 /// Take (and empty) a day's queue without disturbing the table shape.
 fn take_day_queue<T>(queue: &mut Vec<Vec<T>>, day: Day) -> Vec<T> {
     queue
@@ -336,11 +304,6 @@ pub struct Platform {
     pub obs: footsteps_obs::Recorder,
     #[serde(skip)]
     policy: Box<dyn EnforcementPolicy>,
-    /// Event-stream observer (`footsteps-stream` recorder / online
-    /// detector). Skipped like `policy`: a sink is reinstalled by whoever
-    /// owns the study, never resurrected from a checkpoint.
-    #[serde(skip)]
-    sink: Option<Box<dyn EventSink>>,
     /// The day `ip_used` counts.
     ip_day: Day,
     /// Delivered volume per source IP on `ip_day`: only the IPs that
@@ -371,7 +334,6 @@ impl Platform {
             config,
             obs: footsteps_obs::Recorder::from_env(),
             policy: Box::new(NoEnforcement),
-            sink: None,
             ip_day: Day(0),
             ip_used: HashMap::new(),
             pending_removals: Vec::new(),
@@ -408,41 +370,10 @@ impl Platform {
         self.policy = policy;
     }
 
-    /// Install an event sink (replacing any previous one). Days strictly
-    /// before the sink's `next_day` cursor are never replayed to it.
-    pub fn set_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Remove and return the installed event sink, if any.
-    pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
-    }
-
-    /// Deliver every completed day in `[sink.next_day(), end)` to the
-    /// installed sink. `begin_day` calls this with the day being opened;
-    /// the study calls it once more past the final day so the tail of the
-    /// run is flushed.
-    pub fn drain_sink_through(&mut self, end: Day) {
-        // Move the sink out for the loop: it borrows mutably while the
-        // log is read immutably.
-        let Some(mut sink) = self.sink.take() else {
-            return;
-        };
-        while sink.next_day() < end {
-            let day = sink.next_day();
-            sink.on_day_complete(day, self.log.day(day));
-        }
-        self.sink = Some(sink);
-    }
-
     /// Advance to the start of `day` and apply everything scheduled for it:
     /// delayed removals first (undoing yesterday's flagged follows), then
     /// matured organic reciprocations.
     pub fn begin_day(&mut self, day: Day) {
-        // Everything before `day` is now immutable history: stream it to
-        // the sink before the new day opens.
-        self.drain_sink_through(day);
         self.clock.advance_to_day(day);
         self.apply_removals(day);
         self.apply_responses(day);
@@ -481,9 +412,7 @@ impl Platform {
     /// Record a login by `account` from an arbitrary ASN (services log into
     /// customer accounts from their own networks, "infrequently", §5.1).
     pub fn record_login_via(&mut self, account: AccountId, asn: AsnId) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.on_login(self.clock.today(), account, asn);
-        }
+        self.log.record_login(self.clock.today(), account, asn);
         let country = self.asns.get(asn).country;
         let idx = account.index();
         if idx >= self.logins.len() {

@@ -1,31 +1,32 @@
-//! The recorded event-log envelope: a versioned JSONL file with one
-//! header line followed by one [`EventBatch`] line per simulated day.
+//! The recorded event log: a versioned JSONL file with one header line
+//! followed by one sealed [`DayLog`] line per simulated day, day 0 first.
 //!
-//! The format is deliberately close to the sweep checkpoint discipline
-//! (DESIGN.md §7): a `schema_version` field guards every read, writes go
-//! to a `.tmp` sibling and are atomically renamed into place on finish,
-//! and corruption surfaces as a typed error instead of a panic. The
-//! header carries everything a replay needs to rebuild the online
-//! detector from scratch — the honeypot roster, the calibration window,
-//! and the seed — so a recorded log is self-contained.
+//! The header carries everything a replay needs to rebuild the online
+//! detector — the honeypot roster, the calibration window and the seed —
+//! and nothing else, so a recording of the same world has the same bytes.
 //!
-//! The `recorded_unix` stamp is wall-clock bookkeeping for humans (like
-//! the sweep manifest's job stamps); it never feeds a digest or a
-//! detector decision, which is why this file carries the scoped
-//! wall-clock lint exemption.
+//! A study appends each day as it seals, straight to the final path. A
+//! sweep checkpoint names a [`LogPrefix`] instead of embedding those days
+//! (DESIGN.md §7); [`EventLogWriter::resume`] verifies the prefix, cuts
+//! off what a killed run appended after it, and reopens the log. A
+//! `schema_version` field guards every read, and corruption surfaces as a
+//! typed error instead of a panic.
 
-use footsteps_detect::DayRecords;
 pub use footsteps_detect::RosterEntry;
+use footsteps_obs::tree::{fnv1a_extend, FNV1A_EMPTY};
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Version stamp written into every log header. Bump on any change to the
 /// header or batch schema; readers refuse mismatched logs.
-pub const STREAM_SCHEMA_VERSION: u32 = 1;
+///
+/// v2: a batch line is the sealed `DayLog` itself, which adds its
+/// `photo_likes`, and the header lost its wall-clock `recorded_unix`.
+pub const STREAM_SCHEMA_VERSION: u32 = 2;
 
 /// Errors from recording or replaying an event log.
 #[derive(Debug)]
@@ -78,7 +79,7 @@ impl From<std::io::Error> for StreamError {
 /// The first line of a recorded log: everything replay needs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LogHeader {
-    /// Schema stamp, checked on read.
+    /// Schema stamp ([`STREAM_SCHEMA_VERSION`]), checked on read.
     pub schema_version: u32,
     /// Scenario seed, for provenance.
     pub seed: u64,
@@ -91,152 +92,134 @@ pub struct LogHeader {
     pub window_days: u32,
     /// The honeypot roster the detector matches signatures from.
     pub roster: Vec<RosterEntry>,
-    /// Unix seconds when recording started. Human bookkeeping only.
-    pub recorded_unix: u64,
 }
 
-impl LogHeader {
-    /// A header for a fresh recording, stamped with the current wall time.
-    pub fn new(
-        seed: u64,
-        calibration_start: Day,
-        calibration_end: Day,
-        window_days: u32,
-        roster: Vec<RosterEntry>,
-    ) -> Self {
-        let recorded_unix = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        Self {
-            schema_version: STREAM_SCHEMA_VERSION,
-            seed,
-            calibration_start,
-            calibration_end,
-            window_days,
-            roster,
-            recorded_unix,
-        }
-    }
-}
-
-/// One login observation aggregated per day: `account` logged in via
-/// `asn` `count` times during the batch's day.
+/// The start of a log: its header and first `batches` day lines, which
+/// take `bytes` bytes with FNV-1a digest `fnv1a`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LoginRecord {
-    /// The account that logged in.
-    pub account: AccountId,
-    /// The ASN the login came from.
-    pub asn: AsnId,
-    /// Number of logins that day.
-    pub count: u32,
+pub struct LogPrefix {
+    /// Day lines after the header.
+    pub batches: u64,
+    /// Length in bytes, header included.
+    pub bytes: u64,
+    /// FNV-1a of those bytes.
+    pub fnv1a: u64,
 }
 
-/// Everything the platform emitted for one day, in canonical (sorted) key
-/// order so the recorded bytes — and therefore the replayed verdicts —
-/// are identical for any `FOOTSTEPS_THREADS`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EventBatch {
-    /// The day this batch covers.
-    pub day: Day,
-    /// Per `(account, asn, fingerprint)` outbound tallies, sorted by key.
-    /// [`TypeCounts`] carries the enforcement outcome of every attempt
-    /// (delivered/blocked/deferred/rate-limited) per action type.
-    pub outbound: Vec<(OutboundKey, TypeCounts)>,
-    /// Per `(recipient, source)` inbound tallies, sorted by key.
-    pub inbound: Vec<((AccountId, Option<AsnId>), TypeCounts)>,
-    /// Logins observed during the day, sorted by `(account, asn)`.
-    pub logins: Vec<LoginRecord>,
-    /// Full events of tracked (honeypot) accounts, in platform submission
-    /// order — already thread-invariant by the engine's digest contract.
-    pub events: Vec<ActionEvent>,
-}
-
-impl EventBatch {
-    /// Build a canonical batch from a sealed-or-open [`DayLog`] plus the
-    /// day's aggregated logins. `log == None` means a day with no activity.
-    pub fn from_day(day: Day, log: Option<&DayLog>, logins: Vec<LoginRecord>) -> Self {
-        let mut batch = EventBatch { day, logins, ..EventBatch::default() };
-        if let Some(log) = log {
-            batch.outbound = log.outbound().map(|(k, c)| (*k, *c)).collect();
-            batch.outbound.sort_unstable_by_key(|(k, _)| *k);
-            batch.inbound = log.inbound().map(|(k, c)| (*k, *c)).collect();
-            batch.inbound.sort_unstable_by_key(|(k, _)| *k);
-            batch.events = log.events.clone();
-        }
-        batch
-    }
-
-    /// The batch as the detection stages read a day.
-    pub fn records(&self) -> DayRecords<'_> {
-        DayRecords {
-            day: self.day,
-            outbound: &self.outbound,
-            inbound: &self.inbound,
-            events: &self.events,
-        }
-    }
-
-    /// Number of records in this batch (outbound + inbound + logins +
-    /// events) — the unit the perf harness reports events/sec over.
-    pub fn record_count(&self) -> u64 {
-        (self.outbound.len() + self.inbound.len() + self.logins.len() + self.events.len()) as u64
-    }
-}
-
-/// Incremental writer: header + one line per batch, staged in a `.tmp`
-/// sibling until [`EventLogWriter::finish`] renames it into place. Every
-/// line is encoded into one reused buffer.
+/// Appends a header and then one line per sealed day to a log file. Every
+/// line is encoded into one reused buffer, and the writer keeps the
+/// [`LogPrefix`] of what it has written.
 #[derive(Debug)]
 pub struct EventLogWriter {
     out: BufWriter<File>,
     line: String,
-    tmp: PathBuf,
     path: PathBuf,
+    written: LogPrefix,
 }
 
 impl EventLogWriter {
-    /// Start a recording at `path` (staged at `path.tmp` until finished).
+    /// Start a recording at `path`, replacing any file there.
     pub fn create(path: &Path, header: &LogHeader) -> Result<Self, StreamError> {
-        let tmp = footsteps_obs::atomic::tmp_sibling(path);
-        let file = File::create(&tmp)?;
-        let mut writer =
-            Self { out: BufWriter::new(file), line: String::new(), tmp, path: path.to_path_buf() };
+        let empty = LogPrefix { batches: 0, bytes: 0, fnv1a: FNV1A_EMPTY };
+        let mut writer = Self::over(File::create(path)?, path, empty);
         writer.write_line(header)?;
         Ok(writer)
     }
 
-    /// Append one day's batch.
-    pub fn append(&mut self, batch: &EventBatch) -> Result<(), StreamError> {
-        self.write_line(batch)
+    /// Reopen the log at `path` after `prefix` (a sweep resume), returning
+    /// the prefix's days. The prefix must parse and match its length and
+    /// digest; what follows it (whole or torn lines of a killed run) is cut
+    /// off. A short or altered prefix is [`StreamError::Corrupt`].
+    pub fn resume(path: &Path, prefix: LogPrefix) -> Result<(Vec<DayLog>, Self), StreamError> {
+        let mut reader = EventLogReader::open(path)?;
+        let mut days = Vec::new();
+        while (days.len() as u64) < prefix.batches {
+            let Some(day) = reader.next_batch()? else {
+                return Err(StreamError::Corrupt(format!(
+                    "the log ends after {} of the {} recorded days",
+                    days.len(),
+                    prefix.batches
+                )));
+            };
+            days.push(day);
+        }
+        let bytes = reader.lines.bytes;
+        drop(reader);
+        let mut fnv1a = FNV1A_EMPTY;
+        let mut head = File::open(path)?.take(bytes);
+        let mut buf = vec![0u8; 1 << 16];
+        loop {
+            let n = head.read(&mut buf)?;
+            if n == 0 {
+                break;
+            }
+            fnv1a = fnv1a_extend(fnv1a, &buf[..n]);
+        }
+        let found = LogPrefix { batches: prefix.batches, bytes, fnv1a };
+        if found != prefix {
+            return Err(StreamError::Corrupt(format!(
+                "its first {} days take {bytes} bytes with FNV-1a {fnv1a:#018x}, \
+                 the checkpoint recorded {} bytes with {:#018x}",
+                prefix.batches, prefix.bytes, prefix.fnv1a
+            )));
+        }
+        let file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(prefix.bytes)?;
+        Ok((days, Self::over(file, path, prefix)))
     }
 
-    fn write_line<T: Serialize>(&mut self, value: &T) -> Result<(), StreamError> {
+    fn over(file: File, path: &Path, written: LogPrefix) -> Self {
+        Self { out: BufWriter::new(file), line: String::new(), path: path.to_path_buf(), written }
+    }
+
+    /// Append one sealed day.
+    pub fn append(&mut self, day: &DayLog) -> Result<(), StreamError> {
+        self.write_line(day)?;
+        self.written.batches += 1;
+        Ok(())
+    }
+
+    fn write_line<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), StreamError> {
         let mut w = serde::Writer::with_buffer(std::mem::take(&mut self.line), false);
         value.serialize(&mut w);
         self.line = w.into_string();
         self.line.push('\n');
         self.out.write_all(self.line.as_bytes())?;
+        self.written.bytes += self.line.len() as u64;
+        self.written.fnv1a = fnv1a_extend(self.written.fnv1a, self.line.as_bytes());
         Ok(())
     }
 
-    /// Flush and atomically move the staged file to its final path.
+    /// Push everything appended so far to the file.
+    pub fn flush(&mut self) -> Result<(), StreamError> {
+        Ok(self.out.flush()?)
+    }
+
+    /// The prefix written so far (on disk once [`EventLogWriter::flush`]ed).
+    pub fn prefix(&self) -> LogPrefix {
+        self.written
+    }
+
+    /// The log's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Flush and close the log, returning its path.
     pub fn finish(mut self) -> Result<PathBuf, StreamError> {
-        self.out.flush()?;
-        drop(self.out);
-        fs::rename(&self.tmp, &self.path)?;
+        self.flush()?;
         Ok(self.path)
     }
 }
 
-/// Reader over a finished log: validates the header, then yields batches.
+/// Reader over a log: validates the header, then yields its days.
 ///
 /// The writer never writes a blank line. Blank lines at the end of the
 /// file are tolerated; a blank line with batches after it is corruption,
 /// since stopping there would silently drop the rest of the log.
 ///
-/// The platform drains days in order from day 0, so batch `n` is day `n`.
-/// A batch for any other day (a gap, a swapped or a repeated line) is
+/// Days are recorded in order from day 0, so batch `n` is day `n`. A
+/// batch for any other day (a gap, a swapped or a repeated line) is
 /// corruption too.
 #[derive(Debug)]
 pub struct EventLogReader {
@@ -248,8 +231,12 @@ pub struct EventLogReader {
 impl EventLogReader {
     /// Open `path`, parse and validate the header line.
     pub fn open(path: &Path) -> Result<Self, StreamError> {
-        let mut lines =
-            LineBuffer { input: BufReader::new(File::open(path)?), line: Vec::new(), line_no: 0 };
+        let mut lines = LineBuffer {
+            input: BufReader::new(File::open(path)?),
+            line: Vec::new(),
+            line_no: 0,
+            bytes: 0,
+        };
         let Some((_, first)) = lines.next()? else {
             return Err(StreamError::Corrupt("empty file (no header line)".into()));
         };
@@ -269,8 +256,8 @@ impl EventLogReader {
         &self.header
     }
 
-    /// The next day's batch, or `None` at end of log.
-    pub fn next_batch(&mut self) -> Result<Option<EventBatch>, StreamError> {
+    /// The next day, or `None` at end of log.
+    pub fn next_batch(&mut self) -> Result<Option<DayLog>, StreamError> {
         let Some((line_no, text)) = self.lines.next()? else { return Ok(None) };
         if text.trim().is_empty() {
             while let Some((_, rest)) = self.lines.next()? {
@@ -282,16 +269,17 @@ impl EventLogReader {
             }
             return Ok(None);
         }
-        let batch: EventBatch = serde_json::from_str(text)
+        let day: DayLog = serde_json::from_str(text)
             .map_err(|e| StreamError::Corrupt(format!("line {line_no}: {e}")))?;
-        if batch.day != self.next_day {
+        if day.day() != self.next_day {
             return Err(StreamError::Corrupt(format!(
                 "line {line_no}: {} where {} was expected",
-                batch.day, self.next_day
+                day.day(),
+                self.next_day
             )));
         }
-        self.next_day = batch.day.next();
-        Ok(Some(batch))
+        self.next_day = day.day().next();
+        Ok(Some(day))
     }
 }
 
@@ -301,6 +289,8 @@ struct LineBuffer {
     input: BufReader<File>,
     line: Vec<u8>,
     line_no: usize,
+    /// Bytes of the lines read so far.
+    bytes: u64,
 }
 
 impl LineBuffer {
@@ -311,6 +301,7 @@ impl LineBuffer {
             return Ok(None);
         }
         self.line_no += 1;
+        self.bytes += self.line.len() as u64;
         match std::str::from_utf8(&self.line) {
             Ok(text) => Ok(Some((self.line_no, text))),
             Err(e) => Err(StreamError::Corrupt(format!("line {}: {e}", self.line_no))),
@@ -321,6 +312,7 @@ impl LineBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -329,47 +321,109 @@ mod tests {
     }
 
     fn sample_header() -> LogHeader {
-        LogHeader::new(
-            7,
-            Day(2),
-            Day(10),
-            8,
-            vec![RosterEntry { account: AccountId(3), home_asn: AsnId(1), service: ServiceId::Boostgram }],
-        )
+        LogHeader {
+            schema_version: STREAM_SCHEMA_VERSION,
+            seed: 7,
+            calibration_start: Day(2),
+            calibration_end: Day(10),
+            window_days: 8,
+            roster: vec![RosterEntry {
+                account: AccountId(3),
+                home_asn: AsnId(1),
+                service: ServiceId::Boostgram,
+            }],
+        }
+    }
+
+    /// Days `0..n`, sealed, with one login on day 0.
+    fn days(n: u32) -> Vec<DayLog> {
+        let mut log = ActionLog::new();
+        log.record_login(Day(0), AccountId(3), AsnId(1));
+        log.record_login(Day(0), AccountId(3), AsnId(1));
+        (0..n).map(|d| log.seal(Day(d)).clone()).collect()
+    }
+
+    fn json(day: &DayLog) -> String {
+        serde_json::to_string(day).unwrap()
+    }
+
+    /// Record `days` at `path` and return its full prefix.
+    fn record(path: &Path, days: &[DayLog]) -> LogPrefix {
+        let mut w = EventLogWriter::create(path, &sample_header()).unwrap();
+        for day in days {
+            w.append(day).unwrap();
+        }
+        let prefix = w.prefix();
+        w.finish().unwrap();
+        prefix
     }
 
     #[test]
     fn roundtrip_header_and_batches() {
         let path = tmp_path("roundtrip");
-        let header = sample_header();
-        let mut w = EventLogWriter::create(&path, &header).unwrap();
-        let mut b0 = EventBatch { day: Day(0), ..EventBatch::default() };
-        b0.logins.push(LoginRecord { account: AccountId(3), asn: AsnId(1), count: 2 });
-        w.append(&b0).unwrap();
-        let b1 = EventBatch { day: Day(1), ..EventBatch::default() };
-        w.append(&b1).unwrap();
-        let final_path = w.finish().unwrap();
-        assert_eq!(final_path, path);
+        let days = days(2);
+        let login = LoginRecord { account: AccountId(3), asn: AsnId(1), count: 2 };
+        assert_eq!(days[0].logins(), [login]);
+        let prefix = record(&path, &days);
+        assert_eq!(prefix.batches, 2);
+        assert_eq!(prefix.bytes, fs::metadata(&path).unwrap().len());
 
         let mut r = EventLogReader::open(&path).unwrap();
         assert_eq!(r.header().schema_version, STREAM_SCHEMA_VERSION);
         assert_eq!(r.header().seed, 7);
         assert_eq!(r.header().roster.len(), 1);
-        assert_eq!(r.next_batch().unwrap().unwrap(), b0);
-        assert_eq!(r.next_batch().unwrap().unwrap(), b1);
+        assert_eq!(json(&r.next_batch().unwrap().unwrap()), json(&days[0]));
+        assert_eq!(json(&r.next_batch().unwrap().unwrap()), json(&days[1]));
         assert!(r.next_batch().unwrap().is_none());
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn unfinished_recording_leaves_no_final_file() {
-        let path = tmp_path("unfinished");
-        let w = EventLogWriter::create(&path, &sample_header()).unwrap();
-        assert!(!path.exists(), "final path must not exist before finish()");
-        drop(w);
-        let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-        assert!(tmp.exists());
-        fs::remove_file(&tmp).unwrap();
+    fn resume_cuts_the_tail_after_the_prefix() {
+        let path = tmp_path("resume");
+        let days = days(3);
+        let two = record(&path, &days[..2]);
+        let whole = record(&path, &days);
+        // What a kill mid-phase leaves: the prefix, a whole day, a torn line.
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str("{\"day\":3,\"outb");
+        fs::write(&path, text).unwrap();
+
+        let (read, mut w) = EventLogWriter::resume(&path, two).unwrap();
+        let lines = |days: &[DayLog]| days.iter().map(json).collect::<Vec<_>>();
+        assert_eq!(lines(&read), lines(&days[..2]));
+        assert_eq!(fs::metadata(&path).unwrap().len(), two.bytes);
+        w.append(&days[2]).unwrap();
+        assert_eq!(w.prefix(), whole);
+        w.finish().unwrap();
+        assert_eq!(EventLogWriter::resume(&path, whole).unwrap().1.prefix(), whole);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_a_short_or_altered_prefix() {
+        let path = tmp_path("refuse");
+        let prefix = record(&path, &days(2));
+        let good = fs::read(&path).unwrap();
+        let header_len = good.iter().position(|&b| b == b'\n').unwrap() + 1;
+
+        // Short: the last day line is gone.
+        let last_line = good[..good.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        fs::write(&path, &good[..last_line]).unwrap();
+        assert!(matches!(EventLogWriter::resume(&path, prefix), Err(StreamError::Corrupt(_))));
+
+        // One byte altered inside the prefix, still parsing: the digest catches it.
+        let mut altered = good.clone();
+        let at = header_len + altered[header_len..].iter().position(|&b| b == b'3').unwrap();
+        altered[at] = b'4';
+        fs::write(&path, &altered).unwrap();
+        match EventLogWriter::resume(&path, prefix) {
+            Err(StreamError::Corrupt(msg)) => assert!(msg.contains("FNV-1a"), "{msg}"),
+            other => panic!("expected a digest mismatch, got {other:?}"),
+        }
+
+        fs::remove_file(&path).unwrap();
+        assert!(matches!(EventLogWriter::resume(&path, prefix), Err(StreamError::Io(_))));
     }
 
     #[test]
@@ -391,18 +445,14 @@ mod tests {
     #[test]
     fn blank_line_between_batches_is_corrupt() {
         let path = tmp_path("blank");
-        let mut w = EventLogWriter::create(&path, &sample_header()).unwrap();
-        let b0 = EventBatch { day: Day(0), ..EventBatch::default() };
-        let b1 = EventBatch { day: Day(1), ..EventBatch::default() };
-        w.append(&b0).unwrap();
-        w.append(&b1).unwrap();
-        w.finish().unwrap();
+        let days = days(2);
+        record(&path, &days);
         // Splice an empty line between the two batch lines (line 3).
         let text = fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         fs::write(&path, format!("{}\n{}\n\n{}\n", lines[0], lines[1], lines[2])).unwrap();
         let mut r = EventLogReader::open(&path).unwrap();
-        assert_eq!(r.next_batch().unwrap().unwrap(), b0);
+        assert_eq!(json(&r.next_batch().unwrap().unwrap()), json(&days[0]));
         match r.next_batch() {
             Err(StreamError::Corrupt(msg)) => assert!(msg.contains("line 3"), "{msg}"),
             other => panic!("expected corrupt error, got {other:?}"),
@@ -413,15 +463,13 @@ mod tests {
     #[test]
     fn trailing_blank_lines_end_the_log() {
         let path = tmp_path("trailing");
-        let mut w = EventLogWriter::create(&path, &sample_header()).unwrap();
-        let b0 = EventBatch { day: Day(0), ..EventBatch::default() };
-        w.append(&b0).unwrap();
-        w.finish().unwrap();
+        let days = days(1);
+        record(&path, &days);
         let mut contents = fs::read_to_string(&path).unwrap();
         contents.push_str("\n \n");
         fs::write(&path, contents).unwrap();
         let mut r = EventLogReader::open(&path).unwrap();
-        assert_eq!(r.next_batch().unwrap().unwrap(), b0);
+        assert_eq!(json(&r.next_batch().unwrap().unwrap()), json(&days[0]));
         assert!(r.next_batch().unwrap().is_none());
         assert!(r.next_batch().unwrap().is_none());
         fs::remove_file(&path).unwrap();
@@ -430,8 +478,7 @@ mod tests {
     #[test]
     fn corrupt_batch_line_is_typed() {
         let path = tmp_path("corrupt");
-        let w = EventLogWriter::create(&path, &sample_header()).unwrap();
-        w.finish().unwrap();
+        record(&path, &[]);
         let mut contents = fs::read_to_string(&path).unwrap();
         contents.push_str("{not json\n");
         fs::write(&path, contents).unwrap();

@@ -8,18 +8,18 @@
 //! as traffic arrives. This crate adds that online vantage point on top
 //! of the simulator, in three pieces:
 //!
-//! * [`envelope`] — a compact per-day [`EventBatch`] (action aggregates
-//!   with enforcement outcomes, logins with ASN, honeypot event streams)
-//!   plus a versioned JSONL log with atomic tmp+rename writes;
+//! * [`envelope`] — the versioned JSONL event log: a header, then one
+//!   sealed `footsteps_sim::DayLog` per day (action aggregates with
+//!   enforcement outcomes, logins with ASN, photo like rates, honeypot
+//!   event streams), appended as a study seals its days;
 //! * [`online`] — the [`OnlineDetector`]: the `footsteps-detect` stages
 //!   fed one day at a time — signatures learned from the honeypot roster,
 //!   per-day classification with day-of-first-detection, and the §6.2
 //!   threshold window frozen at the calibration boundary;
-//! * [`sink`] — the [`StreamSink`] implementing `sim::EventSink`, feeding
-//!   the detector inline and (optionally) recording the log;
 //! * [`latency`] — detection latency and precision/recall of the online
 //!   verdicts against the batch classifier.
 //!
+//! `footsteps_core::Study` feeds the detector and the recorder inline.
 //! [`replay`] re-runs a recorded log through a fresh detector offline;
 //! CI asserts its verdict digest is byte-identical to the inline run's.
 
@@ -30,16 +30,17 @@
 pub mod envelope;
 pub mod latency;
 pub mod online;
-pub mod sink;
 
 pub use envelope::{
-    EventBatch, EventLogReader, EventLogWriter, LogHeader, LoginRecord, RosterEntry, StreamError,
+    EventLogReader, EventLogWriter, LogHeader, LogPrefix, RosterEntry, StreamError,
     STREAM_SCHEMA_VERSION,
 };
 pub use footsteps_detect::roster;
 pub use latency::{latency_report, LatencyReport, ServiceLatency};
-pub use online::{OnlineDetector, SignatureView, StreamConfig, StreamOutcome, VerdictSnapshot};
-pub use sink::StreamSink;
+pub use online::{
+    OnlineDetector, SignatureView, StreamConfig, StreamOutcome, VerdictSnapshot,
+    VERDICT_SCHEMA_VERSION,
+};
 
 use footsteps_obs::Stopwatch;
 use std::path::Path;
@@ -47,8 +48,9 @@ use std::path::Path;
 /// Replay a recorded event log through a fresh [`OnlineDetector`].
 ///
 /// The log header carries the roster and window geometry, so replay needs
-/// nothing but the file; the returned outcome's `verdict_digest` is
-/// byte-identical to the inline run that recorded the log.
+/// nothing but the file. Every line is read, so a torn line anywhere is an
+/// error, but days are ingested only up to the freeze, as inline: digest and
+/// counters match the inline run's, for a log of any length past the freeze.
 pub fn replay(path: &Path) -> Result<StreamOutcome, StreamError> {
     let mut reader = EventLogReader::open(path)?;
     let header = reader.header();
@@ -60,8 +62,10 @@ pub fn replay(path: &Path) -> Result<StreamOutcome, StreamError> {
     let roster = header.roster.clone();
     let mut detector = OnlineDetector::new(config, &roster);
     let sw = Stopwatch::start();
-    while let Some(batch) = reader.next_batch()? {
-        detector.ingest(&batch);
+    while let Some(day) = reader.next_batch()? {
+        if detector.frozen().is_none() {
+            detector.ingest(&day);
+        }
     }
     let reached = detector.next_day();
     detector
@@ -72,17 +76,25 @@ pub fn replay(path: &Path) -> Result<StreamOutcome, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footsteps_sim::prelude::Day;
+    use footsteps_sim::prelude::{Day, DayLog};
 
     /// Replay a three-day log whose batch lines (days 0, 1, 2) are
-    /// rearranged by `edit`, and return the corruption message.
+    /// rearranged by `edit`, and return the corruption message. The
+    /// detector freezes on day 1, so day 2 is read but not ingested.
     fn replay_edited(name: &str, edit: impl FnOnce(&mut Vec<String>)) -> String {
         let path = std::env::temp_dir()
             .join(format!("footsteps_stream_replay_{}_{name}.jsonl", std::process::id()));
-        let header = LogHeader::new(7, Day(0), Day(3), 2, Vec::new());
+        let header = LogHeader {
+            schema_version: STREAM_SCHEMA_VERSION,
+            seed: 7,
+            calibration_start: Day(0),
+            calibration_end: Day(2),
+            window_days: 2,
+            roster: Vec::new(),
+        };
         let mut w = EventLogWriter::create(&path, &header).unwrap();
         for day in 0..3 {
-            w.append(&EventBatch { day: Day(day), ..EventBatch::default() }).unwrap();
+            w.append(&DayLog::new(Day(day))).unwrap();
         }
         w.finish().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -109,5 +121,15 @@ mod tests {
         assert_eq!(swap, "line 2: day 1 where day 0 was expected");
         let repeat = replay_edited("repeat", |b| b.insert(1, b[1].clone()));
         assert_eq!(repeat, "line 4: day 1 where day 2 was expected");
+    }
+
+    #[test]
+    fn torn_tail_past_the_freeze_is_corrupt() {
+        // A kill left day 2's line torn.
+        let torn = replay_edited("torn", |b| {
+            let cut = b[2].len() / 2;
+            b[2].truncate(cut);
+        });
+        assert!(torn.starts_with("line 4: "), "{torn}");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The batch pipeline (`detect::DetectionPipeline`) folds the detection
 //! stages over the finished characterization window. This detector feeds
-//! the same stages one [`EventBatch`] per day, as the day arrives:
+//! the same stages one sealed [`DayLog`] per day, as the day arrives:
 //!
 //! * **signatures** — today's honeypot events grow the
 //!   `detect::SignatureLearner` before today's aggregates are matched;
@@ -25,7 +25,7 @@
 //! batch but not online. Online verdicts are therefore a subset of batch
 //! verdicts; the parity test pins the observed gap on the smoke scenario.
 
-use crate::envelope::{EventBatch, RosterEntry};
+use crate::envelope::RosterEntry;
 use footsteps_detect::{
     classify_day, AsnTraffic, Classification, SignatureLearner, ThresholdTable, ThresholdWindow,
 };
@@ -61,12 +61,16 @@ pub struct SignatureView {
     pub collusion: bool,
 }
 
+/// Version of the [`VerdictSnapshot`] layout, apart from the event log's
+/// [`crate::STREAM_SCHEMA_VERSION`]. A bump moves every verdict digest.
+pub const VERDICT_SCHEMA_VERSION: u32 = 1;
+
 /// Everything the online detector believed at the calibration boundary.
 /// Serialization is fully canonical (sorted vectors and BTree maps only),
 /// so its FNV-1a digest is the record→replay identity token.
 #[derive(Debug, Clone, Serialize)]
 pub struct VerdictSnapshot {
-    /// Schema stamp (same version space as the event-log envelope).
+    /// Schema stamp ([`VERDICT_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// The day the verdicts froze (`calibration_end`).
     pub frozen_on: Day,
@@ -124,7 +128,7 @@ pub struct StreamOutcome {
     pub log_path: Option<PathBuf>,
 }
 
-/// The incremental detector. Feed it day batches in order via
+/// The incremental detector. Feed it sealed days in order via
 /// [`OnlineDetector::ingest`]; it freezes itself when the calibration
 /// window closes.
 #[derive(Debug)]
@@ -185,32 +189,32 @@ impl OnlineDetector {
         self.frozen.as_ref().map(|&(_, d)| d)
     }
 
-    /// Consume one day. Days must arrive in order with no gaps.
+    /// Consume one sealed day. Days must arrive in order with no gaps.
     ///
     /// # Panics
-    /// Panics if `batch.day` is not the expected next day. The platform
-    /// drains days in order, and [`crate::EventLogReader`] turns a
+    /// Panics if `day` is not the expected next day. A study seals and
+    /// feeds its days in order, and [`crate::EventLogReader`] turns a
     /// recorded log whose days are out of order into
-    /// [`crate::StreamError::Corrupt`] before a batch gets here.
-    pub fn ingest(&mut self, batch: &EventBatch) {
+    /// [`crate::StreamError::Corrupt`] before a day gets here.
+    pub fn ingest(&mut self, day: &DayLog) {
         assert_eq!(
-            batch.day, self.next_day,
+            day.day(),
+            self.next_day,
             "event batches must arrive in day order with no gaps"
         );
-        self.next_day = batch.day.plus(1);
-        self.events_processed += batch.record_count();
+        self.next_day = day.day().next();
+        self.events_processed += day.record_count();
         self.batches += 1;
 
         // Today's honeypot events grow the signatures before today's
         // aggregates are matched against them.
-        let day = batch.records();
         self.learner.learn_day(day);
         classify_day(&mut self.classification, self.learner.signatures(), day);
         if self.frozen.is_some() {
             return;
         }
         let window_start = self.config.calibration_end.0.saturating_sub(self.config.window_days);
-        if batch.day.0 >= window_start {
+        if day.day().0 >= window_start {
             self.window.push_day(day);
         }
         if self.next_day == self.config.calibration_end {
@@ -230,7 +234,7 @@ impl OnlineDetector {
             .map(|asn| (*asn, table.asn_kinds[asn]))
             .collect();
         VerdictSnapshot {
-            schema_version: crate::envelope::STREAM_SCHEMA_VERSION,
+            schema_version: VERDICT_SCHEMA_VERSION,
             frozen_on: self.config.calibration_end,
             signatures: self
                 .learner
@@ -272,7 +276,6 @@ impl OnlineDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::LoginRecord;
 
     fn cfg(end: u32, window: u32) -> StreamConfig {
         StreamConfig {
@@ -303,15 +306,19 @@ mod tests {
         }
     }
 
-    fn outbound(account: u32, asn: AsnId, fp: ClientFingerprint, follows: u32) -> (OutboundKey, TypeCounts) {
-        let mut counts = TypeCounts::default();
-        let idx = ActionType::Follow.index();
-        counts.attempted[idx] = follows;
-        counts.delivered[idx] = follows;
-        (
-            OutboundKey { account: AccountId(account), asn, fingerprint: fp },
-            counts,
-        )
+    /// Day `day` as a study seals it, written by `fill` into a log that
+    /// keeps the honeypot's (account 1) events.
+    fn day_log(day: u32, fill: impl FnOnce(&mut ActionLog, Day)) -> DayLog {
+        let mut log = ActionLog::new();
+        log.track_events_for(AccountId(1));
+        fill(&mut log, Day(day));
+        log.seal(Day(day)).clone()
+    }
+
+    /// `n` delivered follows by account `who` from `asn` with `fp`.
+    fn follows(log: &mut ActionLog, d: Day, who: u32, asn: AsnId, fp: ClientFingerprint, n: u32) {
+        let (follow, delivered) = (ActionType::Follow, ActionOutcome::Delivered);
+        log.record_outbound(d, AccountId(who), asn, fp, follow, delivered, n);
     }
 
     const BOT: ClientFingerprint = ClientFingerprint::SpoofedMobile { variant: 1 };
@@ -320,13 +327,11 @@ mod tests {
     fn signature_grows_and_classifies_same_day() {
         let mut det = OnlineDetector::new(cfg(2, 2), &roster());
         let service_asn = AsnId(7);
-        let batch = EventBatch {
-            day: Day(0),
-            outbound: vec![outbound(1, service_asn, BOT, 10), outbound(42, service_asn, BOT, 10)],
-            events: vec![honeypot_event(0, service_asn, BOT)],
-            ..EventBatch::default()
-        };
-        det.ingest(&batch);
+        det.ingest(&day_log(0, |log, d| {
+            follows(log, d, 1, service_asn, BOT, 10);
+            follows(log, d, 42, service_asn, BOT, 10);
+            log.push_event(honeypot_event(0, service_asn, BOT));
+        }));
         // The honeypot event taught the signature before the aggregates
         // were matched, so the customer is caught on its first day.
         assert!(det.classification().is_abusive(AccountId(42)));
@@ -339,13 +344,10 @@ mod tests {
     #[test]
     fn home_organic_traffic_does_not_enter_signature() {
         let mut det = OnlineDetector::new(cfg(2, 2), &roster());
-        let batch = EventBatch {
-            day: Day(0),
-            events: vec![honeypot_event(0, AsnId(0), ClientFingerprint::OfficialApp)],
-            ..EventBatch::default()
-        };
-        det.ingest(&batch);
-        det.ingest(&EventBatch { day: Day(1), ..EventBatch::default() });
+        det.ingest(&day_log(0, |log, _| {
+            log.push_event(honeypot_event(0, AsnId(0), ClientFingerprint::OfficialApp));
+        }));
+        det.ingest(&DayLog::new(Day(1)));
         let frozen = det.frozen().expect("frozen at calibration end");
         assert!(frozen.signatures.is_empty(), "management traffic is not the service");
     }
@@ -353,14 +355,14 @@ mod tests {
     #[test]
     fn freezes_exactly_at_calibration_end() {
         let mut det = OnlineDetector::new(cfg(3, 3), &roster());
-        det.ingest(&EventBatch { day: Day(0), ..EventBatch::default() });
-        det.ingest(&EventBatch { day: Day(1), ..EventBatch::default() });
+        det.ingest(&DayLog::new(Day(0)));
+        det.ingest(&DayLog::new(Day(1)));
         assert!(det.frozen().is_none());
-        det.ingest(&EventBatch { day: Day(2), ..EventBatch::default() });
+        det.ingest(&DayLog::new(Day(2)));
         assert!(det.frozen().is_some());
         let digest = det.verdict_digest().unwrap();
         // Post-freeze batches do not change the frozen verdicts.
-        det.ingest(&EventBatch { day: Day(3), ..EventBatch::default() });
+        det.ingest(&DayLog::new(Day(3)));
         assert_eq!(det.verdict_digest(), Some(digest));
     }
 
@@ -368,7 +370,7 @@ mod tests {
     #[should_panic(expected = "day order")]
     fn out_of_order_batch_panics() {
         let mut det = OnlineDetector::new(cfg(3, 3), &roster());
-        det.ingest(&EventBatch { day: Day(1), ..EventBatch::default() });
+        det.ingest(&DayLog::new(Day(1)));
     }
 
     #[test]
@@ -376,14 +378,13 @@ mod tests {
         let service_asn = AsnId(7);
         let mut det = OnlineDetector::new(cfg(2, 2), &roster());
         // Day 0: signature + four abusive accounts at 10/20/30/40 follows.
-        let batch = EventBatch {
-            day: Day(0),
-            outbound: (0..4).map(|i| outbound(40 + i, service_asn, BOT, 10 * (i + 1))).collect(),
-            events: vec![honeypot_event(0, service_asn, BOT)],
-            ..EventBatch::default()
-        };
-        det.ingest(&batch);
-        det.ingest(&EventBatch { day: Day(1), ..EventBatch::default() });
+        det.ingest(&day_log(0, |log, d| {
+            for i in 0..4 {
+                follows(log, d, 40 + i, service_asn, BOT, 10 * (i + 1));
+            }
+            log.push_event(honeypot_event(0, service_asn, BOT));
+        }));
+        det.ingest(&DayLog::new(Day(1)));
         let frozen = det.frozen().unwrap();
         let table = frozen.threshold_table();
         assert_eq!(table.asn_kinds[&service_asn], AsnTraffic::PureAbuse);
@@ -398,19 +399,16 @@ mod tests {
     fn mixed_asn_uses_benign_99th_percentile() {
         let mixed = AsnId(7);
         let mut det = OnlineDetector::new(cfg(2, 2), &roster());
-        let mut out = vec![outbound(1, mixed, BOT, 500), outbound(42, mixed, BOT, 500)];
-        // 100 benign accounts, 1..=100 follows each, via an organic client.
-        for i in 0..100u32 {
-            out.push(outbound(1000 + i, mixed, ClientFingerprint::OfficialApp, i + 1));
-        }
-        let batch = EventBatch {
-            day: Day(0),
-            outbound: out,
-            events: vec![honeypot_event(0, mixed, BOT)],
-            ..EventBatch::default()
-        };
-        det.ingest(&batch);
-        det.ingest(&EventBatch { day: Day(1), ..EventBatch::default() });
+        det.ingest(&day_log(0, |log, d| {
+            follows(log, d, 1, mixed, BOT, 500);
+            follows(log, d, 42, mixed, BOT, 500);
+            // 100 benign accounts, 1..=100 follows each, via an organic client.
+            for i in 0..100u32 {
+                follows(log, d, 1000 + i, mixed, ClientFingerprint::OfficialApp, i + 1);
+            }
+            log.push_event(honeypot_event(0, mixed, BOT));
+        }));
+        det.ingest(&DayLog::new(Day(1)));
         let frozen = det.frozen().unwrap();
         let table = frozen.threshold_table();
         assert_eq!(table.asn_kinds[&mixed], AsnTraffic::Mixed);
@@ -422,14 +420,12 @@ mod tests {
     fn verdict_digest_is_stable_for_identical_streams() {
         let feed = |det: &mut OnlineDetector| {
             let service_asn = AsnId(7);
-            det.ingest(&EventBatch {
-                day: Day(0),
-                outbound: vec![outbound(42, service_asn, BOT, 10)],
-                events: vec![honeypot_event(0, service_asn, BOT)],
-                logins: vec![LoginRecord { account: AccountId(42), asn: service_asn, count: 1 }],
-                ..EventBatch::default()
-            });
-            det.ingest(&EventBatch { day: Day(1), ..EventBatch::default() });
+            det.ingest(&day_log(0, |log, d| {
+                follows(log, d, 42, service_asn, BOT, 10);
+                log.push_event(honeypot_event(0, service_asn, BOT));
+                log.record_login(d, AccountId(42), service_asn);
+            }));
+            det.ingest(&DayLog::new(Day(1)));
         };
         let mut a = OnlineDetector::new(cfg(2, 2), &roster());
         let mut b = OnlineDetector::new(cfg(2, 2), &roster());

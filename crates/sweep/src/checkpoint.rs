@@ -1,10 +1,12 @@
-//! Phase-boundary checkpoints: a versioned envelope around a fully
-//! serialized [`Study`].
+//! Phase-boundary checkpoints: a versioned envelope around a serialized
+//! [`Study`] and a reference to the event log it records.
 //!
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema_version": 5, "scenario_hash": …, "phase": "Characterized", "study": {…}}
+//! {"schema_version": 6, "scenario_hash": …, "phase": "Characterized",
+//!  "log": {"file": "log_smoke_s1.jsonl", "prefix": {"batches": 24, "bytes": …, "fnv1a": …}},
+//!  "study": {…}}
 //! ```
 //!
 //! `schema_version` gates incompatible layout changes, `scenario_hash`
@@ -14,6 +16,10 @@
 //! probe. Files are written to a `.tmp` sibling and atomically renamed,
 //! so a kill mid-write leaves either the old checkpoint or none — never
 //! a truncated one under the real name.
+//!
+//! A recording study leaves the days its event log holds out of `study`;
+//! `log` names that log (a file next to the checkpoint) and its prefix.
+//! A study without a recorder embeds every day and has no `log`.
 //!
 //! Determinism contract: the `Study` serialization covers every RNG
 //! stream position, arena and pending queue, so a study loaded from any
@@ -26,6 +32,8 @@ use std::path::{Path, PathBuf};
 
 use footsteps_core::{Phase, Scenario, Study};
 use footsteps_obs::tree::fnv1a;
+use footsteps_stream::{EventLogWriter, LogPrefix, StreamError};
+use serde::{Deserialize, Serialize};
 
 use crate::SweepError;
 
@@ -49,7 +57,12 @@ use crate::SweepError;
 /// table over the whole address space, and lost the public-API quota
 /// (`oauth_quota`). Every other `Study` component, and every other
 /// `Platform` field, keeps its bytes.
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the envelope gained `log`, the reference to the job's event log.
+/// The platform's `ActionLog` leaves out the days that log holds (its new
+/// `recorded` count), and each `DayLog` carries its `day` and `logins`.
+/// Every other `Study` component keeps its bytes.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Identity hash of a scenario, for tying checkpoints and manifests to
 /// their configuration. `worker_threads` is normalized out: it comes from
@@ -68,23 +81,53 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SweepError> 
         .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })
 }
 
-/// Serialize `study` into a versioned envelope at `path` (atomic).
+/// The envelope's `log`: a file next to the checkpoint, and the prefix of
+/// it the study builds on.
+#[derive(Debug, Serialize, Deserialize)]
+struct LogRef {
+    file: String,
+    prefix: LogPrefix,
+}
+
+/// Serialize `study` into a versioned envelope at `path` (atomic). Call
+/// at a phase boundary, where a recording study has flushed its event
+/// log, which must sit next to `path`.
 ///
 /// Compact JSON: a paper-scale study is large, and checkpoints are read
 /// by machines, not people.
 pub fn save(study: &Study, path: &Path) -> Result<(), SweepError> {
     let hash = scenario_hash(&study.scenario);
     let phase = serde_json::to_string(&study.phase).expect("Phase serializes");
+    let log = match study.recording() {
+        Some(recorder) => {
+            let file = recorder.path().file_name().unwrap_or_default().to_string_lossy();
+            let log = LogRef { file: file.into_owned(), prefix: recorder.prefix() };
+            format!(",\"log\":{}", serde_json::to_string(&log).expect("LogRef serializes"))
+        }
+        None => String::new(),
+    };
     let body = serde_json::to_string(study).expect("Study serializes");
     let text = format!(
         "{{\"schema_version\":{SCHEMA_VERSION},\"scenario_hash\":{hash},\
-         \"phase\":{phase},\"study\":{body}}}"
+         \"phase\":{phase}{log},\"study\":{body}}}"
     );
     write_atomic(path, text.as_bytes())
 }
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> SweepError {
     SweepError::Corrupt { path: path.to_path_buf(), detail: detail.into() }
+}
+
+/// An event-log failure at `path` as the matching [`SweepError`].
+pub(crate) fn log_error(path: &Path, e: StreamError) -> SweepError {
+    let path = path.to_path_buf();
+    match e {
+        StreamError::Io(source) => SweepError::Io { path, source },
+        StreamError::VersionMismatch { found, expected } => {
+            SweepError::VersionMismatch { path, found, expected }
+        }
+        e => SweepError::Corrupt { path, detail: e.to_string() },
+    }
 }
 
 /// Decode one envelope field at the reader's position.
@@ -102,13 +145,16 @@ fn field<T: serde::Deserialize>(
 ///
 /// The envelope is read as a stream and [`save`] writes `study` last, so
 /// a wrong schema version or scenario hash is reported before the study
-/// is decoded.
+/// is decoded. A named event log is reopened at its prefix
+/// ([`EventLogWriter::resume`]: later days are cut off) and its days
+/// spliced in; a missing, foreign or altered log is an error naming it.
 pub fn load(path: &Path, expected: &Scenario) -> Result<Study, SweepError> {
     let text = fs::read_to_string(path)
         .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
     let bad = |e: serde::Error| corrupt(path, e.0);
     let expected_hash = scenario_hash(expected);
-    let (mut version_ok, mut hash_ok, mut phase, mut study) = (false, false, None, None);
+    let (mut version_ok, mut hash_ok, mut phase, mut log, mut study) =
+        (false, false, None, None, None);
 
     let mut r = serde::Reader::new(&text);
     r.begin_object().map_err(bad)?;
@@ -137,6 +183,7 @@ pub fn load(path: &Path, expected: &Scenario) -> Result<Study, SweepError> {
                 hash_ok = true;
             }
             "phase" => phase = Some(field::<Phase>(&mut r, "phase", path)?),
+            "log" => log = Some(field::<LogRef>(&mut r, "log", path)?),
             "study" => study = Some(field::<Study>(&mut r, "study", path)?),
             _ => r.skip_value().map_err(bad)?,
         }
@@ -151,7 +198,7 @@ pub fn load(path: &Path, expected: &Scenario) -> Result<Study, SweepError> {
         return Err(missing("scenario_hash"));
     }
     let phase = phase.ok_or_else(|| missing("phase"))?;
-    let study = study.ok_or_else(|| missing("study"))?;
+    let mut study = study.ok_or_else(|| missing("study"))?;
     if study.phase != phase {
         return Err(corrupt(
             path,
@@ -160,6 +207,21 @@ pub fn load(path: &Path, expected: &Scenario) -> Result<Study, SweepError> {
     }
     if scenario_hash(&study.scenario) != expected_hash {
         return Err(corrupt(path, "embedded scenario disagrees with the envelope hash"));
+    }
+    match log {
+        Some(log) => {
+            if Path::new(&log.file).file_name() != Some(log.file.as_ref()) {
+                return Err(corrupt(path, format!("event log `{}` is not a file name", log.file)));
+            }
+            let log_path = path.with_file_name(&log.file);
+            let (days, writer) = EventLogWriter::resume(&log_path, log.prefix)
+                .map_err(|e| log_error(&log_path, e))?;
+            study.resume_recording(days, writer).map_err(|detail| corrupt(&log_path, detail))?;
+        }
+        None if study.platform.log.recorded().0 > 0 => {
+            return Err(corrupt(path, "the study leaves out days, but no event log holds them"));
+        }
+        None => {}
     }
     Ok(study)
 }

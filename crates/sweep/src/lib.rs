@@ -11,10 +11,11 @@
 //!
 //! The three pillars:
 //!
-//! * [`checkpoint`] — a versioned, scenario-hashed envelope around a fully
-//!   serialized `Study`, written atomically. Resuming from any boundary
-//!   reproduces the uninterrupted run byte-for-byte (pinned by the golden
-//!   digest in this crate's test suite).
+//! * [`checkpoint`] — a versioned, scenario-hashed envelope around a
+//!   serialized `Study`, written atomically, that points at the job's
+//!   event log instead of embedding the days it holds. Resuming from any
+//!   boundary reproduces the uninterrupted run and its log byte-for-byte
+//!   (pinned by the golden digest in this crate's test suite).
 //! * [`manifest`] + [`scheduler`] — an on-disk job table (pending /
 //!   running / done, with result digests) and a `std::thread::scope`
 //!   worker pool that skips completed seeds and resumes partial ones.
@@ -56,7 +57,7 @@ pub enum SweepError {
         /// What exactly did not check out.
         detail: String,
     },
-    /// The file was written by a different checkpoint schema.
+    /// The file was written by a different checkpoint or event-log schema.
     VersionMismatch {
         /// The file with the foreign version.
         path: PathBuf,
@@ -89,7 +90,7 @@ impl std::fmt::Display for SweepError {
             }
             Self::VersionMismatch { path, found, expected } => write!(
                 f,
-                "{}: checkpoint schema v{found}, this build reads v{expected} \
+                "{}: schema v{found}, this build reads v{expected} \
                  (re-run the sweep from scratch or use the matching binary)",
                 path.display()
             ),

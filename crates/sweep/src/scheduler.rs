@@ -11,6 +11,10 @@
 //!   (scenario-hash validated), recomputing nothing before it;
 //! * everything else starts from scratch.
 //!
+//! Every job records its whole run to one event log,
+//! `log_<variant>_s<seed>.jsonl`, next to its checkpoints; the checkpoints
+//! point at it instead of embedding the days it holds.
+//!
 //! Per-seed `StudyResults` are collected the moment characterization
 //! completes — the same point the determinism suite's golden digest is
 //! defined at — and written before the `Characterized` checkpoint, so a
@@ -34,7 +38,7 @@ use footsteps_core::{Phase, Scenario, Study};
 use footsteps_obs::{progress, MetricsSnapshot, Stopwatch};
 use footsteps_stream::LatencyReport;
 
-use crate::checkpoint::{self, scenario_hash, write_atomic};
+use crate::checkpoint::{self, log_error, scenario_hash, write_atomic};
 use crate::manifest::{now_unix, JobEntry, JobStatus, Manifest};
 use crate::SweepError;
 
@@ -76,6 +80,12 @@ pub fn results_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
 /// metrics, so they travel in a sibling file).
 pub fn metrics_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
     dir.join(format!("metrics_{variant}_s{seed}.json"))
+}
+
+/// Per-job event-log location: the job's whole run, which its checkpoints
+/// point at.
+pub fn log_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
+    dir.join(format!("log_{variant}_s{seed}.jsonl"))
 }
 
 /// Per-job Chrome-trace location (written next to the job's checkpoints
@@ -354,22 +364,18 @@ fn run_job(
         resumed = Some(checkpoint::load(&p, &scenario)?);
         break;
     }
-    let mut study = match resumed {
-        Some(s) => s,
-        None => {
-            let s = Study::new(scenario.clone());
-            checkpoint::save(&s, &checkpoint::path_for(dir, variant, seed, Phase::Setup))?;
-            s
-        }
-    };
-    // Jobs that will run characterization do so with the streaming
-    // detector attached (no recorder), so every seed gets a
-    // detection-latency record next to its results. Jobs resumed past
-    // Setup wrote theirs in the invocation that characterized them.
+    let mut study = resumed.unwrap_or_else(|| Study::new(scenario.clone()));
+    // A job at Setup, fresh or resumed, starts its event log and runs
+    // characterization with the streaming detector attached, so every
+    // seed gets a detection-latency record next to its results. The log
+    // header is a pure function of the scenario, so a Setup resume writes
+    // the same bytes the later checkpoints point at. Jobs resumed past
+    // Setup append to the log their checkpoint reopened, and wrote their
+    // latency report in the invocation that characterized them.
     if study.phase == Phase::Setup {
-        study
-            .attach_stream(None)
-            .expect("stream without a recorder cannot fail to attach");
+        let lpath = log_path(dir, variant, seed);
+        study.attach_stream(Some(&lpath)).map_err(|e| log_error(&lpath, e))?;
+        checkpoint::save(&study, &checkpoint::path_for(dir, variant, seed, Phase::Setup))?;
     }
     // Every sweep job gets a Chrome trace next to its checkpoints,
     // regardless of `FOOTSTEPS_TRACE_OUT`. A resumed job's trace covers

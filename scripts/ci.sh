@@ -63,11 +63,22 @@ echo "== sweep smoke (2-seed replication, checkpoint/resume) =="
 mkdir "$SWEEP_DIR"
 ./target/release/sweep run --dir "$SWEEP_DIR" --seeds 2 --workers 2 --scenario smoke
 
-# The wire size of every checkpoint the sweep wrote, for the log only
-# (no bound): checkpoint size is what a layout change moves.
+# The wire size of every checkpoint the sweep wrote and of each job's
+# event log. A checkpoint points at its job's log instead of embedding
+# the recorded days, so every smoke checkpoint must stay under 10 MB.
+CKPT_LIMIT_BYTES=10000000
 for ckpt in "$SWEEP_DIR"/ckpt_*.json; do
   [ -f "$ckpt" ] || continue
-  echo "checkpoint $(basename "$ckpt"): $(wc -c < "$ckpt" | tr -d ' ') bytes"
+  ckpt_bytes=$(wc -c < "$ckpt" | tr -d ' ')
+  echo "checkpoint $(basename "$ckpt"): $ckpt_bytes bytes"
+  if [ "$ckpt_bytes" -ge "$CKPT_LIMIT_BYTES" ]; then
+    echo "sweep gate: $(basename "$ckpt") is $ckpt_bytes bytes, not under $CKPT_LIMIT_BYTES" >&2
+    exit 1
+  fi
+done
+for log in "$SWEEP_DIR"/log_*.jsonl; do
+  [ -f "$log" ] || continue
+  echo "event log $(basename "$log"): $(wc -c < "$log" | tr -d ' ') bytes"
 done
 
 # The two per-seed digests must differ — identical digests would mean
@@ -110,7 +121,12 @@ if ! printf '%s\n' "$report_out" | grep -q "Detection latency"; then
   echo "sweep gate: aggregate report lacks the detection-latency table" >&2
   exit 1
 fi
-echo "sweep gate: OK (2 distinct digests, no-op resume, nonzero variance, latency table)"
+# A job's log records its whole run; it must replay offline.
+if ! ./target/release/stream-replay "$SWEEP_DIR/log_smoke_s1.jsonl" > /dev/null; then
+  echo "sweep gate: stream-replay failed on the whole-run log log_smoke_s1.jsonl" >&2
+  exit 1
+fi
+echo "sweep gate: OK (2 distinct digests, no-op resume, nonzero variance, latency table, checkpoints < 10 MB, whole-run log replays)"
 
 echo "== perf baseline (smoke scenario, 1 and 8 worker threads) =="
 cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 1 7 "$CI_TMP/BENCH_daily_engine.ci.json"
@@ -258,8 +274,10 @@ if [ -z "$replay_digest" ] || [ "$replay_digest" != "$inline_digest" ]; then
   echo "stream gate: FAIL — replayed digest '$replay_digest' != inline '$inline_digest'" >&2
   exit 1
 fi
+# The verdict snapshot's own version; the log envelope's version is
+# enforced by EventLogReader::open, so a replay that got this far read it.
 if ! printf '%s\n' "$replay_out" | grep -q "^schema_version: 1$"; then
-  echo "stream gate: FAIL — replay did not round-trip envelope schema v1" >&2
+  echo "stream gate: FAIL — replayed verdict snapshot is not schema v1" >&2
   printf '%s\n' "$replay_out" >&2
   exit 1
 fi

@@ -6,8 +6,10 @@
 use footsteps_aas::Service;
 use footsteps_core::{Scenario, Study};
 use footsteps_obs::tree::fnv1a;
-use footsteps_sim::prelude::Day;
-use footsteps_stream::{EventBatch, EventLogReader, EventLogWriter, LogHeader, StreamError};
+use footsteps_sim::prelude::{Day, DayLog};
+use footsteps_stream::{
+    EventLogReader, EventLogWriter, LogHeader, StreamError, STREAM_SCHEMA_VERSION,
+};
 use proptest::prelude::*;
 use serde_json::Value;
 use std::path::PathBuf;
@@ -18,14 +20,21 @@ fn tmp_path(name: &str) -> PathBuf {
 }
 
 /// `Scenario::quick(7)` at one worker thread: the study before and after
-/// characterization with the pins of its components, and the batch lines
-/// of the log recorded meanwhile.
+/// characterization with the pins of its components, and the event log
+/// recorded meanwhile.
 struct QuickRun {
     fresh: String,
     fresh_parts: Vec<Pin>,
     characterized: String,
     characterized_parts: Vec<Pin>,
-    batch_lines: Vec<String>,
+    log: String,
+}
+
+impl QuickRun {
+    /// The log's day lines (every line after the header).
+    fn batch_lines(&self) -> Vec<&str> {
+        self.log.lines().skip(1).collect()
+    }
 }
 
 /// A component's name and the (bytes, FNV-1a) of its encoding.
@@ -78,16 +87,15 @@ fn quick_run() -> &'static QuickRun {
         study.run_characterization();
         let characterized = serde_json::to_string(&study).expect("study encodes");
         let characterized_parts = component_pins(&study);
-        let text = std::fs::read_to_string(&log).expect("log was recorded");
+        drop(study);
+        let log_text = std::fs::read_to_string(&log).expect("log was recorded");
         std::fs::remove_file(&log).ok();
-        // The header carries `recorded_unix`, so only batch lines are pinned.
-        let batch_lines = text.lines().skip(1).map(str::to_owned).collect();
         QuickRun {
             fresh,
             fresh_parts,
             characterized,
             characterized_parts,
-            batch_lines,
+            log: log_text,
         }
     })
 }
@@ -102,14 +110,14 @@ fn assert_study_reencodes(doc: &str) {
 #[test]
 fn fresh_quick_study_keeps_its_wire_bytes() {
     let doc = &quick_run().fresh;
-    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_249_556, 0x0f1c_45b0_5e5a_d1cf));
+    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_249_589, 0x9dd8_a93b_4c72_189d));
     assert_study_reencodes(doc);
 }
 
 #[test]
 fn characterized_quick_study_keeps_its_wire_bytes() {
     let doc = &quick_run().characterized;
-    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (17_031_177, 0x04e1_216e_6695_839b));
+    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_798_334, 0x3e69_40ba_db14_15ca));
     assert_study_reencodes(doc);
 }
 
@@ -119,7 +127,7 @@ fn fresh_quick_study_components_keep_their_wire_bytes() {
         ("scenario", (345, 0x08a0_538a_7bf2_64a5)),
         ("timeline", (80, 0x1473_1fc6_457b_c4a0)),
         ("phase", (7, 0x916b_1363_3cc8_01bc)),
-        ("platform", (1_076_105, 0x5e33_c50b_2ebd_b7d8)),
+        ("platform", (1_076_138, 0x62ed_d74e_cc25_a342)),
         ("residential", (155, 0xedf1_4d08_ed15_aee8)),
         ("population", (8_903, 0x6d43_f58a_bcdf_e79a)),
         ("layout", (141, 0x5c96_cc67_f640_bb5c)),
@@ -144,7 +152,7 @@ fn characterized_quick_study_components_keep_their_wire_bytes() {
         ("scenario", (345, 0x08a0_538a_7bf2_64a5)),
         ("timeline", (80, 0x1473_1fc6_457b_c4a0)),
         ("phase", (15, 0x71c7_54d1_afb4_6d90)),
-        ("platform", (16_653_539, 0xd992_ad34_248f_21e1)),
+        ("platform", (1_420_696, 0x03a4_f3aa_67a9_674e)),
         ("residential", (155, 0xedf1_4d08_ed15_aee8)),
         ("population", (8_903, 0x6d43_f58a_bcdf_e79a)),
         ("layout", (141, 0x5c96_cc67_f640_bb5c)),
@@ -165,17 +173,19 @@ fn characterized_quick_study_components_keep_their_wire_bytes() {
 
 #[test]
 fn recorded_quick_log_keeps_its_wire_bytes() {
-    let lines = &quick_run().batch_lines;
+    let run = quick_run();
+    let log = &run.log;
+    // The header is a pure function of the scenario, so the whole file is
+    // pinned.
+    assert_eq!((log.len(), fnv1a(log.as_bytes())), (15_528_469, 0xe5e8_0677_a6a8_9f9c));
+    let header_line = log.lines().next().expect("header line");
+    let header: LogHeader = serde_json::from_str(header_line).expect("header decodes");
+    assert_eq!(serde_json::to_string(&header).unwrap(), header_line);
+    let lines = run.batch_lines();
     assert_eq!(lines.len(), 16);
-    let mut body = Vec::new();
-    for line in lines {
-        body.extend_from_slice(line.as_bytes());
-        body.push(b'\n');
-    }
-    assert_eq!(fnv1a(&body), 0x565e_edae_ad3f_606c);
     for (i, line) in lines.iter().enumerate() {
-        let batch: EventBatch = serde_json::from_str(line).expect("batch line decodes");
-        let again = serde_json::to_string(&batch).expect("batch encodes");
+        let day: DayLog = serde_json::from_str(line).expect("batch line decodes");
+        let again = serde_json::to_string(&day).expect("batch encodes");
         assert!(&again == line, "decode + encode changed batch line {i}");
     }
 }
@@ -253,16 +263,23 @@ fn nesting_deeper_than_the_limit_is_an_error() {
 
     let deep = "[".repeat(100_000);
     assert!(serde_json::parse(&deep).is_err());
-    assert!(serde_json::from_str::<EventBatch>(&deep).is_err());
+    assert!(serde_json::from_str::<DayLog>(&deep).is_err());
     // The same depth under a key a batch does not have: the skip path.
     let under_unknown_key = format!("{{\"day\":0,\"extra\":{deep}}}");
-    assert!(serde_json::from_str::<EventBatch>(&under_unknown_key).is_err());
+    assert!(serde_json::from_str::<DayLog>(&under_unknown_key).is_err());
 }
 
 #[test]
 fn deeply_nested_log_line_is_corrupt() {
     let path = tmp_path("deep.jsonl");
-    let header = LogHeader::new(7, Day(2), Day(10), 8, Vec::new());
+    let header = LogHeader {
+        schema_version: STREAM_SCHEMA_VERSION,
+        seed: 7,
+        calibration_start: Day(2),
+        calibration_end: Day(10),
+        window_days: 8,
+        roster: Vec::new(),
+    };
     EventLogWriter::create(&path, &header).unwrap().finish().unwrap();
     let mut text = std::fs::read_to_string(&path).unwrap();
     text.push_str(&"[".repeat(100_000));
@@ -282,16 +299,23 @@ fn small_batch_line() -> &'static str {
     static LINE: OnceLock<String> = OnceLock::new();
     LINE.get_or_init(|| {
         let run = quick_run();
-        let mut batch: EventBatch = serde_json::from_str(&run.batch_lines[9]).unwrap();
-        batch.outbound.truncate(3);
-        batch.inbound.truncate(3);
-        batch.logins.truncate(3);
-        batch.events.truncate(3);
+        let Value::Map(mut fields) = serde_json::parse(run.batch_lines()[9]).unwrap() else {
+            panic!("a batch line is an object");
+        };
+        for (_, value) in &mut fields {
+            match value {
+                Value::Seq(rows) => rows.truncate(3),
+                Value::Map(rows) => rows.truncate(3),
+                _ => {}
+            }
+        }
+        let text = serde_json::to_string(&Value::Map(fields)).unwrap();
+        let day: DayLog = serde_json::from_str(&text).expect("the cut line decodes");
         assert!(
-            !batch.inbound.is_empty() && !batch.logins.is_empty() && !batch.events.is_empty(),
+            day.inbound().next().is_some() && !day.logins().is_empty() && !day.events.is_empty(),
             "the sample line should carry every record kind"
         );
-        serde_json::to_string(&batch).unwrap()
+        serde_json::to_string(&day).unwrap()
     })
 }
 
@@ -304,7 +328,7 @@ proptest! {
     fn arbitrary_bytes_decode_or_fail(bytes in prop::collection::vec(any::<u8>(), 0..48)) {
         let text = String::from_utf8_lossy(&bytes);
         let _ = serde_json::from_str::<Value>(&text);
-        let _ = serde_json::from_str::<EventBatch>(&text);
+        let _ = serde_json::from_str::<DayLog>(&text);
     }
 
     /// Random JSON-alphabet text never panics the reader, and whatever
@@ -317,7 +341,7 @@ proptest! {
             let again = serde_json::to_string(&value).unwrap();
             prop_assert!(serde_json::parse(&again).is_ok(), "{again}");
         }
-        let _ = serde_json::from_str::<EventBatch>(&text);
+        let _ = serde_json::from_str::<DayLog>(&text);
     }
 
     /// Every strict prefix of a batch line is an error.
@@ -325,7 +349,7 @@ proptest! {
     fn truncated_batch_line_is_an_error(cut in 0usize..4096) {
         let line = small_batch_line();
         let prefix = String::from_utf8_lossy(&line.as_bytes()[..cut % line.len()]);
-        prop_assert!(serde_json::from_str::<EventBatch>(&prefix).is_err());
+        prop_assert!(serde_json::from_str::<DayLog>(&prefix).is_err());
         let _ = serde_json::from_str::<Value>(&prefix);
     }
 
@@ -338,7 +362,7 @@ proptest! {
             bytes[pos % len] = byte;
         }
         let text = String::from_utf8_lossy(&bytes);
-        let _ = serde_json::from_str::<EventBatch>(&text);
+        let _ = serde_json::from_str::<DayLog>(&text);
         let _ = serde_json::from_str::<Value>(&text);
     }
 }

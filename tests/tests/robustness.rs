@@ -100,7 +100,7 @@ fn followersgratis_is_neutered_by_the_ip_volume_defense() {
     let blocked_ratio = |asn: AsnId, platform: &Platform| {
         let mut attempted = 0u64;
         let mut blocked = 0u64;
-        for (_, log) in platform.log.iter_range(Day(0), Day(10)) {
+        for log in platform.log.iter_range(Day(0), Day(10)) {
             for (key, counts) in log.outbound() {
                 if key.asn == asn {
                     attempted += u64::from(counts.total_attempted());

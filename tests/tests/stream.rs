@@ -178,3 +178,32 @@ fn online_and_batch_verdicts_agree_at_end_of_window() {
         assert!(u64::from(row.max_days) <= 90, "{}: latency bounded by window", row.service);
     }
 }
+
+#[test]
+fn whole_run_log_replays_to_the_inline_verdicts() {
+    let log = tmp_log("whole_run");
+    let mut study = characterized_with_stream(7, 1, Some(&log));
+    study.run_narrow();
+    study.run_broad();
+    study.run_epilogue();
+    let inline = study.stream.as_ref().expect("inline outcome");
+    assert_eq!(
+        (inline.verdict_digest, inline.events_processed, inline.batches),
+        SMOKE_VERDICTS
+    );
+
+    // The log holds every day of all four phases, and replay still stops
+    // ingesting at the freeze day.
+    let mut reader = footsteps_stream::EventLogReader::open(&log).expect("log opens");
+    let mut days = 0;
+    while reader.next_batch().expect("day line decodes").is_some() {
+        days += 1;
+    }
+    assert_eq!(days, study.timeline.end.0);
+    let replayed = footsteps_stream::replay(&log).expect("replay succeeds");
+    assert_eq!(
+        (replayed.verdict_digest, replayed.events_processed, replayed.batches),
+        SMOKE_VERDICTS
+    );
+    std::fs::remove_file(&log).unwrap();
+}
