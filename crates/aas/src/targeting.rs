@@ -64,40 +64,34 @@ impl TargetPool {
         assert!(size > 0, "pool size must be positive");
         assert!(!population.is_empty(), "population must be non-empty");
         let size = size.min(population.len());
+        // Each account's acceptance weight, once: the scan below meets
+        // nearly every account, most of them many times over.
+        let weights: Vec<f64> = population
+            .organic
+            .iter()
+            .map(|&id| acceptance_weight(accounts, id, bias))
+            .collect();
+        // Membership by population position (organic ids are distinct).
+        let mut taken = vec![false; population.len()];
         let mut members = Vec::with_capacity(size);
-        let mut seen = std::collections::HashSet::with_capacity(size);
         // Rejection sampling against the max possible weight (1.0: both
         // traits are already in [0,1]). Members are distinct: a curated
-        // target list never lists the same user twice.
+        // target list never lists the same user twice. Every unseen
+        // candidate consumes its acceptance draw, even at weight 0:
+        // skipping it would move every later draw of the service stream.
         let mut guard = 0usize;
         let guard_max = size * 1_000;
         while members.len() < size {
             guard += 1;
-            if guard > guard_max {
-                // Pathological bias (e.g. enormous strength): fall back to
-                // accepting the best-effort candidate to guarantee progress.
-                let cand = population.sample_uniform(rng.gen());
-                if seen.insert(cand) {
-                    members.push(cand);
-                }
+            let i = population.index_of(rng.gen());
+            if taken[i] {
                 continue;
             }
-            let cand = population.sample_uniform(rng.gen());
-            if seen.contains(&cand) {
-                continue;
-            }
-            let a = accounts.get(cand);
-            let tendency = followback_tendency(a.following, a.followers, 0.5);
-            let mut weight = tendency.powf(bias.tendency_strength);
-            if bias.follow_for_like_strength > 0.0 {
-                // Normalise the trait to [0,1] against a generous ceiling so
-                // the weight stays a probability.
-                let trait_norm = (a.reciprocity.follow_for_like / 0.02).min(1.0);
-                weight *= trait_norm.powf(bias.follow_for_like_strength);
-            }
-            if rng.gen::<f64>() < weight {
-                seen.insert(cand);
-                members.push(cand);
+            // Past the guard (pathological bias, e.g. enormous strength),
+            // accept every unseen candidate to guarantee progress.
+            if guard > guard_max || rng.gen::<f64>() < weights[i] {
+                taken[i] = true;
+                members.push(population.organic[i]);
             }
         }
         let stats = compute_stats(accounts, &members);
@@ -126,23 +120,38 @@ impl TargetPool {
         if n >= self.members.len() {
             return self.members.clone();
         }
-        // Floyd's algorithm over indices. The set exists only for the
-        // distinctness check; emit targets in pool order so the caller's
-        // submission order (and with it every downstream platform RNG draw)
-        // is independent of the set's per-instance hash state.
-        let mut chosen = std::collections::HashSet::with_capacity(n);
+        // Floyd's algorithm over indices, kept sorted: targets come out in
+        // pool order, which fixes the caller's submission order and with it
+        // every downstream platform RNG draw. `n` is at most a day's event
+        // cap, so the insertions stay cheap.
+        let mut picks: Vec<usize> = Vec::with_capacity(n);
         let len = self.members.len();
         for j in (len - n)..len {
             let t = rng.gen_range(0..=j);
-            if !chosen.insert(t) {
-                chosen.insert(j);
+            match picks.binary_search(&t) {
+                Err(at) => picks.insert(at, t),
+                // Every earlier pick is below `j`: `j` is new and the largest.
+                Ok(_) => picks.push(j),
             }
         }
-        // footsteps-lint: allow(nondet-iter) — indices are sorted on the next line; emission is in pool order
-        let mut idx: Vec<usize> = chosen.into_iter().collect();
-        idx.sort_unstable();
-        idx.into_iter().map(|i| self.members[i]).collect()
+        picks.into_iter().map(|i| self.members[i]).collect()
     }
+}
+
+/// The probability that curation keeps `id` when it draws it: the
+/// followback tendency raised to the bias strength, times the
+/// follow-after-like trait's own factor when the bias selects on it.
+fn acceptance_weight(accounts: &AccountStore, id: AccountId, bias: TargetingBias) -> f64 {
+    let a = accounts.get(id);
+    let tendency = followback_tendency(a.following, a.followers, 0.5);
+    let mut weight = tendency.powf(bias.tendency_strength);
+    if bias.follow_for_like_strength > 0.0 {
+        // Normalise the trait to [0,1] against a generous ceiling so
+        // the weight stays a probability.
+        let trait_norm = (a.reciprocity.follow_for_like / 0.02).min(1.0);
+        weight *= trait_norm.powf(bias.follow_for_like_strength);
+    }
+    weight
 }
 
 /// Mean per-channel propensities over a member list.
@@ -175,13 +184,19 @@ pub fn median_degrees(accounts: &AccountStore, sample: &[AccountId]) -> (u32, u3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::presets;
     use footsteps_sim::country::Country;
     use footsteps_sim::net::{AsnKind, AsnRegistry};
     use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn world(n: u32) -> (AccountStore, Population) {
+        seeded_world(n, 21)
+    }
+
+    fn seeded_world(n: u32, seed: u64) -> (AccountStore, Population) {
         let mut reg = AsnRegistry::new();
         for c in Country::ALL {
             reg.register(&format!("res-{}", c.code()), c, AsnKind::Residential, 10_000);
@@ -189,9 +204,129 @@ mod tests {
         let idx = ResidentialIndex::build(&reg);
         let mut accounts = AccountStore::new();
         let cfg = PopulationConfig { size: n, ..PopulationConfig::default() };
-        let mut rng = SmallRng::seed_from_u64(21);
+        let mut rng = SmallRng::seed_from_u64(seed);
         let pop = synthesize(&mut accounts, &idx, &cfg, &mut rng);
         (accounts, pop)
+    }
+
+    /// The per-draw curation loop (weight recomputed on every draw,
+    /// membership in a hash set): the reference `TargetPool::curate` must
+    /// reproduce draw for draw.
+    fn curate_reference(
+        accounts: &AccountStore,
+        population: &Population,
+        bias: TargetingBias,
+        size: usize,
+        rng: &mut impl Rng,
+    ) -> TargetPool {
+        let size = size.min(population.len());
+        let mut members = Vec::with_capacity(size);
+        let mut seen = std::collections::HashSet::with_capacity(size);
+        let mut guard = 0usize;
+        let guard_max = size * 1_000;
+        while members.len() < size {
+            guard += 1;
+            if guard > guard_max {
+                let cand = population.sample_uniform(rng.gen());
+                if seen.insert(cand) {
+                    members.push(cand);
+                }
+                continue;
+            }
+            let cand = population.sample_uniform(rng.gen());
+            if seen.contains(&cand) {
+                continue;
+            }
+            let a = accounts.get(cand);
+            let tendency = followback_tendency(a.following, a.followers, 0.5);
+            let mut weight = tendency.powf(bias.tendency_strength);
+            if bias.follow_for_like_strength > 0.0 {
+                let trait_norm = (a.reciprocity.follow_for_like / 0.02).min(1.0);
+                weight *= trait_norm.powf(bias.follow_for_like_strength);
+            }
+            if rng.gen::<f64>() < weight {
+                seen.insert(cand);
+                members.push(cand);
+            }
+        }
+        let stats = compute_stats(accounts, &members);
+        TargetPool { members, stats }
+    }
+
+    /// Floyd's algorithm with a hash set of chosen indices, sorted after:
+    /// the reference `TargetPool::sample_distinct` must reproduce.
+    fn sample_distinct_reference(
+        pool: &TargetPool,
+        n: usize,
+        rng: &mut impl Rng,
+    ) -> Vec<AccountId> {
+        if n >= pool.members.len() {
+            return pool.members.clone();
+        }
+        let mut chosen = std::collections::HashSet::with_capacity(n);
+        let len = pool.members.len();
+        for j in (len - n)..len {
+            let t = rng.gen_range(0..=j);
+            if !chosen.insert(t) {
+                chosen.insert(j);
+            }
+        }
+        let mut idx: Vec<usize> = chosen.into_iter().collect();
+        idx.sort_unstable();
+        idx.into_iter().map(|i| pool.members[i]).collect()
+    }
+
+    fn stats_bits(s: PoolStats) -> [u64; 3] {
+        [
+            s.like_for_like.to_bits(),
+            s.follow_for_like.to_bits(),
+            s.follow_for_follow.to_bits(),
+        ]
+    }
+
+    proptest! {
+        /// Curation and distinct sampling reproduce the reference samplers
+        /// exactly: same members in the same order, bit-equal stats, and
+        /// the RNG left at the same position. `tendency_strength: 1e9`
+        /// underflows every weight to 0 and forces the guard fallback.
+        #[test]
+        fn curation_and_sampling_match_the_reference_samplers(
+            pop_exp in 0.0f64..=1.0,
+            size_pick in any::<u32>(),
+            n_pick in any::<u32>(),
+            bias_pick in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            let biases = [
+                TargetingBias::UNIFORM,
+                presets::instalex_config(1.0).targeting,
+                presets::instazood_config(1.0).targeting,
+                presets::boostgram_config(1.0).targeting,
+                TargetingBias { tendency_strength: 1e9, follow_for_like_strength: 0.0 },
+            ];
+            let bias = biases[bias_pick];
+            // 1 to 600 accounts, log-uniform: small worlds hit the clamp
+            // often, and the reference's guard fallback (`size × 1000`
+            // draws) stays short enough for a debug build.
+            let pop_size = 600f64.powf(pop_exp).round() as u32;
+            let (accounts, pop) = seeded_world(pop_size, seed);
+            // Up to ten past the population, so the clamp is hit.
+            let size = 1 + size_pick as usize % (pop.len() + 10);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+            let mut ref_rng = rng.clone();
+            let pool = TargetPool::curate(&accounts, &pop, bias, size, &mut rng);
+            let want = curate_reference(&accounts, &pop, bias, size, &mut ref_rng);
+            prop_assert_eq!(pool.members(), want.members());
+            prop_assert_eq!(stats_bits(pool.stats()), stats_bits(want.stats()));
+            prop_assert_eq!(rng.clone().next_u64(), ref_rng.clone().next_u64());
+
+            // Past the pool too, so `n >= len` returns the whole pool.
+            let n = n_pick as usize % (pool.members().len() + 5);
+            let picked = pool.sample_distinct(n, &mut rng);
+            let want = sample_distinct_reference(&pool, n, &mut ref_rng);
+            prop_assert_eq!(picked, want);
+            prop_assert_eq!(rng.next_u64(), ref_rng.next_u64());
+        }
     }
 
     #[test]

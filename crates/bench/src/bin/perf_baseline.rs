@@ -1,20 +1,22 @@
 //! End-to-end engine throughput baseline.
 //!
-//! Runs a scenario to completion, times the whole study, and writes
-//! `BENCH_daily_engine.json` with wall time, days/sec, actions/sec, the
-//! results digest, and the worker thread count, so engine changes can be
-//! compared against a committed number.
+//! Runs a scenario to completion, times the whole study, and writes a
+//! report with wall time, days/sec, actions/sec, the results digest, and
+//! the worker thread count, so engine changes can be compared against the
+//! committed `BENCH_daily_engine.baseline.json`. The report goes to
+//! `output-path`, by default `BENCH_daily_engine.json` in the working
+//! directory (git ignores it).
 //!
 //! Usage: `perf_baseline [--json] [--scenario NAME] [--threads LIST]
 //! [--stream LOG] [seed] [output-path]`
 //!
 //! * `--scenario smoke|scaled|paper|quick` picks the preset (default
-//!   `smoke`, the CI gate's scenario; `scaled` is the committed
-//!   multi-thread bench).
+//!   `smoke`, the CI gate's scenario; `scaled` is the multi-thread sweep
+//!   EXPERIMENTS.md reports).
 //! * `--threads 1,2,8` enables sweep mode: the study runs once per listed
 //!   thread count (overriding `FOOTSTEPS_THREADS`) and the report is a JSON
-//!   **array** with one record per thread count, so a single committed file
-//!   documents the scaling curve and proves the digest is thread-invariant.
+//!   **array** with one record per thread count, so one file documents
+//!   the scaling curve and proves the digest is thread-invariant.
 //! * `--stream LOG` benches the streaming detector instead: the scenario's
 //!   characterization phase runs twice with the online detector attached —
 //!   recorder off, then recorder on (writing the replayable event log to

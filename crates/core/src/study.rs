@@ -153,6 +153,10 @@ impl Study {
             },
             rngs.stream("platform"),
         );
+        // World construction is timed from here, the first point where the
+        // platform's recorder exists; `phase.setup` (day 0) follows it.
+        let world_timer = platform.obs.timings.start("phase.world");
+        let population_timer = platform.obs.timings.start("world.population");
         let mut pop_rng = rngs.stream("population");
         let population = synthesize(
             &mut platform.accounts,
@@ -163,8 +167,10 @@ impl Study {
             },
             &mut pop_rng,
         );
+        platform.obs.timings.finish(population_timer);
 
         // --- services -------------------------------------------------------
+        let services_timer = platform.obs.timings.start("world.services");
         // The franchises share their parent's automation stack: one
         // fingerprint variant and one hosting network, which is exactly why
         // the paper cannot tell them apart ("Insta*").
@@ -208,6 +214,7 @@ impl Study {
             )),
         ];
         debug_assert!(services.iter().map(Service::id).eq(ServiceId::ALL));
+        platform.obs.timings.finish(services_timer);
 
         let framework = HoneypotFramework::new(layout.honeypot_home, rngs.stream("honeypot"));
         let background = BackgroundConfig {
@@ -223,6 +230,7 @@ impl Study {
         );
         let broad_plan = ExperimentPlan::broad(timeline.broad_start, scenario.control_bin);
         let bg_rng = rngs.stream("background");
+        platform.obs.timings.finish(world_timer);
 
         let mut study = Self {
             scenario,

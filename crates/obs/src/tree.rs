@@ -672,7 +672,7 @@ pub struct PhaseSummary {
 }
 
 /// Where the time went: the span-tree digest of one run, embedded in
-/// `BENCH_daily_engine.json` next to the throughput numbers.
+/// `perf_baseline`'s JSON report next to the throughput numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanTreeSummary {
     /// Depth-1 spans (the study phases), in first-open order.

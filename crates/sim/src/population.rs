@@ -108,10 +108,16 @@ impl Population {
         self.organic.is_empty()
     }
 
+    /// The position in [`Population::organic`] that `u ∈ [0,1)` picks,
+    /// uniformly over the population.
+    pub fn index_of(&self, u: f64) -> usize {
+        assert!(!self.organic.is_empty(), "empty population");
+        ((u * self.organic.len() as f64) as usize).min(self.organic.len() - 1)
+    }
+
     /// Uniformly sample an organic account id with `u ∈ [0,1)`.
     pub fn sample_uniform(&self, u: f64) -> AccountId {
-        assert!(!self.organic.is_empty(), "empty population");
-        self.organic[((u * self.organic.len() as f64) as usize).min(self.organic.len() - 1)]
+        self.organic[self.index_of(u)]
     }
 }
 
