@@ -618,7 +618,6 @@ pub fn obs(study: &Study) -> String {
         "platform.outbound.delivered",
         "platform.outbound.blocked",
         "platform.outbound.deferred",
-        "platform.outbound.rate_limited",
         "platform.outbound.edge_blocked",
         "platform.inbound.delivered",
         "platform.inbound.blocked",

@@ -387,6 +387,8 @@ fn decl_rank(d: Decl) -> u8 {
 /// so a hash field declared in `sim` and iterated from `aas` is caught.
 /// `let` bindings and parameters are deliberately excluded — their uses are
 /// file-local and the per-file local table sees them with full context.
+/// Declarations inside `#[cfg(test)]` / `#[test]` items are skipped: the
+/// rules never check test code, so its types must not type product names.
 /// On a collision, the riskier class wins (conservative).
 #[derive(Debug, Default)]
 pub struct SymbolTable {
@@ -400,6 +402,7 @@ impl SymbolTable {
     /// Record field declarations from one lexed file.
     pub fn collect(&mut self, lexed: &Lexed) {
         let tokens = &lexed.tokens;
+        let test_ranges = test_item_ranges(tokens);
         let mut paren = 0i32;
         for i in 0..tokens.len() {
             let t = &tokens[i];
@@ -409,6 +412,7 @@ impl SymbolTable {
                 paren -= 1;
             }
             if paren > 0
+                || in_ranges(&test_ranges, i)
                 || t.kind != TokenKind::Ident
                 || !tokens.get(i + 1).is_some_and(|n| n.is_punct(":"))
                 || after_let(tokens, i)
@@ -459,10 +463,10 @@ impl SymbolTable {
 
 /// Per-file declaration table. Records every `name: Type` declaration
 /// (field, parameter, or `let` — concrete CamelCase types and
-/// primitives) and every `name = HashMap::new()`-shaped binding. Local
-/// declarations *shadow* the global field table: a file whose `accounts`
-/// is a `Vec` arena is not flagged just because some other crate has a
-/// `HashSet` parameter of the same name.
+/// primitives) and every `name = HashMap::new()`-shaped binding, outside
+/// test items. Local declarations *shadow* the global field table: a
+/// file whose `accounts` is a `Vec` arena is not flagged just because
+/// some other crate has a `HashSet` parameter of the same name.
 #[derive(Debug, Default)]
 struct LocalTable {
     names: Vec<(String, Decl)>,
@@ -487,9 +491,10 @@ impl LocalTable {
 
 fn local_table(tokens: &[Token]) -> LocalTable {
     let mut table = LocalTable::default();
+    let test_ranges = test_item_ranges(tokens);
     for i in 0..tokens.len() {
         let t = &tokens[i];
-        if t.kind != TokenKind::Ident {
+        if t.kind != TokenKind::Ident || in_ranges(&test_ranges, i) {
             continue;
         }
         let Some(next) = tokens.get(i + 1) else { break };
@@ -530,6 +535,11 @@ fn local_table(tokens: &[Token]) -> LocalTable {
         }
     }
     table
+}
+
+/// Whether token `i` lies inside one of the inclusive `ranges`.
+fn in_ranges(ranges: &[(usize, usize)], i: usize) -> bool {
+    ranges.iter().any(|&(s, e)| i >= s && i <= e)
 }
 
 /// Per-file name classifier shared by the lexical rules and the effect
@@ -609,10 +619,8 @@ pub(crate) fn lexical_matches(
     let tokens = &lexed.tokens;
     let names = NameClassifier::new(symbols, tokens);
     let test_ranges = test_item_ranges(tokens);
-    let in_test = |i: usize| -> bool {
-        class.section == Section::TestLike
-            || test_ranges.iter().any(|&(s, e)| i >= s && i <= e)
-    };
+    let in_test =
+        |i: usize| -> bool { class.section == Section::TestLike || in_ranges(&test_ranges, i) };
     let digest_src = |i: usize| -> bool {
         DIGEST_CRATES.contains(&class.krate.as_str())
             && class.section == Section::Src

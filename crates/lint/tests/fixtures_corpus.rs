@@ -12,6 +12,7 @@ use std::path::Path;
 use footsteps_lint::{lint_files, lint_workspace, violation_count, Finding, PragmaStatus, Rule};
 
 const NONDET_ITER: &str = include_str!("fixtures/nondet_iter.rs");
+const NONDET_ITER_TEST_DECLS: &str = include_str!("fixtures/nondet_iter_test_decls.rs");
 const CROSS_FILE_A: &str = include_str!("fixtures/cross_file_a.rs");
 const CROSS_FILE_B: &str = include_str!("fixtures/cross_file_b.rs");
 const WALL_CLOCK: &str = include_str!("fixtures/wall_clock.rs");
@@ -90,6 +91,35 @@ fn nondet_iter_sees_field_types_across_files() {
     // `.iter()` on it cannot be blamed.
     let alone = lint_one("crates/sim/src/cross_file_b.rs", CROSS_FILE_B);
     assert!(by_rule(&alone, Rule::NondetIter).is_empty(), "findings: {alone:#?}");
+}
+
+#[test]
+fn nondet_iter_ignores_declarations_in_test_code() {
+    // A `Vec` local iterated in product code, and a `#[cfg(test)]` helper
+    // that binds the same name to a `HashSet`: the test binding does not
+    // type the product code's name.
+    let findings = lint_one("crates/aas/src/nondet_iter_test_decls.rs", NONDET_ITER_TEST_DECLS);
+    assert!(findings.is_empty(), "findings: {findings:#?}");
+}
+
+#[test]
+fn nondet_iter_still_flags_product_hash_iteration_beside_test_decls() {
+    let source = format!(
+        "{NONDET_ITER_TEST_DECLS}
+pub fn distinct(xs: &[u32]) -> Vec<u32> {{
+    let mut seen = std::collections::HashSet::new();
+    for &x in xs {{
+        seen.insert(x);
+    }}
+    seen.into_iter().collect()
+}}
+"
+    );
+    let findings = lint_one("crates/aas/src/nondet_iter_test_decls.rs", &source);
+    let hits = by_rule(&findings, Rule::NondetIter);
+    assert_eq!(hits.len(), 1, "findings: {findings:#?}");
+    assert!(hits[0].message.contains("`seen`"), "{}", hits[0].message);
+    assert!(hits[0].is_violation());
 }
 
 #[test]

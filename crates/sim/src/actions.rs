@@ -115,11 +115,6 @@ pub enum ActionOutcome {
     /// the next day (the "delayed removal" countermeasure, §6.1). The
     /// submitting client observes success.
     DeferredRemoval,
-    /// Rejected by public-API rate limiting (the reason AASs spoof the
-    /// private API rather than use OAuth, §2). No study sends public-API
-    /// traffic, so the platform has no quota stage and never records this
-    /// outcome; it stays part of the event-log wire format.
-    RateLimited,
 }
 
 impl ActionOutcome {
@@ -143,8 +138,9 @@ impl ActionOutcome {
 /// Event-level records are only retained for *tracked* accounts (honeypots
 /// and analysis samples); bulk activity is aggregated daily (see
 /// [`crate::log`]). This split is the "two-speed engine" design decision in
-/// DESIGN.md §4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// DESIGN.md §4. Its JSON form is a positional row of the day record,
+/// written in [`crate::log`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionEvent {
     /// When the action was submitted.
     pub at: SimTime,
@@ -167,8 +163,9 @@ pub struct ActionEvent {
 /// Per-action-type counters, one lifecycle stage per field.
 ///
 /// This is the daily aggregation record: `attempted = delivered + blocked +
-/// deferred + rate_limited` holds per type (enforced by the recording API).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// deferred` holds per type (enforced by the recording API). Its JSON form
+/// leaves `attempted` out and the decoder recomputes it ([`crate::log`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TypeCounts {
     /// Actions submitted, per [`ActionType::index`].
     pub attempted: [u32; ActionType::COUNT],
@@ -178,8 +175,6 @@ pub struct TypeCounts {
     pub blocked: [u32; ActionType::COUNT],
     /// Actions delivered but scheduled for deferred removal.
     pub deferred: [u32; ActionType::COUNT],
-    /// Actions rejected by rate limiting (see [`ActionOutcome::RateLimited`]).
-    pub rate_limited: [u32; ActionType::COUNT],
 }
 
 impl TypeCounts {
@@ -191,7 +186,6 @@ impl TypeCounts {
             ActionOutcome::Delivered => self.delivered[i] += n,
             ActionOutcome::Blocked => self.blocked[i] += n,
             ActionOutcome::DeferredRemoval => self.deferred[i] += n,
-            ActionOutcome::RateLimited => self.rate_limited[i] += n,
         }
     }
 
@@ -224,7 +218,6 @@ impl TypeCounts {
             self.delivered[i] += other.delivered[i];
             self.blocked[i] += other.blocked[i];
             self.deferred[i] += other.deferred[i];
-            self.rate_limited[i] += other.rate_limited[i];
         }
     }
 
@@ -232,8 +225,7 @@ impl TypeCounts {
     /// outcome bucket.
     pub fn is_consistent(&self) -> bool {
         (0..ActionType::COUNT).all(|i| {
-            self.attempted[i]
-                == self.delivered[i] + self.blocked[i] + self.deferred[i] + self.rate_limited[i]
+            self.attempted[i] == self.delivered[i] + self.blocked[i] + self.deferred[i]
         })
     }
 }
@@ -266,7 +258,6 @@ mod tests {
         assert!(ActionOutcome::DeferredRemoval.visible_success());
         assert!(ActionOutcome::Delivered.visible_success());
         assert!(!ActionOutcome::Blocked.visible_success());
-        assert!(!ActionOutcome::RateLimited.visible_success());
     }
 
     #[test]
@@ -275,7 +266,7 @@ mod tests {
         c.record(ActionType::Like, ActionOutcome::Delivered, 10);
         c.record(ActionType::Like, ActionOutcome::Blocked, 3);
         c.record(ActionType::Follow, ActionOutcome::DeferredRemoval, 5);
-        c.record(ActionType::Follow, ActionOutcome::RateLimited, 2);
+        c.record(ActionType::Follow, ActionOutcome::Blocked, 2);
         assert!(c.is_consistent());
         assert_eq!(c.attempted_of(ActionType::Like), 13);
         assert_eq!(c.visible_success_of(ActionType::Like), 10);

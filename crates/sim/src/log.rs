@@ -8,6 +8,9 @@
 //!
 //! A sealed [`DayLog`] is the run's one day record: the detection stages
 //! read it, and its JSON form is a line of the event log (DESIGN.md §8).
+//! That line is an object of the day's row lists, and every row is a
+//! positional JSON array written by this module; enums inside a row keep
+//! their derived tags.
 //!
 //! Per the two-speed design, bulk activity is stored as **daily aggregates**
 //! and full [`ActionEvent`]s are retained only for accounts registered as
@@ -40,9 +43,7 @@ use std::collections::BTreeMap;
 /// platform's abuse signals combine ASN and client fingerprint (§5) — a
 /// mixed ASN hosting both organic app traffic and a service's spoofed
 /// private-API traffic must keep the two distinguishable.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OutboundKey {
     /// Acting account.
     pub account: AccountId,
@@ -58,7 +59,7 @@ pub struct OutboundKey {
 pub type InboundSource = Option<AsnId>;
 
 /// Like-delivery statistics for one photo on one day.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhotoDayLikes {
     /// Total likes delivered to the photo this day.
     pub total: u32,
@@ -78,7 +79,7 @@ impl PhotoDayLikes {
 }
 
 /// Logins by one account via one ASN on one day.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoginRecord {
     /// The account that logged in.
     pub account: AccountId,
@@ -450,6 +451,128 @@ impl Deserialize for DayLog {
             events: events.ok_or_else(|| missing("events"))?,
             open: None,
         })
+    }
+}
+
+// The rows of a day record. Each is a JSON array in field order, so a
+// line does not repeat field names row after row (DESIGN.md §8):
+// `OutboundKey` `[account, asn, fingerprint]`, `LoginRecord`
+// `[account, asn, count]`, `PhotoDayLikes` `[total, max_hourly]`,
+// `ActionEvent` `[at, actor, action, target, ip, asn, fingerprint,
+// outcome]`, and `TypeCounts` the 15 cells of `delivered`, `blocked`
+// and `deferred`, each in `ActionType::ALL` order.
+
+impl Serialize for OutboundKey {
+    fn serialize(&self, w: &mut Writer) {
+        (self.account, self.asn, self.fingerprint).serialize(w);
+    }
+}
+
+impl Deserialize for OutboundKey {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let (account, asn, fingerprint) = Deserialize::deserialize(r)?;
+        Ok(OutboundKey { account, asn, fingerprint })
+    }
+}
+
+impl Serialize for LoginRecord {
+    fn serialize(&self, w: &mut Writer) {
+        (self.account, self.asn, self.count).serialize(w);
+    }
+}
+
+impl Deserialize for LoginRecord {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let (account, asn, count) = Deserialize::deserialize(r)?;
+        Ok(LoginRecord { account, asn, count })
+    }
+}
+
+impl Serialize for PhotoDayLikes {
+    fn serialize(&self, w: &mut Writer) {
+        (self.total, self.max_hourly).serialize(w);
+    }
+}
+
+impl Deserialize for PhotoDayLikes {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let (total, max_hourly) = Deserialize::deserialize(r)?;
+        Ok(PhotoDayLikes { total, max_hourly })
+    }
+}
+
+/// Elements of an event row.
+const EVENT_LEN: usize = 8;
+
+impl Serialize for ActionEvent {
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_seq();
+        w.element(&self.at);
+        w.element(&self.actor);
+        w.element(&self.action);
+        w.element(&self.target);
+        w.element(&self.ip);
+        w.element(&self.asn);
+        w.element(&self.fingerprint);
+        w.element(&self.outcome);
+        w.end_seq();
+    }
+}
+
+impl Deserialize for ActionEvent {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_seq()?;
+        // Fields are read in the order they are written here.
+        let event = ActionEvent {
+            at: r.tuple_element(EVENT_LEN)?,
+            actor: r.tuple_element(EVENT_LEN)?,
+            action: r.tuple_element(EVENT_LEN)?,
+            target: r.tuple_element(EVENT_LEN)?,
+            ip: r.tuple_element(EVENT_LEN)?,
+            asn: r.tuple_element(EVENT_LEN)?,
+            fingerprint: r.tuple_element(EVENT_LEN)?,
+            outcome: r.tuple_element(EVENT_LEN)?,
+        };
+        r.end_tuple(EVENT_LEN)?;
+        Ok(event)
+    }
+}
+
+/// Cells of a counts row: three stages of one cell per action type.
+const COUNTS_LEN: usize = 3 * ActionType::COUNT;
+
+impl Serialize for TypeCounts {
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_seq();
+        for stage in [&self.delivered, &self.blocked, &self.deferred] {
+            for n in stage {
+                w.element(n);
+            }
+        }
+        w.end_seq();
+    }
+}
+
+impl Deserialize for TypeCounts {
+    /// `attempted` is not on the wire: it is the sum of the three stages,
+    /// and a row whose sum overflows is an error.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut c = TypeCounts::default();
+        r.begin_seq()?;
+        for stage in [&mut c.delivered, &mut c.blocked, &mut c.deferred] {
+            for n in stage {
+                *n = r.tuple_element(COUNTS_LEN)?;
+            }
+        }
+        r.end_tuple(COUNTS_LEN)?;
+        for ty in ActionType::ALL {
+            let i = ty.index();
+            c.attempted[i] = c.delivered[i]
+                .checked_add(c.blocked[i])
+                .and_then(|n| n.checked_add(c.deferred[i]))
+                .ok_or_else(|| Error::custom(format!("{ty} counts overflow u32")))?;
+        }
+        Ok(c)
     }
 }
 

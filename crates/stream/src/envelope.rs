@@ -1,5 +1,7 @@
 //! The recorded event log: a versioned JSONL file with one header line
 //! followed by one sealed [`DayLog`] line per simulated day, day 0 first.
+//! A day line is an object of row lists whose rows are positional arrays
+//! (`footsteps_sim::log` writes them; DESIGN.md §8).
 //!
 //! The header carries everything a replay needs to rebuild the online
 //! detector — the honeypot roster, the calibration window and the seed —
@@ -26,7 +28,11 @@ use std::path::{Path, PathBuf};
 ///
 /// v2: a batch line is the sealed `DayLog` itself, which adds its
 /// `photo_likes`, and the header lost its wall-clock `recorded_unix`.
-pub const STREAM_SCHEMA_VERSION: u32 = 2;
+///
+/// v3: the day's rows are positional arrays, and a counts row holds 15
+/// cells (`delivered`, `blocked`, `deferred`) with `attempted` recomputed
+/// on read; `rate_limited` is gone (DESIGN.md §8).
+pub const STREAM_SCHEMA_VERSION: u32 = 3;
 
 /// Errors from recording or replaying an event log.
 #[derive(Debug)]

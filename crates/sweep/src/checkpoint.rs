@@ -4,7 +4,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema_version": 6, "scenario_hash": …, "phase": "Characterized",
+//! {"schema_version": 7, "scenario_hash": …, "phase": "Characterized",
 //!  "log": {"file": "log_smoke_s1.jsonl", "prefix": {"batches": 24, "bytes": …, "fnv1a": …}},
 //!  "study": {…}}
 //! ```
@@ -19,7 +19,8 @@
 //!
 //! A recording study leaves the days its event log holds out of `study`;
 //! `log` names that log (a file next to the checkpoint) and its prefix.
-//! A study without a recorder embeds every day and has no `log`.
+//! A study without a recorder embeds every day and has no `log`. An
+//! embedded day has the same positional rows as an event-log line.
 //!
 //! Determinism contract: the `Study` serialization covers every RNG
 //! stream position, arena and pending queue, so a study loaded from any
@@ -62,7 +63,11 @@ use crate::SweepError;
 /// The platform's `ActionLog` leaves out the days that log holds (its new
 /// `recorded` count), and each `DayLog` carries its `day` and `logins`.
 /// Every other `Study` component keeps its bytes.
-pub const SCHEMA_VERSION: u32 = 6;
+///
+/// v7: an embedded `DayLog` (day 0 of a `Setup` checkpoint) has the event
+/// log's v3 positional rows, and `TypeCounts` lost `rate_limited`. Every
+/// other `Study` component keeps its bytes.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Identity hash of a scenario, for tying checkpoints and manifests to
 /// their configuration. `worker_threads` is normalized out: it comes from

@@ -13,9 +13,12 @@ use std::path::PathBuf;
 
 use footsteps_core::results::StudyResults;
 use footsteps_core::{Phase, Scenario, Study};
+use footsteps_sim::prelude::Day;
+use footsteps_stream::{EventLogReader, LogHeader, StreamError, STREAM_SCHEMA_VERSION};
 use footsteps_sweep::checkpoint;
 use footsteps_sweep::scheduler::log_path;
 use footsteps_sweep::SweepError;
+use serde_json::Value;
 
 /// The determinism suite's golden digest for `Scenario::smoke(7)`. It is
 /// worker-thread invariant (pinned by `tests/tests/determinism.rs`), so
@@ -211,9 +214,16 @@ fn recorded_resume_from_every_boundary_reproduces_digests_and_log() {
             + (sc.narrow_days + sc.broad_days + sc.epilogue_days) as usize,
         "one header line and one line per day of all four phases"
     );
-    // Past Setup a checkpoint embeds no day, so it is far smaller than the log.
-    let finished_size = std::fs::metadata(ckpt(Phase::Finished)).unwrap().len();
-    assert!(finished_size < whole_log.len() as u64 / 4, "finished checkpoint is {finished_size} B");
+    // Past Setup a checkpoint embeds no day: the log holds every one.
+    for phase in &boundaries[1..] {
+        let text = std::fs::read_to_string(ckpt(*phase)).unwrap();
+        let doc = serde_json::parse(&text).expect("the checkpoint parses");
+        let days = ["study", "platform", "log", "days"]
+            .iter()
+            .try_fold(&doc, |v, name| v.get_field(name))
+            .expect("the checkpoint has study.platform.log.days");
+        assert_eq!(days, &Value::Seq(Vec::new()), "the {phase:?} checkpoint embeds days");
+    }
 
     for phase in boundaries {
         // What a kill mid-phase leaves after the boundary's prefix: whole
@@ -269,13 +279,12 @@ fn missing_short_altered_or_foreign_logs_are_typed_errors() {
     }
 
     // One byte altered inside the prefix: the last digit of the last login
-    // count, so the line still parses and only the digest can tell.
-    let count = b"\"count\":";
-    let mut at = good.windows(count.len()).rposition(|w| w == count).expect("a login");
-    at += count.len();
-    while good[at + 1].is_ascii_digit() {
-        at += 1;
-    }
+    // row's count (`…,[account,asn,count]]`), so the line still parses and
+    // only the digest can tell.
+    let logins = b"\"logins\":[[";
+    let rows = good.windows(logins.len()).rposition(|w| w == logins).expect("a login");
+    let at = rows + good[rows..].windows(2).position(|w| w == b"]]").expect("the rows end") - 1;
+    assert!(good[at].is_ascii_digit(), "a count ends at byte {at}");
     let mut altered = good.clone();
     altered[at] = if altered[at] == b'9' { b'8' } else { altered[at] + 1 };
     match with_log(&altered) {
@@ -297,6 +306,131 @@ fn missing_short_altered_or_foreign_logs_are_typed_errors() {
     match checkpoint::load(&path, &sc) {
         Err(SweepError::Io { path, .. }) => assert_eq!(path, log),
         other => panic!("missing log: expected Io, got {other:?}"),
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value of field `name` of a JSON object.
+fn field<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
+    let Value::Map(pairs) = v else { panic!("`{name}` of a non-object") };
+    let key = Value::Str(name.to_string());
+    pairs.iter_mut().find(|(k, _)| *k == key).map(|(_, v)| v).expect(name)
+}
+
+fn items(v: &mut Value) -> &mut Vec<Value> {
+    let Value::Seq(items) = v else { panic!("not an array") };
+    items
+}
+
+/// Day 0 of a `Setup` checkpoint, the one day it embeds.
+fn day0(checkpoint: &mut Value) -> &mut Value {
+    let mut v = checkpoint;
+    for name in ["study", "platform", "log", "days"] {
+        v = field(v, name);
+    }
+    &mut items(v)[0]
+}
+
+/// The first outbound row of a day: `[key, counts]`.
+fn first_outbound(day: &mut Value) -> &mut Vec<Value> {
+    items(&mut items(field(day, "outbound"))[0])
+}
+
+fn counts(day: &mut Value) -> &mut Vec<Value> {
+    items(&mut first_outbound(day)[1])
+}
+
+/// What a malformed-row case does, its edit of a day, and a fragment of
+/// the error it must give.
+type RowEdit = (&'static str, fn(&mut Value), &'static str);
+
+/// An event row at day 0 with the given outcome tag.
+fn event_row(outcome: &str) -> Value {
+    let tag = |s: &str| Value::Str(s.to_string());
+    Value::Seq(vec![
+        Value::U64(7),
+        Value::U64(1),
+        tag("Like"),
+        tag("SelfContent"),
+        Value::U64(2),
+        Value::U64(3),
+        tag("OfficialApp"),
+        tag(outcome),
+    ])
+}
+
+#[test]
+fn malformed_day_rows_are_typed_errors() {
+    let dir = tmp_dir("malformed-rows");
+    let sc = smoke(3);
+    let path = dir.join("ckpt.json");
+    checkpoint::save(&Study::new(sc.clone()), &path).expect("save");
+    let good = serde_json::parse(&std::fs::read_to_string(&path).unwrap()).expect("parses");
+    // The checkpoint re-encoded from its document loads: each failure
+    // below comes from its edit.
+    std::fs::write(&path, serde_json::to_string(&good).unwrap()).unwrap();
+    checkpoint::load(&path, &sc).expect("the re-encoded checkpoint loads");
+
+    // Day 0 as the one day line of a log.
+    let log = dir.join("log.jsonl");
+    let header = LogHeader {
+        schema_version: STREAM_SCHEMA_VERSION,
+        seed: 3,
+        calibration_start: Day(0),
+        calibration_end: Day(1),
+        window_days: 1,
+        roster: Vec::new(),
+    };
+    let read_day0 = |doc: &mut Value| {
+        let header = serde_json::to_string(&header).unwrap();
+        let day = serde_json::to_string(day0(doc)).unwrap();
+        std::fs::write(&log, format!("{header}\n{day}\n")).unwrap();
+        EventLogReader::open(&log).expect("the header reads").next_batch()
+    };
+    let mut with_event = good.clone();
+    items(field(day0(&mut with_event), "events")).push(event_row("Delivered"));
+    assert!(read_day0(&mut with_event).expect("day 0 reads").is_some());
+
+    let edits: [RowEdit; 5] = [
+        ("a 14-cell counts row", |day| drop(counts(day).pop()), "length 15"),
+        ("a 16-cell counts row", |day| counts(day).push(Value::U64(0)), "length 15"),
+        (
+            "a counts row whose like cells overflow u32",
+            |day| {
+                let cells = counts(day);
+                cells[0] = Value::U64(u32::MAX.into());
+                cells[5] = Value::U64(1);
+            },
+            "like counts overflow u32",
+        ),
+        (
+            "a 2-element outbound key",
+            |day| drop(items(&mut first_outbound(day)[0]).pop()),
+            "length 3",
+        ),
+        (
+            "a RateLimited event",
+            |day| items(field(day, "events")).push(event_row("RateLimited")),
+            "unknown variant `RateLimited`",
+        ),
+    ];
+    for (what, edit, error) in edits {
+        let mut doc = good.clone();
+        edit(day0(&mut doc));
+        match read_day0(&mut doc) {
+            Err(StreamError::Corrupt(msg)) => {
+                assert!(msg.starts_with("line 2: ") && msg.contains(error), "{what}: {msg}");
+            }
+            other => panic!("{what}: expected a corrupt line 2, got {other:?}"),
+        }
+        std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
+        match checkpoint::load(&path, &sc) {
+            Err(SweepError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(error), "{what}: {detail}");
+            }
+            other => panic!("{what} in a Setup checkpoint: expected Corrupt, got {other:?}"),
+        }
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -20,7 +20,6 @@ fn any_outcome() -> impl Strategy<Value = ActionOutcome> {
         Just(ActionOutcome::Delivered),
         Just(ActionOutcome::Blocked),
         Just(ActionOutcome::DeferredRemoval),
-        Just(ActionOutcome::RateLimited),
     ]
 }
 
