@@ -13,8 +13,7 @@
 //! from the lexed token streams ([`graph`]), effect bits are seeded by the
 //! lexical detectors and propagated to a fixpoint ([`effects`]), and the
 //! shard deny scopes flag *transitive* reach with full call chains
-//! (`apply_shard → log_outcome → Instant::now`). The checkpoint resume
-//! format is pinned structurally via `lint-schema.lock` ([`schema`]).
+//! (`apply_shard → log_outcome → Instant::now`).
 //!
 //! Exceptions are claimed *in source*, with a mandatory reason:
 //!
@@ -36,12 +35,10 @@ pub mod lexer;
 pub mod pragma;
 pub mod report;
 pub mod rules;
-pub mod schema;
 pub mod walker;
 
 pub use graph::GraphStats;
 pub use rules::{Finding, PragmaStatus, Rule, RuleDoc, SymbolTable, EXPLANATIONS};
-pub use schema::LockState;
 
 use lexer::Lexed;
 use std::io;
@@ -61,9 +58,9 @@ pub struct Analysis {
 /// The pipeline: lex every file once; build the workspace symbol table and
 /// call graph; collect pragmas; seed and propagate the effect lattice
 /// (seeds on validly-pragma'd lines do not propagate); then per file merge
-/// lexical matches, transitive graph matches, and checkpoint-schema
-/// findings, and resolve pragmas against the lot.
-pub fn analyze_files(files: &[(String, String)], lock: &LockState) -> Analysis {
+/// lexical and transitive graph matches, and resolve pragmas against the
+/// lot.
+pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     let lexed: Vec<Lexed> = files.iter().map(|(_, s)| lexer::lex(s)).collect();
     let refs: Vec<(&str, &Lexed)> =
         files.iter().zip(&lexed).map(|((rel, _), l)| (rel.as_str(), l)).collect();
@@ -98,9 +95,6 @@ pub fn analyze_files(files: &[(String, String)], lock: &LockState) -> Analysis {
     for (fi, m) in rules::graph_matches(&call_graph, &table, &refs) {
         per_file[fi].push(m);
     }
-    for (fi, m) in schema::check(&refs, lock) {
-        per_file[fi].push(m);
-    }
 
     let mut findings = Vec::new();
     for (fi, raw) in per_file.into_iter().enumerate() {
@@ -112,47 +106,14 @@ pub fn analyze_files(files: &[(String, String)], lock: &LockState) -> Analysis {
     Analysis { findings, stats }
 }
 
-/// Analyze the workspace rooted at `root`, including the committed
-/// `lint-schema.lock` (its absence is itself a finding once a checkpoint
-/// envelope exists). This is the entry point the CI binary runs and the
-/// meta integration test asserts on.
+/// Analyze the workspace rooted at `root`. This is the entry point the CI
+/// binary runs and the meta integration test asserts on.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
-    let files = read_workspace(root)?;
-    let lock = match std::fs::read_to_string(root.join(schema::LOCK_FILE)) {
-        Ok(text) => LockState::Present(text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => LockState::Absent,
-        Err(e) => return Err(e),
-    };
-    Ok(analyze_files(&files, &lock))
-}
-
-/// Lint a set of in-memory files with schema checking disabled
-/// (compatibility wrapper used by the fixture corpus).
-pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
-    analyze_files(files, &LockState::Skip).findings
-}
-
-/// Lint the workspace rooted at `root`.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(analyze_workspace(root)?.findings)
-}
-
-/// Render the current `lint-schema.lock` contents for the workspace at
-/// `root`, or `None` when no checkpoint envelope is in the scan set.
-pub fn schema_lock_contents(root: &Path) -> io::Result<Option<String>> {
-    let files = read_workspace(root)?;
-    let lexed: Vec<Lexed> = files.iter().map(|(_, s)| lexer::lex(s)).collect();
-    let refs: Vec<(&str, &Lexed)> =
-        files.iter().zip(&lexed).map(|((rel, _), l)| (rel.as_str(), l)).collect();
-    Ok(schema::snapshot(&refs).map(|snap| schema::render_lock(&snap)))
-}
-
-fn read_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     for (rel, abs) in walker::workspace_files(root)? {
         files.push((rel, std::fs::read_to_string(&abs)?));
     }
-    Ok(files)
+    Ok(analyze_files(&files))
 }
 
 /// Count the findings that fail the build.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! footsteps-lint [--root <DIR>] [--json] [--json-out <PATH>] [--quiet]
-//!                [--stats] [--explain <rule>] [--schema-check] [--schema-write]
+//!                [--stats] [--explain <rule>]
 //! ```
 //!
 //! * `--root <DIR>`    workspace root (default: auto-detected from the
@@ -14,11 +14,7 @@
 //! * `--stats`         print call-graph coverage (functions indexed, call
 //!   edges, unresolved/opaque/trait-merged counts, fixpoint iterations);
 //! * `--explain <r>`   print one rule's rationale, scope, and pragma
-//!   example (the same table DESIGN.md §6 is written from), then exit;
-//! * `--schema-check`  gate only on `checkpoint-schema`: exit 1 iff the
-//!   committed `lint-schema.lock` is stale (CI freshness gate);
-//! * `--schema-write`  regenerate `lint-schema.lock` from the current
-//!   checkpoint envelope and exit.
+//!   example (the same table DESIGN.md §6 is written from), then exit.
 //!
 //! Exit status: `0` when the workspace is clean (pragma-allowed findings
 //! are clean), `1` on any violation, `2` on usage or I/O errors.
@@ -36,8 +32,6 @@ fn main() -> ExitCode {
     let mut quiet = false;
     let mut stats = false;
     let mut explain: Option<String> = None;
-    let mut schema_check = false;
-    let mut schema_write = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -57,8 +51,6 @@ fn main() -> ExitCode {
                 Some(r) => explain = Some(r),
                 None => return usage("--explain needs a rule name"),
             },
-            "--schema-check" => schema_check = true,
-            "--schema-write" => schema_write = true,
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
@@ -87,31 +79,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if schema_write {
-        return match footsteps_lint::schema_lock_contents(&root) {
-            Ok(Some(text)) => {
-                let path = root.join(footsteps_lint::schema::LOCK_FILE);
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("footsteps-lint: cannot write {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                println!("footsteps-lint: wrote {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Ok(None) => {
-                eprintln!(
-                    "footsteps-lint: no checkpoint envelope ({}) in the scan set",
-                    footsteps_lint::schema::CHECKPOINT_FILE
-                );
-                ExitCode::from(2)
-            }
-            Err(e) => {
-                eprintln!("footsteps-lint: scan failed: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let analysis = match analyze_workspace(&root) {
         Ok(a) => a,
         Err(e) => {
@@ -119,23 +86,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if schema_check {
-        let drift: Vec<_> = analysis
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::CheckpointSchema && f.is_violation())
-            .cloned()
-            .collect();
-        if !quiet {
-            if drift.is_empty() {
-                println!("footsteps-lint: lint-schema.lock is fresh");
-            } else {
-                print!("{}", report::render_text(&drift));
-            }
-        }
-        return if drift.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) };
-    }
 
     let findings = analysis.findings;
     let json_text = if json || json_out.is_some() {
@@ -190,7 +140,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("footsteps-lint: {err}");
     eprintln!(
         "usage: footsteps-lint [--root <DIR>] [--json] [--json-out <PATH>] [--quiet] \
-         [--stats] [--explain <rule>] [--schema-check] [--schema-write]"
+         [--stats] [--explain <rule>]"
     );
     ExitCode::from(2)
 }

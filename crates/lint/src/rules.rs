@@ -163,8 +163,6 @@ pub enum Rule {
     PanicInShard,
     /// Float accumulation in a merge path outside the canonical helpers.
     FloatAccumOrder,
-    /// Checkpoint envelope type drift without a `SCHEMA_VERSION` bump.
-    CheckpointSchema,
     /// `unsafe` outside the (empty) allowlist.
     UnsafeCode,
     /// A problem with a pragma itself (missing reason, unknown rule, stale).
@@ -181,7 +179,6 @@ impl Rule {
         Rule::ParallelMetrics,
         Rule::PanicInShard,
         Rule::FloatAccumOrder,
-        Rule::CheckpointSchema,
         Rule::UnsafeCode,
         Rule::Pragma,
     ];
@@ -196,7 +193,6 @@ impl Rule {
             Rule::ParallelMetrics => "parallel-metrics",
             Rule::PanicInShard => "panic-in-shard",
             Rule::FloatAccumOrder => "float-accum-order",
-            Rule::CheckpointSchema => "checkpoint-schema",
             Rule::UnsafeCode => "unsafe-code",
             Rule::Pragma => "pragma",
         }
@@ -277,16 +273,6 @@ pub const EXPLANATIONS: &[RuleDoc] = &[
         scope: "merge/merge_inbound/apply_delta/apply_deposits_sharded in digest-crate and obs \
                 src, and everything they reach, except crates/analysis/src/stats.rs.",
         pragma: "// footsteps-lint: allow(float-accum-order) — single-shard path, order fixed",
-    },
-    RuleDoc {
-        rule: Rule::CheckpointSchema,
-        rationale: "Sweep resume deserializes committed checkpoints; a silent field change \
-                    makes old checkpoints mis-resume. Structural digests of every Deserialize \
-                    type reachable from the envelope are pinned in lint-schema.lock and may \
-                    only change together with a SCHEMA_VERSION bump.",
-        scope: "every #[derive(Deserialize)] type reachable from crates/sweep/src/checkpoint.rs; \
-                regenerate the lock with --schema-write.",
-        pragma: "// footsteps-lint: allow(checkpoint-schema) — migration shim, version bumped next PR",
     },
     RuleDoc {
         rule: Rule::UnsafeCode,

@@ -1,6 +1,6 @@
 //! Per-rule behaviour pinned against the fixture corpus, plus the meta
 //! test that the live workspace is clean via the exact entry point CI
-//! runs (`lint_workspace`).
+//! runs (`analyze_workspace`).
 //!
 //! Fixtures are loaded with `include_str!` and linted under *synthetic*
 //! relative paths so each test can place the same content inside or
@@ -9,7 +9,9 @@
 
 use std::path::Path;
 
-use footsteps_lint::{lint_files, lint_workspace, violation_count, Finding, PragmaStatus, Rule};
+use footsteps_lint::{
+    analyze_files, analyze_workspace, violation_count, Finding, PragmaStatus, Rule,
+};
 
 const NONDET_ITER: &str = include_str!("fixtures/nondet_iter.rs");
 const NONDET_ITER_TEST_DECLS: &str = include_str!("fixtures/nondet_iter_test_decls.rs");
@@ -36,7 +38,7 @@ fn line_of(fixture: &str, needle: &str) -> u32 {
 
 /// Lint one in-memory file at a synthetic workspace-relative path.
 fn lint_one(relpath: &str, source: &str) -> Vec<Finding> {
-    lint_files(&[(relpath.to_string(), source.to_string())])
+    analyze_files(&[(relpath.to_string(), source.to_string())]).findings
 }
 
 fn by_rule(findings: &[Finding], rule: Rule) -> Vec<&Finding> {
@@ -82,7 +84,7 @@ fn nondet_iter_sees_field_types_across_files() {
         ("crates/sim/src/cross_file_a.rs".to_string(), CROSS_FILE_A.to_string()),
         ("crates/sim/src/cross_file_b.rs".to_string(), CROSS_FILE_B.to_string()),
     ];
-    let findings = lint_files(&files);
+    let findings = analyze_files(&files).findings;
     let hits = by_rule(&findings, Rule::NondetIter);
     assert_eq!(hits.len(), 1, "findings: {findings:#?}");
     assert_eq!(hits[0].file, "crates/sim/src/cross_file_b.rs");
@@ -399,7 +401,7 @@ fn float_accum_order_flags_merge_paths() {
 fn workspace_is_lint_clean() {
     let root = footsteps_lint::walker::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root with [workspace] manifest");
-    let findings = lint_workspace(&root).expect("workspace scan");
+    let findings = analyze_workspace(&root).expect("workspace scan").findings;
     let violations: Vec<_> = findings.iter().filter(|f| f.is_violation()).collect();
     assert!(
         violations.is_empty(),

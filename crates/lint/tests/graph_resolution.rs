@@ -3,14 +3,14 @@
 //! `--stats` coverage pin for the transitive fixture, so resolution
 //! coverage can't silently regress.
 
-use footsteps_lint::{analyze_files, Analysis, LockState, Rule};
+use footsteps_lint::{analyze_files, Analysis, Rule};
 
 const TRANSITIVE_SHARD: &str = include_str!("fixtures/transitive_shard.rs");
 
 fn analyze(files: &[(&str, &str)]) -> Analysis {
     let owned: Vec<(String, String)> =
         files.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect();
-    analyze_files(&owned, &LockState::Skip)
+    analyze_files(&owned)
 }
 
 #[test]

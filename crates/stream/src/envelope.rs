@@ -124,11 +124,14 @@ pub struct EventLogWriter {
 }
 
 impl EventLogWriter {
-    /// Start a recording at `path`, replacing any file there.
+    /// Start a recording at `path`, replacing any file there. The header
+    /// is on disk when this returns, so a checkpoint taken before the
+    /// first day resumes.
     pub fn create(path: &Path, header: &LogHeader) -> Result<Self, StreamError> {
         let empty = LogPrefix { batches: 0, bytes: 0, fnv1a: FNV1A_EMPTY };
         let mut writer = Self::over(File::create(path)?, path, empty);
         writer.write_line(header)?;
+        writer.flush()?;
         Ok(writer)
     }
 
@@ -381,6 +384,18 @@ mod tests {
         assert_eq!(json(&r.next_batch().unwrap().unwrap()), json(&days[0]));
         assert_eq!(json(&r.next_batch().unwrap().unwrap()), json(&days[1]));
         assert!(r.next_batch().unwrap().is_none());
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_created_log_resumes_before_any_flush() {
+        let path = tmp_path("created");
+        let w = EventLogWriter::create(&path, &sample_header()).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), w.prefix().bytes);
+        let (days, resumed) = EventLogWriter::resume(&path, w.prefix()).unwrap();
+        assert!(days.is_empty());
+        assert_eq!(resumed.prefix(), w.prefix());
+        drop((w, resumed));
         fs::remove_file(&path).unwrap();
     }
 

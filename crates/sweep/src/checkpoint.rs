@@ -9,7 +9,7 @@
 //!  "study": {…}}
 //! ```
 //!
-//! `schema_version` gates incompatible layout changes, `scenario_hash`
+//! `schema_version` gates changes to the wire format, `scenario_hash`
 //! ties the file to the exact scenario it was produced from (so a sweep
 //! cannot resume seed 7's world into seed 8's job), and the duplicated
 //! `phase` marker cross-checks the embedded study as a cheap integrity
@@ -38,15 +38,21 @@ use serde::{Deserialize, Serialize};
 
 use crate::SweepError;
 
-/// Version of the checkpoint envelope + `Study` layout this build writes
-/// and reads. Bump on any change to either.
+/// Version of the checkpoint format this build writes and reads. Bump it
+/// on any change to the bytes [`save`] writes for the same study state,
+/// and not for a Rust layout change that writes the same bytes (a
+/// skipped field, a renamed type): a bump makes every existing checkpoint
+/// unloadable. `crates/sweep/tests/resume.rs` pins the bytes of the five
+/// checkpoints of a recorded smoke(7) run and saves each loaded one again,
+/// so a format change fails there (DESIGN.md §7).
 ///
 /// v2: `Study` gained the skip-serialized `stream` outcome and `Platform`
 /// the skip-serialized event sink (DESIGN.md §8). The wire format is
-/// unchanged, but the structural pin moves with the layout.
+/// unchanged; a structural pin of the Rust types, since deleted, forced
+/// the bump.
 ///
 /// v3: `DetectionPipeline` lost its skip-serialized worker-lane field.
-/// The wire format is unchanged again; only the structural pin moved.
+/// The wire format is unchanged again; only that structural pin moved.
 ///
 /// v4: `Study`'s five service-engine fields became one `services` array
 /// of `footsteps_aas::Service`. This changes the `Study` wire layout;
@@ -84,6 +90,21 @@ pub fn scenario_hash(scenario: &Scenario) -> u64 {
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SweepError> {
     footsteps_obs::atomic::write_atomic(path, bytes)
         .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })
+}
+
+/// Read a sweep file as text. A failed read is [`SweepError::Io`]; bytes
+/// that are not UTF-8 are [`SweepError::Corrupt`], like any other damage
+/// to the contents.
+pub(crate) fn read_text(path: &Path) -> Result<String, SweepError> {
+    let bytes =
+        fs::read(path).map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
+    String::from_utf8(bytes).map_err(|e| corrupt(path, e.to_string()))
+}
+
+/// Read and decode a JSON sweep file ([`read_text`]); a parse failure is
+/// [`SweepError::Corrupt`].
+pub(crate) fn read_json<T: Deserialize>(path: &Path) -> Result<T, SweepError> {
+    serde_json::from_str(&read_text(path)?).map_err(|e| corrupt(path, e.0))
 }
 
 /// The envelope's `log`: a file next to the checkpoint, and the prefix of
@@ -154,8 +175,7 @@ fn field<T: serde::Deserialize>(
 /// ([`EventLogWriter::resume`]: later days are cut off) and its days
 /// spliced in; a missing, foreign or altered log is an error naming it.
 pub fn load(path: &Path, expected: &Scenario) -> Result<Study, SweepError> {
-    let text = fs::read_to_string(path)
-        .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
+    let text = read_text(path)?;
     let bad = |e: serde::Error| corrupt(path, e.0);
     let expected_hash = scenario_hash(expected);
     let (mut version_ok, mut hash_ok, mut phase, mut log, mut study) =

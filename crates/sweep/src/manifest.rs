@@ -18,7 +18,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use footsteps_core::{Phase, Scenario};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::write_atomic;
+use crate::checkpoint::{read_json, write_atomic};
 use crate::SweepError;
 
 /// Manifest layout version; bump on incompatible changes.
@@ -100,10 +100,7 @@ impl Manifest {
     /// Load and validate a manifest. Parse failures and foreign versions
     /// are typed errors, not panics.
     pub fn load(path: &Path) -> Result<Self, SweepError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
-        let manifest: Manifest = serde_json::from_str(&text)
-            .map_err(|e| SweepError::Corrupt { path: path.to_path_buf(), detail: e.0 })?;
+        let manifest: Manifest = read_json(path)?;
         if manifest.schema_version != MANIFEST_VERSION {
             return Err(SweepError::VersionMismatch {
                 path: path.to_path_buf(),
@@ -204,6 +201,12 @@ mod tests {
         }
 
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        assert!(matches!(Manifest::load(&path), Err(SweepError::Corrupt { .. })));
+
+        // A flipped byte that breaks UTF-8 is corruption too, not I/O.
+        let mut flipped = text.clone().into_bytes();
+        flipped[text.len() / 2] = 0xFF;
+        std::fs::write(&path, flipped).unwrap();
         assert!(matches!(Manifest::load(&path), Err(SweepError::Corrupt { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -38,7 +38,7 @@ use footsteps_core::{Phase, Scenario, Study};
 use footsteps_obs::{progress, MetricsSnapshot, Stopwatch};
 use footsteps_stream::LatencyReport;
 
-use crate::checkpoint::{self, log_error, scenario_hash, write_atomic};
+use crate::checkpoint::{self, log_error, read_json, scenario_hash, write_atomic};
 use crate::manifest::{now_unix, JobEntry, JobStatus, Manifest};
 use crate::SweepError;
 
@@ -103,26 +103,17 @@ pub fn latency_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
 
 /// Read back a per-job results file.
 pub fn read_results(path: &Path) -> Result<StudyResults, SweepError> {
-    let text = fs::read_to_string(path)
-        .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
-    serde_json::from_str(&text)
-        .map_err(|e| SweepError::Corrupt { path: path.to_path_buf(), detail: e.0 })
+    read_json(path)
 }
 
 /// Read back a per-job metrics snapshot.
 pub fn read_metrics(path: &Path) -> Result<MetricsSnapshot, SweepError> {
-    let text = fs::read_to_string(path)
-        .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
-    serde_json::from_str(&text)
-        .map_err(|e| SweepError::Corrupt { path: path.to_path_buf(), detail: e.0 })
+    read_json(path)
 }
 
 /// Read back a per-job detection-latency report.
 pub fn read_latency(path: &Path) -> Result<LatencyReport, SweepError> {
-    let text = fs::read_to_string(path)
-        .map_err(|source| SweepError::Io { path: path.to_path_buf(), source })?;
-    serde_json::from_str(&text)
-        .map_err(|e| SweepError::Corrupt { path: path.to_path_buf(), detail: e.0 })
+    read_json(path)
 }
 
 /// Start (or continue) a sweep. If the directory already holds a

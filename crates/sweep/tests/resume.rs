@@ -13,6 +13,7 @@ use std::path::PathBuf;
 
 use footsteps_core::results::StudyResults;
 use footsteps_core::{Phase, Scenario, Study};
+use footsteps_obs::tree::fnv1a;
 use footsteps_sim::prelude::Day;
 use footsteps_stream::{EventLogReader, LogHeader, StreamError, STREAM_SCHEMA_VERSION};
 use footsteps_sweep::checkpoint;
@@ -122,6 +123,15 @@ fn corrupt_and_mismatched_checkpoints_fail_with_typed_errors() {
     std::fs::write(&path, "not json at all {").unwrap();
     assert!(matches!(checkpoint::load(&path, &sc), Err(SweepError::Corrupt { .. })));
 
+    // One flipped byte that breaks UTF-8, as bit rot would.
+    let mut flipped = good.clone().into_bytes();
+    flipped[good.len() / 2] = 0xFF;
+    std::fs::write(&path, flipped).unwrap();
+    match checkpoint::load(&path, &sc) {
+        Err(SweepError::Corrupt { detail, .. }) => assert!(detail.contains("utf-8"), "{detail}"),
+        other => panic!("invalid UTF-8: expected Corrupt, got {other:?}"),
+    }
+
     // Foreign schema version, with a readable message.
     let version_field = format!("\"schema_version\":{}", checkpoint::SCHEMA_VERSION);
     std::fs::write(&path, good.replacen(&version_field, "\"schema_version\":999", 1))
@@ -225,6 +235,43 @@ fn recorded_resume_from_every_boundary_reproduces_digests_and_log() {
         assert_eq!(days, &Value::Seq(Vec::new()), "the {phase:?} checkpoint embeds days");
     }
 
+    // The wire form of every boundary: (length in bytes, FNV-1a) of each
+    // checkpoint. The `Finished` envelope names the length and FNV-1a of
+    // the whole-run log, so its pin covers the log as well. A change to
+    // the bytes `save` writes for the same study state moves these pins
+    // and needs a `SCHEMA_VERSION` bump, so old checkpoints are refused
+    // instead of resumed wrongly.
+    const CHECKPOINT_PINS: [(Phase, usize, u64); 5] = [
+        (Phase::Setup, 1_966_887, 0x0489_447e_70a1_daaa),
+        (Phase::Characterized, 3_060_002, 0x3885_ad3b_8b19_df2b),
+        (Phase::NarrowDone, 3_516_258, 0xd3ab_1835_1f97_ff09),
+        (Phase::BroadDone, 4_071_766, 0xf595_b663_61c3_8aec),
+        (Phase::Finished, 6_566_046, 0x4f89_8a3d_f591_40a5),
+    ];
+    let wire: Vec<(Phase, usize, u64)> = boundaries
+        .iter()
+        .map(|&phase| {
+            let bytes = std::fs::read(ckpt(phase)).unwrap();
+            (phase, bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    let lines: Vec<String> = wire
+        .iter()
+        .zip(CHECKPOINT_PINS)
+        .map(|(&(phase, len, hash), pin)| {
+            let moved = if (phase, len, hash) == pin { "" } else { " // moved" };
+            format!("    (Phase::{phase:?}, {len}, {hash:#018x}),{moved}")
+        })
+        .collect();
+    assert!(
+        wire == CHECKPOINT_PINS,
+        "the checkpoints' wire form moved. If the format changed, bump SCHEMA_VERSION in \
+         crates/sweep/src/checkpoint.rs and update CHECKPOINT_PINS; if only simulated values \
+         moved, update CHECKPOINT_PINS alone. Found:\n{}",
+        lines.join("\n")
+    );
+
+    let resaved = dir.join("resaved.json");
     for phase in boundaries {
         // What a kill mid-phase leaves after the boundary's prefix: whole
         // day lines of the later phases, then a torn one.
@@ -234,6 +281,14 @@ fn recorded_resume_from_every_boundary_reproduces_digests_and_log() {
 
         let mut resumed = checkpoint::load(&ckpt(phase), &sc).expect("load");
         assert_eq!(resumed.phase, phase);
+        // Saving the loaded study writes the checkpoint's bytes again, so
+        // the pins above stand for everything `load` reads back.
+        checkpoint::save(&resumed, &resaved).expect("save the loaded study");
+        assert!(
+            std::fs::read(&resaved).unwrap() == std::fs::read(ckpt(phase)).unwrap(),
+            "load → save of the {phase:?} checkpoint wrote other bytes: \
+             the format does not round-trip"
+        );
         if phase == Phase::Characterized {
             assert_eq!(StudyResults::collect(&resumed).digest(), GOLDEN_SMOKE_DIGEST);
         }

@@ -36,10 +36,6 @@ if [ "$lint_elapsed" -gt "$LINT_BUDGET_SECS" ]; then
   exit 1
 fi
 
-# The committed checkpoint-schema lock must match the live Deserialize
-# types — a stale lint-schema.lock would let schema drift through.
-cargo run --release -q -p footsteps-lint -- --schema-check
-
 echo "== test =="
 cargo test -q
 
