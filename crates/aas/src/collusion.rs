@@ -145,9 +145,9 @@ struct MemberPlan {
 }
 
 /// What one routed deposit op was *for*, so the post-apply stats walk can
-/// attribute its outcome back to the controllers exactly as the serial
-/// ladder did. Raw quantities are pre-cap (controller `attempted` counts the
-/// customer's request, not what the service dared to deliver).
+/// attribute its outcome back to the controllers. Raw quantities are
+/// pre-cap (controller `attempted` counts the customer's request, not what
+/// the service dared to deliver).
 #[derive(Debug, Clone, Copy)]
 enum OpUse {
     /// Free-tier like grant: `raw` requested, `capped` routed.
@@ -158,16 +158,16 @@ enum OpUse {
     Comment,
     /// Monthly-subscription like delivery on a fresh photo.
     MonthlyLike { raw: u32, capped: u32 },
-    /// Followersgratis package follows (aggregate stats only — the serial
-    /// ladder never fed these to the per-recipient controllers).
+    /// Followersgratis package follows (aggregate stats only — never fed
+    /// to the per-recipient controllers).
     PackageFollow { follows: u32 },
     /// Followersgratis package like burst (outbound total only).
     PackageBurst { likes: u32 },
 }
 
-/// Output of the route phase: the day's deposit ops in serial reference
-/// order, their stat attributions, and the ad-impression total (fixed at
-/// plan time — free requests fund ads whether or not deliveries succeed).
+/// Output of the route phase: the day's deposit ops in routing order,
+/// their stat attributions, and the ad-impression total (fixed at plan
+/// time — free requests fund ads whether or not deliveries succeed).
 #[derive(Debug, Default)]
 struct RoutedDay {
     ops: Vec<DepositOp>,
@@ -706,14 +706,12 @@ impl CollusionService {
         platform.obs.timings.finish(route_span);
         ads_today += routed.ads_today;
 
-        // Apply phase: execute the deposits, sharded by target account over
-        // the worker threads. Results line up with `routed.ops` and are
-        // byte-identical to the serial ladder for any thread count.
-        let threads = platform.config.worker_threads;
-        let results = self.apply(platform, &routed.ops, threads);
+        // Apply phase: execute the deposits through the platform's enforced
+        // inbound path, in routing order. Results line up with `routed.ops`.
+        let results = self.apply(platform, &routed.ops);
 
         // Attribute the outcomes back to controller statistics, walking the
-        // ops in routing order (= the serial ladder's stat-update order).
+        // ops in routing order (the order they were applied in).
         for ((op, used), res) in routed.ops.iter().zip(&routed.uses).zip(&results) {
             let account = op.target;
             match *used {
@@ -862,7 +860,7 @@ impl CollusionService {
     }
 
     /// Route phase of the three-phase engine (DESIGN.md §4): turn the day's
-    /// plans into a flat [`DepositOp`] sequence in serial reference order —
+    /// plans into a flat [`DepositOp`] sequence in routing order —
     /// per plan: free likes, free follows, comments, monthly delivery,
     /// package follows, package burst — alongside the serial-only side
     /// effects (logins, organic posting, package payments). Every op is
@@ -1003,24 +1001,17 @@ impl CollusionService {
     }
 
     /// Apply routed deposit ops through the platform's enforced inbound
-    /// path, under this service's apply span (the shard workers' lanes
-    /// attach beneath it).
-    fn apply(
-        &self,
-        platform: &mut Platform,
-        ops: &[DepositOp],
-        threads: usize,
-    ) -> Vec<BatchResult> {
+    /// path, under this service's apply span.
+    fn apply(&self, platform: &mut Platform, ops: &[DepositOp]) -> Vec<BatchResult> {
         let slug = self.config.service.slug();
         let span = platform.obs.timings.start(&format!("aas.{slug}.apply"));
-        let shard_span = format!("aas.{slug}.apply.shard");
-        let results = platform.apply_deposits_sharded(ops, threads, &shard_span);
+        let results = platform.apply_deposits(ops);
         platform.obs.timings.finish(span);
         results
     }
 
     /// Deliver a one-time like burst to the customer's latest photo at the
-    /// paid (above-free-cap) hourly rate. One op needs one shard.
+    /// paid (above-free-cap) hourly rate.
     fn deliver_burst(&mut self, platform: &mut Platform, account: AccountId, likes: u32) {
         let capped = apply_cap(likes, self.like_cap_for(account));
         let media = platform
@@ -1035,7 +1026,7 @@ impl CollusionService {
             service: Some(self.config.service),
             media,
         };
-        self.apply(platform, &[op], 1);
+        self.apply(platform, &[op]);
     }
 
     /// Current self-imposed like-delivery cap for a recipient (only once

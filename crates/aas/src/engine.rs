@@ -14,12 +14,10 @@
 //!    this is the whole outbound submission ladder; for the collusion
 //!    engines it flattens the plans into a deterministic sequence of
 //!    [`footsteps_sim::prelude::DepositOp`]s (plus logins, posts, payments);
-//! 3. an **apply phase** that executes the routed deposit ops, sharded by
-//!    *target account* over dense-ID arena ranges
-//!    ([`footsteps_sim::platform::Platform::apply_deposits_sharded`]). Shard
-//!    workers draw no randomness and mutate only state they own; a serial
-//!    merge sweep folds their deltas back in a canonical order, so results
-//!    stay byte-identical for any thread count.
+//! 3. for the collusion engines, a serial **apply phase** that executes the
+//!    routed deposit ops one at a time, in routing order, through the
+//!    platform's enforced inbound path
+//!    ([`footsteps_sim::platform::Platform::apply_deposits`]).
 //!
 //! [`plan_parallel`] is the decision-phase harness both service engines use:
 //! it fans the roster out over scoped worker threads in contiguous shards

@@ -579,9 +579,9 @@ impl ReciprocityService {
 
         // Route phase: submit the plans serially, in roster order. All
         // platform mutation and controller feedback happens here. The
-        // reciprocity engines have no sharded apply — their hot path is the
-        // outbound batch middleware, which is already cheap — so the span is
-        // `route`, reserving `aas.<slug>.apply` for sharded deposit phases.
+        // reciprocity engines have no apply phase — their hot path is the
+        // outbound batch middleware — so the span is `route`, reserving
+        // `aas.<slug>.apply` for the collusion engines' deposit phase.
         let route_span = platform.obs.timings.start(&format!("aas.{slug}.route"));
         for (plan, (_, _, _, requested)) in plans.iter_mut().zip(&engaged) {
             if plan.login_home {

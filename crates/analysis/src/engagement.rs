@@ -99,7 +99,7 @@ mod tests {
             media: None,
         };
         let ops = [op(ActionType::Like, 30), op(ActionType::Comment, 10)];
-        p.apply_deposits_sharded(&ops, 1, "test.apply.shard");
+        p.apply_deposits(&ops);
         let e = engagement(&p, a, Day(0), Day(1));
         assert_eq!((e.likes, e.comments, e.followers), (30, 10, 200));
         assert!((e.rate().unwrap() - 0.2).abs() < 1e-12);

@@ -360,7 +360,7 @@ mod tests {
             service: None,
             media,
         };
-        p.apply_deposits_sharded(&[op], 1, "test.apply.shard");
+        p.apply_deposits(&[op]);
     }
 
     fn classification_with(

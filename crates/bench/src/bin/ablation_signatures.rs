@@ -26,11 +26,7 @@ fn main() {
     let all_fingerprints: HashSet<ClientFingerprint> = (0..=u16::MAX)
         .take(64) // variants are small ints; 64 covers every stack
         .map(|v| ClientFingerprint::SpoofedMobile { variant: v })
-        .chain([
-            ClientFingerprint::OfficialApp,
-            ClientFingerprint::WebClient,
-            ClientFingerprint::PublicApi,
-        ])
+        .chain([ClientFingerprint::OfficialApp])
         .collect();
     let asn_only: Vec<ServiceSignature> = full
         .iter()

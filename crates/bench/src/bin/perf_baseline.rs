@@ -63,8 +63,8 @@ struct PerfReport {
     /// across every `threads` value — `scripts/ci.sh` compares the 1- and
     /// 8-thread records.
     results_digest: String,
-    /// Summed `aas.<service>.apply` wall time: the sharded deposit phase
-    /// the ISSUE 6 speedup gate measures.
+    /// Summed `aas.<service>.apply` wall time: the collusion engines'
+    /// deposit apply phase.
     apply_secs: f64,
     /// Deterministic counters/histograms from the study run.
     metrics: MetricsSnapshot,

@@ -5,8 +5,8 @@
 //! ambient RNG constructors, `env::var`, observability tokens, panic
 //! sites, hash-order iteration, float accumulation). Seeds are then
 //! propagated over resolved call edges — the union over callees, iterated
-//! to a fixpoint — so `apply_shard → log_outcome → Instant::now` is
-//! visible at `apply_shard` even though the clock read lives two files
+//! to a fixpoint — so `plan_member → log_outcome → Instant::now` is
+//! visible at `plan_member` even though the clock read lives two files
 //! away. Each function records a *witness* (the seed or the first call
 //! edge that introduced a bit), which is enough to reconstruct the full
 //! chain printed in findings.

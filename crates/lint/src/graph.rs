@@ -3,7 +3,7 @@
 //! The interprocedural rules (DESIGN.md §6) need to know *what calls what*
 //! so effects seeded by the lexical detectors can be propagated
 //! transitively: a helper that reads the wall clock and is called from
-//! `apply_shard` is a violation even though neither file shows the whole
+//! `plan_member` is a violation even though neither file shows the whole
 //! story. Without `syn` the graph is a token-level approximation; its
 //! resolution policy is deliberately explicit so coverage is auditable
 //! via `--stats`:

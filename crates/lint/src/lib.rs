@@ -13,7 +13,7 @@
 //! from the lexed token streams ([`graph`]), effect bits are seeded by the
 //! lexical detectors and propagated to a fixpoint ([`effects`]), and the
 //! shard deny scopes flag *transitive* reach with full call chains
-//! (`apply_shard → log_outcome → Instant::now`).
+//! (`plan_member → log_outcome → Instant::now`).
 //!
 //! Exceptions are claimed *in source*, with a mandatory reason:
 //!

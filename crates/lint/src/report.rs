@@ -185,11 +185,11 @@ mod tests {
     #[test]
     fn chain_is_rendered_in_text_and_json() {
         let mut f = finding(PragmaStatus::None);
-        f.chain = vec!["apply_shard".into(), "log_outcome".into(), "Instant::now".into()];
+        f.chain = vec!["plan_member".into(), "log_outcome".into(), "Instant::now".into()];
         let text = render_text(&[f.clone()]);
-        assert!(text.contains("chain: apply_shard → log_outcome → Instant::now"));
+        assert!(text.contains("chain: plan_member → log_outcome → Instant::now"));
         let json = render_json(&[f], None);
-        assert!(json.contains("\"chain\": [\"apply_shard\", \"log_outcome\", \"Instant::now\"]"));
+        assert!(json.contains("\"chain\": [\"plan_member\", \"log_outcome\", \"Instant::now\"]"));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! On top of the lexical layer, the shard deny scopes are *transitive*:
 //! effects seeded by the same detectors are propagated over the
 //! workspace call graph, so a helper that reads the wall clock and is
-//! called from `apply_shard` is flagged at the call site with its full
-//! chain (`apply_shard → log_outcome → Instant::now`).
+//! called from `plan_member` is flagged at the call site with its full
+//! chain (`plan_member → log_outcome → Instant::now`).
 //!
 //! Heuristics, stated honestly: without type inference we cannot prove a
 //! receiver is a `HashMap`. The engine therefore resolves receiver names
@@ -74,11 +74,12 @@ pub const ENV_READ_FILES: &[&str] =
 pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
 /// Function names forming the shard paths of the three-phase daily engine:
-/// the decision phase (`plan_*`), the route phase (`route_day`, whose
-/// output feeds the digest and must stay metrics-free so plan/route moves
-/// never change the snapshot), and the sharded apply phase (`apply_shard`,
-/// which runs on worker threads). The bodies of these functions, plus
-/// every argument list of a `plan_parallel(...)` call, must not *reach* —
+/// the decision phase (`plan_*`, which runs on worker threads) and the
+/// route phase (`route_day`, whose output feeds the digest and must stay
+/// metrics-free so plan/route moves never change the snapshot). The
+/// serial apply phase records its metrics inline and is not listed. The
+/// bodies of these functions, plus every argument list of a
+/// `plan_parallel(...)` call, must not *reach* —
 /// directly or through any resolved call chain — observability state,
 /// wall-clock, ambient RNG, environment reads, panic sites, or
 /// order-observing iteration.
@@ -88,7 +89,6 @@ pub const PLAN_FNS: &[&str] = &[
     "plan_customer",
     "plan_member",
     "route_day",
-    "apply_shard",
 ];
 
 /// Identifiers that indicate observability access inside a shard path.
@@ -127,11 +127,11 @@ pub const PANIC_FREE_FNS: &[&str] = &["stable_bin"];
 /// Welford/mean helpers), so the `float-accum-order` effect is stripped.
 pub const CANONICAL_MERGE_FILES: &[&str] = &["crates/analysis/src/stats.rs"];
 
-/// Function names forming the shard-merge / Welford-merge paths checked
-/// by `float-accum-order`: float accumulation in (or reachable from)
-/// them must be routed through [`CANONICAL_MERGE_FILES`].
-pub const FLOAT_MERGE_FNS: &[&str] =
-    &["merge", "merge_inbound", "apply_delta", "apply_deposits_sharded"];
+/// Function names forming the merge paths checked by `float-accum-order`
+/// (the Welford and per-frame/per-seed `merge` folds): float accumulation
+/// in (or reachable from) them must be routed through
+/// [`CANONICAL_MERGE_FILES`].
+pub const FLOAT_MERGE_FNS: &[&str] = &["merge"];
 
 pub(crate) const AMBIENT_RNG_BANNED: &[&str] = &["thread_rng", "from_entropy", "from_rng"];
 pub(crate) const ORDER_METHODS_ANY_RECEIVER: &[&str] =
@@ -251,9 +251,8 @@ pub const EXPLANATIONS: &[RuleDoc] = &[
         rationale: "Metrics/timings recording inside the parallel phases would make snapshots \
                     depend on thread interleaving; recording is serial-only (callers record \
                     around the parallel regions).",
-        scope: "bodies of the plan/route/apply shard functions and plan_parallel argument \
-                lists in digest-crate src, including everything they reach through the call \
-                graph.",
+        scope: "bodies of the plan/route shard functions and plan_parallel argument lists \
+                in digest-crate src, including everything they reach through the call graph.",
         pragma: "// footsteps-lint: allow(parallel-metrics via log_outcome) — counter merged serially after join",
     },
     RuleDoc {
@@ -267,11 +266,12 @@ pub const EXPLANATIONS: &[RuleDoc] = &[
     },
     RuleDoc {
         rule: Rule::FloatAccumOrder,
-        rationale: "Float addition is not associative: shard-merge order would change digests \
-                    across thread counts. All float accumulation in merge paths goes through \
-                    the canonical-order helpers in analysis::stats.",
-        scope: "merge/merge_inbound/apply_delta/apply_deposits_sharded in digest-crate and obs \
-                src, and everything they reach, except crates/analysis/src/stats.rs.",
+        rationale: "Float addition is not associative: folding partial results (per-seed \
+                    aggregates, Welford states) in another order would change digests. All \
+                    float accumulation in merge paths goes through the canonical-order helpers \
+                    in analysis::stats.",
+        scope: "merge functions in digest-crate and obs src, and everything they reach, \
+                except crates/analysis/src/stats.rs.",
         pragma: "// footsteps-lint: allow(float-accum-order) — single-shard path, order fixed",
     },
     RuleDoc {
@@ -320,7 +320,7 @@ pub struct Finding {
     /// Human-readable explanation.
     pub message: String,
     /// For transitive findings, the call chain from the shard root to the
-    /// seed (`["apply_shard", "log_outcome", "Instant::now"]`); empty for
+    /// seed (`["plan_member", "log_outcome", "Instant::now"]`); empty for
     /// lexical findings.
     pub chain: Vec<String>,
     /// Pragma situation.

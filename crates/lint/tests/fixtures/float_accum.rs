@@ -20,13 +20,21 @@ impl Welford {
     }
 }
 
-pub fn merge_inbound(xs: &[f64]) -> f64 {
-    xs.iter().copied().sum::<f64>()
+pub struct Inbound;
+
+impl Inbound {
+    pub fn merge(xs: &[f64]) -> f64 {
+        xs.iter().copied().sum::<f64>()
+    }
 }
 
-pub fn apply_delta(acc: &mut f64, xs: &[f64]) {
-    for &x in xs.iter() {
-        add_sample(acc, x);
+pub struct Delta;
+
+impl Delta {
+    pub fn merge(acc: &mut f64, xs: &[f64]) {
+        for &x in xs.iter() {
+            add_sample(acc, x);
+        }
     }
 }
 

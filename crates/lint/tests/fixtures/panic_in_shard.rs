@@ -13,7 +13,7 @@ fn stable_bin(key: u64, bins: u32) -> u32 {
     (key % u64::from(bins)) as u32
 }
 
-pub fn apply_shard(xs: &[u64]) -> u64 {
+pub fn plan_customer(xs: &[u64]) -> u64 {
     let direct = xs.first().unwrap();
     let indexed = xs[0];
     let binned = u64::from(stable_bin(indexed, 10));

@@ -1,6 +1,6 @@
-// Fixture: parallel-metrics. Observability access inside a plan, route, or
-// shard-apply function body is a violation; the same access on the serial
-// merge path is fine.
+// Fixture: parallel-metrics. Observability access inside a plan or route
+// function body is a violation; the same access on the serial merge path
+// is fine.
 pub fn plan_parallel(items: &[u32]) -> Vec<u32> {
     let out = items.to_vec();
     metrics.incr("aas.plans");
@@ -13,9 +13,9 @@ pub fn route_day(plans: &[u32]) -> Vec<u32> {
     ops
 }
 
-pub fn apply_shard(ops: &[u32]) -> u32 {
+pub fn plan_member(ops: &[u32]) -> u32 {
     let delivered = ops.iter().sum();
-    timings.record("aas.apply.shard", 0.0);
+    timings.record("aas.member_plans", 0.0);
     delivered
 }
 

@@ -1,5 +1,5 @@
 //! Fixture: effects one call deep from a shard path. Every helper here is
-//! clean *at the `apply_shard` call site* under per-file lexical scoping;
+//! clean *at the `plan_member` call site* under per-file lexical scoping;
 //! only the call-graph propagation can flag the shard function itself.
 
 use std::collections::HashMap;
@@ -31,7 +31,7 @@ fn total(s: &ShardState) -> u64 {
     s.counts.values().sum()
 }
 
-pub fn apply_shard(s: &mut ShardState) -> u64 {
+pub fn plan_member(s: &mut ShardState) -> u64 {
     let nanos = log_outcome();
     let j = jitter();
     let knob = read_knob();

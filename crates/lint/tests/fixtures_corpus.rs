@@ -173,12 +173,12 @@ fn parallel_metrics_denied_in_plan_paths() {
     let findings = lint_one("crates/aas/src/parallel_metrics.rs", PARALLEL_METRICS);
     let hits = by_rule(&findings, Rule::ParallelMetrics);
     // One recording inside each of `plan_parallel`, `route_day` and
-    // `apply_shard`, plus the closure handed to `plan_parallel_timed`;
+    // `plan_member`, plus the closure handed to `plan_parallel_timed`;
     // the serial merge is fine.
     assert_eq!(hits.len(), 4, "findings: {findings:#?}");
     assert!(hits.iter().any(|f| f.snippet.contains("aas.plans")));
     assert!(hits.iter().any(|f| f.snippet.contains("aas.routed")));
-    assert!(hits.iter().any(|f| f.snippet.contains("aas.apply.shard")));
+    assert!(hits.iter().any(|f| f.snippet.contains("aas.member_plans")));
     assert!(hits.iter().any(|f| f.snippet.contains("aas.timed_plans")));
     assert!(hits.iter().all(|f| f.is_violation()));
 }
@@ -292,7 +292,7 @@ fn trace_exporter_paths_keep_their_wall_clock_exemptions() {
 #[test]
 fn shard_deny_rules_flag_one_call_deep_helpers() {
     // Every helper in the fixture is lexically clean *at the call site*;
-    // only the call-graph propagation can flag `apply_shard` itself. One
+    // only the call-graph propagation can flag `plan_member` itself. One
     // previously-invisible transitive case per deny rule.
     let findings = lint_one("crates/sim/src/transitive_shard.rs", TRANSITIVE_SHARD);
     for (rule, callee, needle) in [
@@ -312,7 +312,7 @@ fn shard_deny_rules_flag_one_call_deep_helpers() {
         assert!(hit.is_violation());
         // The full chain is reported, from the shard root through the
         // helper to the seed.
-        assert_eq!(hit.chain.first().map(String::as_str), Some("apply_shard"));
+        assert_eq!(hit.chain.first().map(String::as_str), Some("plan_member"));
         assert!(hit.chain.iter().any(|c| c.contains(callee)), "chain: {:?}", hit.chain);
         assert!(hit.chain.len() >= 3, "chain: {:?}", hit.chain);
         assert!(hit.message.contains(" → "), "message: {}", hit.message);
@@ -343,7 +343,7 @@ fn panic_in_shard_direct_transitive_allowlist_and_via_pragmas() {
         .find(|f| f.line == reached)
         .unwrap_or_else(|| panic!("no transitive finding: {findings:#?}"));
     assert!(f.is_violation());
-    assert_eq!(f.chain, ["apply_shard", "checked", ".expect()"]);
+    assert_eq!(f.chain, ["plan_customer", "checked", ".expect()"]);
 
     // A `via`-qualified pragma suppresses the matching chain…
     let allowed: Vec<_> = hits
@@ -370,8 +370,8 @@ fn float_accum_order_flags_merge_paths() {
     let findings = lint_one("crates/analysis/src/float_accum.rs", FLOAT_ACCUM);
     let hits = by_rule(&findings, Rule::FloatAccumOrder);
     // `self.mean +=` / `self.m2 +=` in Welford::merge, `.sum::<f64>()` in
-    // merge_inbound, and the one-call-deep `add_sample` reach in
-    // apply_delta. Integer `self.n +=` and the non-merge `scratch_total`
+    // Inbound::merge, and the one-call-deep `add_sample` reach in
+    // Delta::merge. Integer `self.n +=` and the non-merge `scratch_total`
     // accumulate freely.
     assert_eq!(hits.len(), 4, "findings: {findings:#?}");
     assert!(hits.iter().all(|f| f.is_violation()));
@@ -384,7 +384,7 @@ fn float_accum_order_flags_merge_paths() {
         .iter()
         .find(|f| f.snippet.contains("add_sample(acc, x)"))
         .unwrap_or_else(|| panic!("no transitive finding: {findings:#?}"));
-    assert_eq!(transitive.chain, ["apply_delta", "add_sample", "`mean +=` (f32/f64)"]);
+    assert_eq!(transitive.chain, ["Delta::merge", "add_sample", "`mean +=` (f32/f64)"]);
 
     // The canonical-order home is exempt: same content in analysis::stats.
     let canonical = lint_one("crates/analysis/src/stats.rs", FLOAT_ACCUM);

@@ -26,7 +26,7 @@ impl Cache {
 fn refresh() -> u128 {
     0
 }
-pub fn apply_shard(c: &Cache) -> u128 {
+pub fn plan_member(c: &Cache) -> u128 {
     let clean = refresh();
     let dirty = c.refresh();
     clean + dirty
@@ -98,7 +98,7 @@ fn pong(n: u64) -> u64 {
     let t = std::time::Instant::now();
     ping(t.elapsed().as_secs() + n)
 }
-pub fn apply_shard() -> u64 {
+pub fn plan_member() -> u64 {
     ping(3)
 }
 "#;
@@ -111,7 +111,7 @@ pub fn apply_shard() -> u64 {
         .iter()
         .find(|f| f.rule == Rule::WallClock && !f.chain.is_empty())
         .unwrap_or_else(|| panic!("no transitive finding: {:#?}", a.findings));
-    assert_eq!(hit.chain[..2], ["apply_shard".to_string(), "ping".to_string()]);
+    assert_eq!(hit.chain[..2], ["plan_member".to_string(), "ping".to_string()]);
     // The witness chain bottoms out at the seed, not in the cycle.
     assert_eq!(hit.chain.last().map(String::as_str), Some("Instant::now"));
 }
@@ -119,7 +119,7 @@ pub fn apply_shard() -> u64 {
 #[test]
 fn external_calls_are_opaque_not_errors() {
     let src = r#"
-pub fn apply_shard(xs: &[u8]) -> usize {
+pub fn plan_member(xs: &[u8]) -> usize {
     let blob = serde_json::to_vec(&xs).unwrap_or_default();
     vendor_compress::pack(&blob);
     core::mem::take(&mut blob.len())
@@ -139,7 +139,7 @@ fn stats_are_pinned_for_the_transitive_fixture() {
     let s = &a.stats;
     assert_eq!(s.files, 1, "stats: {s:?}");
     assert_eq!(s.functions, 6, "stats: {s:?}");
-    // apply_shard's five helper calls, each with exactly one candidate.
+    // plan_member's five helper calls, each with exactly one candidate.
     assert_eq!(s.resolved_calls, 5, "stats: {s:?}");
     assert_eq!(s.edges, 5, "stats: {s:?}");
     assert_eq!(s.unresolved_calls, 0, "stats: {s:?}");
@@ -147,7 +147,7 @@ fn stats_are_pinned_for_the_transitive_fixture() {
     // env::var / .is_ok, .values / .sum, u64::from.
     assert_eq!(s.opaque_calls, 10, "stats: {s:?}");
     assert_eq!(s.trait_merged_calls, 0, "stats: {s:?}");
-    // Seeds land in round zero; one round to lift them into apply_shard,
+    // Seeds land in round zero; one round to lift them into plan_member,
     // one to observe quiescence.
     assert_eq!(s.fixpoint_iterations, 2, "stats: {s:?}");
 }

@@ -7,9 +7,9 @@
 //!
 //! * `B`/`E` duration events — one pair per span instance, on explicit
 //!   thread lanes: `tid 0` is the serial coordinator, `tid k` is worker
-//!   lane `k-1` (decision-phase planners and apply shards reuse the same
-//!   lanes; their regions never overlap in time because the coordinator
-//!   joins each region before the next).
+//!   lane `k-1` (the decision-phase planners of every service reuse the
+//!   same lanes; their regions never overlap in time because the
+//!   coordinator joins each region before the next).
 //!   Events come straight from the tree's append-order log, so per-lane
 //!   timestamps are monotonic and `B`/`E` nest by construction;
 //! * `C` counter events — headline metrics-registry counters sampled at

@@ -7,10 +7,9 @@
 //!
 //! Lines are *framed*: each one is formatted into a buffer and written
 //! with a single `write_all` under a process-wide mutex. Concurrent
-//! emitters (sweep workers, sharded-apply diagnostics) therefore
-//! interleave whole lines, never fragments — `eprintln!` formats directly
-//! into the locked stream piecewise, which is where the old tearing came
-//! from.
+//! emitters (sweep workers) therefore interleave whole lines, never
+//! fragments — `eprintln!` formats directly into the locked stream
+//! piecewise, which is where the old tearing came from.
 
 use std::io::Write as _;
 use std::sync::{Mutex, OnceLock};

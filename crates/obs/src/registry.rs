@@ -13,7 +13,9 @@
 //! no allocation-order-dependent iteration — frame maps are `BTreeMap` so
 //! the serialized snapshot is byte-identical for identical runs regardless
 //! of `FOOTSTEPS_THREADS`, and the slot index is only ever probed, never
-//! iterated. Wall-clock timing lives in [`crate::span`], which is
+//! iterated. Callers record from serial paths only (the platform's
+//! submissions and deposits, the engines' merged plan lists), never from
+//! a worker thread. Wall-clock timing lives in [`crate::span`], which is
 //! deliberately a separate snapshot type.
 
 use serde::{Deserialize, Serialize};
@@ -258,18 +260,6 @@ impl MetricsRegistry {
     /// Increment the named counter by one.
     pub fn incr(&mut self, key: &str) {
         self.add(key, 1);
-    }
-
-    /// Fold a batch of counter deltas into the current frame. This is the
-    /// merge half of the sharded-apply contract: worker shards accumulate
-    /// plain `(key, n)` pairs into their own local structs (no registry
-    /// access off the serial path), and the serial merge sweep applies them
-    /// here. Zero deltas are skipped just like [`MetricsRegistry::add`], so
-    /// the set of materialized keys cannot depend on how work was sharded.
-    pub fn apply_delta<'a>(&mut self, delta: impl IntoIterator<Item = (&'a str, u64)>) {
-        for (key, n) in delta {
-            self.add(key, n);
-        }
     }
 
     /// Set the named gauge to `value`.

@@ -232,24 +232,6 @@ impl AccountStore {
     pub fn latest_media_of(&self, owner: AccountId) -> Option<MediaId> {
         self.get(owner).media.last().copied()
     }
-
-    /// Split the dense arena into disjoint mutable ranges at `bounds`
-    /// (`bounds[s]..bounds[s+1]` becomes slice `s`). The sharded apply phase
-    /// hands each worker exactly one range, so shard ownership of account
-    /// state is enforced by the borrow checker rather than by convention.
-    ///
-    /// `bounds` must be ascending, start at 0 and end at [`Self::len`].
-    pub fn split_ranges_mut(&mut self, bounds: &[usize]) -> Vec<&mut [Account]> {
-        assert!(bounds.first() == Some(&0) && bounds.last() == Some(&self.accounts.len()));
-        let mut out = Vec::with_capacity(bounds.len().saturating_sub(1));
-        let mut rest: &mut [Account] = &mut self.accounts;
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            out.push(head);
-            rest = tail;
-        }
-        out
-    }
 }
 
 #[cfg(test)]

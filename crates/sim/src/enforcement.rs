@@ -43,6 +43,24 @@ impl Countermeasure {
     }
 }
 
+/// Resolve a policy decision into `(pass, excess, effective_cm)`, taking
+/// into account that delayed removal only exists for follows.
+pub(crate) fn split_decision(
+    decision: EnforcementDecision,
+    requested: u32,
+    action: ActionType,
+) -> (u32, u32, Countermeasure) {
+    let pass = decision.pass.min(requested);
+    let excess = requested - pass;
+    let cm = match decision.excess {
+        // "It was not possible to apply a delayed countermeasure on likes":
+        // delay degrades to no-op for anything but follows.
+        Countermeasure::DelayRemoval if action != ActionType::Follow => Countermeasure::None,
+        other => other,
+    };
+    (pass, excess, cm)
+}
+
 /// Which side of an action a threshold is being applied to.
 ///
 /// §6.2: "we track the number of **outbound** actions from Instagram
@@ -130,8 +148,9 @@ pub struct NoEnforcement;
 /// positive rate".
 /// `Debug` is a supertrait so containers holding a `Box<dyn
 /// EnforcementPolicy>` (the [`crate::platform::Platform`]) can derive it.
-/// `Send + Sync` are supertraits so the sharded apply phase can evaluate
-/// the installed policy from scoped worker threads; policies are plain
+/// `Send + Sync` are supertraits because the platform holds the installed
+/// policy and the analysis fork-joins (`StudyResults::collect`, the report
+/// sections) share `&Study` across scoped threads; policies are plain
 /// configuration data (thresholds, bins, windows) fixed before the day
 /// runs, so shared immutable access is safe by construction.
 pub trait EnforcementPolicy: std::fmt::Debug + Send + Sync {

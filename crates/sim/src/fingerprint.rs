@@ -15,11 +15,6 @@ use serde::{Deserialize, Serialize};
 pub enum ClientFingerprint {
     /// The genuine official mobile app. Organic user traffic.
     OfficialApp,
-    /// The genuine web client. Organic user traffic.
-    WebClient,
-    /// The public OAuth API used by legitimate third-party integrations;
-    /// heavily rate limited, which is why AASs avoid it.
-    PublicApi,
     /// A spoofed private-API client. The `variant` distinguishes distinct
     /// automation stacks: each AAS's homegrown client emulation has its own
     /// stable quirks, which is what makes fingerprinting useful for
@@ -33,12 +28,9 @@ pub enum ClientFingerprint {
 
 impl ClientFingerprint {
     /// True if this fingerprint corresponds to bona-fide first-party client
-    /// software (as opposed to API or emulated traffic).
+    /// software (as opposed to emulated traffic).
     pub fn is_organic_client(self) -> bool {
-        matches!(
-            self,
-            ClientFingerprint::OfficialApp | ClientFingerprint::WebClient
-        )
+        self == ClientFingerprint::OfficialApp
     }
 
     /// True if this is emulated/spoofed mobile traffic.
@@ -50,8 +42,6 @@ impl ClientFingerprint {
     pub fn label(self) -> String {
         match self {
             ClientFingerprint::OfficialApp => "app".to_owned(),
-            ClientFingerprint::WebClient => "web".to_owned(),
-            ClientFingerprint::PublicApi => "oauth-api".to_owned(),
             ClientFingerprint::SpoofedMobile { variant } => format!("spoofed:{variant}"),
         }
     }
@@ -64,8 +54,6 @@ mod tests {
     #[test]
     fn organic_vs_spoofed_partition() {
         assert!(ClientFingerprint::OfficialApp.is_organic_client());
-        assert!(ClientFingerprint::WebClient.is_organic_client());
-        assert!(!ClientFingerprint::PublicApi.is_organic_client());
         let sp = ClientFingerprint::SpoofedMobile { variant: 3 };
         assert!(sp.is_spoofed());
         assert!(!sp.is_organic_client());
@@ -77,6 +65,6 @@ mod tests {
         let a = ClientFingerprint::SpoofedMobile { variant: 1 }.label();
         let b = ClientFingerprint::SpoofedMobile { variant: 2 }.label();
         assert_ne!(a, b);
-        assert_eq!(ClientFingerprint::PublicApi.label(), "oauth-api");
+        assert_eq!(ClientFingerprint::OfficialApp.label(), "app");
     }
 }

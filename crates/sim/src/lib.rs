@@ -76,7 +76,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod account;
-pub mod apply;
 pub mod background;
 pub mod actions;
 pub mod behavior;
@@ -97,7 +96,6 @@ pub mod time;
 /// One-stop import for downstream crates.
 pub mod prelude {
     pub use crate::account::{Account, AccountStore, Media, ProfileKind, ReciprocityProfile};
-    pub use crate::apply::{DepositOp, DepositOutcome, ShardApply, ShardCounters};
     pub use crate::actions::{
         ActionEvent, ActionOutcome, ActionTarget, ActionType, TypeCounts,
     };
@@ -119,8 +117,8 @@ pub mod prelude {
     };
     pub use crate::net::{AsnInfo, AsnKind, AsnRegistry, IpAddr4};
     pub use crate::platform::{
-        BatchRequest, BatchResult, DayMetrics, EventRequest, Platform, PlatformConfig,
-        PoolStats,
+        BatchRequest, BatchResult, DayMetrics, DepositOp, EventRequest, Platform,
+        PlatformConfig, PoolStats,
     };
     pub use crate::population::{
         sample_lognormal, synthesize, Population, PopulationConfig, ResidentialIndex,

@@ -354,34 +354,6 @@ impl DayLog {
         }
     }
 
-    /// Merge a whole counter set into the record for `key` (the sharded
-    /// apply phase's log-segment merge: each shard returns per-key
-    /// [`TypeCounts`] deltas, and the serial sweep folds them in here in
-    /// global first-touch order, reproducing the open-day insertion order
-    /// the serial ladder would have produced).
-    pub(crate) fn merge_inbound(&mut self, key: InboundKey, counts: &TypeCounts) {
-        match &mut self.open {
-            Some(idx) => {
-                let mut at = head_of(&idx.in_heads, key.0);
-                while at != NONE {
-                    let (k, c) = &mut self.in_records[at as usize];
-                    if *k == key {
-                        c.merge(counts);
-                        return;
-                    }
-                    at = idx.in_next[at as usize];
-                }
-                let i = self.in_records.len() as u32;
-                self.in_records.push((key, *counts));
-                idx.in_next.push(take_head(&mut idx.in_heads, key.0, i));
-            }
-            None => match self.in_records.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(i) => self.in_records[i].1.merge(counts),
-                Err(i) => self.in_records.insert(i, (key, *counts)),
-            },
-        }
-    }
-
     /// Sort records by key and drop the chain index. Idempotent.
     fn seal(&mut self) {
         if self.open.take().is_some() {

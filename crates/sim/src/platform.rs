@@ -13,9 +13,9 @@
 //!   from one account, with the target population summarised by
 //!   [`PoolStats`]; reciprocation is sampled binomially and scheduled as
 //!   future aggregate inbound counts.
-//! * [`Platform::apply_deposits_sharded`] — routed inbound deliveries
+//! * [`Platform::apply_deposits`] — routed inbound deliveries
 //!   ([`DepositOp`]s) from a collusion network, judged on the receiving
-//!   account and applied sharded by target (see [`crate::apply`]).
+//!   account one op at a time, in routing order.
 //!
 //! The two outbound paths share one middleware, which runs, in order:
 //!
@@ -34,13 +34,13 @@
 //! [`Platform::begin_day`], which the engine calls at each day boundary.
 
 use crate::account::{AccountStore, ReciprocityProfile};
-use crate::actions::{ActionEvent, ActionOutcome, ActionTarget, ActionType, TypeCounts};
-use crate::apply::{apply_shard, split_decision, DepositOp, ShardApply};
+use crate::actions::{ActionEvent, ActionOutcome, ActionTarget, ActionType};
 use crate::behavior::{
     response_probability, sample_binomial, BehaviorParams, ResponseChannel,
 };
 use crate::enforcement::{
-    Countermeasure, Direction, EnforcementContext, EnforcementPolicy, NoEnforcement,
+    split_decision, Countermeasure, Direction, EnforcementContext, EnforcementPolicy,
+    NoEnforcement,
 };
 use crate::fingerprint::ClientFingerprint;
 use crate::graph::SocialGraph;
@@ -67,11 +67,10 @@ pub struct PlatformConfig {
     /// the day of the action itself. The paper observed reciprocation
     /// "uniformly distributed throughout the trial period".
     pub response_window_days: u32,
-    /// Worker threads for the parallel phases of the daily engine
-    /// (DESIGN.md §4): the per-customer decision (plan) phase and the
-    /// target-sharded apply phase, plus the analysis/detection fork-joins.
-    /// Results are byte-identical for any value ≥ 1; this only controls how
-    /// the work is sharded.
+    /// Worker threads for the parallel parts of a study (DESIGN.md §4):
+    /// the per-customer decision (plan) phase of each service-day, plus the
+    /// analysis fork-joins. Results are byte-identical for any value ≥ 1;
+    /// this only controls how the work is sharded.
     pub worker_threads: usize,
 }
 
@@ -138,6 +137,29 @@ pub struct BatchRequest {
     /// Ground-truth attribution (invisible to the detection pipeline; used
     /// only for validation and for scoring classifiers).
     pub service: Option<ServiceId>,
+}
+
+/// One routed inbound delivery from a collusion network: the unit of
+/// [`Platform::apply_deposits`]. The route phase emits these in routing
+/// order, including zero-quantity ops, which still attribute ground truth
+/// and give the service a zero result.
+#[derive(Debug, Clone, Copy)]
+pub struct DepositOp {
+    /// Account receiving the actions.
+    pub target: AccountId,
+    /// Action type delivered.
+    pub ty: ActionType,
+    /// Actions requested (post-cap; zero is legal and means "attempted
+    /// nothing, but the service still drove this account").
+    pub requested: u32,
+    /// Delivery network of the collusion service, used for threshold
+    /// lookup.
+    pub asn: AsnId,
+    /// Ground-truth attribution.
+    pub service: Option<ServiceId>,
+    /// For likes/comments: the media hit, and the peak hourly like rate for
+    /// the photo-burst bookkeeping.
+    pub media: Option<(MediaId, u32)>,
 }
 
 /// What a batch submission produced, as observed by the *submitting client*.
@@ -583,183 +605,90 @@ impl Platform {
         outcome
     }
 
-    /// Apply a routed batch of inbound deposits, sharded by target account
-    /// across up to `threads` scoped workers (the apply phase of the
-    /// three-phase daily engine, DESIGN.md §4). This is the one enforced
-    /// inbound path: each op is judged by the installed policy on the
-    /// receiving account (§6.2).
-    ///
-    /// Semantically identical to the serial ladder (the test-only
-    /// `deposit_inbound_enforced`, called once per op in `ops` order): the
-    /// returned `BatchResult`s line up with `ops`, and every observable
-    /// side effect (log records and their insertion order, enforcement
-    /// counters, follower/media deltas, scheduled removals) is
-    /// byte-identical to it for **any** thread count. See [`crate::apply`]
-    /// for the determinism argument.
-    ///
-    /// Per-shard wall time is recorded under `shard_span` (one span per
-    /// shard, merged in shard-index order); the caller owns the enclosing
-    /// wall span.
-    pub fn apply_deposits_sharded(
-        &mut self,
-        ops: &[DepositOp],
-        threads: usize,
-        shard_span: &str,
-    ) -> Vec<BatchResult> {
-        // Ground truth is attributed for every op — including zero-quantity
-        // ones — exactly as the serial ladder does before its early return.
-        for op in ops {
-            self.note_ground_truth(op.target, op.service);
-        }
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        let day = self.clock.today();
-        let n_accounts = self.accounts.len();
-        let shards = threads.max(1).min(n_accounts.max(1));
-        let bounds: Vec<usize> = (0..=shards).map(|s| s * n_accounts / shards).collect();
-        let mut shard_seqs: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for (seq, op) in ops.iter().enumerate() {
-            let s = bounds.partition_point(|&b| b <= op.target.index()) - 1;
-            shard_seqs[s].push(seq as u32);
-        }
-
-        // Freeze the day's log state: shards read `prior_today` from this
-        // snapshot plus their own local deltas. Policy and log are shared
-        // read-only; each worker owns one disjoint arena range.
-        let frozen = self.log.day(day);
-        let policy: &dyn EnforcementPolicy = &*self.policy;
-        // Worker lanes measure against a copied region stopwatch anchored
-        // at `region_t0` on the span-tree timebase; the serial side grafts
-        // them under the caller's open span after the join.
-        let region_t0 = self.obs.timings.now_secs();
-        let region = footsteps_obs::Stopwatch::start();
-        let mut shard_results: Vec<(ShardApply, footsteps_obs::WorkerSpan)> =
-            Vec::with_capacity(shards);
-        if shards <= 1 {
-            let start_secs = region.elapsed_secs();
-            let mut all = self.accounts.split_ranges_mut(&bounds);
-            let slice = all.pop().expect("split_ranges_mut yields one range per shard");
-            let r = apply_shard(ops, &shard_seqs[0], day, frozen, policy, slice, 0);
-            let span =
-                footsteps_obs::WorkerSpan { lane: 0, start_secs, end_secs: region.elapsed_secs() };
-            shard_results.push((r, span));
-        } else {
-            let slices = self.accounts.split_ranges_mut(&bounds);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = slices
-                    .into_iter()
-                    .zip(&shard_seqs)
-                    .zip(bounds.windows(2))
-                    .enumerate()
-                    .map(|(lane, ((slice, seqs), w))| {
-                        let base = w[0];
-                        scope.spawn(move || {
-                            let start_secs = region.elapsed_secs();
-                            let r = apply_shard(ops, seqs, day, frozen, policy, slice, base);
-                            let span = footsteps_obs::WorkerSpan {
-                                lane: lane as u32,
-                                start_secs,
-                                end_secs: region.elapsed_secs(),
-                            };
-                            (r, span)
-                        })
-                    })
-                    .collect();
-                // Join in shard-index order: the merge order below is the
-                // spawn order, never the completion order.
-                for h in handles {
-                    shard_results.push(h.join().expect("apply shard panicked"));
-                }
-            });
-        }
-
-        // ---- serial merge sweep ------------------------------------------
-        // 1. Per-shard worker lanes, grafted in shard-index order under the
-        //    caller's open apply span.
-        let lanes: Vec<footsteps_obs::WorkerSpan> =
-            shard_results.iter().map(|(_, span)| *span).collect();
-        self.obs.timings.attach_workers(shard_span, region_t0, &lanes);
-        // 2. Counter deltas (zero deltas are skipped by the registry, so the
-        //    materialized key set is shard-count-invariant).
-        for (r, _) in &shard_results {
-            let c = &r.counters;
-            self.obs.metrics.apply_delta([
-                ("platform.inbound.delivered", c.delivered),
-                ("platform.inbound.blocked", c.blocked),
-                ("platform.inbound.deferred", c.deferred),
-            ]);
-            for (row, cols) in c.bins.iter().enumerate() {
-                let keys = bin_keys(if row < 10 { row as u32 } else { u32::MAX });
-                self.obs.metrics.apply_delta([
-                    (keys.delivered, cols[0]),
-                    (keys.blocked, cols[1]),
-                    (keys.deferred, cols[2]),
-                ]);
-            }
-        }
-        // 3. Log segments, merged in global first-touch order. Keys are
-        //    disjoint across shards (the key contains the target), so this
-        //    reproduces the serial ladder's open-day insertion order.
-        let mut recs: Vec<(u32, (AccountId, Option<AsnId>), TypeCounts)> = shard_results
-            .iter()
-            .flat_map(|(r, _)| r.records.iter().copied())
-            .collect();
-        recs.sort_unstable_by_key(|&(first_seq, _, _)| first_seq);
-        if !recs.is_empty() {
-            let d = self.log.day_mut(day);
-            for (_, key, counts) in &recs {
-                d.merge_inbound(*key, counts);
-            }
-        }
-        // 4. Photo-burst and media deltas (commutative folds).
-        for (r, _) in &shard_results {
-            for (&media_id, &(total, max_hourly)) in &r.photo {
-                self.log.record_photo_likes(day, media_id, total, max_hourly);
-            }
-            for (&media_id, &n) in &r.media_likes {
-                self.accounts.media_mut(media_id).likes += n;
-            }
-            for (&media_id, &n) in &r.media_comments {
-                self.accounts.media_mut(media_id).comments += n;
-            }
-        }
-        // 5. One walk of the outcomes in routing order replays the serial
-        //    ladder's removal scheduling.
-        let mut results: Vec<BatchResult> = ops
-            .iter()
-            .map(|op| BatchResult {
-                attempted: op.requested,
-                ..BatchResult::default()
-            })
-            .collect();
-        for (r, _) in &shard_results {
-            for o in &r.outcomes {
-                let i = o.seq as usize;
-                results[i].delivered = o.delivered;
-                results[i].blocked = o.blocked;
-                results[i].deferred = o.deferred;
-            }
-        }
-        for (i, op) in ops.iter().enumerate() {
-            if op.requested == 0 {
-                continue;
-            }
-            let r = results[i];
-            if op.ty == ActionType::Follow && r.deferred > 0 {
-                day_queue(&mut self.pending_removals, day.next()).push(
-                    PendingRemoval::Aggregate {
-                        from: op.target,
-                        to: Some(op.target),
-                        count: r.deferred,
-                    },
-                );
-            }
-        }
-        results
+    /// Apply a routed batch of inbound deposits from a collusion network,
+    /// one op at a time in `ops` order. This is the one enforced inbound
+    /// path: each op is judged by the installed policy on the receiving
+    /// account (§6.2), against what earlier ops of the day already
+    /// delivered to it from the same network. The returned `BatchResult`s
+    /// line up with `ops` and are what the *service* can observe: blocked
+    /// deliveries visibly fail (the like counter does not move), deferred
+    /// ones look delivered.
+    pub fn apply_deposits(&mut self, ops: &[DepositOp]) -> Vec<BatchResult> {
+        ops.iter().map(|op| self.deposit(op)).collect()
     }
 
     // ----- internals -------------------------------------------------------
+
+    /// One op of [`Self::apply_deposits`].
+    fn deposit(&mut self, op: &DepositOp) -> BatchResult {
+        // The recipient is a customer of the delivering service (they handed
+        // over credentials or requested the actions) — ground truth either way.
+        self.note_ground_truth(op.target, op.service);
+        if op.requested == 0 {
+            return BatchResult::default();
+        }
+        let day = self.clock.today();
+        let prior = self
+            .log
+            .day(day)
+            .and_then(|d| d.inbound_from(op.target, op.asn))
+            .map(|c| c.delivered[op.ty.index()])
+            .unwrap_or(0);
+        let decision = self.policy.evaluate(&EnforcementContext {
+            actor: op.target,
+            asn: op.asn,
+            action: op.ty,
+            direction: Direction::Inbound,
+            day,
+            prior_today: prior,
+            requested: op.requested,
+        });
+        let (pass, excess, cm) = split_decision(decision, op.requested, op.ty);
+        let split = cm.resolve(pass, excess);
+        self.record_enforcement(Direction::Inbound, decision.bin, split);
+        let (standing, blocked, deferred) = split;
+        for (outcome, n) in [
+            (ActionOutcome::Blocked, blocked),
+            (ActionOutcome::Delivered, standing),
+            (ActionOutcome::DeferredRemoval, deferred),
+        ] {
+            self.log
+                .record_inbound_with(day, op.target, Some(op.asn), op.ty, outcome, n);
+        }
+        // Blocked deliveries never land; standing and deferred ones do (a
+        // deferred follow until tomorrow's removal).
+        let landed = standing + deferred;
+        match (op.ty, op.media) {
+            (ActionType::Follow, _) => {
+                self.accounts.get_mut(op.target).followers += landed;
+                if deferred > 0 {
+                    // The actor-side decrement is owned by the outbound
+                    // batch's own removal; here only the follower-side undo.
+                    day_queue(&mut self.pending_removals, day.next()).push(
+                        PendingRemoval::Aggregate {
+                            from: op.target,
+                            to: Some(op.target),
+                            count: deferred,
+                        },
+                    );
+                }
+            }
+            (ActionType::Like, Some((media_id, max_hourly))) => {
+                self.accounts.media_mut(media_id).likes += u64::from(landed);
+                self.log.record_photo_likes(day, media_id, landed, max_hourly);
+            }
+            (ActionType::Comment, Some((media_id, _))) => {
+                self.accounts.media_mut(media_id).comments += u64::from(landed);
+            }
+            _ => {}
+        }
+        BatchResult {
+            attempted: op.requested,
+            delivered: standing,
+            blocked,
+            deferred,
+        }
+    }
 
     /// The outbound middleware both submission paths share (module docs):
     /// IP-volume edge defense, then the installed policy. Edge-refused
@@ -1214,129 +1143,6 @@ fn bin_keys(bin: u32) -> BinKeys {
 }
 
 #[cfg(test)]
-/// The serial inbound ladder: one deposit at a time, in routing order.
-/// Test-only: [`Platform::apply_deposits_sharded`] is the one production
-/// inbound path, and `sharded_apply_matches_serial_reference` checks it
-/// against this reference.
-impl Platform {
-    /// Deposit inbound actions onto `target` with **inbound-side**
-    /// enforcement (§6.2 thresholds collusion traffic on the receiving
-    /// account). `asn` is the collusion service's delivery network, used for
-    /// threshold lookup. Returns what the *service* can observe: blocked
-    /// deliveries visibly fail (the like counter does not move), deferred
-    /// ones look delivered.
-    pub(crate) fn deposit_inbound_enforced(
-        &mut self,
-        target: AccountId,
-        ty: ActionType,
-        requested: u32,
-        asn: AsnId,
-        service: Option<ServiceId>,
-        media: Option<(MediaId, u32)>,
-    ) -> BatchResult {
-        // The recipient is a customer of the delivering service (they handed
-        // over credentials or requested the actions) — ground truth either way.
-        self.note_ground_truth(target, service);
-        let day = self.clock.today();
-        let mut result = BatchResult {
-            attempted: requested,
-            ..BatchResult::default()
-        };
-        if requested == 0 {
-            return result;
-        }
-        let prior = self
-            .log
-            .day(day)
-            .and_then(|d| d.inbound_from(target, asn).copied())
-            .map(|c| c.delivered[ty.index()])
-            .unwrap_or(0);
-        let decision = self.policy.evaluate(&EnforcementContext {
-            actor: target,
-            asn,
-            action: ty,
-            direction: Direction::Inbound,
-            day,
-            prior_today: prior,
-            requested,
-        });
-        let (pass, excess, cm) = split_decision(decision, requested, ty);
-        let split = cm.resolve(pass, excess);
-        self.record_enforcement(Direction::Inbound, decision.bin, split);
-        let (standing, blocked, deferred) = split;
-        result.delivered = standing;
-        result.blocked = blocked;
-        result.deferred = deferred;
-        if blocked > 0 {
-            self.log.record_inbound_with(
-                day,
-                target,
-                Some(asn),
-                ty,
-                ActionOutcome::Blocked,
-                blocked,
-            );
-        }
-        self.deposit_inbound(target, ty, standing, deferred, Some(asn), media);
-        result
-    }
-
-    /// Deposit `standing + deferred` inbound actions of type `ty` onto
-    /// `target` (collusion-network delivery), with no enforcement. For
-    /// likes, `media` receives the like-count and hourly-rate bookkeeping
-    /// used by the revenue analysis.
-    pub(crate) fn deposit_inbound(
-        &mut self,
-        target: AccountId,
-        ty: ActionType,
-        standing: u32,
-        deferred: u32,
-        source: Option<AsnId>,
-        media: Option<(MediaId, u32)>,
-    ) {
-        let day = self.clock.today();
-        let total = standing + deferred;
-        if total == 0 {
-            return;
-        }
-        self.log.record_inbound(day, target, source, ty, standing);
-        self.log.record_inbound_with(
-            day,
-            target,
-            source,
-            ty,
-            ActionOutcome::DeferredRemoval,
-            deferred,
-        );
-        if ty == ActionType::Follow {
-            self.accounts.get_mut(target).followers += total;
-            if deferred > 0 {
-                // The actor-side decrement is owned by the outbound batch's
-                // own removal; here we schedule only the follower-side undo.
-                day_queue(&mut self.pending_removals, day.next()).push(
-                    PendingRemoval::Aggregate {
-                        from: target,
-                        to: Some(target),
-                        count: deferred,
-                    },
-                );
-            }
-        }
-        if ty == ActionType::Like {
-            if let Some((media_id, max_hourly)) = media {
-                self.accounts.media_mut(media_id).likes += u64::from(total);
-                self.log.record_photo_likes(day, media_id, total, max_hourly);
-            }
-        }
-        if ty == ActionType::Comment {
-            if let Some((media_id, _)) = media {
-                self.accounts.media_mut(media_id).comments += u64::from(total);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::account::ProfileKind;
@@ -1760,22 +1566,91 @@ mod tests {
         assert_eq!(p.login_country(AccountId(999)), None);
     }
 
+    fn deposit(target: AccountId, ty: ActionType, requested: u32) -> DepositOp {
+        DepositOp {
+            target,
+            ty,
+            requested,
+            asn: AsnId(1),
+            service: Some(ServiceId::Hublaagram),
+            media: None,
+        }
+    }
+
     #[test]
     fn collusion_deposit_updates_followers_and_photos() {
         let mut p = platform();
+        // Defers follows above 30 a day; likes cannot be deferred, so all
+        // 200 stand.
+        p.set_policy(Box::new(FixedThreshold {
+            threshold: 30,
+            cm: Countermeasure::DelayRemoval,
+        }));
         let customer = organic(&mut p, ReciprocityProfile::SILENT);
         p.begin_day(Day(0));
         let m = p.post_media(customer, AsnId(0), IpAddr4(0x0100_0002));
-        p.deposit_inbound(customer, ActionType::Follow, 30, 10, Some(AsnId(1)), None);
-        p.deposit_inbound(customer, ActionType::Like, 200, 0, Some(AsnId(1)), Some((m, 160)));
+        let like = DepositOp {
+            media: Some((m, 160)),
+            ..deposit(customer, ActionType::Like, 200)
+        };
+        let results = p.apply_deposits(&[deposit(customer, ActionType::Follow, 40), like]);
+        let split: Vec<_> = results.iter().map(|r| (r.delivered, r.blocked, r.deferred)).collect();
+        assert_eq!(split, [(30, 0, 10), (200, 0, 0)]);
+        assert_eq!(results[0].visible_success(), 40, "the service sees full success");
+        // On the deposit day the whole follow deposit stands.
         assert_eq!(p.accounts.get(customer).followers, 140);
+        let row = *p.log.day(Day(0)).unwrap().inbound_from(customer, AsnId(1)).unwrap();
+        assert_eq!(row.delivered[ActionType::Follow.index()], 30);
+        assert_eq!(row.deferred[ActionType::Follow.index()], 10);
         assert_eq!(p.accounts.media(m).likes, 200);
         let pl = p.log.day(Day(0)).unwrap().photo_likes[&m];
         assert_eq!(pl.total, 200);
         assert_eq!(pl.max_hourly, 160);
-        // Deferred inbound follows are undone next day.
+        // Deferred inbound follows are undone next day. That undo is the
+        // follower-side half of a removal, so `removed_follows` (counted
+        // on the outbound side) does not move.
         p.begin_day(Day(1));
         assert_eq!(p.accounts.get(customer).followers, 130);
+        assert_eq!(p.metrics(Day(1)).removed_follows, 0);
+    }
+
+    #[test]
+    fn zero_quantity_deposits_only_attribute_ground_truth() {
+        let mut p = platform();
+        let customer = organic(&mut p, ReciprocityProfile::SILENT);
+        p.begin_day(Day(0));
+        let ops = [
+            deposit(customer, ActionType::Like, 0),
+            deposit(customer, ActionType::Follow, 0),
+        ];
+        let results = p.apply_deposits(&ops);
+        assert_eq!(results, vec![BatchResult::default(); 2]);
+        assert_eq!(p.ground_truth_services(customer), vec![ServiceId::Hublaagram]);
+        assert!(p.log.day(Day(0)).is_none_or(|d| d.inbound().next().is_none()));
+        assert_eq!(p.accounts.get(customer).followers, 100);
+        assert_eq!(p.obs.metrics.snapshot().counter("platform.inbound.delivered"), 0);
+    }
+
+    #[test]
+    fn same_key_deposits_see_each_other_in_prior_today() {
+        // Blocking above 10 a day: the second op must be judged against
+        // the 8 the first one delivered.
+        let mut p = platform();
+        p.set_policy(Box::new(FixedThreshold {
+            threshold: 10,
+            cm: Countermeasure::Block,
+        }));
+        let customer = organic(&mut p, ReciprocityProfile::SILENT);
+        p.begin_day(Day(0));
+        let op = deposit(customer, ActionType::Like, 8);
+        let results = p.apply_deposits(&[op, op]);
+        let split: Vec<_> = results.iter().map(|r| (r.delivered, r.blocked)).collect();
+        assert_eq!(split, [(8, 0), (2, 6)]);
+        let rows: Vec<_> = p.log.day(Day(0)).unwrap().inbound().collect();
+        assert_eq!(rows.len(), 1, "one row per (target, network)");
+        assert_eq!(*rows[0].0, (customer, Some(AsnId(1))));
+        assert_eq!(rows[0].1.delivered[ActionType::Like.index()], 10);
+        assert_eq!(rows[0].1.blocked[ActionType::Like.index()], 6);
     }
 
     #[test]

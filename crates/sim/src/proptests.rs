@@ -4,20 +4,11 @@
 #![cfg(test)]
 
 use crate::account::{AccountStore, ProfileKind, ReciprocityProfile};
-use crate::actions::ActionType;
-use crate::apply::DepositOp;
 use crate::country::{Country, CountryMix};
-use crate::enforcement::{
-    Countermeasure, EnforcementContext, EnforcementDecision, EnforcementPolicy,
-};
 use crate::graph::SocialGraph;
-use crate::ids::{AccountId, AsnId, MediaId, ServiceId};
-use crate::net::{AsnKind, AsnRegistry};
-use crate::platform::{Platform, PlatformConfig};
+use crate::ids::{AccountId, AsnId};
 use crate::time::{Day, SimTime, SECS_PER_DAY};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn store_with(n: u32) -> AccountStore {
     let mut s = AccountStore::new();
@@ -35,119 +26,7 @@ fn store_with(n: u32) -> AccountStore {
     s
 }
 
-/// A deterministic policy that exercises every enforcement arm the sharded
-/// apply phase has to reproduce: thresholds against `prior_today`, both
-/// countermeasures, and per-account experiment bins.
-#[derive(Debug)]
-struct BinnedMixedPolicy {
-    threshold: u32,
-}
-
-impl EnforcementPolicy for BinnedMixedPolicy {
-    fn evaluate(&self, ctx: &EnforcementContext) -> EnforcementDecision {
-        let cm = match ctx.action {
-            ActionType::Follow => Countermeasure::DelayRemoval,
-            _ => Countermeasure::Block,
-        };
-        EnforcementDecision::threshold(ctx.requested, ctx.prior_today, self.threshold, cm)
-            .with_bin(ctx.actor.0 % 3)
-    }
-}
-
-/// A small world for apply-phase equivalence tests: `n` organic accounts,
-/// one media post each, an enforcement policy with teeth, and the clock on
-/// `Day(0)`. Built fresh (same seed) for each apply variant so the serial
-/// and sharded runs start from byte-identical state.
-fn apply_world(n: u32, threshold: u32) -> (Platform, Vec<MediaId>) {
-    let mut reg = AsnRegistry::new();
-    reg.register("res-us", Country::Us, AsnKind::Residential, 100_000);
-    reg.register("host-a", Country::Us, AsnKind::Hosting, 1_000);
-    reg.register("host-b", Country::Us, AsnKind::Hosting, 1_000);
-    let mut p = Platform::new(reg, PlatformConfig::default(), SmallRng::seed_from_u64(0xF00D));
-    for _ in 0..n {
-        p.accounts.create(
-            SimTime::EPOCH,
-            ProfileKind::Organic,
-            Country::Us,
-            AsnId(0),
-            10,
-            10,
-            ReciprocityProfile::SILENT,
-        );
-    }
-    p.set_policy(Box::new(BinnedMixedPolicy { threshold }));
-    p.begin_day(Day(0));
-    let media = (0..n)
-        .map(|i| p.post_media(AccountId(i), AsnId(0), p.asns.ip_in(AsnId(0), i)))
-        .collect();
-    (p, media)
-}
-
-/// Raw op tuples from proptest, turned into [`DepositOp`]s against a world
-/// of `n` accounts. Zero-quantity ops, repeated `(target, asn)` keys (so
-/// `prior_today` matters) and media-targeted likes are all in range.
-fn build_ops(raw: &[(u32, u8, u32, u8, bool, u32)], n: u32, media: &[MediaId]) -> Vec<DepositOp> {
-    raw.iter()
-        .map(|&(target, ty, requested, asn, with_media, cap)| {
-            let target = target % n;
-            let ty = match ty % 3 {
-                0 => ActionType::Like,
-                1 => ActionType::Follow,
-                _ => ActionType::Comment,
-            };
-            let media = (with_media && ty != ActionType::Follow)
-                .then(|| (media[target as usize], cap.max(1)));
-            DepositOp {
-                target: AccountId(target),
-                ty,
-                requested,
-                asn: AsnId(1 + u32::from(asn % 2)),
-                service: Some(ServiceId::ALL[target as usize % ServiceId::ALL.len()]),
-                media,
-            }
-        })
-        .collect()
-}
-
 proptest! {
-    /// The sharded apply phase is observationally identical to the serial
-    /// `deposit_inbound_enforced` ladder: same per-op [`BatchResult`]s, the
-    /// same platform state JSON (log, arenas, pending queues, counters,
-    /// RNG stream), and a byte-identical metrics snapshot — for every
-    /// shard count, including counts that do not divide the roster.
-    #[test]
-    fn sharded_apply_matches_serial_reference(
-        raw in prop::collection::vec(
-            (0u32..12, any::<u8>(), 0u32..40, any::<u8>(), any::<bool>(), 1u32..30),
-            0..60,
-        ),
-        threshold in 0u32..25,
-    ) {
-        const N: u32 = 12;
-        let (mut serial, media) = apply_world(N, threshold);
-        let ops = build_ops(&raw, N, &media);
-        let want: Vec<_> = ops
-            .iter()
-            .map(|op| {
-                serial.deposit_inbound_enforced(
-                    op.target, op.ty, op.requested, op.asn, op.service, op.media,
-                )
-            })
-            .collect();
-        let want_state = serde_json::to_string(&serial).expect("platform serializes");
-        let want_metrics = serial.obs.metrics.snapshot().to_json();
-
-        for shards in [1usize, 2, 3, 7] {
-            let (mut sharded, _) = apply_world(N, threshold);
-            let got = sharded.apply_deposits_sharded(&ops, shards, "test.apply.shard");
-            prop_assert_eq!(&got, &want, "BatchResults diverged at {} shards", shards);
-            let got_state = serde_json::to_string(&sharded).expect("platform serializes");
-            prop_assert_eq!(&got_state, &want_state, "platform JSON diverged at {} shards", shards);
-            let got_metrics = sharded.obs.metrics.snapshot().to_json();
-            prop_assert_eq!(&got_metrics, &want_metrics, "metrics diverged at {} shards", shards);
-        }
-    }
-
     /// For tracked accounts, degree counters always equal exact-set sizes,
     /// under any interleaving of follow/unfollow operations.
     #[test]

@@ -151,6 +151,16 @@ fn golden_digest_is_independent_of_span_event_collection() {
     study.run_narrow();
     study.run_broad();
     study.run_epilogue();
+    // The end-of-run results match an untraced run taken to `Finished`.
+    let mut scenario = Scenario::smoke(7);
+    scenario.worker_threads = 1;
+    let mut untraced = Study::new(scenario);
+    untraced.run_to_completion();
+    assert_eq!(
+        results::StudyResults::collect(&study).digest(),
+        results::StudyResults::collect(&untraced).digest(),
+        "span-event collection changed the end-of-run results"
+    );
     // And the collected event log actually exports as a valid trace.
     let dir = std::env::temp_dir().join("footsteps_determinism_trace");
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -140,7 +140,8 @@ proptest! {
                 4 => with_key(form, idx, |k| {
                     let other = LITERALS[(idx + 1) % LITERALS.len()];
                     let w = value(class.wrapping_add(1), raw.rotate_left(17));
-                    reg.apply_delta([(k, v), (other, w)]);
+                    reg.add(k, v);
+                    reg.add(other, w);
                     model.add(k, v);
                     model.add(other, w);
                 }),

@@ -120,7 +120,7 @@ fn inbound_enforcement_is_independent_of_outbound() {
             service: Some(ServiceId::Hublaagram),
             media: None,
         };
-        p.apply_deposits_sharded(&[op], 1, "test.apply.shard")[0]
+        p.apply_deposits(&[op])[0]
     };
     let dep = deposit(&mut p, 100);
     assert_eq!(dep.delivered, 40);
