@@ -207,9 +207,8 @@ pub struct CollusionService {
     heavy_throttle_days: u32,
     rng: SmallRng,
     /// Seed of the per-member decision streams: each member-day's plan is
-    /// drawn from `decision_rng(decision_seed, account, day)`, so planning
-    /// can be sharded across worker threads without perturbing any stream
-    /// (DESIGN.md §4).
+    /// drawn from `decision_rng(decision_seed, account, day)`, so no plan
+    /// depends on the order the roster is planned in (DESIGN.md §4).
     decision_seed: u64,
     out_of_stock: bool,
     out_of_stock_on: Option<Day>,
@@ -562,7 +561,7 @@ impl CollusionService {
     /// Decide one member's day: every stochastic choice (logins, posting,
     /// free-tier request counts, ad impressions, purchase rolls) drawn from
     /// the member's own `(decision_seed, account, day)` stream. Reads shared
-    /// service state, mutates nothing — safe to run on worker threads.
+    /// service state and mutates nothing.
     fn plan_member(&self, day: Day, account: AccountId, honeypot: bool) -> MemberPlan {
         let mut rng = decision_rng(self.decision_seed, u64::from(account.0), u64::from(day.0));
         let role = self.roles.get(&account).copied().unwrap_or_default();
@@ -665,25 +664,16 @@ impl CollusionService {
             })
             .collect();
 
-        // Decision phase: plan every engaged member's day in parallel. The
-        // phase is an open span; each plan worker's busy interval lands as
-        // a lane under `aas.<slug>.decision.worker`.
+        // Decision phase: plan every engaged member's day, in roster order.
         let slug = self.config.service.slug();
         let decision_span = platform.obs.timings.start(&format!("aas.{slug}.decision"));
-        let region_t0 = platform.obs.timings.now_secs();
-        let (plans, decision_lanes) = crate::engine::plan_parallel_timed(
-            &engaged,
-            platform.config.worker_threads,
-            |&(account, honeypot, _)| self.plan_member(day, account, honeypot),
-        );
-        platform.obs.timings.attach_workers(
-            &format!("aas.{slug}.decision.worker"),
-            region_t0,
-            &decision_lanes,
-        );
+        let plans: Vec<MemberPlan> = engaged
+            .iter()
+            .map(|&(account, honeypot, _)| self.plan_member(day, account, honeypot))
+            .collect();
         platform.obs.timings.finish(decision_span);
-        // Plan counts come from the merged (roster-order) list so the metric
-        // values are independent of the decision-phase shard count.
+        // Plan counts are recorded here, from the finished plans: `plan_member`
+        // itself touches no obs state.
         let planned_requests: u64 = plans
             .iter()
             .map(|p| u64::from(p.like_requests) + u64::from(p.follow_requests) + u64::from(p.comment_requests))

@@ -39,7 +39,7 @@ pub use adapt::{AdaptationConfig, ControllerAction, DayObservation, VolumeContro
 pub use catalog::{fmt_dollars, Cents};
 pub use collusion::{CollusionConfig, CollusionService, PayerProfile, ADS_ACCOUNT};
 pub use customer::{Customer, CustomerBook, LifecycleParams, PayState};
-pub use engine::{plan_parallel, plan_parallel_timed};
+pub use engine::plan_parallel;
 pub use ledger::{Payment, PaymentKind, PaymentLedger};
 pub use reciprocity::{DailyVolumes, ReciprocityConfig, ReciprocityService};
 pub use service::Service;

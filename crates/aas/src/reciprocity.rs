@@ -147,9 +147,8 @@ pub struct ReciprocityService {
     heavy_throttle_days: [u32; ActionType::COUNT],
     rng: SmallRng,
     /// Seed of the per-customer decision streams: every customer-day plan is
-    /// drawn from `decision_rng(decision_seed, account, day)`, so planning
-    /// can be sharded across worker threads without perturbing any stream
-    /// (DESIGN.md §4).
+    /// drawn from `decision_rng(decision_seed, account, day)`, so no plan
+    /// depends on the order the roster is planned in (DESIGN.md §4).
     decision_seed: u64,
     /// Days since follow traffic last saw a visible failure while away from
     /// the primary ASN (drives `follows_return_home`).
@@ -480,8 +479,8 @@ impl ReciprocityService {
 
     /// Decide one customer's day. Pure with respect to service and platform
     /// state: reads shared state, mutates nothing, and draws only from the
-    /// customer's own `(decision_seed, account, day)` stream — the contract
-    /// that lets [`crate::engine::plan_parallel`] shard this across threads.
+    /// customer's own `(decision_seed, account, day)` stream, so the plan
+    /// does not depend on where the customer sits in the roster.
     fn plan_customer(
         &self,
         day: Day,
@@ -544,29 +543,18 @@ impl ReciprocityService {
             .map(|c| (c.account, c.volume_multiplier, c.honeypot, c.requested.clone()))
             .collect();
 
-        // Decision phase: plan every engaged customer's day in parallel. The
-        // phase is an open span; each plan worker's busy interval lands as a
-        // lane under `aas.<slug>.decision.worker`.
-        let threads = platform.config.worker_threads;
+        // Decision phase: plan every engaged customer's day, in roster order.
         let slug = self.config.service.slug();
         let decision_span = platform.obs.timings.start(&format!("aas.{slug}.decision"));
-        let region_t0 = platform.obs.timings.now_secs();
-        let (mut plans, decision_lanes) = crate::engine::plan_parallel_timed(
-            &engaged,
-            threads,
-            |&(account, mult, honeypot, ref requested)| {
+        let mut plans: Vec<CustomerPlan> = engaged
+            .iter()
+            .map(|&(account, mult, honeypot, ref requested)| {
                 self.plan_customer(day, offer, account, mult, honeypot, requested)
-            },
-        );
-        platform.obs.timings.attach_workers(
-            &format!("aas.{slug}.decision.worker"),
-            region_t0,
-            &decision_lanes,
-        );
+            })
+            .collect();
         platform.obs.timings.finish(decision_span);
-        // Metrics are recorded from the merged plan list (roster order), not
-        // per worker: the values must not depend on how the decision phase
-        // was sharded. Wall-clock goes to the quarantined timings section.
+        // Metrics are recorded here, from the finished plans: `plan_customer`
+        // itself touches no obs state.
         let planned_batches: u64 = plans.iter().map(|p| p.batches.len() as u64).sum();
         platform
             .obs

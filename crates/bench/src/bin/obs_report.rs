@@ -1,11 +1,11 @@
 //! Flamegraph-style span-tree profiler report.
 //!
-//! Runs one study (honouring `FOOTSTEPS_SMOKE` / `FOOTSTEPS_SEED` /
-//! `FOOTSTEPS_THREADS`) and prints the hierarchical span profile: the
-//! tree with inclusive/exclusive wall time, the `--top-k` hottest spans
-//! by exclusive time, per-worker-lane utilization, and the self-measured
-//! obs overhead line. With `FOOTSTEPS_TRACE_OUT=<path>` set, the run also
-//! exports the Chrome-trace JSON for chrome://tracing / Perfetto.
+//! Runs one study (honouring `FOOTSTEPS_SMOKE` / `FOOTSTEPS_SEED`) and
+//! prints the hierarchical span profile: the tree with inclusive/exclusive
+//! wall time, the `--top-k` hottest spans by exclusive time, and the
+//! self-measured obs overhead line. With `FOOTSTEPS_TRACE_OUT=<path>` set,
+//! the run also exports the Chrome-trace JSON for chrome://tracing /
+//! Perfetto.
 //!
 //! ```text
 //! FOOTSTEPS_SMOKE=1 cargo run -p footsteps-bench --bin obs-report -- --top-k 10

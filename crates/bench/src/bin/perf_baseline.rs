@@ -1,22 +1,19 @@
 //! End-to-end engine throughput baseline.
 //!
 //! Runs a scenario to completion, times the whole study, and writes a
-//! report with wall time, days/sec, actions/sec, the results digest, and
-//! the worker thread count, so engine changes can be compared against the
+//! JSON report: wall time, days/sec, actions/sec, the results digest, the
+//! study's deterministic metrics snapshot, its wall-clock span timings and
+//! a span-tree summary, so engine changes can be compared against the
 //! committed `BENCH_daily_engine.baseline.json`. The report goes to
 //! `output-path`, by default `BENCH_daily_engine.json` in the working
-//! directory (git ignores it).
+//! directory (git ignores it); `scripts/ci.sh`'s perf, trace and
+//! obs-overhead gates read it.
 //!
-//! Usage: `perf_baseline [--json] [--scenario NAME] [--threads LIST]
-//! [--stream LOG] [seed] [output-path]`
+//! Usage: `perf_baseline [--scenario NAME] [--stream LOG] [seed]
+//! [output-path]`
 //!
 //! * `--scenario smoke|scaled|paper|quick` picks the preset (default
-//!   `smoke`, the CI gate's scenario; `scaled` is the multi-thread sweep
-//!   EXPERIMENTS.md reports).
-//! * `--threads 1,2,8` enables sweep mode: the study runs once per listed
-//!   thread count (overriding `FOOTSTEPS_THREADS`) and the report is a JSON
-//!   **array** with one record per thread count, so one file documents
-//!   the scaling curve and proves the digest is thread-invariant.
+//!   `smoke`, the CI gate's scenario).
 //! * `--stream LOG` benches the streaming detector instead: the scenario's
 //!   characterization phase runs twice with the online detector attached —
 //!   recorder off, then recorder on (writing the replayable event log to
@@ -24,13 +21,6 @@
 //!   records (events/sec through the detector, verdict digest). The two
 //!   digests must match; `scripts/ci.sh` replays `LOG` through
 //!   `stream-replay` and compares a third time.
-//!
-//! With `--json` the report is serialized through serde and additionally
-//! embeds the study's deterministic metrics snapshot and the wall-clock
-//! span timings — the machine-readable form `scripts/ci.sh` consumes for
-//! its perf-regression and thread-invariance gates. Without the flag (and
-//! without `--threads`) the compact hand-formatted report of earlier
-//! revisions is kept byte-compatible.
 
 use std::time::Instant;
 
@@ -40,28 +30,20 @@ use footsteps_obs::{progress, MetricsSnapshot, SpanTreeSummary, TimingsSnapshot}
 use footsteps_sim::prelude::*;
 use serde::Serialize;
 
-/// The machine-readable (`--json`) report shape; sweep mode emits an array
-/// of these, one per thread count.
+/// The daily-engine report.
 #[derive(Serialize)]
 struct PerfReport {
     bench: &'static str,
     scenario: String,
     seed: u64,
-    threads: usize,
-    /// CPUs available on the bench host. Thread counts above this value
-    /// oversubscribe the machine, so their records document digest
-    /// invariance rather than speedup — readers (and the CI gate) must
-    /// interpret the scaling curve relative to this bound.
-    host_cpus: usize,
     setup_secs: f64,
     run_secs: f64,
     days: u64,
     days_per_sec: f64,
     actions: u64,
     actions_per_sec: f64,
-    /// FNV-1a digest of the canonical results JSON, hex. Must be identical
-    /// across every `threads` value — `scripts/ci.sh` compares the 1- and
-    /// 8-thread records.
+    /// FNV-1a digest of the canonical results JSON, hex. Tracing must not
+    /// move it: `scripts/ci.sh` compares a traced and an untraced run.
     results_digest: String,
     /// Summed `aas.<service>.apply` wall time: the collusion engines'
     /// deposit apply phase.
@@ -70,9 +52,9 @@ struct PerfReport {
     metrics: MetricsSnapshot,
     /// Wall-clock spans (non-deterministic; for profiling only).
     timings: TimingsSnapshot,
-    /// Span-tree summary: per-phase inclusive/exclusive wall totals, lane
+    /// Span-tree summary: per-phase inclusive/exclusive wall totals, span
     /// counts, obs overhead, and the deterministic structure digest
-    /// (`scripts/ci.sh` compares the digest across thread counts).
+    /// (`scripts/ci.sh` compares a traced and an untraced run's).
     span_tree: SpanTreeSummary,
 }
 
@@ -83,7 +65,6 @@ struct StreamPerfReport {
     bench: &'static str,
     scenario: String,
     seed: u64,
-    threads: usize,
     /// Whether the run also serialized the event log to disk.
     recorder: bool,
     /// Day batches the detector consumed.
@@ -102,9 +83,7 @@ struct StreamPerfReport {
 }
 
 fn run_stream(scenario_name: &str, seed: u64, record_to: Option<&std::path::Path>) -> StreamPerfReport {
-    let scenario = scenario_by_name(scenario_name, seed);
-    let threads = scenario.worker_threads;
-    let mut study = Study::new(scenario);
+    let mut study = Study::new(scenario_by_name(scenario_name, seed));
     study.attach_stream(record_to).expect("stream attaches");
     study.run_characterization();
     let outcome = study.stream.take().expect("stream outcome frozen");
@@ -124,7 +103,6 @@ fn run_stream(scenario_name: &str, seed: u64, record_to: Option<&std::path::Path
         bench: "stream_detector",
         scenario: scenario_name.to_string(),
         seed,
-        threads,
         recorder: record_to.is_some(),
         batches: outcome.batches,
         events: outcome.events_processed,
@@ -145,15 +123,9 @@ fn scenario_by_name(name: &str, seed: u64) -> Scenario {
     }
 }
 
-fn run_one(scenario_name: &str, seed: u64, threads_override: Option<usize>) -> PerfReport {
-    let mut scenario = scenario_by_name(scenario_name, seed);
-    if let Some(t) = threads_override {
-        scenario.worker_threads = t.clamp(1, 256);
-    }
-    let threads = scenario.worker_threads;
-
+fn run_one(scenario_name: &str, seed: u64) -> PerfReport {
     let build_start = Instant::now();
-    let mut study = Study::new(scenario);
+    let mut study = Study::new(scenario_by_name(scenario_name, seed));
     let build_secs = build_start.elapsed().as_secs_f64();
 
     let run_start = Instant::now();
@@ -176,7 +148,7 @@ fn run_one(scenario_name: &str, seed: u64, threads_override: Option<usize>) -> P
         .sum();
 
     progress!(
-        "daily_engine[{scenario_name}, {threads}T]: {days} days in {run_secs:.2}s \
+        "daily_engine[{scenario_name}]: {days} days in {run_secs:.2}s \
          ({:.2} days/sec, apply {apply_secs:.2}s)",
         days as f64 / run_secs
     );
@@ -184,8 +156,6 @@ fn run_one(scenario_name: &str, seed: u64, threads_override: Option<usize>) -> P
         bench: "daily_engine",
         scenario: scenario_name.to_string(),
         seed,
-        threads,
-        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         setup_secs: build_secs,
         run_secs,
         days,
@@ -201,25 +171,14 @@ fn run_one(scenario_name: &str, seed: u64, threads_override: Option<usize>) -> P
 }
 
 fn main() {
-    let mut json = false;
     let mut scenario_name = "smoke".to_string();
-    let mut threads_list: Option<Vec<usize>> = None;
     let mut stream_log: Option<String> = None;
     let mut positional = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--scenario" => {
                 scenario_name = args.next().expect("--scenario needs a name");
-            }
-            "--threads" => {
-                let list = args.next().expect("--threads needs a comma list, e.g. 1,2,8");
-                threads_list = Some(
-                    list.split(',')
-                        .map(|s| s.trim().parse().expect("thread counts must be integers"))
-                        .collect(),
-                );
             }
             "--stream" => {
                 stream_log = Some(args.next().expect("--stream needs a log path"));
@@ -236,7 +195,7 @@ fn main() {
         .next()
         .unwrap_or_else(|| "BENCH_daily_engine.json".to_string());
 
-    if let Some(log) = stream_log {
+    let mut body = if let Some(log) = stream_log {
         // Streaming-detector bench: recorder off, then recorder on.
         let log = std::path::PathBuf::from(log);
         let records = [
@@ -247,53 +206,12 @@ fn main() {
             records[0].verdict_digest, records[1].verdict_digest,
             "verdict digest must not depend on the recorder"
         );
-        let mut body =
-            serde_json::to_string_pretty(&records[..]).expect("stream reports serialize");
-        body.push('\n');
-        std::fs::write(&out_path, &body).expect("write report");
-        progress!("wrote {out_path}");
-        return;
-    }
-
-    let plain = !json && threads_list.is_none();
-    let report = if let Some(threads_list) = threads_list {
-        // Sweep mode: one record per thread count, always serde JSON.
-        assert!(!threads_list.is_empty(), "--threads list must be non-empty");
-        let records: Vec<PerfReport> = threads_list
-            .iter()
-            .map(|&t| run_one(&scenario_name, seed, Some(t)))
-            .collect();
-        let digests: Vec<&str> = records.iter().map(|r| r.results_digest.as_str()).collect();
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "results digest varied across thread counts: {digests:?}"
-        );
-        let mut body = serde_json::to_string_pretty(&records).expect("perf reports serialize");
-        body.push('\n');
-        body
-    } else if json {
-        let record = run_one(&scenario_name, seed, None);
-        let mut body = serde_json::to_string_pretty(&record).expect("perf report serializes");
-        body.push('\n');
-        body
+        serde_json::to_string_pretty(&records[..]).expect("stream reports serialize")
     } else {
-        let r = run_one(&scenario_name, seed, None);
-        format!(
-            "{{\n  \"bench\": \"daily_engine\",\n  \"scenario\": \"{}\",\n  \"seed\": {},\n  \"threads\": {},\n  \"setup_secs\": {:.3},\n  \"run_secs\": {:.3},\n  \"days\": {},\n  \"days_per_sec\": {:.2},\n  \"actions\": {},\n  \"actions_per_sec\": {:.0}\n}}\n",
-            r.scenario,
-            r.seed,
-            r.threads,
-            r.setup_secs,
-            r.run_secs,
-            r.days,
-            r.days_per_sec,
-            r.actions,
-            r.actions_per_sec,
-        )
+        serde_json::to_string_pretty(&run_one(&scenario_name, seed))
+            .expect("perf report serializes")
     };
-    std::fs::write(&out_path, &report).expect("write report");
-    if plain {
-        print!("{report}");
-    }
+    body.push('\n');
+    std::fs::write(&out_path, &body).expect("write report");
     progress!("wrote {out_path}");
 }

@@ -24,9 +24,9 @@ fn main() {
         study.scenario.population_size
     );
     // Each section renders from the frozen study independently, so the
-    // analysis epilogue fans out over the worker threads and prints the
+    // rendering fans out over `FOOTSTEPS_THREADS` threads and prints the
     // joined sections in fixed order — stdout is byte-identical for any
-    // `FOOTSTEPS_THREADS`, keeping EXPERIMENTS.md redirects reproducible.
+    // thread count, keeping EXPERIMENTS.md redirects reproducible.
     let study = &study;
     let indices: Vec<usize> = (0..21).collect();
     let sections = footsteps_aas::plan_parallel(

@@ -526,10 +526,10 @@ pub struct ClassificationSummary {
 ///
 /// This is the reproducibility artifact of the three-phase daily engine
 /// (DESIGN.md §4): for a given scenario seed, [`StudyResults::to_json`] is
-/// byte-identical for every `worker_threads` value, which the determinism
-/// suite asserts with a recorded digest. Every collection inside is either
-/// naturally ordered (vectors built in fixed service/row order) or
-/// explicitly sorted here — no hash-iteration order escapes.
+/// byte-identical on every run, which the determinism suite asserts with
+/// a recorded digest. Every collection inside is either naturally ordered
+/// (vectors built in fixed service/row order) or explicitly sorted here —
+/// no hash-iteration order escapes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StudyResults {
     /// Scenario seed the study ran with.
@@ -578,73 +578,28 @@ fn classification_summaries(study: &Study) -> Vec<ClassificationSummary> {
 }
 
 impl StudyResults {
-    /// Collect every characterization-phase artifact from `study`.
-    ///
-    /// Each table/figure builder reads the frozen study independently, so
-    /// with `worker_threads > 1` they fork-join across scoped threads (one
-    /// per builder) and the struct is assembled from the joins in fixed
-    /// field order — the output is identical for any thread count.
+    /// Collect every characterization-phase artifact from `study`, one
+    /// builder after another, in field order.
     pub fn collect(study: &Study) -> Self {
         assert!(study.phase >= Phase::Characterized);
-        const PANIC: &str = "results builder panicked";
-        let threads = study.platform.config.worker_threads;
-        let (t5, t6, t7, t8, t9, t10, t11, f2, f34, classification) = if threads <= 1 {
-            (
-                table5(study),
-                table6(study),
-                table7(study),
-                table8(study),
-                table9(study),
-                table10(study),
-                table11(study),
-                figure2(study),
-                figures34(study),
-                classification_summaries(study),
-            )
-        } else {
-            std::thread::scope(|s| {
-                let h5 = s.spawn(|| table5(study));
-                let h6 = s.spawn(|| table6(study));
-                let h7 = s.spawn(|| table7(study));
-                let h8 = s.spawn(|| table8(study));
-                let h9 = s.spawn(|| table9(study));
-                let h10 = s.spawn(|| table10(study));
-                let h11 = s.spawn(|| table11(study));
-                let hf2 = s.spawn(|| figure2(study));
-                let hf34 = s.spawn(|| figures34(study));
-                let hc = s.spawn(|| classification_summaries(study));
-                (
-                    h5.join().expect(PANIC),
-                    h6.join().expect(PANIC),
-                    h7.join().expect(PANIC),
-                    h8.join().expect(PANIC),
-                    h9.join().expect(PANIC),
-                    h10.join().expect(PANIC),
-                    h11.join().expect(PANIC),
-                    hf2.join().expect(PANIC),
-                    hf34.join().expect(PANIC),
-                    hc.join().expect(PANIC),
-                )
-            })
-        };
         Self {
             seed: study.scenario.seed,
-            table5: t5,
-            table6: t6,
-            table7: t7,
-            table8: t8,
-            table9: t9,
-            table10: t10,
-            table11: t11,
-            figure2: f2,
-            figures34: f34,
-            classification,
+            table5: table5(study),
+            table6: table6(study),
+            table7: table7(study),
+            table8: table8(study),
+            table9: table9(study),
+            table10: table10(study),
+            table11: table11(study),
+            figure2: figure2(study),
+            figures34: figures34(study),
+            classification: classification_summaries(study),
             metrics: Some(study.platform.obs.metrics.snapshot()),
         }
     }
 
-    /// Serialize to pretty JSON. Byte-identical across runs and worker
-    /// thread counts for the same scenario.
+    /// Serialize to pretty JSON. Byte-identical across runs for the same
+    /// scenario.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("StudyResults serializes")
     }

@@ -42,12 +42,10 @@ pub struct Scenario {
     pub delay_bin: u32,
     /// Control bin (shared by narrow, broad and epilogue phases).
     pub control_bin: u32,
-    /// Worker threads for the parallel parts of a study: the decision
-    /// phase of each simulated day and the analysis epilogue fork-joins.
-    /// Results are byte-identical for every value (each decision draws
-    /// from its account's own stream, plans merge back in roster order,
-    /// and the route and apply phases are serial); this only trades wall
-    /// time. Presets read `FOOTSTEPS_THREADS`, default 1.
+    /// Threads for rendering the report's sections (`report_all`). The
+    /// study itself runs on one thread and ignores this, so results are
+    /// byte-identical for every value. Presets read `FOOTSTEPS_THREADS`,
+    /// default 1.
     pub worker_threads: usize,
 }
 

@@ -1,12 +1,13 @@
 //! footsteps-lint: the workspace's determinism & safety lint.
 //!
-//! The reproduction's core contract — byte-identical results for any
-//! `FOOTSTEPS_THREADS`, golden digest `0xce8aeb34fb9fe096` — rests on
-//! invariants no compiler checks: no order-observing iteration over hash
-//! containers in digest code, wall-clock and environment reads confined to
-//! the observability/config entry points, every RNG stream derived through
-//! `sim::rng`, no metrics recording inside the parallel decision phase,
-//! and no `unsafe`. This crate machine-checks those invariants on every
+//! The reproduction's core contract — byte-identical results on every
+//! run, golden digest `0xce8aeb34fb9fe096` — rests on invariants no
+//! compiler checks: no order-observing iteration over hash containers in
+//! digest code, wall-clock and environment reads confined to the
+//! observability/config entry points, every RNG stream derived through
+//! `sim::rng`, pure plan paths (`plan_customer`, `plan_member`,
+//! `route_day`) and `plan_parallel` workers that record no metrics and
+//! cannot panic, and no `unsafe`. This crate machine-checks those invariants on every
 //! CI run (DESIGN.md §6 documents the rules and the pragma grammar).
 //!
 //! The analysis is interprocedural: a workspace call graph is extracted

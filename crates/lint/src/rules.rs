@@ -5,12 +5,13 @@
 //! Every lexical rule is a token-level pattern over [`crate::lexer`]
 //! output plus a scope (which crates/sections/test-ness it applies to).
 //! The rules encode the workspace's determinism contract (DESIGN.md §6):
-//! the golden digest `0xce8aeb34fb9fe096` must be byte-identical for any
-//! `FOOTSTEPS_THREADS`, which only holds if no order-observing map
-//! iteration, ambient time, ambient randomness, or parallel-phase
-//! metrics recording sneaks into the simulation path.
+//! the golden digest `0xce8aeb34fb9fe096` must be byte-identical on every
+//! run, which only holds if no order-observing map iteration, ambient
+//! time, ambient randomness, or metrics recording inside a plan path
+//! sneaks into the simulation path.
 //!
-//! On top of the lexical layer, the shard deny scopes are *transitive*:
+//! On top of the lexical layer, the shard deny scopes (the plan paths of
+//! [`PLAN_FNS`], and `plan_parallel`'s threads) are *transitive*:
 //! effects seeded by the same detectors are propagated over the
 //! workspace call graph, so a helper that reads the wall clock and is
 //! called from `plan_member` is flagged at the call site with its full
@@ -73,19 +74,21 @@ pub const ENV_READ_FILES: &[&str] =
 /// braces, and catches files the compiler attribute does not cover yet.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
-/// Function names forming the shard paths of the three-phase daily engine:
-/// the decision phase (`plan_*`, which runs on worker threads) and the
-/// route phase (`route_day`, whose output feeds the digest and must stay
-/// metrics-free so plan/route moves never change the snapshot). The
-/// serial apply phase records its metrics inline and is not listed. The
-/// bodies of these functions, plus every argument list of a
-/// `plan_parallel(...)` call, must not *reach* —
-/// directly or through any resolved call chain — observability state,
-/// wall-clock, ambient RNG, environment reads, panic sites, or
+/// Function names forming the shard paths: `plan_parallel`, whose
+/// argument closures run on scoped threads (it renders the report's
+/// sections), and the daily engine's plan paths. Those are the decision
+/// phase (`plan_customer`, `plan_member`) and the collusion route phase
+/// (`route_day`). They run on the study's thread,
+/// but stay pure: a plan draws only from its account's own stream, and
+/// the route output feeds the digest and must stay metrics-free so
+/// plan/route moves never change the snapshot. The apply phase records
+/// its metrics inline and is not listed. The bodies of these functions,
+/// plus every argument list of a `plan_parallel(...)` call, must not
+/// *reach* — directly or through any resolved call chain — observability
+/// state, wall-clock, ambient RNG, environment reads, panic sites, or
 /// order-observing iteration.
 pub const PLAN_FNS: &[&str] = &[
     "plan_parallel",
-    "plan_parallel_timed",
     "plan_customer",
     "plan_member",
     "route_day",
@@ -157,9 +160,9 @@ pub enum Rule {
     AmbientRng,
     /// `std::env::var` outside the designated config/obs entry points.
     EnvRead,
-    /// Observability access inside a parallel decision-phase shard path.
+    /// Observability access inside a shard path ([`PLAN_FNS`]).
     ParallelMetrics,
-    /// `unwrap`/`expect`/`panic!` reachable from a scoped parallel worker.
+    /// `unwrap`/`expect`/`panic!` reachable from a shard path ([`PLAN_FNS`]).
     PanicInShard,
     /// Float accumulation in a merge path outside the canonical helpers.
     FloatAccumOrder,
@@ -248,20 +251,23 @@ pub const EXPLANATIONS: &[RuleDoc] = &[
     },
     RuleDoc {
         rule: Rule::ParallelMetrics,
-        rationale: "Metrics/timings recording inside the parallel phases would make snapshots \
-                    depend on thread interleaving; recording is serial-only (callers record \
-                    around the parallel regions).",
-        scope: "bodies of the plan/route shard functions and plan_parallel argument lists \
-                in digest-crate src, including everything they reach through the call graph.",
+        rationale: "Metrics/timings recording on plan_parallel's threads would make snapshots \
+                    depend on thread interleaving, and inside plan_customer, plan_member or \
+                    route_day it would tie the snapshot to how a day is planned and routed; \
+                    callers record around these calls instead.",
+        scope: "the body of plan_parallel and its argument lists, and the bodies of \
+                plan_customer, plan_member and route_day, in digest-crate src, including \
+                everything they reach through the call graph.",
         pragma: "// footsteps-lint: allow(parallel-metrics via log_outcome) — counter merged serially after join",
     },
     RuleDoc {
         rule: Rule::PanicInShard,
-        rationale: "A panic inside std::thread::scope poisons the whole scope and aborts the \
-                    run mid-sweep; shard paths must return errors instead. Indexing is exempt \
-                    (bounds are invariants); PANIC_FREE_FNS lists vetted helpers.",
-        scope: "unwrap/expect/panic!-family sites in, or reachable from, the shard functions \
-                in digest-crate src.",
+        rationale: "A panic inside plan_parallel's std::thread::scope poisons the whole scope; \
+                    plan_customer, plan_member and route_day are held to the same bar, so a \
+                    plan path returns errors instead of aborting the run mid-sweep. Indexing \
+                    is exempt (bounds are invariants); PANIC_FREE_FNS lists vetted helpers.",
+        scope: "unwrap/expect/panic!-family sites in, or reachable from, plan_parallel's body \
+                and argument lists and the plan/route functions in digest-crate src.",
         pragma: "// footsteps-lint: allow(panic-in-shard) — join() surfaces worker panics, by design",
     },
     RuleDoc {
@@ -815,8 +821,7 @@ pub(crate) fn graph_matches(
                     regions.push(body);
                 }
                 for i in (body.0 + 1)..body.1 {
-                    if (tokens[i].is_ident("plan_parallel")
-                        || tokens[i].is_ident("plan_parallel_timed"))
+                    if tokens[i].is_ident("plan_parallel")
                         && tokens.get(i + 1).is_some_and(|n| n.is_punct("("))
                     {
                         if let Some(end) = matching(tokens, i + 1, "(", ")") {
@@ -871,8 +876,8 @@ pub(crate) fn graph_matches(
                             rule: Rule::PanicInShard,
                             line: s.line,
                             message: format!(
-                                "{} in a scoped parallel worker path ({}): a panic poisons the \
-                                 whole std::thread::scope",
+                                "{} in a shard path ({}): plan paths and plan_parallel's \
+                                 workers must not panic",
                                 s.desc,
                                 chain.join(" → ")
                             ),
@@ -1039,9 +1044,9 @@ pub(crate) fn resolve_pragmas(
     out
 }
 
-/// Token ranges of the parallel decision-phase shard paths: bodies of
-/// [`PLAN_FNS`] functions and the argument lists of `plan_parallel(...)`
-/// calls (which contain the per-item plan closures).
+/// Token ranges of the shard paths: bodies of [`PLAN_FNS`] functions and
+/// the argument lists of `plan_parallel(...)` calls (which contain the
+/// per-item closures).
 fn plan_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for i in 0..tokens.len() {
@@ -1069,7 +1074,7 @@ fn plan_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
                 j += 1;
             }
         }
-        if (tokens[i].is_ident("plan_parallel") || tokens[i].is_ident("plan_parallel_timed"))
+        if tokens[i].is_ident("plan_parallel")
             && i + 1 < tokens.len()
             && tokens[i + 1].is_punct("(")
         {

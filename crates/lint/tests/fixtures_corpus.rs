@@ -173,13 +173,13 @@ fn parallel_metrics_denied_in_plan_paths() {
     let findings = lint_one("crates/aas/src/parallel_metrics.rs", PARALLEL_METRICS);
     let hits = by_rule(&findings, Rule::ParallelMetrics);
     // One recording inside each of `plan_parallel`, `route_day` and
-    // `plan_member`, plus the closure handed to `plan_parallel_timed`;
+    // `plan_member`, plus the closure handed to a `plan_parallel` call;
     // the serial merge is fine.
     assert_eq!(hits.len(), 4, "findings: {findings:#?}");
     assert!(hits.iter().any(|f| f.snippet.contains("aas.plans")));
     assert!(hits.iter().any(|f| f.snippet.contains("aas.routed")));
     assert!(hits.iter().any(|f| f.snippet.contains("aas.member_plans")));
-    assert!(hits.iter().any(|f| f.snippet.contains("aas.timed_plans")));
+    assert!(hits.iter().any(|f| f.snippet.contains("aas.closure_plans")));
     assert!(hits.iter().all(|f| f.is_violation()));
 }
 

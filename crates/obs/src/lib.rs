@@ -5,13 +5,13 @@
 //! * [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
 //!   histograms, grouped by study phase. **Deterministic**: values are a
 //!   pure function of the simulation decision stream, so the serialized
-//!   [`MetricsSnapshot`] is byte-identical across `FOOTSTEPS_THREADS`.
+//!   [`MetricsSnapshot`] is byte-identical run to run.
 //! * [`Timings`] — a hierarchical span tree (see [`tree`]) of wall-clock
 //!   timers: phases, days, engine stages, and explicit worker lanes for
-//!   the parallel regions. Durations are **non-deterministic by nature**,
+//!   parallel regions. Durations are **non-deterministic by nature**,
 //!   therefore quarantined in [`TimingsSnapshot`] / the Chrome-trace
 //!   sidecar; the span *structure* (names, nesting, lane kinds, counts)
-//!   is deterministic and snapshot-tested across thread counts.
+//!   is deterministic, the same for a traced and an untraced run.
 //!
 //! `FOOTSTEPS_TRACE_OUT=<path>` additionally turns on span-event
 //! collection and, at the end of the run, exports a Chrome-trace /

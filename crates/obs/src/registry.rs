@@ -11,11 +11,10 @@
 //! Determinism contract: everything in here is a pure function of the
 //! simulation's decision stream. No wall-clock data, no thread identifiers,
 //! no allocation-order-dependent iteration — frame maps are `BTreeMap` so
-//! the serialized snapshot is byte-identical for identical runs regardless
-//! of `FOOTSTEPS_THREADS`, and the slot index is only ever probed, never
-//! iterated. Callers record from serial paths only (the platform's
-//! submissions and deposits, the engines' merged plan lists), never from
-//! a worker thread. Wall-clock timing lives in [`crate::span`], which is
+//! the serialized snapshot is byte-identical for identical runs, and the
+//! slot index is only ever probed, never iterated. Callers record from
+//! the study's own thread only (the platform's submissions and deposits,
+//! the engines' finished plan lists). Wall-clock timing lives in [`crate::span`], which is
 //! deliberately a separate snapshot type.
 
 use serde::{Deserialize, Serialize};
@@ -293,8 +292,8 @@ impl MetricsRegistry {
 }
 
 /// Serializable, deterministic view of the registry. This is the payload
-/// attached to `StudyResults::metrics` and compared byte-for-byte across
-/// thread counts in the determinism suite.
+/// attached to `StudyResults::metrics` and pinned byte-for-byte in the
+/// determinism suite.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// `(phase name, frame)` in study order; empty frames omitted.

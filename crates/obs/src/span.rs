@@ -6,7 +6,7 @@
 //! wall-clock varies run to run even when the simulation is bit-identical.
 //! The one deliberately deterministic view is [`Timings::structure`]: span
 //! *names, nesting, lane kinds and counts* are a pure function of the
-//! serial control flow and are snapshot-tested across thread counts;
+//! serial control flow (a traced and an untraced run give the same one);
 //! durations stay quarantined here.
 //!
 //! [`Timings`] is the serial coordinator's facade: `start`/`finish` keep a
@@ -126,7 +126,7 @@ impl Timings {
         format!("0x{:016x}", self.tree.structure().digest())
     }
 
-    /// Compact per-phase summary for `perf_baseline --json`.
+    /// Compact per-phase summary for `perf_baseline`'s report.
     pub fn summary(&self) -> SpanTreeSummary {
         self.tree.summary()
     }

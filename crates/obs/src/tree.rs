@@ -10,8 +10,9 @@
 //!   aggregate wall-clock stats plus *structural* counts (instances for
 //!   main-lane spans, attach regions for worker spans). The structural
 //!   view ([`StructureSnapshot`]) is a pure function of the program's
-//!   serial control flow, so it is byte-identical for any
-//!   `FOOTSTEPS_THREADS` value — the determinism suite pins this;
+//!   serial control flow, so it does not depend on lane counts or on
+//!   event collection — the determinism suite pins a traced study's
+//!   structure to an untraced one's;
 //! * an optional **event log** — `B`/`E` pairs with real timestamps on
 //!   explicit thread lanes (`tid 0` = the serial coordinator, `tid k` =
 //!   worker lane `k-1`), recorded only when event collection is enabled
@@ -453,7 +454,7 @@ impl SpanTree {
     /// The deterministic structural view: names, nesting, lane kinds, and
     /// thread-invariant counts (instances for main spans, attach regions
     /// for worker spans). No durations, no lane counts — everything here
-    /// must be byte-identical across `FOOTSTEPS_THREADS` values.
+    /// must be byte-identical for runs of the same control flow.
     pub fn structure(&self) -> StructureSnapshot {
         fn build(tree: &SpanTree, idx: usize) -> StructureNode {
             let n = &tree.nodes[idx];
@@ -486,7 +487,7 @@ impl SpanTree {
         (n.total_secs - children).max(0.0)
     }
 
-    /// Compact summary for `perf_baseline --json`.
+    /// Compact summary for `perf_baseline`'s report.
     pub fn summary(&self) -> SpanTreeSummary {
         let phases = self.nodes[0]
             .children
@@ -501,20 +502,11 @@ impl SpanTree {
                 }
             })
             .collect();
-        let shard_lanes = self
-            .nodes
-            .iter()
-            .filter(|n| n.lane == LaneKind::Worker && n.name.ends_with(".shard"))
-            .map(|n| n.lanes)
-            .max()
-            .unwrap_or(0);
         let span_instances = self.nodes.iter().skip(1).map(|n| n.count).sum();
         SpanTreeSummary {
             phases,
             span_names: self.nodes.len() as u64 - 1,
             span_instances,
-            shard_lanes,
-            worker_lanes: self.max_worker_lanes(),
             obs_self_secs: self.self_secs,
             structure_digest: format!("0x{:016x}", self.structure().digest()),
         }
@@ -639,14 +631,14 @@ pub struct StructureNode {
     /// `"main"` or `"worker"`.
     pub lane: String,
     /// Thread-invariant count: closed instances for main spans, attach
-    /// regions for worker spans (per-lane instance counts vary with
-    /// `FOOTSTEPS_THREADS` and are deliberately excluded).
+    /// regions for worker spans (per-lane instance counts vary with the
+    /// lane count and are deliberately excluded).
     pub count: u64,
     pub children: Vec<StructureNode>,
 }
 
-/// The deterministic span-structure view, snapshot-tested byte-for-byte
-/// across `FOOTSTEPS_THREADS` ∈ {1, 2, 8}.
+/// The deterministic span-structure view: a traced study's equals an
+/// untraced one's, byte for byte.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StructureSnapshot {
     pub spans: Vec<StructureNode>,
@@ -662,7 +654,7 @@ impl StructureSnapshot {
     }
 }
 
-/// Per-phase inclusive/exclusive totals for `perf_baseline --json`.
+/// Per-phase inclusive/exclusive totals for `perf_baseline`'s report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseSummary {
     pub name: String,
@@ -681,14 +673,10 @@ pub struct SpanTreeSummary {
     pub span_names: u64,
     /// Total closed span instances, worker lanes included.
     pub span_instances: u64,
-    /// Highest lane count over `*.shard` worker nodes (the sharded apply).
-    pub shard_lanes: u32,
-    /// Highest lane count over all worker nodes.
-    pub worker_lanes: u32,
     /// Self-measured observability bookkeeping time.
     pub obs_self_secs: f64,
     /// FNV-1a of the structural snapshot JSON, hex. Must be identical
-    /// across thread counts — `scripts/ci.sh` compares 1T vs 8T.
+    /// for a traced and an untraced run — `scripts/ci.sh` compares them.
     pub structure_digest: String,
 }
 
@@ -820,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_phase_exclusive_and_shard_lanes() {
+    fn summary_reports_phase_exclusive_times() {
         let mut t = SpanTree::new();
         let p = t.open("phase.x");
         t.record_leaf("child", 0.25);
@@ -837,8 +825,6 @@ mod tests {
         let s = t.summary();
         assert_eq!(s.phases.len(), 1);
         assert_eq!(s.phases[0].name, "phase.x");
-        assert_eq!(s.shard_lanes, 2);
-        assert_eq!(s.worker_lanes, 2);
         // Exclusive subtracts the leaf and the region *wall* (0.25s), not
         // the 0.5s of summed lane busy time.
         let n = &s.phases[0];

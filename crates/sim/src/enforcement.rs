@@ -149,10 +149,10 @@ pub struct NoEnforcement;
 /// `Debug` is a supertrait so containers holding a `Box<dyn
 /// EnforcementPolicy>` (the [`crate::platform::Platform`]) can derive it.
 /// `Send + Sync` are supertraits because the platform holds the installed
-/// policy and the analysis fork-joins (`StudyResults::collect`, the report
-/// sections) share `&Study` across scoped threads; policies are plain
-/// configuration data (thresholds, bins, windows) fixed before the day
-/// runs, so shared immutable access is safe by construction.
+/// policy and `report_all` renders its sections from one `&Study` on
+/// scoped threads; policies are plain configuration data (thresholds,
+/// bins, windows) fixed before the day runs, so shared immutable access
+/// is safe by construction.
 pub trait EnforcementPolicy: std::fmt::Debug + Send + Sync {
     /// Decide what happens to a submission.
     fn evaluate(&self, ctx: &EnforcementContext) -> EnforcementDecision;

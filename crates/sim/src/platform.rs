@@ -67,10 +67,8 @@ pub struct PlatformConfig {
     /// the day of the action itself. The paper observed reciprocation
     /// "uniformly distributed throughout the trial period".
     pub response_window_days: u32,
-    /// Worker threads for the parallel parts of a study (DESIGN.md §4):
-    /// the per-customer decision (plan) phase of each service-day, plus the
-    /// analysis fork-joins. Results are byte-identical for any value ≥ 1;
-    /// this only controls how the work is sharded.
+    /// Threads for rendering the report's sections (`report_all`,
+    /// DESIGN.md §4). The study runs on one thread and ignores this.
     pub worker_threads: usize,
 }
 

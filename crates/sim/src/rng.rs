@@ -59,13 +59,13 @@ impl RngFactory {
 
 /// Derive the decision RNG for one `(entity, day)` pair of a component.
 ///
-/// This is the randomness contract of the two-phase daily engine (DESIGN.md
-/// §4): every per-entity decision draw comes from a stream that is a pure
+/// This is the randomness contract of the daily engine (DESIGN.md §4):
+/// every per-entity decision draw comes from a stream that is a pure
 /// function of `(scenario seed, stream label, entity id, day)` — obtained
 /// here as `mix(mix(stream_seed, entity), day)` — and never from a shared
 /// sequential stream. Because the stream does not depend on the order in
-/// which entities are processed, the decision phase can be sharded across
-/// any number of worker threads and still produce byte-identical results.
+/// which entities are processed, no entity's plan depends on the roster's
+/// order or on which other entities are engaged that day.
 pub fn decision_rng(stream_seed: u64, entity: u64, day: u64) -> SmallRng {
     SmallRng::seed_from_u64(mix(mix(stream_seed, entity), day))
 }

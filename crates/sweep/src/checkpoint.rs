@@ -77,8 +77,8 @@ pub const SCHEMA_VERSION: u32 = 7;
 
 /// Identity hash of a scenario, for tying checkpoints and manifests to
 /// their configuration. `worker_threads` is normalized out: it comes from
-/// the environment, and results are digest-identical across thread counts,
-/// so a checkpoint written on a 16-core box must resume on a 2-core one.
+/// the environment and the study ignores it (it sizes only the report's
+/// render fan-out), so a checkpoint must resume under any value.
 pub fn scenario_hash(scenario: &Scenario) -> u64 {
     let mut normalized = scenario.clone();
     normalized.worker_threads = 1;

@@ -21,9 +21,9 @@ use footsteps_sweep::scheduler::log_path;
 use footsteps_sweep::SweepError;
 use serde_json::Value;
 
-/// The determinism suite's golden digest for `Scenario::smoke(7)`. It is
-/// worker-thread invariant (pinned by `tests/tests/determinism.rs`), so
-/// this suite runs on four threads for wall time.
+/// The determinism suite's golden digest for `Scenario::smoke(7)`. The
+/// study ignores `worker_threads`; `smoke` sets it to 4 because the
+/// checkpoints pinned below embed the scenario with that value.
 const GOLDEN_SMOKE_DIGEST: u64 = 0xce8a_eb34_fb9f_e096;
 
 fn smoke(seed: u64) -> Scenario {

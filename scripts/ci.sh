@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Offline CI gate: release build, full test suite, the engine perf
-# baseline, and a perf-regression check against the committed baseline,
-# with warnings denied. Uses only vendored dependencies — safe to run
-# without network access.
+# Offline CI gate: release build, lint, full test suite, the sweep gates,
+# the engine perf baseline with its perf-regression, trace and
+# obs-overhead checks, and the stream gate, with warnings denied. Timing
+# gates compare medians of K runs. Uses only vendored dependencies — safe
+# to run without network access.
 #
 # Every gate runs, even after an earlier one failed: each runs in its own
 # `set -e` subshell and reads its inputs from the files earlier steps
@@ -21,12 +22,16 @@ CI_TMP="$(mktemp -d "${TMPDIR:-/tmp}/footsteps_ci.XXXXXX")"
 SWEEP_DIR="$CI_TMP/sweep"
 trap 'rm -rf "$CI_TMP"' EXIT
 
+# Runs per side of every timing gate. A timing gate compares the medians
+# of K runs (alternating between its two sides where it has two), so one
+# noisy run on a shared host cannot flip its verdict.
+K=5
+
 # Reports shared between steps.
 BASELINE_FILE="BENCH_daily_engine.baseline.json"
-FRESH_FILE="$CI_TMP/BENCH_daily_engine.ci.json"
-FRESH_T8_FILE="$CI_TMP/BENCH_daily_engine.ci.t8.json"
-TRACE_FILE="$CI_TMP/footsteps_trace.ci.json"
-TRACED_PERF="$CI_TMP/BENCH_daily_engine.ci.traced.json"
+# The perf baseline step's K alternating pairs of smoke(7) reports:
+# untraced_<i>.json, traced_<i>.json and the traced run's trace_<i>.json.
+PERF_DIR="$CI_TMP/perf"
 
 extract_days_per_sec() {
   # Accepts plain decimals and scientific notation (1234.5, 1.2345e3);
@@ -34,20 +39,44 @@ extract_days_per_sec() {
   sed -n 's/.*"days_per_sec": *\(-\{0,1\}[0-9][0-9]*\(\.[0-9][0-9]*\)\{0,1\}\([eE][+-]\{0,1\}[0-9][0-9]*\)\{0,1\}\).*/\1/p' "$1" | head -n 1
 }
 
-extract_results_digest() {
-  sed -n 's/.*"results_digest": *"\(0x[0-9a-f]*\)".*/\1/p' "$1" | head -n 1
-}
-
-extract_structure_digest() {
-  sed -n 's/.*"structure_digest": *"\(0x[0-9a-f]*\)".*/\1/p' "$1" | head -n 1
+# The hex digest under key $1 (results_digest, structure_digest) in file $2.
+extract_digest() {
+  sed -n "s/.*\"$1\": *\"\(0x[0-9a-f]*\)\".*/\1/p" "$2" | head -n 1
 }
 
 # A throughput must be a finite positive number, or the gate is meaningless.
 check_positive_number() {
   awk -v v="$2" 'BEGIN { exit !(v + 0 > 0) }' || {
-    echo "perf gate: unparseable days_per_sec in $1 (got '$2')" >&2
+    echo "unparseable days_per_sec in $1 (got '$2')" >&2
     exit 1
   }
+}
+
+# days_per_sec of each report named, one per line. Fails (inside a
+# command substitution, through its exit status) on a missing or
+# non-positive value.
+days_per_sec_of() {
+  local f v
+  for f in "$@"; do
+    v=$(extract_days_per_sec "$f")
+    check_positive_number "$f" "$v"
+    echo "$v"
+  done
+}
+
+# The median of the numbers given as arguments.
+median() {
+  printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 }
+    END { if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+# One side of a timing gate: "<label>: median M (min LO, max HI, N runs)".
+print_side() {
+  local label=$1
+  shift
+  local sorted
+  sorted=$(printf '%s\n' "$@" | sort -g)
+  echo "$label: median $(median "$@") (min $(head -n 1 <<< "$sorted"), max $(tail -n 1 <<< "$sorted"), $# runs)"
 }
 
 gate_build() {
@@ -164,113 +193,131 @@ gate_sweep() {
   echo "sweep gate: OK (2 distinct digests, no-op resume, nonzero variance, latency table, checkpoints < 10 MB, whole-run log replays)"
 }
 
-gate_perf_baseline() {
-  cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 1 7 "$FRESH_FILE"
-  cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 8 7 "$FRESH_T8_FILE"
-}
-
-gate_perf() {
-  # Fail if fresh throughput drops below TOLERANCE x the committed baseline.
-  TOLERANCE="${FOOTSTEPS_PERF_TOLERANCE:-0.85}"
-  baseline=$(extract_days_per_sec "$BASELINE_FILE")
-  fresh=$(extract_days_per_sec "$FRESH_FILE")
-  if [ -z "$baseline" ] || [ -z "$fresh" ]; then
-    echo "perf gate: could not extract days_per_sec (baseline='$baseline', fresh='$fresh')" >&2
-    exit 1
-  fi
-  check_positive_number "$BASELINE_FILE" "$baseline"
-  check_positive_number "$FRESH_FILE" "$fresh"
-  echo "baseline: $baseline days/sec ($BASELINE_FILE)"
-  echo "fresh:    $fresh days/sec ($FRESH_FILE)"
-  if ! awk -v f="$fresh" -v b="$baseline" -v t="$TOLERANCE" \
-      'BEGIN { exit !(f >= t * b) }'; then
-    echo "perf gate: FAIL — $fresh < $TOLERANCE x $baseline days/sec" >&2
-    exit 1
-  fi
-  echo "perf gate: OK ($fresh >= $TOLERANCE x $baseline days/sec)"
-}
-
-gate_thread() {
-  # Results must be byte-identical for any FOOTSTEPS_THREADS: the
-  # 8-thread results digest must equal the 1-thread digest.
-  digest_t1=$(extract_results_digest "$FRESH_FILE")
-  digest_t8=$(extract_results_digest "$FRESH_T8_FILE")
-  if [ -z "$digest_t1" ] || [ -z "$digest_t8" ]; then
-    echo "thread gate: could not extract results_digest (t1='$digest_t1', t8='$digest_t8')" >&2
-    exit 1
-  fi
-  if [ "$digest_t1" != "$digest_t8" ]; then
-    echo "thread gate: FAIL — digest differs across thread counts ($digest_t1 vs $digest_t8)" >&2
-    exit 1
-  fi
-
-  # Throughput: on a multicore host, 8 workers must not be slower than 1.
-  # On a single-core host 8 threads purely oversubscribe the CPU (spawn
-  # overhead, no parallelism), so the comparison measures nothing about
-  # regressions — the 1-thread baseline gate above covers those; here only
-  # the digest equality is enforced.
-  fresh=$(extract_days_per_sec "$FRESH_FILE")
-  fresh_t8=$(extract_days_per_sec "$FRESH_T8_FILE")
-  check_positive_number "$FRESH_FILE" "$fresh"
-  check_positive_number "$FRESH_T8_FILE" "$fresh_t8"
+gate_sweep_workers() {
+  # A study runs on one thread; the parallelism that pays is the sweep's
+  # job pool. K alternating pairs of a 4-seed smoke sweep at --workers 1
+  # and --workers 2, each in a fresh directory: all 2K runs must give the
+  # same per-seed digests, and on a multicore host the 2-worker median
+  # wall time must not exceed the 1-worker median.
+  ref=""
+  wall_1=()
+  wall_2=()
+  for i in $(seq 1 "$K"); do
+    for workers in 1 2; do
+      dir="$CI_TMP/sweep_w${workers}_$i"
+      start_ns=$(date +%s%N)
+      FOOTSTEPS_QUIET=1 ./target/release/sweep run --dir "$dir" --seeds 4 --workers "$workers" \
+        --scenario smoke > /dev/null
+      ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+      digests=$(sed -n 's/.*"digest": \([0-9][0-9]*\).*/\1/p' "$dir/manifest.json" | paste -sd ' ' -)
+      rm -rf "$dir"
+      if [ "$(wc -w <<< "$digests")" -ne 4 ]; then
+        echo "sweep-worker gate: FAIL — pair $i, $workers worker(s): expected 4 per-seed digests, got: $digests" >&2
+        exit 1
+      fi
+      if [ -z "$ref" ]; then
+        ref=$digests
+      elif [ "$digests" != "$ref" ]; then
+        echo "sweep-worker gate: FAIL — pair $i, $workers worker(s): digests $digests != $ref" >&2
+        exit 1
+      fi
+      if [ "$workers" -eq 1 ]; then wall_1+=("$ms"); else wall_2+=("$ms"); fi
+    done
+  done
+  echo "per-seed digests (all $((2 * K)) runs): $ref"
+  print_side "1 worker, wall ms" "${wall_1[@]}"
+  print_side "2 workers, wall ms" "${wall_2[@]}"
+  median_1=$(median "${wall_1[@]}")
+  median_2=$(median "${wall_2[@]}")
   cpus=$(nproc 2>/dev/null || echo 1)
   if [ "$cpus" -ge 2 ]; then
-    if ! awk -v t8="$fresh_t8" -v t1="$fresh" 'BEGIN { exit !(t8 >= t1) }'; then
-      echo "thread gate: FAIL — 8T $fresh_t8 < 1T $fresh days/sec on $cpus cpus" >&2
+    if ! awk -v two="$median_2" -v one="$median_1" 'BEGIN { exit !(two <= one) }'; then
+      echo "sweep-worker gate: FAIL — 2-worker median ${median_2} ms > 1-worker median ${median_1} ms on $cpus cpus" >&2
       exit 1
     fi
   else
-    echo "thread gate: single-core host — skipping the 8T >= 1T throughput floor"
+    echo "sweep-worker gate: single-core host — skipping the 2-worker <= 1-worker floor"
   fi
-  echo "thread gate: OK (digest $digest_t1 invariant; 8T $fresh_t8 vs 1T $fresh days/sec on $cpus cpu(s))"
+  echo "sweep-worker gate: OK (identical per-seed digests; 2 workers ${median_2} ms vs 1 worker ${median_1} ms median on $cpus cpu(s))"
+}
+
+gate_perf_baseline() {
+  # K alternating pairs of smoke(7) runs: untraced, then traced with
+  # span-event collection and Chrome-trace export on (FOOTSTEPS_TRACE_OUT),
+  # each into a fresh file. The perf, trace and obs-overhead gates read
+  # these reports.
+  mkdir -p "$PERF_DIR"
+  for i in $(seq 1 "$K"); do
+    ./target/release/perf_baseline 7 "$PERF_DIR/untraced_$i.json"
+    FOOTSTEPS_TRACE_OUT="$PERF_DIR/trace_$i.json" \
+      ./target/release/perf_baseline 7 "$PERF_DIR/traced_$i.json"
+  done
+}
+
+gate_perf() {
+  # Fail if the median fresh throughput of the K untraced runs drops below
+  # TOLERANCE x the committed baseline.
+  TOLERANCE="${FOOTSTEPS_PERF_TOLERANCE:-0.85}"
+  baseline=$(days_per_sec_of "$BASELINE_FILE")
+  fresh=$(days_per_sec_of "$PERF_DIR"/untraced_*.json)
+  if [ "$(wc -w <<< "$fresh")" -ne "$K" ]; then
+    echo "perf gate: expected $K untraced reports, got: $fresh" >&2
+    exit 1
+  fi
+  echo "baseline: $baseline days/sec ($BASELINE_FILE)"
+  print_side "fresh days/sec" $fresh
+  fresh_median=$(median $fresh)
+  if ! awk -v f="$fresh_median" -v b="$baseline" -v t="$TOLERANCE" \
+      'BEGIN { exit !(f >= t * b) }'; then
+    echo "perf gate: FAIL — median $fresh_median < $TOLERANCE x $baseline days/sec" >&2
+    exit 1
+  fi
+  echo "perf gate: OK (median $fresh_median >= $TOLERANCE x $baseline days/sec)"
 }
 
 gate_trace() {
-  # Run the smoke scenario with tracing fully on: span-event collection
-  # and Chrome-trace export (FOOTSTEPS_TRACE_OUT). The exported trace must
-  # pass the schema check, and the results digest must equal the untraced
-  # 1-thread digest — tracing is observability-only.
-  FOOTSTEPS_TRACE_OUT="$TRACE_FILE" \
-    cargo run --release -p footsteps-bench --bin perf_baseline -- --json --threads 1 7 "$TRACED_PERF"
-  ./target/release/obs-report --check-trace "$TRACE_FILE"
-  digest_t1=$(extract_results_digest "$FRESH_FILE")
-  digest_traced=$(extract_results_digest "$TRACED_PERF")
-  if [ -z "$digest_traced" ] || [ "$digest_traced" != "$digest_t1" ]; then
-    echo "trace gate: FAIL — digest with tracing on ($digest_traced) != untraced digest ($digest_t1)" >&2
-    exit 1
-  fi
-
-  # Span-*structure* parity: names/nesting/lane kinds/region counts are a
-  # pure function of the serial control flow, so the structure digest in the
-  # perf reports must be identical for 1 and 8 worker threads.
-  struct_t1=$(extract_structure_digest "$FRESH_FILE")
-  struct_t8=$(extract_structure_digest "$FRESH_T8_FILE")
-  if [ -z "$struct_t1" ] || [ -z "$struct_t8" ]; then
-    echo "trace gate: could not extract structure_digest (t1='$struct_t1', t8='$struct_t8')" >&2
-    exit 1
-  fi
-  if [ "$struct_t1" != "$struct_t8" ]; then
-    echo "trace gate: FAIL — span structure differs across thread counts ($struct_t1 vs $struct_t8)" >&2
-    exit 1
-  fi
-  echo "trace gate: OK (valid chrome trace, digest $digest_traced invariant, structure $struct_t1 parity)"
+  # Every traced run's exported Chrome trace must pass the schema check,
+  # and its results digest and span-structure digest must equal its
+  # untraced partner's: tracing is observability-only, and the structure
+  # (names, nesting, lane kinds, region counts) is a pure function of the
+  # control flow.
+  for i in $(seq 1 "$K"); do
+    ./target/release/obs-report --check-trace "$PERF_DIR/trace_$i.json"
+    for key in results_digest structure_digest; do
+      traced=$(extract_digest "$key" "$PERF_DIR/traced_$i.json")
+      untraced=$(extract_digest "$key" "$PERF_DIR/untraced_$i.json")
+      if [ -z "$traced" ] || [ "$traced" != "$untraced" ]; then
+        echo "trace gate: FAIL — pair $i: traced $key '$traced' != untraced '$untraced'" >&2
+        exit 1
+      fi
+    done
+  done
+  digest=$(extract_digest results_digest "$PERF_DIR/traced_1.json")
+  structure=$(extract_digest structure_digest "$PERF_DIR/traced_1.json")
+  echo "trace gate: OK ($K valid chrome traces; traced = untraced results digest $digest, structure digest $structure)"
 }
 
 gate_obs() {
   # Tracing fully on must not cost more than (1 - tolerance) of engine
-  # throughput: traced days/sec >= tolerance x untraced days/sec on the
-  # same host, same scenario, back to back.
+  # throughput: over the K alternating pairs, the median traced days/sec
+  # must be >= tolerance x the median untraced days/sec.
   OBS_TOLERANCE="${FOOTSTEPS_OBS_TOLERANCE:-0.90}"
-  fresh=$(extract_days_per_sec "$FRESH_FILE")
-  fresh_traced=$(extract_days_per_sec "$TRACED_PERF")
-  check_positive_number "$FRESH_FILE" "$fresh"
-  check_positive_number "$TRACED_PERF" "$fresh_traced"
-  if ! awk -v on="$fresh_traced" -v off="$fresh" -v t="$OBS_TOLERANCE" \
-      'BEGIN { exit !(on >= t * off) }'; then
-    echo "obs overhead gate: FAIL — traced $fresh_traced < $OBS_TOLERANCE x untraced $fresh days/sec" >&2
+  untraced=$(days_per_sec_of "$PERF_DIR"/untraced_*.json)
+  traced=$(days_per_sec_of "$PERF_DIR"/traced_*.json)
+  if [ "$(wc -w <<< "$traced")" -ne "$K" ] || [ "$(wc -w <<< "$untraced")" -ne "$K" ]; then
+    echo "obs overhead gate: expected $K reports per side, got traced '$traced', untraced '$untraced'" >&2
     exit 1
   fi
-  echo "obs overhead gate: OK (traced $fresh_traced >= $OBS_TOLERANCE x untraced $fresh days/sec)"
+  print_side "untraced days/sec" $untraced
+  print_side "traced days/sec" $traced
+  off=$(median $untraced)
+  on=$(median $traced)
+  if ! awk -v on="$on" -v off="$off" -v t="$OBS_TOLERANCE" \
+      'BEGIN { exit !(on >= t * off) }'; then
+    echo "obs overhead gate: FAIL — traced median $on < $OBS_TOLERANCE x untraced median $off days/sec" >&2
+    exit 1
+  fi
+  echo "obs overhead gate: OK (traced median $on >= $OBS_TOLERANCE x untraced median $off days/sec)"
 }
 
 gate_stream() {
@@ -281,7 +328,7 @@ gate_stream() {
   # from the file alone, and the versioned envelope must round-trip.
   STREAM_LOG="$CI_TMP/footsteps_stream.ci.jsonl"
   STREAM_PERF="$CI_TMP/BENCH_stream.ci.json"
-  cargo run --release -p footsteps-bench --bin perf_baseline -- --json --stream "$STREAM_LOG" 7 "$STREAM_PERF"
+  ./target/release/perf_baseline --stream "$STREAM_LOG" 7 "$STREAM_PERF"
   inline_digest=$(sed -n 's/.*"verdict_digest": *"\(0x[0-9a-f]*\)".*/\1/p' "$STREAM_PERF" | head -n 1)
   if [ -z "$inline_digest" ]; then
     echo "stream gate: could not extract verdict_digest from $STREAM_PERF" >&2
@@ -326,11 +373,11 @@ run_gate "test" gate_test
 run_gate "vendored crates' unit tests" gate_vendored
 run_gate "footbench's own tests" gate_footbench
 run_gate "sweep smoke (2-seed replication, checkpoint/resume)" gate_sweep
-run_gate "perf baseline (smoke scenario, 1 and 8 worker threads)" gate_perf_baseline
-run_gate "perf regression gate" gate_perf
-run_gate "multi-thread gate (thread-invariant digest + throughput)" gate_thread
-run_gate "trace smoke gate (chrome-trace export + span-structure parity)" gate_trace
-run_gate "obs overhead gate (tracing on vs off)" gate_obs
+run_gate "sweep-worker gate (4-seed sweep, 1 vs 2 workers, $K pairs)" gate_sweep_workers
+run_gate "perf baseline (smoke scenario, $K untraced/traced pairs)" gate_perf_baseline
+run_gate "perf regression gate (median of $K runs)" gate_perf
+run_gate "trace smoke gate (chrome-trace export + traced/untraced parity)" gate_trace
+run_gate "obs overhead gate (tracing on vs off, medians of $K pairs)" gate_obs
 run_gate "stream gate (event-log record, offline replay, verdict parity)" gate_stream
 
 if [ "${#FAILED[@]}" -gt 0 ]; then

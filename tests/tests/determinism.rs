@@ -36,35 +36,21 @@ fn different_seeds_differ() {
     assert_ne!(a, b, "different seeds must explore different worlds");
 }
 
-/// Run the smoke scenario with a given decision-phase worker count and
-/// collect the full serializable results aggregate.
-fn results_with_threads(seed: u64, threads: usize) -> results::StudyResults {
-    let mut scenario = Scenario::smoke(seed);
-    scenario.worker_threads = threads;
-    let mut study = Study::new(scenario);
+/// Characterize the smoke scenario and collect the full serializable
+/// results aggregate.
+fn characterized_results(seed: u64) -> results::StudyResults {
+    let mut study = Study::new(Scenario::smoke(seed));
     study.run_characterization();
     results::StudyResults::collect(&study)
-}
-
-#[test]
-fn results_are_byte_identical_across_worker_threads() {
-    // The two-phase engine's contract: the decision phase may shard across
-    // any number of workers, the serialized study results do not change.
-    let one = results_with_threads(7, 1);
-    let two = results_with_threads(7, 2);
-    let eight = results_with_threads(7, 8);
-    let json = one.to_json();
-    assert_eq!(json, two.to_json(), "1 vs 2 worker threads");
-    assert_eq!(json, eight.to_json(), "1 vs 8 worker threads");
 }
 
 #[test]
 fn smoke_results_match_recorded_digest() {
     // Golden digest of the default smoke seed. A mismatch means the
     // simulation's randomness or result serialization changed — regenerate
-    // deliberately (print `results_with_threads(7, 1).digest()`) and record
+    // deliberately (print `characterized_results(7).digest()`) and record
     // the behaviour change in CHANGES.md.
-    let digest = results_with_threads(7, 1).digest();
+    let digest = characterized_results(7).digest();
     assert_eq!(
         digest, GOLDEN_SMOKE_DIGEST,
         "smoke results drifted from the recorded golden digest: got {digest:#x}"
@@ -73,21 +59,6 @@ fn smoke_results_match_recorded_digest() {
 
 /// FNV-1a digest of `StudyResults::to_json()` for `Scenario::smoke(7)`.
 const GOLDEN_SMOKE_DIGEST: u64 = 0xce8a_eb34_fb9f_e096;
-
-#[test]
-fn metrics_snapshot_is_byte_identical_across_worker_threads() {
-    // The obs layer rides the same two-phase contract: counters are
-    // recorded on the serial apply path or from the merged (roster-order)
-    // plan list, never per worker, so the snapshot JSON cannot depend on
-    // the shard count.
-    let one = results_with_threads(7, 1).metrics.expect("metrics collected");
-    let two = results_with_threads(7, 2).metrics.expect("metrics collected");
-    let eight = results_with_threads(7, 8).metrics.expect("metrics collected");
-    let json = one.to_json();
-    assert!(json.contains("platform.outbound.delivered"), "snapshot is non-trivial");
-    assert_eq!(json, two.to_json(), "1 vs 2 worker threads");
-    assert_eq!(json, eight.to_json(), "1 vs 8 worker threads");
-}
 
 /// FNV-1a digest and byte length of `MetricsSnapshot::to_json()` for
 /// `Scenario::smoke(7)` with no stream attached, after characterization.
@@ -102,44 +73,26 @@ fn metrics_pin(snapshot: &footsteps_obs::MetricsSnapshot) -> (u64, usize) {
 
 #[test]
 fn metrics_snapshot_matches_recorded_bytes() {
-    // Thread parity alone would pass a registry that drops or
-    // double-counts a key at every thread count alike; these pins catch
-    // that. Regenerate only for a deliberate change to what is recorded.
-    let characterized = results_with_threads(7, 1).metrics.expect("metrics collected");
+    // These pins catch a registry that drops or double-counts a key.
+    // Regenerate only for a deliberate change to what is recorded.
+    let characterized = characterized_results(7).metrics.expect("metrics collected");
     assert_eq!(metrics_pin(&characterized), SMOKE_METRICS_CHARACTERIZED, "after characterization");
-    for threads in [1, 2, 8] {
-        let mut scenario = Scenario::smoke(7);
-        scenario.worker_threads = threads;
-        let mut study = Study::new(scenario);
-        study.run_to_completion();
-        let complete = study.platform.obs.metrics.snapshot();
-        assert_eq!(metrics_pin(&complete), SMOKE_METRICS_COMPLETE, "all four phases, {threads} threads");
-    }
-}
-
-/// Run the smoke scenario to completion with span-event collection fully
-/// on (the `FOOTSTEPS_TRACE_OUT` code path, enabled via the direct API
-/// because env vars are process-global and race across tests) and return
-/// the study.
-fn traced_study_with_threads(seed: u64, threads: usize) -> Study {
-    let mut scenario = Scenario::smoke(seed);
-    scenario.worker_threads = threads;
-    let mut study = Study::new(scenario);
-    study.platform.obs.timings.enable_events();
+    let mut study = Study::new(Scenario::smoke(7));
     study.run_to_completion();
-    study
+    let complete = study.platform.obs.metrics.snapshot();
+    assert_eq!(metrics_pin(&complete), SMOKE_METRICS_COMPLETE, "all four phases");
 }
 
 #[test]
 fn golden_digest_is_independent_of_span_event_collection() {
     // The Chrome-trace exporter's event log must be observability-only:
-    // collecting B/E events for every span and exporting the trace.json
-    // cannot change a byte of the deterministic results. The golden digest
-    // is defined at the characterization boundary, so collect there, then
-    // continue to completion for the export.
-    let mut scenario = Scenario::smoke(7);
-    scenario.worker_threads = 1;
-    let mut study = Study::new(scenario);
+    // collecting B/E events for every span (the `FOOTSTEPS_TRACE_OUT` code
+    // path, enabled via the direct API because env vars are process-global
+    // and race across tests) and exporting the trace.json cannot change a
+    // byte of the deterministic results. The golden digest is defined at
+    // the characterization boundary, so collect there, then continue to
+    // completion for the export.
+    let mut study = Study::new(Scenario::smoke(7));
     study.platform.obs.timings.enable_events();
     study.run_characterization();
     let results = results::StudyResults::collect(&study);
@@ -152,14 +105,28 @@ fn golden_digest_is_independent_of_span_event_collection() {
     study.run_broad();
     study.run_epilogue();
     // The end-of-run results match an untraced run taken to `Finished`.
-    let mut scenario = Scenario::smoke(7);
-    scenario.worker_threads = 1;
-    let mut untraced = Study::new(scenario);
+    let mut untraced = Study::new(Scenario::smoke(7));
     untraced.run_to_completion();
     assert_eq!(
         results::StudyResults::collect(&study).digest(),
         results::StudyResults::collect(&untraced).digest(),
         "span-event collection changed the end-of-run results"
+    );
+    // So does the span tree's deterministic view: names, nesting, lane
+    // kinds and region counts are a pure function of the control flow,
+    // whether or not events are collected. Durations stay quarantined in
+    // the wall-clock sidecar.
+    let structure = study.platform.obs.timings.structure().to_json();
+    assert!(structure.contains("phase.characterization"), "structure is non-trivial");
+    assert!(structure.contains("aas."), "structure reaches the service engines");
+    assert_eq!(
+        structure,
+        untraced.platform.obs.timings.structure().to_json(),
+        "span-event collection changed the span structure"
+    );
+    assert_eq!(
+        study.platform.obs.timings.structure_digest(),
+        untraced.platform.obs.timings.structure_digest()
     );
     // And the collected event log actually exports as a valid trace.
     let dir = std::env::temp_dir().join("footsteps_determinism_trace");
@@ -169,34 +136,6 @@ fn golden_digest_is_independent_of_span_event_collection() {
     let body = std::fs::read_to_string(&path).expect("trace file readable");
     footsteps_obs::export::validate_chrome_trace(&body).expect("exported trace validates");
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn span_structure_is_byte_identical_across_worker_threads() {
-    // The span tree's deterministic view: names, nesting, lane kinds and
-    // region counts are a pure function of the serial control flow, so the
-    // structure JSON (and its digest) cannot depend on FOOTSTEPS_THREADS.
-    // Durations stay quarantined in the wall-clock sidecar.
-    let one = traced_study_with_threads(7, 1);
-    let two = traced_study_with_threads(7, 2);
-    let eight = traced_study_with_threads(7, 8);
-    let json = one.platform.obs.timings.structure().to_json();
-    assert!(json.contains("phase.characterization"), "structure is non-trivial");
-    assert!(json.contains("aas."), "structure reaches the service engines");
-    assert_eq!(
-        json,
-        two.platform.obs.timings.structure().to_json(),
-        "1 vs 2 worker threads"
-    );
-    assert_eq!(
-        json,
-        eight.platform.obs.timings.structure().to_json(),
-        "1 vs 8 worker threads"
-    );
-    assert_eq!(
-        one.platform.obs.timings.structure_digest(),
-        eight.platform.obs.timings.structure_digest()
-    );
 }
 
 #[test]

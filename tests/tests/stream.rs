@@ -1,7 +1,7 @@
 //! Streaming detection contract (DESIGN.md §8): attaching the recorder
 //! never moves the golden digest, record→replay reproduces the inline
-//! verdicts byte for byte at any worker-thread count, and the online
-//! verdicts agree with the batch classifier at the end of the window.
+//! verdicts byte for byte, and the online verdicts agree with the batch
+//! classifier at the end of the window.
 
 use footsteps_core::{results, Scenario, Study};
 use std::path::PathBuf;
@@ -11,7 +11,7 @@ use std::path::PathBuf;
 const GOLDEN_SMOKE_DIGEST: u64 = 0xce8a_eb34_fb9f_e096;
 
 /// Byte length and FNV-1a digest of the batch `DetectionPipeline`'s compact
-/// JSON for `Scenario::smoke(7)`, at any worker-thread count.
+/// JSON for `Scenario::smoke(7)`.
 const SMOKE_PIPELINE: (usize, u64) = (128_019, 0xb4ce_40cb_3464_2640);
 
 /// The online detector's frozen verdict digest for `Scenario::smoke(7)`,
@@ -26,10 +26,8 @@ fn tmp_log(name: &str) -> PathBuf {
 
 /// Characterize smoke(7) with the stream attached (recording when `log`
 /// is given), returning the study.
-fn characterized_with_stream(seed: u64, threads: usize, log: Option<&PathBuf>) -> Study {
-    let mut scenario = Scenario::smoke(seed);
-    scenario.worker_threads = threads;
-    let mut study = Study::new(scenario);
+fn characterized_with_stream(seed: u64, log: Option<&PathBuf>) -> Study {
+    let mut study = Study::new(Scenario::smoke(seed));
     study
         .attach_stream(log.map(|p| p.as_path()))
         .expect("stream attaches");
@@ -40,7 +38,7 @@ fn characterized_with_stream(seed: u64, threads: usize, log: Option<&PathBuf>) -
 #[test]
 fn golden_digest_is_unchanged_with_recorder_attached() {
     let log = tmp_log("golden");
-    let study = characterized_with_stream(7, 1, Some(&log));
+    let study = characterized_with_stream(7, Some(&log));
     let digest = results::StudyResults::collect(&study).digest();
     assert_eq!(
         digest, GOLDEN_SMOKE_DIGEST,
@@ -51,53 +49,44 @@ fn golden_digest_is_unchanged_with_recorder_attached() {
 }
 
 #[test]
-fn record_then_replay_reproduces_verdicts_at_any_thread_count() {
-    let mut digests = Vec::new();
-    for threads in [1usize, 8] {
-        let log = tmp_log(&format!("replay_t{threads}"));
-        let study = characterized_with_stream(7, threads, Some(&log));
-        let inline = study.stream.as_ref().expect("inline outcome");
-        assert_eq!(inline.log_path.as_deref(), Some(log.as_path()));
+fn record_then_replay_reproduces_pinned_verdicts() {
+    let log = tmp_log("replay");
+    let study = characterized_with_stream(7, Some(&log));
+    let inline = study.stream.as_ref().expect("inline outcome");
+    assert_eq!(inline.log_path.as_deref(), Some(log.as_path()));
 
-        // Both detectors' outputs are pinned, not only compared with
-        // themselves: the batch pipeline's wire bytes and the inline
-        // verdicts.
-        let pipeline = serde_json::to_string(study.pipeline()).expect("pipeline serializes");
-        assert_eq!(
-            (pipeline.len(), footsteps_obs::tree::fnv1a(pipeline.as_bytes())),
-            SMOKE_PIPELINE,
-            "batch detection pipeline drifted ({threads} threads)"
-        );
-        assert_eq!(
-            (inline.verdict_digest, inline.events_processed, inline.batches),
-            SMOKE_VERDICTS,
-            "online verdicts drifted ({threads} threads)"
-        );
-
-        let replayed = footsteps_stream::replay(&log).expect("replay succeeds");
-        assert_eq!(
-            replayed.verdict_digest, inline.verdict_digest,
-            "replay must reproduce the inline verdicts byte for byte ({threads} threads)"
-        );
-        assert_eq!(replayed.batches, inline.batches);
-        assert_eq!(replayed.events_processed, inline.events_processed);
-        assert_eq!(
-            replayed.verdicts.to_json(),
-            inline.verdicts.to_json(),
-            "digest equality must reflect snapshot equality"
-        );
-        digests.push(inline.verdict_digest);
-        std::fs::remove_file(&log).unwrap();
-    }
+    // Both detectors' outputs are pinned, not only compared with
+    // themselves: the batch pipeline's wire bytes and the inline verdicts.
+    let pipeline = serde_json::to_string(study.pipeline()).expect("pipeline serializes");
     assert_eq!(
-        digests[0], digests[1],
-        "verdicts must be identical for 1 and 8 worker threads"
+        (pipeline.len(), footsteps_obs::tree::fnv1a(pipeline.as_bytes())),
+        SMOKE_PIPELINE,
+        "batch detection pipeline drifted"
     );
+    assert_eq!(
+        (inline.verdict_digest, inline.events_processed, inline.batches),
+        SMOKE_VERDICTS,
+        "online verdicts drifted"
+    );
+
+    let replayed = footsteps_stream::replay(&log).expect("replay succeeds");
+    assert_eq!(
+        replayed.verdict_digest, inline.verdict_digest,
+        "replay must reproduce the inline verdicts byte for byte"
+    );
+    assert_eq!(replayed.batches, inline.batches);
+    assert_eq!(replayed.events_processed, inline.events_processed);
+    assert_eq!(
+        replayed.verdicts.to_json(),
+        inline.verdicts.to_json(),
+        "digest equality must reflect snapshot equality"
+    );
+    std::fs::remove_file(&log).unwrap();
 }
 
 #[test]
 fn online_and_batch_verdicts_agree_at_end_of_window() {
-    let study = characterized_with_stream(7, 1, None);
+    let study = characterized_with_stream(7, None);
     let outcome = study.stream.as_ref().expect("outcome");
     let online = &outcome.verdicts;
     let batch = study.pipeline();
@@ -182,7 +171,7 @@ fn online_and_batch_verdicts_agree_at_end_of_window() {
 #[test]
 fn whole_run_log_replays_to_the_inline_verdicts() {
     let log = tmp_log("whole_run");
-    let mut study = characterized_with_stream(7, 1, Some(&log));
+    let mut study = characterized_with_stream(7, Some(&log));
     study.run_narrow();
     study.run_broad();
     study.run_epilogue();
