@@ -60,7 +60,6 @@ where
         // offset k * chunk no matter when its worker finishes.
         let mut out = Vec::with_capacity(items.len());
         for h in handles {
-            // footsteps-lint: allow(panic-in-shard) — serial join path; only re-raises a worker's own panic
             out.extend(h.join().expect("plan worker panicked"));
         }
         out

@@ -2,17 +2,15 @@
 //!
 //! ```text
 //! footsteps-lint [--root <DIR>] [--json] [--json-out <PATH>] [--quiet]
-//!                [--stats] [--explain <rule>]
+//!                [--explain <rule>]
 //! ```
 //!
 //! * `--root <DIR>`    workspace root (default: auto-detected from the
 //!   current directory by walking up to a `[workspace]` manifest);
 //! * `--json`          print the machine-readable findings to stdout;
 //! * `--json-out <P>`  also write the JSON findings to a file (CI points
-//!   this at `/tmp`, next to the perf artifact);
+//!   this at its scratch directory, next to the perf reports);
 //! * `--quiet`         suppress the human-readable report;
-//! * `--stats`         print call-graph coverage (functions indexed, call
-//!   edges, unresolved/opaque/trait-merged counts, fixpoint iterations);
 //! * `--explain <r>`   print one rule's rationale, scope, and pragma
 //!   example (the same table DESIGN.md §6 is written from), then exit.
 //!
@@ -30,7 +28,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut json_out: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut stats = false;
     let mut explain: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -46,7 +43,6 @@ fn main() -> ExitCode {
                 None => return usage("--json-out needs a path"),
             },
             "--quiet" => quiet = true,
-            "--stats" => stats = true,
             "--explain" => match args.next() {
                 Some(r) => explain = Some(r),
                 None => return usage("--explain needs a rule name"),
@@ -79,17 +75,16 @@ fn main() -> ExitCode {
         }
     };
 
-    let analysis = match analyze_workspace(&root) {
-        Ok(a) => a,
+    let findings = match analyze_workspace(&root) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("footsteps-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
 
-    let findings = analysis.findings;
     let json_text = if json || json_out.is_some() {
-        Some(report::render_json(&findings, Some(&analysis.stats)))
+        Some(report::render_json(&findings))
     } else {
         None
     };
@@ -104,9 +99,6 @@ fn main() -> ExitCode {
     }
     if !quiet && !json {
         print!("{}", report::render_text(&findings));
-    }
-    if stats && !json {
-        print!("{}", report::render_stats(&analysis.stats));
     }
 
     if violation_count(&findings) == 0 {
@@ -140,7 +132,7 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("footsteps-lint: {err}");
     eprintln!(
         "usage: footsteps-lint [--root <DIR>] [--json] [--json-out <PATH>] [--quiet] \
-         [--stats] [--explain <rule>]"
+         [--explain <rule>]"
     );
     ExitCode::from(2)
 }

@@ -3,15 +3,10 @@
 //! Grammar (line comments only):
 //!
 //! ```text
-//! // footsteps-lint: allow(<rule>[ via <fn>][, <rule>[ via <fn>]]*) — <reason>
+//! // footsteps-lint: allow(<rule>[, <rule>]*) — <reason>
 //! ```
 //!
 //! * `<rule>` is one of the rule names in [`crate::rules::Rule::ALL`];
-//! * the optional `via <fn>` qualifier makes the pragma chain-aware: it
-//!   only suppresses transitive findings whose call chain passes through
-//!   `<fn>` (matched against bare names and `Type::name` displays), so
-//!   allowing one audited helper does not blanket-waive every effect the
-//!   shard path might later grow;
 //! * the reason separator may be an em/en dash, `--`, `-`, or `:`;
 //! * `<reason>` is mandatory, non-empty prose: the pragma is the in-source,
 //!   re-checkable replacement for out-of-band audit notes, so a bare
@@ -29,16 +24,6 @@ use crate::lexer::Comment;
 /// The marker that introduces a pragma inside a line comment.
 pub const MARKER: &str = "footsteps-lint:";
 
-/// One `<rule>[ via <fn>]` entry inside `allow(...)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleSpec {
-    /// The rule name, as written.
-    pub rule: String,
-    /// Optional chain qualifier: only suppress findings whose call chain
-    /// passes through this function.
-    pub via: Option<String>,
-}
-
 /// A parsed pragma, valid or not.
 #[derive(Debug, Clone)]
 pub struct Pragma {
@@ -46,8 +31,8 @@ pub struct Pragma {
     pub line: u32,
     /// Lines this pragma covers (its own, or the next for own-line pragmas).
     pub covers: u32,
-    /// Rule specs inside `allow(...)`, as written.
-    pub rules: Vec<RuleSpec>,
+    /// Rule names inside `allow(...)`, as written.
+    pub rules: Vec<String>,
     /// The reason text, if present and non-empty.
     pub reason: Option<String>,
     /// Parse problem, if any (a malformed pragma suppresses nothing).
@@ -97,32 +82,22 @@ fn parse_body(body: &str, line: u32, covers: u32) -> Pragma {
     let Some(close) = rest.find(')') else {
         return fail("unclosed `allow(`");
     };
-    let mut rules: Vec<RuleSpec> = Vec::new();
+    let mut rules: Vec<String> = Vec::new();
     for part in rest[..close].split(',') {
         let part = part.trim();
         if part.is_empty() {
             continue;
         }
-        let mut words = part.split_whitespace();
-        let rule = words.next().unwrap_or_default().to_string();
-        let via = match (words.next(), words.next(), words.next()) {
-            (None, _, _) => None,
-            (Some("via"), Some(f), None) => Some(f.to_string()),
-            _ => {
-                return fail(&format!(
-                    "expected `<rule>` or `<rule> via <fn>`, got `{part}`"
-                ));
-            }
-        };
-        rules.push(RuleSpec { rule, via });
+        if part.contains(char::is_whitespace) {
+            return fail(&format!("expected `<rule>`, got `{part}`"));
+        }
+        if !crate::rules::Rule::ALL.iter().any(|k| k.name() == part) {
+            return fail(&format!("unknown rule `{part}` in `allow(...)`"));
+        }
+        rules.push(part.to_string());
     }
     if rules.is_empty() {
         return fail("empty rule list in `allow()`");
-    }
-    for r in &rules {
-        if !crate::rules::Rule::ALL.iter().any(|k| k.name() == r.rule) {
-            return fail(&format!("unknown rule `{}` in `allow(...)`", r.rule));
-        }
     }
     let mut reason = rest[close + 1..].trim();
     for sep in ["—", "–", "--", "-", ":"] {
@@ -155,10 +130,7 @@ mod tests {
             "let x = m.values(); // footsteps-lint: allow(nondet-iter) — feeds a sum\n",
         )[0];
         assert!(p.error.is_none());
-        assert_eq!(
-            p.rules,
-            vec![RuleSpec { rule: "nondet-iter".to_string(), via: None }]
-        );
+        assert_eq!(p.rules, ["nondet-iter"]);
         assert_eq!(p.reason.as_deref(), Some("feeds a sum"));
         assert_eq!(p.covers, 1);
     }
@@ -195,21 +167,15 @@ mod tests {
     }
 
     #[test]
-    fn via_qualifier_parses() {
-        let p = &pragmas(
-            "// footsteps-lint: allow(parallel-metrics via log_outcome) — merged serially\n",
-        )[0];
-        assert!(p.error.is_none());
-        assert_eq!(p.rules[0].rule, "parallel-metrics");
-        assert_eq!(p.rules[0].via.as_deref(), Some("log_outcome"));
-    }
-
-    #[test]
     fn bad_via_clause_is_malformed() {
-        let p = &pragmas("// footsteps-lint: allow(wall-clock via) — x\n")[0];
-        assert!(p.error.is_some());
-        let p = &pragmas("// footsteps-lint: allow(wall-clock thru f) — x\n")[0];
-        assert!(p.error.is_some());
+        // A rule entry is one name, so a `via` qualifier is malformed.
+        for src in [
+            "// footsteps-lint: allow(wall-clock via f) — x\n",
+            "// footsteps-lint: allow(wall-clock via) — x\n",
+            "// footsteps-lint: allow(wall-clock thru f) — x\n",
+        ] {
+            assert!(pragmas(src)[0].error.is_some(), "{src}");
+        }
     }
 
     #[test]

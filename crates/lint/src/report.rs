@@ -6,12 +6,12 @@
 //! bump [`JSON_SCHEMA_VERSION`] whenever a field is added, removed, or
 //! changes meaning.
 
-use crate::graph::GraphStats;
 use crate::rules::{Finding, PragmaStatus};
 
-/// Version of the JSON report format. 2 = interprocedural findings:
-/// per-finding `"chain"` array, optional top-level `"stats"` object.
-pub const JSON_SCHEMA_VERSION: u32 = 2;
+/// Version of the JSON report format. 3 = lexical findings only: the
+/// per-finding `"chain"` array and the top-level `"stats"` object of
+/// version 2 are gone.
+pub const JSON_SCHEMA_VERSION: u32 = 3;
 
 /// Human-readable report of the violations (allowed findings summarised).
 pub fn render_text(findings: &[Finding]) -> String {
@@ -26,9 +26,6 @@ pub fn render_text(findings: &[Finding]) -> String {
             f.message,
             f.snippet
         ));
-        if !f.chain.is_empty() {
-            out.push_str(&format!("    chain: {}\n", f.chain.join(" → ")));
-        }
     }
     let allowed = findings.len() - violations.len();
     out.push_str(&format!(
@@ -39,33 +36,9 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-/// Human-readable `--stats` coverage view.
-pub fn render_stats(stats: &GraphStats) -> String {
-    format!(
-        "footsteps-lint call-graph coverage:\n\
-         \x20 files scanned:        {}\n\
-         \x20 functions indexed:    {}\n\
-         \x20 call edges:           {}\n\
-         \x20 resolved calls:       {}\n\
-         \x20 unresolved calls:     {}\n\
-         \x20 opaque calls:         {}\n\
-         \x20 trait-merged calls:   {}\n\
-         \x20 fixpoint iterations:  {}\n",
-        stats.files,
-        stats.functions,
-        stats.edges,
-        stats.resolved_calls,
-        stats.unresolved_calls,
-        stats.opaque_calls,
-        stats.trait_merged_calls,
-        stats.fixpoint_iterations,
-    )
-}
-
 /// Machine-readable report: every finding (including pragma-allowed ones,
-/// so the annotation inventory stays auditable), plus counts and, when
-/// provided, the call-graph coverage statistics.
-pub fn render_json(findings: &[Finding], stats: Option<&GraphStats>) -> String {
+/// so the annotation inventory stays auditable), plus counts.
+pub fn render_json(findings: &[Finding]) -> String {
     let mut out = format!(
         "{{\n  \"schema_version\": {JSON_SCHEMA_VERSION},\n  \"findings\": [\n"
     );
@@ -83,14 +56,6 @@ pub fn render_json(findings: &[Finding], stats: Option<&GraphStats>) -> String {
         out.push_str(&format!("\"line\": {}, ", f.line));
         out.push_str(&format!("\"snippet\": {}, ", json_str(&f.snippet)));
         out.push_str(&format!("\"message\": {}, ", json_str(&f.message)));
-        out.push_str("\"chain\": [");
-        for (j, link) in f.chain.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(link));
-        }
-        out.push_str("], ");
         out.push_str(&format!("\"pragma\": {}", json_str(status)));
         if let Some(d) = detail {
             out.push_str(&format!(", \"pragma_detail\": {}", json_str(d)));
@@ -103,21 +68,6 @@ pub fn render_json(findings: &[Finding], stats: Option<&GraphStats>) -> String {
     }
     let violations = findings.iter().filter(|f| f.is_violation()).count();
     out.push_str("  ],\n");
-    if let Some(s) = stats {
-        out.push_str(&format!(
-            "  \"stats\": {{\"files\": {}, \"functions\": {}, \"edges\": {}, \
-             \"resolved_calls\": {}, \"unresolved_calls\": {}, \"opaque_calls\": {}, \
-             \"trait_merged_calls\": {}, \"fixpoint_iterations\": {}}},\n",
-            s.files,
-            s.functions,
-            s.edges,
-            s.resolved_calls,
-            s.unresolved_calls,
-            s.opaque_calls,
-            s.trait_merged_calls,
-            s.fixpoint_iterations,
-        ));
-    }
     out.push_str(&format!(
         "  \"counts\": {{\"total\": {}, \"violations\": {}, \"allowed\": {}}}\n",
         findings.len(),
@@ -159,46 +109,25 @@ mod tests {
             line: 3,
             snippet: "m.values() // \"quoted\"".to_string(),
             message: "msg".to_string(),
-            chain: Vec::new(),
             pragma,
         }
     }
 
     #[test]
     fn json_escapes_quotes_and_is_well_formed() {
-        let json = render_json(&[finding(PragmaStatus::None)], None);
+        let json = render_json(&[finding(PragmaStatus::None)]);
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\"violations\": 1"));
-        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"schema_version\": 3"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn allowed_findings_do_not_count_as_violations() {
-        let json = render_json(&[finding(PragmaStatus::Allowed("sorted later".into()))], None);
+        let json = render_json(&[finding(PragmaStatus::Allowed("sorted later".into()))]);
         assert!(json.contains("\"violations\": 0"));
         assert!(json.contains("\"pragma_detail\": \"sorted later\""));
         let text = render_text(&[finding(PragmaStatus::Allowed("sorted later".into()))]);
         assert!(text.contains("0 violation(s), 1 allowed"));
-    }
-
-    #[test]
-    fn chain_is_rendered_in_text_and_json() {
-        let mut f = finding(PragmaStatus::None);
-        f.chain = vec!["plan_member".into(), "log_outcome".into(), "Instant::now".into()];
-        let text = render_text(&[f.clone()]);
-        assert!(text.contains("chain: plan_member → log_outcome → Instant::now"));
-        let json = render_json(&[f], None);
-        assert!(json.contains("\"chain\": [\"plan_member\", \"log_outcome\", \"Instant::now\"]"));
-    }
-
-    #[test]
-    fn stats_block_is_emitted_when_present() {
-        let stats = GraphStats { functions: 7, edges: 9, ..Default::default() };
-        let json = render_json(&[], Some(&stats));
-        assert!(json.contains("\"functions\": 7"));
-        assert!(json.contains("\"edges\": 9"));
-        let text = render_stats(&stats);
-        assert!(text.contains("functions indexed:    7"));
     }
 }

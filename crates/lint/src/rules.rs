@@ -1,21 +1,12 @@
-//! The repo-specific rules: lexical token patterns plus the
-//! interprocedural deny scopes built on [`crate::graph`] and
-//! [`crate::effects`].
+//! The repo-specific rules: lexical token patterns, each with a scope.
 //!
-//! Every lexical rule is a token-level pattern over [`crate::lexer`]
-//! output plus a scope (which crates/sections/test-ness it applies to).
-//! The rules encode the workspace's determinism contract (DESIGN.md §6):
-//! the golden digest `0xce8aeb34fb9fe096` must be byte-identical on every
-//! run, which only holds if no order-observing map iteration, ambient
-//! time, ambient randomness, or metrics recording inside a plan path
-//! sneaks into the simulation path.
-//!
-//! On top of the lexical layer, the shard deny scopes (the plan paths of
-//! [`PLAN_FNS`], and `plan_parallel`'s threads) are *transitive*:
-//! effects seeded by the same detectors are propagated over the
-//! workspace call graph, so a helper that reads the wall clock and is
-//! called from `plan_member` is flagged at the call site with its full
-//! chain (`plan_member → log_outcome → Instant::now`).
+//! Every rule is a token-level pattern over [`crate::lexer`] output plus
+//! a scope (which crates/sections/test-ness it applies to, decided with
+//! [`crate::scope`]). The rules encode the workspace's determinism
+//! contract (DESIGN.md §6): the golden digest `0xce8aeb34fb9fe096` must be
+//! byte-identical on every run, which only holds if no order-observing
+//! map iteration, ambient time or ambient randomness sneaks into the
+//! simulation path.
 //!
 //! Heuristics, stated honestly: without type inference we cannot prove a
 //! receiver is a `HashMap`. The engine therefore resolves receiver names
@@ -24,24 +15,23 @@
 //! in `sim` and iterated from `aas` is still caught), shadowed by a
 //! per-file table of every local declaration — so a `Vec`-typed field
 //! that merely shares its name with a hash field in some other crate is
-//! not flagged. The call graph documents its own approximations in
-//! [`crate::graph`]; `--stats` makes the unresolved remainder auditable.
+//! not flagged.
 
-use crate::effects::{bits, Effects, EffectTable};
-use crate::graph::{
-    after_let, classify, matching, test_item_ranges, type_after_colon, CallGraph, Resolution,
-    Section,
-};
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::pragma::Pragma;
+use crate::scope::{after_let, classify, test_item_ranges, type_after_colon, Section};
 
 /// Crates whose `src` feeds the golden digest: order-observing iteration
 /// over hash containers there is a correctness bug unless proven safe.
 /// `sweep` is held to the same bar — its checkpoint/resume and aggregation
 /// paths must reproduce the per-seed digests byte for byte. `stream` too:
 /// its verdict snapshot must replay byte-identically from a recorded log.
-pub const DIGEST_CRATES: &[&str] =
-    &["sim", "aas", "detect", "intervene", "analysis", "core", "sweep", "stream"];
+/// `honeypot` builds Table 5, which feeds the golden digest, and `obs`
+/// writes the metrics snapshot and the span-structure digest that the
+/// tests pin.
+pub const DIGEST_CRATES: &[&str] = &[
+    "sim", "aas", "detect", "intervene", "analysis", "core", "sweep", "stream", "honeypot", "obs",
+];
 
 /// Crates allowed to touch wall-clock (`Instant`, `SystemTime`, `elapsed`).
 /// `obs` owns the span tree and the Chrome-trace exporter; `bench` is the
@@ -74,79 +64,17 @@ pub const ENV_READ_FILES: &[&str] =
 /// braces, and catches files the compiler attribute does not cover yet.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
-/// Function names forming the shard paths: `plan_parallel`, whose
-/// argument closures run on scoped threads (it renders the report's
-/// sections), and the daily engine's plan paths. Those are the decision
-/// phase (`plan_customer`, `plan_member`) and the collusion route phase
-/// (`route_day`). They run on the study's thread,
-/// but stay pure: a plan draws only from its account's own stream, and
-/// the route output feeds the digest and must stay metrics-free so
-/// plan/route moves never change the snapshot. The apply phase records
-/// its metrics inline and is not listed. The bodies of these functions,
-/// plus every argument list of a `plan_parallel(...)` call, must not
-/// *reach* — directly or through any resolved call chain — observability
-/// state, wall-clock, ambient RNG, environment reads, panic sites, or
-/// order-observing iteration.
-pub const PLAN_FNS: &[&str] = &[
-    "plan_parallel",
-    "plan_customer",
-    "plan_member",
-    "route_day",
-];
-
-/// Identifiers that indicate observability access inside a shard path.
-pub(crate) const OBS_TOKENS: &[&str] = &[
-    "footsteps_obs",
-    "obs",
-    "metrics",
-    "timings",
-    "trace",
-    "progress",
-    "Recorder",
-];
-
-/// Files whose functions *are* the metrics sink: calling into them from a
-/// shard path is a `parallel-metrics` violation regardless of the binding
-/// name at the call site. `span.rs` (Stopwatch/spans) is deliberately
-/// absent — worker wall-time flows through it into quarantined
-/// `TimingsSnapshot` lanes by design (DESIGN.md §5).
-pub(crate) const OBS_RECORDING_FILES: &[&str] = &[
-    "crates/obs/src/registry.rs",
-    "crates/obs/src/progress.rs",
-];
-
-/// Functions declared panic-free for the `panic-in-shard` rule: their
-/// `unwrap`/`expect`/macro sites are vetted (documented at the
-/// definition) and the effect is stripped before propagation. Entries
-/// are bare names or `Type::name` displays.
-///
-/// * `stable_bin` — asserts `bins > 0`; every product call site passes
-///   the `NUM_BINS` constant (10), so the assert is an input-validation
-///   invariant that cannot fire from a shard path.
-pub const PANIC_FREE_FNS: &[&str] = &["stable_bin"];
-
-/// Files holding the canonical-order merge helpers: float accumulation
-/// there defines the reference summation order (`analysis::stats`
-/// Welford/mean helpers), so the `float-accum-order` effect is stripped.
-pub const CANONICAL_MERGE_FILES: &[&str] = &["crates/analysis/src/stats.rs"];
-
-/// Function names forming the merge paths checked by `float-accum-order`
-/// (the Welford and per-frame/per-seed `merge` folds): float accumulation
-/// in (or reachable from) them must be routed through
-/// [`CANONICAL_MERGE_FILES`].
-pub const FLOAT_MERGE_FNS: &[&str] = &["merge"];
-
-pub(crate) const AMBIENT_RNG_BANNED: &[&str] = &["thread_rng", "from_entropy", "from_rng"];
-pub(crate) const ORDER_METHODS_ANY_RECEIVER: &[&str] =
+const AMBIENT_RNG_BANNED: &[&str] = &["thread_rng", "from_entropy", "from_rng"];
+const ORDER_METHODS_ANY_RECEIVER: &[&str] =
     &["keys", "values", "values_mut", "into_keys", "into_values"];
-pub(crate) const ORDER_METHODS_KNOWN_RECEIVER: &[&str] =
+const ORDER_METHODS_KNOWN_RECEIVER: &[&str] =
     &["iter", "iter_mut", "into_iter", "drain"];
 
-/// Primitive type names recorded in declaration tables (so a local
-/// `count: u64` both shadows a global hash name and proves non-float).
+/// Primitive type names recorded in declaration tables, so a local
+/// `count: u64` or `mean: f64` shadows a global hash name.
 const PRIMITIVES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    "bool", "char", "str",
+    "f32", "f64", "bool", "char", "str",
 ];
 
 /// The lint rules.
@@ -160,12 +88,6 @@ pub enum Rule {
     AmbientRng,
     /// `std::env::var` outside the designated config/obs entry points.
     EnvRead,
-    /// Observability access inside a shard path ([`PLAN_FNS`]).
-    ParallelMetrics,
-    /// `unwrap`/`expect`/`panic!` reachable from a shard path ([`PLAN_FNS`]).
-    PanicInShard,
-    /// Float accumulation in a merge path outside the canonical helpers.
-    FloatAccumOrder,
     /// `unsafe` outside the (empty) allowlist.
     UnsafeCode,
     /// A problem with a pragma itself (missing reason, unknown rule, stale).
@@ -179,9 +101,6 @@ impl Rule {
         Rule::WallClock,
         Rule::AmbientRng,
         Rule::EnvRead,
-        Rule::ParallelMetrics,
-        Rule::PanicInShard,
-        Rule::FloatAccumOrder,
         Rule::UnsafeCode,
         Rule::Pragma,
     ];
@@ -193,9 +112,6 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::AmbientRng => "ambient-rng",
             Rule::EnvRead => "env-read",
-            Rule::ParallelMetrics => "parallel-metrics",
-            Rule::PanicInShard => "panic-in-shard",
-            Rule::FloatAccumOrder => "float-accum-order",
             Rule::UnsafeCode => "unsafe-code",
             Rule::Pragma => "pragma",
         }
@@ -221,64 +137,30 @@ pub const EXPLANATIONS: &[RuleDoc] = &[
         rule: Rule::NondetIter,
         rationale: "Hash-container iteration order varies across runs and platforms; any \
                     order-observing loop in digest code can change the golden digest.",
-        scope: "src of the digest crates (sim, aas, detect, intervene, analysis, core, sweep), \
-                outside tests; also transitively from the shard paths.",
+        scope: "src of the digest crates (sim, aas, detect, intervene, analysis, core, sweep, \
+                stream, honeypot, obs), outside tests.",
         pragma: "// footsteps-lint: allow(nondet-iter) — feeds an order-insensitive sum",
     },
     RuleDoc {
         rule: Rule::WallClock,
         rationale: "Instant/SystemTime outside the observability crates lets timing leak into \
                     results; all timing flows through footsteps_obs spans/Stopwatch.",
-        scope: "every crate except obs and bench (plus sweep's manifest stamps); transitively \
-                from the shard paths.",
+        scope: "every crate except obs and bench (plus sweep's manifest stamps).",
         pragma: "// footsteps-lint: allow(wall-clock) — log stamp, never feeds a digest",
     },
     RuleDoc {
         rule: Rule::AmbientRng,
         rationale: "thread_rng/from_entropy draw from process state; every stream must derive \
                     from the scenario seed via sim::rng so reruns replay bit-for-bit.",
-        scope: "everywhere except crates/sim/src/rng.rs (raw seed_from_u64 allowed in tests); \
-                transitively from the shard paths.",
+        scope: "everywhere except crates/sim/src/rng.rs (raw seed_from_u64 allowed in tests).",
         pragma: "// footsteps-lint: allow(ambient-rng) — test-only fixture pin",
     },
     RuleDoc {
         rule: Rule::EnvRead,
         rationale: "env::var makes behaviour depend on ambient process state; reads are \
                     confined to the FOOTSTEPS_* entry points.",
-        scope: "src outside crates/obs, core::scenario, and the bench harness; transitively \
-                from the shard paths.",
+        scope: "src outside crates/obs, core::scenario, and the bench harness.",
         pragma: "// footsteps-lint: allow(env-read) — documented FOOTSTEPS_* entry point",
-    },
-    RuleDoc {
-        rule: Rule::ParallelMetrics,
-        rationale: "Metrics/timings recording on plan_parallel's threads would make snapshots \
-                    depend on thread interleaving, and inside plan_customer, plan_member or \
-                    route_day it would tie the snapshot to how a day is planned and routed; \
-                    callers record around these calls instead.",
-        scope: "the body of plan_parallel and its argument lists, and the bodies of \
-                plan_customer, plan_member and route_day, in digest-crate src, including \
-                everything they reach through the call graph.",
-        pragma: "// footsteps-lint: allow(parallel-metrics via log_outcome) — counter merged serially after join",
-    },
-    RuleDoc {
-        rule: Rule::PanicInShard,
-        rationale: "A panic inside plan_parallel's std::thread::scope poisons the whole scope; \
-                    plan_customer, plan_member and route_day are held to the same bar, so a \
-                    plan path returns errors instead of aborting the run mid-sweep. Indexing \
-                    is exempt (bounds are invariants); PANIC_FREE_FNS lists vetted helpers.",
-        scope: "unwrap/expect/panic!-family sites in, or reachable from, plan_parallel's body \
-                and argument lists and the plan/route functions in digest-crate src.",
-        pragma: "// footsteps-lint: allow(panic-in-shard) — join() surfaces worker panics, by design",
-    },
-    RuleDoc {
-        rule: Rule::FloatAccumOrder,
-        rationale: "Float addition is not associative: folding partial results (per-seed \
-                    aggregates, Welford states) in another order would change digests. All \
-                    float accumulation in merge paths goes through the canonical-order helpers \
-                    in analysis::stats.",
-        scope: "merge functions in digest-crate and obs src, and everything they reach, \
-                except crates/analysis/src/stats.rs.",
-        pragma: "// footsteps-lint: allow(float-accum-order) — single-shard path, order fixed",
     },
     RuleDoc {
         rule: Rule::UnsafeCode,
@@ -325,10 +207,6 @@ pub struct Finding {
     pub snippet: String,
     /// Human-readable explanation.
     pub message: String,
-    /// For transitive findings, the call chain from the shard root to the
-    /// seed (`["plan_member", "log_outcome", "Instant::now"]`); empty for
-    /// lexical findings.
-    pub chain: Vec<String>,
     /// Pragma situation.
     pub pragma: PragmaStatus,
 }
@@ -347,9 +225,7 @@ enum Decl {
     Hash,
     /// `BTreeMap` / `BTreeSet`: iteration order is deterministic.
     Btree,
-    /// `f32` / `f64`: accumulation order changes the result.
-    Float,
-    /// Any other concrete type: known not-a-hash, known not-a-float.
+    /// Any other concrete type: known not-a-hash.
     Other,
 }
 
@@ -357,24 +233,22 @@ fn container_class(ty: &str) -> Option<Decl> {
     match ty {
         "HashMap" | "HashSet" => Some(Decl::Hash),
         "BTreeMap" | "BTreeSet" => Some(Decl::Btree),
-        "f32" | "f64" => Some(Decl::Float),
         _ => None,
     }
 }
 
-/// Hash beats btree beats float beats other when one name is declared
-/// several ways in the same file (conservative: the use gets flagged).
+/// Hash beats btree beats other when one name is declared several ways
+/// in the same file (conservative: the use gets flagged).
 fn decl_rank(d: Decl) -> u8 {
     match d {
-        Decl::Hash => 3,
-        Decl::Btree => 2,
-        Decl::Float => 1,
+        Decl::Hash => 2,
+        Decl::Btree => 1,
         Decl::Other => 0,
     }
 }
 
-/// Workspace-global table of *field* names declared with hash / btree /
-/// float types: `name: HashMap<..>` at parenthesis depth zero and not
+/// Workspace-global table of *field* names declared with hash / btree
+/// types: `name: HashMap<..>` at parenthesis depth zero and not
 /// `let`-bound. Built over every scanned file before any file is checked,
 /// so a hash field declared in `sim` and iterated from `aas` is caught.
 /// `let` bindings and parameters are deliberately excluded — their uses are
@@ -386,8 +260,6 @@ fn decl_rank(d: Decl) -> u8 {
 pub struct SymbolTable {
     hash_names: Vec<String>,
     btree_names: Vec<String>,
-    float_names: Vec<String>,
-    nonfloat_names: Vec<String>,
 }
 
 impl SymbolTable {
@@ -412,27 +284,13 @@ impl SymbolTable {
                 continue;
             }
             let Some(ty) = type_after_colon(tokens, i + 1) else { continue };
-            match container_class(&ty.text) {
-                Some(Decl::Hash) => {
-                    if !self.hash_names.contains(&t.text) {
-                        self.hash_names.push(t.text.clone());
-                    }
-                }
-                Some(Decl::Btree) => {
-                    if !self.btree_names.contains(&t.text) {
-                        self.btree_names.push(t.text.clone());
-                    }
-                }
-                Some(Decl::Float) => {
-                    if !self.float_names.contains(&t.text) {
-                        self.float_names.push(t.text.clone());
-                    }
-                }
-                _ => {
-                    if !self.nonfloat_names.contains(&t.text) {
-                        self.nonfloat_names.push(t.text.clone());
-                    }
-                }
+            let names = match container_class(&ty.text) {
+                Some(Decl::Hash) => &mut self.hash_names,
+                Some(Decl::Btree) => &mut self.btree_names,
+                _ => continue,
+            };
+            if !names.contains(&t.text) {
+                names.push(t.text.clone());
             }
         }
     }
@@ -444,12 +302,6 @@ impl SymbolTable {
     /// Known BTree-typed and *not* also hash-typed anywhere.
     fn is_btree_only(&self, name: &str) -> bool {
         self.btree_names.iter().any(|n| n == name) && !self.is_hash(name)
-    }
-
-    /// Declared `f32`/`f64` somewhere and never anything else.
-    fn is_float_exclusive(&self, name: &str) -> bool {
-        self.float_names.iter().any(|n| n == name)
-            && !self.nonfloat_names.iter().any(|n| n == name)
     }
 }
 
@@ -511,9 +363,7 @@ fn local_table(tokens: &[Token]) -> LocalTable {
                     break;
                 }
                 if let Some(d) = container_class(&ft.text) {
-                    if d != Decl::Float {
-                        table.record(&t.text, d);
-                    }
+                    table.record(&t.text, d);
                     break;
                 }
                 if (ft.is_ident("std") || ft.is_ident("collections") || ft.is_ident("alloc"))
@@ -534,20 +384,20 @@ fn in_ranges(ranges: &[(usize, usize)], i: usize) -> bool {
     ranges.iter().any(|&(s, e)| i >= s && i <= e)
 }
 
-/// Per-file name classifier shared by the lexical rules and the effect
-/// seeding: local declarations shadow the global field table.
+/// Per-file name classifier: local declarations shadow the global field
+/// table.
 #[derive(Debug)]
-pub(crate) struct NameClassifier<'a> {
+struct NameClassifier<'a> {
     symbols: &'a SymbolTable,
     locals: LocalTable,
 }
 
 impl<'a> NameClassifier<'a> {
-    pub(crate) fn new(symbols: &'a SymbolTable, tokens: &[Token]) -> Self {
+    fn new(symbols: &'a SymbolTable, tokens: &[Token]) -> Self {
         NameClassifier { symbols, locals: local_table(tokens) }
     }
 
-    pub(crate) fn is_hash(&self, name: &str) -> bool {
+    fn is_hash(&self, name: &str) -> bool {
         match self.locals.get(name) {
             Some(Decl::Hash) => true,
             Some(_) => false,
@@ -555,19 +405,11 @@ impl<'a> NameClassifier<'a> {
         }
     }
 
-    pub(crate) fn is_btree_only(&self, name: &str) -> bool {
+    fn is_btree_only(&self, name: &str) -> bool {
         match self.locals.get(name) {
             Some(Decl::Btree) => true,
             Some(_) => false,
             None => self.symbols.is_btree_only(name),
-        }
-    }
-
-    pub(crate) fn is_float(&self, name: &str) -> bool {
-        match self.locals.get(name) {
-            Some(Decl::Float) => true,
-            Some(_) => false,
-            None => self.symbols.is_float_exclusive(name),
         }
     }
 }
@@ -578,26 +420,6 @@ pub(crate) struct RawMatch {
     pub(crate) rule: Rule,
     pub(crate) line: u32,
     pub(crate) message: String,
-    pub(crate) chain: Vec<String>,
-}
-
-/// The deny rule a transitively-reached effect maps to inside a shard
-/// path. `FLOAT_ACCUM` has its own root set, so it is not a shard rule.
-pub(crate) fn deny_rule(bit: u8) -> Option<Rule> {
-    match bit {
-        bits::WALL_CLOCK => Some(Rule::WallClock),
-        bits::AMBIENT_RNG => Some(Rule::AmbientRng),
-        bits::ENV_READ => Some(Rule::EnvRead),
-        bits::METRICS_WRITE => Some(Rule::ParallelMetrics),
-        bits::PANICS => Some(Rule::PanicInShard),
-        bits::ORDER_ITER => Some(Rule::NondetIter),
-        _ => None,
-    }
-}
-
-/// The rule a pragma must name to stop a *seed* from propagating.
-pub(crate) fn seed_rule(bit: u8) -> Rule {
-    deny_rule(bit).unwrap_or(Rule::FloatAccumOrder)
 }
 
 /// Lexical (per-file) rule matches. `symbols` must have been built over
@@ -622,7 +444,7 @@ pub(crate) fn lexical_matches(
     let mut raw: Vec<RawMatch> = Vec::new();
     let push = |rule: Rule, line: u32, message: String, raw: &mut Vec<RawMatch>| {
         if !raw.iter().any(|m| m.rule == rule && m.line == line) {
-            raw.push(RawMatch { rule, line, message, chain: Vec::new() });
+            raw.push(RawMatch { rule, line, message });
         }
     };
 
@@ -669,9 +491,7 @@ pub(crate) fn lexical_matches(
         }
         // `for … in <plain path ending in a hash-typed name> {`.
         if tokens[i].is_ident("for") {
-            if let Some((line, name)) =
-                for_in_hash_target(tokens, i, &|n| names.is_hash(n))
-            {
+            if let Some((line, name)) = for_in_hash_target(tokens, i, &names) {
                 push(
                     Rule::NondetIter,
                     line,
@@ -757,26 +577,6 @@ pub(crate) fn lexical_matches(
         }
     }
 
-    // --- parallel-metrics -------------------------------------------------
-    if DIGEST_CRATES.contains(&class.krate.as_str()) && class.section == Section::Src {
-        for (s, e) in plan_regions(tokens) {
-            for i in s..=e.min(tokens.len().saturating_sub(1)) {
-                if in_test(i) {
-                    continue;
-                }
-                let t = &tokens[i];
-                if t.kind == TokenKind::Ident && OBS_TOKENS.contains(&t.text.as_str()) {
-                    push(
-                        Rule::ParallelMetrics,
-                        t.line,
-                        format!("`{}` inside a parallel decision-phase shard path; metrics/timings are serial-only", t.text),
-                        &mut raw,
-                    );
-                }
-            }
-        }
-    }
-
     // --- unsafe-code ------------------------------------------------------
     if !UNSAFE_ALLOWLIST.contains(&relpath) {
         for t in tokens {
@@ -792,155 +592,6 @@ pub(crate) fn lexical_matches(
     }
 
     raw
-}
-
-/// Interprocedural matches: transitive effect reach from the shard roots,
-/// own-body panic sites in shard roots, and float accumulation in the
-/// merge paths. Returns `(file index, match)` pairs.
-pub(crate) fn graph_matches(
-    graph: &CallGraph,
-    table: &EffectTable,
-    refs: &[(&str, &Lexed)],
-) -> Vec<(usize, RawMatch)> {
-    let relpaths: Vec<&str> = refs.iter().map(|(rel, _)| *rel).collect();
-    let mut out: Vec<(usize, RawMatch)> = Vec::new();
-    for (id, f) in graph.fns.iter().enumerate() {
-        let rel = relpaths[f.file];
-        let class = classify(rel);
-        let tokens = &refs[f.file].1.tokens;
-        let digest_src =
-            DIGEST_CRATES.contains(&class.krate.as_str()) && class.section == Section::Src;
-
-        // Shard regions owned by this function: its own body when it is a
-        // shard function, plus any `plan_parallel(...)` argument lists
-        // (which hold the per-item closures).
-        let mut regions: Vec<(usize, usize)> = Vec::new();
-        if digest_src {
-            if let Some(body) = f.body {
-                if PLAN_FNS.contains(&f.name.as_str()) {
-                    regions.push(body);
-                }
-                for i in (body.0 + 1)..body.1 {
-                    if tokens[i].is_ident("plan_parallel")
-                        && tokens.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    {
-                        if let Some(end) = matching(tokens, i + 1, "(", ")") {
-                            regions.push((i + 1, end));
-                        }
-                    }
-                }
-            }
-        }
-        let in_region =
-            |at: usize| regions.iter().any(|&(s, e)| at > s && at < e);
-
-        if !regions.is_empty() {
-            // Transitive reach through resolved call edges.
-            for site in &graph.calls[id] {
-                if !in_region(site.at) {
-                    continue;
-                }
-                let Resolution::Resolved(cands) = &site.resolution else { continue };
-                let mut union = Effects::default();
-                for &c in cands {
-                    union = union.union(table.effects[c]);
-                }
-                for bit in union.iter() {
-                    let Some(rule) = deny_rule(bit) else { continue };
-                    let &c = cands
-                        .iter()
-                        .find(|&&c| table.effects[c].has(bit))
-                        .expect("bit came from the union");
-                    let mut chain = vec![f.display(), site.label.clone()];
-                    chain.extend(table.chain(graph, c, bit));
-                    let message = format!(
-                        "shard path reaches {} via {}",
-                        Effects::name(bit),
-                        chain.join(" → ")
-                    );
-                    out.push((f.file, RawMatch { rule, line: site.line, message, chain }));
-                }
-            }
-            // Own-body panic sites: `panic-in-shard` is purely graph-based,
-            // so depth-0 seeds are reported here (the other effects'
-            // depth-0 sites belong to the lexical rules).
-            if !table.barred(graph, &relpaths, id, bits::PANICS) {
-                for s in &table.seeds[id] {
-                    if s.bit != bits::PANICS || !in_region(s.at) {
-                        continue;
-                    }
-                    let chain = vec![f.display(), s.desc.clone()];
-                    out.push((
-                        f.file,
-                        RawMatch {
-                            rule: Rule::PanicInShard,
-                            line: s.line,
-                            message: format!(
-                                "{} in a shard path ({}): plan paths and plan_parallel's \
-                                 workers must not panic",
-                                s.desc,
-                                chain.join(" → ")
-                            ),
-                            chain,
-                        },
-                    ));
-                }
-            }
-        }
-
-        // --- float-accum-order ---------------------------------------
-        let float_scope = (DIGEST_CRATES.contains(&class.krate.as_str())
-            || class.krate == "obs")
-            && class.section == Section::Src;
-        if float_scope
-            && FLOAT_MERGE_FNS.contains(&f.name.as_str())
-            && !CANONICAL_MERGE_FILES.contains(&rel)
-        {
-            for s in &table.seeds[id] {
-                if s.bit != bits::FLOAT_ACCUM {
-                    continue;
-                }
-                let chain = vec![f.display(), s.desc.clone()];
-                out.push((
-                    f.file,
-                    RawMatch {
-                        rule: Rule::FloatAccumOrder,
-                        line: s.line,
-                        message: format!(
-                            "{} in merge path `{}`: float accumulation outside the \
-                             canonical-order helpers (analysis::stats) is order-sensitive",
-                            s.desc,
-                            f.display()
-                        ),
-                        chain,
-                    },
-                ));
-            }
-            for site in &graph.calls[id] {
-                let Resolution::Resolved(cands) = &site.resolution else { continue };
-                let Some(&c) =
-                    cands.iter().find(|&&c| table.effects[c].has(bits::FLOAT_ACCUM))
-                else {
-                    continue;
-                };
-                let mut chain = vec![f.display(), site.label.clone()];
-                chain.extend(table.chain(graph, c, bits::FLOAT_ACCUM));
-                out.push((
-                    f.file,
-                    RawMatch {
-                        rule: Rule::FloatAccumOrder,
-                        line: site.line,
-                        message: format!(
-                            "merge path reaches order-sensitive float accumulation via {}",
-                            chain.join(" → ")
-                        ),
-                        chain,
-                    },
-                ));
-            }
-        }
-    }
-    out
 }
 
 /// Apply pragmas to raw matches and report pragma problems.
@@ -972,18 +623,7 @@ pub(crate) fn resolve_pragmas(
             if p.covers != m.line || p.error.is_some() {
                 continue;
             }
-            let applies = p.rules.iter().any(|spec| {
-                spec.rule == m.rule.name()
-                    && match &spec.via {
-                        None => true,
-                        Some(via) => m.chain.iter().any(|link| {
-                            link == via
-                                || link.ends_with(&format!("::{via}"))
-                                || link.starts_with(&format!("{via}::"))
-                        }),
-                    }
-            });
-            if !applies {
+            if !p.rules.iter().any(|r| r == m.rule.name()) {
                 continue;
             }
             match &p.reason {
@@ -1007,7 +647,6 @@ pub(crate) fn resolve_pragmas(
             line: m.line,
             snippet: snippet(m.line),
             message: m.message,
-            chain: m.chain,
             pragma: status,
         });
     }
@@ -1035,7 +674,6 @@ pub(crate) fn resolve_pragmas(
             line: p.line,
             snippet: snippet(p.line),
             message,
-            chain: Vec::new(),
             pragma: status,
         });
     }
@@ -1044,56 +682,14 @@ pub(crate) fn resolve_pragmas(
     out
 }
 
-/// Token ranges of the shard paths: bodies of [`PLAN_FNS`] functions and
-/// the argument lists of `plan_parallel(...)` calls (which contain the
-/// per-item closures).
-fn plan_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if tokens[i].is_ident("fn")
-            && i + 1 < tokens.len()
-            && PLAN_FNS.contains(&tokens[i + 1].text.as_str())
-        {
-            // Find the body `{` at bracket depth 0, then its match.
-            let mut depth = 0i32;
-            let mut j = i + 2;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct("(") || t.is_punct("[") {
-                    depth += 1;
-                } else if t.is_punct(")") || t.is_punct("]") {
-                    depth -= 1;
-                } else if t.is_punct("{") && depth == 0 {
-                    if let Some(end) = matching(tokens, j, "{", "}") {
-                        out.push((j, end));
-                    }
-                    break;
-                } else if t.is_punct(";") && depth == 0 {
-                    break;
-                }
-                j += 1;
-            }
-        }
-        if tokens[i].is_ident("plan_parallel")
-            && i + 1 < tokens.len()
-            && tokens[i + 1].is_punct("(")
-        {
-            if let Some(end) = matching(tokens, i + 1, "(", ")") {
-                out.push((i + 1, end));
-            }
-        }
-    }
-    out
-}
-
 /// For a `for` keyword at `at`, return `(line, name)` when the iterated
 /// expression is a plain path (`[&][mut] a.b::c.d`) whose final identifier
 /// is hash-typed. Expressions containing calls, literals, or indexing are
 /// left to the method-based detection.
-pub(crate) fn for_in_hash_target(
+fn for_in_hash_target(
     tokens: &[Token],
     at: usize,
-    is_hash: &dyn Fn(&str) -> bool,
+    names: &NameClassifier<'_>,
 ) -> Option<(u32, String)> {
     // Locate `in` at pattern depth 0, bailing at `{`/`;` (e.g. `impl … for`).
     let mut depth = 0i32;
@@ -1129,7 +725,7 @@ pub(crate) fn for_in_hash_target(
         return None;
     }
     let last = expr.last()?;
-    if last.kind == TokenKind::Ident && is_hash(&last.text) {
+    if last.kind == TokenKind::Ident && names.is_hash(&last.text) {
         Some((tokens[at].line, last.text.clone()))
     } else {
         None

@@ -20,25 +20,12 @@ const CROSS_FILE_B: &str = include_str!("fixtures/cross_file_b.rs");
 const WALL_CLOCK: &str = include_str!("fixtures/wall_clock.rs");
 const AMBIENT_RNG: &str = include_str!("fixtures/ambient_rng.rs");
 const ENV_READ: &str = include_str!("fixtures/env_read.rs");
-const PARALLEL_METRICS: &str = include_str!("fixtures/parallel_metrics.rs");
 const UNSAFE_CODE: &str = include_str!("fixtures/unsafe_code.rs");
 const PRAGMA_BAD: &str = include_str!("fixtures/pragma_bad.rs");
-const TRANSITIVE_SHARD: &str = include_str!("fixtures/transitive_shard.rs");
-const PANIC_IN_SHARD: &str = include_str!("fixtures/panic_in_shard.rs");
-const FLOAT_ACCUM: &str = include_str!("fixtures/float_accum.rs");
-
-/// 1-based line of the first fixture line containing `needle`.
-fn line_of(fixture: &str, needle: &str) -> u32 {
-    fixture
-        .lines()
-        .position(|l| l.contains(needle))
-        .unwrap_or_else(|| panic!("fixture has no line containing {needle:?}")) as u32
-        + 1
-}
 
 /// Lint one in-memory file at a synthetic workspace-relative path.
 fn lint_one(relpath: &str, source: &str) -> Vec<Finding> {
-    analyze_files(&[(relpath.to_string(), source.to_string())]).findings
+    analyze_files(&[(relpath.to_string(), source.to_string())])
 }
 
 fn by_rule(findings: &[Finding], rule: Rule) -> Vec<&Finding> {
@@ -47,27 +34,35 @@ fn by_rule(findings: &[Finding], rule: Rule) -> Vec<&Finding> {
 
 #[test]
 fn nondet_iter_flags_hash_iteration_in_digest_src() {
-    let findings = lint_one("crates/sim/src/nondet_iter.rs", NONDET_ITER);
-    let hits = by_rule(&findings, Rule::NondetIter);
-    // `.values()` on the hash field, the pragma-allowed copy, and the
-    // `for … in` loop — nothing on the BTreeMap or Vec receivers.
-    assert_eq!(hits.len(), 3, "findings: {findings:#?}");
-    let violations: Vec<_> = hits.iter().filter(|f| f.is_violation()).collect();
-    assert_eq!(violations.len(), 2, "findings: {findings:#?}");
-    assert!(violations.iter().any(|f| f.snippet.contains("for (_k, _v)")));
-    // The annotated site is reported but does not fail the build, and
-    // its reason survives into the finding.
-    let allowed: Vec<_> = hits
-        .iter()
-        .filter(|f| matches!(f.pragma, PragmaStatus::Allowed(_)))
-        .collect();
-    assert_eq!(allowed.len(), 1);
-    match &allowed[0].pragma {
-        PragmaStatus::Allowed(reason) => assert!(reason.contains("order-insensitive")),
-        other => panic!("expected Allowed, got {other:?}"),
+    // `honeypot` builds Table 5 and `obs` writes the pinned metrics
+    // snapshot and structure digest, so both are digest crates too.
+    for path in [
+        "crates/sim/src/nondet_iter.rs",
+        "crates/honeypot/src/nondet_iter.rs",
+        "crates/obs/src/nondet_iter.rs",
+    ] {
+        let findings = lint_one(path, NONDET_ITER);
+        let hits = by_rule(&findings, Rule::NondetIter);
+        // `.values()` on the hash field, the pragma-allowed copy, and the
+        // `for … in` loop — nothing on the BTreeMap or Vec receivers.
+        assert_eq!(hits.len(), 3, "{path}: {findings:#?}");
+        let violations: Vec<_> = hits.iter().filter(|f| f.is_violation()).collect();
+        assert_eq!(violations.len(), 2, "{path}: {findings:#?}");
+        assert!(violations.iter().any(|f| f.snippet.contains("for (_k, _v)")));
+        // The annotated site is reported but does not fail the build, and
+        // its reason survives into the finding.
+        let allowed: Vec<_> = hits
+            .iter()
+            .filter(|f| matches!(f.pragma, PragmaStatus::Allowed(_)))
+            .collect();
+        assert_eq!(allowed.len(), 1);
+        match &allowed[0].pragma {
+            PragmaStatus::Allowed(reason) => assert!(reason.contains("order-insensitive")),
+            other => panic!("expected Allowed, got {other:?}"),
+        }
+        // The pragma was consumed, so no staleness finding rides along.
+        assert!(by_rule(&findings, Rule::Pragma).is_empty(), "{path}: {findings:#?}");
     }
-    // The pragma was consumed, so no staleness finding rides along.
-    assert!(by_rule(&findings, Rule::Pragma).is_empty(), "findings: {findings:#?}");
 }
 
 #[test]
@@ -84,7 +79,7 @@ fn nondet_iter_sees_field_types_across_files() {
         ("crates/sim/src/cross_file_a.rs".to_string(), CROSS_FILE_A.to_string()),
         ("crates/sim/src/cross_file_b.rs".to_string(), CROSS_FILE_B.to_string()),
     ];
-    let findings = analyze_files(&files).findings;
+    let findings = analyze_files(&files);
     let hits = by_rule(&findings, Rule::NondetIter);
     assert_eq!(hits.len(), 1, "findings: {findings:#?}");
     assert_eq!(hits[0].file, "crates/sim/src/cross_file_b.rs");
@@ -166,21 +161,6 @@ fn env_read_confined_to_entry_points() {
         let findings = lint_one(exempt, ENV_READ);
         assert!(by_rule(&findings, Rule::EnvRead).is_empty(), "{exempt}: {findings:#?}");
     }
-}
-
-#[test]
-fn parallel_metrics_denied_in_plan_paths() {
-    let findings = lint_one("crates/aas/src/parallel_metrics.rs", PARALLEL_METRICS);
-    let hits = by_rule(&findings, Rule::ParallelMetrics);
-    // One recording inside each of `plan_parallel`, `route_day` and
-    // `plan_member`, plus the closure handed to a `plan_parallel` call;
-    // the serial merge is fine.
-    assert_eq!(hits.len(), 4, "findings: {findings:#?}");
-    assert!(hits.iter().any(|f| f.snippet.contains("aas.plans")));
-    assert!(hits.iter().any(|f| f.snippet.contains("aas.routed")));
-    assert!(hits.iter().any(|f| f.snippet.contains("aas.member_plans")));
-    assert!(hits.iter().any(|f| f.snippet.contains("aas.closure_plans")));
-    assert!(hits.iter().all(|f| f.is_violation()));
 }
 
 #[test]
@@ -289,111 +269,6 @@ fn trace_exporter_paths_keep_their_wall_clock_exemptions() {
     assert!(hits.iter().all(|f| f.is_violation()));
 }
 
-#[test]
-fn shard_deny_rules_flag_one_call_deep_helpers() {
-    // Every helper in the fixture is lexically clean *at the call site*;
-    // only the call-graph propagation can flag `plan_member` itself. One
-    // previously-invisible transitive case per deny rule.
-    let findings = lint_one("crates/sim/src/transitive_shard.rs", TRANSITIVE_SHARD);
-    for (rule, callee, needle) in [
-        (Rule::WallClock, "log_outcome", "= log_outcome()"),
-        (Rule::AmbientRng, "jitter", "= jitter()"),
-        (Rule::EnvRead, "read_knob", "= read_knob()"),
-        (Rule::ParallelMetrics, "bump_counter", "bump_counter(&mut c)"),
-        (Rule::NondetIter, "total", "total(s)"),
-    ] {
-        let line = line_of(TRANSITIVE_SHARD, needle);
-        let hit = findings
-            .iter()
-            .find(|f| f.rule == rule && f.line == line)
-            .unwrap_or_else(|| {
-                panic!("no transitive {} finding at line {line}: {findings:#?}", rule.name())
-            });
-        assert!(hit.is_violation());
-        // The full chain is reported, from the shard root through the
-        // helper to the seed.
-        assert_eq!(hit.chain.first().map(String::as_str), Some("plan_member"));
-        assert!(hit.chain.iter().any(|c| c.contains(callee)), "chain: {:?}", hit.chain);
-        assert!(hit.chain.len() >= 3, "chain: {:?}", hit.chain);
-        assert!(hit.message.contains(" → "), "message: {}", hit.message);
-    }
-}
-
-#[test]
-fn panic_in_shard_direct_transitive_allowlist_and_via_pragmas() {
-    let findings = lint_one("crates/sim/src/panic_in_shard.rs", PANIC_IN_SHARD);
-    let hits = by_rule(&findings, Rule::PanicInShard);
-
-    // Direct `.unwrap()` inside the shard function.
-    let direct = line_of(PANIC_IN_SHARD, ".unwrap()");
-    assert!(
-        hits.iter().any(|f| f.line == direct && f.is_violation()),
-        "findings: {findings:#?}"
-    );
-    // Indexing is exempt by design (bounds are invariants).
-    let indexed = line_of(PANIC_IN_SHARD, "xs[0]");
-    assert!(!hits.iter().any(|f| f.line == indexed), "findings: {findings:#?}");
-    // The PANIC_FREE_FNS allowlist strips the vetted helper's assert.
-    let binned = line_of(PANIC_IN_SHARD, "stable_bin(indexed, 10)");
-    assert!(!hits.iter().any(|f| f.line == binned), "findings: {findings:#?}");
-    // One call deep: `.expect()` inside `checked` is reached with a chain.
-    let reached = line_of(PANIC_IN_SHARD, "binned + checked(xs)");
-    let f = hits
-        .iter()
-        .find(|f| f.line == reached)
-        .unwrap_or_else(|| panic!("no transitive finding: {findings:#?}"));
-    assert!(f.is_violation());
-    assert_eq!(f.chain, ["plan_customer", "checked", ".expect()"]);
-
-    // A `via`-qualified pragma suppresses the matching chain…
-    let allowed: Vec<_> = hits
-        .iter()
-        .filter(|f| matches!(f.pragma, PragmaStatus::Allowed(_)))
-        .collect();
-    assert_eq!(allowed.len(), 1, "findings: {findings:#?}");
-    assert_eq!(allowed[0].chain.first().map(String::as_str), Some("route_day"));
-    // …while one naming the wrong link suppresses nothing and is itself
-    // reported stale.
-    let wrong: Vec<_> = hits
-        .iter()
-        .filter(|f| f.chain.first().map(String::as_str) == Some("plan_member"))
-        .collect();
-    assert_eq!(wrong.len(), 1, "findings: {findings:#?}");
-    assert!(wrong[0].is_violation());
-    assert!(by_rule(&findings, Rule::Pragma)
-        .iter()
-        .any(|f| matches!(f.pragma, PragmaStatus::Unused)));
-}
-
-#[test]
-fn float_accum_order_flags_merge_paths() {
-    let findings = lint_one("crates/analysis/src/float_accum.rs", FLOAT_ACCUM);
-    let hits = by_rule(&findings, Rule::FloatAccumOrder);
-    // `self.mean +=` / `self.m2 +=` in Welford::merge, `.sum::<f64>()` in
-    // Inbound::merge, and the one-call-deep `add_sample` reach in
-    // Delta::merge. Integer `self.n +=` and the non-merge `scratch_total`
-    // accumulate freely.
-    assert_eq!(hits.len(), 4, "findings: {findings:#?}");
-    assert!(hits.iter().all(|f| f.is_violation()));
-    assert!(hits.iter().any(|f| f.snippet.contains("self.mean += other.mean")));
-    assert!(hits.iter().any(|f| f.snippet.contains("self.m2")));
-    assert!(hits.iter().any(|f| f.message.contains("sum::<f64>")));
-    assert!(!hits.iter().any(|f| f.snippet.contains("self.n")));
-    assert!(!hits.iter().any(|f| f.snippet.contains("*total += x")));
-    let transitive = hits
-        .iter()
-        .find(|f| f.snippet.contains("add_sample(acc, x)"))
-        .unwrap_or_else(|| panic!("no transitive finding: {findings:#?}"));
-    assert_eq!(transitive.chain, ["Delta::merge", "add_sample", "`mean +=` (f32/f64)"]);
-
-    // The canonical-order home is exempt: same content in analysis::stats.
-    let canonical = lint_one("crates/analysis/src/stats.rs", FLOAT_ACCUM);
-    assert!(
-        by_rule(&canonical, Rule::FloatAccumOrder).is_empty(),
-        "findings: {canonical:#?}"
-    );
-}
-
 /// The meta test: the live workspace must be clean through the same
 /// entry point the CI gate runs. A regression anywhere in the product
 /// crates fails here before it fails in `scripts/ci.sh`.
@@ -401,7 +276,7 @@ fn float_accum_order_flags_merge_paths() {
 fn workspace_is_lint_clean() {
     let root = footsteps_lint::walker::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root with [workspace] manifest");
-    let findings = analyze_workspace(&root).expect("workspace scan").findings;
+    let findings = analyze_workspace(&root).expect("workspace scan");
     let violations: Vec<_> = findings.iter().filter(|f| f.is_violation()).collect();
     assert!(
         violations.is_empty(),

@@ -557,10 +557,6 @@ pub struct ActionLog {
     /// Days below this index are in the event log: they take no more
     /// writes, and serialization leaves them out.
     recorded: usize,
-    /// A write landed in a recorded day; [`ActionLog::set_recorded`] stops
-    /// the run there (a panic on the write itself would sit on the
-    /// engine's shard paths).
-    wrote_recorded: bool,
     /// `tracked[account]`: full per-action events are retained. Dense, so
     /// the per-event check costs one bounds-checked load.
     event_tracked: Vec<bool>,
@@ -590,11 +586,13 @@ impl ActionLog {
     /// Mutable day record, growing the log as needed. Advancing to a later
     /// day seals every earlier day (sorts its records, drops its chain
     /// index); writes to an already-sealed day fall back to sorted upserts.
-    /// A write into a day the event log holds is refused at the next
-    /// [`ActionLog::set_recorded`], so memory and log never diverge.
+    ///
+    /// # Panics
+    /// Panics on a day the event log holds ([`ActionLog::set_recorded`]),
+    /// so memory and log never diverge.
     pub fn day_mut(&mut self, day: Day) -> &mut DayLog {
         let idx = day.0 as usize;
-        self.wrote_recorded |= idx < self.recorded;
+        assert!(idx >= self.recorded, "a write landed in a day the event log holds");
         if idx > self.open_idx {
             self.seal(Day(day.0 - 1));
         }
@@ -630,10 +628,9 @@ impl ActionLog {
     /// Mark the sealed days before `end` as held by the event log.
     ///
     /// # Panics
-    /// Panics if a write landed in a day the event log already held.
+    /// Panics if a day before `end` is not sealed yet.
     pub fn set_recorded(&mut self, end: Day) {
         let end = end.0 as usize;
-        assert!(!self.wrote_recorded, "a write landed in a day the event log holds");
         assert!(end <= self.open_idx, "only sealed days can be recorded");
         self.recorded = self.recorded.max(end);
     }
@@ -827,7 +824,6 @@ impl Deserialize for ActionLog {
         let mut log = ActionLog {
             open_idx: days.len().saturating_sub(1).max(recorded),
             recorded,
-            wrote_recorded: false,
             days,
             event_tracked: Vec::new(),
         };

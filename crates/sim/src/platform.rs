@@ -1384,6 +1384,39 @@ mod tests {
             doc.get_field("ip_used"),
             Some(&Map(vec![(Str(req.ip.0.to_string()), U64(10))]))
         );
+
+        // A deferred event-path follow leaves an `Edge` removal pending for
+        // the next day. No real run holds one at a phase boundary, so the
+        // checkpoint pins never encode that variant: this pins it.
+        let mut q = platform();
+        let actor = organic(&mut q, ReciprocityProfile::SILENT);
+        let target = organic(&mut q, ReciprocityProfile::SILENT);
+        q.set_policy(Box::new(FixedThreshold {
+            threshold: 0,
+            cm: Countermeasure::DelayRemoval,
+        }));
+        q.begin_day(Day(0));
+        let outcome = q.submit_event(EventRequest {
+            actor,
+            action: ActionType::Follow,
+            target,
+            asn: AsnId(1),
+            ip: IpAddr4(0x0100_0000),
+            fingerprint: ClientFingerprint::SpoofedMobile { variant: 1 },
+            service: Some(ServiceId::Boostgram),
+        });
+        assert_eq!(outcome, ActionOutcome::DeferredRemoval);
+        let json = serde_json::to_string(&q).expect("platform encodes");
+        let doc: serde_json::Value = serde_json::from_str(&json).expect("platform document parses");
+        let pending = doc
+            .get_field("pending_removals")
+            .expect("pending removals are encoded");
+        assert_eq!(
+            serde_json::to_string(pending).unwrap(),
+            r#"[[],[{"Edge":{"from":0,"to":1}}]]"#
+        );
+        let back: Platform = serde_json::from_str(&json).expect("platform decodes");
+        assert!(serde_json::to_string(&back).expect("platform encodes") == json);
     }
 
     #[test]

@@ -110,6 +110,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return Err("--seeds must be at least 1".into());
     }
     let base: u64 = parsed(args, "--base-seed")?.unwrap_or(1);
+    let last = base.checked_add(n - 1).ok_or_else(|| {
+        format!(
+            "--base-seed {base} with --seeds {n} runs past the largest seed {}",
+            u64::MAX
+        )
+    })?;
     let workers: usize = parsed(args, "--workers")?.unwrap_or(2);
     let name = flag_value(args, "--scenario")?.unwrap_or_else(|| "smoke".into());
     // The seed in the variant's scenario is a placeholder; the scheduler
@@ -124,7 +130,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let cfg = SweepConfig {
         dir,
         variants: vec![(name, scenario)],
-        seeds: (base..base + n).collect(),
+        seeds: (base..=last).collect(),
         workers,
     };
     let outcome = run_sweep(&cfg).map_err(|e| e.to_string())?;
@@ -189,5 +195,33 @@ fn check_digest(
             ),
         }),
         _ => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_refuses_a_seed_range_past_u64_max_before_creating_the_dir() {
+        let dir =
+            std::env::temp_dir().join(format!("footsteps-sweep-overflow-{}", std::process::id()));
+        let args: Vec<String> = [
+            "run",
+            "--dir",
+            dir.to_str().expect("utf-8 temp dir"),
+            "--seeds",
+            "2",
+            "--base-seed",
+            "18446744073709551615",
+        ]
+        .map(String::from)
+        .to_vec();
+        let err = run(&args).expect_err("the seed range overflows u64");
+        assert!(
+            err.contains("--base-seed") && err.contains("--seeds"),
+            "{err}"
+        );
+        assert!(!dir.exists(), "{} was created", dir.display());
     }
 }

@@ -5,8 +5,9 @@
 
 use footsteps_aas::Service;
 use footsteps_core::{Scenario, Study};
+use footsteps_detect::{AsnTraffic, ThresholdTable};
 use footsteps_obs::tree::fnv1a;
-use footsteps_sim::prelude::{Day, DayLog};
+use footsteps_sim::prelude::{ActionType, AsnId, Day, DayLog, Direction};
 use footsteps_stream::{
     EventLogReader, EventLogWriter, LogHeader, StreamError, STREAM_SCHEMA_VERSION,
 };
@@ -169,6 +170,20 @@ fn characterized_quick_study_components_keep_their_wire_bytes() {
         ("broad_plan", (264, 0xe312_3d1b_3549_2c8c)),
     ];
     assert_eq!(quick_run().characterized_parts, expected);
+
+    // No checkpoint pin encodes `AsnTraffic::Benign` (DESIGN.md §7): every
+    // signature ASN of a smoke(7) run carries abusive traffic. A hand-built
+    // threshold table pins that variant.
+    let mut table = ThresholdTable::default();
+    table.set(AsnId(3), ActionType::Follow, Direction::Outbound, 40);
+    table.asn_kinds.insert(AsnId(3), AsnTraffic::Benign);
+    let doc = serde_json::to_string(&table).expect("table encodes");
+    assert_eq!(
+        doc,
+        r#"{"thresholds":[[[3,"Follow","Outbound"],40]],"asn_kinds":{"3":"Benign"}}"#
+    );
+    let back: ThresholdTable = serde_json::from_str(&doc).expect("table decodes");
+    assert_eq!(serde_json::to_string(&back).expect("table encodes"), doc);
 }
 
 #[test]
