@@ -1,5 +1,5 @@
 //! The three-phase daily engine, and the order-keeping fan-out that
-//! renders the report.
+//! renders footbench's report.
 //!
 //! Each simulated service-day is split in three (DESIGN.md §4), all on
 //! the study's thread:
@@ -26,9 +26,9 @@
 //! decision/route/apply wall-clock goes to the timings section, which is
 //! quarantined from deterministic output by design.
 //!
-//! [`plan_parallel`] is not part of a study: `report_all` (and footbench)
-//! render the report's sections through it, over
-//! `PlatformConfig::worker_threads` threads.
+//! [`plan_parallel`] is not part of a study: footbench renders its report
+//! sections through it, over the scenario's `worker_threads` threads
+//! (`report_all` renders its sections in order on its own thread).
 
 /// Plan every item of `items`, using up to `threads` scoped worker threads.
 ///

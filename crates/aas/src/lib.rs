@@ -19,7 +19,6 @@
 //! stock" state — §6.3/§6.4). The advertised catalogs of Tables 1–4 and the
 //! operating locations of Table 7 are encoded in [`catalog`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

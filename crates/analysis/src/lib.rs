@@ -8,7 +8,6 @@
 //! small stats toolkit (ECDF/percentiles), and the plain-text table renderer
 //! used by every experiment binary.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,10 +1,9 @@
 //! End-to-end engine throughput baseline.
 //!
 //! Runs a scenario to completion, times the whole study, and writes a
-//! JSON report: wall time, days/sec, actions/sec, the results digest, the
-//! study's deterministic metrics snapshot, its wall-clock span timings and
-//! a span-tree summary, so engine changes can be compared against the
-//! committed `BENCH_daily_engine.baseline.json`. The report goes to
+//! JSON report: wall time, days/sec, actions/sec, the results digest and
+//! the span-structure digest, so engine changes can be compared against
+//! the committed `BENCH_daily_engine.baseline.json`. The report goes to
 //! `output-path`, by default `BENCH_daily_engine.json` in the working
 //! directory (git ignores it); `scripts/ci.sh`'s perf, trace and
 //! obs-overhead gates read it.
@@ -26,7 +25,7 @@ use std::time::Instant;
 
 use footsteps_core::results::StudyResults;
 use footsteps_core::{Scenario, Study};
-use footsteps_obs::{progress, MetricsSnapshot, SpanTreeSummary, TimingsSnapshot};
+use footsteps_obs::progress;
 use footsteps_sim::prelude::*;
 use serde::Serialize;
 
@@ -45,17 +44,10 @@ struct PerfReport {
     /// FNV-1a digest of the canonical results JSON, hex. Tracing must not
     /// move it: `scripts/ci.sh` compares a traced and an untraced run.
     results_digest: String,
-    /// Summed `aas.<service>.apply` wall time: the collusion engines'
-    /// deposit apply phase.
-    apply_secs: f64,
-    /// Deterministic counters/histograms from the study run.
-    metrics: MetricsSnapshot,
-    /// Wall-clock spans (non-deterministic; for profiling only).
-    timings: TimingsSnapshot,
-    /// Span-tree summary: per-phase inclusive/exclusive wall totals, span
-    /// counts, obs overhead, and the deterministic structure digest
-    /// (`scripts/ci.sh` compares a traced and an untraced run's).
-    span_tree: SpanTreeSummary,
+    /// FNV-1a digest of the span tree's deterministic structure (names,
+    /// nesting, lane kinds, counts), hex. `scripts/ci.sh` compares a
+    /// traced and an untraced run's.
+    structure_digest: String,
 }
 
 /// The `--stream` report shape: one record per detector configuration
@@ -140,16 +132,9 @@ fn run_one(scenario_name: &str, seed: u64) -> PerfReport {
         }
     }
     let digest = StudyResults::collect(&study).digest();
-    let timings = study.platform.obs.timings.snapshot();
-    let apply_secs: f64 = ServiceId::ALL
-        .iter()
-        .filter_map(|s| timings.get(&format!("aas.{}.apply", s.slug())))
-        .map(|span| span.total_secs)
-        .sum();
 
     progress!(
-        "daily_engine[{scenario_name}]: {days} days in {run_secs:.2}s \
-         ({:.2} days/sec, apply {apply_secs:.2}s)",
+        "daily_engine[{scenario_name}]: {days} days in {run_secs:.2}s ({:.2} days/sec)",
         days as f64 / run_secs
     );
     PerfReport {
@@ -163,10 +148,7 @@ fn run_one(scenario_name: &str, seed: u64) -> PerfReport {
         actions,
         actions_per_sec: actions as f64 / run_secs,
         results_digest: format!("0x{digest:016x}"),
-        apply_secs,
-        metrics: study.platform.obs.metrics.snapshot(),
-        timings,
-        span_tree: study.platform.obs.timings.summary(),
+        structure_digest: study.platform.obs.timings.structure_digest(),
     }
 }
 

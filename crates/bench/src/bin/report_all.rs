@@ -23,40 +23,32 @@ fn main() {
         1.0 / study.scenario.scale,
         study.scenario.population_size
     );
-    // Each section renders from the frozen study independently, so the
-    // rendering fans out over `FOOTSTEPS_THREADS` threads and prints the
-    // joined sections in fixed order — stdout is byte-identical for any
-    // thread count, keeping EXPERIMENTS.md redirects reproducible.
+    // Every section renders from the frozen study, in fixed order, so
+    // redirecting stdout into EXPERIMENTS.md stays reproducible.
     let study = &study;
-    let indices: Vec<usize> = (0..21).collect();
-    let sections = footsteps_aas::plan_parallel(
-        &indices,
-        study.platform.config.worker_threads,
-        |&i| match i {
-            0 => render::franchise_note(),
-            1 => render::table01(),
-            2 => render::table02(Some(study)),
-            3 => render::table03(),
-            4 => render::table04(),
-            5 => render::table05(study),
-            6 => render::detection_quality(study),
-            7 => render::table06(study),
-            8 => render::table07(study),
-            9 => render::table08(study),
-            10 => render::table09(study),
-            11 => render::table10(study),
-            12 => render::table11(study),
-            13 => render::figure02(study),
-            14 => render::figures0304(study),
-            15 => render::figure05(study),
-            16 => render::figure06(study),
-            17 => render::figure07(study),
-            18 => render::section51(study),
-            19 => render::epilogue(study),
-            20 => render::detection_latency(study),
-            _ => unreachable!("section index out of range"),
-        },
-    );
+    let sections = [
+        render::franchise_note(),
+        render::table01(),
+        render::table02(Some(study)),
+        render::table03(),
+        render::table04(),
+        render::table05(study),
+        render::detection_quality(study),
+        render::table06(study),
+        render::table07(study),
+        render::table08(study),
+        render::table09(study),
+        render::table10(study),
+        render::table11(study),
+        render::figure02(study),
+        render::figures0304(study),
+        render::figure05(study),
+        render::figure06(study),
+        render::figure07(study),
+        render::section51(study),
+        render::epilogue(study),
+        render::detection_latency(study),
+    ];
     for section in sections {
         println!("{section}");
     }

@@ -8,7 +8,6 @@
 //! ones* through the same formatting helpers, so `report_all` regenerates
 //! EXPERIMENTS.md deterministically.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

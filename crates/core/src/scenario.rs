@@ -42,22 +42,14 @@ pub struct Scenario {
     pub delay_bin: u32,
     /// Control bin (shared by narrow, broad and epilogue phases).
     pub control_bin: u32,
-    /// Threads for rendering the report's sections (`report_all`). The
-    /// study itself runs on one thread and ignores this, so results are
-    /// byte-identical for every value. Presets read `FOOTSTEPS_THREADS`,
-    /// default 1.
+    /// Threads footbench renders its report sections on
+    /// (`aas::plan_parallel`). The study itself runs on one thread and
+    /// ignores this, so results are byte-identical for every value. The
+    /// presets set 1.
     pub worker_threads: usize,
 }
 
 impl Scenario {
-    /// Worker-thread count from the `FOOTSTEPS_THREADS` environment
-    /// variable, clamped to `1..=256`; 1 when unset or unparsable.
-    pub fn threads_from_env() -> usize {
-        std::env::var("FOOTSTEPS_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map_or(1, |n| n.clamp(1, 256))
-    }
     /// The default reproduction scenario: 1/50 linear scale, full paper
     /// timeline. Runs in under a minute on a laptop core; 1/50 keeps each
     /// experiment bin populated enough for stable medians (Figures 5/7).
@@ -79,7 +71,7 @@ impl Scenario {
             block_bin: 0,
             delay_bin: 1,
             control_bin: 2,
-            worker_threads: Self::threads_from_env(),
+            worker_threads: 1,
         }
     }
 
@@ -115,7 +107,7 @@ impl Scenario {
             block_bin: 0,
             delay_bin: 1,
             control_bin: 2,
-            worker_threads: Self::threads_from_env(),
+            worker_threads: 1,
         }
     }
 

@@ -12,7 +12,6 @@
 //! [`DetectionPipeline`] folds them over the action log;
 //! `footsteps-stream` feeds them online.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

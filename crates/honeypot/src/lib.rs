@@ -8,7 +8,6 @@
 //! delivered-trial verification, and the reciprocation measurement behind
 //! Table 5.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -7,7 +7,6 @@
 //! narrow (6-week, ≤20% treated) and broad (2-week, 90% treated) experiment
 //! plans, and the daily series extraction behind Figures 5–7.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

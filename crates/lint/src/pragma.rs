@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn missing_reason_is_detected() {
-        let p = &pragmas("// footsteps-lint: allow(unsafe-code)\n")[0];
+        let p = &pragmas("// footsteps-lint: allow(env-read)\n")[0];
         assert!(p.error.is_none());
         assert!(p.reason.is_none());
     }

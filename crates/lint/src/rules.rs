@@ -52,17 +52,9 @@ pub const WALL_CLOCK_FILES: &[&str] = &["crates/sweep/src/manifest.rs"];
 pub const RNG_MODULE: &str = "crates/sim/src/rng.rs";
 
 /// Files (beyond `crates/obs`) allowed to read the environment: the
-/// `FOOTSTEPS_THREADS` entry point and the bench harness's scenario
-/// selection (`FOOTSTEPS_SEED`/`FOOTSTEPS_SMOKE`).
-/// (`FOOTSTEPS_TRACE_OUT`/`FOOTSTEPS_QUIET` live in `crates/obs`;
-/// `FOOTSTEPS_PERF_TOLERANCE` is read by `scripts/ci.sh`, not Rust code.)
-pub const ENV_READ_FILES: &[&str] =
-    &["crates/core/src/scenario.rs", "crates/bench/src/lib.rs"];
-
-/// Files allowed to contain `unsafe`. Deliberately empty — every crate
-/// also carries `#![forbid(unsafe_code)]`; the lint is the belt to that
-/// braces, and catches files the compiler attribute does not cover yet.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
+/// bench harness's scenario selection (`FOOTSTEPS_SEED`/`FOOTSTEPS_SMOKE`).
+/// (`FOOTSTEPS_TRACE_OUT`/`FOOTSTEPS_QUIET` live in `crates/obs`.)
+pub const ENV_READ_FILES: &[&str] = &["crates/bench/src/lib.rs"];
 
 const AMBIENT_RNG_BANNED: &[&str] = &["thread_rng", "from_entropy", "from_rng"];
 const ORDER_METHODS_ANY_RECEIVER: &[&str] =
@@ -88,8 +80,6 @@ pub enum Rule {
     AmbientRng,
     /// `std::env::var` outside the designated config/obs entry points.
     EnvRead,
-    /// `unsafe` outside the (empty) allowlist.
-    UnsafeCode,
     /// A problem with a pragma itself (missing reason, unknown rule, stale).
     Pragma,
 }
@@ -101,7 +91,6 @@ impl Rule {
         Rule::WallClock,
         Rule::AmbientRng,
         Rule::EnvRead,
-        Rule::UnsafeCode,
         Rule::Pragma,
     ];
 
@@ -112,71 +101,10 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::AmbientRng => "ambient-rng",
             Rule::EnvRead => "env-read",
-            Rule::UnsafeCode => "unsafe-code",
             Rule::Pragma => "pragma",
         }
     }
 }
-
-/// One `--explain` entry; the same table feeds DESIGN.md §6.
-#[derive(Debug)]
-pub struct RuleDoc {
-    /// The rule.
-    pub rule: Rule,
-    /// Why the rule exists (ties back to the determinism contract).
-    pub rationale: &'static str,
-    /// Where it applies.
-    pub scope: &'static str,
-    /// A pragma example with the mandatory reason.
-    pub pragma: &'static str,
-}
-
-/// Rationale / scope / pragma example for every rule.
-pub const EXPLANATIONS: &[RuleDoc] = &[
-    RuleDoc {
-        rule: Rule::NondetIter,
-        rationale: "Hash-container iteration order varies across runs and platforms; any \
-                    order-observing loop in digest code can change the golden digest.",
-        scope: "src of the digest crates (sim, aas, detect, intervene, analysis, core, sweep, \
-                stream, honeypot, obs), outside tests.",
-        pragma: "// footsteps-lint: allow(nondet-iter) — feeds an order-insensitive sum",
-    },
-    RuleDoc {
-        rule: Rule::WallClock,
-        rationale: "Instant/SystemTime outside the observability crates lets timing leak into \
-                    results; all timing flows through footsteps_obs spans/Stopwatch.",
-        scope: "every crate except obs and bench (plus sweep's manifest stamps).",
-        pragma: "// footsteps-lint: allow(wall-clock) — log stamp, never feeds a digest",
-    },
-    RuleDoc {
-        rule: Rule::AmbientRng,
-        rationale: "thread_rng/from_entropy draw from process state; every stream must derive \
-                    from the scenario seed via sim::rng so reruns replay bit-for-bit.",
-        scope: "everywhere except crates/sim/src/rng.rs (raw seed_from_u64 allowed in tests).",
-        pragma: "// footsteps-lint: allow(ambient-rng) — test-only fixture pin",
-    },
-    RuleDoc {
-        rule: Rule::EnvRead,
-        rationale: "env::var makes behaviour depend on ambient process state; reads are \
-                    confined to the FOOTSTEPS_* entry points.",
-        scope: "src outside crates/obs, core::scenario, and the bench harness.",
-        pragma: "// footsteps-lint: allow(env-read) — documented FOOTSTEPS_* entry point",
-    },
-    RuleDoc {
-        rule: Rule::UnsafeCode,
-        rationale: "The workspace is #![forbid(unsafe_code)]; the lint is the belt to that \
-                    braces for files the attribute does not cover yet.",
-        scope: "every scanned file (the allowlist is empty).",
-        pragma: "// footsteps-lint: allow(unsafe-code) — vetted FFI shim",
-    },
-    RuleDoc {
-        rule: Rule::Pragma,
-        rationale: "Pragmas are the in-source audit trail; reason-less, malformed, or stale \
-                    annotations would rot into silent blanket waivers.",
-        scope: "every footsteps-lint pragma comment.",
-        pragma: "(not suppressible — fix the pragma instead)",
-    },
-];
 
 /// Pragma situation of a finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,7 +112,7 @@ pub enum PragmaStatus {
     /// No applicable pragma: the finding is a violation.
     None,
     /// Suppressed by a valid pragma (reason recorded). Not a violation, but
-    /// still reported in `--json` so annotations stay auditable.
+    /// still counted in the report so annotations stay auditable.
     Allowed(String),
     /// A pragma exists but carries no reason.
     MissingReason,
@@ -571,20 +499,6 @@ pub(crate) fn lexical_matches(
                     Rule::EnvRead,
                     tokens[i + 2].line,
                     "`env::var` outside the designated config/obs entry points".to_string(),
-                    &mut raw,
-                );
-            }
-        }
-    }
-
-    // --- unsafe-code ------------------------------------------------------
-    if !UNSAFE_ALLOWLIST.contains(&relpath) {
-        for t in tokens {
-            if t.is_ident("unsafe") {
-                push(
-                    Rule::UnsafeCode,
-                    t.line,
-                    "`unsafe` outside the allowlist".to_string(),
                     &mut raw,
                 );
             }

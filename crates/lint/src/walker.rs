@@ -13,22 +13,6 @@ use std::path::{Path, PathBuf};
 /// Directories under a crate root that are scanned.
 const CRATE_SECTIONS: &[&str] = &["src", "tests", "examples", "benches"];
 
-/// Find the workspace root: the nearest ancestor of `start` whose
-/// `Cargo.toml` contains a `[workspace]` table.
-pub fn find_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start);
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d.to_path_buf());
-            }
-        }
-        dir = d.parent();
-    }
-    None
-}
-
 /// All files to lint, as `(workspace-relative path, absolute path)`,
 /// sorted by relative path.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {

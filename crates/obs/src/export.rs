@@ -6,10 +6,10 @@
 //! `chrome://tracing` and Perfetto:
 //!
 //! * `B`/`E` duration events — one pair per span instance, on explicit
-//!   thread lanes: `tid 0` is the serial coordinator, `tid k` is worker
-//!   lane `k-1` (the decision-phase planners of every service reuse the
-//!   same lanes; their regions never overlap in time because the
-//!   coordinator joins each region before the next).
+//!   thread lanes: `tid 0` is the serial coordinator, `tid k` is lane
+//!   `k-1` of a region grafted with `attach_workers` (a study runs on one
+//!   thread and attaches none; footbench's traced report run attaches
+//!   each section's render interval as lane 0).
 //!   Events come straight from the tree's append-order log, so per-lane
 //!   timestamps are monotonic and `B`/`E` nest by construction;
 //! * `C` counter events — headline metrics-registry counters sampled at

@@ -23,8 +23,6 @@
 //! status `eprintln!`s, respects `FOOTSTEPS_QUIET`, and frames each line
 //! through a mutex so concurrent emitters never tear output.
 
-#![forbid(unsafe_code)]
-
 pub mod atomic;
 pub mod export;
 pub mod progress;
@@ -35,8 +33,7 @@ pub mod tree;
 pub use registry::{Frame, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanStats, SpanTimer, Stopwatch, Timings, TimingsSnapshot};
 pub use tree::{
-    CounterSample, LaneKind, PhaseSummary, SpanEvent, SpanTree, SpanTreeSummary, StructureNode,
-    StructureSnapshot, WorkerSpan,
+    CounterSample, LaneKind, SpanEvent, SpanTree, StructureNode, StructureSnapshot, WorkerSpan,
 };
 
 use std::path::{Path, PathBuf};

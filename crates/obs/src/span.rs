@@ -10,8 +10,7 @@
 //! durations stay quarantined here.
 //!
 //! [`Timings`] is the serial coordinator's facade: `start`/`finish` keep a
-//! stack of open spans (parent/child links come from nesting order),
-//! `record` drops an externally measured leaf under the current span, and
+//! stack of open spans (parent/child links come from nesting order), and
 //! `attach_workers` grafts a parallel region's per-lane intervals onto the
 //! tree after the join. Worker threads never touch `Timings` — they
 //! measure against a copied [`Stopwatch`] and hand offsets back.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::tree::{SpanHandle, SpanTree, SpanTreeSummary, StructureSnapshot, WorkerSpan};
+use crate::tree::{SpanHandle, SpanTree, StructureSnapshot, WorkerSpan};
 
 /// Aggregated wall-clock stats for one named span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -71,20 +70,6 @@ impl Timings {
         self.tree.close(timer.handle);
     }
 
-    /// Record an externally measured leaf duration under the currently
-    /// open span.
-    pub fn record(&mut self, name: &str, secs: f64) {
-        self.tree.record_leaf(name, secs);
-    }
-
-    /// Time a closure and record it under `name`.
-    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let timer = self.start(name);
-        let out = f();
-        self.finish(timer);
-        out
-    }
-
     /// Seconds on the tree's timebase — the anchor for
     /// [`Timings::attach_workers`].
     pub fn now_secs(&self) -> f64 {
@@ -126,11 +111,6 @@ impl Timings {
         format!("0x{:016x}", self.tree.structure().digest())
     }
 
-    /// Compact per-phase summary for `perf_baseline`'s report.
-    pub fn summary(&self) -> SpanTreeSummary {
-        self.tree.summary()
-    }
-
     /// The flamegraph-style text report (see `obs-report`).
     pub fn flame_report(&self, top_k: usize) -> String {
         self.tree.flame_report(top_k)
@@ -143,8 +123,8 @@ impl Timings {
 }
 
 /// A bare wall-clock stopwatch for measuring regions whose results are
-/// handed to [`Timings::record`] / [`Timings::attach_workers`] on the
-/// serial side (worker lanes copy one and report offsets against it).
+/// handed to [`Timings::attach_workers`] on the serial side (worker lanes
+/// copy one and report offsets against it).
 ///
 /// This is the only sanctioned way for code outside `footsteps-obs` and
 /// `footsteps-bench` to read wall-clock. `footsteps-lint`'s wall-clock
@@ -208,8 +188,8 @@ mod tests {
     #[test]
     fn spans_accumulate_count_and_total() {
         let mut t = Timings::new();
-        t.record("phase.x", 1.0);
-        t.record("phase.x", 3.0);
+        t.tree.record_leaf("phase.x", 1.0);
+        t.tree.record_leaf("phase.x", 3.0);
         let snap = t.snapshot();
         let s = snap.get("phase.x").unwrap();
         assert_eq!(s.count, 2);
@@ -231,14 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn time_closure_returns_value() {
-        let mut t = Timings::new();
-        let v = t.time("closure", || 41 + 1);
-        assert_eq!(v, 42);
-        assert_eq!(t.snapshot().get("closure").unwrap().count, 1);
-    }
-
-    #[test]
     fn nested_spans_fold_into_the_flat_view() {
         // The flat sidecar stays backwards-compatible: nesting changes
         // where spans sit in the tree, not how they aggregate by name.
@@ -246,7 +218,7 @@ mod tests {
         let phase = t.start("phase.characterization");
         for _ in 0..3 {
             let day = t.start("engine.step_day");
-            t.record("aas.instalex.decision", 0.001);
+            t.tree.record_leaf("aas.instalex.decision", 0.001);
             t.finish(day);
         }
         t.finish(phase);

@@ -71,7 +71,6 @@
 //! assert_eq!(result.delivered, 100);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -67,8 +67,9 @@ pub struct PlatformConfig {
     /// the day of the action itself. The paper observed reciprocation
     /// "uniformly distributed throughout the trial period".
     pub response_window_days: u32,
-    /// Threads for rendering the report's sections (`report_all`,
-    /// DESIGN.md §4). The study runs on one thread and ignores this.
+    /// The scenario's `worker_threads`: the threads footbench renders its
+    /// report sections on (DESIGN.md §4). The study runs on one thread and
+    /// ignores this.
     pub worker_threads: usize,
 }
 

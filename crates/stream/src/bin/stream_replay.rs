@@ -2,7 +2,7 @@
 //! online detector, offline.
 //!
 //! ```text
-//! stream-replay LOG.jsonl [--json]
+//! stream-replay LOG.jsonl
 //! ```
 //!
 //! Prints the replayed verdict digest (and summary counters). The digest
@@ -13,14 +13,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
     let mut path: Option<PathBuf> = None;
-    let mut json = false;
-    for arg in args.by_ref() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => json = true,
             "--help" | "-h" => {
-                eprintln!("usage: stream-replay LOG.jsonl [--json]");
+                eprintln!("usage: stream-replay LOG.jsonl");
                 return ExitCode::SUCCESS;
             }
             other if path.is_none() => path = Some(PathBuf::from(other)),
@@ -31,7 +28,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else {
-        eprintln!("usage: stream-replay LOG.jsonl [--json]");
+        eprintln!("usage: stream-replay LOG.jsonl");
         return ExitCode::FAILURE;
     };
 
@@ -44,43 +41,21 @@ fn main() -> ExitCode {
     };
 
     let verdicts = &outcome.verdicts;
-    if json {
-        // Small enough to assemble by hand; keys sorted for stable output.
+    println!("schema_version: {}", verdicts.schema_version);
+    println!("frozen_on: day {}", verdicts.frozen_on.0);
+    println!("batches: {}", outcome.batches);
+    println!("events: {}", outcome.events_processed);
+    println!("signatures: {}", verdicts.signatures.len());
+    for sig in &verdicts.signatures {
         println!(
-            "{{\"schema_version\": {}, \"frozen_on\": {}, \"batches\": {}, \"events\": {}, \
-             \"signatures\": {}, \"customers\": {}, \"thresholds\": {}, \
-             \"verdict_digest\": \"0x{:016x}\"}}",
-            verdicts.schema_version,
-            verdicts.frozen_on.0,
-            outcome.batches,
-            outcome.events_processed,
-            verdicts.signatures.len(),
-            verdicts
-                .classification
-                .customers
-                .values()
-                .map(|s| s.len())
-                .sum::<usize>(),
-            verdicts.thresholds.len(),
-            outcome.verdict_digest,
+            "  {}: {} asn(s), {} fingerprint(s){}",
+            sig.service.slug(),
+            sig.asns.len(),
+            sig.fingerprints.len(),
+            if sig.collusion { ", collusion" } else { "" }
         );
-    } else {
-        println!("schema_version: {}", verdicts.schema_version);
-        println!("frozen_on: day {}", verdicts.frozen_on.0);
-        println!("batches: {}", outcome.batches);
-        println!("events: {}", outcome.events_processed);
-        println!("signatures: {}", verdicts.signatures.len());
-        for sig in &verdicts.signatures {
-            println!(
-                "  {}: {} asn(s), {} fingerprint(s){}",
-                sig.service.slug(),
-                sig.asns.len(),
-                sig.fingerprints.len(),
-                if sig.collusion { ", collusion" } else { "" }
-            );
-        }
-        println!("thresholds: {}", verdicts.thresholds.len());
-        println!("verdict_digest: 0x{:016x}", outcome.verdict_digest);
     }
+    println!("thresholds: {}", verdicts.thresholds.len());
+    println!("verdict_digest: 0x{:016x}", outcome.verdict_digest);
     ExitCode::SUCCESS
 }

@@ -23,7 +23,6 @@
 //! [`replay`] re-runs a recorded log through a fresh detector offline;
 //! CI asserts its verdict digest is byte-identical to the inline run's.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -76,9 +76,9 @@ use crate::SweepError;
 pub const SCHEMA_VERSION: u32 = 7;
 
 /// Identity hash of a scenario, for tying checkpoints and manifests to
-/// their configuration. `worker_threads` is normalized out: it comes from
-/// the environment and the study ignores it (it sizes only the report's
-/// render fan-out), so a checkpoint must resume under any value.
+/// their configuration. `worker_threads` is normalized out: the study
+/// ignores it (it sizes only footbench's render fan-out), so a checkpoint
+/// must resume under any value.
 pub fn scenario_hash(scenario: &Scenario) -> u64 {
     let mut normalized = scenario.clone();
     normalized.worker_threads = 1;

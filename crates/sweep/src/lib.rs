@@ -25,7 +25,6 @@
 //!
 //! The `sweep` binary (`sweep run | resume | report`) drives all three.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: release build, lint, full test suite, the sweep gates,
+# Offline CI gate: release build, full test suite (the determinism lint
+# runs inside it as `workspace_is_lint_clean`), the sweep gates,
 # the engine perf baseline with its perf-regression, trace and
 # obs-overhead checks, and the stream gate, with warnings denied. Timing
 # gates compare medians of repeated runs. Uses only vendored dependencies — safe
@@ -31,6 +32,11 @@ K=5
 # the perf, trace and obs-overhead gates read five times as many runs as
 # the sweep-worker gate.
 PAIRS=25
+# The perf gate's floor, as a fraction of the committed baseline's
+# days/sec, and the obs-overhead gate's floor on the median per-pair
+# traced/untraced ratio.
+PERF_TOLERANCE=0.85
+OBS_TOLERANCE=0.90
 
 # Reports shared between steps.
 BASELINE_FILE="BENCH_daily_engine.baseline.json"
@@ -86,23 +92,6 @@ print_side() {
 
 gate_build() {
   cargo build --release
-}
-
-gate_lint() {
-  # Machine-checks the determinism contract (DESIGN.md §6); findings are
-  # written as JSON for post-mortem even when the gate passes. The lint is
-  # also self-benched: the whole workspace analysis must stay under 30 s
-  # wall time or the lint has regressed from "free in CI" to "a build
-  # phase".
-  LINT_BUDGET_SECS=30
-  lint_start=$(date +%s)
-  cargo run --release -q -p footsteps-lint -- --json-out "$CI_TMP/footsteps_lint.ci.json"
-  lint_elapsed=$(( $(date +%s) - lint_start ))
-  echo "lint wall time: ${lint_elapsed}s (budget ${LINT_BUDGET_SECS}s)"
-  if [ "$lint_elapsed" -gt "$LINT_BUDGET_SECS" ]; then
-    echo "lint gate: FAIL — lint took ${lint_elapsed}s > ${LINT_BUDGET_SECS}s" >&2
-    exit 1
-  fi
 }
 
 gate_test() {
@@ -260,8 +249,7 @@ gate_perf_baseline() {
 
 gate_perf() {
   # Fail if the median fresh throughput of the PAIRS untraced runs drops
-  # below TOLERANCE x the committed baseline.
-  TOLERANCE="${FOOTSTEPS_PERF_TOLERANCE:-0.85}"
+  # below PERF_TOLERANCE x the committed baseline.
   baseline=$(days_per_sec_of "$BASELINE_FILE")
   fresh=$(days_per_sec_of "$PERF_DIR"/untraced_*.json)
   if [ "$(wc -w <<< "$fresh")" -ne "$PAIRS" ]; then
@@ -271,12 +259,12 @@ gate_perf() {
   echo "baseline: $baseline days/sec ($BASELINE_FILE)"
   print_side "fresh days/sec" $fresh
   fresh_median=$(median $fresh)
-  if ! awk -v f="$fresh_median" -v b="$baseline" -v t="$TOLERANCE" \
+  if ! awk -v f="$fresh_median" -v b="$baseline" -v t="$PERF_TOLERANCE" \
       'BEGIN { exit !(f >= t * b) }'; then
-    echo "perf gate: FAIL — median $fresh_median < $TOLERANCE x $baseline days/sec" >&2
+    echo "perf gate: FAIL — median $fresh_median < $PERF_TOLERANCE x $baseline days/sec" >&2
     exit 1
   fi
-  echo "perf gate: OK (median $fresh_median >= $TOLERANCE x $baseline days/sec)"
+  echo "perf gate: OK (median $fresh_median >= $PERF_TOLERANCE x $baseline days/sec)"
 }
 
 gate_trace() {
@@ -302,13 +290,12 @@ gate_trace() {
 }
 
 gate_obs() {
-  # Tracing fully on must not cost more than (1 - tolerance) of engine
-  # throughput: over the PAIRS alternating pairs, the median of the
-  # per-pair traced/untraced days/sec ratios must be >= tolerance. The two
-  # runs of a pair are back to back, so the host's drift over the step
-  # cancels in their ratio; it does not cancel between the two sides'
+  # Tracing fully on must not cost more than (1 - OBS_TOLERANCE) of
+  # engine throughput: over the PAIRS alternating pairs, the median of the
+  # per-pair traced/untraced days/sec ratios must be >= OBS_TOLERANCE.
+  # The two runs of a pair are back to back, so the host's drift over the
+  # step cancels in their ratio; it does not cancel between the two sides'
   # medians, which may come from runs seconds apart.
-  OBS_TOLERANCE="${FOOTSTEPS_OBS_TOLERANCE:-0.90}"
   untraced=()
   traced=()
   ratios=()
@@ -378,7 +365,6 @@ run_gate() {
 }
 
 run_gate "build (release, -Dwarnings)" gate_build
-run_gate "lint (footsteps-lint determinism & safety pass)" gate_lint
 run_gate "test" gate_test
 run_gate "vendored crates' unit tests" gate_vendored
 run_gate "footbench's own tests" gate_footbench

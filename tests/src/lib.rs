@@ -3,5 +3,3 @@
 //! The library itself is empty; all content lives in `tests/` (the Cargo
 //! integration-test directory of this member crate), where each file
 //! exercises flows that span multiple workspace crates.
-
-#![forbid(unsafe_code)]
