@@ -122,57 +122,35 @@ struct DayStats {
     per_recipient: HashMap<AccountId, (u64, u64, u32)>,
 }
 
-/// Everything the decision phase resolved for one engaged member-day: free
-/// requests made, purchase rolls, posting. The apply phase turns this into
-/// deposits, ledger rows and stats, serially, in roster order.
-#[derive(Debug, Clone, Copy)]
-struct MemberPlan {
-    account: AccountId,
-    login: bool,
-    fresh_photo: bool,
-    like_requests: u32,
-    /// Pop-under ads shown per free like request today.
-    like_ads_each: u32,
-    follow_requests: u32,
-    /// Pop-under ads shown per free follow request today.
-    follow_ads_each: u32,
-    comment_requests: u32,
-    /// Monthly-tier like quantity (drawn only when subscribed and posting
-    /// a fresh photo today).
-    monthly_qty: u32,
-    /// Index into `followersgratis_packages` if a package is bought today.
-    package: Option<usize>,
+impl DayStats {
+    /// Feed one delivery to `account` into the statistics. `raw` is what the
+    /// customer requested and `capped` what the service dared to deliver:
+    /// controller `attempted` counts the request, the recipient's tally the
+    /// delivery.
+    fn record(&mut self, account: AccountId, raw: u32, capped: u32, res: &BatchResult) {
+        self.attempted += u64::from(raw);
+        self.visible_failed += u64::from(res.blocked);
+        self.success_per_recipient.push(res.visible_success());
+        let tally = self.per_recipient.entry(account).or_default();
+        tally.0 += u64::from(capped);
+        tally.1 += u64::from(res.blocked);
+        tally.2 += res.visible_success();
+    }
 }
 
-/// What one routed deposit op was *for*, so the post-apply stats walk can
-/// attribute its outcome back to the controllers. Raw quantities are
-/// pre-cap (controller `attempted` counts the customer's request, not what
-/// the service dared to deliver).
-#[derive(Debug, Clone, Copy)]
-enum OpUse {
-    /// Free-tier like grant: `raw` requested, `capped` routed.
-    FreeLike { raw: u32, capped: u32 },
-    /// Free-tier follow grant.
-    FreeFollow { raw: u32, capped: u32 },
-    /// Free-tier comment grant (no controller stats).
-    Comment,
-    /// Monthly-subscription like delivery on a fresh photo.
-    MonthlyLike { raw: u32, capped: u32 },
-    /// Followersgratis package follows (aggregate stats only — never fed
-    /// to the per-recipient controllers).
-    PackageFollow { follows: u32 },
-    /// Followersgratis package like burst (outbound total only).
-    PackageBurst { likes: u32 },
-}
-
-/// Output of the route phase: the day's deposit ops in routing order,
-/// their stat attributions, and the ad-impression total (fixed at plan
-/// time — free requests fund ads whether or not deliveries succeed).
+/// One day's running totals, fed by each member's deliveries as they land.
 #[derive(Debug, Default)]
-struct RoutedDay {
-    ops: Vec<DepositOp>,
-    uses: Vec<OpUse>,
-    ads_today: u64,
+struct DayTally {
+    /// Controller statistics, `[likes, follows]`.
+    stats: [DayStats; 2],
+    /// Outbound volume the deliveries cost the network, `[likes, follows,
+    /// comments]`; the members perform it after the pass.
+    outbound: [u64; 3],
+    /// Pop-under impressions: free requests fund ads whether or not the
+    /// deliveries succeed.
+    ads: u64,
+    /// Free requests made (the `planned_requests` metric).
+    requests: u64,
 }
 
 /// Sentinel account id used for ad-income ledger rows.
@@ -206,9 +184,9 @@ pub struct CollusionService {
     /// migration / out-of-stock).
     heavy_throttle_days: u32,
     rng: SmallRng,
-    /// Seed of the per-member decision streams: each member-day's plan is
-    /// drawn from `decision_rng(decision_seed, account, day)`, so no plan
-    /// depends on the order the roster is planned in (DESIGN.md §4).
+    /// Seed of the per-member decision streams: each member-day is drawn
+    /// from `decision_rng(decision_seed, account, day)`, so no member's day
+    /// depends on its place in the roster (DESIGN.md §4).
     decision_seed: u64,
     out_of_stock: bool,
     out_of_stock_on: Option<Day>,
@@ -558,103 +536,15 @@ impl CollusionService {
         }
     }
 
-    /// Decide one member's day: every stochastic choice (logins, posting,
-    /// free-tier request counts, ad impressions, purchase rolls) drawn from
-    /// the member's own `(decision_seed, account, day)` stream. Reads shared
-    /// service state and mutates nothing.
-    fn plan_member(&self, day: Day, account: AccountId, honeypot: bool) -> MemberPlan {
-        let mut rng = decision_rng(self.decision_seed, u64::from(account.0), u64::from(day.0));
-        let role = self.roles.get(&account).copied().unwrap_or_default();
-        let login = rng.gen::<f64>() < 0.7;
-        // Organic posting; monthly tiers deliver on each new photo.
-        let fresh_photo = rng.gen::<f64>() < self.config.photos_per_day;
-        // Receive-only (no-outbound) customers paid precisely because they
-        // want the inbound actions: they request several times more often
-        // than casual free users.
-        let engagement = if role.no_outbound { 3.0 } else { 1.0 };
-        let like_rate = if honeypot {
-            self.config.honeypot_free_requests_per_day
-        } else {
-            engagement * self.config.free_like_requests_per_day
-        };
-        // The 30-minute cooldown (§3.3.2) bounds how many free requests a
-        // day can possibly hold, however eager the customer.
-        let max_requests =
-            (footsteps_sim::time::SECS_PER_DAY / self.config.catalog.free_cooldown_secs.max(1))
-                as u32;
-        let (ads_lo, ads_hi) = self.config.catalog.ads_per_free_request;
-        let like_requests = sample_poisson(&mut rng, like_rate).min(max_requests);
-        let like_ads_each = if like_requests > 0
-            && self.config.catalog.free_likes_per_request > 0
-            && ads_hi > 0
-        {
-            rng.gen_range(ads_lo..=ads_hi)
-        } else {
-            0
-        };
-        let follow_rate = if honeypot {
-            self.config.honeypot_free_requests_per_day
-        } else {
-            engagement * self.config.free_follow_requests_per_day
-        };
-        let follow_requests = sample_poisson(&mut rng, follow_rate).min(max_requests);
-        let follow_ads_each = if follow_requests > 0
-            && self.config.catalog.free_follows_per_request > 0
-            && ads_hi > 0
-        {
-            rng.gen_range(ads_lo..=ads_hi)
-        } else {
-            0
-        };
-        let comment_requests =
-            sample_poisson(&mut rng, self.config.free_comment_requests_per_day);
-        let monthly_qty = match role.monthly_tier {
-            Some(tier) if fresh_photo => {
-                let t = self.config.catalog.monthly[tier];
-                rng.gen_range(t.min_likes..=t.max_likes)
-            }
-            _ => 0,
-        };
-        let package = if !honeypot
-            && !self.out_of_stock
-            && self.config.package_purchase_prob > 0.0
-            && !self.config.followersgratis_packages.is_empty()
-            && rng.gen::<f64>() < self.config.package_purchase_prob
-        {
-            Some(rng.gen_range(0..self.config.followersgratis_packages.len()))
-        } else {
-            None
-        };
-        MemberPlan {
-            account,
-            login,
-            fresh_photo,
-            like_requests,
-            like_ads_each,
-            follow_requests,
-            follow_ads_each,
-            comment_requests,
-            monthly_qty,
-            package,
-        }
-    }
-
-    /// Deliver one day of inbound actions and generate the matching outbound
-    /// participation, returning per-type stats for the controllers.
+    /// Serve every engaged member's day in roster order, then generate the
+    /// matching outbound participation, returning per-type stats for the
+    /// controllers.
     fn deliver(
         &mut self,
         platform: &mut Platform,
         ledger: &mut PaymentLedger,
         day: Day,
     ) -> [DayStats; 2] {
-        let mut like_stats = DayStats::default();
-        let mut follow_stats = DayStats::default();
-
-        let mut total_outbound_likes = 0u64;
-        let mut total_outbound_follows = 0u64;
-        let mut total_outbound_comments = 0u64;
-        let mut ads_today = 0u64;
-
         let engaged: Vec<(AccountId, bool, Option<ActionType>)> = self
             .customers
             .engaged_on(day)
@@ -664,80 +554,16 @@ impl CollusionService {
             })
             .collect();
 
-        // Decision phase: plan every engaged member's day, in roster order.
         let slug = self.config.service.slug();
-        let decision_span = platform.obs.timings.start(&format!("aas.{slug}.decision"));
-        let plans: Vec<MemberPlan> = engaged
-            .iter()
-            .map(|&(account, honeypot, _)| self.plan_member(day, account, honeypot))
-            .collect();
-        platform.obs.timings.finish(decision_span);
-        // Plan counts are recorded here, from the finished plans: `plan_member`
-        // itself touches no obs state.
-        let planned_requests: u64 = plans
-            .iter()
-            .map(|p| u64::from(p.like_requests) + u64::from(p.follow_requests) + u64::from(p.comment_requests))
-            .sum();
-        platform
-            .obs
-            .metrics
-            .add(&format!("aas.{slug}.engaged"), engaged.len() as u64);
-        platform
-            .obs
-            .metrics
-            .add(&format!("aas.{slug}.planned_requests"), planned_requests);
-
-        // Route phase: walk the plans in roster order, flattening them into
-        // the day's deposit-op sequence and performing the side effects that
-        // must stay serial (logins, posting, payments). Deterministic by
-        // construction — no draws, no thread-count dependence.
-        let route_span = platform.obs.timings.start(&format!("aas.{slug}.route"));
-        let routed = self.route_day(platform, ledger, day, &plans);
-        platform.obs.timings.finish(route_span);
-        ads_today += routed.ads_today;
-
-        // Apply phase: execute the deposits through the platform's enforced
-        // inbound path, in routing order. Results line up with `routed.ops`.
-        let results = self.apply(platform, &routed.ops);
-
-        // Attribute the outcomes back to controller statistics, walking the
-        // ops in routing order (the order they were applied in).
-        for ((op, used), res) in routed.ops.iter().zip(&routed.uses).zip(&results) {
-            let account = op.target;
-            match *used {
-                OpUse::FreeLike { raw, capped } | OpUse::MonthlyLike { raw, capped } => {
-                    like_stats.attempted += u64::from(raw);
-                    like_stats.visible_failed += u64::from(res.blocked);
-                    like_stats.success_per_recipient.push(res.visible_success());
-                    let tally = like_stats.per_recipient.entry(account).or_default();
-                    tally.0 += u64::from(capped);
-                    tally.1 += u64::from(res.blocked);
-                    tally.2 += res.visible_success();
-                    total_outbound_likes += u64::from(res.attempted);
-                }
-                OpUse::FreeFollow { raw, capped } => {
-                    follow_stats.attempted += u64::from(raw);
-                    follow_stats.visible_failed += u64::from(res.blocked);
-                    follow_stats.success_per_recipient.push(res.visible_success());
-                    let tally = follow_stats.per_recipient.entry(account).or_default();
-                    tally.0 += u64::from(capped);
-                    tally.1 += u64::from(res.blocked);
-                    tally.2 += res.visible_success();
-                    total_outbound_follows += u64::from(res.attempted);
-                }
-                OpUse::Comment => {
-                    total_outbound_comments += u64::from(res.attempted);
-                }
-                OpUse::PackageFollow { follows } => {
-                    follow_stats.attempted += u64::from(follows);
-                    follow_stats.visible_failed += u64::from(res.blocked);
-                    total_outbound_follows += u64::from(follows);
-                }
-                OpUse::PackageBurst { likes } => {
-                    total_outbound_likes += u64::from(likes);
-                }
-            }
+        let span = platform.obs.timings.start(&format!("aas.{slug}.route"));
+        let mut tally = DayTally::default();
+        for &(account, honeypot, _) in &engaged {
+            self.serve_member(platform, ledger, day, account, honeypot, &mut tally);
         }
+        platform.obs.timings.finish(span);
+        let metrics = &mut platform.obs.metrics;
+        metrics.add(&format!("aas.{slug}.engaged"), engaged.len() as u64);
+        metrics.add(&format!("aas.{slug}.planned_requests"), tally.requests);
 
         // --- outbound participation ---------------------------------------
         // Every delivered inbound action was performed by some member of the
@@ -761,9 +587,9 @@ impl CollusionService {
                 let idx = idx as u64;
                 let asn = self.asn_for(account);
                 for (ty, count) in [
-                    (ActionType::Like, split(total_outbound_likes, idx)),
-                    (ActionType::Follow, split(total_outbound_follows, idx)),
-                    (ActionType::Comment, split(total_outbound_comments, idx)),
+                    (ActionType::Like, split(tally.outbound[0], idx)),
+                    (ActionType::Follow, split(tally.outbound[1], idx)),
+                    (ActionType::Comment, split(tally.outbound[2], idx)),
                 ] {
                     if count == 0 {
                         continue;
@@ -828,12 +654,12 @@ impl CollusionService {
         }
 
         // --- ad income ------------------------------------------------------
-        if ads_today > 0 {
-            self.ads_impressions += ads_today;
+        if tally.ads > 0 {
+            self.ads_impressions += tally.ads;
             let (lo, hi) = self.config.catalog.cpm_cents;
             if hi > 0 {
                 let cpm = self.rng.gen_range(lo..=hi) as f64;
-                let cents = (ads_today as f64 * cpm / 1_000.0).round() as u64;
+                let cents = (tally.ads as f64 * cpm / 1_000.0).round() as u64;
                 if cents > 0 {
                     ledger.record(Payment {
                         day,
@@ -846,177 +672,166 @@ impl CollusionService {
             }
         }
 
-        [like_stats, follow_stats]
+        tally.stats
     }
 
-    /// Route phase of the three-phase engine (DESIGN.md §4): turn the day's
-    /// plans into a flat [`DepositOp`] sequence in routing order —
-    /// per plan: free likes, free follows, comments, monthly delivery,
-    /// package follows, package burst — alongside the serial-only side
-    /// effects (logins, organic posting, package payments). Every op is
-    /// tagged with an [`OpUse`] so the post-apply walk can rebuild the
-    /// controller statistics. Zero-quantity ops are routed too: they still
-    /// attribute ground truth and push zero rows into the stats.
-    fn route_day(
+    /// Serve one engaged member's day, in the order it happens: log in and
+    /// post, make the free requests, deliver the monthly tier and any
+    /// package bought, each delivery judged by the platform's enforced
+    /// inbound path and fed into `tally` as it lands. Every stochastic
+    /// choice comes from the member's own `(decision_seed, account, day)`
+    /// stream (DESIGN.md §4); the service state read here changes only in
+    /// `adapt`.
+    fn serve_member(
         &self,
         platform: &mut Platform,
         ledger: &mut PaymentLedger,
         day: Day,
-        plans: &[MemberPlan],
-    ) -> RoutedDay {
-        let mut routed = RoutedDay::default();
-        let service = Some(self.config.service);
-        for plan in plans {
-            let account = plan.account;
-            if plan.login {
-                platform.record_login(account);
-            }
-            let role = self.roles.get(&account).copied().unwrap_or_default();
-            let asn = self.asn_for(account);
+        account: AccountId,
+        honeypot: bool,
+        tally: &mut DayTally,
+    ) {
+        let mut rng = decision_rng(self.decision_seed, u64::from(account.0), u64::from(day.0));
+        let catalog = &self.config.catalog;
+        let role = self.roles.get(&account).copied().unwrap_or_default();
+        if rng.gen::<f64>() < 0.7 {
+            platform.record_login(account);
+        }
+        // Organic posting; monthly tiers deliver on each new photo.
+        let fresh_photo = (rng.gen::<f64>() < self.config.photos_per_day).then(|| {
+            let home = platform.accounts.get(account).home_asn;
+            let ip = platform.asns.ip_in(home, account.0);
+            platform.post_media(account, home, ip)
+        });
 
-            let mut fresh_photo = None;
-            if plan.fresh_photo {
-                let home = platform.accounts.get(account).home_asn;
-                let ip = platform.asns.ip_in(home, account.0);
-                fresh_photo = Some(platform.post_media(account, home, ip));
+        // --- free tier -----------------------------------------------------
+        // Receive-only (no-outbound) customers paid precisely because they
+        // want the inbound actions: they request several times more often
+        // than casual free users.
+        let engagement = if role.no_outbound { 3.0 } else { 1.0 };
+        let rate = |per_day: f64| {
+            if honeypot {
+                self.config.honeypot_free_requests_per_day
+            } else {
+                engagement * per_day
             }
+        };
+        // The 30-minute cooldown (§3.3.2) bounds how many free requests a
+        // day can possibly hold, however eager the customer.
+        let max_requests =
+            (footsteps_sim::time::SECS_PER_DAY / catalog.free_cooldown_secs.max(1)) as u32;
+        let (ads_lo, ads_hi) = catalog.ads_per_free_request;
+        let like_rate = rate(self.config.free_like_requests_per_day);
+        let like_requests = sample_poisson(&mut rng, like_rate).min(max_requests);
+        if like_requests > 0 && catalog.free_likes_per_request > 0 {
+            if ads_hi > 0 {
+                tally.ads += u64::from(like_requests) * u64::from(rng.gen_range(ads_lo..=ads_hi));
+            }
+            let raw = like_requests * catalog.free_likes_per_request;
+            let capped = apply_cap(raw, self.like_cap_for(account));
+            let media = platform
+                .accounts
+                .latest_media_of(account)
+                .map(|m| (m, catalog.free_likes_per_hour_cap.min(capped)));
+            let res = self.deposit(platform, account, ActionType::Like, capped, media);
+            tally.stats[0].record(account, raw, capped, &res);
+            tally.outbound[0] += u64::from(res.attempted);
+        }
+        let follow_rate = rate(self.config.free_follow_requests_per_day);
+        let follow_requests = sample_poisson(&mut rng, follow_rate).min(max_requests);
+        if follow_requests > 0 && catalog.free_follows_per_request > 0 {
+            if ads_hi > 0 {
+                tally.ads += u64::from(follow_requests) * u64::from(rng.gen_range(ads_lo..=ads_hi));
+            }
+            let raw = follow_requests * catalog.free_follows_per_request;
+            let capped = apply_cap(raw, self.follow_cap_for(account));
+            let res = self.deposit(platform, account, ActionType::Follow, capped, None);
+            tally.stats[1].record(account, raw, capped, &res);
+            tally.outbound[1] += u64::from(res.attempted);
+        }
+        let comment_requests = sample_poisson(&mut rng, self.config.free_comment_requests_per_day);
+        if comment_requests > 0 {
+            let n = comment_requests * 5;
+            let media = platform.accounts.latest_media_of(account).map(|m| (m, n));
+            let res = self.deposit(platform, account, ActionType::Comment, n, media);
+            tally.outbound[2] += u64::from(res.attempted);
+        }
+        tally.requests +=
+            u64::from(like_requests) + u64::from(follow_requests) + u64::from(comment_requests);
 
-            // --- free tier -------------------------------------------------
-            if plan.like_requests > 0 && self.config.catalog.free_likes_per_request > 0 {
-                let raw = plan.like_requests * self.config.catalog.free_likes_per_request;
-                let capped = apply_cap(raw, self.like_cap_for(account));
-                let media = platform
-                    .accounts
-                    .latest_media_of(account)
-                    .map(|m| (m, self.config.catalog.free_likes_per_hour_cap.min(capped)));
-                routed.ops.push(DepositOp {
-                    target: account,
-                    ty: ActionType::Like,
-                    requested: capped,
-                    asn,
-                    service,
-                    media,
-                });
-                routed.uses.push(OpUse::FreeLike { raw, capped });
-                routed.ads_today +=
-                    u64::from(plan.like_requests) * u64::from(plan.like_ads_each);
-            }
-            if plan.follow_requests > 0 && self.config.catalog.free_follows_per_request > 0 {
-                let raw = plan.follow_requests * self.config.catalog.free_follows_per_request;
-                let capped = apply_cap(raw, self.follow_cap_for(account));
-                routed.ops.push(DepositOp {
-                    target: account,
-                    ty: ActionType::Follow,
-                    requested: capped,
-                    asn,
-                    service,
-                    media: None,
-                });
-                routed.uses.push(OpUse::FreeFollow { raw, capped });
-                routed.ads_today +=
-                    u64::from(plan.follow_requests) * u64::from(plan.follow_ads_each);
-            }
-            if plan.comment_requests > 0 {
-                let n = plan.comment_requests * 5;
-                let media = platform.accounts.latest_media_of(account).map(|m| (m, n));
-                routed.ops.push(DepositOp {
-                    target: account,
-                    ty: ActionType::Comment,
-                    requested: n,
-                    asn,
-                    service,
-                    media,
-                });
-                routed.uses.push(OpUse::Comment);
-            }
+        // --- paid monthly tier ---------------------------------------------
+        if let (Some(tier), Some(photo)) = (role.monthly_tier, fresh_photo) {
+            let t = catalog.monthly[tier];
+            let raw = rng.gen_range(t.min_likes..=t.max_likes);
+            let capped = apply_cap(raw, self.like_cap_for(account));
+            let media = Some((photo, self.config.paid_delivery_rate_per_hour.min(capped)));
+            let res = self.deposit(platform, account, ActionType::Like, capped, media);
+            tally.stats[0].record(account, raw, capped, &res);
+            tally.outbound[0] += u64::from(res.attempted);
+        }
 
-            // --- paid monthly tier ----------------------------------------
-            if let (Some(_tier), Some(photo)) = (role.monthly_tier, fresh_photo) {
-                let raw = plan.monthly_qty;
-                let capped = apply_cap(raw, self.like_cap_for(account));
-                let media = Some((photo, self.config.paid_delivery_rate_per_hour.min(capped)));
-                routed.ops.push(DepositOp {
-                    target: account,
-                    ty: ActionType::Like,
-                    requested: capped,
-                    asn,
-                    service,
-                    media,
-                });
-                routed.uses.push(OpUse::MonthlyLike { raw, capped });
+        // --- Followersgratis packages --------------------------------------
+        let packages = &self.config.followersgratis_packages;
+        if !honeypot
+            && !self.out_of_stock
+            && self.config.package_purchase_prob > 0.0
+            && !packages.is_empty()
+            && rng.gen::<f64>() < self.config.package_purchase_prob
+        {
+            let pkg = &packages[rng.gen_range(0..packages.len())];
+            ledger.record(Payment {
+                day,
+                account,
+                service: self.config.service,
+                cents: pkg.cents,
+                kind: PaymentKind::Package,
+            });
+            // A package's follows feed only the service-level statistics,
+            // never a per-recipient controller; its follows and its like
+            // burst cost the members their full size in outbound volume.
+            if pkg.follows > 0 {
+                let res = self.deposit(platform, account, ActionType::Follow, pkg.follows, None);
+                tally.stats[1].attempted += u64::from(pkg.follows);
+                tally.stats[1].visible_failed += u64::from(res.blocked);
+                tally.outbound[1] += u64::from(pkg.follows);
             }
-
-            // --- Followersgratis packages ----------------------------------
-            if let Some(pkg_idx) = plan.package {
-                let pkg = self.config.followersgratis_packages[pkg_idx].clone();
-                ledger.record(Payment {
-                    day,
-                    account,
-                    service: self.config.service,
-                    cents: pkg.cents,
-                    kind: PaymentKind::Package,
-                });
-                if pkg.follows > 0 {
-                    routed.ops.push(DepositOp {
-                        target: account,
-                        ty: ActionType::Follow,
-                        requested: pkg.follows,
-                        asn,
-                        service,
-                        media: None,
-                    });
-                    routed.uses.push(OpUse::PackageFollow {
-                        follows: pkg.follows,
-                    });
-                }
-                if pkg.likes > 0 {
-                    let capped = apply_cap(pkg.likes, self.like_cap_for(account));
-                    let media = platform
-                        .accounts
-                        .latest_media_of(account)
-                        .map(|m| (m, self.config.paid_delivery_rate_per_hour.max(capped / 4)));
-                    routed.ops.push(DepositOp {
-                        target: account,
-                        ty: ActionType::Like,
-                        requested: capped,
-                        asn,
-                        service,
-                        media,
-                    });
-                    routed.uses.push(OpUse::PackageBurst { likes: pkg.likes });
-                }
+            if pkg.likes > 0 {
+                self.deliver_burst(platform, account, pkg.likes);
+                tally.outbound[0] += u64::from(pkg.likes);
             }
         }
-        routed
     }
 
-    /// Apply routed deposit ops through the platform's enforced inbound
-    /// path, under this service's apply span.
-    fn apply(&self, platform: &mut Platform, ops: &[DepositOp]) -> Vec<BatchResult> {
-        let slug = self.config.service.slug();
-        let span = platform.obs.timings.start(&format!("aas.{slug}.apply"));
-        let results = platform.apply_deposits(ops);
-        platform.obs.timings.finish(span);
-        results
+    /// Deliver `requested` actions of type `ty` to `target` from its network
+    /// through the platform's enforced inbound path. Zero-quantity deliveries
+    /// are made too: they still attribute ground truth.
+    fn deposit(
+        &self,
+        platform: &mut Platform,
+        target: AccountId,
+        ty: ActionType,
+        requested: u32,
+        media: Option<(MediaId, u32)>,
+    ) -> BatchResult {
+        platform.deposit(&DepositOp {
+            target,
+            ty,
+            requested,
+            asn: self.asn_for(target),
+            service: Some(self.config.service),
+            media,
+        })
     }
 
-    /// Deliver a one-time like burst to the customer's latest photo at the
-    /// paid (above-free-cap) hourly rate.
-    fn deliver_burst(&mut self, platform: &mut Platform, account: AccountId, likes: u32) {
+    /// Deliver a like burst to the customer's latest photo at the paid
+    /// (above-free-cap) hourly rate.
+    fn deliver_burst(&self, platform: &mut Platform, account: AccountId, likes: u32) {
         let capped = apply_cap(likes, self.like_cap_for(account));
         let media = platform
             .accounts
             .latest_media_of(account)
             .map(|m| (m, self.config.paid_delivery_rate_per_hour.max(capped / 4)));
-        let op = DepositOp {
-            target: account,
-            ty: ActionType::Like,
-            requested: capped,
-            asn: self.asn_for(account),
-            service: Some(self.config.service),
-            media,
-        };
-        self.apply(platform, &[op]);
+        self.deposit(platform, account, ActionType::Like, capped, media);
     }
 
     /// Current self-imposed like-delivery cap for a recipient (only once
@@ -1357,6 +1172,68 @@ mod tests {
         assert_eq!(
             ledger.gross_kind_in(ServiceId::Hublaagram, one_time, Day(0), Day(1)),
             buyers.len() as u64 * pkg.cents
+        );
+    }
+
+    #[test]
+    fn package_follows_feed_only_service_stats_and_cost_their_full_size() {
+        /// Blocks every inbound follow.
+        #[derive(Debug)]
+        struct BlockInboundFollows;
+        impl EnforcementPolicy for BlockInboundFollows {
+            fn evaluate(&self, ctx: &EnforcementContext) -> EnforcementDecision {
+                if ctx.action == ActionType::Follow && ctx.direction == Direction::Inbound {
+                    let (requested, prior) = (ctx.requested, ctx.prior_today);
+                    EnforcementDecision::threshold(requested, prior, 0, Countermeasure::Block)
+                } else {
+                    EnforcementDecision::allow_all(ctx.requested)
+                }
+            }
+        }
+        let (mut platform, residential, hublaagram, mut ledger) = world();
+        // Followersgratis with packages as the only deliveries: one follow
+        // package and one like-only package, told apart by price.
+        let mut cfg = presets::followersgratis_config(0.001);
+        cfg.lifecycle.initial_long_term = 20;
+        cfg.free_follow_requests_per_day = 0.0;
+        cfg.package_purchase_prob = 1.0;
+        cfg.adapt_follows.detection_lag_days = 0;
+        let catalog = crate::catalog::followersgratis_catalog();
+        cfg.followersgratis_packages = vec![catalog[0].clone(), catalog[2].clone()];
+        let packages = cfg.followersgratis_packages.clone();
+        let rotation = hublaagram.asn_rotation.clone();
+        let mut svc = CollusionService::new(cfg, rotation, SmallRng::seed_from_u64(202));
+        platform.set_policy(Box::new(BlockInboundFollows));
+        platform.begin_day(Day(0));
+        svc.seed_initial_customers(&mut platform, &residential, &mut ledger, Day(0));
+        let mut bought = 0;
+        for d in 0..5u32 {
+            platform.begin_day(Day(d));
+            svc.run_day(&mut platform, &residential, &mut ledger, Day(d));
+            let (mut follows, mut likes) = (0, 0);
+            for p in ledger.payments() {
+                if p.day == Day(d) && p.kind == PaymentKind::Package {
+                    let pkg = packages.iter().find(|k| k.cents == p.cents).expect("a package");
+                    follows += u64::from(pkg.follows);
+                    likes += u64::from(pkg.likes);
+                    bought += 1;
+                }
+            }
+            let outbound = |ty| -> u64 {
+                let day = (Day(d), Day(d + 1));
+                svc.customers()
+                    .iter()
+                    .map(|c| platform.log.total_outbound(c.account, ty, day.0, day.1))
+                    .sum()
+            };
+            assert_eq!(outbound(ActionType::Follow), follows, "day {d}");
+            assert_eq!(outbound(ActionType::Like), likes, "day {d}");
+        }
+        assert!(bought > 0, "members bought packages");
+        assert!(svc.capability[1], "blocked package follows unlocked follow detection");
+        assert!(
+            svc.per_recipient_follow.is_empty(),
+            "package follows never reach a per-recipient controller"
         );
     }
 

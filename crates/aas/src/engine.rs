@@ -1,34 +1,10 @@
-//! The three-phase daily engine, and the order-keeping fan-out that
-//! renders footbench's report.
+//! The order-keeping fan-out that renders footbench's report.
 //!
-//! Each simulated service-day is split in three (DESIGN.md §4), all on
-//! the study's thread:
-//!
-//! 1. a **decision phase** that computes, for every engaged customer, what
-//!    the service will do today (logins, batch sizes, IP draws, purchase
-//!    rolls). Decisions read shared service state but mutate nothing, and
-//!    every random draw comes from a per-customer stream derived from
-//!    `(scenario seed, service stream label, account id, day)` via
-//!    [`footsteps_sim::rng::decision_rng`], so no plan depends on the
-//!    order in which the roster is planned;
-//! 2. a **route phase** that walks the plans in roster order and performs
-//!    the order-sensitive work: for the reciprocity engines this is the
-//!    whole outbound submission ladder; for the collusion engines it
-//!    flattens the plans into a deterministic sequence of
-//!    [`footsteps_sim::prelude::DepositOp`]s (plus logins, posts, payments);
-//! 3. for the collusion engines, an **apply phase** that executes the
-//!    routed deposit ops one at a time, in routing order, through the
-//!    platform's enforced inbound path
-//!    ([`footsteps_sim::platform::Platform::apply_deposits`]).
-//!
-//! Engines record plan-count metrics (`aas.<service>.engaged`,
-//! `aas.<service>.planned_*`) after planning, never inside `plan_*`, and
-//! decision/route/apply wall-clock goes to the timings section, which is
-//! quarantined from deterministic output by design.
-//!
-//! [`plan_parallel`] is not part of a study: footbench renders its report
-//! sections through it, over the scenario's `worker_threads` threads
-//! (`report_all` renders its sections in order on its own thread).
+//! [`plan_parallel`] is not part of a study: a study serves each service's
+//! roster on its own thread, one customer-day at a time, in roster order
+//! (DESIGN.md §4). footbench renders its report sections through it, over
+//! the scenario's `worker_threads` threads (`report_all` renders its
+//! sections in order on its own thread).
 
 /// Plan every item of `items`, using up to `threads` scoped worker threads.
 ///

@@ -89,31 +89,6 @@ struct DayStats {
     success_per_account: Vec<u32>,
 }
 
-/// One planned action batch of a customer-day (decision phase output).
-#[derive(Debug, Clone, Copy)]
-struct PlannedBatch {
-    ty: ActionType,
-    count: u32,
-    /// Raw draw the apply phase turns into a source IP inside the ASN that
-    /// carries `ty` at submission time.
-    ip_key: u32,
-}
-
-/// Everything the decision phase resolved for one engaged customer-day.
-/// The apply phase replays this against the platform in roster order.
-#[derive(Debug, Clone)]
-struct CustomerPlan {
-    account: AccountId,
-    honeypot: bool,
-    login_home: bool,
-    login_service: bool,
-    batches: Vec<PlannedBatch>,
-    /// The customer's decision stream, carried into the apply phase:
-    /// honeypot event volumes depend on submission outcomes, so their draws
-    /// continue from here.
-    rng: SmallRng,
-}
-
 /// A running reciprocity-abuse service.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ReciprocityService {
@@ -146,9 +121,9 @@ pub struct ReciprocityService {
     /// to different ASNs", §6.4).
     heavy_throttle_days: [u32; ActionType::COUNT],
     rng: SmallRng,
-    /// Seed of the per-customer decision streams: every customer-day plan is
-    /// drawn from `decision_rng(decision_seed, account, day)`, so no plan
-    /// depends on the order the roster is planned in (DESIGN.md §4).
+    /// Seed of the per-customer decision streams: every customer-day is
+    /// drawn from `decision_rng(decision_seed, account, day)`, so no
+    /// customer's day depends on its place in the roster (DESIGN.md §4).
     decision_seed: u64,
     /// Days since follow traffic last saw a visible failure while away from
     /// the primary ASN (drives `follows_return_home`).
@@ -477,147 +452,105 @@ impl ReciprocityService {
         }
     }
 
-    /// Decide one customer's day. Pure with respect to service and platform
-    /// state: reads shared state, mutates nothing, and draws only from the
-    /// customer's own `(decision_seed, account, day)` stream, so the plan
-    /// does not depend on where the customer sits in the roster.
-    fn plan_customer(
-        &self,
+    /// Serve every engaged customer's day in roster order, returning
+    /// per-type stats for the controllers.
+    fn drive_activity(&mut self, platform: &mut Platform, day: Day) -> [DayStats; 5] {
+        let mut stats: [DayStats; 5] = Default::default();
+        let engaged: Vec<Customer> = self.customers.engaged_on(day).cloned().collect();
+
+        let slug = self.config.service.slug();
+        let span = platform.obs.timings.start(&format!("aas.{slug}.route"));
+        let mut batches = 0u64;
+        for customer in &engaged {
+            batches += self.serve_customer(platform, day, customer, &mut stats);
+        }
+        platform.obs.timings.finish(span);
+        let metrics = &mut platform.obs.metrics;
+        metrics.add(&format!("aas.{slug}.engaged"), engaged.len() as u64);
+        metrics.add(&format!("aas.{slug}.planned_batches"), batches);
+        stats
+    }
+
+    /// Serve one engaged customer's day, in the order it happens: the
+    /// logins, then one outbound batch per requested type (or, for a
+    /// honeypot, its event traffic), each result fed into `stats` and the
+    /// customer's own controller as it lands. Every draw comes from the
+    /// customer's own `(decision_seed, account, day)` stream (DESIGN.md §4),
+    /// so the day does not depend on where the customer sits in the roster.
+    /// Returns the number of batches submitted.
+    fn serve_customer(
+        &mut self,
+        platform: &mut Platform,
         day: Day,
-        offer: crate::catalog::Offerings,
-        account: AccountId,
-        mult: f64,
-        honeypot: bool,
-        requested: &[ActionType],
-    ) -> CustomerPlan {
+        customer: &Customer,
+        stats: &mut [DayStats; 5],
+    ) -> u64 {
+        let account = customer.account;
         let mut rng = decision_rng(self.decision_seed, u64::from(account.0), u64::from(day.0));
         // Customers log in from home most days; the service logs in from
         // its own network only rarely.
-        let login_home = rng.gen::<f64>() < 0.8;
-        let login_service = rng.gen::<f64>() < self.config.service_login_prob;
-        let mut batches = Vec::new();
-        if !honeypot {
-            for ty in ActionType::ALL {
-                if !offer.offers(ty) || !requested.contains(&ty) {
-                    continue;
-                }
-                let base = self.config.volumes.of(ty) * mult;
-                if base <= 0.0 {
-                    continue;
-                }
-                let capped = match self.customer_cap(account, ty) {
-                    Some(cap) => base.min(cap),
-                    None => base,
-                };
-                // Small day-to-day jitter so per-account series look organic
-                // rather than perfectly flat.
-                let jitter = 0.9 + 0.2 * rng.gen::<f64>();
-                let count = (capped * jitter).round().max(0.0) as u32;
-                if count == 0 {
-                    continue;
-                }
-                let ip_key = rng.gen::<u32>();
-                batches.push(PlannedBatch { ty, count, ip_key });
+        if rng.gen::<f64>() < 0.8 {
+            platform.record_login(account);
+        }
+        if rng.gen::<f64>() < self.config.service_login_prob {
+            platform.record_login_via(account, self.current_asn(ActionType::Follow));
+        }
+        let offer = offerings(self.config.service);
+        let types = ActionType::ALL
+            .into_iter()
+            .filter(|&ty| offer.offers(ty) && customer.requested.contains(&ty));
+        if customer.honeypot {
+            // Honeypot event volumes depend on submission outcomes; their
+            // draws continue the customer's stream.
+            for ty in types {
+                self.drive_honeypot_events(platform, account, ty, &mut rng, stats);
             }
+            return 0;
         }
-        CustomerPlan {
-            account,
-            honeypot,
-            login_home,
-            login_service,
-            batches,
-            rng,
-        }
-    }
-
-    fn drive_activity(&mut self, platform: &mut Platform, day: Day) -> [DayStats; 5] {
-        let mut stats: [DayStats; 5] = Default::default();
-        let pool_stats = self.pool.stats();
         let fingerprint = ClientFingerprint::SpoofedMobile {
             variant: self.config.fingerprint_variant,
         };
-        let offer = offerings(self.config.service);
-        let engaged: Vec<(AccountId, f64, bool, Vec<ActionType>)> = self
-            .customers
-            .engaged_on(day)
-            .map(|c| (c.account, c.volume_multiplier, c.honeypot, c.requested.clone()))
-            .collect();
-
-        // Decision phase: plan every engaged customer's day, in roster order.
-        let slug = self.config.service.slug();
-        let decision_span = platform.obs.timings.start(&format!("aas.{slug}.decision"));
-        let mut plans: Vec<CustomerPlan> = engaged
-            .iter()
-            .map(|&(account, mult, honeypot, ref requested)| {
-                self.plan_customer(day, offer, account, mult, honeypot, requested)
-            })
-            .collect();
-        platform.obs.timings.finish(decision_span);
-        // Metrics are recorded here, from the finished plans: `plan_customer`
-        // itself touches no obs state.
-        let planned_batches: u64 = plans.iter().map(|p| p.batches.len() as u64).sum();
-        platform
-            .obs
-            .metrics
-            .add(&format!("aas.{slug}.engaged"), engaged.len() as u64);
-        platform
-            .obs
-            .metrics
-            .add(&format!("aas.{slug}.planned_batches"), planned_batches);
-
-        // Route phase: submit the plans serially, in roster order. All
-        // platform mutation and controller feedback happens here. The
-        // reciprocity engines have no apply phase — their hot path is the
-        // outbound batch middleware — so the span is `route`, reserving
-        // `aas.<slug>.apply` for the collusion engines' deposit phase.
-        let route_span = platform.obs.timings.start(&format!("aas.{slug}.route"));
-        for (plan, (_, _, _, requested)) in plans.iter_mut().zip(&engaged) {
-            if plan.login_home {
-                platform.record_login(plan.account);
-            }
-            if plan.login_service {
-                let asn = self.current_asn(ActionType::Follow);
-                platform.record_login_via(plan.account, asn);
-            }
-            if plan.honeypot {
-                // Honeypot event volumes depend on batch outcomes, so they
-                // run in the apply phase — continuing the customer's own
-                // decision stream carried over from the plan.
-                for ty in ActionType::ALL {
-                    if !offer.offers(ty) || !requested.contains(&ty) {
-                        continue;
-                    }
-                    let (account, rng) = (plan.account, &mut plan.rng);
-                    self.drive_honeypot_events(platform, account, ty, rng, &mut stats);
-                }
+        let mut batches = 0;
+        for ty in types {
+            let base = self.config.volumes.of(ty) * customer.volume_multiplier;
+            if base <= 0.0 {
                 continue;
             }
-            for b in &plan.batches {
-                let asn = self.current_asn(b.ty);
-                let ip = platform.asns.ip_in(asn, b.ip_key);
-                let pool = match b.ty {
-                    ActionType::Like | ActionType::Follow => pool_stats,
-                    _ => PoolStats::INERT,
-                };
-                let result = platform.submit_batch(BatchRequest {
-                    actor: plan.account,
-                    action: b.ty,
-                    count: b.count,
-                    asn,
-                    ip,
-                    fingerprint,
-                    pool,
-                    service: Some(self.config.service),
-                });
-                let s = &mut stats[b.ty.index()];
-                s.attempted += u64::from(result.attempted);
-                s.visible_failed += u64::from(result.visible_failure());
-                s.success_per_account.push(result.visible_success());
-                self.observe_customer(plan.account, b.ty, day, &result);
+            let capped = match self.customer_cap(account, ty) {
+                Some(cap) => base.min(cap),
+                None => base,
+            };
+            // Small day-to-day jitter so per-account series look organic
+            // rather than perfectly flat.
+            let jitter = 0.9 + 0.2 * rng.gen::<f64>();
+            let count = (capped * jitter).round().max(0.0) as u32;
+            if count == 0 {
+                continue;
             }
+            let asn = self.current_asn(ty);
+            let ip = platform.asns.ip_in(asn, rng.gen::<u32>());
+            let pool = match ty {
+                ActionType::Like | ActionType::Follow => self.pool.stats(),
+                _ => PoolStats::INERT,
+            };
+            let result = platform.submit_batch(BatchRequest {
+                actor: account,
+                action: ty,
+                count,
+                asn,
+                ip,
+                fingerprint,
+                pool,
+                service: Some(self.config.service),
+            });
+            let s = &mut stats[ty.index()];
+            s.attempted += u64::from(result.attempted);
+            s.visible_failed += u64::from(result.visible_failure());
+            s.success_per_account.push(result.visible_success());
+            self.observe_customer(account, ty, day, &result);
+            batches += 1;
         }
-        platform.obs.timings.finish(route_span);
-        stats
+        batches
     }
 
     /// Feed one customer-day outcome into that customer's own controller.

@@ -98,8 +98,8 @@ mod tests {
             service: None,
             media: None,
         };
-        let ops = [op(ActionType::Like, 30), op(ActionType::Comment, 10)];
-        p.apply_deposits(&ops);
+        p.deposit(&op(ActionType::Like, 30));
+        p.deposit(&op(ActionType::Comment, 10));
         let e = engagement(&p, a, Day(0), Day(1));
         assert_eq!((e.likes, e.comments, e.followers), (30, 10, 200));
         assert!((e.rate().unwrap() - 0.2).abs() < 1e-12);

@@ -352,15 +352,14 @@ mod tests {
     /// `n` likes from `host` onto `to` through the platform's inbound path
     /// (no policy is installed, so every one stands).
     fn likes(p: &mut Platform, to: AccountId, n: u32, host: AsnId, media: Option<(MediaId, u32)>) {
-        let op = DepositOp {
+        p.deposit(&DepositOp {
             target: to,
             ty: ActionType::Like,
             requested: n,
             asn: host,
             service: None,
             media,
-        };
-        p.apply_deposits(&[op]);
+        });
     }
 
     fn classification_with(

@@ -524,8 +524,8 @@ pub struct ClassificationSummary {
 
 /// The serializable aggregate of a characterized study's headline results.
 ///
-/// This is the reproducibility artifact of the three-phase daily engine
-/// (DESIGN.md §4): for a given scenario seed, [`StudyResults::to_json`] is
+/// This is the reproducibility artifact of the daily engine (DESIGN.md
+/// §4): for a given scenario seed, [`StudyResults::to_json`] is
 /// byte-identical on every run, which the determinism suite asserts with
 /// a recorded digest. Every collection inside is either naturally ordered
 /// (vectors built in fixed service/row order) or explicitly sorted here —

@@ -350,8 +350,10 @@ impl SpanTree {
     /// Record an already-measured leaf span under the current top of the
     /// stack (the dynamic-name path: measure with a [`Stopwatch`], then
     /// record). The instance is placed at `[now - secs, now]`, which is
-    /// within the enclosing span by construction.
-    pub fn record_leaf(&mut self, name: &str, secs: f64) {
+    /// within the enclosing span by construction. Tests use it to build
+    /// trees with known durations.
+    #[cfg(test)]
+    pub(crate) fn record_leaf(&mut self, name: &str, secs: f64) {
         let w = Stopwatch::start();
         let parent = self.current();
         let node = self.intern(parent, name, LaneKind::Main);

@@ -13,9 +13,8 @@
 //!   from one account, with the target population summarised by
 //!   [`PoolStats`]; reciprocation is sampled binomially and scheduled as
 //!   future aggregate inbound counts.
-//! * [`Platform::apply_deposits`] — routed inbound deliveries
-//!   ([`DepositOp`]s) from a collusion network, judged on the receiving
-//!   account one op at a time, in routing order.
+//! * [`Platform::deposit`] — one inbound delivery ([`DepositOp`]) from a
+//!   collusion network, judged on the receiving account.
 //!
 //! The two outbound paths share one middleware, which runs, in order:
 //!
@@ -138,10 +137,9 @@ pub struct BatchRequest {
     pub service: Option<ServiceId>,
 }
 
-/// One routed inbound delivery from a collusion network: the unit of
-/// [`Platform::apply_deposits`]. The route phase emits these in routing
-/// order, including zero-quantity ops, which still attribute ground truth
-/// and give the service a zero result.
+/// One inbound delivery from a collusion network: the unit of
+/// [`Platform::deposit`]. Zero-quantity deposits are legal: they still
+/// attribute ground truth and give the service a zero result.
 #[derive(Debug, Clone, Copy)]
 pub struct DepositOp {
     /// Account receiving the actions.
@@ -319,8 +317,6 @@ pub struct Platform {
     /// Tuning knobs.
     pub config: PlatformConfig,
     /// Observability kit: deterministic metrics and wall-clock timings.
-    /// Metrics are recorded only on the serial mutation paths below, so
-    /// the snapshot is identical for any decision-phase worker count.
     #[serde(skip)]
     pub obs: footsteps_obs::Recorder,
     #[serde(skip)]
@@ -604,22 +600,13 @@ impl Platform {
         outcome
     }
 
-    /// Apply a routed batch of inbound deposits from a collusion network,
-    /// one op at a time in `ops` order. This is the one enforced inbound
-    /// path: each op is judged by the installed policy on the receiving
-    /// account (§6.2), against what earlier ops of the day already
-    /// delivered to it from the same network. The returned `BatchResult`s
-    /// line up with `ops` and are what the *service* can observe: blocked
-    /// deliveries visibly fail (the like counter does not move), deferred
-    /// ones look delivered.
-    pub fn apply_deposits(&mut self, ops: &[DepositOp]) -> Vec<BatchResult> {
-        ops.iter().map(|op| self.deposit(op)).collect()
-    }
-
-    // ----- internals -------------------------------------------------------
-
-    /// One op of [`Self::apply_deposits`].
-    fn deposit(&mut self, op: &DepositOp) -> BatchResult {
+    /// Deliver one collusion-network deposit to the receiving account. This
+    /// is the one enforced inbound path: the op is judged by the installed
+    /// policy on the receiving account (§6.2), against what earlier deposits
+    /// of the day already delivered to it from the same network. The result
+    /// is what the *service* can observe: blocked deliveries visibly fail
+    /// (the like counter does not move), deferred ones look delivered.
+    pub fn deposit(&mut self, op: &DepositOp) -> BatchResult {
         // The recipient is a customer of the delivering service (they handed
         // over credentials or requested the actions) — ground truth either way.
         self.note_ground_truth(op.target, op.service);
@@ -688,6 +675,8 @@ impl Platform {
             deferred,
         }
     }
+
+    // ----- internals -------------------------------------------------------
 
     /// The outbound middleware both submission paths share (module docs):
     /// IP-volume edge defense, then the installed policy. Edge-refused
@@ -1625,7 +1614,7 @@ mod tests {
             media: Some((m, 160)),
             ..deposit(customer, ActionType::Like, 200)
         };
-        let results = p.apply_deposits(&[deposit(customer, ActionType::Follow, 40), like]);
+        let results = [p.deposit(&deposit(customer, ActionType::Follow, 40)), p.deposit(&like)];
         let split: Vec<_> = results.iter().map(|r| (r.delivered, r.blocked, r.deferred)).collect();
         assert_eq!(split, [(30, 0, 10), (200, 0, 0)]);
         assert_eq!(results[0].visible_success(), 40, "the service sees full success");
@@ -1651,12 +1640,11 @@ mod tests {
         let mut p = platform();
         let customer = organic(&mut p, ReciprocityProfile::SILENT);
         p.begin_day(Day(0));
-        let ops = [
-            deposit(customer, ActionType::Like, 0),
-            deposit(customer, ActionType::Follow, 0),
+        let results = [
+            p.deposit(&deposit(customer, ActionType::Like, 0)),
+            p.deposit(&deposit(customer, ActionType::Follow, 0)),
         ];
-        let results = p.apply_deposits(&ops);
-        assert_eq!(results, vec![BatchResult::default(); 2]);
+        assert_eq!(results, [BatchResult::default(); 2]);
         assert_eq!(p.ground_truth_services(customer), vec![ServiceId::Hublaagram]);
         assert!(p.log.day(Day(0)).is_none_or(|d| d.inbound().next().is_none()));
         assert_eq!(p.accounts.get(customer).followers, 100);
@@ -1675,7 +1663,7 @@ mod tests {
         let customer = organic(&mut p, ReciprocityProfile::SILENT);
         p.begin_day(Day(0));
         let op = deposit(customer, ActionType::Like, 8);
-        let results = p.apply_deposits(&[op, op]);
+        let results = [p.deposit(&op), p.deposit(&op)];
         let split: Vec<_> = results.iter().map(|r| (r.delivered, r.blocked)).collect();
         assert_eq!(split, [(8, 0), (2, 6)]);
         let rows: Vec<_> = p.log.day(Day(0)).unwrap().inbound().collect();

@@ -49,7 +49,7 @@ impl RngFactory {
 
     /// The raw 64-bit seed of the stream identified by `label` — the value
     /// `stream(label)` is seeded from. Components that need to derive many
-    /// per-entity streams (the parallel decision phase derives one per
+    /// per-entity streams (the service engines derive one per
     /// account-day) keep this seed and feed it to [`decision_rng`] instead
     /// of holding a factory.
     pub fn stream_seed(&self, label: &str) -> u64 {
@@ -64,7 +64,7 @@ impl RngFactory {
 /// function of `(scenario seed, stream label, entity id, day)` — obtained
 /// here as `mix(mix(stream_seed, entity), day)` — and never from a shared
 /// sequential stream. Because the stream does not depend on the order in
-/// which entities are processed, no entity's plan depends on the roster's
+/// which entities are processed, no entity's day depends on the roster's
 /// order or on which other entities are engaged that day.
 pub fn decision_rng(stream_seed: u64, entity: u64, day: u64) -> SmallRng {
     SmallRng::seed_from_u64(mix(mix(stream_seed, entity), day))

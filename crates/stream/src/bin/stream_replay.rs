@@ -12,24 +12,35 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let mut path: Option<PathBuf> = None;
-    for arg in std::env::args().skip(1) {
+const USAGE: &str = "usage: stream-replay LOG.jsonl";
+
+/// Parse the arguments after the program name: `Ok(None)` asks for help.
+/// Any other argument starting with `-` is an unknown flag, refused before
+/// a file is opened.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<PathBuf>, String> {
+    let mut path = None;
+    for arg in args {
         match arg.as_str() {
-            "--help" | "-h" => {
-                eprintln!("usage: stream-replay LOG.jsonl");
-                return ExitCode::SUCCESS;
-            }
+            "--help" | "-h" => return Ok(None),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
             other if path.is_none() => path = Some(PathBuf::from(other)),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unexpected argument: {other}")),
         }
     }
-    let Some(path) = path else {
-        eprintln!("usage: stream-replay LOG.jsonl");
-        return ExitCode::FAILURE;
+    path.map(Some).ok_or_else(|| "missing LOG.jsonl".to_owned())
+}
+
+fn main() -> ExitCode {
+    let path = match parse(std::env::args().skip(1)) {
+        Ok(Some(path)) => path,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("stream-replay: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
 
     let outcome = match footsteps_stream::replay(&path) {

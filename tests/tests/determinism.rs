@@ -66,6 +66,12 @@ const SMOKE_METRICS_CHARACTERIZED: (u64, usize) = (0xfc71_db8d_6f5e_8e91, 5_372)
 /// The same after all four phases.
 const SMOKE_METRICS_COMPLETE: (u64, usize) = (0x019c_0da3_9fa1_c004, 16_198);
 
+/// `Timings::structure_digest()` (span names, nesting, lane kinds and
+/// region counts) after all four phases of `Scenario::smoke(7)`, untraced.
+/// Regenerate only for a deliberate change to the span tree, and record
+/// the move in CHANGES.md.
+const SMOKE_STRUCTURE_DIGEST: &str = "0x0d0c63f2ddcdbe70";
+
 fn metrics_pin(snapshot: &footsteps_obs::MetricsSnapshot) -> (u64, usize) {
     let json = snapshot.to_json();
     (footsteps_obs::tree::fnv1a(json.as_bytes()), json.len())
@@ -127,6 +133,11 @@ fn golden_digest_is_independent_of_span_event_collection() {
     assert_eq!(
         study.platform.obs.timings.structure_digest(),
         untraced.platform.obs.timings.structure_digest()
+    );
+    assert_eq!(
+        untraced.platform.obs.timings.structure_digest(),
+        SMOKE_STRUCTURE_DIGEST,
+        "the span structure drifted from the recorded pin"
     );
     // And the collected event log actually exports as a valid trace.
     let dir = std::env::temp_dir().join("footsteps_determinism_trace");

@@ -112,15 +112,14 @@ fn inbound_enforcement_is_independent_of_outbound() {
     assert_eq!(out.delivered, 100);
     // Inbound deliveries above 40 are blocked.
     let deposit = |p: &mut Platform, requested| {
-        let op = DepositOp {
+        p.deposit(&DepositOp {
             target: recipient,
             ty: ActionType::Like,
             requested,
             asn: host,
             service: Some(ServiceId::Hublaagram),
             media: None,
-        };
-        p.apply_deposits(&[op])[0]
+        })
     };
     let dep = deposit(&mut p, 100);
     assert_eq!(dep.delivered, 40);
