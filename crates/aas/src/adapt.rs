@@ -17,7 +17,7 @@ use footsteps_sim::prelude::Day;
 use serde::{Deserialize, Serialize};
 
 /// Controller tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptationConfig {
     /// Visible failure rate above which the service considers itself
     /// blocked. Normal operation has near-zero failures, so 5% is a loud
@@ -70,7 +70,7 @@ pub enum ControllerAction {
 }
 
 /// Controller state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum State {
     /// No blocking observed.
     Normal,
@@ -111,7 +111,7 @@ impl DayObservation {
 }
 
 /// Per-action-type feedback controller for one service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VolumeController {
     config: AdaptationConfig,
     state: State,

@@ -103,7 +103,7 @@ pub fn offerings(service: ServiceId) -> Offerings {
 }
 
 /// Trial and subscription terms for a reciprocity-abuse service (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReciprocityPricing {
     /// Advertised free-trial length in days.
     pub advertised_trial_days: u32,
@@ -146,7 +146,7 @@ pub fn reciprocity_pricing(service: ServiceId) -> ReciprocityPricing {
 
 /// One tier of Hublaagram's monthly "likes per photo" subscription
 /// (Table 3, "Month" duration rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonthlyLikeTier {
     /// Lower bound of likes applied to each new photo.
     pub min_likes: u32,
@@ -157,7 +157,7 @@ pub struct MonthlyLikeTier {
 }
 
 /// One one-time "likes now" package (Table 3, "Immediate" rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OneTimeLikePackage {
     /// Likes applied to a single post as fast as possible.
     pub likes: u32,
@@ -167,7 +167,7 @@ pub struct OneTimeLikePackage {
 
 /// Hublaagram's complete price list and free-tier limits (Table 3 + §3.3.2,
 /// §5.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HublaagramCatalog {
     /// One-time fee exempting an account from collusion-network
     /// participation, for the lifetime of the account.
@@ -217,7 +217,7 @@ pub fn hublaagram_catalog() -> HublaagramCatalog {
 }
 
 /// A Followersgratis package (Table 4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FollowersgratisPackage {
     /// Human-readable description matching the site's wording.
     pub description: String,

@@ -23,11 +23,10 @@ use footsteps_sim::population::{sample_lognormal, ResidentialIndex};
 use footsteps_sim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Composition of the paying customer base, as enrollment-time draws.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PayerProfile {
     /// Probability a new customer pays the lifetime no-outbound fee.
     pub p_no_outbound: f64,
@@ -58,7 +57,7 @@ impl PayerProfile {
 }
 
 /// Collusion-specific per-customer state.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Role {
     /// Paid the lifetime fee to never be used for outbound actions.
     no_outbound: bool,
@@ -69,7 +68,7 @@ struct Role {
 }
 
 /// Static configuration of one collusion service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CollusionConfig {
     /// Which service this is.
     pub service: ServiceId,
@@ -157,7 +156,7 @@ struct DayTally {
 pub const ADS_ACCOUNT: AccountId = AccountId(u32::MAX);
 
 /// A running collusion-network service.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct CollusionService {
     config: CollusionConfig,
     customers: CustomerBook,

@@ -11,11 +11,10 @@
 
 use footsteps_sim::prelude::{AccountId, ActionType, Day};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Payment state of a customer within a service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayState {
     /// Using a free trial that ends at the start of `ends`.
     Trial {
@@ -34,7 +33,7 @@ pub enum PayState {
 }
 
 /// One customer of one service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Customer {
     /// The customer's platform account.
     pub account: AccountId,
@@ -68,7 +67,7 @@ impl Customer {
 }
 
 /// Enrollment-time population parameters for a service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleParams {
     /// Mean new enrollments per day (Poisson).
     pub arrival_rate: f64,
@@ -134,7 +133,7 @@ pub fn sample_poisson(rng: &mut impl Rng, lambda: f64) -> u32 {
 }
 
 /// The customer roster of one service.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CustomerBook {
     customers: Vec<Customer>,
     by_account: HashMap<AccountId, usize>,

@@ -8,11 +8,10 @@
 
 use crate::catalog::Cents;
 use footsteps_sim::prelude::{AccountId, Day, ServiceId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Why a payment was made.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaymentKind {
     /// Reciprocity-service subscription for a block of days.
     Subscription,
@@ -30,7 +29,7 @@ pub enum PaymentKind {
 }
 
 /// One payment received by a service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Payment {
     /// Day the payment was received.
     pub day: Day,
@@ -45,7 +44,7 @@ pub struct Payment {
 }
 
 /// Append-only payment ledger shared by all services in a scenario.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PaymentLedger {
     payments: Vec<Payment>,
 }

@@ -20,12 +20,11 @@ use footsteps_sim::population::{sample_lognormal, ResidentialIndex};
 use footsteps_sim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Base per-customer daily action volumes. The per-service defaults are
 /// chosen so that the aggregate action mix reproduces Table 11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DailyVolumes {
     /// Outbound likes per customer-day.
     pub like: f64,
@@ -51,7 +50,7 @@ impl DailyVolumes {
 }
 
 /// Static configuration of one reciprocity service instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReciprocityConfig {
     /// Which service this is.
     pub service: ServiceId,
@@ -90,7 +89,7 @@ struct DayStats {
 }
 
 /// A running reciprocity-abuse service.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct ReciprocityService {
     config: ReciprocityConfig,
     customers: CustomerBook,

@@ -10,10 +10,9 @@ use crate::ledger::PaymentLedger;
 use crate::reciprocity::ReciprocityService;
 use footsteps_sim::population::ResidentialIndex;
 use footsteps_sim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One running service engine.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub enum Service {
     /// Instalex, Instazood or Boostgram (§3.1).
     Reciprocity(ReciprocityService),

@@ -19,10 +19,9 @@ use footsteps_sim::platform::PoolStats;
 use footsteps_sim::population::Population;
 use footsteps_sim::prelude::AccountId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a service curates its target pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetingBias {
     /// Strength of selection on followback tendency. 0 = uniform sampling;
     /// larger values concentrate the pool on eager followers. Acceptance is
@@ -42,7 +41,7 @@ impl TargetingBias {
 }
 
 /// A curated pool of target accounts with precomputed reciprocation stats.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TargetPool {
     members: Vec<AccountId>,
     stats: PoolStats,

@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Phase boundaries of a study, in days.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timeline {
     /// Characterization start (always day 0).
     pub char_start: Day,
@@ -81,14 +81,11 @@ pub enum Phase {
 
 /// A full study world.
 ///
-/// The struct serializes, which is what makes phase-boundary checkpoints
-/// (`footsteps-sweep`) possible: every RNG stream position, arena and
-/// pending queue round-trips, so a resumed study replays the exact byte
-/// stream of an uninterrupted one. Not serialized: the platform's policy
-/// (every phase method reinstalls it) and metrics recorder; `stream`, the
-/// online detector and the event-log recorder ([`Study::attach_stream`],
-/// [`Study::resume_recording`]); and the days the event log holds.
-#[derive(Debug, Serialize, Deserialize)]
+/// A study is deterministic in its scenario: every draw comes from a
+/// labelled stream of [`RngFactory`], so two studies built from the same
+/// scenario run byte-identical days. That is how a sweep job resumes: it
+/// runs again from [`Study::new`] (`footsteps-sweep`).
+#[derive(Debug)]
 pub struct Study {
     /// The configuration this study was built from.
     pub scenario: Scenario,
@@ -117,15 +114,11 @@ pub struct Study {
     pub pipeline: Option<DetectionPipeline>,
     /// The streaming detection outcome, frozen at the calibration
     /// boundary when a detector was attached via [`Study::attach_stream`].
-    /// Observability-plus-analysis state: excluded from serialization
-    /// (like the platform's policy and recorder) and from every digest.
-    #[serde(skip)]
+    /// Observability-plus-analysis state: excluded from every digest.
     pub stream: Option<StreamOutcome>,
     /// The online detector until it freezes, with the seconds spent in it.
-    #[serde(skip)]
     detector: Option<(OnlineDetector, f64)>,
     /// The event-log recorder, when recording.
-    #[serde(skip)]
     recorder: Option<EventLogWriter>,
     /// The narrow experiment plan.
     pub narrow_plan: ExperimentPlan,
@@ -320,8 +313,7 @@ impl Study {
     /// append it to the event log.
     ///
     /// # Panics
-    /// Panics if the event log cannot be written; the log then still holds
-    /// the days up to the last phase boundary, all a checkpoint points at.
+    /// Panics if the event log cannot be written.
     fn record_day(&mut self, day: Day) {
         let sealed = self.platform.log.seal(day);
         if let Some((detector, secs)) = &mut self.detector {
@@ -346,8 +338,8 @@ impl Study {
         }
     }
 
-    /// Flush the event log at a phase boundary, where a checkpoint may
-    /// point at it. Panics like [`Study::record_day`].
+    /// Flush the event log at a phase boundary, so the log on disk holds
+    /// every day the study has run. Panics like [`Study::record_day`].
     fn flush_log(&mut self) {
         if let Some(recorder) = &mut self.recorder {
             let flushed = recorder.flush();
@@ -426,23 +418,6 @@ impl Study {
             None => None,
         };
         self.detector = Some((OnlineDetector::new(config, &roster), 0.0));
-        Ok(())
-    }
-
-    /// The event-log recorder, when recording.
-    pub fn recording(&self) -> Option<&EventLogWriter> {
-        self.recorder.as_ref()
-    }
-
-    /// Continue recording into a log a checkpoint resume reopened: `days`,
-    /// the log's days, replace the ones serialization left out.
-    pub fn resume_recording(
-        &mut self,
-        days: Vec<DayLog>,
-        writer: EventLogWriter,
-    ) -> Result<(), String> {
-        self.platform.log.splice_recorded(days)?;
-        self.recorder = Some(writer);
         Ok(())
     }
 

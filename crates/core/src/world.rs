@@ -1,11 +1,10 @@
 //! World construction: the synthetic internet and the service network map.
 
 use footsteps_sim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// The network layout of a study world (Table 7's geography plus the
 /// evasion infrastructure from the §6.4 epilogue).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsnLayout {
     /// Residential network the honeypot operators work from.
     pub honeypot_home: AsnId,

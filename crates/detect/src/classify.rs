@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 /// All containers are BTree-based: the classification is iterated by the
 /// business analyses and serialized into results, so its order must be
 /// deterministic (DESIGN.md §6).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Classification {
     /// Accounts attributed to each service.
     pub customers: BTreeMap<ServiceId, BTreeSet<AccountId>>,

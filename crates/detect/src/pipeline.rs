@@ -10,10 +10,10 @@ use crate::signature::{roster, ServiceSignature, SignatureLearner};
 use crate::threshold::{compute_thresholds, ThresholdTable};
 use footsteps_honeypot::HoneypotFramework;
 use footsteps_sim::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Everything the detection side learned from a calibration window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DetectionPipeline {
     /// Per-service network+client signatures.
     pub signatures: Vec<ServiceSignature>,

@@ -17,11 +17,11 @@ use crate::signature::ServiceSignature;
 use footsteps_aas::stats::quantile_sorted_runs;
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
 /// How an ASN's traffic breaks down between abusive and benign accounts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AsnTraffic {
     /// Effectively all traffic is from classified AAS accounts.
     PureAbuse,
@@ -35,7 +35,7 @@ pub enum AsnTraffic {
 ///
 /// Thresholds live in a `BTreeMap` so that iteration (reporting, policy
 /// sweeps) and serialization are deterministic.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ThresholdTable {
     thresholds: BTreeMap<(AsnId, ActionType, Direction), u32>,
     /// Traffic kind per ASN, retained for reporting.

@@ -11,10 +11,9 @@ use crate::framework::{HoneypotFramework, HoneypotKind};
 use footsteps_aas::catalog::offerings;
 use footsteps_aas::{PaymentLedger, Service};
 use footsteps_sim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one campaign: the accounts registered per action type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Service targeted.
     pub service: ServiceId,

@@ -18,14 +18,13 @@
 use footsteps_sim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Thematic photo categories used to populate honeypot accounts ("dogs,
 /// cats, lizards, and food", §4.1.1).
 pub const PHOTO_THEMES: [&str; 4] = ["dogs", "cats", "lizards", "food"];
 
 /// A honeypot flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HoneypotKind {
     /// Minimum viable profile.
     Empty,
@@ -47,7 +46,7 @@ impl HoneypotKind {
 }
 
 /// Ledger entry for one honeypot account.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HoneypotRecord {
     /// The platform account.
     pub account: AccountId,
@@ -67,51 +66,8 @@ pub struct HoneypotRecord {
     pub deleted: bool,
 }
 
-/// `theme` is a `&'static str` drawn from [`PHOTO_THEMES`]; deserialization
-/// re-interns the stored string against that table so checkpointed records
-/// round-trip without owning the theme text.
-impl serde::Deserialize for HoneypotRecord {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut account, mut kind, mut theme, mut service) = (None, None, None, None);
-        let (mut requested, mut paid, mut enrolled_on, mut deleted) = (None, None, None, None);
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "account" => r.field(&mut account, "account")?,
-                "kind" => r.field(&mut kind, "kind")?,
-                "theme" => r.field::<String>(&mut theme, "theme")?,
-                "service" => r.field(&mut service, "service")?,
-                "requested" => r.field(&mut requested, "requested")?,
-                "paid" => r.field(&mut paid, "paid")?,
-                "enrolled_on" => r.field(&mut enrolled_on, "enrolled_on")?,
-                "deleted" => r.field(&mut deleted, "deleted")?,
-                _ => r.skip_value()?,
-            }
-        }
-        let missing = |name| serde::Error::missing_field(name, "HoneypotRecord");
-        let theme_owned = theme.ok_or_else(|| missing("theme"))?;
-        let theme = PHOTO_THEMES
-            .iter()
-            .copied()
-            .find(|t| *t == theme_owned)
-            .ok_or_else(|| {
-                serde::Error::custom(format!("unknown honeypot theme `{theme_owned}`"))
-            })?;
-        Ok(Self {
-            account: account.ok_or_else(|| missing("account"))?,
-            kind: kind.ok_or_else(|| missing("kind"))?,
-            theme,
-            service: service.ok_or_else(|| missing("service"))?,
-            requested: requested.ok_or_else(|| missing("requested"))?,
-            paid: paid.ok_or_else(|| missing("paid"))?,
-            enrolled_on: enrolled_on.ok_or_else(|| missing("enrolled_on"))?,
-            deleted: deleted.ok_or_else(|| missing("deleted"))?,
-        })
-    }
-}
-
 /// The framework: a factory and registry for honeypot accounts.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct HoneypotFramework {
     records: Vec<HoneypotRecord>,
     celebrities: Vec<AccountId>,

@@ -7,13 +7,12 @@
 //! experiments and runs.
 
 use footsteps_sim::prelude::{stable_bin, AccountId, Countermeasure};
-use serde::{Deserialize, Serialize};
 
 /// Number of bins used by both experiments.
 pub const NUM_BINS: u32 = 10;
 
 /// What happens to eligible actions of accounts in a bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinPolicy {
     /// Explicit control: never receives a countermeasure, and is the
     /// comparison group in the figures.
@@ -43,7 +42,7 @@ pub fn bin_of(account: AccountId) -> u32 {
 }
 
 /// A full assignment of policies to the ten bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinAssignment {
     policies: [BinPolicy; NUM_BINS as usize],
 }

@@ -9,10 +9,9 @@
 
 use crate::bins::{BinAssignment, BinPolicy};
 use footsteps_sim::prelude::Day;
-use serde::{Deserialize, Serialize};
 
 /// One phase of an experiment: an assignment in force over `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentPhase {
     /// First day of the phase.
     pub start: Day,
@@ -23,7 +22,7 @@ pub struct ExperimentPhase {
 }
 
 /// A sequence of phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentPlan {
     /// Phases, contiguous and in order.
     pub phases: Vec<ExperimentPhase>,

@@ -23,8 +23,8 @@ use crate::scope::{after_let, classify, test_item_ranges, type_after_colon, Sect
 
 /// Crates whose `src` feeds the golden digest: order-observing iteration
 /// over hash containers there is a correctness bug unless proven safe.
-/// `sweep` is held to the same bar — its checkpoint/resume and aggregation
-/// paths must reproduce the per-seed digests byte for byte. `stream` too:
+/// `sweep` is held to the same bar — a re-run job and the aggregation
+/// must reproduce the per-seed digests byte for byte. `stream` too:
 /// its verdict snapshot must replay byte-identically from a recorded log.
 /// `honeypot` builds Table 5, which feeds the golden digest, and `obs`
 /// writes the metrics snapshot and the span-structure digest that the

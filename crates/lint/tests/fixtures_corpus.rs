@@ -212,8 +212,8 @@ fn sweep_is_a_digest_crate_with_wall_clock_exemption() {
     assert!(rng_hits.iter().all(|f| f.is_violation()));
 
     // What sweep *is* exempt from: wall-clock manifest timestamps — and
-    // only those. The rest of the crate (scheduler, checkpoints, the
-    // per-job trace writes) goes through `footsteps_obs::Stopwatch` and
+    // only those. The rest of the crate (scheduler, the per-job result
+    // and trace writes) goes through `footsteps_obs::Stopwatch` and
     // the obs exporter, so raw wall-clock there is a violation.
     let clock = lint_one("crates/sweep/src/manifest.rs", WALL_CLOCK);
     assert!(by_rule(&clock, Rule::WallClock).is_empty(), "findings: {clock:#?}");

@@ -1,6 +1,6 @@
 //! Whole-file atomic writes: the one tmp + rename discipline shared by
-//! every persisted artifact (Chrome traces, sweep checkpoints and
-//! manifests, the stream event log).
+//! every persisted artifact written whole (Chrome traces, sweep manifests
+//! and per-seed results).
 
 use std::fs;
 use std::io;

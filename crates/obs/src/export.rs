@@ -111,7 +111,7 @@ pub fn chrome_trace_json(tree: &SpanTree) -> String {
 }
 
 /// Write the trace atomically ([`crate::atomic::write_atomic`]), the same
-/// discipline the sweep checkpoints and manifest use.
+/// discipline the sweep manifest and per-seed results use.
 pub fn write_chrome_trace(tree: &SpanTree, path: &Path) -> io::Result<()> {
     crate::atomic::write_atomic(path, chrome_trace_json(tree).as_bytes())
 }

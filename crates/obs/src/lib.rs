@@ -117,7 +117,7 @@ impl Recorder {
     }
 
     /// Export the trace to an explicit path regardless of `trace_out`
-    /// (the sweep writes one file per job next to its checkpoints).
+    /// (the sweep writes one file per job).
     pub fn export_trace_to(&mut self, path: &Path) -> std::io::Result<()> {
         self.sample_phase_counters();
         export::write_chrome_trace(self.timings.tree(), path)

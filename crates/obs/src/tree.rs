@@ -583,17 +583,9 @@ impl SpanTree {
 }
 
 /// FNV-1a over a byte string: the workspace's one digest, used by
-/// `StudyResults`, the verdict snapshot and the checkpoint references.
+/// `StudyResults`, the verdict snapshot and the span-structure digest.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV1A_EMPTY, bytes)
-}
-
-/// The FNV-1a digest of no bytes (the offset basis).
-pub const FNV1A_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continue an FNV-1a digest over more bytes:
-/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
-pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -799,6 +791,5 @@ mod tests {
         // FNV-1a("a") per the published test vectors.
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"c"), fnv1a(b"abc"));
     }
 }

@@ -9,10 +9,9 @@
 use crate::country::Country;
 use crate::ids::{AccountId, AsnId, MediaId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// What kind of profile an account presents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProfileKind {
     /// A normal platform user.
     Organic,
@@ -54,7 +53,7 @@ impl ProfileKind {
 /// (like→like, follow→follow), occasionally follow back after a like, and
 /// never like back after a follow. We encode those three channels; the
 /// fourth (follow→like) is structurally zero.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReciprocityProfile {
     /// P(send a like back | received a like), before quality scaling.
     pub like_for_like: f64,
@@ -82,7 +81,7 @@ impl ReciprocityProfile {
 }
 
 /// One platform account.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Account {
     /// Arena id.
     pub id: AccountId,
@@ -115,7 +114,7 @@ impl Account {
 }
 
 /// A photo or video posted by an account.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Media {
     /// Arena id.
     pub id: MediaId,
@@ -130,7 +129,7 @@ pub struct Media {
 }
 
 /// Dense arena of accounts plus a media store.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AccountStore {
     accounts: Vec<Account>,
     media: Vec<Media>,

@@ -16,10 +16,9 @@ use crate::platform::{BatchRequest, Platform, PoolStats};
 use crate::population::{sample_lognormal, Population};
 use crate::prelude::{ActionType, ClientFingerprint};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Background-traffic configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackgroundConfig {
     /// Organic users acting per day (sampled from the population).
     pub daily_actors: u32,

@@ -64,7 +64,7 @@ impl ResponseChannel {
 /// `0.4×..1.6×` base depending on tendency (see [`synthesize_profile`]).
 /// The defaults are calibrated so the full pipeline (targeting bias →
 /// notification → response) measures out to Table 5's rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BehaviorParams {
     /// Mean P(like back | inbound like).
     pub like_for_like_base: f64,

@@ -118,7 +118,7 @@ impl std::fmt::Display for Country {
 /// populations and per-service customer mixes.
 ///
 /// Weights need not sum to one; sampling normalises internally.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountryMix {
     weights: Vec<(Country, f64)>,
     total: f64,

@@ -66,7 +66,7 @@ pub(crate) fn split_decision(
 /// §6.2: "we track the number of **outbound** actions from Instagram
 /// accounts used by the Reciprocity Abuse AASs, and we track the number of
 /// **inbound** actions from accounts used by the Collusion Network AAS."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Direction {
     /// The account in `EnforcementContext::actor` is *performing* actions.
     Outbound,
@@ -161,15 +161,6 @@ pub trait EnforcementPolicy: std::fmt::Debug + Send + Sync {
 impl EnforcementPolicy for NoEnforcement {
     fn evaluate(&self, ctx: &EnforcementContext) -> EnforcementDecision {
         EnforcementDecision::allow_all(ctx.requested)
-    }
-}
-
-/// The default installed policy is "no countermeasures". Checkpoints skip
-/// the boxed policy (it is not data: every study phase installs its own at
-/// entry), and deserialization refills the field with this default.
-impl Default for Box<dyn EnforcementPolicy> {
-    fn default() -> Self {
-        Box::new(NoEnforcement)
     }
 }
 

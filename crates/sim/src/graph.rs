@@ -21,7 +21,6 @@
 
 use crate::account::AccountStore;
 use crate::ids::AccountId;
-use serde::{Deserialize, Serialize};
 
 /// Sentinel slot for untracked accounts.
 const NONE: u32 = u32::MAX;
@@ -40,7 +39,7 @@ pub enum FollowResult {
 }
 
 /// The follow graph with tracked-edge refinement.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SocialGraph {
     /// Account id → tracked slot; `NONE` marks untracked accounts.
     tracked_slot: Vec<u32>,

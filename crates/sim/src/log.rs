@@ -29,7 +29,7 @@
 //! is therefore deterministic in both states — insertion order while open,
 //! key order once sealed.
 //! Days the event log holds ([`ActionLog::set_recorded`]) take no more
-//! writes, and serialization leaves them out.
+//! writes, so memory and log never diverge.
 
 use crate::actions::{ActionEvent, ActionOutcome, ActionType, TypeCounts};
 use crate::fingerprint::ClientFingerprint;
@@ -555,7 +555,7 @@ pub struct ActionLog {
     /// Index of the open (chain-indexed) day; days below it are sealed.
     open_idx: usize,
     /// Days below this index are in the event log: they take no more
-    /// writes, and serialization leaves them out.
+    /// writes.
     recorded: usize,
     /// `tracked[account]`: full per-action events are retained. Dense, so
     /// the per-event check costs one bounds-checked load.
@@ -638,16 +638,6 @@ impl ActionLog {
     /// The first day the event log does not hold.
     pub fn recorded(&self) -> Day {
         Day(self.recorded as u32)
-    }
-
-    /// Put back the days serialization left out: `days` are days
-    /// `0..recorded()` as the event log reader returns them.
-    pub fn splice_recorded(&mut self, days: Vec<DayLog>) -> Result<(), String> {
-        if days.len() != self.recorded {
-            return Err(format!("{} logged days, the study needs {}", days.len(), self.recorded));
-        }
-        self.days.splice(..self.recorded, days);
-        Ok(())
     }
 
     /// Day record, if the day is within the log's range.
@@ -781,56 +771,6 @@ impl ActionLog {
             .filter_map(|d| d.inbound_of(target))
             .map(|c| u64::from(c.delivered[ty.index()]))
             .sum()
-    }
-}
-
-impl Serialize for ActionLog {
-    fn serialize(&self, w: &mut Writer) {
-        let tracked: Vec<AccountId> = self
-            .event_tracked
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| AccountId(i as u32))
-            .collect();
-        w.begin_object();
-        w.field("recorded", &self.recorded);
-        w.field("days", &self.days[self.recorded..]);
-        w.field("event_tracked", &tracked);
-        w.end_object();
-    }
-}
-
-impl Deserialize for ActionLog {
-    /// The event log's days come back empty until
-    /// [`ActionLog::splice_recorded`] puts them in.
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let (mut recorded, mut days, mut tracked) = (None, None, None);
-        r.begin_object()?;
-        while let Some(key) = r.next_key()? {
-            match &*key {
-                "recorded" => r.field(&mut recorded, "recorded")?,
-                "days" => r.field(&mut days, "days")?,
-                "event_tracked" => r.field(&mut tracked, "event_tracked")?,
-                _ => r.skip_value()?,
-            }
-        }
-        let missing = |name| Error::missing_field(name, "ActionLog");
-        let recorded: usize = recorded.ok_or_else(|| missing("recorded"))?;
-        let later: Vec<DayLog> = days.ok_or_else(|| missing("days"))?;
-        let tracked: Vec<AccountId> = tracked.ok_or_else(|| missing("event_tracked"))?;
-        let mut days: Vec<DayLog> = (0..recorded).map(|d| DayLog::new(Day(d as u32))).collect();
-        days.extend(later);
-        let mut log = ActionLog {
-            open_idx: days.len().saturating_sub(1).max(recorded),
-            recorded,
-            days,
-            event_tracked: Vec::new(),
-        };
-        for id in tracked {
-            log.track_events_for(id);
-        }
-        Ok(log)
     }
 }
 

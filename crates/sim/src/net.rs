@@ -37,7 +37,7 @@ impl std::fmt::Display for IpAddr4 {
 
 /// The kind of network an AS represents; relevant both to threshold design
 /// (mixed vs pure-abuse ASNs, §6.2) and to realism of the synthetic traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsnKind {
     /// Residential/mobile eyeball network: organic logins originate here.
     Residential,
@@ -49,7 +49,7 @@ pub enum AsnKind {
 }
 
 /// Registry entry for one autonomous system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsnInfo {
     /// The AS's id in the registry.
     pub id: AsnId,
@@ -80,7 +80,7 @@ impl AsnInfo {
 /// Blocks are allocated contiguously in registration order, which makes
 /// IP→ASN lookup a binary search and keeps the whole model allocation-free
 /// on the hot path.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AsnRegistry {
     asns: Vec<AsnInfo>,
     next_addr: u32,

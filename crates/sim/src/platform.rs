@@ -49,11 +49,10 @@ use crate::net::{AsnRegistry, IpAddr4};
 use crate::time::{Day, SimClock, SimTime, SECS_PER_DAY};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Platform-wide tuning knobs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlatformConfig {
     /// Organic behaviour constants.
     pub behavior: BehaviorParams,
@@ -86,7 +85,7 @@ impl Default for PlatformConfig {
 /// Mean reciprocation propensities of a target pool, as computed by the
 /// service's own targeting engine over its curated pool. Used by the batch
 /// path in place of per-target profiles.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolStats {
     /// Mean P(like back | like) across the pool.
     pub like_for_like: f64,
@@ -222,7 +221,7 @@ impl EventRequest {
 }
 
 /// A removal scheduled by the delayed-removal countermeasure.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 enum PendingRemoval {
     /// Remove an exact follow edge (event path).
     Edge {
@@ -245,7 +244,7 @@ enum PendingRemoval {
 }
 
 /// A future organic reciprocation, batch form.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct PendingResponse {
     /// Customer receiving the reciprocation.
     target: AccountId,
@@ -256,7 +255,7 @@ struct PendingResponse {
 }
 
 /// A future organic reciprocation, event form (honeypot path).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct PendingEventResponse {
     /// When the organic user responds.
     at: SimTime,
@@ -269,7 +268,7 @@ struct PendingEventResponse {
 }
 
 /// Per-day platform-side counters that are not derivable from the log.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DayMetrics {
     /// Follows silently removed today by the delayed-removal countermeasure.
     pub removed_follows: u32,
@@ -296,13 +295,9 @@ fn take_day_queue<T>(queue: &mut Vec<Vec<T>>, day: Day) -> Vec<T> {
 
 /// The simulated platform.
 ///
-/// Serialization covers every field that is *state*: the clock, arenas,
-/// logs, pending queues, counters and the RNG stream. The two skipped
-/// fields are resupplied on resume — the enforcement policy because each
-/// study phase installs its own policy at entry (so a phase-boundary
-/// checkpoint never needs the old box), and the observability recorder
-/// because metrics are excluded from result digests by design.
-#[derive(Debug, Serialize, Deserialize)]
+/// Every study phase installs its own enforcement policy at entry; a new
+/// platform has none ([`NoEnforcement`]).
+#[derive(Debug)]
 pub struct Platform {
     /// Simulation clock, advanced by the engine.
     pub clock: SimClock,
@@ -317,9 +312,7 @@ pub struct Platform {
     /// Tuning knobs.
     pub config: PlatformConfig,
     /// Observability kit: deterministic metrics and wall-clock timings.
-    #[serde(skip)]
     pub obs: footsteps_obs::Recorder,
-    #[serde(skip)]
     policy: Box<dyn EnforcementPolicy>,
     /// The day `ip_used` counts.
     ip_day: Day,
@@ -1347,37 +1340,25 @@ mod tests {
 
     #[test]
     fn ip_budget_survives_a_mid_day_round_trip() {
-        use serde_json::Value::{Map, Str, U64};
         let mut p = platform();
         p.config.ip_daily_action_cap = 100;
         let a = organic(&mut p, ReciprocityProfile::SILENT);
         p.begin_day(Day(0));
         let spent = p.submit_batch(batch(a, ActionType::Like, 70, PoolStats::INERT));
         assert_eq!(spent.delivered, 70);
-        let json = serde_json::to_string(&p).expect("platform encodes");
-        let mut back: Platform = serde_json::from_str(&json).expect("platform decodes");
-        // The rest of the day sees the same remaining budget on both sides.
-        for q in [&mut p, &mut back] {
-            let r = q.submit_batch(batch(a, ActionType::Like, 50, PoolStats::INERT));
-            assert_eq!((r.delivered, r.blocked), (30, 20));
-        }
-        // The next day's first submission leaves only its own IP encoded.
+        // The rest of the day sees the remaining budget.
+        let r = p.submit_batch(batch(a, ActionType::Like, 50, PoolStats::INERT));
+        assert_eq!((r.delivered, r.blocked), (30, 20));
+        // The next day's first submission leaves only its own IP counted.
         let mut req = batch(a, ActionType::Like, 10, PoolStats::INERT);
         req.ip = IpAddr4(0x0100_0000 + 5);
-        back.begin_day(Day(1));
-        back.submit_batch(req);
-        let doc: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string(&back).expect("platform encodes"))
-                .expect("platform document parses");
-        assert_eq!(doc.get_field("ip_day"), Some(&U64(1)));
-        assert_eq!(
-            doc.get_field("ip_used"),
-            Some(&Map(vec![(Str(req.ip.0.to_string()), U64(10))]))
-        );
+        p.begin_day(Day(1));
+        p.submit_batch(req);
+        assert_eq!(p.ip_day, Day(1));
+        assert_eq!(p.ip_used, HashMap::from([(req.ip, 10)]));
 
         // A deferred event-path follow leaves an `Edge` removal pending for
-        // the next day. No real run holds one at a phase boundary, so the
-        // checkpoint pins never encode that variant: this pins it.
+        // the next day, which takes that follow back.
         let mut q = platform();
         let actor = organic(&mut q, ReciprocityProfile::SILENT);
         let target = organic(&mut q, ReciprocityProfile::SILENT);
@@ -1386,6 +1367,7 @@ mod tests {
             cm: Countermeasure::DelayRemoval,
         }));
         q.begin_day(Day(0));
+        let followers = q.accounts.get(target).followers;
         let outcome = q.submit_event(EventRequest {
             actor,
             action: ActionType::Follow,
@@ -1396,17 +1378,18 @@ mod tests {
             service: Some(ServiceId::Boostgram),
         });
         assert_eq!(outcome, ActionOutcome::DeferredRemoval);
-        let json = serde_json::to_string(&q).expect("platform encodes");
-        let doc: serde_json::Value = serde_json::from_str(&json).expect("platform document parses");
-        let pending = doc
-            .get_field("pending_removals")
-            .expect("pending removals are encoded");
-        assert_eq!(
-            serde_json::to_string(pending).unwrap(),
-            r#"[[],[{"Edge":{"from":0,"to":1}}]]"#
+        let [today, tomorrow] = &q.pending_removals[..] else {
+            panic!("expected removal queues for days 0 and 1: {:?}", q.pending_removals)
+        };
+        assert!(today.is_empty());
+        assert!(
+            matches!(tomorrow[..], [PendingRemoval::Edge { from, to }] if (from, to) == (actor, target)),
+            "expected one Edge removal tomorrow, got {tomorrow:?}"
         );
-        let back: Platform = serde_json::from_str(&json).expect("platform decodes");
-        assert!(serde_json::to_string(&back).expect("platform encodes") == json);
+        assert_eq!(q.accounts.get(target).followers, followers + 1);
+        q.begin_day(Day(1));
+        assert_eq!(q.accounts.get(target).followers, followers);
+        assert_eq!(q.metrics(Day(1)).removed_follows, 1);
     }
 
     #[test]

@@ -20,11 +20,10 @@ use crate::ids::{AccountId, AsnId};
 use crate::net::{AsnKind, AsnRegistry};
 use crate::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration for population synthesis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Number of organic accounts to create.
     pub size: u32,
@@ -54,7 +53,7 @@ impl Default for PopulationConfig {
 }
 
 /// Index of residential ASNs grouped by country, for assigning home ASNs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ResidentialIndex {
     by_country: HashMap<Country, Vec<AsnId>>,
     fallback: Vec<AsnId>,
@@ -91,7 +90,7 @@ impl ResidentialIndex {
 }
 
 /// Handle to the synthesized organic population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Population {
     /// Ids of all organic accounts, in creation order.
     pub organic: Vec<AccountId>,

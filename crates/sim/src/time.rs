@@ -148,7 +148,7 @@ impl std::fmt::Display for Day {
 /// The clock is owned by the platform engine; components read it and only the
 /// engine advances it. Advancing backwards is a programming error and panics
 /// in debug builds.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimClock {
     now: SimTime,
 }

@@ -7,20 +7,19 @@
 //! detector — the honeypot roster, the calibration window and the seed —
 //! and nothing else, so a recording of the same world has the same bytes.
 //!
-//! A study appends each day as it seals, straight to the final path. A
-//! sweep checkpoint names a [`LogPrefix`] instead of embedding those days
-//! (DESIGN.md §7); [`EventLogWriter::resume`] verifies the prefix, cuts
-//! off what a killed run appended after it, and reopens the log. A
-//! `schema_version` field guards every read, and corruption surfaces as a
-//! typed error instead of a panic.
+//! A study appends each day as it seals, straight to the final path, and
+//! flushes the log at every phase boundary. Nothing reads a log back to
+//! resume a study: a sweep job that a kill interrupted runs again and
+//! records its log anew (DESIGN.md §7). A `schema_version` field guards
+//! every read, and corruption surfaces as a typed error instead of a
+//! panic.
 
 pub use footsteps_detect::RosterEntry;
-use footsteps_obs::tree::{fnv1a_extend, FNV1A_EMPTY};
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Version stamp written into every log header. Bump on any change to the
@@ -100,92 +99,29 @@ pub struct LogHeader {
     pub roster: Vec<RosterEntry>,
 }
 
-/// The start of a log: its header and first `batches` day lines, which
-/// take `bytes` bytes with FNV-1a digest `fnv1a`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogPrefix {
-    /// Day lines after the header.
-    pub batches: u64,
-    /// Length in bytes, header included.
-    pub bytes: u64,
-    /// FNV-1a of those bytes.
-    pub fnv1a: u64,
-}
-
 /// Appends a header and then one line per sealed day to a log file. Every
-/// line is encoded into one reused buffer, and the writer keeps the
-/// [`LogPrefix`] of what it has written.
+/// line is encoded into one reused buffer.
 #[derive(Debug)]
 pub struct EventLogWriter {
     out: BufWriter<File>,
     line: String,
     path: PathBuf,
-    written: LogPrefix,
 }
 
 impl EventLogWriter {
     /// Start a recording at `path`, replacing any file there. The header
-    /// is on disk when this returns, so a checkpoint taken before the
-    /// first day resumes.
+    /// is on disk when this returns.
     pub fn create(path: &Path, header: &LogHeader) -> Result<Self, StreamError> {
-        let empty = LogPrefix { batches: 0, bytes: 0, fnv1a: FNV1A_EMPTY };
-        let mut writer = Self::over(File::create(path)?, path, empty);
+        let out = BufWriter::new(File::create(path)?);
+        let mut writer = Self { out, line: String::new(), path: path.to_path_buf() };
         writer.write_line(header)?;
         writer.flush()?;
         Ok(writer)
     }
 
-    /// Reopen the log at `path` after `prefix` (a sweep resume), returning
-    /// the prefix's days. The prefix must parse and match its length and
-    /// digest; what follows it (whole or torn lines of a killed run) is cut
-    /// off. A short or altered prefix is [`StreamError::Corrupt`].
-    pub fn resume(path: &Path, prefix: LogPrefix) -> Result<(Vec<DayLog>, Self), StreamError> {
-        let mut reader = EventLogReader::open(path)?;
-        let mut days = Vec::new();
-        while (days.len() as u64) < prefix.batches {
-            let Some(day) = reader.next_batch()? else {
-                return Err(StreamError::Corrupt(format!(
-                    "the log ends after {} of the {} recorded days",
-                    days.len(),
-                    prefix.batches
-                )));
-            };
-            days.push(day);
-        }
-        let bytes = reader.lines.bytes;
-        drop(reader);
-        let mut fnv1a = FNV1A_EMPTY;
-        let mut head = File::open(path)?.take(bytes);
-        let mut buf = vec![0u8; 1 << 16];
-        loop {
-            let n = head.read(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            fnv1a = fnv1a_extend(fnv1a, &buf[..n]);
-        }
-        let found = LogPrefix { batches: prefix.batches, bytes, fnv1a };
-        if found != prefix {
-            return Err(StreamError::Corrupt(format!(
-                "its first {} days take {bytes} bytes with FNV-1a {fnv1a:#018x}, \
-                 the checkpoint recorded {} bytes with {:#018x}",
-                prefix.batches, prefix.bytes, prefix.fnv1a
-            )));
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.set_len(prefix.bytes)?;
-        Ok((days, Self::over(file, path, prefix)))
-    }
-
-    fn over(file: File, path: &Path, written: LogPrefix) -> Self {
-        Self { out: BufWriter::new(file), line: String::new(), path: path.to_path_buf(), written }
-    }
-
     /// Append one sealed day.
     pub fn append(&mut self, day: &DayLog) -> Result<(), StreamError> {
-        self.write_line(day)?;
-        self.written.batches += 1;
-        Ok(())
+        self.write_line(day)
     }
 
     fn write_line<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), StreamError> {
@@ -194,19 +130,12 @@ impl EventLogWriter {
         self.line = w.into_string();
         self.line.push('\n');
         self.out.write_all(self.line.as_bytes())?;
-        self.written.bytes += self.line.len() as u64;
-        self.written.fnv1a = fnv1a_extend(self.written.fnv1a, self.line.as_bytes());
         Ok(())
     }
 
     /// Push everything appended so far to the file.
     pub fn flush(&mut self) -> Result<(), StreamError> {
         Ok(self.out.flush()?)
-    }
-
-    /// The prefix written so far (on disk once [`EventLogWriter::flush`]ed).
-    pub fn prefix(&self) -> LogPrefix {
-        self.written
     }
 
     /// The log's path.
@@ -240,12 +169,8 @@ pub struct EventLogReader {
 impl EventLogReader {
     /// Open `path`, parse and validate the header line.
     pub fn open(path: &Path) -> Result<Self, StreamError> {
-        let mut lines = LineBuffer {
-            input: BufReader::new(File::open(path)?),
-            line: Vec::new(),
-            line_no: 0,
-            bytes: 0,
-        };
+        let mut lines =
+            LineBuffer { input: BufReader::new(File::open(path)?), line: Vec::new(), line_no: 0 };
         let Some((_, first)) = lines.next()? else {
             return Err(StreamError::Corrupt("empty file (no header line)".into()));
         };
@@ -298,8 +223,6 @@ struct LineBuffer {
     input: BufReader<File>,
     line: Vec<u8>,
     line_no: usize,
-    /// Bytes of the lines read so far.
-    bytes: u64,
 }
 
 impl LineBuffer {
@@ -310,7 +233,6 @@ impl LineBuffer {
             return Ok(None);
         }
         self.line_no += 1;
-        self.bytes += self.line.len() as u64;
         match std::str::from_utf8(&self.line) {
             Ok(text) => Ok(Some((self.line_no, text))),
             Err(e) => Err(StreamError::Corrupt(format!("line {}: {e}", self.line_no))),
@@ -356,15 +278,13 @@ mod tests {
         serde_json::to_string(day).unwrap()
     }
 
-    /// Record `days` at `path` and return its full prefix.
-    fn record(path: &Path, days: &[DayLog]) -> LogPrefix {
+    /// Record `days` at `path`.
+    fn record(path: &Path, days: &[DayLog]) {
         let mut w = EventLogWriter::create(path, &sample_header()).unwrap();
         for day in days {
             w.append(day).unwrap();
         }
-        let prefix = w.prefix();
         w.finish().unwrap();
-        prefix
     }
 
     #[test]
@@ -373,9 +293,10 @@ mod tests {
         let days = days(2);
         let login = LoginRecord { account: AccountId(3), asn: AsnId(1), count: 2 };
         assert_eq!(days[0].logins(), [login]);
-        let prefix = record(&path, &days);
-        assert_eq!(prefix.batches, 2);
-        assert_eq!(prefix.bytes, fs::metadata(&path).unwrap().len());
+        record(&path, &days);
+        let header = serde_json::to_string(&sample_header()).unwrap();
+        let lines = [header, json(&days[0]), json(&days[1])];
+        assert_eq!(fs::read_to_string(&path).unwrap(), lines.join("\n") + "\n");
 
         let mut r = EventLogReader::open(&path).unwrap();
         assert_eq!(r.header().schema_version, STREAM_SCHEMA_VERSION);
@@ -385,66 +306,6 @@ mod tests {
         assert_eq!(json(&r.next_batch().unwrap().unwrap()), json(&days[1]));
         assert!(r.next_batch().unwrap().is_none());
         fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn a_created_log_resumes_before_any_flush() {
-        let path = tmp_path("created");
-        let w = EventLogWriter::create(&path, &sample_header()).unwrap();
-        assert_eq!(fs::metadata(&path).unwrap().len(), w.prefix().bytes);
-        let (days, resumed) = EventLogWriter::resume(&path, w.prefix()).unwrap();
-        assert!(days.is_empty());
-        assert_eq!(resumed.prefix(), w.prefix());
-        drop((w, resumed));
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn resume_cuts_the_tail_after_the_prefix() {
-        let path = tmp_path("resume");
-        let days = days(3);
-        let two = record(&path, &days[..2]);
-        let whole = record(&path, &days);
-        // What a kill mid-phase leaves: the prefix, a whole day, a torn line.
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str("{\"day\":3,\"outb");
-        fs::write(&path, text).unwrap();
-
-        let (read, mut w) = EventLogWriter::resume(&path, two).unwrap();
-        let lines = |days: &[DayLog]| days.iter().map(json).collect::<Vec<_>>();
-        assert_eq!(lines(&read), lines(&days[..2]));
-        assert_eq!(fs::metadata(&path).unwrap().len(), two.bytes);
-        w.append(&days[2]).unwrap();
-        assert_eq!(w.prefix(), whole);
-        w.finish().unwrap();
-        assert_eq!(EventLogWriter::resume(&path, whole).unwrap().1.prefix(), whole);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn resume_refuses_a_short_or_altered_prefix() {
-        let path = tmp_path("refuse");
-        let prefix = record(&path, &days(2));
-        let good = fs::read(&path).unwrap();
-        let header_len = good.iter().position(|&b| b == b'\n').unwrap() + 1;
-
-        // Short: the last day line is gone.
-        let last_line = good[..good.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
-        fs::write(&path, &good[..last_line]).unwrap();
-        assert!(matches!(EventLogWriter::resume(&path, prefix), Err(StreamError::Corrupt(_))));
-
-        // One byte altered inside the prefix, still parsing: the digest catches it.
-        let mut altered = good.clone();
-        let at = header_len + altered[header_len..].iter().position(|&b| b == b'3').unwrap();
-        altered[at] = b'4';
-        fs::write(&path, &altered).unwrap();
-        match EventLogWriter::resume(&path, prefix) {
-            Err(StreamError::Corrupt(msg)) => assert!(msg.contains("FNV-1a"), "{msg}"),
-            other => panic!("expected a digest mismatch, got {other:?}"),
-        }
-
-        fs::remove_file(&path).unwrap();
-        assert!(matches!(EventLogWriter::resume(&path, prefix), Err(StreamError::Io(_))));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod latency;
 pub mod online;
 
 pub use envelope::{
-    EventLogReader, EventLogWriter, LogHeader, LogPrefix, RosterEntry, StreamError,
+    EventLogReader, EventLogWriter, LogHeader, RosterEntry, StreamError,
     STREAM_SCHEMA_VERSION,
 };
 pub use footsteps_detect::roster;

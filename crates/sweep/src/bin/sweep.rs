@@ -8,8 +8,9 @@
 //!
 //! `run` starts (or continues) a sweep of N seeds of one scenario;
 //! `resume` continues from the manifest alone, skipping completed seeds
-//! and resuming partial ones from their latest checkpoint; `report`
-//! aggregates every completed seed into mean ± std paper tables.
+//! and running every other one again from the start; `report` aggregates
+//! every completed seed into mean ± std paper tables. A flag the command
+//! does not take, or a stray argument, is refused before anything runs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,31 +39,49 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pull the value following a `--flag`, if present.
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(format!("{flag} needs a value\n{USAGE}")),
-        },
-    }
-}
+/// A command's `--flag value` pairs.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
 
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match flag_value(args, flag)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("{flag}: cannot parse `{v}`")),
+impl<'a> Flags<'a> {
+    /// Pair each flag in `known` with the value after it. Any other
+    /// argument is an unknown flag (if it starts with `-`) or a stray one.
+    fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let arg = arg.as_str();
+            if known.contains(&arg) {
+                let value = rest.next().ok_or_else(|| format!("{arg} needs a value\n{USAGE}"))?;
+                pairs.push((arg, value.as_str()));
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag: {arg}\n{USAGE}"));
+            } else {
+                return Err(format!("unexpected argument: {arg}\n{USAGE}"));
+            }
+        }
+        Ok(Self(pairs))
     }
-}
 
-fn dir_arg(args: &[String]) -> Result<PathBuf, String> {
-    flag_value(args, "--dir")?
-        .map(PathBuf::from)
-        .ok_or_else(|| format!("--dir is required\n{USAGE}"))
+    /// The value given for `flag`, if any.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.0.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(v) => v
+                .parse::<T>()
+                .map(Some)
+                .map_err(|_| format!("{flag}: cannot parse `{v}`")),
+        }
+    }
+
+    fn dir(&self) -> Result<PathBuf, String> {
+        self.value("--dir")
+            .map(PathBuf::from)
+            .ok_or_else(|| format!("--dir is required\n{USAGE}"))
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -104,23 +123,26 @@ fn describe(outcome: &SweepOutcome) {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let dir = dir_arg(args)?;
-    let n: u64 = parsed(args, "--seeds")?.ok_or_else(|| format!("--seeds is required\n{USAGE}"))?;
+    let flags =
+        Flags::parse(args, &["--dir", "--seeds", "--base-seed", "--scenario", "--workers"])?;
+    let dir = flags.dir()?;
+    let n: u64 =
+        flags.parsed("--seeds")?.ok_or_else(|| format!("--seeds is required\n{USAGE}"))?;
     if n == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    let base: u64 = parsed(args, "--base-seed")?.unwrap_or(1);
+    let base: u64 = flags.parsed("--base-seed")?.unwrap_or(1);
     let last = base.checked_add(n - 1).ok_or_else(|| {
         format!(
             "--base-seed {base} with --seeds {n} runs past the largest seed {}",
             u64::MAX
         )
     })?;
-    let workers: usize = parsed(args, "--workers")?.unwrap_or(2);
-    let name = flag_value(args, "--scenario")?.unwrap_or_else(|| "smoke".into());
+    let workers: usize = flags.parsed("--workers")?.unwrap_or(2);
+    let name = flags.value("--scenario").unwrap_or("smoke");
     // The seed in the variant's scenario is a placeholder; the scheduler
     // substitutes each job's seed.
-    let scenario = match name.as_str() {
+    let scenario = match name {
         "quick" => Scenario::quick(base),
         "smoke" => Scenario::smoke(base),
         "paper" => Scenario::paper(base),
@@ -129,7 +151,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     let cfg = SweepConfig {
         dir,
-        variants: vec![(name, scenario)],
+        variants: vec![(name.to_owned(), scenario)],
         seeds: (base..=last).collect(),
         workers,
     };
@@ -139,15 +161,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let dir = dir_arg(args)?;
-    let workers: usize = parsed(args, "--workers")?.unwrap_or(2);
+    let flags = Flags::parse(args, &["--dir", "--workers"])?;
+    let dir = flags.dir()?;
+    let workers: usize = flags.parsed("--workers")?.unwrap_or(2);
     let outcome = resume_sweep(&dir, workers).map_err(|e| e.to_string())?;
     describe(&outcome);
     Ok(())
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let dir = dir_arg(args)?;
+    let dir = Flags::parse(args, &["--dir"])?.dir()?;
     let manifest = footsteps_sweep::manifest::Manifest::load(
         &footsteps_sweep::scheduler::manifest_path(&dir),
     )
@@ -162,16 +185,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         check_digest(&results, job).map_err(|e| e.to_string())?;
         per_seed.push(results);
         let mpath = metrics_path(&dir, &job.variant, job.seed);
-        if mpath.exists() {
-            metrics.push(read_metrics(&mpath).map_err(|e| e.to_string())?);
-        }
-        // Latency reports only exist for jobs characterized with the
-        // stream attached — directories from older sweeps simply lack
-        // them, so a missing file is not an error.
+        metrics.push(read_metrics(&mpath).map_err(|e| e.to_string())?);
         let lpath = latency_path(&dir, &job.variant, job.seed);
-        if lpath.exists() {
-            latency.push(read_latency(&lpath).map_err(|e| e.to_string())?);
-        }
+        latency.push(read_latency(&lpath).map_err(|e| e.to_string())?);
     }
     if per_seed.is_empty() {
         return Err("no completed seeds to report on (run or resume the sweep first)".into());

@@ -1,12 +1,11 @@
 //! The on-disk sweep manifest: one JSON file tracking every (variant,
-//! seed) job's status, latest checkpointed phase and result digest.
+//! seed) job's status, latest phase boundary and result digest.
 //!
 //! The manifest is the sweep's source of truth across process lifetimes:
-//! `sweep resume` reads only this file (plus the checkpoints it names)
-//! to decide what is left to do. It is rewritten atomically after every
-//! state transition, so a kill at any instant leaves a readable manifest
-//! that is at most one transition stale — and a stale `Running` entry
-//! simply resumes from its latest checkpoint.
+//! `sweep resume` reads only this file to decide what is left to do. It
+//! is rewritten atomically after every state transition, so a kill at any
+//! instant leaves a readable manifest that is at most one transition
+//! stale — and a stale `Running` entry simply runs again from the start.
 //!
 //! Timestamps are wall-clock seconds for operator forensics only; they
 //! never feed a digest (`crates/sweep` carries the lint's wall-clock
@@ -18,8 +17,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use footsteps_core::{Phase, Scenario};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{read_json, write_atomic};
-use crate::SweepError;
+use crate::{read_json, write_atomic, SweepError};
 
 /// Manifest layout version; bump on incompatible changes.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -30,9 +28,10 @@ pub enum JobStatus {
     /// Not started (or reset after a failure).
     Pending,
     /// Claimed by a worker; after a kill this means "partially done,
-    /// resume from the latest checkpoint".
+    /// run it again".
     Running,
-    /// Finished; `digest` is recorded and the results file exists.
+    /// Finished; `digest` is recorded and the results, metrics and
+    /// latency files exist.
     Done,
 }
 
@@ -48,7 +47,7 @@ pub struct JobEntry {
     /// FNV-1a digest of the per-seed `StudyResults` JSON, recorded the
     /// moment characterization completes (the golden-digest convention).
     pub digest: Option<u64>,
-    /// Latest phase boundary with a checkpoint on disk.
+    /// Latest phase boundary the job's run reached.
     pub phase: Phase,
     /// Wall-clock seconds since the epoch of the last transition.
     /// Operator bookkeeping only — never digested, never compared.

@@ -1,26 +1,23 @@
 //! The sweep scheduler: a bounded `std::thread::scope` worker pool that
-//! drives every (variant, seed) job through the full study pipeline,
-//! checkpointing at each phase boundary and recording progress in the
-//! [`Manifest`].
+//! drives every (variant, seed) job through the full study pipeline and
+//! records its progress in the [`Manifest`].
 //!
 //! Restart semantics (the whole point):
 //!
-//! * a job marked `Done` whose results file exists is **skipped** —
-//!   relaunching a finished sweep is a no-op;
-//! * a job with checkpoints on disk resumes from the **latest** boundary
-//!   (scenario-hash validated), recomputing nothing before it;
-//! * everything else starts from scratch.
+//! * a job marked `Done` whose results, metrics and latency files all
+//!   exist is **skipped** — relaunching a finished sweep is a no-op;
+//! * every other job runs from `Study::new`, exactly as a fresh job does.
+//!   A job is deterministic in its scenario, so a job that a kill
+//!   interrupted writes the same files again; a resume reads nothing
+//!   but the manifest.
 //!
 //! Every job records its whole run to one event log,
-//! `log_<variant>_s<seed>.jsonl`, next to its checkpoints; the checkpoints
-//! point at it instead of embedding the days it holds.
+//! `log_<variant>_s<seed>.jsonl`, which each run of the job creates anew.
 //!
 //! Per-seed `StudyResults` are collected the moment characterization
 //! completes — the same point the determinism suite's golden digest is
-//! defined at — and written before the `Characterized` checkpoint, so a
-//! checkpoint at or past that boundary implies the results file exists.
-//! A kill between the two writes only costs re-running characterization,
-//! which is deterministic and reproduces the identical results file.
+//! defined at — and written with the job's metrics snapshot and
+//! detection-latency report.
 //!
 //! Scheduling order never affects results: jobs are independent and each
 //! digest depends only on its scenario, so any interleaving of the pool
@@ -38,14 +35,13 @@ use footsteps_core::{Phase, Scenario, Study};
 use footsteps_obs::{progress, MetricsSnapshot, Stopwatch};
 use footsteps_stream::LatencyReport;
 
-use crate::checkpoint::{self, log_error, read_json, scenario_hash, write_atomic};
 use crate::manifest::{now_unix, JobEntry, JobStatus, Manifest};
-use crate::SweepError;
+use crate::{log_error, read_json, scenario_hash, write_atomic, SweepError};
 
 /// What to run: N seeds × M scenario variants on a bounded pool.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Directory for the manifest, checkpoints and per-seed results.
+    /// Directory for the manifest and the per-seed files.
     pub dir: PathBuf,
     /// Named scenario variants (the seed field is overridden per job).
     pub variants: Vec<(String, Scenario)>,
@@ -60,7 +56,7 @@ pub struct SweepConfig {
 pub struct SweepOutcome {
     /// Final manifest state (also on disk).
     pub manifest: Manifest,
-    /// Jobs that executed at least one phase.
+    /// Jobs that ran.
     pub ran: usize,
     /// Jobs skipped because they were already done.
     pub skipped: usize,
@@ -82,21 +78,20 @@ pub fn metrics_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
     dir.join(format!("metrics_{variant}_s{seed}.json"))
 }
 
-/// Per-job event-log location: the job's whole run, which its checkpoints
-/// point at.
+/// Per-job event-log location: the job's whole run.
 pub fn log_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
     dir.join(format!("log_{variant}_s{seed}.jsonl"))
 }
 
-/// Per-job Chrome-trace location (written next to the job's checkpoints
-/// at every phase boundary; observability only, never digested).
+/// Per-job Chrome-trace location (rewritten at every phase boundary;
+/// observability only, never digested).
 pub fn trace_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
     dir.join(format!("trace_{variant}_s{seed}.json"))
 }
 
 /// Per-job detection-latency report location (online vs batch detector,
 /// DESIGN.md §8; written at the `Characterized` boundary alongside the
-/// results, for jobs that ran with the stream attached).
+/// results).
 pub fn latency_path(dir: &Path, variant: &str, seed: u64) -> PathBuf {
     dir.join(format!("latency_{variant}_s{seed}.json"))
 }
@@ -316,8 +311,8 @@ fn touch(
     m.save(mpath)
 }
 
-/// Run (or skip, or resume) one job. Returns `true` if any phase
-/// actually executed.
+/// Run one job from `Study::new`, or skip it if it is done. Returns
+/// `true` if it ran.
 fn run_job(
     dir: &Path,
     mpath: &Path,
@@ -326,66 +321,35 @@ fn run_job(
     seed: u64,
 ) -> Result<bool, SweepError> {
     let rpath = results_path(dir, variant, seed);
+    let metrics = metrics_path(dir, variant, seed);
+    let latency = latency_path(dir, variant, seed);
     let scenario = {
         let m = shared.lock().expect("manifest lock");
         let entry = m.job(variant, seed).expect("scheduled job is in the manifest");
-        if entry.status == JobStatus::Done && rpath.exists() {
+        if entry.status == JobStatus::Done && [&rpath, &metrics, &latency].iter().all(|p| p.exists())
+        {
             return Ok(false);
         }
         m.scenario_for(variant, seed)
             .ok_or_else(|| SweepError::Config(format!("unknown variant `{variant}`")))?
     };
-    touch(shared, mpath, variant, seed, |j| j.status = JobStatus::Running)?;
+    touch(shared, mpath, variant, seed, |j| {
+        j.status = JobStatus::Running;
+        j.phase = Phase::Setup;
+        j.digest = None;
+    })?;
 
-    // Latest usable checkpoint wins. Boundaries at or past Characterized
-    // additionally require the results file (written just before that
-    // checkpoint); without it, fall back far enough to regenerate it.
-    let mut resumed = None;
-    for phase in [
-        Phase::Finished,
-        Phase::BroadDone,
-        Phase::NarrowDone,
-        Phase::Characterized,
-        Phase::Setup,
-    ] {
-        let p = checkpoint::path_for(dir, variant, seed, phase);
-        if !p.exists() || (phase >= Phase::Characterized && !rpath.exists()) {
-            continue;
-        }
-        resumed = Some(checkpoint::load(&p, &scenario)?);
-        break;
-    }
-    let mut study = resumed.unwrap_or_else(|| Study::new(scenario.clone()));
-    // A job at Setup, fresh or resumed, starts its event log and runs
-    // characterization with the streaming detector attached, so every
-    // seed gets a detection-latency record next to its results. The log
-    // header is a pure function of the scenario, so a Setup resume writes
-    // the same bytes the later checkpoints point at. Jobs resumed past
-    // Setup append to the log their checkpoint reopened, and wrote their
-    // latency report in the invocation that characterized them.
-    if study.phase == Phase::Setup {
-        let lpath = log_path(dir, variant, seed);
-        study.attach_stream(Some(&lpath)).map_err(|e| log_error(&lpath, e))?;
-        checkpoint::save(&study, &checkpoint::path_for(dir, variant, seed, Phase::Setup))?;
-    }
-    // Every sweep job gets a Chrome trace next to its checkpoints,
-    // regardless of `FOOTSTEPS_TRACE_OUT`. A resumed job's trace covers
-    // only the phases run since the resume (the span tree lives in memory,
-    // not in the checkpoint), which is exactly what this invocation did.
+    // Every job records its event log and runs characterization with the
+    // streaming detector attached, so every seed gets a detection-latency
+    // record next to its results, and a Chrome trace of the whole run,
+    // regardless of `FOOTSTEPS_TRACE_OUT`.
+    let mut study = Study::new(scenario);
+    let lpath = log_path(dir, variant, seed);
+    study.attach_stream(Some(&lpath)).map_err(|e| log_error(&lpath, e))?;
     study.platform.obs.timings.enable_events();
     let tpath = trace_path(dir, variant, seed);
 
-    let mut digest = if study.phase >= Phase::Characterized {
-        Some(read_results(&rpath)?.digest())
-    } else {
-        None
-    };
-    let start_phase = study.phase;
-    touch(shared, mpath, variant, seed, |j| {
-        j.phase = start_phase;
-        j.digest = digest;
-    })?;
-
+    let mut digest = None;
     while study.phase < Phase::Finished {
         match study.phase {
             Phase::Setup => study.run_characterization(),
@@ -397,21 +361,15 @@ fn run_job(
         if study.phase == Phase::Characterized {
             let results = StudyResults::collect(&study);
             write_atomic(&rpath, results.to_json().as_bytes())?;
-            if let Some(snapshot) = &results.metrics {
-                write_atomic(
-                    &metrics_path(dir, variant, seed),
-                    snapshot.to_json().as_bytes(),
-                )?;
-            }
+            let snapshot = results.metrics.as_ref().expect("collect takes a metrics snapshot");
+            write_atomic(&metrics, snapshot.to_json().as_bytes())?;
             digest = Some(results.digest());
-            if let Some(latency) = study.detection_latency() {
-                let mut body = serde_json::to_string_pretty(&latency)
-                    .expect("latency report serializes");
-                body.push('\n');
-                write_atomic(&latency_path(dir, variant, seed), body.as_bytes())?;
-            }
+            let report = study.detection_latency().expect("the stream froze at characterization");
+            let mut body =
+                serde_json::to_string_pretty(&report).expect("latency report serializes");
+            body.push('\n');
+            write_atomic(&latency, body.as_bytes())?;
         }
-        checkpoint::save(&study, &checkpoint::path_for(dir, variant, seed, study.phase))?;
         study
             .platform
             .obs
@@ -424,9 +382,6 @@ fn run_job(
         })?;
     }
 
-    touch(shared, mpath, variant, seed, |j| {
-        j.status = JobStatus::Done;
-        j.digest = digest;
-    })?;
+    touch(shared, mpath, variant, seed, |j| j.status = JobStatus::Done)?;
     Ok(true)
 }

@@ -1,7 +1,7 @@
 //! End-to-end sweep behaviour: completed seeds are skipped on relaunch,
-//! partial seeds resume from their latest checkpoint, a killed `sweep`
-//! process is recoverable with `sweep resume`, and the aggregate report
-//! shows real cross-seed variance.
+//! partial seeds run again, a killed `sweep` process is recoverable with
+//! `sweep resume`, and the aggregate report shows real cross-seed
+//! variance.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -9,11 +9,10 @@ use std::time::Duration;
 
 use footsteps_core::{Phase, Scenario};
 use footsteps_sweep::aggregate::aggregate;
-use footsteps_sweep::checkpoint;
 use footsteps_sweep::manifest::{JobStatus, Manifest};
 use footsteps_sweep::scheduler::{
-    latency_path, manifest_path, read_latency, read_results, results_path, resume_sweep,
-    run_sweep, trace_path, SweepConfig,
+    latency_path, manifest_path, metrics_path, read_latency, read_results, results_path,
+    resume_sweep, run_sweep, trace_path, SweepConfig,
 };
 
 fn quick(seed: u64) -> Scenario {
@@ -51,8 +50,8 @@ fn sweep_completes_skips_done_seeds_and_resumes_partial_ones() {
     let r1 = read_results(&results_path(&dir, "quick", 1)).expect("read seed 1 results");
     assert_eq!(r1.digest(), d1);
 
-    // Every executed job left a Chrome trace next to its checkpoints,
-    // and the trace passes the exporter's schema check.
+    // Every executed job left a Chrome trace, and the trace passes the
+    // exporter's schema check.
     for seed in [1, 2] {
         let tpath = trace_path(&dir, "quick", seed);
         let body = std::fs::read_to_string(&tpath)
@@ -66,26 +65,21 @@ fn sweep_completes_skips_done_seeds_and_resumes_partial_ones() {
     assert_eq!((again.ran, again.skipped), (0, 2));
 
     // Fabricate the state a kill after seed 2's narrow phase would leave:
-    // status Running, digest not yet re-recorded, later checkpoints gone.
+    // status Running at that phase.
     let mpath = manifest_path(&dir);
     let mut m = Manifest::load(&mpath).expect("load manifest");
     {
         let job = m.job_mut("quick", 2);
         job.status = JobStatus::Running;
-        job.digest = None;
         job.phase = Phase::NarrowDone;
     }
     m.save(&mpath).expect("save manifest");
-    for phase in [Phase::BroadDone, Phase::Finished] {
-        std::fs::remove_file(checkpoint::path_for(&dir, "quick", 2, phase)).expect("drop ckpt");
-    }
 
     let before = std::fs::read(results_path(&dir, "quick", 1)).expect("seed 1 bytes");
     let resumed = resume_sweep(&dir, 2).expect("resume");
     assert_eq!((resumed.ran, resumed.skipped), (1, 1));
     assert!(resumed.manifest.all_done());
-    // The digest came back from the results file, not a recompute, and
-    // matches the original run exactly.
+    // The job ran again and recorded the original run's digest.
     assert_eq!(resumed.manifest.job("quick", 2).unwrap().digest, Some(d2));
     // The completed seed was not touched.
     assert_eq!(std::fs::read(results_path(&dir, "quick", 1)).unwrap(), before);
@@ -151,8 +145,7 @@ fn killed_sweep_process_resumes_to_completion() {
     assert_ne!(digests[0], digests[1]);
 
     // Finished jobs carry valid per-job trace files even across the kill:
-    // the resumed invocation rewrites the trace at each phase boundary it
-    // actually ran.
+    // a job that runs again rewrites its trace at each phase boundary.
     for job in &manifest.jobs {
         let tpath = trace_path(&dir, &job.variant, job.seed);
         let body = std::fs::read_to_string(&tpath)
@@ -178,6 +171,38 @@ fn killed_sweep_process_resumes_to_completion() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("aggregate report"), "stdout: {stdout}");
     assert!(stdout.contains("cross-seed variance"), "stdout: {stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_done_job_missing_a_per_seed_file_is_reported_and_run_again() {
+    let dir = tmp_dir("missing");
+    let exe = env!("CARGO_BIN_EXE_sweep");
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let sweep = |args: &[&str]| Command::new(exe).args(args).output().expect("sweep runs");
+    let out = sweep(&["run", "--dir", dir_arg, "--seeds", "2", "--workers", "1", "--scenario", "quick"]);
+    assert!(out.status.success());
+
+    for path in [metrics_path(&dir, "quick", 2), latency_path(&dir, "quick", 2)] {
+        let bytes = std::fs::read(&path).expect("the done job wrote the file");
+        std::fs::remove_file(&path).unwrap();
+
+        // `report` refuses to aggregate without it and names the file.
+        let out = sweep(&["report", "--dir", dir_arg]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(out.stdout.is_empty(), "report printed tables without {}", path.display());
+        assert!(stderr.starts_with(&format!("sweep: {}: ", path.display())), "{stderr}");
+
+        // `resume` runs the job again, which writes the same bytes.
+        let out = sweep(&["resume", "--dir", dir_arg, "--workers", "1"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success());
+        assert!(stdout.contains("ran 1 job(s), skipped 1 already-done"), "stdout: {stdout}");
+        assert!(std::fs::read(&path).unwrap() == bytes, "{} differs", path.display());
+    }
+    assert!(sweep(&["report", "--dir", dir_arg]).status.success());
 
     std::fs::remove_dir_all(&dir).ok();
 }

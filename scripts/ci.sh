@@ -115,24 +115,20 @@ gate_footbench() {
 
 gate_sweep() {
   # Two seeds of the smoke scenario on the bounded pool, then prove the
-  # resume path is a no-op on a finished manifest and that the aggregate
+  # resume path is a no-op on a finished manifest, that a job missing a
+  # per-seed file runs again to the same bytes, and that the aggregate
   # report shows real cross-seed variance.
   mkdir "$SWEEP_DIR"
   ./target/release/sweep run --dir "$SWEEP_DIR" --seeds 2 --workers 2 --scenario smoke
 
-  # The wire size of every checkpoint the sweep wrote and of each job's
-  # event log. A checkpoint points at its job's log instead of embedding
-  # the recorded days, so every smoke checkpoint must stay under 10 MB.
-  CKPT_LIMIT_BYTES=10000000
-  for ckpt in "$SWEEP_DIR"/ckpt_*.json; do
-    [ -f "$ckpt" ] || continue
-    ckpt_bytes=$(wc -c < "$ckpt" | tr -d ' ')
-    echo "checkpoint $(basename "$ckpt"): $ckpt_bytes bytes"
-    if [ "$ckpt_bytes" -ge "$CKPT_LIMIT_BYTES" ]; then
-      echo "sweep gate: $(basename "$ckpt") is $ckpt_bytes bytes, not under $CKPT_LIMIT_BYTES" >&2
+  # A job resumes by running again, so a sweep writes no checkpoint.
+  for ckpt in "$SWEEP_DIR"/ckpt_*; do
+    if [ -e "$ckpt" ]; then
+      echo "sweep gate: the sweep wrote a checkpoint, $(basename "$ckpt")" >&2
       exit 1
     fi
   done
+  # The wire size of each job's event log.
   for log in "$SWEEP_DIR"/log_*.jsonl; do
     [ -f "$log" ] || continue
     echo "event log $(basename "$log"): $(wc -c < "$log" | tr -d ' ') bytes"
@@ -157,6 +153,27 @@ gate_sweep() {
     echo "sweep gate: resume on a finished manifest was not a no-op" >&2
     exit 1
   fi
+
+  # A done job without its results file runs again from the start and
+  # writes the same results, metrics, latency and log bytes.
+  kept="$CI_TMP/seed2"
+  mkdir "$kept"
+  for f in results_smoke_s2.json metrics_smoke_s2.json latency_smoke_s2.json log_smoke_s2.jsonl; do
+    cp "$SWEEP_DIR/$f" "$kept/$f"
+  done
+  rm "$SWEEP_DIR/results_smoke_s2.json"
+  resume_out=$(./target/release/sweep resume --dir "$SWEEP_DIR")
+  printf '%s\n' "$resume_out"
+  if ! printf '%s\n' "$resume_out" | grep -q "ran 1 job(s)"; then
+    echo "sweep gate: resume did not run the job that lost its results file" >&2
+    exit 1
+  fi
+  for f in results_smoke_s2.json metrics_smoke_s2.json latency_smoke_s2.json log_smoke_s2.jsonl; do
+    if ! cmp "$kept/$f" "$SWEEP_DIR/$f"; then
+      echo "sweep gate: the re-run job wrote another $f" >&2
+      exit 1
+    fi
+  done
 
   # The aggregate report must show nonzero cross-seed variance in at
   # least one Table 5 count cell.
@@ -183,7 +200,7 @@ gate_sweep() {
     echo "sweep gate: stream-replay failed on the whole-run log log_smoke_s1.jsonl" >&2
     exit 1
   fi
-  echo "sweep gate: OK (2 distinct digests, no-op resume, nonzero variance, latency table, checkpoints < 10 MB, whole-run log replays)"
+  echo "sweep gate: OK (2 distinct digests, no checkpoint, no-op resume, re-run job byte-identical, nonzero variance, latency table, whole-run log replays)"
 }
 
 gate_sweep_workers() {
@@ -368,7 +385,7 @@ run_gate "build (release, -Dwarnings)" gate_build
 run_gate "test" gate_test
 run_gate "vendored crates' unit tests" gate_vendored
 run_gate "footbench's own tests" gate_footbench
-run_gate "sweep smoke (2-seed replication, checkpoint/resume)" gate_sweep
+run_gate "sweep smoke (2-seed replication, resume by re-run)" gate_sweep
 run_gate "sweep-worker gate (4-seed sweep, 1 vs 2 workers, $K pairs)" gate_sweep_workers
 run_gate "perf baseline (smoke scenario, $PAIRS untraced/traced pairs)" gate_perf_baseline
 run_gate "perf regression gate (median of $PAIRS runs)" gate_perf

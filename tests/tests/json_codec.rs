@@ -3,13 +3,13 @@
 //! numbers follow RFC 8259, nesting is bounded, and malformed input is an
 //! error, never a panic.
 
-use footsteps_aas::Service;
 use footsteps_core::{Scenario, Study};
-use footsteps_detect::{AsnTraffic, ThresholdTable};
+use footsteps_detect::{AsnTraffic, Classification};
 use footsteps_obs::tree::fnv1a;
 use footsteps_sim::prelude::{ActionType, AsnId, Day, DayLog, Direction};
 use footsteps_stream::{
-    EventLogReader, EventLogWriter, LogHeader, StreamError, STREAM_SCHEMA_VERSION,
+    EventLogReader, EventLogWriter, LogHeader, StreamError, VerdictSnapshot,
+    STREAM_SCHEMA_VERSION, VERDICT_SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use serde_json::Value;
@@ -20,14 +20,9 @@ fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("footsteps_json_codec_{}_{name}", std::process::id()))
 }
 
-/// `Scenario::quick(7)` at one worker thread: the study before and after
-/// characterization with the pins of its components, and the event log
-/// recorded meanwhile.
+/// The event log `Scenario::quick(7)` at one worker thread records over
+/// characterization.
 struct QuickRun {
-    fresh: String,
-    fresh_parts: Vec<Pin>,
-    characterized: String,
-    characterized_parts: Vec<Pin>,
     log: String,
 }
 
@@ -38,152 +33,41 @@ impl QuickRun {
     }
 }
 
-/// A component's name and the (bytes, FNV-1a) of its encoding.
-type Pin = (&'static str, (usize, u64));
-
-fn pin<T: serde::Serialize>(name: &'static str, value: &T) -> Pin {
-    let doc = serde_json::to_string(value).expect("component encodes");
-    (name, (doc.len(), fnv1a(doc.as_bytes())))
-}
-
-/// Every public `Study` field, the services one engine at a time by slug.
-/// A wire change must move only the pins of the components it changes.
-fn component_pins(study: &Study) -> Vec<Pin> {
-    let mut pins = vec![
-        pin("scenario", &study.scenario),
-        pin("timeline", &study.timeline),
-        pin("phase", &study.phase),
-        pin("platform", &study.platform),
-        pin("residential", &study.residential),
-        pin("population", &study.population),
-        pin("layout", &study.layout),
-    ];
-    for service in &study.services {
-        pins.push(match service {
-            Service::Reciprocity(s) => pin(service.id().slug(), s),
-            Service::Collusion(s) => pin(service.id().slug(), s),
-        });
-    }
-    pins.extend([
-        pin("framework", &study.framework),
-        pin("ledger", &study.ledger),
-        pin("campaigns", &study.campaigns),
-        pin("pipeline", &study.pipeline),
-        pin("narrow_plan", &study.narrow_plan),
-        pin("broad_plan", &study.broad_plan),
-    ]);
-    pins
-}
-
 fn quick_run() -> &'static QuickRun {
     static RUN: OnceLock<QuickRun> = OnceLock::new();
     RUN.get_or_init(|| {
         let mut scenario = Scenario::quick(7);
         scenario.worker_threads = 1;
         let mut study = Study::new(scenario);
-        let fresh = serde_json::to_string(&study).expect("study encodes");
-        let fresh_parts = component_pins(&study);
         let log = tmp_path("quick7.jsonl");
         study.attach_stream(Some(&log)).expect("recorder attaches");
         study.run_characterization();
-        let characterized = serde_json::to_string(&study).expect("study encodes");
-        let characterized_parts = component_pins(&study);
         drop(study);
         let log_text = std::fs::read_to_string(&log).expect("log was recorded");
         std::fs::remove_file(&log).ok();
-        QuickRun {
-            fresh,
-            fresh_parts,
-            characterized,
-            characterized_parts,
-            log: log_text,
-        }
+        QuickRun { log: log_text }
     })
 }
 
-/// Decode a pinned study document and encode it again: same bytes.
-fn assert_study_reencodes(doc: &str) {
-    let study: Study = serde_json::from_str(doc).expect("pinned study decodes");
-    let again = serde_json::to_string(&study).expect("study encodes");
-    assert!(again == doc, "decode + encode changed the study's bytes");
-}
-
 #[test]
-fn fresh_quick_study_keeps_its_wire_bytes() {
-    let doc = &quick_run().fresh;
-    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_109_777, 0x9f8a_ad91_2e9a_7279));
-    assert_study_reencodes(doc);
-}
-
-#[test]
-fn characterized_quick_study_keeps_its_wire_bytes() {
-    let doc = &quick_run().characterized;
-    assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (1_798_334, 0x3e69_40ba_db14_15ca));
-    assert_study_reencodes(doc);
-}
-
-#[test]
-fn fresh_quick_study_components_keep_their_wire_bytes() {
-    let expected: Vec<Pin> = vec![
-        ("scenario", (345, 0x08a0_538a_7bf2_64a5)),
-        ("timeline", (80, 0x1473_1fc6_457b_c4a0)),
-        ("phase", (7, 0x916b_1363_3cc8_01bc)),
-        ("platform", (936_326, 0xc6fa_eb60_dbc4_d1a6)),
-        ("residential", (155, 0xedf1_4d08_ed15_aee8)),
-        ("population", (8_903, 0x6d43_f58a_bcdf_e79a)),
-        ("layout", (141, 0x5c96_cc67_f640_bb5c)),
-        ("instalex", (10_630, 0xa1bd_0d54_a477_d94e)),
-        ("instazood", (12_843, 0x275e_fe23_4479_0959)),
-        ("boostgram", (8_747, 0xd244_a59e_0307_5fba)),
-        ("hublaagram", (108_194, 0x24e4_f1ef_d61c_bbd8)),
-        ("followersgratis", (5_468, 0xfe3c_ed0e_17b0_5ab2)),
-        ("framework", (11_385, 0x9ebc_149c_1710_37ff)),
-        ("ledger", (4_873, 0x03f7_37c5_2e17_b323)),
-        ("campaigns", (776, 0xeb9d_2f48_72cb_5229)),
-        ("pipeline", (4, 0x5b9b_c4ba_5281_08e4)),
-        ("narrow_plan", (166, 0x314a_d248_593e_9779)),
-        ("broad_plan", (264, 0xe312_3d1b_3549_2c8c)),
-    ];
-    assert_eq!(quick_run().fresh_parts, expected);
-}
-
-#[test]
-fn characterized_quick_study_components_keep_their_wire_bytes() {
-    let expected: Vec<Pin> = vec![
-        ("scenario", (345, 0x08a0_538a_7bf2_64a5)),
-        ("timeline", (80, 0x1473_1fc6_457b_c4a0)),
-        ("phase", (15, 0x71c7_54d1_afb4_6d90)),
-        ("platform", (1_420_696, 0x03a4_f3aa_67a9_674e)),
-        ("residential", (155, 0xedf1_4d08_ed15_aee8)),
-        ("population", (8_903, 0x6d43_f58a_bcdf_e79a)),
-        ("layout", (141, 0x5c96_cc67_f640_bb5c)),
-        ("instalex", (14_008, 0x3b4d_f8b4_983f_5494)),
-        ("instazood", (15_762, 0x4ced_eda3_1315_b1b2)),
-        ("boostgram", (9_918, 0x31b9_23e5_b34d_2bc8)),
-        ("hublaagram", (174_158, 0xa01b_1659_9192_4413)),
-        ("followersgratis", (8_747, 0xdf3c_a305_246e_d3d0)),
-        ("framework", (11_385, 0x9ebc_149c_1710_37ff)),
-        ("ledger", (34_811, 0xfa24_0aa8_7c67_5a43)),
-        ("campaigns", (776, 0xeb9d_2f48_72cb_5229)),
-        ("pipeline", (97_534, 0x47e6_6501_1721_447d)),
-        ("narrow_plan", (166, 0x314a_d248_593e_9779)),
-        ("broad_plan", (264, 0xe312_3d1b_3549_2c8c)),
-    ];
-    assert_eq!(quick_run().characterized_parts, expected);
-
-    // No checkpoint pin encodes `AsnTraffic::Benign` (DESIGN.md §7): every
-    // signature ASN of a smoke(7) run carries abusive traffic. A hand-built
-    // threshold table pins that variant.
-    let mut table = ThresholdTable::default();
-    table.set(AsnId(3), ActionType::Follow, Direction::Outbound, 40);
-    table.asn_kinds.insert(AsnId(3), AsnTraffic::Benign);
-    let doc = serde_json::to_string(&table).expect("table encodes");
+fn verdict_snapshot_encodes_a_benign_asn() {
+    // No smoke(7) run freezes a benign signature ASN: every one carries
+    // abusive traffic. A hand-built snapshot pins that variant's bytes.
+    let snapshot = VerdictSnapshot {
+        schema_version: VERDICT_SCHEMA_VERSION,
+        frozen_on: Day(10),
+        signatures: Vec::new(),
+        classification: Classification::default(),
+        thresholds: vec![((AsnId(3), ActionType::Follow, Direction::Outbound), 40)],
+        asn_kinds: vec![(AsnId(3), AsnTraffic::Benign)],
+    };
     assert_eq!(
-        doc,
-        r#"{"thresholds":[[[3,"Follow","Outbound"],40]],"asn_kinds":{"3":"Benign"}}"#
+        snapshot.to_json(),
+        r#"{"schema_version":1,"frozen_on":10,"signatures":[],"classification":{"customers":{},"first_seen":{},"last_seen":{},"active_days":{}},"thresholds":[[[3,"Follow","Outbound"],40]],"asn_kinds":[[3,"Benign"]]}"#
     );
-    let back: ThresholdTable = serde_json::from_str(&doc).expect("table decodes");
-    assert_eq!(serde_json::to_string(&back).expect("table encodes"), doc);
+    let table = snapshot.threshold_table();
+    assert_eq!(table.asn_kinds.get(&AsnId(3)), Some(&AsnTraffic::Benign));
+    assert_eq!(table.get(AsnId(3), ActionType::Follow, Direction::Outbound), Some(40));
 }
 
 #[test]
