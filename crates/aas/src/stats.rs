@@ -9,8 +9,8 @@
 //! reimplementation is exactly the drift the determinism contract
 //! forbids.
 //!
-//! The service engines' own upper median sits here too, one copy for both
-//! engine kinds.
+//! The upper median sits here too, one copy for both engine kinds and the
+//! intervention series.
 
 /// 1-based nearest rank for probability `p ∈ [0,1]` over a sample of
 /// size `len`: `⌈len·p⌉` clamped into `[1, len]`.
@@ -76,11 +76,13 @@ pub fn quantile_sorted_runs(runs: &[&[u32]], p: f64) -> Option<u32> {
 
 /// Upper median of a sample as `f64`: element `len / 2` of the sorted
 /// copy, or 0 for an empty slice. The service engines' controllers read
-/// the median per-account daily success through it. Not to be confused
-/// with `footsteps_analysis::stats::median_u32`, the *lower* median
-/// (element `(len - 1) / 2`, `None` for an empty slice): the two differ on
+/// the median per-account daily success through it, and
+/// `footsteps_intervene`'s Figure 5 series the median daily action count
+/// per active account. Not to be confused with
+/// `footsteps_analysis::stats::median_u32`, the *lower* median (element
+/// `(len - 1) / 2`, `None` for an empty slice): the two differ on
 /// even-sized samples.
-pub(crate) fn upper_median(v: &[u32]) -> f64 {
+pub fn upper_median(v: &[u32]) -> f64 {
     if v.is_empty() {
         return 0.0;
     }

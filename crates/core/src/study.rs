@@ -308,9 +308,9 @@ impl Study {
         self.platform.obs.timings.finish(timer);
     }
 
-    /// Seal the finished `day`, feed it to the online detector (which is
-    /// dropped once it freezes, its outcome kept in `self.stream`) and
-    /// append it to the event log.
+    /// Seal the finished `day`, which makes it final, feed it to the
+    /// online detector (which is dropped once it freezes, its outcome kept
+    /// in `self.stream`) and append it to the event log.
     ///
     /// # Panics
     /// Panics if the event log cannot be written.
@@ -324,7 +324,6 @@ impl Study {
         if let Some(recorder) = &mut self.recorder {
             let appended = recorder.append(sealed);
             appended.unwrap_or_else(|e| panic!("event log {}: {e}", recorder.path().display()));
-            self.platform.log.set_recorded(day.next());
         }
         if let Some((detector, secs)) = self.detector.take_if(|(d, _)| d.frozen().is_some()) {
             let log_path = self.recorder.as_ref().map(|r| r.path().to_path_buf());

@@ -317,11 +317,16 @@ mod tests {
         let app = ClientFingerprint::OfficialApp;
         let mut class = Classification::default();
 
-        // Pure ASN: 8 abusive accounts doing 100,200,…,800 follows/day.
         for i in 0..8u32 {
-            let a = AccountId(i);
-            class.customers.entry(ServiceId::Boostgram).or_default().insert(a);
-            for d in 0..5u32 {
+            class.customers.entry(ServiceId::Boostgram).or_default().insert(AccountId(i));
+            class.customers.entry(ServiceId::Instalex).or_default().insert(AccountId(i));
+            class.customers.entry(ServiceId::Hublaagram).or_default().insert(AccountId(2_000 + i));
+        }
+        // Only the open day takes writes, so the rows go in day by day.
+        for d in 0..5u32 {
+            // Pure ASN: 8 abusive accounts doing 100,200,…,800 follows/day.
+            for i in 0..8u32 {
+                let a = AccountId(i);
                 p.log.record_outbound(
                     Day(d), a, pure, spoof, ActionType::Follow,
                     ActionOutcome::Delivered, 100 * (i + 1),
@@ -331,13 +336,10 @@ mod tests {
                     ActionOutcome::Delivered, 100 * (i + 1),
                 );
             }
-        }
-        // Mixed ASN: the same abusers plus 100 benign accounts doing
-        // 1..=100 follows/day (99th pct = 100).
-        for i in 0..8u32 {
-            let a = AccountId(i);
-            class.customers.entry(ServiceId::Instalex).or_default().insert(a);
-            for d in 0..5u32 {
+            // Mixed ASN: the same abusers plus 100 benign accounts doing
+            // 1..=100 follows/day (99th pct = 100).
+            for i in 0..8u32 {
+                let a = AccountId(i);
                 p.log.record_outbound(
                     Day(d), a, mixed, spoof, ActionType::Follow,
                     ActionOutcome::Delivered, 500,
@@ -347,10 +349,8 @@ mod tests {
                     ActionOutcome::Delivered, 500,
                 );
             }
-        }
-        for i in 0..100u32 {
-            let a = AccountId(1_000 + i);
-            for d in 0..5u32 {
+            for i in 0..100u32 {
+                let a = AccountId(1_000 + i);
                 p.log.record_outbound(
                     Day(d), a, mixed, app, ActionType::Follow,
                     ActionOutcome::Delivered, i + 1,
@@ -360,12 +360,10 @@ mod tests {
                     ActionOutcome::Delivered, i + 1,
                 );
             }
-        }
-        // Collusion ASN: recipients receiving 40,80,…,320 likes/day inbound.
-        for i in 0..8u32 {
-            let a = AccountId(2_000 + i);
-            class.customers.entry(ServiceId::Hublaagram).or_default().insert(a);
-            for d in 0..5u32 {
+            // Collusion ASN: recipients receiving 40,80,…,320 likes/day
+            // inbound.
+            for i in 0..8u32 {
+                let a = AccountId(2_000 + i);
                 p.log.record_inbound(Day(d), a, Some(collusion), ActionType::Like, 40 * (i + 1));
                 // Participants' outbound keeps the ASN pure-abusive.
                 p.log.record_outbound(

@@ -217,9 +217,7 @@ mod tests {
             "delay median {delayed_late} vs control {control_late}"
         );
         // …but the countermeasure works: follows were actually removed.
-        let removed: u64 = (10..39u32)
-            .map(|d| u64::from(platform.metrics(Day(d)).removed_follows))
-            .sum();
+        let removed = platform.obs.metrics.snapshot().counter("platform.removed_follows");
         assert!(removed > 1_000, "removed follows: {removed}");
 
         // Eligible-proportion view (the Figure 6/7 metric): the blocked

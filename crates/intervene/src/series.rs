@@ -9,6 +9,7 @@
 //! service internals.
 
 use crate::bins::{BinAssignment, BinPolicy};
+use footsteps_aas::stats::upper_median;
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -79,8 +80,9 @@ fn daily_counts(
     per_account
 }
 
-/// Figure-5 style series: the median daily action count per active account,
-/// restricted to accounts in `accounts` whose bin policy is `policy`.
+/// Figure-5 style series: the upper median daily action count per active
+/// account ([`upper_median`], 0 on a day with none), restricted to accounts
+/// in `accounts` whose bin policy is `policy`.
 #[allow(clippy::too_many_arguments)]
 pub fn median_actions_per_user(
     platform: &Platform,
@@ -100,21 +102,15 @@ pub fn median_actions_per_user(
         .collect();
     let mut values = Vec::new();
     for day in Day::range(start, end) {
-        let v = match platform.log.day(day) {
+        let counts: Vec<u32> = match platform.log.day(day) {
             Some(log) => {
                 let day_counts: BTreeMap<AccountId, u32> =
                     daily_counts(platform, &group, asns, ty, direction, log);
-                let mut counts: Vec<u32> = day_counts.into_values().collect();
-                if counts.is_empty() {
-                    0.0
-                } else {
-                    counts.sort_unstable();
-                    f64::from(counts[counts.len() / 2])
-                }
+                day_counts.into_values().collect()
             }
-            None => 0.0,
+            None => Vec::new(),
         };
-        values.push(v);
+        values.push(upper_median(&counts));
     }
     DailySeries { start, values }
 }

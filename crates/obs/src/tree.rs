@@ -583,7 +583,9 @@ impl SpanTree {
 }
 
 /// FNV-1a over a byte string: the workspace's one digest, used by
-/// `StudyResults`, the verdict snapshot and the span-structure digest.
+/// `StudyResults`, the verdict snapshot, the span-structure digest, the
+/// sweep's scenario hash and the label hash of `sim::rng`'s per-component
+/// streams, which every seeded draw of a study depends on.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -18,18 +18,20 @@
 //!
 //! ## Storage layout
 //!
-//! Aggregates live in flat record vectors, not hash maps. The day currently
-//! being written (the *open* day) carries a transient per-account chain
-//! index — `heads[account] → first record, next[record] → same-account
-//! record` — so the per-action path (upsert + the countermeasures'
-//! `prior_today` lookup) walks a one-or-two-entry chain instead of hashing
-//! or scanning. When the log advances to a later day, the previous day is
-//! *sealed*: records are sorted by key, the chain index is dropped, and all
-//! queries switch to binary search over the sorted vector. Iteration order
-//! is therefore deterministic in both states — insertion order while open,
-//! key order once sealed.
-//! Days the event log holds ([`ActionLog::set_recorded`]) take no more
-//! writes, so memory and log never diverge.
+//! Aggregates live in flat record vectors, not hash maps. Only the day
+//! currently being written (the *open* day) takes writes. It carries a
+//! transient per-account chain index — `heads[account] → first record,
+//! next[record] → same-account record` — so the per-action path (upsert +
+//! the countermeasures' `prior_today` lookup) walks a one-or-two-entry
+//! chain instead of hashing or scanning. When the log advances to a later
+//! day, the previous day is *sealed*: records are sorted by key, the chain
+//! index is dropped, and all queries switch to binary search over the
+//! sorted vector. Iteration order is therefore deterministic in both
+//! states — insertion order while open, key order once sealed.
+//!
+//! A sealed day is final: a write into it panics, so the day the event log
+//! holds and the day in memory never diverge, and a reader may keep or
+//! drop a sealed day knowing it cannot change.
 
 use crate::actions::{ActionEvent, ActionOutcome, ActionType, TypeCounts};
 use crate::fingerprint::ClientFingerprint;
@@ -103,20 +105,6 @@ struct OpenIndex {
     in_next: Vec<u32>,
 }
 
-impl OpenIndex {
-    /// Rebuild chains from existing records (reopening a sealed day).
-    fn rebuild(out: &[(OutboundKey, TypeCounts)], inb: &[(InboundKey, TypeCounts)]) -> Self {
-        let mut idx = OpenIndex::default();
-        for (i, (k, _)) in out.iter().enumerate() {
-            idx.out_next.push(take_head(&mut idx.out_heads, k.account, i as u32));
-        }
-        for (i, ((a, _), _)) in inb.iter().enumerate() {
-            idx.in_next.push(take_head(&mut idx.in_heads, *a, i as u32));
-        }
-        idx
-    }
-}
-
 /// Swap `heads[account]` to `new`, returning the previous head.
 fn take_head(heads: &mut Vec<u32>, account: AccountId, new: u32) -> u32 {
     let i = account.index();
@@ -132,9 +120,9 @@ fn head_of(heads: &[u32], account: AccountId) -> u32 {
 
 type InboundKey = (AccountId, InboundSource);
 
-/// Aggregated activity for a single day. Its JSON form is
+/// Aggregated activity for a single day. A sealed day's JSON form is
 /// `{day, outbound, inbound, photo_likes, logins, events}`, rows in key
-/// order whether the day is open or sealed.
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct DayLog {
     /// The day this record covers.
@@ -294,64 +282,40 @@ impl DayLog {
         }
     }
 
-    /// Upsert an outbound record.
+    /// Upsert an outbound record into the open day.
     fn add_outbound(&mut self, key: OutboundKey, ty: ActionType, outcome: ActionOutcome, n: u32) {
-        match &mut self.open {
-            Some(idx) => {
-                let mut at = head_of(&idx.out_heads, key.account);
-                while at != NONE {
-                    let (k, c) = &mut self.out_records[at as usize];
-                    if *k == key {
-                        c.record(ty, outcome, n);
-                        return;
-                    }
-                    at = idx.out_next[at as usize];
-                }
-                let i = self.out_records.len() as u32;
-                self.out_records.push((key, TypeCounts::default()));
-                self.out_records[i as usize].1.record(ty, outcome, n);
-                idx.out_next.push(take_head(&mut idx.out_heads, key.account, i));
+        let idx = self.open.as_deref_mut().expect("a write landed in a sealed day");
+        let mut at = head_of(&idx.out_heads, key.account);
+        while at != NONE {
+            let (k, c) = &mut self.out_records[at as usize];
+            if *k == key {
+                c.record(ty, outcome, n);
+                return;
             }
-            // Sealed day (a write going backwards in time — cold path, used
-            // only by tests and out-of-order bookkeeping): sorted upsert.
-            None => match self.out_records.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(i) => self.out_records[i].1.record(ty, outcome, n),
-                Err(i) => {
-                    let mut c = TypeCounts::default();
-                    c.record(ty, outcome, n);
-                    self.out_records.insert(i, (key, c));
-                }
-            },
+            at = idx.out_next[at as usize];
         }
+        let i = self.out_records.len() as u32;
+        self.out_records.push((key, TypeCounts::default()));
+        self.out_records[i as usize].1.record(ty, outcome, n);
+        idx.out_next.push(take_head(&mut idx.out_heads, key.account, i));
     }
 
-    /// Upsert an inbound record.
+    /// Upsert an inbound record into the open day.
     fn add_inbound(&mut self, key: InboundKey, ty: ActionType, outcome: ActionOutcome, n: u32) {
-        match &mut self.open {
-            Some(idx) => {
-                let mut at = head_of(&idx.in_heads, key.0);
-                while at != NONE {
-                    let (k, c) = &mut self.in_records[at as usize];
-                    if *k == key {
-                        c.record(ty, outcome, n);
-                        return;
-                    }
-                    at = idx.in_next[at as usize];
-                }
-                let i = self.in_records.len() as u32;
-                self.in_records.push((key, TypeCounts::default()));
-                self.in_records[i as usize].1.record(ty, outcome, n);
-                idx.in_next.push(take_head(&mut idx.in_heads, key.0, i));
+        let idx = self.open.as_deref_mut().expect("a write landed in a sealed day");
+        let mut at = head_of(&idx.in_heads, key.0);
+        while at != NONE {
+            let (k, c) = &mut self.in_records[at as usize];
+            if *k == key {
+                c.record(ty, outcome, n);
+                return;
             }
-            None => match self.in_records.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(i) => self.in_records[i].1.record(ty, outcome, n),
-                Err(i) => {
-                    let mut c = TypeCounts::default();
-                    c.record(ty, outcome, n);
-                    self.in_records.insert(i, (key, c));
-                }
-            },
+            at = idx.in_next[at as usize];
         }
+        let i = self.in_records.len() as u32;
+        self.in_records.push((key, TypeCounts::default()));
+        self.in_records[i as usize].1.record(ty, outcome, n);
+        idx.in_next.push(take_head(&mut idx.in_heads, key.0, i));
     }
 
     /// Sort records by key and drop the chain index. Idempotent.
@@ -361,35 +325,19 @@ impl DayLog {
             self.in_records.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
         }
     }
-
-    /// Whether this day currently carries the open-day chain index.
-    fn is_open(&self) -> bool {
-        self.open.is_some()
-    }
-
-    /// Install (or rebuild) the chain index so this day accepts O(1) writes.
-    fn open_for_writes(&mut self) {
-        if self.open.is_none() {
-            self.open = Some(Box::new(OpenIndex::rebuild(
-                &self.out_records,
-                &self.in_records,
-            )));
-        }
-    }
 }
 
 impl Serialize for DayLog {
+    /// Writes the sealed rows as they are, in key order.
+    ///
+    /// # Panics
+    /// Panics on an open day, whose rows are in insertion order.
     fn serialize(&self, w: &mut Writer) {
-        // Serialize sorted copies so the output is identical whether the day
-        // was sealed or still open.
-        let mut out = self.out_records.clone();
-        out.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        let mut inb = self.in_records.clone();
-        inb.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        assert!(self.open.is_none(), "an open day has no wire form: seal it first");
         w.begin_object();
         w.field("day", &self.day);
-        w.field("outbound", &out);
-        w.field("inbound", &inb);
+        w.field("outbound", &self.out_records);
+        w.field("inbound", &self.in_records);
         w.field("photo_likes", &self.photo_likes);
         w.field("logins", &self.logins);
         w.field("events", &self.events);
@@ -398,6 +346,10 @@ impl Serialize for DayLog {
 }
 
 impl Deserialize for DayLog {
+    /// Reads a sealed day. Its outbound, inbound and login rows must be in
+    /// strictly increasing key order, as the writer emits them: a swapped
+    /// or repeated row is an error, since the sealed day's binary searches
+    /// would miss it or find only one of two copies.
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         let (mut day, mut out, mut inb, mut likes, mut logins, mut events) =
             (None, None, None, None, None, None);
@@ -414,7 +366,7 @@ impl Deserialize for DayLog {
             }
         }
         let missing = |name| Error::missing_field(name, "DayLog");
-        Ok(DayLog {
+        let day = DayLog {
             day: day.ok_or_else(|| missing("day"))?,
             out_records: out.ok_or_else(|| missing("outbound"))?,
             in_records: inb.ok_or_else(|| missing("inbound"))?,
@@ -422,7 +374,22 @@ impl Deserialize for DayLog {
             logins: logins.ok_or_else(|| missing("logins"))?,
             events: events.ok_or_else(|| missing("events"))?,
             open: None,
-        })
+        };
+        in_key_order("outbound", &day.out_records, |(k, _)| *k)?;
+        in_key_order("inbound", &day.in_records, |(k, _)| *k)?;
+        in_key_order("logins", &day.logins, |r| (r.account, r.asn))?;
+        Ok(day)
+    }
+}
+
+/// Fails unless `rows` are in strictly increasing `key` order.
+fn in_key_order<T, K: Ord>(what: &str, rows: &[T], key: impl Fn(&T) -> K) -> Result<(), Error> {
+    match rows.windows(2).position(|w| key(&w[0]) >= key(&w[1])) {
+        None => Ok(()),
+        Some(i) => Err(Error::custom(format!(
+            "{what} row {} does not follow row {i} in strictly increasing key order",
+            i + 1
+        ))),
     }
 }
 
@@ -554,9 +521,6 @@ pub struct ActionLog {
     days: Vec<DayLog>,
     /// Index of the open (chain-indexed) day; days below it are sealed.
     open_idx: usize,
-    /// Days below this index are in the event log: they take no more
-    /// writes.
-    recorded: usize,
     /// `tracked[account]`: full per-action events are retained. Dense, so
     /// the per-event check costs one bounds-checked load.
     event_tracked: Vec<bool>,
@@ -583,24 +547,23 @@ impl ActionLog {
         self.event_tracked.get(id.index()).copied().unwrap_or(false)
     }
 
-    /// Mutable day record, growing the log as needed. Advancing to a later
-    /// day seals every earlier day (sorts its records, drops its chain
-    /// index); writes to an already-sealed day fall back to sorted upserts.
+    /// The open day's record, growing the log as needed: the one way into
+    /// the log for its writers (`record_*`, `push_event`). Only the open
+    /// day takes writes: a write to a later day seals every earlier one
+    /// (sorts its records, drops its chain index) and opens the later day.
     ///
     /// # Panics
-    /// Panics on a day the event log holds ([`ActionLog::set_recorded`]),
-    /// so memory and log never diverge.
-    pub fn day_mut(&mut self, day: Day) -> &mut DayLog {
+    /// Panics on a sealed day: a sealed day is final.
+    fn day_mut(&mut self, day: Day) -> &mut DayLog {
         let idx = day.0 as usize;
-        assert!(idx >= self.recorded, "a write landed in a day the event log holds");
+        assert!(idx >= self.open_idx, "a write landed in a sealed day");
         if idx > self.open_idx {
             self.seal(Day(day.0 - 1));
         }
         self.grow_to(idx);
-        if idx >= self.open_idx && !self.days[idx].is_open() {
-            self.days[idx].open_for_writes();
-        }
-        &mut self.days[idx]
+        let open = &mut self.days[idx];
+        open.open.get_or_insert_with(Box::default);
+        open
     }
 
     /// Materialize empty records through day index `idx`.
@@ -612,7 +575,8 @@ impl ActionLog {
     }
 
     /// Seal every day through `day` (materialized if empty) and return it,
-    /// in key order as the event log holds it.
+    /// in key order as the event log holds it. Sealing makes a day final:
+    /// the log's writers refuse it from then on.
     pub fn seal(&mut self, day: Day) -> &DayLog {
         let idx = day.0 as usize;
         self.grow_to(idx);
@@ -623,21 +587,6 @@ impl ActionLog {
             self.open_idx = idx + 1;
         }
         &self.days[idx]
-    }
-
-    /// Mark the sealed days before `end` as held by the event log.
-    ///
-    /// # Panics
-    /// Panics if a day before `end` is not sealed yet.
-    pub fn set_recorded(&mut self, end: Day) {
-        let end = end.0 as usize;
-        assert!(end <= self.open_idx, "only sealed days can be recorded");
-        self.recorded = self.recorded.max(end);
-    }
-
-    /// The first day the event log does not hold.
-    pub fn recorded(&self) -> Day {
-        Day(self.recorded as u32)
     }
 
     /// Day record, if the day is within the log's range.
@@ -897,11 +846,11 @@ mod tests {
         let open_att = log.day(Day(0)).unwrap().outbound_attempted(a, ActionType::Follow);
         let open_at = log.day(Day(0)).unwrap().outbound_at(a, AsnId(0));
         let open_in = log.day(Day(0)).unwrap().inbound_of(b);
-        assert!(log.day(Day(0)).unwrap().is_open());
+        assert!(log.day(Day(0)).unwrap().open.is_some());
         // Advancing the log seals day 0.
         log.record_outbound(Day(1), a, AsnId(0), fp, ActionType::Like, ActionOutcome::Delivered, 1);
         let d0 = log.day(Day(0)).unwrap();
-        assert!(!d0.is_open());
+        assert!(d0.open.is_none());
         assert_eq!(d0.outbound_attempted(a, ActionType::Follow), open_att);
         assert_eq!(d0.outbound_at(a, AsnId(0)), open_at);
         assert_eq!(d0.inbound_of(b), open_in);
@@ -913,60 +862,20 @@ mod tests {
     }
 
     #[test]
-    fn writes_to_sealed_days_upsert_in_key_order() {
+    #[should_panic(expected = "a write landed in a sealed day")]
+    fn writes_into_sealed_days_panic() {
         let mut log = ActionLog::new();
-        let fp = ClientFingerprint::OfficialApp;
-        log.record_outbound(Day(5), AccountId(1), AsnId(0), fp, ActionType::Like, ActionOutcome::Delivered, 1);
-        // Day 2 is behind the open day — sealed (and empty) from the start.
-        log.record_outbound(Day(2), AccountId(9), AsnId(0), fp, ActionType::Like, ActionOutcome::Delivered, 4);
-        log.record_outbound(Day(2), AccountId(4), AsnId(0), fp, ActionType::Like, ActionOutcome::Delivered, 2);
-        log.record_outbound(Day(2), AccountId(9), AsnId(0), fp, ActionType::Like, ActionOutcome::Delivered, 1);
-        let d2 = log.day(Day(2)).unwrap();
-        assert_eq!(d2.outbound_attempted(AccountId(9), ActionType::Like), 5);
-        assert_eq!(d2.outbound_attempted(AccountId(4), ActionType::Like), 2);
-        let accounts: Vec<u32> = d2.outbound().map(|(k, _)| k.account.0).collect();
-        assert_eq!(accounts, vec![4, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "a write landed in a day the event log holds")]
-    fn writes_into_recorded_days_stop_the_recording() {
-        let mut log = ActionLog::new();
-        log.seal(Day(1));
-        log.set_recorded(Day(2));
         log.record_inbound(Day(0), AccountId(1), None, ActionType::Like, 1);
-        log.seal(Day(2));
-        log.set_recorded(Day(3));
+        // The study seals a day before it records it; the day is final.
+        log.seal(Day(0));
+        log.day_mut(Day(0));
     }
 
     #[test]
-    fn day_log_serializes_identically_open_or_sealed() {
-        let mut a = ActionLog::new();
-        let mut b = ActionLog::new();
-        let fp = ClientFingerprint::SpoofedMobile { variant: 1 };
-        for log in [&mut a, &mut b] {
-            for i in (0..6u32).rev() {
-                log.record_outbound(
-                    Day(0),
-                    AccountId(i),
-                    AsnId(0),
-                    fp,
-                    ActionType::Follow,
-                    ActionOutcome::Delivered,
-                    i + 1,
-                );
-            }
-        }
-        // Seal `b`'s day 0 by advancing; leave `a`'s open.
-        b.record_outbound(Day(1), AccountId(0), AsnId(0), fp, ActionType::Like, ActionOutcome::Delivered, 1);
-        let ser_a = serde_json::to_string(&a.day(Day(0)).unwrap()).unwrap();
-        let ser_b = serde_json::to_string(&b.day(Day(0)).unwrap()).unwrap();
-        assert_eq!(ser_a, ser_b);
-        // And the round trip preserves queries.
-        let back: DayLog = serde_json::from_str(&ser_a).unwrap();
-        assert_eq!(
-            back.outbound_attempted(AccountId(3), ActionType::Follow),
-            4
-        );
+    #[should_panic(expected = "an open day has no wire form")]
+    fn an_open_day_has_no_wire_form() {
+        let mut log = ActionLog::new();
+        log.record_inbound(Day(0), AccountId(1), None, ActionType::Like, 1);
+        let _ = serde_json::to_string(log.day(Day(0)).unwrap());
     }
 }

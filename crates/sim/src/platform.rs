@@ -31,6 +31,13 @@
 //!
 //! Delayed removals and scheduled reciprocation are applied by
 //! [`Platform::begin_day`], which the engine calls at each day boundary.
+//!
+//! The platform keeps one per-day record, the [`ActionLog`]: every outcome
+//! of every path, the edge defense's refusals included, is a row of the
+//! day it happened on, written while that day is open. What no row holds,
+//! the follows the delayed removals take back, is the `obs` registry
+//! counter `platform.removed_follows`, next to the run's totals such as
+//! `platform.outbound.edge_blocked`.
 
 use crate::account::{AccountStore, ReciprocityProfile};
 use crate::actions::{ActionEvent, ActionOutcome, ActionTarget, ActionType};
@@ -267,15 +274,6 @@ struct PendingEventResponse {
     to: AccountId,
 }
 
-/// Per-day platform-side counters that are not derivable from the log.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DayMetrics {
-    /// Follows silently removed today by the delayed-removal countermeasure.
-    pub removed_follows: u32,
-    /// Actions visibly refused by the baseline IP-volume defense.
-    pub edge_blocked: u32,
-}
-
 /// Append `day`-indexed queue access for the pending-work tables.
 fn day_queue<T>(queue: &mut Vec<Vec<T>>, day: Day) -> &mut Vec<T> {
     let idx = day.0 as usize;
@@ -327,8 +325,6 @@ pub struct Platform {
     logins: Vec<[u32; crate::country::Country::ALL.len()]>,
     /// Per-account ground-truth service bitmask, indexed by account id.
     ground_truth: Vec<u8>,
-    /// Per-day metrics, indexed by `Day::0`.
-    metrics: Vec<DayMetrics>,
     rng: SmallRng,
 }
 
@@ -351,7 +347,6 @@ impl Platform {
             pending_event_responses: Vec::new(),
             logins: Vec::new(),
             ground_truth: Vec::new(),
-            metrics: Vec::new(),
             rng,
         }
     }
@@ -367,14 +362,6 @@ impl Platform {
         self.ip_used.entry(ip).or_insert(0)
     }
 
-    fn metrics_mut(&mut self, day: Day) -> &mut DayMetrics {
-        let idx = day.0 as usize;
-        if idx >= self.metrics.len() {
-            self.metrics.resize(idx + 1, DayMetrics::default());
-        }
-        &mut self.metrics[idx]
-    }
-
     /// Install an enforcement policy (replacing any previous one).
     pub fn set_policy(&mut self, policy: Box<dyn EnforcementPolicy>) {
         self.policy = policy;
@@ -388,14 +375,6 @@ impl Platform {
         self.apply_removals(day);
         self.apply_responses(day);
         self.apply_event_responses(day);
-    }
-
-    /// Per-day metrics (zeros if nothing was recorded).
-    pub fn metrics(&self, day: Day) -> DayMetrics {
-        self.metrics
-            .get(day.0 as usize)
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Ground-truth services that have driven this account (bitmask over
@@ -704,7 +683,6 @@ impl Platform {
                 edge_blocked,
             );
             result.blocked += edge_blocked;
-            self.metrics_mut(day).edge_blocked += edge_blocked;
             self.obs
                 .metrics
                 .add("platform.outbound.edge_blocked", u64::from(edge_blocked));
@@ -995,7 +973,6 @@ impl Platform {
             }
         }
         if removed > 0 {
-            self.metrics_mut(day).removed_follows += removed;
             self.obs
                 .metrics
                 .add("platform.removed_follows", u64::from(removed));
@@ -1168,6 +1145,11 @@ mod tests {
         )
     }
 
+    /// A run-wide registry counter of `p`.
+    fn counter(p: &Platform, name: &str) -> u64 {
+        p.obs.metrics.snapshot().counter(name)
+    }
+
     fn batch(actor: AccountId, action: ActionType, count: u32, pool: PoolStats) -> BatchRequest {
         BatchRequest {
             actor,
@@ -1252,7 +1234,7 @@ mod tests {
         // Next day the deferred 40 are silently removed.
         p.begin_day(Day(1));
         assert_eq!(p.accounts.get(a).following, 110);
-        assert_eq!(p.metrics(Day(1)).removed_follows, 40);
+        assert_eq!(counter(&p, "platform.removed_follows"), 40);
     }
 
     #[test]
@@ -1315,7 +1297,7 @@ mod tests {
         assert_eq!(snap.counter("enforce.bin4.blocked"), 0);
         // Next day the deferred follows are removed and counted.
         p.begin_day(Day(1));
-        assert_eq!(p.obs.metrics.snapshot().counter("platform.removed_follows"), 40);
+        assert_eq!(counter(&p, "platform.removed_follows"), 40);
     }
 
     #[test]
@@ -1331,7 +1313,7 @@ mod tests {
         assert_eq!(r1.delivered, 80);
         assert_eq!(r2.delivered, 20);
         assert_eq!(r2.blocked, 60);
-        assert_eq!(p.metrics(Day(0)).edge_blocked, 60);
+        assert_eq!(counter(&p, "platform.outbound.edge_blocked"), 60);
         // Budget resets next day.
         p.begin_day(Day(1));
         let r3 = p.submit_batch(batch(a, ActionType::Like, 80, PoolStats::INERT));
@@ -1389,7 +1371,7 @@ mod tests {
         assert_eq!(q.accounts.get(target).followers, followers + 1);
         q.begin_day(Day(1));
         assert_eq!(q.accounts.get(target).followers, followers);
-        assert_eq!(q.metrics(Day(1)).removed_follows, 1);
+        assert_eq!(counter(&q, "platform.removed_follows"), 1);
     }
 
     #[test]
@@ -1615,7 +1597,7 @@ mod tests {
         // on the outbound side) does not move.
         p.begin_day(Day(1));
         assert_eq!(p.accounts.get(customer).followers, 130);
-        assert_eq!(p.metrics(Day(1)).removed_follows, 0);
+        assert_eq!(counter(&p, "platform.removed_follows"), 0);
     }
 
     #[test]

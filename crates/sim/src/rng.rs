@@ -12,6 +12,7 @@
 //! randomness does not perturb existing streams — the property that keeps
 //! experiment diffs reviewable as the codebase grows.
 
+use footsteps_obs::tree::fnv1a;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -38,13 +39,13 @@ impl RngFactory {
     /// reproducibility contract); use lowercase dotted paths such as
     /// `"sim.population"` or `"aas.boostgram.targeting"`.
     pub fn stream(&self, label: &str) -> SmallRng {
-        SmallRng::seed_from_u64(mix(self.seed, hash_label(label)))
+        SmallRng::seed_from_u64(self.stream_seed(label))
     }
 
     /// Derive an RNG for a numbered sub-stream of a component, e.g. one
     /// stream per account or per day. Stable for the same `(label, n)`.
     pub fn substream(&self, label: &str, n: u64) -> SmallRng {
-        SmallRng::seed_from_u64(mix(mix(self.seed, hash_label(label)), n))
+        SmallRng::seed_from_u64(mix(self.stream_seed(label), n))
     }
 
     /// The raw 64-bit seed of the stream identified by `label` — the value
@@ -52,8 +53,12 @@ impl RngFactory {
     /// per-entity streams (the service engines derive one per
     /// account-day) keep this seed and feed it to [`decision_rng`] instead
     /// of holding a factory.
+    ///
+    /// The label is hashed with the workspace's one digest, FNV-1a:
+    /// cheap, stable, and collision-resistant enough for a handful of
+    /// component labels (collisions are further mixed with the seed).
     pub fn stream_seed(&self, label: &str) -> u64 {
-        mix(self.seed, hash_label(label))
+        mix(self.seed, fnv1a(label.as_bytes()))
     }
 }
 
@@ -68,20 +73,6 @@ impl RngFactory {
 /// order or on which other entities are engaged that day.
 pub fn decision_rng(stream_seed: u64, entity: u64, day: u64) -> SmallRng {
     SmallRng::seed_from_u64(mix(mix(stream_seed, entity), day))
-}
-
-/// FNV-1a over the label bytes. Cheap, stable, and collision-resistant
-/// enough for a handful of component labels (collisions are further mixed
-/// with the seed via `mix`).
-fn hash_label(label: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 /// SplitMix64 finaliser: a high-quality 64-bit mixer used to combine the

@@ -190,7 +190,7 @@ fn malformed_day_rows_are_typed_errors() {
     items(field(&mut with_event, "events")).push(event_row("Delivered"));
     assert!(read_day0(&with_event).expect("day 0 reads").is_some());
 
-    let edits: [RowEdit; 5] = [
+    let edits: [RowEdit; 9] = [
         ("a 14-cell counts row", |day| drop(counts(day).pop()), "length 15"),
         ("a 16-cell counts row", |day| counts(day).push(Value::U64(0)), "length 15"),
         (
@@ -211,6 +211,32 @@ fn malformed_day_rows_are_typed_errors() {
             "a RateLimited event",
             |day| items(field(day, "events")).push(event_row("RateLimited")),
             "unknown variant `RateLimited`",
+        ),
+        (
+            "two outbound rows swapped",
+            |day| items(field(day, "outbound")).swap(0, 1),
+            "outbound row 1 does not follow row 0",
+        ),
+        (
+            "an outbound row repeated",
+            |day| {
+                let rows = items(field(day, "outbound"));
+                rows.insert(1, rows[0].clone());
+            },
+            "outbound row 1 does not follow row 0",
+        ),
+        (
+            "two inbound rows swapped",
+            |day| items(field(day, "inbound")).swap(0, 1),
+            "inbound row 1 does not follow row 0",
+        ),
+        (
+            "a login row repeated",
+            |day| {
+                let rows = items(field(day, "logins"));
+                rows.insert(1, rows[0].clone());
+            },
+            "logins row 1 does not follow row 0",
         ),
     ];
     for (what, edit, error) in edits {

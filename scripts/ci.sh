@@ -339,7 +339,8 @@ gate_stream() {
   # (perf_baseline --stream runs the detector with the recorder off then
   # on, and itself asserts those two digests match), then replay the log
   # offline: stream-replay must recompute the identical verdict digest
-  # from the file alone, and the versioned envelope must round-trip.
+  # from the file alone, and the versioned envelope must round-trip. A
+  # copy with one row repeated must be refused.
   STREAM_LOG="$CI_TMP/footsteps_stream.ci.jsonl"
   STREAM_PERF="$CI_TMP/BENCH_stream.ci.json"
   ./target/release/perf_baseline --stream "$STREAM_LOG" 7 "$STREAM_PERF"
@@ -361,7 +362,29 @@ gate_stream() {
     printf '%s\n' "$replay_out" >&2
     exit 1
   fi
-  echo "stream gate: OK (verdict digest $replay_digest reproduced from the recorded log)"
+  # A day line whose first outbound row is repeated, on the first day of
+  # the calibration window, must be refused with its line number (exit 1),
+  # not replayed into other verdicts: the reader requires rows in strictly
+  # increasing key order. Line 1 is the header, so day D is line D + 2.
+  TAMPERED_LOG="$CI_TMP/footsteps_stream.repeated_row.ci.jsonl"
+  calibration_start=$(sed -n '1s/.*"calibration_start":\([0-9]*\).*/\1/p' "$STREAM_LOG")
+  tamper_line=$((calibration_start + 2))
+  sed "${tamper_line}s/\"outbound\":\[\(\[\[[^]]*\],\[[^]]*\]\]\)/\"outbound\":[\1,\1/" \
+    "$STREAM_LOG" > "$TAMPERED_LOG"
+  if cmp -s "$STREAM_LOG" "$TAMPERED_LOG"; then
+    echo "stream gate: FAIL — line $tamper_line has no outbound row to repeat" >&2
+    exit 1
+  fi
+  TAMPERED_ERR="$CI_TMP/footsteps_stream.repeated_row.ci.err"
+  tamper_rc=0
+  ./target/release/stream-replay "$TAMPERED_LOG" > /dev/null 2> "$TAMPERED_ERR" || tamper_rc=$?
+  if [ "$tamper_rc" -ne 1 ] || ! grep -q "line $tamper_line: " "$TAMPERED_ERR"; then
+    echo "stream gate: FAIL — a repeated row on line $tamper_line gave exit $tamper_rc" >&2
+    cat "$TAMPERED_ERR" >&2
+    exit 1
+  fi
+  echo "stream gate: OK (verdict digest $replay_digest reproduced from the recorded log;" \
+    "a repeated row on line $tamper_line refused: $(head -n 1 "$TAMPERED_ERR"))"
 }
 
 # Run one gate in its own errexit subshell and record its verdict. The
@@ -391,7 +414,7 @@ run_gate "perf baseline (smoke scenario, $PAIRS untraced/traced pairs)" gate_per
 run_gate "perf regression gate (median of $PAIRS runs)" gate_perf
 run_gate "trace smoke gate (chrome-trace export + traced/untraced parity)" gate_trace
 run_gate "obs overhead gate (tracing on vs off, median ratio of $PAIRS pairs)" gate_obs
-run_gate "stream gate (event-log record, offline replay, verdict parity)" gate_stream
+run_gate "stream gate (event-log record, offline replay, verdict parity, tamper refusal)" gate_stream
 
 if [ "${#FAILED[@]}" -gt 0 ]; then
   echo "CI FAILED: ${#FAILED[@]} gate(s)"

@@ -5,8 +5,9 @@ use footsteps_analysis::Ecdf;
 use footsteps_sim::actions::{ActionOutcome, ActionType, TypeCounts};
 use footsteps_sim::behavior::{followback_tendency, sample_binomial, synthesize_profile, BehaviorParams};
 use footsteps_sim::prelude::{
-    AccountId, AsnKind, AsnRegistry, BatchRequest, ClientFingerprint, Country, IpAddr4, Platform,
-    PlatformConfig, PoolStats, ProfileKind, ReciprocityProfile, ServiceId,
+    AccountId, ActionLog, AsnId, AsnKind, AsnRegistry, BatchRequest, ClientFingerprint, Country,
+    DayLog, IpAddr4, OutboundKey, Platform, PlatformConfig, PoolStats, ProfileKind,
+    ReciprocityProfile, ServiceId,
 };
 use footsteps_sim::rng::stable_bin;
 use footsteps_sim::time::{Day, SimTime};
@@ -31,6 +32,45 @@ fn any_action() -> impl Strategy<Value = ActionType> {
         Just(ActionType::Post),
         Just(ActionType::Unfollow),
     ]
+}
+
+/// One day of the day-log model: every row keyed as the log keys it.
+#[derive(Default)]
+struct DayModel {
+    outbound: BTreeMap<OutboundKey, TypeCounts>,
+    inbound: BTreeMap<(AccountId, Option<AsnId>), TypeCounts>,
+    logins: BTreeMap<(AccountId, AsnId), u32>,
+}
+
+/// The sum of `rows`, or `None` if there are none.
+fn merged<'a>(rows: impl Iterator<Item = &'a TypeCounts>) -> Option<TypeCounts> {
+    rows.copied().reduce(|mut total, c| {
+        total.merge(&c);
+        total
+    })
+}
+
+/// A day's queries agree with its model, for every account and ASN the
+/// writes can name and one more of each that they never do.
+fn queries_match_model(day: &DayLog, model: &DayModel) {
+    let d = day.day();
+    for account in (0..5).map(AccountId) {
+        for asn in (0..4).map(AsnId) {
+            let out = model.outbound.iter().filter(|(k, _)| (k.account, k.asn) == (account, asn));
+            let out = merged(out.map(|(_, c)| c));
+            assert_eq!(day.outbound_at(account, asn), out, "{d:?} {account} {asn}");
+            let from = model.inbound.get(&(account, Some(asn)));
+            assert_eq!(day.inbound_from(account, asn), from, "{d:?} {account} {asn}");
+        }
+        for ty in ActionType::ALL {
+            let out = model.outbound.iter().filter(|(k, _)| k.account == account);
+            let attempted: u32 = out.map(|(_, c)| c.attempted_of(ty)).sum();
+            assert_eq!(day.outbound_attempted(account, ty), attempted, "{d:?} {account} {ty}");
+        }
+        let inbound = model.inbound.range((account, None)..=(account, Some(AsnId(u32::MAX))));
+        let inbound = merged(inbound.map(|(_, c)| c));
+        assert_eq!(day.inbound_of(account), inbound, "{d:?} {account}");
+    }
 }
 
 proptest! {
@@ -58,8 +98,9 @@ proptest! {
     /// The per-IP edge defense against a reference model: with no policy
     /// installed, each batch is refused exactly the part of it that would
     /// push its source IP's volume for the day past the cap, and the day's
-    /// `edge_blocked` metric sums those refusals. Addresses come from a
-    /// small pool in two ASNs, and days may pass between submissions.
+    /// `Blocked` rows in the log, all of them the edge's, sum those
+    /// refusals. Addresses come from a small pool in two ASNs, and days may
+    /// pass between submissions.
     #[test]
     fn edge_defense_matches_a_per_day_per_ip_model(
         cap in 1u32..40,
@@ -112,7 +153,79 @@ proptest! {
         }
         for d in 0..=day.0 {
             let expected = edge_blocked.get(&Day(d)).copied().unwrap_or(0);
-            prop_assert_eq!(p.metrics(Day(d)).edge_blocked, expected, "day {}", d);
+            let logged: u32 = p
+                .log
+                .day(Day(d))
+                .map_or(0, |log| log.outbound().map(|(_, c)| c.blocked_of(ActionType::Like)).sum());
+            prop_assert_eq!(logged, expected, "day {}", d);
+        }
+    }
+
+    /// The day log against a `BTreeMap` model. Outbound, inbound and login
+    /// writes land on nondecreasing days, with few accounts, ASNs and
+    /// fingerprints so that keys collide on the account. The queries agree
+    /// with the model on the open day and on every sealed one, a sealed
+    /// day's rows are the model's in key order, and its JSON line reads
+    /// back to the same bytes.
+    #[test]
+    fn day_log_matches_a_btreemap_model(
+        writes in prop::collection::vec(
+            ((0u32..8, 0u32..3), 0u32..4, 0u32..3, 0u16..2, any_action(), any_outcome(), 1u32..50),
+            1..120,
+        ),
+    ) {
+        let mut log = ActionLog::new();
+        let mut model = vec![DayModel::default()];
+        for ((step, kind), account, asn, variant, ty, outcome, n) in writes {
+            // One write in four moves the log one or two days on first.
+            let advance = step.saturating_sub(5) as usize;
+            if advance > 0 {
+                let open = model.len() - 1;
+                if let Some(day) = log.day(Day(open as u32)) {
+                    queries_match_model(day, &model[open]);
+                }
+                model.resize_with(open + advance + 1, DayModel::default);
+            }
+            let today = model.len() - 1;
+            let (day, m) = (Day(today as u32), &mut model[today]);
+            let (account, asn) = (AccountId(account), AsnId(asn));
+            match kind {
+                0 => {
+                    let fingerprint = match variant {
+                        0 => ClientFingerprint::OfficialApp,
+                        variant => ClientFingerprint::SpoofedMobile { variant },
+                    };
+                    log.record_outbound(day, account, asn, fingerprint, ty, outcome, n);
+                    let key = OutboundKey { account, asn, fingerprint };
+                    m.outbound.entry(key).or_default().record(ty, outcome, n);
+                }
+                1 => {
+                    let source = (asn.0 < 2).then_some(asn);
+                    log.record_inbound_with(day, account, source, ty, outcome, n);
+                    m.inbound.entry((account, source)).or_default().record(ty, outcome, n);
+                }
+                _ => {
+                    log.record_login(day, account, asn);
+                    *m.logins.entry((account, asn)).or_default() += 1;
+                }
+            }
+        }
+        let last = Day(model.len() as u32 - 1);
+        queries_match_model(log.day(last).expect("the open day"), &model[last.0 as usize]);
+        log.seal(last);
+        for (d, m) in model.iter().enumerate() {
+            let sealed = log.day(Day(d as u32)).expect("every day up to the last");
+            queries_match_model(sealed, m);
+            let outbound: Vec<_> = sealed.outbound().map(|(k, c)| (*k, *c)).collect();
+            let inbound: Vec<_> = sealed.inbound().map(|(k, c)| (*k, *c)).collect();
+            let logins: Vec<_> =
+                sealed.logins().iter().map(|r| ((r.account, r.asn), r.count)).collect();
+            prop_assert_eq!(outbound, m.outbound.clone().into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(inbound, m.inbound.clone().into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(logins, m.logins.clone().into_iter().collect::<Vec<_>>());
+            let line = serde_json::to_string(sealed).unwrap();
+            let back: DayLog = serde_json::from_str(&line).unwrap();
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), line);
         }
     }
 

@@ -127,8 +127,7 @@ fn followersgratis_is_neutered_by_the_ip_volume_defense() {
         "the large-pool service is untouched: {big_ratio}"
     );
     // The blocks are the edge defense's, not experimental countermeasures.
-    let edge_blocked: u64 = (0..10u32)
-        .map(|d| u64::from(platform.metrics(Day(d)).edge_blocked))
-        .sum();
-    assert!(edge_blocked > 0);
+    let snapshot = platform.obs.metrics.snapshot();
+    assert!(snapshot.counter("platform.outbound.edge_blocked") > 0);
+    assert_eq!(snapshot.counter("platform.outbound.blocked"), 0);
 }

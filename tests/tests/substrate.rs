@@ -83,7 +83,7 @@ fn experiment_policy_drives_platform_outcomes_end_to_end() {
     assert_eq!(p.accounts.get(delayed).following, 125);
     assert_eq!(p.accounts.get(blocked).following, 125);
     assert_eq!(p.accounts.get(control).following, 200);
-    assert_eq!(p.metrics(Day(1)).removed_follows, 75);
+    assert_eq!(p.obs.metrics.snapshot().counter("platform.removed_follows"), 75);
 }
 
 #[test]
