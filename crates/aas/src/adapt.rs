@@ -14,7 +14,6 @@
 //! the control loop meeting the enforcement policy.
 
 use footsteps_sim::prelude::Day;
-use serde::{Deserialize, Serialize};
 
 /// Controller tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +54,7 @@ impl Default for AdaptationConfig {
 }
 
 /// What the controller decided at the end of a day.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerAction {
     /// Keep operating as-is.
     None,
@@ -84,7 +83,7 @@ enum State {
 
 /// Daily observation the service feeds its controller: the outcome of its
 /// *own* traffic for one action type, which is all an adversary can see.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayObservation {
     /// Day being reported.
     pub day: Day,

@@ -9,7 +9,6 @@
 //! drift apart.
 
 use footsteps_sim::prelude::{ActionType, Country, ServiceId};
-use serde::{Deserialize, Serialize};
 
 /// Money in US cents; all paper prices are dollars with at most two
 /// decimals, so integer cents avoid floating-point money bugs.
@@ -25,7 +24,7 @@ pub fn fmt_dollars(cents: Cents) -> String {
 }
 
 /// Which action types a service sells (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Offerings {
     /// Offers like campaigns.
     pub like: bool,
@@ -268,7 +267,7 @@ pub fn followersgratis_catalog() -> Vec<FollowersgratisPackage> {
 /// Operating location of a service (Table 7): the country its website
 /// reports, and the countries of the ASNs its platform traffic originates
 /// from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceLocation {
     /// Country the service claims to operate from.
     pub operating_country: Country,

@@ -70,7 +70,7 @@ mod tests {
     use footsteps_sim::platform::PlatformConfig;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::collections::{BTreeSet, HashSet};
+    use std::collections::BTreeSet;
 
     #[test]
     fn mix_is_normalised_and_signature_scoped() {
@@ -88,7 +88,7 @@ mod tests {
         let sig = ServiceSignature {
             service: ServiceId::Boostgram,
             asns: BTreeSet::from([host]),
-            fingerprints: HashSet::from([fp]),
+            fingerprints: BTreeSet::from([fp]),
             collusion: false,
         };
         let row = action_mix(&p, &[sig], ServiceGroup::Boostgram, Day(0), Day(1));
@@ -109,7 +109,7 @@ mod tests {
         let sig = ServiceSignature {
             service: ServiceId::Boostgram,
             asns: BTreeSet::from([host]),
-            fingerprints: HashSet::from([ClientFingerprint::SpoofedMobile { variant: 3 }]),
+            fingerprints: BTreeSet::from([ClientFingerprint::SpoofedMobile { variant: 3 }]),
             collusion: false,
         };
         let row = action_mix(&p, &[sig], ServiceGroup::Boostgram, Day(0), Day(10));

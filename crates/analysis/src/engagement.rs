@@ -12,10 +12,9 @@
 //! ablation analyses report it.
 
 use footsteps_sim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// An engagement-rate snapshot for one account.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Engagement {
     /// Likes received over the window.
     pub likes: u64,

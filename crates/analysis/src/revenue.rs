@@ -169,18 +169,11 @@ pub fn hublaagram_revenue_windows(
     let customers = classification.customers_of_group(ServiceGroup::Hublaagram);
 
     // Per-account aggregates over the window.
-    let mut outbound_total: HashMap<AccountId, u64> = HashMap::new();
     let mut inbound_like_total: HashMap<AccountId, u64> = HashMap::new();
     let mut inbound_follow_total: HashMap<AccountId, u64> = HashMap::new();
     // Per-account per-photo-day like stats.
     let mut photo_day_likes: HashMap<AccountId, Vec<(u32, u32)>> = HashMap::new(); // (total, max_hourly)
     for log in platform.log.iter_range(start, end) {
-        for (key, counts) in log.outbound() {
-            if customers.contains(&key.account) && service_asns.contains(&key.asn) {
-                *outbound_total.entry(key.account).or_insert(0) +=
-                    u64::from(counts.total_attempted());
-            }
-        }
         for ((account, source), counts) in log.inbound() {
             let Some(asn) = source else { continue };
             if customers.contains(account) && service_asns.contains(asn) {
@@ -223,7 +216,6 @@ pub fn hublaagram_revenue_windows(
             }
         }
     }
-    let _ = &outbound_total;
     let no_outbound_accounts = period_inbound
         // footsteps-lint: allow(nondet-iter) — order-insensitive count
         .iter()
@@ -237,8 +229,7 @@ pub fn hublaagram_revenue_windows(
     let mut one_time_cents = 0u64;
     let mut paid_like_delivered = 0u64;
     // footsteps-lint: allow(nondet-iter) — per-account tier counters; totals do not depend on visit order
-    for (&account, days) in &photo_day_likes {
-        let _ = account;
+    for days in photo_day_likes.values() {
         let paid = days.iter().any(|&(_, hourly)| hourly > catalog.free_likes_per_hour_cap);
         if !paid {
             continue;

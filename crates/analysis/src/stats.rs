@@ -70,7 +70,7 @@ pub fn median_u32(values: &[u32]) -> Option<f64> {
 /// per-seed results without holding every sample, and exact enough that the
 /// order of `push`/`merge` calls never changes the reported mean by more
 /// than floating-point noise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,

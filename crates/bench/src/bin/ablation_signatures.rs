@@ -14,7 +14,7 @@
 use footsteps_core::Phase;
 use footsteps_detect::{classify, score_group_before, ServiceSignature};
 use footsteps_sim::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 fn main() {
     let study = footsteps_bench::study_to(Phase::Characterized);
@@ -23,7 +23,7 @@ fn main() {
     let full = &study.pipeline().signatures;
 
     // Degraded variants.
-    let all_fingerprints: HashSet<ClientFingerprint> = (0..=u16::MAX)
+    let all_fingerprints: BTreeSet<ClientFingerprint> = (0..=u16::MAX)
         .take(64) // variants are small ints; 64 covers every stack
         .map(|v| ClientFingerprint::SpoofedMobile { variant: v })
         .chain([ClientFingerprint::OfficialApp])

@@ -13,18 +13,18 @@
 use footsteps_honeypot::HoneypotFramework;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Network+client signature of one service.
+/// Network+client signature of one service. Both sets are BTrees, so every
+/// consumer, and the verdict snapshot's JSON, sees them in key order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ServiceSignature {
     /// The service this signature describes.
     pub service: ServiceId,
-    /// ASNs the service's platform traffic originates from. A `BTreeSet`
-    /// so that every consumer's iteration order is deterministic.
+    /// ASNs the service's platform traffic originates from.
     pub asns: BTreeSet<AsnId>,
     /// Client fingerprints of its automation stack.
-    pub fingerprints: HashSet<ClientFingerprint>,
+    pub fingerprints: BTreeSet<ClientFingerprint>,
     /// Whether the service's signature traffic is *inbound* to customer
     /// accounts (collusion networks) in addition to outbound.
     pub collusion: bool,
@@ -79,8 +79,6 @@ pub struct SignatureLearner {
     watch: BTreeMap<AccountId, (AsnId, ServiceId)>,
     /// Learned signatures, in `ServiceId` order.
     signatures: Vec<ServiceSignature>,
-    /// Each signature's fingerprints in order (the `HashSet` has none).
-    sorted_fingerprints: Vec<BTreeSet<ClientFingerprint>>,
 }
 
 impl SignatureLearner {
@@ -106,29 +104,20 @@ impl SignatureLearner {
                     self.signatures.insert(i, ServiceSignature {
                         service,
                         asns: BTreeSet::new(),
-                        fingerprints: HashSet::new(),
+                        fingerprints: BTreeSet::new(),
                         collusion: service.is_collusion(),
                     });
-                    self.sorted_fingerprints.insert(i, BTreeSet::new());
                     i
                 }
             };
             self.signatures[i].asns.insert(ev.asn);
             self.signatures[i].fingerprints.insert(ev.fingerprint);
-            self.sorted_fingerprints[i].insert(ev.fingerprint);
         }
     }
 
     /// The signatures learned so far, in `ServiceId` order.
     pub fn signatures(&self) -> &[ServiceSignature] {
         &self.signatures
-    }
-
-    /// Each learned signature with its fingerprints in ascending order.
-    pub fn with_sorted_fingerprints(
-        &self,
-    ) -> impl Iterator<Item = (&ServiceSignature, &BTreeSet<ClientFingerprint>)> {
-        self.signatures.iter().zip(&self.sorted_fingerprints)
     }
 }
 

@@ -38,8 +38,8 @@ pub enum AsnTraffic {
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ThresholdTable {
     thresholds: BTreeMap<(AsnId, ActionType, Direction), u32>,
-    /// Traffic kind per ASN, retained for reporting.
-    pub asn_kinds: HashMap<AsnId, AsnTraffic>,
+    /// Traffic kind per signature ASN, retained for reporting.
+    pub asn_kinds: BTreeMap<AsnId, AsnTraffic>,
 }
 
 impl ThresholdTable {
@@ -301,7 +301,7 @@ mod tests {
     };
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use std::collections::{BTreeSet, HashSet};
+    use std::collections::BTreeSet;
 
     /// Build a platform with one pure-abuse ASN, one mixed ASN and one
     /// collusion ASN, with hand-written daily logs.
@@ -380,19 +380,19 @@ mod tests {
             ServiceSignature {
                 service: ServiceId::Boostgram,
                 asns: BTreeSet::from([pure]),
-                fingerprints: HashSet::from([spoof]),
+                fingerprints: BTreeSet::from([spoof]),
                 collusion: false,
             },
             ServiceSignature {
                 service: ServiceId::Instalex,
                 asns: BTreeSet::from([mixed]),
-                fingerprints: HashSet::from([spoof]),
+                fingerprints: BTreeSet::from([spoof]),
                 collusion: false,
             },
             ServiceSignature {
                 service: ServiceId::Hublaagram,
                 asns: BTreeSet::from([collusion]),
-                fingerprints: HashSet::from([coll_fp]),
+                fingerprints: BTreeSet::from([coll_fp]),
                 collusion: true,
             },
         ];

@@ -45,14 +45,12 @@ impl DailySeries {
 /// Daily per-account action counts for `accounts` via `asns`, on the given
 /// side of the traffic.
 fn daily_counts(
-    platform: &Platform,
     accounts: &BTreeSet<AccountId>,
     asns: &BTreeSet<AsnId>,
     ty: ActionType,
     direction: Direction,
     day_log: &DayLog,
 ) -> BTreeMap<AccountId, u32> {
-    let _ = platform;
     let mut per_account: BTreeMap<AccountId, u32> = BTreeMap::new();
     match direction {
         Direction::Outbound => {
@@ -105,7 +103,7 @@ pub fn median_actions_per_user(
         let counts: Vec<u32> = match platform.log.day(day) {
             Some(log) => {
                 let day_counts: BTreeMap<AccountId, u32> =
-                    daily_counts(platform, &group, asns, ty, direction, log);
+                    daily_counts(&group, asns, ty, direction, log);
                 day_counts.into_values().collect()
             }
             None => Vec::new(),
@@ -140,7 +138,7 @@ pub fn eligible_proportion(
         let v = match platform.log.day(day) {
             Some(log) => {
                 let counts: BTreeMap<AccountId, u32> =
-                    daily_counts(platform, &group, asns, ty, direction, log);
+                    daily_counts(&group, asns, ty, direction, log);
                 let total: u64 = counts.values().map(|&n| u64::from(n)).sum();
                 let eligible: u64 = counts
                     .values()

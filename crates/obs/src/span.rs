@@ -15,14 +15,14 @@
 //! tree after the join. Worker threads never touch `Timings` — they
 //! measure against a copied [`Stopwatch`] and hand offsets back.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::tree::{SpanHandle, SpanTree, StructureSnapshot, WorkerSpan};
 
 /// Aggregated wall-clock stats for one named span.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SpanStats {
     /// How many times the span ran.
     pub count: u64,
@@ -162,7 +162,7 @@ impl SpanTimer {
 
 /// Serializable wall-clock report. Deliberately a different type from
 /// `MetricsSnapshot`: callers cannot accidentally mix the two.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TimingsSnapshot {
     pub spans: BTreeMap<String, SpanStats>,
 }

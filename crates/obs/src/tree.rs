@@ -42,7 +42,7 @@ use crate::span::{SpanStats, Stopwatch};
 const MAX_EVENTS: usize = 1 << 20;
 
 /// Which timeline a span's instances run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneKind {
     /// The serial coordinator thread (`tid 0`).
     Main,

@@ -25,11 +25,10 @@
 use crate::account::{ProfileKind, ReciprocityProfile};
 use crate::actions::ActionType;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The three live reciprocation channels. (Follow→like is structurally zero:
 /// "users never reciprocate with likes when followed", §4.3.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResponseChannel {
     /// Inbound like → outbound like.
     LikeForLike,

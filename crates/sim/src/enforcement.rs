@@ -11,10 +11,10 @@
 use crate::actions::ActionType;
 use crate::ids::{AccountId, AsnId};
 use crate::time::Day;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What happens to actions above a policy's threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Countermeasure {
     /// Nothing: deliver normally (control bins).
     None,

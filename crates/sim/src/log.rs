@@ -91,34 +91,111 @@ pub struct LoginRecord {
     pub count: u32,
 }
 
-/// Sentinel for "no chain entry" in the open-day index.
+type InboundKey = (AccountId, InboundSource);
+
+/// The key of an aggregate row. Its order sorts by account first.
+trait RowKey: Copy + Ord {
+    fn account(&self) -> AccountId;
+}
+
+impl RowKey for OutboundKey {
+    fn account(&self) -> AccountId {
+        self.account
+    }
+}
+
+impl RowKey for InboundKey {
+    fn account(&self) -> AccountId {
+        self.0
+    }
+}
+
+/// Sentinel for "no row" in a [`Chain`].
 const NONE: u32 = u32::MAX;
 
-/// Transient per-account chain index for the day currently being written.
-/// `out_heads[account]` is the index of the account's most recent outbound
-/// record; `out_next[i]` links record `i` to the account's previous record.
+/// The open day's per-account chain over one row list: `heads[account]` is
+/// the account's latest row, and `next[row]` the account's row before it.
 #[derive(Debug, Clone, Default)]
-struct OpenIndex {
-    out_heads: Vec<u32>,
-    out_next: Vec<u32>,
-    in_heads: Vec<u32>,
-    in_next: Vec<u32>,
+struct Chain {
+    heads: Vec<u32>,
+    next: Vec<u32>,
 }
 
-/// Swap `heads[account]` to `new`, returning the previous head.
-fn take_head(heads: &mut Vec<u32>, account: AccountId, new: u32) -> u32 {
-    let i = account.index();
-    if i >= heads.len() {
-        heads.resize(i + 1, NONE);
+impl Chain {
+    /// The rows of `account`, latest first.
+    fn walk(&self, account: AccountId) -> impl Iterator<Item = usize> + '_ {
+        let row = |at: u32| (at != NONE).then_some(at as usize);
+        let head = self.heads.get(account.index()).copied().unwrap_or(NONE);
+        std::iter::successors(row(head), move |&at| row(self.next[at]))
     }
-    std::mem::replace(&mut heads[i], new)
+
+    /// Make `row`, a new row of `account`, the head of its chain.
+    fn link(&mut self, account: AccountId, row: usize) {
+        let i = account.index();
+        if i >= self.heads.len() {
+            self.heads.resize(i + 1, NONE);
+        }
+        self.next.push(std::mem::replace(&mut self.heads[i], row as u32));
+    }
 }
 
-fn head_of(heads: &[u32], account: AccountId) -> u32 {
-    heads.get(account.index()).copied().unwrap_or(NONE)
+/// One day's aggregate rows of one kind: insertion order while the day is
+/// open, key order once it is sealed.
+#[derive(Debug, Clone)]
+struct Rows<K> {
+    rows: Vec<(K, TypeCounts)>,
+    /// The open day's chain; `None` once sealed.
+    chain: Option<Chain>,
 }
 
-type InboundKey = (AccountId, InboundSource);
+impl<K> Default for Rows<K> {
+    fn default() -> Self {
+        Rows { rows: Vec::new(), chain: None }
+    }
+}
+
+impl<K: RowKey> Rows<K> {
+    /// Add `n` actions to `key`'s row, appending the row if it is new.
+    fn upsert(&mut self, key: K, ty: ActionType, outcome: ActionOutcome, n: u32) {
+        let chain = self.chain.as_mut().expect("a write landed in a sealed day");
+        let rows = &mut self.rows;
+        let found = chain.walk(key.account()).find(|&at| rows[at].0 == key);
+        let at = match found {
+            Some(at) => at,
+            None => {
+                chain.link(key.account(), rows.len());
+                rows.push((key, TypeCounts::default()));
+                rows.len() - 1
+            }
+        };
+        rows[at].1.record(ty, outcome, n);
+    }
+
+    /// Visit every row of `account`: a chain walk while open, the key range
+    /// found by binary search once sealed.
+    fn visit<'a>(&'a self, account: AccountId, mut f: impl FnMut(&'a K, &'a TypeCounts)) {
+        match &self.chain {
+            Some(chain) => chain.walk(account).for_each(|at| {
+                let (k, c) = &self.rows[at];
+                f(k, c);
+            }),
+            None => {
+                let lo = self.rows.partition_point(|(k, _)| k.account() < account);
+                self.rows[lo..]
+                    .iter()
+                    .take_while(|(k, _)| k.account() == account)
+                    .for_each(|(k, c)| f(k, c));
+            }
+        }
+    }
+
+    /// Sort the rows by key and drop the chain. Idempotent.
+    fn seal(&mut self) {
+        if self.chain.take().is_some() {
+            self.rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        }
+    }
+}
 
 /// Aggregated activity for a single day. A sealed day's JSON form is
 /// `{day, outbound, inbound, photo_likes, logins, events}`, rows in key
@@ -127,10 +204,8 @@ type InboundKey = (AccountId, InboundSource);
 pub struct DayLog {
     /// The day this record covers.
     day: Day,
-    /// Outbound records: insertion order while open, key order once sealed.
-    out_records: Vec<(OutboundKey, TypeCounts)>,
-    /// Inbound records, same ordering contract.
-    in_records: Vec<(InboundKey, TypeCounts)>,
+    outbound: Rows<OutboundKey>,
+    inbound: Rows<InboundKey>,
     /// Per-photo like-delivery stats for tracked photos. Low write volume
     /// (one entry per delivery burst), so an ordered map keeps iteration
     /// deterministic at no per-action cost.
@@ -139,8 +214,6 @@ pub struct DayLog {
     logins: Vec<LoginRecord>,
     /// Full events for event-tracked accounts, in submission order.
     pub events: Vec<ActionEvent>,
-    /// Chain index while this day is the open (written) day.
-    open: Option<Box<OpenIndex>>,
 }
 
 impl DayLog {
@@ -161,27 +234,24 @@ impl DayLog {
 
     /// Records (outbound + inbound + logins + events): the stream's unit.
     pub fn record_count(&self) -> u64 {
-        (self.out_records.len() + self.in_records.len() + self.logins.len() + self.events.len())
+        (self.outbound.rows.len() + self.inbound.rows.len() + self.logins.len() + self.events.len())
             as u64
     }
 
     /// Iterate `(key, counts)` over this day's outbound records.
     pub fn outbound(&self) -> impl Iterator<Item = (&OutboundKey, &TypeCounts)> {
-        self.out_records.iter().map(|(k, c)| (k, c))
+        self.outbound.rows.iter().map(|(k, c)| (k, c))
     }
 
     /// Iterate `(key, counts)` over this day's inbound records.
     pub fn inbound(&self) -> impl Iterator<Item = (&InboundKey, &TypeCounts)> {
-        self.in_records.iter().map(|(k, c)| (k, c))
+        self.inbound.rows.iter().map(|(k, c)| (k, c))
     }
 
     /// Total outbound actions of `ty` attempted by `account` across all ASNs.
     pub fn outbound_attempted(&self, account: AccountId, ty: ActionType) -> u32 {
         let mut total = 0;
-        self.for_outbound_of(account, |k, c| {
-            let _ = k;
-            total += c.attempted_of(ty);
-        });
+        self.outbound.visit(account, |_, c| total += c.attempted_of(ty));
         total
     }
 
@@ -190,7 +260,7 @@ impl DayLog {
     pub fn outbound_at(&self, account: AccountId, asn: AsnId) -> Option<TypeCounts> {
         let mut total = TypeCounts::default();
         let mut any = false;
-        self.for_outbound_of(account, |k, c| {
+        self.outbound.visit(account, |k, c| {
             if k.asn == asn {
                 total.merge(c);
                 any = true;
@@ -203,7 +273,7 @@ impl DayLog {
     pub fn inbound_of(&self, account: AccountId) -> Option<TypeCounts> {
         let mut total = TypeCounts::default();
         let mut any = false;
-        self.for_inbound_of(account, |_, c| {
+        self.inbound.visit(account, |_, c| {
             total.merge(c);
             any = true;
         });
@@ -212,118 +282,30 @@ impl DayLog {
 
     /// Inbound counters for an account restricted to one source ASN.
     pub fn inbound_from(&self, account: AccountId, asn: AsnId) -> Option<&TypeCounts> {
-        let key = (account, Some(asn));
-        match &self.open {
-            Some(idx) => {
-                let mut at = head_of(&idx.in_heads, account);
-                while at != NONE {
-                    let (k, c) = &self.in_records[at as usize];
-                    if *k == key {
-                        return Some(c);
-                    }
-                    at = idx.in_next[at as usize];
-                }
-                None
+        let mut found = None;
+        self.inbound.visit(account, |&(_, source), c| {
+            if source == Some(asn) {
+                found = Some(c);
             }
-            None => self
-                .in_records
-                .binary_search_by(|(k, _)| k.cmp(&key))
-                .ok()
-                .map(|i| &self.in_records[i].1),
-        }
+        });
+        found
     }
 
-    /// Visit every outbound record of `account` (chain walk while open,
-    /// binary-searched key range once sealed).
-    fn for_outbound_of(&self, account: AccountId, mut f: impl FnMut(&OutboundKey, &TypeCounts)) {
-        match &self.open {
-            Some(idx) => {
-                let mut at = head_of(&idx.out_heads, account);
-                while at != NONE {
-                    let (k, c) = &self.out_records[at as usize];
-                    f(k, c);
-                    at = idx.out_next[at as usize];
-                }
-            }
-            None => {
-                let lo = self
-                    .out_records
-                    .partition_point(|(k, _)| k.account < account);
-                for (k, c) in &self.out_records[lo..] {
-                    if k.account != account {
-                        break;
-                    }
-                    f(k, c);
-                }
-            }
-        }
+    /// Whether this is the open day, which takes writes.
+    fn is_open(&self) -> bool {
+        self.outbound.chain.is_some()
     }
 
-    /// Visit every inbound record of `account`.
-    fn for_inbound_of(&self, account: AccountId, mut f: impl FnMut(&InboundKey, &TypeCounts)) {
-        match &self.open {
-            Some(idx) => {
-                let mut at = head_of(&idx.in_heads, account);
-                while at != NONE {
-                    let (k, c) = &self.in_records[at as usize];
-                    f(k, c);
-                    at = idx.in_next[at as usize];
-                }
-            }
-            None => {
-                let lo = self.in_records.partition_point(|((a, _), _)| *a < account);
-                for (k, c) in &self.in_records[lo..] {
-                    if k.0 != account {
-                        break;
-                    }
-                    f(k, c);
-                }
-            }
-        }
+    /// Give both row lists their chains, making this the open day.
+    fn open(&mut self) {
+        self.outbound.chain.get_or_insert_with(Chain::default);
+        self.inbound.chain.get_or_insert_with(Chain::default);
     }
 
-    /// Upsert an outbound record into the open day.
-    fn add_outbound(&mut self, key: OutboundKey, ty: ActionType, outcome: ActionOutcome, n: u32) {
-        let idx = self.open.as_deref_mut().expect("a write landed in a sealed day");
-        let mut at = head_of(&idx.out_heads, key.account);
-        while at != NONE {
-            let (k, c) = &mut self.out_records[at as usize];
-            if *k == key {
-                c.record(ty, outcome, n);
-                return;
-            }
-            at = idx.out_next[at as usize];
-        }
-        let i = self.out_records.len() as u32;
-        self.out_records.push((key, TypeCounts::default()));
-        self.out_records[i as usize].1.record(ty, outcome, n);
-        idx.out_next.push(take_head(&mut idx.out_heads, key.account, i));
-    }
-
-    /// Upsert an inbound record into the open day.
-    fn add_inbound(&mut self, key: InboundKey, ty: ActionType, outcome: ActionOutcome, n: u32) {
-        let idx = self.open.as_deref_mut().expect("a write landed in a sealed day");
-        let mut at = head_of(&idx.in_heads, key.0);
-        while at != NONE {
-            let (k, c) = &mut self.in_records[at as usize];
-            if *k == key {
-                c.record(ty, outcome, n);
-                return;
-            }
-            at = idx.in_next[at as usize];
-        }
-        let i = self.in_records.len() as u32;
-        self.in_records.push((key, TypeCounts::default()));
-        self.in_records[i as usize].1.record(ty, outcome, n);
-        idx.in_next.push(take_head(&mut idx.in_heads, key.0, i));
-    }
-
-    /// Sort records by key and drop the chain index. Idempotent.
+    /// Sort the rows by key and drop the chains. Idempotent.
     fn seal(&mut self) {
-        if self.open.take().is_some() {
-            self.out_records.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-            self.in_records.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        }
+        self.outbound.seal();
+        self.inbound.seal();
     }
 }
 
@@ -333,11 +315,11 @@ impl Serialize for DayLog {
     /// # Panics
     /// Panics on an open day, whose rows are in insertion order.
     fn serialize(&self, w: &mut Writer) {
-        assert!(self.open.is_none(), "an open day has no wire form: seal it first");
+        assert!(!self.is_open(), "an open day has no wire form: seal it first");
         w.begin_object();
         w.field("day", &self.day);
-        w.field("outbound", &self.out_records);
-        w.field("inbound", &self.in_records);
+        w.field("outbound", &self.outbound.rows);
+        w.field("inbound", &self.inbound.rows);
         w.field("photo_likes", &self.photo_likes);
         w.field("logins", &self.logins);
         w.field("events", &self.events);
@@ -368,15 +350,14 @@ impl Deserialize for DayLog {
         let missing = |name| Error::missing_field(name, "DayLog");
         let day = DayLog {
             day: day.ok_or_else(|| missing("day"))?,
-            out_records: out.ok_or_else(|| missing("outbound"))?,
-            in_records: inb.ok_or_else(|| missing("inbound"))?,
+            outbound: Rows { rows: out.ok_or_else(|| missing("outbound"))?, chain: None },
+            inbound: Rows { rows: inb.ok_or_else(|| missing("inbound"))?, chain: None },
             photo_likes: likes.ok_or_else(|| missing("photo_likes"))?,
             logins: logins.ok_or_else(|| missing("logins"))?,
             events: events.ok_or_else(|| missing("events"))?,
-            open: None,
         };
-        in_key_order("outbound", &day.out_records, |(k, _)| *k)?;
-        in_key_order("inbound", &day.in_records, |(k, _)| *k)?;
+        in_key_order("outbound", &day.outbound.rows, |(k, _)| *k)?;
+        in_key_order("inbound", &day.inbound.rows, |(k, _)| *k)?;
         in_key_order("logins", &day.logins, |r| (r.account, r.asn))?;
         Ok(day)
     }
@@ -562,7 +543,7 @@ impl ActionLog {
         }
         self.grow_to(idx);
         let open = &mut self.days[idx];
-        open.open.get_or_insert_with(Box::default);
+        open.open();
         open
     }
 
@@ -622,7 +603,8 @@ impl ActionLog {
             return;
         }
         self.day_mut(day)
-            .add_outbound(OutboundKey { account: actor, asn, fingerprint }, ty, outcome, n);
+            .outbound
+            .upsert(OutboundKey { account: actor, asn, fingerprint }, ty, outcome, n);
     }
 
     /// Record `n` delivered inbound actions landing on `target` on `day`
@@ -654,7 +636,7 @@ impl ActionLog {
         if n == 0 {
             return;
         }
-        self.day_mut(day).add_inbound((target, source), ty, outcome, n);
+        self.day_mut(day).inbound.upsert((target, source), ty, outcome, n);
     }
 
     /// Record a like-delivery burst onto a photo.
@@ -846,11 +828,11 @@ mod tests {
         let open_att = log.day(Day(0)).unwrap().outbound_attempted(a, ActionType::Follow);
         let open_at = log.day(Day(0)).unwrap().outbound_at(a, AsnId(0));
         let open_in = log.day(Day(0)).unwrap().inbound_of(b);
-        assert!(log.day(Day(0)).unwrap().open.is_some());
+        assert!(log.day(Day(0)).unwrap().is_open());
         // Advancing the log seals day 0.
         log.record_outbound(Day(1), a, AsnId(0), fp, ActionType::Like, ActionOutcome::Delivered, 1);
         let d0 = log.day(Day(0)).unwrap();
-        assert!(d0.open.is_none());
+        assert!(!d0.is_open());
         assert_eq!(d0.outbound_attempted(a, ActionType::Follow), open_att);
         assert_eq!(d0.outbound_at(a, AsnId(0)), open_at);
         assert_eq!(d0.inbound_of(b), open_in);

@@ -37,8 +37,7 @@ pub use envelope::{
 pub use footsteps_detect::roster;
 pub use latency::{latency_report, LatencyReport, ServiceLatency};
 pub use online::{
-    OnlineDetector, SignatureView, StreamConfig, StreamOutcome, VerdictSnapshot,
-    VERDICT_SCHEMA_VERSION,
+    OnlineDetector, StreamConfig, StreamOutcome, VerdictSnapshot, VERDICT_SCHEMA_VERSION,
 };
 
 use footsteps_obs::Stopwatch;

@@ -27,12 +27,12 @@
 
 use crate::envelope::RosterEntry;
 use footsteps_detect::{
-    classify_day, AsnTraffic, Classification, SignatureLearner, ThresholdTable, ThresholdWindow,
+    classify_day, AsnTraffic, Classification, ServiceSignature, SignatureLearner, ThresholdTable,
+    ThresholdWindow,
 };
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The window geometry the detector freezes on.
@@ -47,41 +47,28 @@ pub struct StreamConfig {
     pub window_days: u32,
 }
 
-/// A service signature as frozen into a [`VerdictSnapshot`]: the same
-/// content as `detect::ServiceSignature` with both sets in sorted order.
-#[derive(Debug, Clone, Serialize)]
-pub struct SignatureView {
-    /// The service.
-    pub service: ServiceId,
-    /// Sorted signature ASNs.
-    pub asns: Vec<AsnId>,
-    /// Sorted signature client fingerprints.
-    pub fingerprints: Vec<ClientFingerprint>,
-    /// Whether inbound traffic from the ASNs also matches.
-    pub collusion: bool,
-}
-
 /// Version of the [`VerdictSnapshot`] layout, apart from the event log's
 /// [`crate::STREAM_SCHEMA_VERSION`]. A bump moves every verdict digest.
 pub const VERDICT_SCHEMA_VERSION: u32 = 1;
 
 /// Everything the online detector believed at the calibration boundary.
-/// Serialization is fully canonical (sorted vectors and BTree maps only),
-/// so its FNV-1a digest is the record→replay identity token.
+/// Every set and map in it is a BTree, written in key order, so its JSON
+/// is canonical and its FNV-1a digest is the record→replay identity token.
 #[derive(Debug, Clone, Serialize)]
 pub struct VerdictSnapshot {
     /// Schema stamp ([`VERDICT_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// The day the verdicts froze (`calibration_end`).
     pub frozen_on: Day,
-    /// Signatures as of the freeze.
-    pub signatures: Vec<SignatureView>,
+    /// Signatures as of the freeze, in `ServiceId` order.
+    pub signatures: Vec<ServiceSignature>,
     /// Online customer attribution. `first_seen` is the per-account
     /// day-of-first-detection.
     pub classification: Classification,
     /// Frozen thresholds, flattened from the table's ordered map.
     pub thresholds: Vec<((AsnId, ActionType, Direction), u32)>,
-    /// Traffic kind per signature ASN, sorted by ASN.
+    /// Traffic kind per signature ASN, flattened from the table's ordered
+    /// map.
     pub asn_kinds: Vec<(AsnId, AsnTraffic)>,
 }
 
@@ -228,27 +215,13 @@ impl OnlineDetector {
     fn freeze(&self) -> VerdictSnapshot {
         let signatures = self.learner.signatures();
         let table = self.window.evaluate(signatures, &self.classification);
-        let asn_kinds: BTreeMap<AsnId, AsnTraffic> = signatures
-            .iter()
-            .flat_map(|sig| &sig.asns)
-            .map(|asn| (*asn, table.asn_kinds[asn]))
-            .collect();
         VerdictSnapshot {
             schema_version: VERDICT_SCHEMA_VERSION,
             frozen_on: self.config.calibration_end,
-            signatures: self
-                .learner
-                .with_sorted_fingerprints()
-                .map(|(sig, sorted)| SignatureView {
-                    service: sig.service,
-                    asns: sig.asns.iter().copied().collect(),
-                    fingerprints: sorted.iter().copied().collect(),
-                    collusion: sig.collusion,
-                })
-                .collect(),
+            signatures: signatures.to_vec(),
             classification: self.classification.clone(),
             thresholds: table.iter().map(|(&k, &v)| (k, v)).collect(),
-            asn_kinds: asn_kinds.into_iter().collect(),
+            asn_kinds: table.asn_kinds.iter().map(|(&a, &k)| (a, k)).collect(),
         }
     }
 

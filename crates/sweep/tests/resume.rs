@@ -190,7 +190,7 @@ fn malformed_day_rows_are_typed_errors() {
     items(field(&mut with_event, "events")).push(event_row("Delivered"));
     assert!(read_day0(&with_event).expect("day 0 reads").is_some());
 
-    let edits: [RowEdit; 9] = [
+    let edits: [RowEdit; 10] = [
         ("a 14-cell counts row", |day| drop(counts(day).pop()), "length 15"),
         ("a 16-cell counts row", |day| counts(day).push(Value::U64(0)), "length 15"),
         (
@@ -237,6 +237,16 @@ fn malformed_day_rows_are_typed_errors() {
                 rows.insert(1, rows[0].clone());
             },
             "logins row 1 does not follow row 0",
+        ),
+        (
+            "a photo_likes key repeated",
+            |day| {
+                let Value::Map(entries) = field(day, "photo_likes") else {
+                    panic!("photo_likes is an object")
+                };
+                entries.insert(1, entries[0].clone());
+            },
+            "duplicate map key \"",
         ),
     ];
     for (what, edit, error) in edits {

@@ -340,7 +340,8 @@ gate_stream() {
   # on, and itself asserts those two digests match), then replay the log
   # offline: stream-replay must recompute the identical verdict digest
   # from the file alone, and the versioned envelope must round-trip. A
-  # copy with one row repeated must be refused.
+  # copy with one row repeated, and one with a map key repeated, must be
+  # refused.
   STREAM_LOG="$CI_TMP/footsteps_stream.ci.jsonl"
   STREAM_PERF="$CI_TMP/BENCH_stream.ci.json"
   ./target/release/perf_baseline --stream "$STREAM_LOG" 7 "$STREAM_PERF"
@@ -362,29 +363,35 @@ gate_stream() {
     printf '%s\n' "$replay_out" >&2
     exit 1
   fi
-  # A day line whose first outbound row is repeated, on the first day of
-  # the calibration window, must be refused with its line number (exit 1),
-  # not replayed into other verdicts: the reader requires rows in strictly
-  # increasing key order. Line 1 is the header, so day D is line D + 2.
-  TAMPERED_LOG="$CI_TMP/footsteps_stream.repeated_row.ci.jsonl"
+  # Each tampered copy edits the first day of the calibration window and
+  # must be refused with its line number (exit 1), not replayed into other
+  # verdicts. Line 1 is the header, so day D is line D + 2.
   calibration_start=$(sed -n '1s/.*"calibration_start":\([0-9]*\).*/\1/p' "$STREAM_LOG")
   tamper_line=$((calibration_start + 2))
-  sed "${tamper_line}s/\"outbound\":\[\(\[\[[^]]*\],\[[^]]*\]\]\)/\"outbound\":[\1,\1/" \
-    "$STREAM_LOG" > "$TAMPERED_LOG"
-  if cmp -s "$STREAM_LOG" "$TAMPERED_LOG"; then
-    echo "stream gate: FAIL — line $tamper_line has no outbound row to repeat" >&2
-    exit 1
-  fi
-  TAMPERED_ERR="$CI_TMP/footsteps_stream.repeated_row.ci.err"
-  tamper_rc=0
-  ./target/release/stream-replay "$TAMPERED_LOG" > /dev/null 2> "$TAMPERED_ERR" || tamper_rc=$?
-  if [ "$tamper_rc" -ne 1 ] || ! grep -q "line $tamper_line: " "$TAMPERED_ERR"; then
-    echo "stream gate: FAIL — a repeated row on line $tamper_line gave exit $tamper_rc" >&2
-    cat "$TAMPERED_ERR" >&2
-    exit 1
-  fi
+  # $1 names the copy; $2 is the sed command applied to the tamper line.
+  refuse_tampered() {
+    local copy="$CI_TMP/footsteps_stream.$1.ci.jsonl" err="$CI_TMP/footsteps_stream.$1.ci.err"
+    local rc=0
+    sed "${tamper_line}$2" "$STREAM_LOG" > "$copy"
+    if cmp -s "$STREAM_LOG" "$copy"; then
+      echo "stream gate: FAIL — line $tamper_line has nothing to edit for $1" >&2
+      exit 1
+    fi
+    ./target/release/stream-replay "$copy" > /dev/null 2> "$err" || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -q "line $tamper_line: " "$err"; then
+      echo "stream gate: FAIL — $1 on line $tamper_line gave exit $rc" >&2
+      cat "$err" >&2
+      exit 1
+    fi
+    echo "stream gate: $1 on line $tamper_line refused: $(head -n 1 "$err")"
+  }
+  # The first outbound row repeated: the reader requires rows in strictly
+  # increasing key order.
+  refuse_tampered repeated_row 's/"outbound":\[\(\[\[[^]]*\],\[[^]]*\]\]\)/"outbound":[\1,\1/'
+  # The first photo_likes entry repeated: a map key may appear only once.
+  refuse_tampered repeated_photo_key 's/"photo_likes":{\("[0-9]*":\[[0-9]*,[0-9]*\]\)/"photo_likes":{\1,\1/'
   echo "stream gate: OK (verdict digest $replay_digest reproduced from the recorded log;" \
-    "a repeated row on line $tamper_line refused: $(head -n 1 "$TAMPERED_ERR"))"
+    "both tampered copies refused)"
 }
 
 # Run one gate in its own errexit subshell and record its verdict. The

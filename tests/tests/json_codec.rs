@@ -4,15 +4,18 @@
 //! error, never a panic.
 
 use footsteps_core::{Scenario, Study};
-use footsteps_detect::{AsnTraffic, Classification};
+use footsteps_detect::{AsnTraffic, Classification, ServiceSignature};
 use footsteps_obs::tree::fnv1a;
-use footsteps_sim::prelude::{ActionType, AsnId, Day, DayLog, Direction};
+use footsteps_sim::prelude::{
+    ActionType, AsnId, ClientFingerprint, Day, DayLog, Direction, ServiceId,
+};
 use footsteps_stream::{
     EventLogReader, EventLogWriter, LogHeader, StreamError, VerdictSnapshot,
     STREAM_SCHEMA_VERSION, VERDICT_SCHEMA_VERSION,
 };
 use proptest::prelude::*;
 use serde_json::Value;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -68,6 +71,29 @@ fn verdict_snapshot_encodes_a_benign_asn() {
     let table = snapshot.threshold_table();
     assert_eq!(table.asn_kinds.get(&AsnId(3)), Some(&AsnTraffic::Benign));
     assert_eq!(table.get(AsnId(3), ActionType::Follow, Direction::Outbound), Some(40));
+}
+
+/// A signature's sets are written in their elements' order, not their
+/// insertion order: ASNs by number, and `OfficialApp` before every
+/// `SpoofedMobile`, the spoofed clients by `variant`. No smoke pin has a
+/// signature with more than one fingerprint, so this pin is the one that
+/// fixes the fingerprint order in the verdict snapshot.
+#[test]
+fn service_signature_sets_are_written_in_element_order() {
+    let sig = ServiceSignature {
+        service: ServiceId::Hublaagram,
+        asns: BTreeSet::from([AsnId(12), AsnId(3)]),
+        fingerprints: BTreeSet::from([
+            ClientFingerprint::SpoofedMobile { variant: 2 },
+            ClientFingerprint::OfficialApp,
+            ClientFingerprint::SpoofedMobile { variant: 1 },
+        ]),
+        collusion: true,
+    };
+    assert_eq!(
+        serde_json::to_string(&sig).unwrap(),
+        r#"{"service":"Hublaagram","asns":[3,12],"fingerprints":["OfficialApp",{"SpoofedMobile":{"variant":1}},{"SpoofedMobile":{"variant":2}}],"collusion":true}"#
+    );
 }
 
 #[test]
