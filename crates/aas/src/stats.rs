@@ -16,7 +16,7 @@
 /// size `len`: `⌈len·p⌉` clamped into `[1, len]`.
 ///
 /// Returns 1 for `len == 0` — callers must handle the empty sample
-/// before indexing (the slice helpers below return `None`).
+/// before indexing ([`percentile_u32`] returns `None`).
 pub fn nearest_rank(len: usize, p: f64) -> usize {
     debug_assert!((0.0..=1.0).contains(&p), "p out of [0,1]: {p}");
     ((len as f64 * p).ceil() as usize).clamp(1, len.max(1))
@@ -30,48 +30,6 @@ pub fn percentile_u32(values: &mut [u32], p: f64) -> Option<u32> {
     }
     values.sort_unstable();
     Some(values[nearest_rank(values.len(), p) - 1])
-}
-
-/// Nearest-rank quantile over several *individually sorted* runs without
-/// merging or re-sorting them: binary search on the value domain, with
-/// the rank of a candidate counted via `partition_point` per run.
-///
-/// This is the primitive of the detector's threshold window: each
-/// calibration day contributes one sorted run, and a day entering the
-/// window never forces a re-sort of the other days. Cost is
-/// `O(runs · log(runs·len) · log(max))` versus `O(n log n)` for a flat
-/// re-sort of the concatenated window.
-///
-/// For identical multisets of samples this returns exactly the same
-/// value as [`percentile_u32`] on the concatenation — the parity is
-/// pinned by tests here.
-pub fn quantile_sorted_runs(runs: &[&[u32]], p: f64) -> Option<u32> {
-    let len: usize = runs.iter().map(|r| r.len()).sum();
-    if len == 0 {
-        return None;
-    }
-    let target = nearest_rank(len, p);
-    let mut lo = u32::MAX;
-    let mut hi = u32::MIN;
-    for run in runs {
-        debug_assert!(run.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
-        if let (Some(&first), Some(&last)) = (run.first(), run.last()) {
-            lo = lo.min(first);
-            hi = hi.max(last);
-        }
-    }
-    // Invariant: the target-th smallest element is in [lo, hi]; the
-    // smallest value v with rank(v) >= target is that element.
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let rank: usize = runs.iter().map(|r| r.partition_point(|&v| v <= mid)).sum();
-        if rank >= target {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(lo)
 }
 
 /// Upper median of a sample as `f64`: element `len / 2` of the sorted
@@ -121,50 +79,5 @@ mod tests {
         assert_eq!(percentile_u32(&mut v, 0.0), Some(1), "clamped to rank 1");
         let mut empty: Vec<u32> = vec![];
         assert_eq!(percentile_u32(&mut empty, 0.5), None);
-    }
-
-    #[test]
-    fn sorted_runs_match_flat_percentile() {
-        // Three sorted runs whose concatenation is 1..=100 shuffled into
-        // interleaved residue classes.
-        let a: Vec<u32> = (1..=100).filter(|n| n % 3 == 0).collect();
-        let b: Vec<u32> = (1..=100).filter(|n| n % 3 == 1).collect();
-        let c: Vec<u32> = (1..=100).filter(|n| n % 3 == 2).collect();
-        let runs: Vec<&[u32]> = vec![&a, &b, &c];
-        for &p in &[0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0] {
-            let mut flat: Vec<u32> = (1..=100).collect();
-            assert_eq!(
-                quantile_sorted_runs(&runs, p),
-                percentile_u32(&mut flat, p),
-                "p={p}"
-            );
-        }
-    }
-
-    #[test]
-    fn sorted_runs_with_duplicates_and_empties() {
-        let a = [5u32, 5, 5];
-        let b: [u32; 0] = [];
-        let c = [1u32, 5, 9];
-        let runs: Vec<&[u32]> = vec![&a, &b, &c];
-        let flat = vec![5u32, 5, 5, 1, 5, 9];
-        for &p in &[0.1, 0.5, 0.9, 1.0] {
-            assert_eq!(
-                quantile_sorted_runs(&runs, p),
-                percentile_u32(&mut flat.clone(), p),
-                "p={p}"
-            );
-        }
-        let empty: Vec<&[u32]> = vec![&b];
-        assert_eq!(quantile_sorted_runs(&empty, 0.5), None);
-        assert_eq!(quantile_sorted_runs(&[], 0.5), None);
-    }
-
-    #[test]
-    fn sorted_runs_single_run_is_identity_percentile() {
-        let run: Vec<u32> = vec![2, 4, 4, 8, 16];
-        assert_eq!(quantile_sorted_runs(&[&run], 0.5), Some(4));
-        assert_eq!(quantile_sorted_runs(&[&run], 1.0), Some(16));
-        assert_eq!(quantile_sorted_runs(&[&run], 0.2), Some(2));
     }
 }

@@ -33,8 +33,7 @@ pub use revenue::{
     reciprocity_revenue, HublaagramRevenue, NewVsPreexisting, ReciprocityRevenueRow,
 };
 pub use stats::{
-    mean, median, median_u32, nearest_rank, percentile, percentile_u32, percentiles,
-    quantile_sorted_runs, Ecdf, Welford,
+    mean, median, median_u32, nearest_rank, percentile, percentile_u32, percentiles, Ecdf, Welford,
 };
 pub use targeting::{
     sample_baseline, sample_targets, DegreeSample, TargetingFigures,

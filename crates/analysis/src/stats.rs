@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 // is the stats surface the rest of the workspace imports from, and
 // every float/integer quantile in the repo goes through the same rank
 // arithmetic.
-pub use footsteps_aas::stats::{nearest_rank, percentile_u32, quantile_sorted_runs};
+pub use footsteps_aas::stats::{nearest_rank, percentile_u32};
 
 /// Mean of a slice (0 for empty).
 pub fn mean(values: &[f64]) -> f64 {

@@ -10,8 +10,9 @@
 //! * pure percentile ↑ ⇒ less abusive volume eligible (the countermeasure
 //!   gives more of the service's action budget away).
 
+use footsteps_analysis::stats::percentile_u32;
 use footsteps_core::Phase;
-use footsteps_detect::{percentile_u32, Classification};
+use footsteps_detect::Classification;
 use footsteps_sim::prelude::*;
 use std::collections::HashMap;
 

@@ -434,8 +434,9 @@ pub fn figure06(study: &Study) -> String {
         100.0 * f.control.mean_over(Day(ns + 28), study.timeline.broad_start)
     ));
     out.push_str(&format!(
-        "  reaction day (relative): {:?}  (paper: ~day 21 — the service had to implement blocked-like detection)\n",
-        reaction
+        "  reaction day (relative): {:?}  (paper: ~day {} — the service had to implement blocked-like detection)\n",
+        reaction,
+        paper::HUBLAAGRAM_REACTION_LAG_DAYS
     ));
     out
 }

@@ -269,9 +269,9 @@ pub fn figure5(study: &Study) -> Figure5 {
         study.timeline.broad_start,
     );
     let bins = study
-        .narrow_plan
+        .timeline
         .bins_on(study.timeline.narrow_start)
-        .expect("plan covers window");
+        .expect("the calendar assigns the narrow bins");
     let series = |policy| {
         median_actions_per_user(
             &study.platform,
@@ -326,9 +326,9 @@ pub fn figure6(study: &Study) -> Figure6 {
         study.timeline.broad_start,
     );
     let bins = study
-        .narrow_plan
+        .timeline
         .bins_on(study.timeline.narrow_start)
-        .expect("plan covers window");
+        .expect("the calendar assigns the narrow bins");
     let series = |policies: &[BinPolicy]| {
         eligible_proportion(
             &study.platform,
@@ -387,9 +387,9 @@ pub fn figure7(study: &Study) -> Figure7 {
     // Week-1 assignment identifies treated accounts (the set is identical in
     // week 2; only the countermeasure changes).
     let bins = study
-        .broad_plan
+        .timeline
         .bins_on(study.timeline.broad_start)
-        .expect("plan covers window");
+        .expect("the calendar assigns the broad bins");
     let series = |policies: &[BinPolicy]| {
         eligible_proportion(
             &study.platform,
@@ -406,7 +406,7 @@ pub fn figure7(study: &Study) -> Figure7 {
     };
     Figure7 {
         threshold,
-        switch_day: study.timeline.broad_start.plus(7),
+        switch_day: study.timeline.broad_switch,
         treated: series(&[BinPolicy::Delay, BinPolicy::Block]),
         control: series(&[BinPolicy::Control]),
     }

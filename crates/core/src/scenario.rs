@@ -36,12 +36,6 @@ pub struct Scenario {
     pub background_daily_actors: u32,
     /// Of those, how many route through the mixed (Insta*) hosting ASN.
     pub background_blend_actors: u32,
-    /// Bin receiving the synchronous-block treatment in the narrow design.
-    pub block_bin: u32,
-    /// Bin receiving the delayed-removal treatment.
-    pub delay_bin: u32,
-    /// Control bin (shared by narrow, broad and epilogue phases).
-    pub control_bin: u32,
     /// Threads footbench renders its report sections on
     /// (`aas::plan_parallel`). The study itself runs on one thread and
     /// ignores this, so results are byte-identical for every value. The
@@ -68,9 +62,6 @@ impl Scenario {
             calibration_tail_days: 14,
             background_daily_actors: 1_200,
             background_blend_actors: 120,
-            block_bin: 0,
-            delay_bin: 1,
-            control_bin: 2,
             worker_threads: 1,
         }
     }
@@ -104,9 +95,6 @@ impl Scenario {
             calibration_tail_days: 8,
             background_daily_actors: 300,
             background_blend_actors: 40,
-            block_bin: 0,
-            delay_bin: 1,
-            control_bin: 2,
             worker_threads: 1,
         }
     }
@@ -136,12 +124,6 @@ impl Scenario {
             && self.calibration_tail_days >= 1
             && self.honeypots_per_type >= 1
             && self.paid_honeypots_per_type <= self.honeypots_per_type
-            && self.block_bin < 10
-            && self.delay_bin < 10
-            && self.control_bin < 10
-            && self.block_bin != self.delay_bin
-            && self.delay_bin != self.control_bin
-            && self.block_bin != self.control_bin
             && self.background_blend_actors <= self.background_daily_actors
             && self.worker_threads >= 1
     }
@@ -163,7 +145,7 @@ mod tests {
     #[test]
     fn invalid_scenarios_detected() {
         let mut s = Scenario::smoke(1);
-        s.block_bin = s.delay_bin;
+        s.background_blend_actors = s.background_daily_actors + 1;
         assert!(!s.is_valid());
         let mut s = Scenario::smoke(1);
         s.calibration_tail_days = s.characterization_days + 1;

@@ -12,13 +12,16 @@
 //! 5. **broad intervention** (§6.4) — one week delay, one week block, 90%;
 //! 6. **epilogue** (§6.4) — months of continued enforcement (block likes,
 //!    delay follows) during which the services migrate or fold.
+//!
+//! Which bin assignment is in force on which day is one calendar,
+//! [`Timeline::bins_on`], read by the phase runners and by Figures 5–7.
 
 use crate::scenario::Scenario;
 use crate::world::AsnLayout;
 use footsteps_aas::{presets, CollusionService, PaymentLedger, ReciprocityService, Service};
 use footsteps_detect::DetectionPipeline;
 use footsteps_honeypot::{run_campaign, CampaignReport, HoneypotFramework};
-use footsteps_intervene::{EpiloguePolicy, ExperimentPlan, ExperimentPolicy};
+use footsteps_intervene::{BinAssignment, BinPolicy, ExperimentPolicy};
 use footsteps_obs::Stopwatch;
 use footsteps_sim::background::{run_background_day, BackgroundConfig};
 use footsteps_sim::population::{synthesize, PopulationConfig, ResidentialIndex};
@@ -32,7 +35,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// Phase boundaries of a study, in days.
+/// Days of the broad experiment's delay week, before it switches to
+/// blocking (§6.4).
+const BROAD_DELAY_DAYS: u32 = 7;
+
+/// The study's calendar: its phase boundaries, in days, and the §6 bin
+/// assignment in force on each day ([`Timeline::bins_on`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timeline {
     /// Characterization start (always day 0).
@@ -41,6 +49,8 @@ pub struct Timeline {
     pub narrow_start: Day,
     /// Narrow end / broad start.
     pub broad_start: Day,
+    /// The broad experiment's switch from its delay week to blocking.
+    pub broad_switch: Day,
     /// Broad end / epilogue start.
     pub epilogue_start: Day,
     /// Epilogue end (end of the study).
@@ -52,9 +62,25 @@ impl Timeline {
         let char_start = Day(0);
         let narrow_start = char_start.plus(s.characterization_days);
         let broad_start = narrow_start.plus(s.narrow_days);
+        let broad_switch = broad_start.plus(BROAD_DELAY_DAYS);
         let epilogue_start = broad_start.plus(s.broad_days);
         let end = epilogue_start.plus(s.epilogue_days);
-        Self { char_start, narrow_start, broad_start, epilogue_start, end }
+        Self { char_start, narrow_start, broad_start, broad_switch, epilogue_start, end }
+    }
+
+    /// The bin assignment in force on `day`: none during characterization,
+    /// the narrow design (§6.3) until `broad_start`, 90% delayed removal
+    /// until `broad_switch`, 90% blocking until `epilogue_start`, and the
+    /// epilogue treatment (block likes, delay follows) from then on (§6.4).
+    pub fn bins_on(&self, day: Day) -> Option<BinAssignment> {
+        let treatment = match day {
+            d if d < self.narrow_start => return None,
+            d if d < self.broad_start => return Some(BinAssignment::narrow()),
+            d if d >= self.epilogue_start => BinPolicy::Epilogue,
+            d if d < self.broad_switch => BinPolicy::Delay,
+            _ => BinPolicy::Block,
+        };
+        Some(BinAssignment::broad(treatment))
     }
 
     /// The calibration window used to build the detection pipeline.
@@ -120,10 +146,6 @@ pub struct Study {
     detector: Option<(OnlineDetector, f64)>,
     /// The event-log recorder, when recording.
     recorder: Option<EventLogWriter>,
-    /// The narrow experiment plan.
-    pub narrow_plan: ExperimentPlan,
-    /// The broad experiment plan.
-    pub broad_plan: ExperimentPlan,
     background: BackgroundConfig,
     bg_rng: SmallRng,
 }
@@ -215,13 +237,6 @@ impl Study {
             blend: vec![(layout.insta_primary, scenario.background_blend_actors)],
             ..BackgroundConfig::default()
         };
-        let narrow_plan = ExperimentPlan::narrow(
-            timeline.narrow_start,
-            scenario.block_bin,
-            scenario.delay_bin,
-            scenario.control_bin,
-        );
-        let broad_plan = ExperimentPlan::broad(timeline.broad_start, scenario.control_bin);
         let bg_rng = rngs.stream("background");
         platform.obs.timings.finish(world_timer);
 
@@ -241,8 +256,6 @@ impl Study {
             stream: None,
             detector: None,
             recorder: None,
-            narrow_plan,
-            broad_plan,
             background,
             bg_rng,
         };
@@ -435,40 +448,14 @@ impl Study {
     /// Run the narrow intervention (§6.3).
     pub fn run_narrow(&mut self) {
         assert_eq!(self.phase, Phase::Characterized, "characterize first");
-        self.platform.obs.begin_phase("narrow");
-        let timer = self.platform.obs.timings.start("phase.narrow");
-        let thresholds = self.pipeline().thresholds.clone();
-        let bins = self
-            .narrow_plan
-            .bins_on(self.timeline.narrow_start)
-            .expect("narrow plan covers its window");
-        self.platform
-            .set_policy(Box::new(ExperimentPolicy::new(thresholds, bins)));
-        for day in Day::range(self.timeline.narrow_start, self.timeline.broad_start) {
-            self.step_day(day);
-        }
-        self.flush_log();
-        self.platform.obs.timings.finish(timer);
+        self.run_intervention("narrow", self.timeline.narrow_start, self.timeline.broad_start);
         self.phase = Phase::NarrowDone;
     }
 
     /// Run the broad intervention (§6.4): delay week, then block week.
     pub fn run_broad(&mut self) {
         assert_eq!(self.phase, Phase::NarrowDone, "narrow first");
-        self.platform.obs.begin_phase("broad");
-        let timer = self.platform.obs.timings.start("phase.broad");
-        let thresholds = self.pipeline().thresholds.clone();
-        for day in Day::range(self.timeline.broad_start, self.timeline.epilogue_start) {
-            if let Some(bins) = self.broad_plan.bins_on(day) {
-                // Re-installing per day is cheap and handles the mid-plan
-                // delay→block switch exactly at its boundary.
-                self.platform
-                    .set_policy(Box::new(ExperimentPolicy::new(thresholds.clone(), bins)));
-            }
-            self.step_day(day);
-        }
-        self.flush_log();
-        self.platform.obs.timings.finish(timer);
+        self.run_intervention("broad", self.timeline.broad_start, self.timeline.epilogue_start);
         self.phase = Phase::BroadDone;
     }
 
@@ -476,19 +463,30 @@ impl Study {
     /// likes, delay follows) during which the services adapt or fold.
     pub fn run_epilogue(&mut self) {
         assert_eq!(self.phase, Phase::BroadDone, "broad first");
-        self.platform.obs.begin_phase("epilogue");
-        let timer = self.platform.obs.timings.start("phase.epilogue");
-        let thresholds = self.pipeline().thresholds.clone();
-        self.platform.set_policy(Box::new(EpiloguePolicy::new(
-            thresholds,
-            self.scenario.control_bin,
-        )));
-        for day in Day::range(self.timeline.epilogue_start, self.timeline.end) {
+        self.run_intervention("epilogue", self.timeline.epilogue_start, self.timeline.end);
+        self.phase = Phase::Finished;
+    }
+
+    /// Run the intervention phase `name` over the days `[start, end)`,
+    /// installing an [`ExperimentPolicy`] on each day the calendar's bin
+    /// assignment changes, then flush the event log.
+    fn run_intervention(&mut self, name: &str, start: Day, end: Day) {
+        self.platform.obs.begin_phase(name);
+        let timer = self.platform.obs.timings.start(&format!("phase.{name}"));
+        let mut installed = None;
+        for day in Day::range(start, end) {
+            let bins = self.timeline.bins_on(day);
+            if bins != installed {
+                let bins = bins.expect("the calendar assigns bins on every intervention day");
+                let thresholds = self.pipeline().thresholds.clone();
+                self.platform
+                    .set_policy(Box::new(ExperimentPolicy::new(thresholds, bins)));
+                installed = Some(bins);
+            }
             self.step_day(day);
         }
         self.flush_log();
         self.platform.obs.timings.finish(timer);
-        self.phase = Phase::Finished;
     }
 
     /// Run every phase in order, then export the Chrome trace if
@@ -585,6 +583,51 @@ mod tests {
         let (cal_start, cal_end) = t.calibration(s.calibration_tail_days);
         assert_eq!(cal_end, t.narrow_start);
         assert_eq!(cal_end.days_since(cal_start), s.calibration_tail_days);
+    }
+
+    /// Every day of the smoke timeline through the calendar, and Figure 7's
+    /// switch day read from it.
+    #[test]
+    fn calendar_assigns_each_smoke_day_its_phase() {
+        use footsteps_intervene::CONTROL_BIN;
+        let mut study = Study::new(Scenario::smoke(4));
+        let t = study.timeline;
+        // Smoke: 24 characterization days, 14 narrow, 14 broad, 70 epilogue.
+        assert_eq!(t.narrow_start, Day(24));
+        assert_eq!(t.broad_switch, Day(45));
+        let mut runs: Vec<(Option<BinAssignment>, u32)> = Vec::new();
+        for day in Day::range(t.char_start, t.end) {
+            let bins = t.bins_on(day);
+            if let Some(bins) = bins {
+                let control = bins.policy_of_bin(CONTROL_BIN);
+                for ty in [ActionType::Follow, ActionType::Like] {
+                    assert_eq!(control.countermeasure(ty), Countermeasure::None, "{day:?}");
+                }
+            }
+            match runs.last_mut() {
+                Some((last, n)) if *last == bins => *n += 1,
+                _ => runs.push((bins, 1)),
+            }
+        }
+        let narrow = BinAssignment::narrow();
+        assert_eq!(narrow.bins_with(BinPolicy::Block).len(), 1);
+        assert_eq!(narrow.bins_with(BinPolicy::Delay).len(), 1);
+        assert_eq!(narrow.bins_with(BinPolicy::Untreated).len(), 7);
+        let broad = |treatment| Some(BinAssignment::broad(treatment));
+        assert_eq!(
+            runs,
+            vec![
+                (None, 24),
+                (Some(narrow), 14),
+                (broad(BinPolicy::Delay), 7),
+                (broad(BinPolicy::Block), 7),
+                (broad(BinPolicy::Epilogue), 70),
+            ]
+        );
+        study.run_characterization();
+        study.run_narrow();
+        study.run_broad();
+        assert_eq!(crate::results::figure7(&study).switch_day, t.broad_switch);
     }
 
     #[test]

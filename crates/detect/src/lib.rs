@@ -26,6 +26,5 @@ pub use classify::{
 pub use pipeline::DetectionPipeline;
 pub use signature::{roster, RosterEntry, ServiceSignature, SignatureLearner};
 pub use threshold::{
-    compute_thresholds, false_positive_account_days, percentile_u32, AsnTraffic, ThresholdTable,
-    ThresholdWindow,
+    compute_thresholds, false_positive_account_days, AsnTraffic, ThresholdTable, ThresholdWindow,
 };

@@ -14,7 +14,7 @@
 
 use crate::classify::Classification;
 use crate::signature::ServiceSignature;
-use footsteps_aas::stats::quantile_sorted_runs;
+use footsteps_aas::stats::percentile_u32;
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
 use serde::Serialize;
@@ -69,16 +69,13 @@ impl ThresholdTable {
     }
 }
 
-// Re-exported to keep the crate's historical API surface.
-pub use footsteps_aas::stats::percentile_u32;
-
 /// The two action types §6.2 thresholds cover (the countermeasures of §6
 /// target likes and follows).
 const THRESHOLD_TYPES: [ActionType; 2] = [ActionType::Like, ActionType::Follow];
 
 /// The calibration days the §6.2 rules are evaluated over. Each day's
-/// samples are sorted when it is pushed, so evaluation ranks across the
-/// per-day runs (`quantile_sorted_runs`) and never re-sorts the window.
+/// samples are kept as they come; evaluation ranks the window's
+/// concatenated samples with [`percentile_u32`].
 #[derive(Debug, Clone, Default)]
 pub struct ThresholdWindow {
     days: Vec<DaySamples>,
@@ -91,11 +88,10 @@ struct DaySamples {
     /// abusive/benign traffic split.
     kind_samples: BTreeMap<AsnId, Vec<(AccountId, u32)>>,
     /// Per `(ASN, action)`: per-account outbound counts (summed across
-    /// fingerprints, zeros left out), sorted by `(count, account)` so the
-    /// counts of any subset of the accounts stay sorted.
-    out_runs: BTreeMap<(AsnId, ActionType), Vec<(u32, AccountId)>>,
-    /// Per `(ASN, action)`: per-recipient inbound counts, sorted.
-    in_runs: BTreeMap<(AsnId, ActionType), Vec<u32>>,
+    /// fingerprints, zeros left out).
+    out_counts: BTreeMap<(AsnId, ActionType), Vec<(AccountId, u32)>>,
+    /// Per `(ASN, action)`: per-recipient inbound counts.
+    in_counts: BTreeMap<(AsnId, ActionType), Vec<u32>>,
 }
 
 impl ThresholdWindow {
@@ -114,19 +110,17 @@ impl ThresholdWindow {
             }
         }
         for ((asn, ty, account), n) in per {
-            s.out_runs.entry((asn, ty)).or_default().push((n, account));
+            s.out_counts.entry((asn, ty)).or_default().push((account, n));
         }
         for ((_, source), counts) in day.inbound() {
             let Some(asn) = *source else { continue };
             for ty in THRESHOLD_TYPES {
                 let n = counts.attempted_of(ty);
                 if n > 0 {
-                    s.in_runs.entry((asn, ty)).or_default().push(n);
+                    s.in_counts.entry((asn, ty)).or_default().push(n);
                 }
             }
         }
-        s.out_runs.values_mut().for_each(|run| run.sort_unstable());
-        s.in_runs.values_mut().for_each(|run| run.sort_unstable());
         self.days.push(s);
     }
 
@@ -198,25 +192,28 @@ impl ThresholdWindow {
         p: f64,
         keep: impl Fn(AccountId) -> bool,
     ) -> Option<u32> {
-        let runs: Vec<Vec<u32>> = self
+        let mut samples: Vec<u32> = self
             .days
             .iter()
-            .filter_map(|day| day.out_runs.get(&(asn, ty)))
-            .map(|run| run.iter().filter(|&&(_, a)| keep(a)).map(|&(n, _)| n).collect())
+            .filter_map(|day| day.out_counts.get(&(asn, ty)))
+            .flatten()
+            .filter(|&&(a, _)| keep(a))
+            .map(|&(_, n)| n)
             .collect();
-        quantile_sorted_runs(&runs.iter().map(Vec::as_slice).collect::<Vec<_>>(), p)
+        percentile_u32(&mut samples, p)
     }
 
     /// Quantile `p` of the per-recipient daily inbound counts of `ty`
     /// sourced from `asn`.
     fn in_quantile(&self, asn: AsnId, ty: ActionType, p: f64) -> Option<u32> {
-        let runs: Vec<&[u32]> = self
+        let mut samples: Vec<u32> = self
             .days
             .iter()
-            .filter_map(|day| day.in_runs.get(&(asn, ty)))
-            .map(Vec::as_slice)
+            .filter_map(|day| day.in_counts.get(&(asn, ty)))
+            .flatten()
+            .copied()
             .collect();
-        quantile_sorted_runs(&runs, p)
+        percentile_u32(&mut samples, p)
     }
 }
 
@@ -440,17 +437,6 @@ mod tests {
         // threshold — the paper's "upper bound of 1% false positives".
         assert_eq!(over, 5);
         assert!((over as f64 / total as f64) <= 0.01 + 1e-9);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut v: Vec<u32> = (1..=100).collect();
-        assert_eq!(percentile_u32(&mut v, 0.99), Some(99));
-        assert_eq!(percentile_u32(&mut v, 0.25), Some(25));
-        assert_eq!(percentile_u32(&mut v, 1.0), Some(100));
-        assert_eq!(percentile_u32(&mut v, 0.0), Some(1), "clamped to rank 1");
-        let mut empty: Vec<u32> = vec![];
-        assert_eq!(percentile_u32(&mut empty, 0.5), None);
     }
 
     #[test]

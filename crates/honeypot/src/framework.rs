@@ -62,8 +62,6 @@ pub struct HoneypotRecord {
     pub paid: bool,
     /// Day of registration, if registered.
     pub enrolled_on: Option<Day>,
-    /// Whether the account has been deleted.
-    pub deleted: bool,
 }
 
 /// The framework: a factory and registry for honeypot accounts.
@@ -175,7 +173,6 @@ impl HoneypotFramework {
             requested: None,
             paid: false,
             enrolled_on: None,
-            deleted: false,
         });
         account
     }
@@ -212,17 +209,6 @@ impl HoneypotFramework {
         rec.requested = Some(requested);
         rec.paid = paid;
         rec.enrolled_on = Some(day);
-    }
-
-    /// Delete all honeypot accounts ("we deleted our honeypot accounts after
-    /// the measurement period, which removed all of their actions", §4.1.2).
-    pub fn delete_all(&mut self, platform: &mut Platform) {
-        for rec in &mut self.records {
-            if !rec.deleted {
-                platform.delete_account(rec.account);
-                rec.deleted = true;
-            }
-        }
     }
 }
 
@@ -317,31 +303,5 @@ mod tests {
         let mut f = framework();
         let a = f.create_account(&mut p, HoneypotKind::Inactive);
         f.note_registration(a, ServiceId::Boostgram, ActionType::Like, false, Day(0));
-    }
-
-    #[test]
-    fn deletion_tombstones_and_purges() {
-        let mut p = platform();
-        let mut f = framework();
-        p.begin_day(Day(0));
-        f.setup_celebrities(&mut p, 20);
-        let a = f.create_account(&mut p, HoneypotKind::LivedIn);
-        let celeb_followers_before: u32 = f
-            .celebrities()
-            .iter()
-            .map(|&c| p.accounts.get(c).followers)
-            .sum();
-        p.begin_day(Day(5));
-        f.delete_all(&mut p);
-        assert!(f.records()[0].deleted);
-        assert!(p.accounts.get(a).deleted_at.is_some());
-        // The honeypot's follows were removed from the celebrities.
-        let celeb_followers_after: u32 = f
-            .celebrities()
-            .iter()
-            .map(|&c| p.accounts.get(c).followers)
-            .sum();
-        assert!(celeb_followers_after < celeb_followers_before);
-        assert_eq!(p.accounts.get(a).following, 0);
     }
 }

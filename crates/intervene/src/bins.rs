@@ -4,12 +4,22 @@
 //! bins. We assign separate bins for each countermeasure response (block and
 //! delay) and another for a control." The partition is a pure function of
 //! the account id, so the same account always lands in the same bin, across
-//! experiments and runs.
+//! experiments and runs. Which bins those are is fixed here, once for every
+//! phase: [`BLOCK_BIN`], [`DELAY_BIN`] and [`CONTROL_BIN`].
 
-use footsteps_sim::prelude::{stable_bin, AccountId, Countermeasure};
+use footsteps_sim::prelude::{stable_bin, AccountId, ActionType, Countermeasure};
 
 /// Number of bins used by both experiments.
 pub const NUM_BINS: u32 = 10;
+
+/// The narrow design's synchronous-block bin.
+pub const BLOCK_BIN: u32 = 0;
+
+/// The narrow design's delayed-removal bin.
+pub const DELAY_BIN: u32 = 1;
+
+/// The control bin, shared by the narrow, broad and epilogue phases (§6.4).
+pub const CONTROL_BIN: u32 = 2;
 
 /// What happens to eligible actions of accounts in a bin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,16 +31,25 @@ pub enum BinPolicy {
     Block,
     /// Eligible follows are removed one day later.
     Delay,
+    /// The epilogue (§6.4): the countermeasures "remained active,
+    /// continuing to block likes and delay follows above the activity
+    /// threshold": eligible follows are removed one day later, every other
+    /// eligible action is blocked.
+    Epilogue,
     /// Not part of the experiment (narrow design leaves 7 bins untouched).
     Untreated,
 }
 
 impl BinPolicy {
-    /// The platform countermeasure this policy maps to.
-    pub fn countermeasure(self) -> Countermeasure {
+    /// The platform countermeasure this policy applies to an eligible
+    /// `action`. `Delay` answers `DelayRemoval` for every type; the
+    /// platform degrades it to no countermeasure for anything but follows.
+    pub fn countermeasure(self, action: ActionType) -> Countermeasure {
         match self {
             BinPolicy::Block => Countermeasure::Block,
             BinPolicy::Delay => Countermeasure::DelayRemoval,
+            BinPolicy::Epilogue if action == ActionType::Follow => Countermeasure::DelayRemoval,
+            BinPolicy::Epilogue => Countermeasure::Block,
             BinPolicy::Control | BinPolicy::Untreated => Countermeasure::None,
         }
     }
@@ -56,26 +75,24 @@ impl BinAssignment {
     /// The narrow design (§6.3): one block bin, one delay bin, one control
     /// bin; the remaining seven untouched. At most 20% of customers receive
     /// a countermeasure.
-    pub fn narrow(block_bin: u32, delay_bin: u32, control_bin: u32) -> Self {
-        assert!(block_bin < NUM_BINS && delay_bin < NUM_BINS && control_bin < NUM_BINS);
-        assert!(
-            block_bin != delay_bin && delay_bin != control_bin && block_bin != control_bin,
-            "bins must be distinct"
-        );
+    pub fn narrow() -> Self {
         let mut policies = [BinPolicy::Untreated; NUM_BINS as usize];
-        policies[block_bin as usize] = BinPolicy::Block;
-        policies[delay_bin as usize] = BinPolicy::Delay;
-        policies[control_bin as usize] = BinPolicy::Control;
+        policies[BLOCK_BIN as usize] = BinPolicy::Block;
+        policies[DELAY_BIN as usize] = BinPolicy::Delay;
+        policies[CONTROL_BIN as usize] = BinPolicy::Control;
         Self { policies }
     }
 
-    /// The broad design (§6.4): 90% of accounts treated with one policy,
-    /// keeping the same control bin as the narrow experiment.
-    pub fn broad(control_bin: u32, treatment: BinPolicy) -> Self {
-        assert!(control_bin < NUM_BINS);
-        assert!(matches!(treatment, BinPolicy::Block | BinPolicy::Delay));
+    /// The broad design and the epilogue (§6.4): 90% of accounts treated
+    /// with one policy, keeping the same control bin as the narrow
+    /// experiment.
+    pub fn broad(treatment: BinPolicy) -> Self {
+        assert!(matches!(
+            treatment,
+            BinPolicy::Block | BinPolicy::Delay | BinPolicy::Epilogue
+        ));
         let mut policies = [treatment; NUM_BINS as usize];
-        policies[control_bin as usize] = BinPolicy::Control;
+        policies[CONTROL_BIN as usize] = BinPolicy::Control;
         Self { policies }
     }
 
@@ -117,7 +134,7 @@ mod tests {
 
     #[test]
     fn narrow_assignment_treats_at_most_two_bins() {
-        let a = BinAssignment::narrow(0, 1, 2);
+        let a = BinAssignment::narrow();
         assert_eq!(a.bins_with(BinPolicy::Block), vec![0]);
         assert_eq!(a.bins_with(BinPolicy::Delay), vec![1]);
         assert_eq!(a.bins_with(BinPolicy::Control), vec![2]);
@@ -126,27 +143,26 @@ mod tests {
 
     #[test]
     fn broad_assignment_treats_nine_bins() {
-        let a = BinAssignment::broad(2, BinPolicy::Delay);
+        let a = BinAssignment::broad(BinPolicy::Delay);
         assert_eq!(a.bins_with(BinPolicy::Delay).len(), 9);
         assert_eq!(a.bins_with(BinPolicy::Control), vec![2]);
         // Switching to block keeps the same control bin (§6.4).
-        let b = BinAssignment::broad(2, BinPolicy::Block);
+        let b = BinAssignment::broad(BinPolicy::Block);
         assert_eq!(b.bins_with(BinPolicy::Control), vec![2]);
         assert_eq!(b.bins_with(BinPolicy::Block).len(), 9);
     }
 
     #[test]
-    #[should_panic(expected = "bins must be distinct")]
-    fn narrow_rejects_overlapping_bins() {
-        BinAssignment::narrow(1, 1, 2);
-    }
-
-    #[test]
     fn policies_map_to_countermeasures() {
         use footsteps_sim::prelude::Countermeasure;
-        assert_eq!(BinPolicy::Block.countermeasure(), Countermeasure::Block);
-        assert_eq!(BinPolicy::Delay.countermeasure(), Countermeasure::DelayRemoval);
-        assert_eq!(BinPolicy::Control.countermeasure(), Countermeasure::None);
-        assert_eq!(BinPolicy::Untreated.countermeasure(), Countermeasure::None);
+        for ty in [ActionType::Follow, ActionType::Like] {
+            assert_eq!(BinPolicy::Block.countermeasure(ty), Countermeasure::Block);
+            assert_eq!(BinPolicy::Delay.countermeasure(ty), Countermeasure::DelayRemoval);
+            assert_eq!(BinPolicy::Control.countermeasure(ty), Countermeasure::None);
+            assert_eq!(BinPolicy::Untreated.countermeasure(ty), Countermeasure::None);
+        }
+        let epilogue = BinPolicy::Epilogue;
+        assert_eq!(epilogue.countermeasure(ActionType::Follow), Countermeasure::DelayRemoval);
+        assert_eq!(epilogue.countermeasure(ActionType::Like), Countermeasure::Block);
     }
 }

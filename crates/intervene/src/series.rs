@@ -260,7 +260,7 @@ mod tests {
         p.log.record_outbound(Day(0), a1, host, fp, ActionType::Follow, ActionOutcome::Delivered, 7);
         let set: BTreeSet<AccountId> = [a0, a1].into();
         let asns: BTreeSet<AsnId> = [host].into();
-        let bins = BinAssignment::narrow(0, 1, 2);
+        let bins = BinAssignment::narrow();
         let block = median_actions_per_user(
             &p, &set, &bins, BinPolicy::Block, &asns,
             ActionType::Follow, Direction::Outbound, Day(0), Day(1),

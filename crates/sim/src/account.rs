@@ -87,9 +87,6 @@ pub struct Account {
     pub id: AccountId,
     /// Creation instant.
     pub created_at: SimTime,
-    /// Deletion instant, if the account was deleted (honeypots are deleted
-    /// at the end of the measurement, which removes their actions, §4.1.2).
-    pub deleted_at: Option<SimTime>,
     /// Profile kind.
     pub kind: ProfileKind,
     /// Home country (where the user's logins geolocate to).
@@ -104,13 +101,6 @@ pub struct Account {
     pub media: Vec<MediaId>,
     /// Reciprocation behaviour.
     pub reciprocity: ReciprocityProfile,
-}
-
-impl Account {
-    /// Whether the account is live (created and not deleted) at instant `t`.
-    pub fn is_live_at(&self, t: SimTime) -> bool {
-        self.created_at <= t && self.deleted_at.is_none_or(|d| t < d)
-    }
 }
 
 /// A photo or video posted by an account.
@@ -141,7 +131,7 @@ impl AccountStore {
         Self::default()
     }
 
-    /// Number of accounts ever created (including deleted ones).
+    /// Number of accounts created.
     pub fn len(&self) -> usize {
         self.accounts.len()
     }
@@ -168,7 +158,6 @@ impl AccountStore {
         self.accounts.push(Account {
             id,
             created_at,
-            deleted_at: None,
             kind,
             country,
             home_asn,
@@ -190,17 +179,9 @@ impl AccountStore {
         &mut self.accounts[id.index()]
     }
 
-    /// Iterate all accounts (including deleted).
+    /// Iterate all accounts.
     pub fn iter(&self) -> impl Iterator<Item = &Account> {
         self.accounts.iter()
-    }
-
-    /// Mark an account deleted at `t`. Idempotent.
-    pub fn delete(&mut self, id: AccountId, t: SimTime) {
-        let a = self.get_mut(id);
-        if a.deleted_at.is_none() {
-            a.deleted_at = Some(t);
-        }
     }
 
     /// Post a new piece of media on `owner`'s account.
@@ -262,43 +243,7 @@ mod tests {
         let a = s.get(id);
         assert_eq!(a.following, 465);
         assert_eq!(a.followers, 796);
-        assert!(a.is_live_at(SimTime::EPOCH));
-    }
-
-    #[test]
-    fn deletion_is_idempotent_and_affects_liveness() {
-        let mut s = AccountStore::new();
-        let id = s.create(
-            SimTime::EPOCH,
-            ProfileKind::HoneypotEmpty,
-            Country::Us,
-            AsnId(0),
-            0,
-            0,
-            ReciprocityProfile::SILENT,
-        );
-        let t = Day(10).start();
-        s.delete(id, t);
-        s.delete(id, Day(20).start()); // idempotent: keeps the first time
-        assert_eq!(s.get(id).deleted_at, Some(t));
-        assert!(s.get(id).is_live_at(Day(5).start()));
-        assert!(!s.get(id).is_live_at(Day(10).start()));
-    }
-
-    #[test]
-    fn liveness_before_creation_is_false() {
-        let mut s = AccountStore::new();
-        let id = s.create(
-            Day(5).start(),
-            ProfileKind::Organic,
-            Country::Id,
-            AsnId(1),
-            10,
-            10,
-            any_profile(),
-        );
-        assert!(!s.get(id).is_live_at(Day(4).start()));
-        assert!(s.get(id).is_live_at(Day(5).start()));
+        assert_eq!(a.created_at, SimTime::EPOCH);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! every submission it asks the installed policy how many of the requested
 //! actions pass untouched and what happens to the excess. The two concrete
 //! countermeasures from §6.1 — synchronous block and delayed removal — are
-//! expressed as [`Countermeasure`] variants; the *policy logic* (thresholds,
-//! bins, experiment windows) lives in `footsteps-detect`/`footsteps-intervene`
-//! and is injected, keeping the substrate mechanism/policy-separated.
+//! expressed as [`Countermeasure`] variants; the *policy logic* (thresholds
+//! and bins) lives in `footsteps-detect`/`footsteps-intervene`, and which
+//! policy is in force when in the study's calendar (`footsteps-core`). It
+//! is injected, keeping the substrate mechanism/policy-separated.
 
 use crate::actions::ActionType;
 use crate::ids::{AccountId, AsnId};
-use crate::time::Day;
 use serde::Serialize;
 
 /// What happens to actions above a policy's threshold.
@@ -86,8 +86,6 @@ pub struct EnforcementContext {
     pub action: ActionType,
     /// Whether the threshold side is outbound or inbound.
     pub direction: Direction,
-    /// Day of submission.
-    pub day: Day,
     /// Actions of this type already counted against this actor on this side
     /// earlier today (the policy compares `prior + requested` against its
     /// daily threshold).
@@ -149,10 +147,10 @@ pub struct NoEnforcement;
 /// `Debug` is a supertrait so containers holding a `Box<dyn
 /// EnforcementPolicy>` (the [`crate::platform::Platform`]) can derive it.
 /// `Send + Sync` are supertraits because the platform holds the installed
-/// policy and `report_all` renders its sections from one `&Study` on
-/// scoped threads; policies are plain configuration data (thresholds,
-/// bins, windows) fixed before the day runs, so shared immutable access
-/// is safe by construction.
+/// policy and footbench renders its report sections from one shared
+/// `&Study` on worker threads (`footsteps_aas::plan_parallel`); policies
+/// are plain configuration data (thresholds and bins) fixed before the day
+/// runs, so shared immutable access is safe by construction.
 pub trait EnforcementPolicy: std::fmt::Debug + Send + Sync {
     /// Decide what happens to a submission.
     fn evaluate(&self, ctx: &EnforcementContext) -> EnforcementDecision;
@@ -174,7 +172,6 @@ mod tests {
             asn: AsnId(0),
             action: ActionType::Follow,
             direction: Direction::Outbound,
-            day: Day(0),
             prior_today: prior,
             requested,
         }

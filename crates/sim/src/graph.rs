@@ -186,39 +186,6 @@ impl SocialGraph {
             .unwrap_or_else(|| panic!("{id} is not tracked"));
         &self.following[slot]
     }
-
-    /// Drop all edges touching a tracked account (used when a honeypot is
-    /// deleted: "all actions to or from the account are eventually removed",
-    /// §4.1.1). Degree counters of the counterparties are restored.
-    pub fn purge_account(&mut self, accounts: &mut AccountStore, id: AccountId) {
-        let Some(slot) = self.slot_of(id) else { return };
-        let followers = std::mem::take(&mut self.followers[slot]);
-        for f in followers {
-            // The victim's own list was already taken; fix up the
-            // counterparty's list and both degree counters directly.
-            if let Some(fs) = self.slot_of(f) {
-                if let Ok(pos) = self.following[fs].binary_search(&id) {
-                    self.following[fs].remove(pos);
-                }
-            }
-            let a = accounts.get_mut(f);
-            a.following = a.following.saturating_sub(1);
-            let v = accounts.get_mut(id);
-            v.followers = v.followers.saturating_sub(1);
-        }
-        let following = std::mem::take(&mut self.following[slot]);
-        for t in following {
-            if let Some(ts) = self.slot_of(t) {
-                if let Ok(pos) = self.followers[ts].binary_search(&id) {
-                    self.followers[ts].remove(pos);
-                }
-            }
-            let a = accounts.get_mut(t);
-            a.followers = a.followers.saturating_sub(1);
-            let v = accounts.get_mut(id);
-            v.following = v.following.saturating_sub(1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,26 +277,6 @@ mod tests {
         assert!(g.unfollow(&mut accounts, AccountId(0), AccountId(1)));
         assert_eq!(accounts.get(AccountId(0)).following, 0);
         assert_eq!(accounts.get(AccountId(1)).followers, 0);
-    }
-
-    #[test]
-    fn purge_restores_counterparty_degrees() {
-        let mut accounts = store_with(4);
-        let mut g = SocialGraph::new();
-        let hp = AccountId(0);
-        g.track(hp);
-        // Two inbound, one outbound edge.
-        g.follow(&mut accounts, AccountId(1), hp);
-        g.follow(&mut accounts, AccountId(2), hp);
-        g.follow(&mut accounts, hp, AccountId(3));
-        g.purge_account(&mut accounts, hp);
-        assert_eq!(accounts.get(hp).followers, 0);
-        assert_eq!(accounts.get(hp).following, 0);
-        assert_eq!(accounts.get(AccountId(1)).following, 0);
-        assert_eq!(accounts.get(AccountId(2)).following, 0);
-        assert_eq!(accounts.get(AccountId(3)).followers, 0);
-        assert!(g.followers_of(hp).is_empty());
-        assert!(g.following_of(hp).is_empty());
     }
 
     #[test]

@@ -597,7 +597,6 @@ impl Platform {
             asn: op.asn,
             action: op.ty,
             direction: Direction::Inbound,
-            day,
             prior_today: prior,
             requested: op.requested,
         });
@@ -703,7 +702,6 @@ impl Platform {
             asn: req.asn,
             action: req.action,
             direction: Direction::Outbound,
-            day,
             prior_today: prior,
             requested: edge_pass,
         });
@@ -828,10 +826,6 @@ impl Platform {
 
     fn apply_response(&mut self, r: PendingResponse) {
         let day = self.clock.today();
-        let acct = self.accounts.get(r.target);
-        if acct.deleted_at.is_some() {
-            return;
-        }
         self.log.record_inbound(day, r.target, None, r.action, r.count);
         if r.action == ActionType::Follow {
             self.accounts.get_mut(r.target).followers += r.count;
@@ -878,8 +872,8 @@ impl Platform {
 
     fn maybe_schedule_event_reciprocation(&mut self, req: &EventRequest, outcome: ActionOutcome) {
         let target = self.accounts.get(req.target);
-        if target.deleted_at.is_some() || target.kind.is_honeypot() {
-            // Honeypots never act; deleted accounts cannot respond.
+        if target.kind.is_honeypot() {
+            // Honeypots never act.
             return;
         }
         let profile = target.reciprocity;
@@ -915,11 +909,6 @@ impl Platform {
     }
 
     fn apply_event_response(&mut self, r: PendingEventResponse) {
-        if self.accounts.get(r.to).deleted_at.is_some()
-            || self.accounts.get(r.responder).deleted_at.is_some()
-        {
-            return;
-        }
         let day = r.at.day();
         let responder = self.accounts.get(r.responder);
         let asn = responder.home_asn;
@@ -990,17 +979,6 @@ impl Platform {
         responses.sort_by_key(|r| (r.at, r.responder, r.to));
         for r in responses {
             self.apply_event_response(r);
-        }
-    }
-
-    /// Delete an account at the current instant: tombstones it, purges its
-    /// tracked edges, and (for honeypots) models the paper's observation
-    /// that "all actions to or from the account are eventually removed".
-    pub fn delete_account(&mut self, id: AccountId) {
-        let now = self.clock.now();
-        self.accounts.delete(id, now);
-        if self.graph.is_tracked(id) {
-            self.graph.purge_account(&mut self.accounts, id);
         }
     }
 }
@@ -1636,26 +1614,5 @@ mod tests {
         assert_eq!(*rows[0].0, (customer, Some(AsnId(1))));
         assert_eq!(rows[0].1.delivered[ActionType::Like.index()], 10);
         assert_eq!(rows[0].1.blocked[ActionType::Like.index()], 6);
-    }
-
-    #[test]
-    fn deleted_accounts_receive_no_responses() {
-        let mut p = platform();
-        let a = organic(&mut p, ReciprocityProfile::SILENT);
-        let pool = PoolStats {
-            like_for_like: 0.0,
-            follow_for_like: 0.0,
-            follow_for_follow: 0.9,
-        };
-        p.begin_day(Day(0));
-        p.submit_batch(batch(a, ActionType::Follow, 500, pool));
-        let followers_before = p.accounts.get(a).followers;
-        p.delete_account(a);
-        for d in 1..8u32 {
-            p.begin_day(Day(d));
-        }
-        // Day-0 same-day responses may have landed before deletion, but
-        // nothing after.
-        assert_eq!(p.accounts.get(a).followers, followers_before);
     }
 }

@@ -63,34 +63,6 @@ proptest! {
         }
     }
 
-    /// Purging a tracked account removes every edge touching it and leaves
-    /// all counterparties consistent.
-    #[test]
-    fn purge_is_complete(
-        ops in prop::collection::vec((0u32..6, 0u32..6), 0..100),
-    ) {
-        let mut accounts = store_with(6);
-        let mut graph = SocialGraph::new();
-        for i in 0..6 {
-            graph.track(AccountId(i));
-        }
-        for (from, to) in ops {
-            graph.follow(&mut accounts, AccountId(from), AccountId(to));
-        }
-        let victim = AccountId(0);
-        graph.purge_account(&mut accounts, victim);
-        prop_assert!(graph.followers_of(victim).is_empty());
-        prop_assert!(graph.following_of(victim).is_empty());
-        prop_assert_eq!(accounts.get(victim).followers, 0);
-        prop_assert_eq!(accounts.get(victim).following, 0);
-        for i in 1..6 {
-            let id = AccountId(i);
-            prop_assert!(!graph.followers_of(id).contains(&victim));
-            prop_assert!(!graph.following_of(id).contains(&victim));
-            prop_assert_eq!(accounts.get(id).followers as usize, graph.followers_of(id).len());
-        }
-    }
-
     /// Time round-trips: any instant decomposes into (day, second-of-day)
     /// and recomposes exactly; day arithmetic is consistent.
     #[test]

@@ -23,8 +23,6 @@ pub const SECS_PER_MINUTE: u64 = 60;
 pub const SECS_PER_HOUR: u64 = 3_600;
 /// Seconds per day.
 pub const SECS_PER_DAY: u64 = 86_400;
-/// Hours per day.
-pub const HOURS_PER_DAY: u64 = 24;
 
 /// An instant in simulated time: whole seconds since the simulation epoch.
 #[derive(

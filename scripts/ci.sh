@@ -95,13 +95,10 @@ gate_build() {
 }
 
 gate_test() {
+  # The vendored work-alikes are path dependencies inside the workspace
+  # directory, so Cargo makes them members and this runs their unit tests
+  # and doctests too.
   cargo test -q
-}
-
-gate_vendored() {
-  # The vendored work-alikes are path dependencies, not workspace members,
-  # so the workspace `cargo test` above does not run their own tests.
-  cargo test -q -p serde -p serde_json -p serde_derive -p rand -p proptest
 }
 
 gate_footbench() {
@@ -413,7 +410,6 @@ run_gate() {
 
 run_gate "build (release, -Dwarnings)" gate_build
 run_gate "test" gate_test
-run_gate "vendored crates' unit tests" gate_vendored
 run_gate "footbench's own tests" gate_footbench
 run_gate "sweep smoke (2-seed replication, resume by re-run)" gate_sweep
 run_gate "sweep-worker gate (4-seed sweep, 1 vs 2 workers, $K pairs)" gate_sweep_workers

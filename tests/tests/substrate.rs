@@ -54,7 +54,7 @@ fn experiment_policy_drives_platform_outcomes_end_to_end() {
     let control = account_in_bin(&mut p, res, 2);
     p.set_policy(Box::new(ExperimentPolicy::new(
         thresholds,
-        BinAssignment::narrow(0, 1, 2),
+        BinAssignment::narrow(),
     )));
     p.begin_day(Day(0));
     let req = |actor| BatchRequest {
@@ -94,7 +94,7 @@ fn inbound_enforcement_is_independent_of_outbound() {
     let recipient = account_in_bin(&mut p, res, 0); // treated bin
     p.set_policy(Box::new(ExperimentPolicy::new(
         thresholds,
-        BinAssignment::broad(2, BinPolicy::Block),
+        BinAssignment::broad(BinPolicy::Block),
     )));
     p.begin_day(Day(0));
     // Outbound likes from the same account via the same ASN are NOT
