@@ -23,7 +23,6 @@ use footsteps_sim::population::{sample_lognormal, ResidentialIndex};
 use footsteps_sim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Composition of the paying customer base, as enrollment-time draws.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +117,7 @@ struct DayStats {
     success_per_recipient: Vec<u32>,
     /// Per-recipient daily tallies `(attempted, blocked, delivered)` feeding
     /// the per-recipient controllers.
-    per_recipient: HashMap<AccountId, (u64, u64, u32)>,
+    per_recipient: IdMap<AccountId, (u64, u64, u32)>,
 }
 
 impl DayStats {
@@ -160,7 +159,7 @@ pub const ADS_ACCOUNT: AccountId = AccountId(u32::MAX);
 pub struct CollusionService {
     config: CollusionConfig,
     customers: CustomerBook,
-    roles: HashMap<AccountId, Role>,
+    roles: IdMap<AccountId, Role>,
     asn_rotation: Vec<AsnId>,
     asn_idx: usize,
     /// How many rotation entries are in simultaneous use (Hublaagram serves
@@ -170,9 +169,9 @@ pub struct CollusionService {
     follow_controller: VolumeController,
     /// Per-recipient like-delivery controllers: the service observes *which*
     /// customers' deliveries fail and reduces volume for exactly those.
-    per_recipient_like: HashMap<AccountId, VolumeController>,
+    per_recipient_like: IdMap<AccountId, VolumeController>,
     /// Per-recipient follow-delivery controllers.
-    per_recipient_follow: HashMap<AccountId, VolumeController>,
+    per_recipient_follow: IdMap<AccountId, VolumeController>,
     /// Whether blocked-delivery detection has been implemented per type
     /// (`[likes, follows]`). Hublaagram's like detector took ~3 weeks of
     /// sustained failures to appear (§6.3).
@@ -221,14 +220,14 @@ impl CollusionService {
         Self {
             config,
             customers: CustomerBook::new(),
-            roles: HashMap::new(),
+            roles: IdMap::default(),
             asn_rotation,
             asn_idx: 0,
             active_asns,
             like_controller,
             follow_controller,
-            per_recipient_like: HashMap::new(),
-            per_recipient_follow: HashMap::new(),
+            per_recipient_like: IdMap::default(),
+            per_recipient_follow: IdMap::default(),
             capability: [false; 2],
             failure_streak: [0; 2],
             heavy_throttle_days: 0,
@@ -361,7 +360,9 @@ impl CollusionService {
         }
     }
 
-    /// Run one simulated day.
+    /// Run one simulated day: arrivals and renewals, the members' day
+    /// and their outbound participation, adaptation. Each stage is a span
+    /// (`aas.<slug>.arrivals`, `.route`, `.outbound`, `.adapt`).
     pub fn run_day(
         &mut self,
         platform: &mut Platform,
@@ -369,10 +370,15 @@ impl CollusionService {
         ledger: &mut PaymentLedger,
         day: Day,
     ) {
+        let slug = self.config.service.slug();
+        let span = platform.obs.timings.start(&format!("aas.{slug}.arrivals"));
         self.admit_arrivals(platform, residential, ledger, day);
         self.process_renewals(ledger, day);
+        platform.obs.timings.finish(span);
         let stats = self.deliver(platform, ledger, day);
+        let span = platform.obs.timings.start(&format!("aas.{slug}.adapt"));
         self.adapt(day, stats);
+        platform.obs.timings.finish(span);
     }
 
     fn create_customer_account(
@@ -567,6 +573,7 @@ impl CollusionService {
         // --- outbound participation ---------------------------------------
         // Every delivered inbound action was performed by some member of the
         // network; spread the outbound volume over non-exempt participants.
+        let span = platform.obs.timings.start(&format!("aas.{slug}.outbound"));
         let participants: Vec<(AccountId, bool, Option<ActionType>)> = engaged
             .iter()
             .filter(|(a, _, _)| !self.roles.get(a).map(|r| r.no_outbound).unwrap_or(false))
@@ -651,6 +658,7 @@ impl CollusionService {
                 }
             }
         }
+        platform.obs.timings.finish(span);
 
         // --- ad income ------------------------------------------------------
         if tally.ads > 0 {

@@ -9,9 +9,8 @@
 //! geometrically-distributed number of days) plus payment state maintained
 //! by the engines.
 
-use footsteps_sim::prelude::{AccountId, ActionType, Day};
+use footsteps_sim::prelude::{AccountId, ActionType, Day, IdMap};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Payment state of a customer within a service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +135,7 @@ pub fn sample_poisson(rng: &mut impl Rng, lambda: f64) -> u32 {
 #[derive(Debug, Clone, Default)]
 pub struct CustomerBook {
     customers: Vec<Customer>,
-    by_account: HashMap<AccountId, usize>,
+    by_account: IdMap<AccountId, usize>,
 }
 
 impl CustomerBook {

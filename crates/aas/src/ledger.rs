@@ -7,8 +7,7 @@
 //! (EXPERIMENTS.md reports estimator vs. ledger side by side).
 
 use crate::catalog::Cents;
-use footsteps_sim::prelude::{AccountId, Day, ServiceId};
-use std::collections::HashSet;
+use footsteps_sim::prelude::{AccountId, Day, IdSet, ServiceId};
 
 /// Why a payment was made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,7 +102,7 @@ impl PaymentLedger {
                     && p.day < end
             })
             .map(|p| p.account)
-            .collect::<HashSet<_>>()
+            .collect::<IdSet<_>>()
             .len()
     }
 
@@ -116,7 +115,7 @@ impl PaymentLedger {
         start: Day,
         end: Day,
     ) -> (Cents, Cents) {
-        let prior: HashSet<AccountId> = self
+        let prior: IdSet<AccountId> = self
             .payments
             .iter()
             .filter(|p| p.service == service && p.kind != PaymentKind::Ads && p.day < start)

@@ -20,7 +20,6 @@ use footsteps_sim::population::{sample_lognormal, ResidentialIndex};
 use footsteps_sim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Base per-customer daily action volumes. The per-service defaults are
 /// chosen so that the aggregate action mix reproduces Table 11.
@@ -106,7 +105,7 @@ pub struct ReciprocityService {
     /// block detection per driven account (the paper found one openly
     /// available implementation), which is why even a 10%-of-customers
     /// intervention provokes adaptation for exactly those customers.
-    per_customer: HashMap<(AccountId, usize), VolumeController>,
+    per_customer: IdMap<(AccountId, usize), VolumeController>,
     /// Consecutive days with visible failures, per action type; drives the
     /// detection-capability gate below.
     failure_streak: [u32; ActionType::COUNT],
@@ -169,7 +168,7 @@ impl ReciprocityService {
             asn_rotation,
             asn_idx: [0; ActionType::COUNT],
             controllers,
-            per_customer: HashMap::new(),
+            per_customer: IdMap::default(),
             failure_streak: [0; ActionType::COUNT],
             capability: [false; ActionType::COUNT],
             heavy_throttle_days: [0; ActionType::COUNT],
@@ -292,7 +291,9 @@ impl ReciprocityService {
         });
     }
 
-    /// Run one simulated day: arrivals, payments, activity, adaptation.
+    /// Run one simulated day: arrivals and payments, activity,
+    /// adaptation. Each stage is a span (`aas.<slug>.arrivals`, `.route`,
+    /// `.adapt`).
     pub fn run_day(
         &mut self,
         platform: &mut Platform,
@@ -300,10 +301,15 @@ impl ReciprocityService {
         ledger: &mut PaymentLedger,
         day: Day,
     ) {
+        let slug = self.config.service.slug();
+        let span = platform.obs.timings.start(&format!("aas.{slug}.arrivals"));
         self.admit_arrivals(platform, residential, day);
         self.process_payments(ledger, day);
+        platform.obs.timings.finish(span);
         let stats = self.drive_activity(platform, day);
+        let span = platform.obs.timings.start(&format!("aas.{slug}.adapt"));
         self.adapt(day, stats);
+        platform.obs.timings.finish(span);
     }
 
     /// Seed the pre-existing long-term customer stock. Call once, at the

@@ -7,7 +7,7 @@
 use footsteps_detect::Classification;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// The long-term definition for a business group: the minimum number of
 /// *consecutive* active days that makes a customer long-term.
@@ -88,7 +88,7 @@ pub fn long_term_action_share(
     end: Day,
 ) -> f64 {
     let customers = classification.customers_of_group(group);
-    let long_term: HashSet<AccountId> = customers
+    let long_term: IdSet<AccountId> = customers
         .iter()
         .copied()
         .filter(|&a| is_long_term(classification, group, a))

@@ -10,7 +10,7 @@ use footsteps_aas::catalog::{hublaagram_catalog, reciprocity_pricing, Cents};
 use footsteps_detect::Classification;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Table 8 row: a reciprocity service's estimated monthly gross revenue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,8 +37,8 @@ pub fn paid_days_beyond_trial(
     trial_days: u32,
     start: Day,
     end: Day,
-) -> HashMap<AccountId, u32> {
-    let mut result = HashMap::new();
+) -> IdMap<AccountId, u32> {
+    let mut result = IdMap::default();
     for &account in &classification.customers_of_group(group) {
         // Union of active days across the group's member services,
         // restricted to the window.
@@ -169,10 +169,10 @@ pub fn hublaagram_revenue_windows(
     let customers = classification.customers_of_group(ServiceGroup::Hublaagram);
 
     // Per-account aggregates over the window.
-    let mut inbound_like_total: HashMap<AccountId, u64> = HashMap::new();
-    let mut inbound_follow_total: HashMap<AccountId, u64> = HashMap::new();
+    let mut inbound_like_total: IdMap<AccountId, u64> = IdMap::default();
+    let mut inbound_follow_total: IdMap<AccountId, u64> = IdMap::default();
     // Per-account per-photo-day like stats.
-    let mut photo_day_likes: HashMap<AccountId, Vec<(u32, u32)>> = HashMap::new(); // (total, max_hourly)
+    let mut photo_day_likes: IdMap<AccountId, Vec<(u32, u32)>> = IdMap::default(); // (total, max_hourly)
     for log in platform.log.iter_range(start, end) {
         for ((account, source), counts) in log.inbound() {
             let Some(asn) = source else { continue };
@@ -195,8 +195,8 @@ pub fn hublaagram_revenue_windows(
     }
 
     // --- no-outbound accounts (over the full measurement period) -----------
-    let mut period_inbound: HashSet<AccountId> = HashSet::new();
-    let mut period_outbound: HashSet<AccountId> = HashSet::new();
+    let mut period_inbound: IdSet<AccountId> = IdSet::default();
+    let mut period_outbound: IdSet<AccountId> = IdSet::default();
     for log in platform.log.iter_range(period_start, period_end) {
         for (key, counts) in log.outbound() {
             if customers.contains(&key.account)

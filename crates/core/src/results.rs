@@ -17,7 +17,7 @@ use footsteps_intervene::{
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Table 5: the measured reciprocation matrix.
 pub fn table5(study: &Study) -> Vec<Table5Row> {
@@ -36,7 +36,7 @@ pub fn table5(study: &Study) -> Vec<Table5Row> {
 /// *real* clientele. (At the paper's scale 150 honeypots among a million
 /// customers vanish; at 1/50 they would visibly skew the smaller services.)
 pub fn business_classification(study: &Study) -> footsteps_detect::Classification {
-    let own: HashSet<AccountId> = study
+    let own: IdSet<AccountId> = study
         .framework
         .records()
         .iter()

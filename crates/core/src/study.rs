@@ -305,7 +305,9 @@ impl Study {
     /// every service, then the finished day to the stream.
     fn step_day(&mut self, day: Day) {
         let timer = self.platform.obs.timings.start("engine.step_day");
+        let begin_timer = self.platform.obs.timings.start("engine.begin_day");
         self.platform.begin_day(day);
+        self.platform.obs.timings.finish(begin_timer);
         let bg_timer = self.platform.obs.timings.start("engine.background");
         run_background_day(
             &mut self.platform,
@@ -317,7 +319,9 @@ impl Study {
         for service in &mut self.services {
             service.run_day(&mut self.platform, &self.residential, &mut self.ledger, day);
         }
+        let seal_timer = self.platform.obs.timings.start("engine.seal");
         self.record_day(day);
+        self.platform.obs.timings.finish(seal_timer);
         self.platform.obs.timings.finish(timer);
     }
 

@@ -18,7 +18,7 @@
 use crate::signature::ServiceSignature;
 use footsteps_sim::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The classifier's verdicts over a window.
 ///
@@ -71,7 +71,7 @@ impl Classification {
     /// A copy of this classification with the given accounts removed — used
     /// to strip the measurement's own honeypot accounts out of the business
     /// analyses (negligible at the paper's scale, visible at 1/100).
-    pub fn without_accounts(&self, exclude: &HashSet<AccountId>) -> Classification {
+    pub fn without_accounts(&self, exclude: &IdSet<AccountId>) -> Classification {
         let mut out = self.clone();
         for set in out.customers.values_mut() {
             set.retain(|a| !exclude.contains(a));

@@ -18,7 +18,7 @@ use footsteps_aas::stats::percentile_u32;
 use footsteps_sim::enforcement::Direction;
 use footsteps_sim::prelude::*;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// How an ASN's traffic breaks down between abusive and benign accounts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -245,7 +245,7 @@ fn per_account_daily_outbound(
 ) -> Vec<u32> {
     let mut samples = Vec::new();
     for log in platform.log.iter_range(start, end) {
-        let mut per_account: HashMap<AccountId, u32> = HashMap::new();
+        let mut per_account: IdMap<AccountId, u32> = IdMap::default();
         for (key, counts) in log.outbound() {
             if key.asn == asn {
                 let n = counts.attempted_of(ty);

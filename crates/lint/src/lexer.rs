@@ -228,12 +228,8 @@ pub fn lex(source: &str) -> Lexed {
             let mut j = i + 1;
             while j < chars.len() {
                 let d = chars[j];
-                if d == '_' || d.is_ascii_alphanumeric() {
-                    j += 1;
-                } else if d == '.'
-                    && j + 1 < chars.len()
-                    && chars[j + 1].is_ascii_digit()
-                {
+                let fraction = d == '.' && j + 1 < chars.len() && chars[j + 1].is_ascii_digit();
+                if d == '_' || d.is_ascii_alphanumeric() || fraction {
                     j += 1;
                 } else {
                     break;

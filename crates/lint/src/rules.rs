@@ -8,6 +8,13 @@
 //! map iteration, ambient time or ambient randomness sneaks into the
 //! simulation path.
 //!
+//! Hash containers are std's `HashMap`/`HashSet` and their id-keyed
+//! aliases `IdMap`/`IdSet` (`footsteps_sim::ids`). The aliases hash with
+//! a fixed function, so their order repeats from run to run, and no
+//! changed digest would reveal an iteration that depends on it: this rule
+//! is the one guard against order-dependent iteration over them, and a
+//! pragma there must argue why the visit order cannot matter.
+//!
 //! Heuristics, stated honestly: without type inference we cannot prove a
 //! receiver is a `HashMap`. The engine therefore resolves receiver names
 //! in two layers: a workspace-global table of *field* declarations
@@ -72,7 +79,8 @@ const PRIMITIVES: &[&str] = &[
 /// The lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Order-observing iteration over a hash container in digest code.
+    /// Order-observing iteration over a hash container (`HashMap`,
+    /// `HashSet`, `IdMap`, `IdSet`) in digest code.
     NondetIter,
     /// Wall-clock access outside `crates/obs` / `crates/bench`.
     WallClock,
@@ -149,7 +157,9 @@ impl Finding {
 /// Container-family classification of one declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decl {
-    /// `HashMap` / `HashSet`: iteration order is arbitrary.
+    /// `HashMap` / `HashSet` and the id-keyed `IdMap` / `IdSet`:
+    /// iteration order is arbitrary, or repeatable only by accident of a
+    /// fixed hasher.
     Hash,
     /// `BTreeMap` / `BTreeSet`: iteration order is deterministic.
     Btree,
@@ -159,7 +169,7 @@ enum Decl {
 
 fn container_class(ty: &str) -> Option<Decl> {
     match ty {
-        "HashMap" | "HashSet" => Some(Decl::Hash),
+        "HashMap" | "HashSet" | "IdMap" | "IdSet" => Some(Decl::Hash),
         "BTreeMap" | "BTreeSet" => Some(Decl::Btree),
         _ => None,
     }
@@ -410,7 +420,7 @@ pub(crate) fn lexical_matches(
                         push(
                             Rule::NondetIter,
                             tokens[i + 1].line,
-                            format!("`.{m}()` on `{r}`, which is HashMap/HashSet-typed in this workspace"),
+                            format!("`.{m}()` on `{r}`, which is hash-typed (HashMap, HashSet, IdMap, IdSet) in this workspace"),
                             &mut raw,
                         );
                     }
@@ -423,7 +433,7 @@ pub(crate) fn lexical_matches(
                 push(
                     Rule::NondetIter,
                     line,
-                    format!("`for … in {name}` iterates a HashMap/HashSet-typed binding"),
+                    format!("`for … in {name}` iterates a hash-typed (HashMap, HashSet, IdMap, IdSet) binding"),
                     &mut raw,
                 );
             }
@@ -592,7 +602,7 @@ pub(crate) fn resolve_pragmas(
         });
     }
 
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    out.sort_by_key(|f| (f.line, f.rule));
     out
 }
 

@@ -1,8 +1,10 @@
 // Fixture: nondet-iter. Linted as if at crates/sim/src/nondet_iter.rs.
+use footsteps_sim::ids::IdMap;
 use std::collections::{BTreeMap, HashMap};
 
 pub struct Book {
     pub by_owner: HashMap<u32, u32>,
+    pub by_id: IdMap<u32, u32>,
     pub sorted: BTreeMap<u32, u32>,
     pub dense: Vec<u32>,
 }
@@ -15,6 +17,10 @@ impl Book {
     pub fn allowed_values(&self) -> u32 {
         // footsteps-lint: allow(nondet-iter) — order-insensitive sum
         self.by_owner.values().sum()
+    }
+
+    pub fn bad_id_iter(&self) -> usize {
+        self.by_id.iter().filter(|(_, v)| **v > 0).count()
     }
 
     pub fn ok_btree(&self) -> u32 {

@@ -30,7 +30,7 @@ pub mod registry;
 pub mod span;
 pub mod tree;
 
-pub use registry::{Frame, Histogram, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Frame, Histogram, MetricKey, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanStats, SpanTimer, Stopwatch, Timings, TimingsSnapshot};
 pub use tree::{
     CounterSample, LaneKind, SpanEvent, SpanTree, StructureNode, StructureSnapshot, WorkerSpan,

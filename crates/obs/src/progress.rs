@@ -40,7 +40,7 @@ pub fn emit(line: std::fmt::Arguments<'_>) {
     }
     use std::fmt::Write as _;
     let mut buf = String::with_capacity(96);
-    let _ = write!(buf, "[footsteps] {line}\n");
+    let _ = writeln!(buf, "[footsteps] {line}");
     static FRAME: Mutex<()> = Mutex::new(());
     let _frame = FRAME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let _ = std::io::stderr().lock().write_all(buf.as_bytes());

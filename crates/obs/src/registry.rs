@@ -4,9 +4,15 @@
 //! grouped into *phase frames*. A frame opens when the study enters a phase
 //! (`begin_phase`) and every subsequent record lands in it, so the snapshot
 //! preserves per-phase structure alongside cross-phase totals. The open
-//! frame's counters and histograms are kept in interned slots, so a record
-//! on the platform's hot paths is one indexed add; they are folded into
-//! the frame when it closes or is snapshotted.
+//! frame's counters and histograms are kept in interned slots and folded
+//! into the frame when it closes or is snapshotted.
+//!
+//! A name is interned once into a [`MetricKey`] ([`MetricsRegistry::key`]);
+//! recording through the key ([`MetricsRegistry::add_at`],
+//! [`MetricsRegistry::observe_at`]) is one indexed add, which is how the
+//! platform's per-action paths record. Recording by name (`add`,
+//! `observe`) looks the key up first and takes the same path. A key is
+//! valid only for the registry that interned it.
 //!
 //! Determinism contract: everything in here is a pure function of the
 //! simulation's decision stream. No wall-clock data, no thread identifiers,
@@ -111,77 +117,39 @@ impl Frame {
     }
 }
 
-/// Lines in the slot cache (a power of two). A key's line is its address
-/// over 8, modulo this, so two keys that start 8 bytes to 4 KB apart never
-/// share a line. The platform's hot keys are literals from a few static
-/// tables, packed within about 2 KB of read-only data; a formatted heap
-/// key lands anywhere and at worst evicts one of them until its next use.
-const CACHE_LINES: usize = 512;
-
-/// One slot-cache line: the address and length of the last key that
-/// resolved here, and its slot. `addr == 0` marks an empty line (a `&str`
-/// never points at address zero).
-#[derive(Debug, Clone, Copy)]
-struct CacheLine {
-    addr: usize,
-    len: usize,
-    slot: u32,
-}
-
-const EMPTY_LINE: CacheLine = CacheLine { addr: 0, len: 0, slot: 0 };
+/// An interned metric name: the slot of one counter (or histogram) of
+/// the registry that handed it out with [`MetricsRegistry::key`].
+///
+/// A key is valid only for that registry (and its clones): another
+/// registry numbers its slots in its own order, so the same key there
+/// names a different metric or none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricKey(u32);
 
 /// The open phase's counters and histograms, one slot per interned key.
 ///
 /// A key is interned once, on first use, and keeps its slot for the life
-/// of the registry; recording is an indexed add. Keys are found through a
-/// direct-mapped cache keyed by the key's address and length, which turns
-/// the common case (a `&'static str` from a table) into one compare of the
-/// key text against the interned name. The text compare is what makes a
-/// hit sound: a freed heap key whose address is reused by a different key
-/// fails it and falls back to the index.
-#[derive(Debug, Clone)]
+/// of the registry; recording through a [`MetricKey`] is an indexed add.
+#[derive(Debug, Clone, Default)]
 struct Slots {
     names: Vec<Box<str>>,
     index: HashMap<Box<str>, u32>,
     counters: Vec<u64>,
     histograms: Vec<Option<Histogram>>,
-    cache: Box<[CacheLine; CACHE_LINES]>,
 }
 
 impl Slots {
-    fn new() -> Self {
-        Slots {
-            names: Vec::new(),
-            index: HashMap::new(),
-            counters: Vec::new(),
-            histograms: Vec::new(),
-            cache: Box::new([EMPTY_LINE; CACHE_LINES]),
+    /// The key of `name`, interning it on first use.
+    fn key(&mut self, name: &str) -> MetricKey {
+        if let Some(&slot) = self.index.get(name) {
+            return MetricKey(slot);
         }
-    }
-
-    /// The slot for `key`, interning it on first use.
-    fn slot(&mut self, key: &str) -> usize {
-        let addr = key.as_ptr() as usize;
-        let line = &mut self.cache[(addr >> 3) % CACHE_LINES];
-        if line.addr == addr
-            && line.len == key.len()
-            && *self.names[line.slot as usize] == *key
-        {
-            return line.slot as usize;
-        }
-        let slot = match self.index.get(key) {
-            Some(&slot) => slot,
-            None => {
-                let slot = u32::try_from(self.names.len()).expect("fewer than 2^32 metric keys");
-                self.index.insert(key.into(), slot);
-                self.names.push(key.into());
-                self.counters.push(0);
-                self.histograms.push(None);
-                slot
-            }
-        };
-        *line = CacheLine { addr, len: key.len(), slot };
-        slot as usize
+        let slot = u32::try_from(self.names.len()).expect("fewer than 2^32 metric keys");
+        self.index.insert(name.into(), slot);
+        self.names.push(name.into());
+        self.counters.push(0);
+        self.histograms.push(None);
+        MetricKey(slot)
     }
 
     /// Write the slots into `frame`: nonzero counters and observed
@@ -197,8 +165,8 @@ impl Slots {
         }
     }
 
-    /// Zero every slot for the next phase. Interned names and the cache
-    /// survive: slots are per key, not per phase.
+    /// Zero every slot for the next phase. Interned names survive: slots
+    /// are per key, not per phase.
     fn reset(&mut self) {
         self.counters.fill(0);
         self.histograms.fill(None);
@@ -229,7 +197,7 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             phases: vec![("setup".to_string(), Frame::default())],
-            open: Slots::new(),
+            open: Slots::default(),
         }
     }
 
@@ -247,18 +215,27 @@ impl MetricsRegistry {
         &self.phases.last().expect("registry always has a frame").0
     }
 
+    /// The key of `name` in this registry, interning it on first use. An
+    /// interned key that is never recorded appears in no frame.
+    pub fn key(&mut self, name: &str) -> MetricKey {
+        self.open.key(name)
+    }
+
+    /// Add `n` to the counter `key` (saturating).
+    pub fn add_at(&mut self, key: MetricKey, n: u64) {
+        let counter = &mut self.open.counters[key.0 as usize];
+        *counter = counter.saturating_add(n);
+    }
+
     /// Add `n` to the named counter (saturating).
-    pub fn add(&mut self, key: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let slot = self.open.slot(key);
-        self.open.counters[slot] = self.open.counters[slot].saturating_add(n);
+    pub fn add(&mut self, name: &str, n: u64) {
+        let key = self.key(name);
+        self.add_at(key, n);
     }
 
     /// Increment the named counter by one.
-    pub fn incr(&mut self, key: &str) {
-        self.add(key, 1);
+    pub fn incr(&mut self, name: &str) {
+        self.add(name, 1);
     }
 
     /// Set the named gauge to `value`.
@@ -267,13 +244,19 @@ impl MetricsRegistry {
         frame.gauges.insert(key.to_string(), value);
     }
 
-    /// Record an observation into the named histogram, creating it with
+    /// Record an observation into the histogram `key`, creating it with
     /// `bounds` on its first use in the open frame.
-    pub fn observe(&mut self, key: &str, bounds: &[u64], value: u64) {
-        let slot = self.open.slot(key);
-        self.open.histograms[slot]
+    pub fn observe_at(&mut self, key: MetricKey, bounds: &[u64], value: u64) {
+        self.open.histograms[key.0 as usize]
             .get_or_insert_with(|| Histogram::new(bounds))
             .observe(value);
+    }
+
+    /// Record an observation into the named histogram, as
+    /// [`Self::observe_at`].
+    pub fn observe(&mut self, name: &str, bounds: &[u64], value: u64) {
+        let key = self.key(name);
+        self.observe_at(key, bounds, value);
     }
 
     /// Freeze the registry into a serializable snapshot: the per-phase
@@ -424,9 +407,9 @@ mod tests {
 
     #[test]
     fn reused_heap_address_does_not_alias_another_key() {
-        // The slot cache is keyed by address and length. A key freed and
-        // replaced by a different key of the same length usually gets the
-        // same address back; only the text check tells them apart.
+        // Names are interned by their text, never by address: a name freed
+        // and replaced by a different one of the same length usually gets
+        // the same address back, and must still count apart.
         let mut reg = MetricsRegistry::new();
         let first = format!("aas.{}.engaged", "instazood");
         reg.add(&first, 1);
@@ -441,6 +424,60 @@ mod tests {
         assert_eq!(snap.counter("aas.instazood.engaged"), 1);
         assert_eq!(snap.counter("aas.boostgram.engaged"), 2);
         assert_eq!(snap.counter("aas.instalexx.engaged"), 4);
+    }
+
+    #[test]
+    fn a_key_and_its_name_record_into_one_counter() {
+        let mut reg = MetricsRegistry::new();
+        let k = reg.key("k");
+        reg.add_at(k, 2);
+        reg.add("k", 3);
+        let again = reg.key("k");
+        assert_eq!(again, k);
+        reg.add_at(again, 4);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("k"), 9);
+        assert_eq!(snap.totals.counters.len(), 1);
+        let h = reg.key("h");
+        reg.observe_at(h, &[1, 10], 5);
+        reg.observe("h", &[1, 10], 50);
+        assert_eq!(reg.snapshot().totals.histograms["h"].buckets, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn an_interned_key_never_recorded_is_absent() {
+        let mut reg = MetricsRegistry::new();
+        let idle = reg.key("idle");
+        let busy = reg.key("busy");
+        reg.observe("hist", &[1], 0);
+        reg.add_at(busy, 1);
+        reg.begin_phase("characterization");
+        reg.add_at(idle, 0);
+        let _ = reg.key("late");
+        let snap = reg.snapshot();
+        for frame in snap.phases.iter().map(|(_, f)| f).chain([&snap.totals]) {
+            assert_eq!(frame.counters.keys().collect::<Vec<_>>(), ["busy"]);
+            assert_eq!(frame.histograms.keys().collect::<Vec<_>>(), ["hist"]);
+        }
+        // The characterization frame recorded nothing, so it is dropped.
+        assert_eq!(snap.phases.len(), 1);
+    }
+
+    #[test]
+    fn a_key_interned_before_a_phase_counts_into_the_next_frame() {
+        // The platform interns its keys while the "setup" frame is open
+        // and records through them in every later phase.
+        let mut reg = MetricsRegistry::new();
+        let k = reg.key("k");
+        reg.begin_phase("characterization");
+        reg.add_at(k, 5);
+        let frame = Frame {
+            counters: BTreeMap::from([("k".to_string(), 5)]),
+            ..Frame::default()
+        };
+        let snap = reg.snapshot();
+        assert_eq!(snap.phases, vec![("characterization".to_string(), frame)]);
+        assert_eq!(snap.counter("k"), 5);
     }
 
     #[test]

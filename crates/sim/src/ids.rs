@@ -5,8 +5,74 @@
 //! distinct types prevents the classic "passed a media id where an account id
 //! was expected" bug at compile time, and keeps all cross-crate interfaces
 //! cheap to copy.
+//!
+//! Maps and sets keyed by these ids are [`IdMap`]s and [`IdSet`]s: std's
+//! hash containers with [`IdHasher`], one multiply-rotate step per
+//! integer word instead of SipHash. The ids are the simulation's own
+//! small integers, not attacker-chosen input, so a keyed hash buys
+//! nothing here.
 
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// An FxHash-style hasher for integer keys: each word written is rotated
+/// into the state and multiplied by an odd constant.
+///
+/// Its output is the same in every process, so the iteration order of an
+/// [`IdMap`] is repeatable. Nothing may depend on it all the same: the
+/// determinism lint's `nondet-iter` rule flags iteration over these maps
+/// as it does over std's.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher {
+    hash: u64,
+}
+
+impl IdHasher {
+    /// FxHash's 64-bit multiplier.
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` keyed by ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of ids, hashed with [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -217,6 +283,18 @@ mod tests {
         assert_eq!(a.index(), 42);
         assert_eq!(a.to_string(), "AccountId(42)");
         assert_eq!(AccountId(42), a);
+    }
+
+    #[test]
+    fn id_maps_key_by_value() {
+        let mut m: IdMap<(AccountId, usize), u32> = IdMap::default();
+        for a in 0..1_000u32 {
+            *m.entry((AccountId(a % 100), (a % 3) as usize)).or_default() += 1;
+        }
+        assert_eq!(m.len(), 300);
+        assert_eq!(m[&(AccountId(7), 1)], 4);
+        let s: IdSet<AccountId> = (0..50).map(AccountId).collect();
+        assert!(s.contains(&AccountId(49)) && !s.contains(&AccountId(50)));
     }
 
     #[test]

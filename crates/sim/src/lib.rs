@@ -109,7 +109,7 @@ pub mod prelude {
     };
     pub use crate::fingerprint::ClientFingerprint;
     pub use crate::graph::{FollowResult, SocialGraph};
-    pub use crate::ids::{AccountId, AsnId, MediaId, ServiceGroup, ServiceId};
+    pub use crate::ids::{AccountId, AsnId, IdMap, IdSet, MediaId, ServiceGroup, ServiceId};
     pub use crate::background::{run_background_day, BackgroundConfig};
     pub use crate::log::{
         ActionLog, DayLog, InboundSource, LoginRecord, OutboundKey, PhotoDayLikes,

@@ -23,11 +23,20 @@
 //! transient per-account chain index — `heads[account] → first record,
 //! next[record] → same-account record` — so the per-action path (upsert +
 //! the countermeasures' `prior_today` lookup) walks a one-or-two-entry
-//! chain instead of hashing or scanning. When the log advances to a later
-//! day, the previous day is *sealed*: records are sorted by key, the chain
-//! index is dropped, and all queries switch to binary search over the
-//! sorted vector. Iteration order is therefore deterministic in both
-//! states — insertion order while open, key order once sealed.
+//! chain instead of hashing or scanning. Nothing reads the open day's
+//! logins, so each login is appended as a record of one. When the log
+//! advances to a later day, the previous day is *sealed*: outbound and
+//! inbound records are sorted by key, logins are sorted and the records
+//! of one `(account, asn)` merged into one, the chain index is dropped,
+//! and all queries switch to binary search over the sorted vectors. The
+//! sorts are stable (`sort_by_key`), which takes the ascending runs a day
+//! is written in as they are (each service serves its roster in
+//! enrollment order, and account ids mostly ascend with it); keys are
+//! unique after the upserts and the merge, so the result is the key order
+//! an unstable sort gives. Iteration order is therefore deterministic in
+//! both states — insertion order while open, key order once sealed — and
+//! the logins (and with them [`DayLog::record_count`]) are read only once
+//! the day is sealed.
 //!
 //! A sealed day is final: a write into it panics, so the day the event log
 //! holds and the day in memory never diverge, and a reader may keep or
@@ -189,11 +198,10 @@ impl<K: RowKey> Rows<K> {
         }
     }
 
-    /// Sort the rows by key and drop the chain. Idempotent.
+    /// Sort the rows by key and drop the chain.
     fn seal(&mut self) {
-        if self.chain.take().is_some() {
-            self.rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        }
+        self.chain = None;
+        self.rows.sort_by_key(|&(key, _)| key);
     }
 }
 
@@ -210,7 +218,9 @@ pub struct DayLog {
     /// (one entry per delivery burst), so an ordered map keeps iteration
     /// deterministic at no per-action cost.
     pub photo_likes: BTreeMap<MediaId, PhotoDayLikes>,
-    /// Login counts per `(account, asn)`, always in key order.
+    /// Logins: one record of one login each, in arrival order, while the
+    /// day is open; one record per `(account, asn)`, in key order, once it
+    /// is sealed.
     logins: Vec<LoginRecord>,
     /// Full events for event-tracked accounts, in submission order.
     pub events: Vec<ActionEvent>,
@@ -227,15 +237,27 @@ impl DayLog {
         self.day
     }
 
-    /// This day's login counts, in `(account, asn)` order.
+    /// This sealed day's login counts, one record per `(account, asn)`,
+    /// in key order.
+    ///
+    /// # Panics
+    /// Panics on the open day, whose logins are merged when it is sealed.
     pub fn logins(&self) -> &[LoginRecord] {
+        assert!(
+            !self.is_open(),
+            "an open day's logins are merged when it is sealed"
+        );
         &self.logins
     }
 
-    /// Records (outbound + inbound + logins + events): the stream's unit.
+    /// Records (outbound + inbound + logins + events) of this sealed day:
+    /// the stream's unit.
+    ///
+    /// # Panics
+    /// Panics on the open day, as [`Self::logins`] does.
     pub fn record_count(&self) -> u64 {
-        (self.outbound.rows.len() + self.inbound.rows.len() + self.logins.len() + self.events.len())
-            as u64
+        let rows = self.outbound.rows.len() + self.inbound.rows.len();
+        (rows + self.logins().len() + self.events.len()) as u64
     }
 
     /// Iterate `(key, counts)` over this day's outbound records.
@@ -302,10 +324,22 @@ impl DayLog {
         self.inbound.chain.get_or_insert_with(Chain::default);
     }
 
-    /// Sort the rows by key and drop the chains. Idempotent.
+    /// Sort the rows by key, merge the logins of each `(account, asn)`
+    /// and drop the chains. Idempotent.
     fn seal(&mut self) {
+        if !self.is_open() {
+            return;
+        }
         self.outbound.seal();
         self.inbound.seal();
+        self.logins.sort_by_key(|r| (r.account, r.asn));
+        self.logins.dedup_by(|next, kept| {
+            let same = (next.account, next.asn) == (kept.account, kept.asn);
+            if same {
+                kept.count += next.count;
+            }
+            same
+        });
     }
 }
 
@@ -651,13 +685,14 @@ impl ActionLog {
             .add_burst(total, max_hourly);
     }
 
-    /// Count one login by `account` via `asn` on `day`.
+    /// Count one login by `account` via `asn` on `day`: an append, merged
+    /// with the same key's other logins when the day is sealed.
     pub fn record_login(&mut self, day: Day, account: AccountId, asn: AsnId) {
-        let logins = &mut self.day_mut(day).logins;
-        match logins.binary_search_by(|r| (r.account, r.asn).cmp(&(account, asn))) {
-            Ok(i) => logins[i].count += 1,
-            Err(i) => logins.insert(i, LoginRecord { account, asn, count: 1 }),
-        }
+        self.day_mut(day).logins.push(LoginRecord {
+            account,
+            asn,
+            count: 1,
+        });
     }
 
     /// Append a full event if either endpoint is event-tracked; returns
@@ -841,6 +876,34 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn repeated_logins_seal_into_one_record_per_key() {
+        let mut log = ActionLog::new();
+        let (a, b) = (AccountId(9), AccountId(2));
+        for (account, asn) in [(a, 1), (b, 0), (a, 1), (a, 0), (b, 0), (a, 1)] {
+            log.record_login(Day(0), account, AsnId(asn));
+        }
+        let login = |account, asn, count| LoginRecord {
+            account,
+            asn: AsnId(asn),
+            count,
+        };
+        let sealed = log.seal(Day(0));
+        assert_eq!(
+            sealed.logins(),
+            [login(b, 0, 2), login(a, 0, 1), login(a, 1, 3)]
+        );
+        assert_eq!(sealed.record_count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "an open day's logins are merged when it is sealed")]
+    fn logins_of_the_open_day_panic() {
+        let mut log = ActionLog::new();
+        log.record_login(Day(0), AccountId(1), AsnId(0));
+        let _ = log.day(Day(0)).unwrap().logins();
     }
 
     #[test]

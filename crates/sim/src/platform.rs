@@ -50,13 +50,13 @@ use crate::enforcement::{
 };
 use crate::fingerprint::ClientFingerprint;
 use crate::graph::SocialGraph;
-use crate::ids::{AccountId, AsnId, MediaId, ServiceId};
+use crate::ids::{AccountId, AsnId, IdMap, MediaId, ServiceId};
 use crate::log::ActionLog;
 use crate::net::{AsnRegistry, IpAddr4};
 use crate::time::{Day, SimClock, SimTime, SECS_PER_DAY};
+use footsteps_obs::{MetricKey, MetricsRegistry};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Platform-wide tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -284,7 +284,7 @@ fn day_queue<T>(queue: &mut Vec<Vec<T>>, day: Day) -> &mut Vec<T> {
 }
 
 /// Take (and empty) a day's queue without disturbing the table shape.
-fn take_day_queue<T>(queue: &mut Vec<Vec<T>>, day: Day) -> Vec<T> {
+fn take_day_queue<T>(queue: &mut [Vec<T>], day: Day) -> Vec<T> {
     queue
         .get_mut(day.0 as usize)
         .map(std::mem::take)
@@ -311,12 +311,14 @@ pub struct Platform {
     pub config: PlatformConfig,
     /// Observability kit: deterministic metrics and wall-clock timings.
     pub obs: footsteps_obs::Recorder,
+    /// The keys the per-action paths record into `obs.metrics`.
+    keys: PlatformKeys,
     policy: Box<dyn EnforcementPolicy>,
     /// The day `ip_used` counts.
     ip_day: Day,
     /// Delivered volume per source IP on `ip_day`: only the IPs that
     /// submitted that day, so the table is sized by one day's traffic.
-    ip_used: HashMap<IpAddr4, u32>,
+    ip_used: IdMap<IpAddr4, u32>,
     /// Pending-work queues, indexed by `Day::0`.
     pending_removals: Vec<Vec<PendingRemoval>>,
     pending_responses: Vec<Vec<PendingResponse>>,
@@ -331,6 +333,8 @@ pub struct Platform {
 impl Platform {
     /// Build a platform over a prepared internet model.
     pub fn new(asns: AsnRegistry, config: PlatformConfig, rng: SmallRng) -> Self {
+        let mut obs = footsteps_obs::Recorder::from_env();
+        let keys = PlatformKeys::new(&mut obs.metrics);
         Self {
             clock: SimClock::new(),
             accounts: AccountStore::new(),
@@ -338,10 +342,11 @@ impl Platform {
             asns,
             log: ActionLog::new(),
             config,
-            obs: footsteps_obs::Recorder::from_env(),
+            obs,
+            keys,
             policy: Box::new(NoEnforcement),
             ip_day: Day(0),
-            ip_used: HashMap::new(),
+            ip_used: IdMap::default(),
             pending_removals: Vec::new(),
             pending_responses: Vec::new(),
             pending_event_responses: Vec::new(),
@@ -481,7 +486,7 @@ impl Platform {
         }
         self.obs
             .metrics
-            .observe("platform.batch_size", BATCH_SIZE_BOUNDS, u64::from(req.count));
+            .observe_at(self.keys.batch_size, BATCH_SIZE_BOUNDS, u64::from(req.count));
         let Some((pass, excess, cm)) = self.admit_outbound(&req, &mut result) else {
             return result;
         };
@@ -661,9 +666,10 @@ impl Platform {
     ) -> Option<(u32, u32, Countermeasure)> {
         let day = self.clock.today();
         self.note_ground_truth(req.actor, req.service);
+        let mix = self.keys.mix[req.service.map_or(ORGANIC_ROW, ServiceId::index)];
         self.obs
             .metrics
-            .add(mix_key(req.service, req.action), u64::from(req.count));
+            .add_at(mix[req.action.index()], u64::from(req.count));
 
         // 1. Baseline IP-volume defense.
         let cap = self.config.ip_daily_action_cap;
@@ -684,7 +690,7 @@ impl Platform {
             result.blocked += edge_blocked;
             self.obs
                 .metrics
-                .add("platform.outbound.edge_blocked", u64::from(edge_blocked));
+                .add_at(self.keys.edge_blocked, u64::from(edge_blocked));
         }
         if edge_pass == 0 {
             return None;
@@ -719,27 +725,21 @@ impl Platform {
         bin: Option<u32>,
         (standing, blocked, deferred): (u32, u32, u32),
     ) {
-        let (k_del, k_blk, k_def) = match direction {
-            Direction::Outbound => (
-                "platform.outbound.delivered",
-                "platform.outbound.blocked",
-                "platform.outbound.deferred",
-            ),
-            Direction::Inbound => (
-                "platform.inbound.delivered",
-                "platform.inbound.blocked",
-                "platform.inbound.deferred",
-            ),
-        };
+        let split = [standing, blocked, deferred].map(u64::from);
+        let keys = &self.keys;
         let m = &mut self.obs.metrics;
-        m.add(k_del, u64::from(standing));
-        m.add(k_blk, u64::from(blocked));
-        m.add(k_def, u64::from(deferred));
+        let by_direction = match direction {
+            Direction::Outbound => keys.outbound,
+            Direction::Inbound => keys.inbound,
+        };
+        for (key, n) in by_direction.into_iter().zip(split) {
+            m.add_at(key, n);
+        }
         if let Some(b) = bin {
-            let keys = bin_keys(b);
-            m.add(keys.delivered, u64::from(standing));
-            m.add(keys.blocked, u64::from(blocked));
-            m.add(keys.deferred, u64::from(deferred));
+            let row = (b as usize).min(BINS);
+            for (key, n) in keys.bins[row].into_iter().zip(split) {
+                m.add_at(key, n);
+            }
         }
     }
 
@@ -986,95 +986,55 @@ impl Platform {
 /// Histogram bounds for `platform.batch_size` (actions per submitted batch).
 const BATCH_SIZE_BOUNDS: &[u64] = &[1, 5, 10, 25, 50, 100, 250];
 
-/// Static metric key for the per-service action mix, `actions.<slug>.<action>`
-/// (`organic` when no service drove the submission). A lookup table rather
-/// than `format!` because this sits on the hottest path in the simulation.
-fn mix_key(service: Option<ServiceId>, action: ActionType) -> &'static str {
-    // Row order follows `ServiceId::index()`; the sixth row is organic.
-    // Column order follows `ActionType::index()`.
-    const KEYS: [[&str; ActionType::COUNT]; 6] = [
-        [
-            "actions.instalex.like",
-            "actions.instalex.follow",
-            "actions.instalex.comment",
-            "actions.instalex.post",
-            "actions.instalex.unfollow",
-        ],
-        [
-            "actions.instazood.like",
-            "actions.instazood.follow",
-            "actions.instazood.comment",
-            "actions.instazood.post",
-            "actions.instazood.unfollow",
-        ],
-        [
-            "actions.boostgram.like",
-            "actions.boostgram.follow",
-            "actions.boostgram.comment",
-            "actions.boostgram.post",
-            "actions.boostgram.unfollow",
-        ],
-        [
-            "actions.hublaagram.like",
-            "actions.hublaagram.follow",
-            "actions.hublaagram.comment",
-            "actions.hublaagram.post",
-            "actions.hublaagram.unfollow",
-        ],
-        [
-            "actions.followersgratis.like",
-            "actions.followersgratis.follow",
-            "actions.followersgratis.comment",
-            "actions.followersgratis.post",
-            "actions.followersgratis.unfollow",
-        ],
-        [
-            "actions.organic.like",
-            "actions.organic.follow",
-            "actions.organic.comment",
-            "actions.organic.post",
-            "actions.organic.unfollow",
-        ],
-    ];
-    let row = service.map_or(5, ServiceId::index);
-    KEYS[row][action.index()]
+/// The row of [`PlatformKeys::mix`] for organic traffic (no service),
+/// after one row per [`ServiceId::index`].
+const ORGANIC_ROW: usize = ServiceId::ALL.len();
+
+/// The experiment's bins (§6.3) with their own `enforce.bin<k>.*`
+/// counters; a bin outside that layout folds into `enforce.bin_other.*`.
+const BINS: usize = 10;
+
+/// The registry keys that `submit_batch`, `submit_event`, `deposit` and
+/// the enforcement tally record, interned once by [`Platform::new`]: a
+/// record on these paths is an indexed add, never a lookup by name. Each
+/// outcome triple is `[delivered, blocked, deferred]`.
+#[derive(Debug)]
+struct PlatformKeys {
+    /// `platform.batch_size`.
+    batch_size: MetricKey,
+    /// `platform.outbound.edge_blocked`.
+    edge_blocked: MetricKey,
+    /// `actions.<slug>.<type>` (`organic` in the last row), one column per
+    /// [`ActionType::index`].
+    mix: [[MetricKey; ActionType::COUNT]; ORGANIC_ROW + 1],
+    /// `platform.outbound.<outcome>`.
+    outbound: [MetricKey; 3],
+    /// `platform.inbound.<outcome>`.
+    inbound: [MetricKey; 3],
+    /// `enforce.bin<k>.<outcome>` for `k < BINS`, then
+    /// `enforce.bin_other.<outcome>`.
+    bins: [[MetricKey; 3]; BINS + 1],
 }
 
-/// Per-bin enforcement counter keys.
-struct BinKeys {
-    delivered: &'static str,
-    blocked: &'static str,
-    deferred: &'static str,
-}
-
-/// Static per-bin keys for the experiment's ten bins (§6.3); bins outside
-/// that layout fold into a shared overflow key rather than allocating.
-fn bin_keys(bin: u32) -> BinKeys {
-    macro_rules! bin_row {
-        ($n:literal) => {
-            BinKeys {
-                delivered: concat!("enforce.bin", $n, ".delivered"),
-                blocked: concat!("enforce.bin", $n, ".blocked"),
-                deferred: concat!("enforce.bin", $n, ".deferred"),
-            }
+impl PlatformKeys {
+    fn new(m: &mut MetricsRegistry) -> Self {
+        let outcomes = |m: &mut MetricsRegistry, prefix: &str| {
+            ["delivered", "blocked", "deferred"].map(|o| m.key(&format!("{prefix}.{o}")))
         };
-    }
-    match bin {
-        0 => bin_row!(0),
-        1 => bin_row!(1),
-        2 => bin_row!(2),
-        3 => bin_row!(3),
-        4 => bin_row!(4),
-        5 => bin_row!(5),
-        6 => bin_row!(6),
-        7 => bin_row!(7),
-        8 => bin_row!(8),
-        9 => bin_row!(9),
-        _ => BinKeys {
-            delivered: "enforce.bin_other.delivered",
-            blocked: "enforce.bin_other.blocked",
-            deferred: "enforce.bin_other.deferred",
-        },
+        PlatformKeys {
+            batch_size: m.key("platform.batch_size"),
+            edge_blocked: m.key("platform.outbound.edge_blocked"),
+            mix: std::array::from_fn(|row| {
+                let slug = ServiceId::ALL.get(row).map_or("organic", |s| s.slug());
+                ActionType::ALL.map(|ty| m.key(&format!("actions.{slug}.{}", ty.name())))
+            }),
+            outbound: outcomes(m, "platform.outbound"),
+            inbound: outcomes(m, "platform.inbound"),
+            bins: std::array::from_fn(|b| match b {
+                BINS => outcomes(m, "enforce.bin_other"),
+                b => outcomes(m, &format!("enforce.bin{b}")),
+            }),
+        }
     }
 }
 
@@ -1315,7 +1275,10 @@ mod tests {
         p.begin_day(Day(1));
         p.submit_batch(req);
         assert_eq!(p.ip_day, Day(1));
-        assert_eq!(p.ip_used, HashMap::from([(req.ip, 10)]));
+        assert_eq!(
+            p.ip_used,
+            [(req.ip, 10)].into_iter().collect::<IdMap<_, _>>()
+        );
 
         // A deferred event-path follow leaves an `Edge` removal pending for
         // the next day, which takes that follow back.

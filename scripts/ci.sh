@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: release build, full test suite (the determinism lint
+# Offline CI gate: release build, clippy, full test suite (the determinism lint
 # runs inside it as `workspace_is_lint_clean`), the sweep gates,
 # the engine perf baseline with its perf-regression, trace and
 # obs-overhead checks, and the stream gate, with warnings denied. Timing
@@ -92,6 +92,12 @@ print_side() {
 
 gate_build() {
   cargo build --release
+}
+
+gate_clippy() {
+  # Every target of every member, the vendored crates included, with
+  # clippy's warnings denied.
+  cargo clippy --offline --all-targets -- -D warnings
 }
 
 gate_test() {
@@ -409,6 +415,7 @@ run_gate() {
 }
 
 run_gate "build (release, -Dwarnings)" gate_build
+run_gate "clippy (all targets, -D warnings)" gate_clippy
 run_gate "test" gate_test
 run_gate "footbench's own tests" gate_footbench
 run_gate "sweep smoke (2-seed replication, resume by re-run)" gate_sweep

@@ -70,7 +70,7 @@ const SMOKE_METRICS_COMPLETE: (u64, usize) = (0x019c_0da3_9fa1_c004, 16_198);
 /// region counts) after all four phases of `Scenario::smoke(7)`, untraced.
 /// Regenerate only for a deliberate change to the span tree, and record
 /// the move in CHANGES.md.
-const SMOKE_STRUCTURE_DIGEST: &str = "0x0d0c63f2ddcdbe70";
+const SMOKE_STRUCTURE_DIGEST: &str = "0x73b85c7d6fdfa4e6";
 
 fn metrics_pin(snapshot: &footsteps_obs::MetricsSnapshot) -> (u64, usize) {
     let json = snapshot.to_json();
